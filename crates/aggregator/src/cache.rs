@@ -5,14 +5,26 @@
 //! index view (Definition 2). During the attach stage, label lookups go
 //! through these views first; only misses fall back to a full-graph query
 //! (Algorithm 1 lines 12–14).
+//!
+//! A merge looks the same few hundred labels up tens of thousands of times,
+//! and the answer for a label never changes (the knowledge graph and the
+//! views are fixed once built), so each distinct label is resolved once and
+//! memoized together with whether that resolution hit a cached view. Every
+//! lookup still counts as the hit or miss the unmemoized walk would have
+//! been, so the accounting is unchanged.
 
+use std::collections::HashMap;
 use svqa_graph::{induced_subgraph, Graph, LabelHistogram, SubgraphView, VertexId};
 
 /// The ordered cache list `G_N` of Algorithm 1, plus hit/miss accounting.
+/// Bound to the knowledge graph it was built over: every lookup must pass
+/// that same graph.
 #[derive(Debug)]
 pub struct SubgraphCache {
     /// `(category, cached view)` in descending frequency order.
     entries: Vec<(String, SubgraphView)>,
+    /// label → (resolved vertex, whether a cached view answered it).
+    resolved: HashMap<String, (Option<VertexId>, bool)>,
     hits: usize,
     misses: usize,
 }
@@ -41,6 +53,7 @@ impl SubgraphCache {
         (
             SubgraphCache {
                 entries,
+                resolved: HashMap::new(),
                 hits: 0,
                 misses: 0,
             },
@@ -52,14 +65,31 @@ impl SubgraphCache {
     /// through the cached views first (hit), falling back to the full graph
     /// (miss) — Algorithm 1 lines 9–14.
     pub fn lookup(&mut self, kg: &Graph, label: &str) -> Option<VertexId> {
+        let (vertex, hit) = match self.resolved.get(label) {
+            Some(&memo) => memo,
+            None => {
+                let memo = self.resolve(kg, label);
+                self.resolved.insert(label.to_owned(), memo);
+                memo
+            }
+        };
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        vertex
+    }
+
+    /// The unmemoized walk behind [`lookup`](Self::lookup): the first
+    /// cached view holding `label` (a hit), else the full graph (a miss).
+    fn resolve(&self, kg: &Graph, label: &str) -> (Option<VertexId>, bool) {
         for (_, view) in &self.entries {
             if let Some(v) = view.vertices_with_label(kg, label).next() {
-                self.hits += 1;
-                return Some(v);
+                return (Some(v), true);
             }
         }
-        self.misses += 1;
-        kg.vertices_with_label(label).first().copied()
+        (kg.vertices_with_label(label).first().copied(), false)
     }
 
     /// Number of cached subgraphs.
@@ -173,6 +203,22 @@ mod tests {
         let (mut cache, _) = SubgraphCache::build(&scenes, &graph, 1, 2);
         assert!(cache.lookup(&graph, "spaceship").is_none());
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn repeated_lookups_count_like_the_first() {
+        let scenes = vec![scene(&["dog", "dog"])];
+        let graph = kg();
+        let (mut cache, _) = SubgraphCache::build(&scenes, &graph, 1, 1);
+        for _ in 0..3 {
+            assert_eq!(
+                cache.lookup(&graph, "animal"),
+                graph.vertices_with_label("animal").first().copied()
+            );
+            assert!(cache.lookup(&graph, "harry potter").is_some());
+            assert!(cache.lookup(&graph, "spaceship").is_none());
+        }
+        assert_eq!((cache.hits(), cache.misses()), (3, 6));
     }
 
     #[test]

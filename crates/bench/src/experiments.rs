@@ -267,9 +267,10 @@ pub fn run_exp3(mvqa: &Mvqa) -> (Vec<Exp3Row>, Table) {
             let mut acc100 = RecallAccumulator::exact();
             for img in &sample {
                 let out = sgg.generate(img);
-                acc20.add_image(img, &out.detections, &out.predictions, 20);
-                acc50.add_image(img, &out.detections, &out.predictions, 50);
-                acc100.add_image(img, &out.detections, &out.predictions, 100);
+                let predictions = out.predictions();
+                acc20.add_image(img, &out.detections, &predictions, 20);
+                acc50.add_image(img, &out.detections, &predictions, 50);
+                acc100.add_image(img, &out.detections, &predictions, 100);
             }
             // End-to-end accuracy with this SGG config.
             let config = SvqaConfig {

@@ -226,22 +226,11 @@ pub(crate) fn execute_with_retry<T>(
 
 /// Copy the subgraph induced by the vertices `keep` accepts (by dense
 /// vertex index), preserving labels and properties. Edge endpoints are
-/// remapped; edges with a dropped endpoint are dropped.
+/// remapped; edges with a dropped endpoint are dropped. The copy shares
+/// the source graph's labels.
 pub(crate) fn filter_view(graph: &Graph, keep: impl Fn(usize) -> bool) -> Graph {
     let mut view = Graph::with_capacity(graph.vertex_count(), graph.edge_count());
-    let mut mapping = vec![None; graph.vertex_count()];
-    for (id, v) in graph.vertices() {
-        if keep(id.index()) {
-            mapping[id.index()] =
-                Some(view.add_vertex_with_props(v.label(), v.props().clone()));
-        }
-    }
-    for (_, e) in graph.edges() {
-        if let (Some(src), Some(dst)) = (mapping[e.src().index()], mapping[e.dst().index()]) {
-            view.add_edge_with_props(src, dst, e.label(), e.props().clone())
-                .expect("endpoints were just added");
-        }
-    }
+    view.absorb_where(graph, |v| keep(v.index()));
     view
 }
 

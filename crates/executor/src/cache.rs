@@ -303,7 +303,9 @@ impl KeyCentricCache {
         self.pool_size
     }
 
-    /// Every key currently resident in either pool (scope first).
+    /// Every key currently resident in either pool (scope first). Only the
+    /// debug-assertions [`invariants`] read it.
+    #[cfg(debug_assertions)]
     fn resident_keys(&self) -> impl Iterator<Item = &str> {
         self.scope
             .map
@@ -329,6 +331,8 @@ impl KeyCentricCache {
 pub struct ShardedCache {
     shards: Vec<Mutex<KeyCentricCache>>,
     /// The caller's total item budget (what the shard budgets must sum to).
+    /// Only the debug-assertions [`invariants`] read it.
+    #[cfg(debug_assertions)]
     pool_size: usize,
 }
 
@@ -354,6 +358,7 @@ impl ShardedCache {
                     Mutex::new(KeyCentricCache::new(granularity, policy, budget))
                 })
                 .collect(),
+            #[cfg(debug_assertions)]
             pool_size,
         };
         cache.debug_assert_invariants();

@@ -29,27 +29,22 @@ const VERSION: u16 = 1;
 
 /// Serialize a graph into the binary snapshot format.
 pub fn to_bytes(graph: &Graph) -> Bytes {
-    // Intern every label into a shared table (one pass each over vertices
-    // and edges).
-    let mut labels: Vec<String> = Vec::new();
-    let mut label_ids: HashMap<String, u32> = HashMap::new();
-    let intern = |label: &str, labels: &mut Vec<String>, ids: &mut HashMap<String, u32>| {
-        if let Some(&id) = ids.get(label) {
-            return id;
-        }
-        let id = labels.len() as u32;
-        labels.push(label.to_owned());
-        ids.insert(label.to_owned(), id);
-        id
-    };
-    let mut vertex_label_ids = Vec::with_capacity(graph.vertex_count());
-    for (_, v) in graph.vertices() {
-        vertex_label_ids.push(intern(v.label(), &mut labels, &mut label_ids));
-    }
-    let mut edge_label_ids = Vec::with_capacity(graph.edge_count());
-    for (_, e) in graph.edges() {
-        edge_label_ids.push(intern(e.label(), &mut labels, &mut label_ids));
-    }
+    // Intern every label into a shared table (one pass over vertices, then
+    // edges), in first-seen order.
+    let mut labels: Vec<&str> = Vec::new();
+    let mut label_ids: HashMap<&str, u32> = HashMap::new();
+    let element_label_ids: Vec<u32> = graph
+        .vertices()
+        .map(|(_, v)| v.label())
+        .chain(graph.edges().map(|(_, e)| e.label()))
+        .map(|label| {
+            *label_ids.entry(label).or_insert_with(|| {
+                labels.push(label);
+                labels.len() as u32 - 1
+            })
+        })
+        .collect();
+    let (vertex_label_ids, edge_label_ids) = element_label_ids.split_at(graph.vertex_count());
 
     let mut buf = BytesMut::with_capacity(64 + graph.vertex_count() * 8 + graph.edge_count() * 16);
     buf.put_slice(MAGIC);
@@ -61,11 +56,11 @@ pub fn to_bytes(graph: &Graph) -> Bytes {
         buf.put_u16_le(label.len() as u16);
         buf.put_slice(label.as_bytes());
     }
-    for ((_, v), &lid) in graph.vertices().zip(&vertex_label_ids) {
+    for ((_, v), &lid) in graph.vertices().zip(vertex_label_ids) {
         buf.put_u32_le(lid);
         write_props(&mut buf, v.props());
     }
-    for ((_, e), &lid) in graph.edges().zip(&edge_label_ids) {
+    for ((_, e), &lid) in graph.edges().zip(edge_label_ids) {
         buf.put_u32_le(e.src().index() as u32);
         buf.put_u32_le(e.dst().index() as u32);
         buf.put_u32_le(lid);

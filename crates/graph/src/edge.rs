@@ -1,6 +1,7 @@
 //! Edge storage.
 
 use crate::ids::VertexId;
+use crate::label::Label;
 use crate::props::Properties;
 use serde::{Deserialize, Serialize};
 
@@ -13,12 +14,12 @@ use serde::{Deserialize, Serialize};
 pub struct Edge {
     src: VertexId,
     dst: VertexId,
-    label: String,
+    pub(crate) label: Label,
     props: Properties,
 }
 
 impl Edge {
-    pub(crate) fn new(src: VertexId, dst: VertexId, label: String, props: Properties) -> Self {
+    pub(crate) fn new(src: VertexId, dst: VertexId, label: Label, props: Properties) -> Self {
         Edge {
             src,
             dst,
@@ -39,7 +40,7 @@ impl Edge {
 
     /// The label `L(e)` (the relation predicate).
     pub fn label(&self) -> &str {
-        &self.label
+        self.label.as_str()
     }
 
     /// Immutable access to the edge's properties.
@@ -75,7 +76,7 @@ mod tests {
         let a = VertexId::from_index(0);
         let b = VertexId::from_index(1);
         let c = VertexId::from_index(2);
-        let e = Edge::new(a, b, "wearing".into(), Properties::new());
+        let e = Edge::new(a, b, Label::from("wearing"), Properties::new());
         assert_eq!(e.src(), a);
         assert_eq!(e.dst(), b);
         assert_eq!(e.label(), "wearing");

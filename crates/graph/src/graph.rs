@@ -3,6 +3,7 @@
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
+use crate::label::Label;
 use crate::props::Properties;
 use crate::vertex::Vertex;
 use serde::{Deserialize, Serialize};
@@ -14,17 +15,21 @@ use std::collections::HashMap;
 /// into the merged graph, and attaches cache indexes, but never deletes
 /// structure mid-query; dropping deletion keeps ids stable and the arenas
 /// dense.
+///
+/// The two label indexes double as the graph's label interner: every vertex
+/// (edge) holds a clone of its label's key in `label_index`
+/// (`edge_label_counts`), so a label's text is stored once per graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Graph {
     vertices: Vec<Vertex>,
     edges: Vec<Edge>,
     /// label → vertex ids carrying that label (in insertion order).
     #[serde(skip)]
-    label_index: HashMap<String, Vec<VertexId>>,
+    label_index: HashMap<Label, Vec<VertexId>>,
     /// edge label → number of edges carrying it (Algorithm 3's
     /// `getLabels(E_mg)` reads this).
     #[serde(skip)]
-    edge_label_counts: HashMap<String, usize>,
+    edge_label_counts: HashMap<Label, usize>,
 }
 
 impl Graph {
@@ -60,22 +65,32 @@ impl Graph {
     }
 
     /// Add a vertex with the given label and no properties.
-    pub fn add_vertex(&mut self, label: impl Into<String>) -> VertexId {
+    pub fn add_vertex(&mut self, label: impl AsRef<str>) -> VertexId {
         self.add_vertex_with_props(label, Properties::new())
     }
 
-    /// Add a vertex with the given label and properties.
+    /// Add a vertex with the given label and properties. A label some
+    /// vertex already carries is shared, not copied.
     pub fn add_vertex_with_props(
         &mut self,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
         props: Properties,
     ) -> VertexId {
-        let label = label.into();
+        let label = label.as_ref();
+        let label = shared(&self.label_index, label, || Label::from(label));
+        self.push_vertex(label, props)
+    }
+
+    /// Append a vertex whose label is already this graph's shared copy (or
+    /// new to it).
+    fn push_vertex(&mut self, label: Label, props: Properties) -> VertexId {
         let id = VertexId::from_index(self.vertices.len());
-        self.label_index
-            .entry(label.clone())
-            .or_default()
-            .push(id);
+        match self.label_index.get_mut(label.as_str()) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.label_index.insert(label.clone(), vec![id]);
+            }
+        }
         self.vertices.push(Vertex::new(label, props));
         id
     }
@@ -85,17 +100,18 @@ impl Graph {
         &mut self,
         src: VertexId,
         dst: VertexId,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
     ) -> Result<EdgeId, GraphError> {
         self.add_edge_with_props(src, dst, label, Properties::new())
     }
 
     /// Add a directed edge `src → dst` with the given label and properties.
+    /// A label some edge already carries is shared, not copied.
     pub fn add_edge_with_props(
         &mut self,
         src: VertexId,
         dst: VertexId,
-        label: impl Into<String>,
+        label: impl AsRef<str>,
         props: Properties,
     ) -> Result<EdgeId, GraphError> {
         if src.index() >= self.vertices.len() {
@@ -104,13 +120,31 @@ impl Graph {
         if dst.index() >= self.vertices.len() {
             return Err(GraphError::UnknownVertex(dst));
         }
-        let label = label.into();
+        let label = label.as_ref();
+        let label = shared(&self.edge_label_counts, label, || Label::from(label));
+        Ok(self.push_edge(src, dst, label, props))
+    }
+
+    /// Append an edge between existing vertices whose label is already
+    /// this graph's shared copy (or new to it).
+    fn push_edge(
+        &mut self,
+        src: VertexId,
+        dst: VertexId,
+        label: Label,
+        props: Properties,
+    ) -> EdgeId {
         let id = EdgeId::from_index(self.edges.len());
-        *self.edge_label_counts.entry(label.clone()).or_insert(0) += 1;
+        match self.edge_label_counts.get_mut(label.as_str()) {
+            Some(count) => *count += 1,
+            None => {
+                self.edge_label_counts.insert(label.clone(), 1);
+            }
+        }
         self.edges.push(Edge::new(src, dst, label, props));
         self.vertices[src.index()].out_edges.push(id);
         self.vertices[dst.index()].in_edges.push(id);
-        Ok(id)
+        id
     }
 
     /// Look up a vertex by id.
@@ -229,22 +263,24 @@ impl Graph {
         self.edges_between(src, dst).any(|(_, e)| e.label() == label)
     }
 
-    /// Rebuild the label and edge-label indexes from the arenas. Called after
+    /// Rebuild the label and edge-label indexes from the arenas, re-pointing
+    /// every element at one shared copy of its label. Called after
     /// deserialization (the indexes are not persisted).
     pub(crate) fn rebuild_indexes(&mut self) {
         self.label_index.clear();
         self.edge_label_counts.clear();
-        for (i, v) in self.vertices.iter().enumerate() {
+        for (i, v) in self.vertices.iter_mut().enumerate() {
+            v.label = shared(&self.label_index, v.label.as_str(), || v.label.clone());
             self.label_index
-                .entry(v.label().to_owned())
+                .entry(v.label.clone())
                 .or_default()
                 .push(VertexId::from_index(i));
         }
-        for e in &self.edges {
-            *self
-                .edge_label_counts
-                .entry(e.label().to_owned())
-                .or_insert(0) += 1;
+        for e in &mut self.edges {
+            e.label = shared(&self.edge_label_counts, e.label.as_str(), || {
+                e.label.clone()
+            });
+            *self.edge_label_counts.entry(e.label.clone()).or_insert(0) += 1;
         }
     }
 
@@ -300,22 +336,46 @@ impl Graph {
     /// vertex id translation table (`other` id index → new id). The basis of
     /// scene-graph merging in the aggregator.
     pub fn absorb(&mut self, other: &Graph) -> Vec<VertexId> {
+        self.absorb_where(other, |_| true)
+            .into_iter()
+            .map(|id| id.expect("every vertex is kept"))
+            .collect()
+    }
+
+    /// Copy the subgraph of `other` induced by the vertices `keep` accepts
+    /// into `self`, with their labels and properties. Returns the vertex id
+    /// translation table (`None` for dropped vertices); edges with a
+    /// dropped endpoint are dropped. Labels are shared, never copied: each
+    /// one is this graph's copy when it has one, `other`'s otherwise.
+    pub fn absorb_where(
+        &mut self,
+        other: &Graph,
+        keep: impl Fn(VertexId) -> bool,
+    ) -> Vec<Option<VertexId>> {
         let mut mapping = Vec::with_capacity(other.vertex_count());
-        for (_, v) in other.vertices() {
-            let id = self.add_vertex_with_props(v.label().to_owned(), v.props().clone());
-            mapping.push(id);
+        for (id, v) in other.vertices() {
+            mapping.push(keep(id).then(|| {
+                let label = shared(&self.label_index, v.label(), || v.label.clone());
+                self.push_vertex(label, v.props().clone())
+            }));
         }
         for (_, e) in other.edges() {
-            // Endpoints are valid by construction of `mapping`.
-            self.add_edge_with_props(
-                mapping[e.src().index()],
-                mapping[e.dst().index()],
-                e.label().to_owned(),
-                e.props().clone(),
-            )
-            .expect("absorbed endpoints are valid");
+            if let (Some(src), Some(dst)) = (mapping[e.src().index()], mapping[e.dst().index()]) {
+                let label = shared(&self.edge_label_counts, e.label(), || e.label.clone());
+                self.push_edge(src, dst, label, e.props().clone());
+            }
         }
         mapping
+    }
+}
+
+/// The shared copy of `label` among `index`'s keys, or `fresh()` when no
+/// element carries it yet. Probing by `&str` means a known label costs a
+/// reference-count bump, never an allocation.
+fn shared<V>(index: &HashMap<Label, V>, label: &str, fresh: impl FnOnce() -> Label) -> Label {
+    match index.get_key_value(label) {
+        Some((known, _)) => known.clone(),
+        None => fresh(),
     }
 }
 
@@ -419,6 +479,53 @@ mod tests {
         assert_eq!(g2.vertex_label(mapping[0]), Some("a"));
         assert!(g2.has_edge(mapping[0], mapping[1], "ab"));
         g2.validate().unwrap();
+    }
+
+    #[test]
+    fn absorb_where_keeps_the_induced_subgraph() {
+        let (g1, a, b, c) = triangle();
+        let mut g2 = Graph::new();
+        let mapping = g2.absorb_where(&g1, |v| v != b);
+        assert_eq!(mapping[b.index()], None);
+        let (na, nc) = (mapping[a.index()].unwrap(), mapping[c.index()].unwrap());
+        assert_eq!(g2.vertex_count(), 2);
+        assert_eq!(g2.edge_count(), 1);
+        assert!(g2.has_edge(nc, na, "ca"));
+        g2.validate().unwrap();
+    }
+
+    #[test]
+    fn labels_are_stored_once_per_graph() {
+        let mut g = Graph::new();
+        let a = g.add_vertex("dog");
+        let b = g.add_vertex(String::from("dog"));
+        let e1 = g.add_edge(a, b, "near").unwrap();
+        let e2 = g.add_edge(b, a, "near").unwrap();
+        let shares = |x: &Label, y: &Label| std::ptr::eq(x.as_str(), y.as_str());
+        assert!(shares(
+            &g.vertices[a.index()].label,
+            &g.vertices[b.index()].label
+        ));
+        assert!(shares(
+            &g.edges[e1.index()].label,
+            &g.edges[e2.index()].label
+        ));
+
+        // Absorbing reuses the target's copy of a label it knows and the
+        // source's copy of one it does not.
+        let mut h = Graph::new();
+        let known = h.add_vertex("dog");
+        let mapping = h.absorb(&g);
+        assert!(shares(
+            &h.vertices[known.index()].label,
+            &h.vertices[mapping[0].index()].label
+        ));
+        assert!(shares(&h.edges[0].label, &g.edges[e1.index()].label));
+
+        // Deserialized graphs get their labels shared again.
+        let back = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
+        assert!(shares(&back.vertices[0].label, &back.vertices[1].label));
+        assert!(shares(&back.edges[0].label, &back.edges[1].label));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!
 //! Design notes (informed by the performance guide):
 //! * vertices and edges live in flat arenas indexed by `u32` ids — no
-//!   per-vertex allocation beyond its label/property storage;
+//!   per-vertex allocation beyond its property list: labels are shared,
+//!   reference-counted strings stored once per graph, and the pipeline's
+//!   fixed property keys are static strings;
 //! * adjacency is held as per-vertex out/in edge id lists, giving `O(deg)`
 //!   neighbourhood scans;
 //! * a label index maps each label to its vertices so `matchVertex`-style
@@ -42,6 +44,7 @@ pub mod error;
 pub mod graph;
 pub mod ids;
 pub mod io;
+mod label;
 pub mod props;
 pub mod stats;
 pub mod subgraph;

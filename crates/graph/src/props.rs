@@ -5,8 +5,14 @@
 //! with the subgraph-cache index (Algorithm 1). Properties are a small sorted
 //! `(key, value)` list: the observed property counts are tiny (≤ 8), where a
 //! sorted vec beats a hash map on both memory and lookup cost.
+//!
+//! Keys are `Cow<'static, str>`: the fixed keys the pipeline writes
+//! (`"image"`, `"x"`, …, `"score"`) are borrowed string literals and cost no
+//! allocation, while keys only known at run time (deserialized files,
+//! caller-chosen names) are owned.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Map, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A property value. The variants cover everything SVQA stores on the graph:
@@ -107,10 +113,11 @@ impl From<bool> for PropValue {
     }
 }
 
-/// A small key-sorted property map.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A small key-sorted property map. Serializes as
+/// `{"entries": [[key, value], ...]}`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Properties {
-    entries: Vec<(String, PropValue)>,
+    entries: Vec<(Cow<'static, str>, PropValue)>,
 }
 
 impl Properties {
@@ -131,10 +138,14 @@ impl Properties {
 
     /// Insert or overwrite a property. Returns the previous value if the key
     /// was already present.
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<PropValue>) -> Option<PropValue> {
+    pub fn set(
+        &mut self,
+        key: impl Into<Cow<'static, str>>,
+        value: impl Into<PropValue>,
+    ) -> Option<PropValue> {
         let key = key.into();
         let value = value.into();
-        match self.entries.binary_search_by(|(k, _)| k.as_str().cmp(&key)) {
+        match self.entries.binary_search_by(|(k, _)| k.as_ref().cmp(key.as_ref())) {
             Ok(pos) => Some(std::mem::replace(&mut self.entries[pos].1, value)),
             Err(pos) => {
                 self.entries.insert(pos, (key, value));
@@ -146,14 +157,14 @@ impl Properties {
     /// Look up a property by key.
     pub fn get(&self, key: &str) -> Option<&PropValue> {
         self.entries
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
             .ok()
             .map(|pos| &self.entries[pos].1)
     }
 
     /// Remove a property by key, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<PropValue> {
-        match self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
+        match self.entries.binary_search_by(|(k, _)| k.as_ref().cmp(key)) {
             Ok(pos) => Some(self.entries.remove(pos).1),
             Err(_) => None,
         }
@@ -161,13 +172,45 @@ impl Properties {
 
     /// Iterate over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &PropValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (k.as_ref(), v))
     }
 }
 
-impl<K: Into<String>, V: Into<PropValue>> FromIterator<(K, V)> for Properties {
-    fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
+impl Serialize for Properties {
+    fn to_value(&self) -> Value {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(k, v)| Value::Array(vec![Value::String(k.as_ref().to_owned()), v.to_value()]))
+            .collect();
+        let mut m = Map::new();
+        m.insert("entries".to_owned(), Value::Array(entries));
+        Value::Object(m)
+    }
+}
+
+impl Deserialize for Properties {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let entries = v
+            .get("entries")
+            .and_then(Value::as_array)
+            .ok_or_else(|| Error::custom("Properties: expected {\"entries\": [...]}"))?;
         let mut props = Properties::new();
+        for entry in entries {
+            let (key, value) = <(String, PropValue)>::from_value(entry)
+                .map_err(|e| Error::custom(format!("Properties.entries: {e}")))?;
+            props.set(key, value);
+        }
+        Ok(props)
+    }
+}
+
+impl<K: Into<Cow<'static, str>>, V: Into<PropValue>> FromIterator<(K, V)> for Properties {
+    fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
+        let iter = iter.into_iter();
+        let mut props = Properties {
+            entries: Vec::with_capacity(iter.size_hint().0),
+        };
         for (k, v) in iter {
             props.set(k, v);
         }
@@ -232,5 +275,22 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: Properties = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn static_and_runtime_keys_serialize_alike() {
+        let mut p = Properties::new();
+        p.set("score", 0.5);
+        p.set(String::from("source"), "lake");
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(
+            json,
+            r#"{"entries":[["score",{"Float":0.5}],["source",{"Str":"lake"}]]}"#
+        );
+        assert!(matches!(p.entries[0].0, Cow::Borrowed(_)));
+        let back: Properties = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, p);
+        assert!(serde_json::from_str::<Properties>(r#"{"entries":[["k"]]}"#).is_err());
+        assert!(serde_json::from_str::<Properties>("[]").is_err());
     }
 }

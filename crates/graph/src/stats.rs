@@ -21,10 +21,10 @@ impl LabelHistogram {
     /// Count vertex labels across a collection of graphs — Algorithm 1 line 2
     /// (`T ← statistics({G_sg(I) | ∀I ∈ 𝕀})`).
     pub fn from_vertex_labels<'a>(graphs: impl IntoIterator<Item = &'a Graph>) -> Self {
-        let mut counts: HashMap<String, usize> = HashMap::new();
+        let mut counts: HashMap<&str, usize> = HashMap::new();
         for g in graphs {
             for (_, v) in g.vertices() {
-                *counts.entry(v.label().to_owned()).or_insert(0) += 1;
+                *counts.entry(v.label()).or_insert(0) += 1;
             }
         }
         Self::from_counts(counts)
@@ -32,17 +32,22 @@ impl LabelHistogram {
 
     /// Count edge labels across a collection of graphs.
     pub fn from_edge_labels<'a>(graphs: impl IntoIterator<Item = &'a Graph>) -> Self {
-        let mut counts: HashMap<String, usize> = HashMap::new();
+        let mut counts: HashMap<&str, usize> = HashMap::new();
         for g in graphs {
             for (_, e) in g.edges() {
-                *counts.entry(e.label().to_owned()).or_insert(0) += 1;
+                *counts.entry(e.label()).or_insert(0) += 1;
             }
         }
         Self::from_counts(counts)
     }
 
-    fn from_counts(counts: HashMap<String, usize>) -> Self {
-        let mut entries: Vec<_> = counts.into_iter().collect();
+    /// Counts are tallied on borrowed labels; only the distinct ones are
+    /// copied into the histogram.
+    fn from_counts(counts: HashMap<&str, usize>) -> Self {
+        let mut entries: Vec<_> = counts
+            .into_iter()
+            .map(|(label, count)| (label.to_owned(), count))
+            .collect();
         entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         LabelHistogram { entries }
     }

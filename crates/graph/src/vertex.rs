@@ -1,6 +1,7 @@
 //! Vertex storage.
 
 use crate::ids::EdgeId;
+use crate::label::Label;
 use crate::props::Properties;
 use serde::{Deserialize, Serialize};
 
@@ -9,17 +10,18 @@ use serde::{Deserialize, Serialize};
 ///
 /// The adjacency lists are owned by the vertex so that a neighbourhood scan
 /// touches one arena slot; they store *edge* ids, and the edge records hold
-/// the endpoint vertex ids.
+/// the endpoint vertex ids. The label is shared with every other vertex of
+/// the same graph that carries it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Vertex {
-    label: String,
+    pub(crate) label: Label,
     props: Properties,
     pub(crate) out_edges: Vec<EdgeId>,
     pub(crate) in_edges: Vec<EdgeId>,
 }
 
 impl Vertex {
-    pub(crate) fn new(label: String, props: Properties) -> Self {
+    pub(crate) fn new(label: Label, props: Properties) -> Self {
         Vertex {
             label,
             props,
@@ -30,7 +32,7 @@ impl Vertex {
 
     /// The label `L(v)`.
     pub fn label(&self) -> &str {
-        &self.label
+        self.label.as_str()
     }
 
     /// Immutable access to the vertex's properties.
@@ -75,7 +77,7 @@ mod tests {
 
     #[test]
     fn fresh_vertex_has_no_edges() {
-        let v = Vertex::new("dog".into(), Properties::new());
+        let v = Vertex::new(Label::from("dog"), Properties::new());
         assert_eq!(v.label(), "dog");
         assert_eq!(v.out_degree(), 0);
         assert_eq!(v.in_degree(), 0);
@@ -84,7 +86,7 @@ mod tests {
 
     #[test]
     fn props_are_mutable() {
-        let mut v = Vertex::new("dog".into(), Properties::new());
+        let mut v = Vertex::new(Label::from("dog"), Properties::new());
         v.props_mut().set("image", 9u32);
         assert_eq!(
             v.props().get("image").and_then(|p| p.as_int()),

@@ -17,6 +17,7 @@ use crate::token::{tokenize, Token};
 use crate::vocab;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A token paired with its assigned POS tag.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,7 +45,7 @@ const TAGGER_UNKNOWN: &[&str] = &["canis"];
 
 /// The rule-based PTB tagger.
 pub struct PosTagger {
-    lexicon: HashMap<&'static str, Candidates>,
+    lexicon: &'static HashMap<&'static str, Candidates>,
 }
 
 impl Default for PosTagger {
@@ -54,8 +55,18 @@ impl Default for PosTagger {
 }
 
 impl PosTagger {
-    /// Build the tagger (constructs the lexicon from the shared vocabulary).
+    /// Build the tagger. The lexicon is constructed from the shared
+    /// vocabulary once per process and shared by every tagger.
     pub fn new() -> Self {
+        static LEXICON: OnceLock<HashMap<&'static str, Candidates>> = OnceLock::new();
+        PosTagger {
+            lexicon: LEXICON.get_or_init(Self::build_lexicon),
+        }
+    }
+
+    /// The tagger lexicon: candidate tags per known word, in lexical priority
+    /// order.
+    fn build_lexicon() -> HashMap<&'static str, Candidates> {
         let mut lexicon: HashMap<&'static str, Candidates> = HashMap::new();
         let mut add = |w: &'static str, t: PosTag| {
             let entry = lexicon.entry(w).or_default();
@@ -131,15 +142,15 @@ impl PosTagger {
                 PosTag::NN
             };
             add(noun, tag);
-            // Regular plural of every known singular noun.
+            // Regular plural of every known singular noun. The plurals are
+            // leaked once per process: the lexicon is built once and the
+            // plural set is finite (the fixed taxonomy).
             if tag == PosTag::NN {
-                // Leak is bounded: the lexicon is built once per tagger and
-                // the plural set is finite (the fixed taxonomy).
                 let plural: &'static str = Box::leak(regular_plural(noun).into_boxed_str());
                 add(plural, PosTag::NNS);
             }
         }
-        PosTagger { lexicon }
+        lexicon
     }
 
     /// Tokenize and tag a question.
@@ -552,6 +563,20 @@ mod tests {
         let h = tags.iter().find(|(w, _)| w == "hogwarts").unwrap();
         // ends in 's' and mid-sentence capitalized → NNPS;
         assert!(matches!(h.1, PosTag::NNP | PosTag::NNPS));
+    }
+
+    #[test]
+    fn taggers_share_one_lexicon_and_agree() {
+        let q = "How many dogs and horses are near the buses, benches and \
+                 umbrellas that the wizards and children are watching?";
+        let (a, b) = (PosTagger::new(), PosTagger::new());
+        assert!(std::ptr::eq(a.lexicon, b.lexicon));
+        let tagged = a.tag(q);
+        assert_eq!(tagged, b.tag(q));
+        for plural in ["dogs", "horses", "buses", "benches", "umbrellas", "wizards"] {
+            let t = tagged.iter().find(|t| t.text() == plural).unwrap();
+            assert_eq!(t.tag, PosTag::NNS, "{plural}");
+        }
     }
 
     #[test]

@@ -48,7 +48,9 @@ impl PairPrior {
     /// class. The resulting prior is exactly the training bias the paper's
     /// Eq. (2)/(3) machinery exists to remove.
     pub fn fit<'a>(images: impl IntoIterator<Item = &'a SyntheticImage>) -> Self {
-        let mut by_pair: HashMap<(String, String), Vec<f64>> = HashMap::new();
+        // Supertypes are static strings; only the distinct pairs are copied
+        // into the owned (serializable) map at the end.
+        let mut by_pair: HashMap<(&'static str, &'static str), Vec<f64>> = HashMap::new();
         let mut marginal = vec![0.0; RELATION_VOCAB.len()];
         for img in images {
             for rel in &img.relations {
@@ -56,8 +58,8 @@ impl PairPrior {
                     continue;
                 };
                 let key = (
-                    supertype(&img.objects[rel.sub].category).to_owned(),
-                    supertype(&img.objects[rel.obj].category).to_owned(),
+                    supertype(&img.objects[rel.sub].category),
+                    supertype(&img.objects[rel.obj].category),
                 );
                 let dist = by_pair
                     .entry(key)
@@ -69,9 +71,13 @@ impl PairPrior {
             }
         }
         normalize(&mut marginal);
-        for dist in by_pair.values_mut() {
-            normalize(dist);
-        }
+        let by_pair = by_pair
+            .into_iter()
+            .map(|((sub, obj), mut dist)| {
+                normalize(&mut dist);
+                ((sub.to_owned(), obj.to_owned()), dist)
+            })
+            .collect();
         PairPrior { by_pair, marginal }
     }
 
@@ -88,12 +94,14 @@ impl PairPrior {
     /// vocabulary (categories are reduced to supertypes; unseen pairs fall
     /// back to the marginal).
     pub fn distribution(&self, sub_label: &str, obj_label: &str) -> &[f64] {
-        let key = (
-            supertype(sub_label).to_owned(),
-            supertype(obj_label).to_owned(),
-        );
+        self.supertype_distribution(supertype(sub_label), supertype(obj_label))
+    }
+
+    /// [`distribution`](Self::distribution) keyed by the supertypes
+    /// themselves (see [`crate::scene::SUPERTYPES`]).
+    pub(crate) fn supertype_distribution(&self, sub: &str, obj: &str) -> &[f64] {
         self.by_pair
-            .get(&key)
+            .get(&(sub.to_owned(), obj.to_owned()))
             .map(Vec::as_slice)
             .unwrap_or(&self.marginal)
     }

@@ -11,15 +11,23 @@
 //! * Eq. (3): `r_ij = argmax(p_rij − p′_rij)` — the Total Direct Effect,
 //!   which strips the bias and recovers the explicit predicate.
 
+use crate::bbox::BBox;
 use crate::detector::Detection;
 use crate::feature::FeatureMap;
 use crate::prior::PairPrior;
+use crate::scene::{supertype_id, SUPERTYPES};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// Number of predicates in [`RELATION_VOCAB`].
+pub const RELATION_COUNT: usize = 15;
+
+/// One score per predicate, indexed like [`RELATION_VOCAB`].
+pub type RelationScores = [f64; RELATION_COUNT];
+
 /// The relation vocabulary (scene-graph predicates).
-pub const RELATION_VOCAB: &[&str] = &[
+pub const RELATION_VOCAB: &[&str; RELATION_COUNT] = &[
     "on",
     "in",
     "near",
@@ -76,17 +84,69 @@ pub struct RelationModelParams {
     pub noise: f64,
 }
 
+/// What the relation model reads from one detection — its decoded box and
+/// depth, whether its feature map is masked, and the supertype of its
+/// label — resolved once per detection rather than once per pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PairOperand {
+    bbox: BBox,
+    depth: f64,
+    masked: bool,
+    supertype: usize,
+}
+
+impl PairOperand {
+    /// Decode a region's feature map and resolve its label's supertype.
+    pub(crate) fn new(features: &FeatureMap, label: &str) -> Self {
+        PairOperand {
+            bbox: features.bbox(),
+            depth: features.depth(),
+            masked: features.is_masked(),
+            supertype: supertype_id(label),
+        }
+    }
+
+    /// The same region behind `Mask(m)` (Eq. (2)): no feature evidence,
+    /// same label.
+    pub(crate) fn masked(self) -> Self {
+        PairOperand {
+            masked: true,
+            ..self
+        }
+    }
+}
+
+impl From<&Detection> for PairOperand {
+    fn from(d: &Detection) -> Self {
+        PairOperand::new(&d.features, &d.label)
+    }
+}
+
 /// The relation predictor.
 #[derive(Debug, Clone)]
 pub struct RelationPredictor {
     params: RelationModelParams,
-    prior: PairPrior,
+    /// The fitted prior as a dense supertype × supertype table (row-major
+    /// over [`SUPERTYPES`]), so a pair's prior is one index, not a lookup.
+    prior_table: Vec<RelationScores>,
 }
 
 impl RelationPredictor {
     /// Build a predictor from model parameters and a fitted prior.
     pub fn new(params: RelationModelParams, prior: PairPrior) -> Self {
-        RelationPredictor { params, prior }
+        let prior_table = SUPERTYPES
+            .iter()
+            .flat_map(|&sub| SUPERTYPES.iter().map(move |&obj| (sub, obj)))
+            .map(|(sub, obj)| {
+                let mut row = [0.0; RELATION_COUNT];
+                row.copy_from_slice(prior.supertype_distribution(sub, obj));
+                row
+            })
+            .collect();
+        RelationPredictor {
+            params,
+            prior_table,
+        }
     }
 
     /// Model parameters.
@@ -104,20 +164,31 @@ impl RelationPredictor {
         obj_features: &FeatureMap,
         obj_label: &str,
         rng: &mut StdRng,
-    ) -> Vec<f64> {
-        let evidence = if sub_features.is_masked() || obj_features.is_masked() {
-            vec![0.0; RELATION_VOCAB.len()]
+    ) -> RelationScores {
+        self.raw_scores(
+            &PairOperand::new(sub_features, sub_label),
+            &PairOperand::new(obj_features, obj_label),
+            rng,
+        )
+    }
+
+    /// [`predict_raw`](Self::predict_raw) on resolved operands: feature
+    /// evidence plus label prior plus one noise draw per predicate, in
+    /// vocabulary order.
+    fn raw_scores(&self, sub: &PairOperand, obj: &PairOperand, rng: &mut StdRng) -> RelationScores {
+        let evidence = if sub.masked || obj.masked {
+            [0.0; RELATION_COUNT]
         } else {
-            geometric_evidence(sub_features, obj_features)
+            geometric_evidence_boxes(sub.bbox, sub.depth, obj.bbox, obj.depth)
         };
-        let prior = self.prior.distribution(sub_label, obj_label);
-        (0..RELATION_VOCAB.len())
-            .map(|r| {
-                self.params.fidelity * evidence[r]
-                    + self.params.prior_weight * prior[r]
-                    + self.params.noise * rng.gen::<f64>()
-            })
-            .collect()
+        let prior = &self.prior_table[sub.supertype * SUPERTYPES.len() + obj.supertype];
+        let mut scores = [0.0; RELATION_COUNT];
+        for (r, score) in scores.iter_mut().enumerate() {
+            *score = self.params.fidelity * evidence[r]
+                + self.params.prior_weight * prior[r]
+                + self.params.noise * rng.gen::<f64>();
+        }
+        scores
     }
 
     /// Eq. (1) / Eq. (2): the normalized relation distribution `p_rij`.
@@ -128,7 +199,7 @@ impl RelationPredictor {
         obj_features: &FeatureMap,
         obj_label: &str,
         rng: &mut StdRng,
-    ) -> Vec<f64> {
+    ) -> RelationScores {
         let mut scores = self.predict_raw(sub_features, sub_label, obj_features, obj_label, rng);
         let sum: f64 = scores.iter().sum();
         if sum > 0.0 {
@@ -139,39 +210,54 @@ impl RelationPredictor {
         scores
     }
 
-    /// Eq. (3): the Total-Direct-Effect scores `p − p′` for a pair, taken
-    /// in raw score space (subtracting *normalized* distributions with
-    /// different normalizers would over-subtract exactly the
-    /// prior-dominant relations TDE is meant to recover).
-    pub fn tde_scores(&self, sub: &Detection, obj: &Detection, rng: &mut StdRng) -> Vec<f64> {
-        let p = self.predict_raw(&sub.features, &sub.label, &obj.features, &obj.label, rng);
-        let masked = FeatureMap::masked();
-        let p_prime = self.predict_raw(&masked, &sub.label, &masked, &obj.label, rng);
-        p.iter().zip(&p_prime).map(|(a, b)| a - b).collect()
+    /// The scores scene-graph generation ranks for one ordered pair:
+    /// Eq. (3)'s Total-Direct-Effect difference `p − p′` when `use_tde`,
+    /// otherwise the biased Eq. (1) scores alone. Both are taken in raw
+    /// score space (subtracting *normalized* distributions with different
+    /// normalizers would over-subtract exactly the prior-dominant relations
+    /// TDE is meant to recover; the raw Eq. (1) argmax equals the
+    /// normalized one).
+    pub(crate) fn pair_scores(
+        &self,
+        sub: &PairOperand,
+        obj: &PairOperand,
+        use_tde: bool,
+        rng: &mut StdRng,
+    ) -> RelationScores {
+        let p = self.raw_scores(sub, obj, rng);
+        if !use_tde {
+            return p;
+        }
+        let p_prime = self.raw_scores(&sub.masked(), &obj.masked(), rng);
+        std::array::from_fn(|r| p[r] - p_prime[r])
     }
 
-    /// Biased (original-model) scores for a pair: Eq. (1) only, raw space
-    /// (argmax-equivalent to the normalized form).
-    pub fn original_scores(&self, sub: &Detection, obj: &Detection, rng: &mut StdRng) -> Vec<f64> {
-        self.predict_raw(&sub.features, &sub.label, &obj.features, &obj.label, rng)
+    /// Eq. (3): the Total-Direct-Effect scores `p − p′` for a pair.
+    pub fn tde_scores(&self, sub: &Detection, obj: &Detection, rng: &mut StdRng) -> RelationScores {
+        self.pair_scores(&sub.into(), &obj.into(), true, rng)
+    }
+
+    /// Biased (original-model) scores for a pair: Eq. (1) only, raw space.
+    pub fn original_scores(
+        &self,
+        sub: &Detection,
+        obj: &Detection,
+        rng: &mut StdRng,
+    ) -> RelationScores {
+        self.pair_scores(&sub.into(), &obj.into(), false, rng)
     }
 }
 
 /// Geometric compatibility of each predicate for an ordered region pair,
 /// decoded from the feature maps. Values in `[0, 1]`.
-pub fn geometric_evidence(sub: &FeatureMap, obj: &FeatureMap) -> Vec<f64> {
+pub fn geometric_evidence(sub: &FeatureMap, obj: &FeatureMap) -> RelationScores {
     geometric_evidence_boxes(sub.bbox(), sub.depth(), obj.bbox(), obj.depth())
 }
 
 /// [`geometric_evidence`] on raw geometry (used both by the relation model
 /// via feature maps and by the scene generator to derive the *emergent*
 /// ground-truth relations implied by final object placement).
-pub fn geometric_evidence_boxes(
-    sb: crate::bbox::BBox,
-    sd: f64,
-    ob: crate::bbox::BBox,
-    od: f64,
-) -> Vec<f64> {
+pub fn geometric_evidence_boxes(sb: BBox, sd: f64, ob: BBox, od: f64) -> RelationScores {
     let dist = sb.center_distance(&ob);
     // Edge-to-edge gap: adjacency for big regions is about separation
     // between box edges, not centers.
@@ -259,7 +345,7 @@ pub fn geometric_evidence_boxes(
     // object's top (contact means "on", not "jumping over").
     let jumping_over = x_overlap_frac * gauss(ob.y - sb.bottom() - 0.06, 0.035);
 
-    vec![
+    [
         on, inn, near, behind, in_front, under, holding, wearing, riding,
         carrying, watching, sitting_on, standing_on, looking_at, jumping_over,
     ]

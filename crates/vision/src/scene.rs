@@ -76,6 +76,27 @@ pub fn supertype(category: &str) -> &'static str {
     category_info(category).map_or("object", |(s, ..)| s)
 }
 
+/// Every supertype [`supertype`] can return, in a fixed order.
+pub(crate) const SUPERTYPES: &[&str] = &[
+    "human",
+    "animal",
+    "vehicle",
+    "building",
+    "clothing",
+    "object",
+    "furniture",
+    "scenery",
+];
+
+/// Index of a category's supertype in [`SUPERTYPES`].
+pub(crate) fn supertype_id(category: &str) -> usize {
+    let st = supertype(category);
+    SUPERTYPES
+        .iter()
+        .position(|&s| s == st)
+        .expect("every category supertype is listed in SUPERTYPES")
+}
+
 /// A ground-truth object in a scene.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SceneObject {
@@ -521,6 +542,14 @@ mod tests {
         assert_eq!(supertype("wizard"), "human");
         assert_eq!(supertype("unknown-thing"), "object");
         assert!(category_info("car").is_some());
+    }
+
+    #[test]
+    fn supertype_ids_cover_every_category() {
+        for &(name, st, ..) in CATEGORIES {
+            assert_eq!(SUPERTYPES[supertype_id(name)], st);
+        }
+        assert_eq!(SUPERTYPES[supertype_id("harry potter")], "object");
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //!
 //! `G_sg(I) = (V_sg, E_sg)`: detections become vertices; per ordered pair,
 //! the relation model produces scores (Original = Eq. (1) argmax,
-//! TDE = Eq. (3) argmax) and pairs above threshold become edges.
+//! TDE = Eq. (3) argmax) and pairs above threshold become edges. The
+//! per-pair scores are kept, and the full Table V ranking of
+//! (pair, predicate) triples is derived from them only when asked for.
 
 use crate::detector::{Detection, Detector, DetectorConfig};
 use crate::eval::RelationPrediction;
 use crate::prior::PairPrior;
-use crate::relation::{RelationModelParams, RelationPredictor, RELATION_VOCAB};
+use crate::relation::{
+    PairOperand, RelationModelParams, RelationPredictor, RelationScores, RELATION_VOCAB,
+};
 use crate::scene::SyntheticImage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,8 +106,36 @@ pub struct SceneGraphOutput {
     pub detections: Vec<Detection>,
     /// Vertex ids aligned with `detections`.
     pub vertex_ids: Vec<VertexId>,
-    /// All scored pair predictions (for mR@K), sorted descending by score.
-    pub predictions: Vec<RelationPrediction>,
+    /// Relation scores of every ordered detection pair `(i, j)`, `i ≠ j`,
+    /// in row-major order.
+    pair_scores: Vec<RelationScores>,
+}
+
+impl SceneGraphOutput {
+    /// All scored (ordered pair, predicate) predictions — the SGG
+    /// evaluation protocol behind mR@K — sorted descending by score, ties
+    /// in generation order. Derived from the kept per-pair scores on each
+    /// call; building the scene graph does not need them.
+    pub fn predictions(&self) -> Vec<RelationPrediction> {
+        let n = self.detections.len();
+        let pairs = (0..n).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
+        let mut predictions: Vec<RelationPrediction> = pairs
+            .zip(&self.pair_scores)
+            .flat_map(|((sub, obj), scores)| {
+                scores
+                    .iter()
+                    .enumerate()
+                    .map(move |(relation, &score)| RelationPrediction {
+                        sub,
+                        obj,
+                        relation,
+                        score,
+                    })
+            })
+            .collect();
+        predictions.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite"));
+        predictions
+    }
 }
 
 /// The scene-graph generator: detector + relation model + edge selection.
@@ -144,7 +176,7 @@ impl SceneGraphGenerator {
                     graph: Graph::new(),
                     detections: Vec::new(),
                     vertex_ids: Vec::new(),
-                    predictions: Vec::new(),
+                    pair_scores: Vec::new(),
                 };
             }
             Some(svqa_fault::FaultKind::Latency(ms)) => {
@@ -155,9 +187,10 @@ impl SceneGraphGenerator {
         let corrupt_edges = fault == Some(svqa_fault::FaultKind::CorruptLabel);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ u64::from(image.id));
         let detections = self.detector.detect(image, &mut rng);
+        let n = detections.len();
 
-        let mut graph = Graph::with_capacity(detections.len(), detections.len() * 2);
-        let mut vertex_ids = Vec::with_capacity(detections.len());
+        let mut graph = Graph::with_capacity(n, n * 2);
+        let mut vertex_ids = Vec::with_capacity(n);
         for d in &detections {
             let props: Properties = [
                 ("image", svqa_graph::PropValue::Int(i64::from(image.id))),
@@ -168,69 +201,53 @@ impl SceneGraphGenerator {
             ]
             .into_iter()
             .collect();
-            vertex_ids.push(graph.add_vertex_with_props(d.label.clone(), props));
+            vertex_ids.push(graph.add_vertex_with_props(&d.label, props));
         }
 
-        // Predictions rank every (ordered pair, predicate) triplet — the
-        // standard SGG evaluation protocol behind mR@K. Graph edges keep
-        // only the per-pair argmax above threshold (the relational matrix
-        // of Eq. (3)).
-        let mut predictions = Vec::new();
-        let mut edges: Vec<(usize, usize, usize, f64)> = Vec::new();
-        for i in 0..detections.len() {
-            for j in 0..detections.len() {
+        // Every ordered pair is scored (the relational matrix of Eq. (3));
+        // graph edges keep only the per-pair argmax above threshold.
+        let operands: Vec<PairOperand> = detections.iter().map(PairOperand::from).collect();
+        let mut pair_scores = Vec::with_capacity(n * n.saturating_sub(1));
+        for (i, sub) in operands.iter().enumerate() {
+            for (j, obj) in operands.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                let scores = if self.config.use_tde {
-                    self.predictor
-                        .tde_scores(&detections[i], &detections[j], &mut rng)
-                } else {
-                    self.predictor
-                        .original_scores(&detections[i], &detections[j], &mut rng)
-                };
+                let scores = self
+                    .predictor
+                    .pair_scores(sub, obj, self.config.use_tde, &mut rng);
                 let mut best = 0usize;
                 for (r, &score) in scores.iter().enumerate() {
-                    predictions.push(RelationPrediction {
-                        sub: i,
-                        obj: j,
-                        relation: r,
-                        score,
-                    });
                     if score > scores[best] {
                         best = r;
                     }
                 }
                 if scores[best] >= self.config.edge_threshold {
-                    edges.push((i, j, best, scores[best]));
+                    let mut props = Properties::new();
+                    props.set("score", scores[best]);
+                    let relation = if corrupt_edges {
+                        (best + 1) % RELATION_VOCAB.len()
+                    } else {
+                        best
+                    };
+                    graph
+                        .add_edge_with_props(
+                            vertex_ids[i],
+                            vertex_ids[j],
+                            RELATION_VOCAB[relation],
+                            props,
+                        )
+                        .expect("vertices exist");
                 }
+                pair_scores.push(scores);
             }
-        }
-        predictions.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite"));
-
-        for (i, j, relation, score) in edges {
-            let mut props = Properties::new();
-            props.set("score", score);
-            let relation = if corrupt_edges {
-                (relation + 1) % RELATION_VOCAB.len()
-            } else {
-                relation
-            };
-            graph
-                .add_edge_with_props(
-                    vertex_ids[i],
-                    vertex_ids[j],
-                    RELATION_VOCAB[relation],
-                    props,
-                )
-                .expect("vertices exist");
         }
 
         SceneGraphOutput {
             graph,
             detections,
             vertex_ids,
-            predictions,
+            pair_scores,
         }
     }
 }
@@ -287,8 +304,9 @@ mod tests {
         let img = frisbee_scene();
         let gen = SceneGraphGenerator::new(noiseless_config(true), PairPrior::uniform());
         let out = gen.generate(&img);
-        assert_eq!(out.predictions.len(), 4 * 3 * RELATION_VOCAB.len());
-        for w in out.predictions.windows(2) {
+        let predictions = out.predictions();
+        assert_eq!(predictions.len(), 4 * 3 * RELATION_VOCAB.len());
+        for w in predictions.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
     }
@@ -314,11 +332,7 @@ mod tests {
         let b = gen.generate(&img);
         assert_eq!(a.graph.vertex_count(), b.graph.vertex_count());
         assert_eq!(a.graph.edge_count(), b.graph.edge_count());
-        assert_eq!(a.predictions.len(), b.predictions.len());
-        for (x, y) in a.predictions.iter().zip(&b.predictions) {
-            assert_eq!(x.relation, y.relation);
-            assert!((x.score - y.score).abs() < 1e-12);
-        }
+        assert_eq!(a.predictions(), b.predictions());
     }
 
     #[test]
@@ -349,7 +363,7 @@ mod tests {
         let orig = SceneGraphGenerator::new(noiseless_config(false), prior.clone()).generate(&img);
         let tde = SceneGraphGenerator::new(noiseless_config(true), prior).generate(&img);
         let rels = |out: &SceneGraphOutput| {
-            out.predictions
+            out.predictions()
                 .iter()
                 .map(|p| p.relation)
                 .collect::<Vec<_>>()

@@ -33,7 +33,7 @@ fn mr20(config: SggConfig, images: &[svqa_vision::scene::SyntheticImage]) -> f64
     let mut acc = RecallAccumulator::exact();
     for img in images {
         let out = sgg.generate(img);
-        acc.add_image(img, &out.detections, &out.predictions, 20);
+        acc.add_image(img, &out.detections, &out.predictions(), 20);
     }
     acc.mean_recall()
 }

@@ -127,8 +127,9 @@ proptest! {
         let sgg = SceneGraphGenerator::new(SggConfig::default(), PairPrior::uniform());
         let out = sgg.generate(&img);
         let n = out.detections.len();
-        prop_assert_eq!(out.predictions.len(), n * n.saturating_sub(1) * RELATION_VOCAB.len());
-        for w in out.predictions.windows(2) {
+        let predictions = out.predictions();
+        prop_assert_eq!(predictions.len(), n * n.saturating_sub(1) * RELATION_VOCAB.len());
+        for w in predictions.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
         }
         out.graph.validate().unwrap();

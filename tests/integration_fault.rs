@@ -293,8 +293,12 @@ fn all_sources_down_is_503_with_retry_after_then_healthz_recovers() {
     assert_eq!(health["fault_plan_armed"].as_bool(), Some(true), "{body}");
 
     // Chaos over: past the cooldown the half-open probes succeed, the
-    // breakers close, and service is fully restored.
+    // breakers close, and service is fully restored. A rule-less plan
+    // replaces the chaos plan instead of none at all: holding the install
+    // lock keeps other tests' plans away from this server (and its
+    // degraded answers out of their counters) until the test ends.
     drop(guard);
+    let _quiet = fault::install(FaultPlan::new(0));
     std::thread::sleep(Duration::from_millis(900));
     let (status, _, body) = http(addr, "POST", "/ask", request);
     assert_eq!(status, 200, "{body}");
