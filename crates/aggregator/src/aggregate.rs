@@ -1,8 +1,11 @@
 //! Graph merging (Algorithm 1).
 
+use crate::attach::Attacher;
 use crate::cache::SubgraphCache;
 use serde::{Deserialize, Serialize};
-use svqa_graph::{Graph, VertexId};
+use std::ops::Range;
+use svqa_graph::{Graph, LabelHistogram, VertexId};
+use svqa_vision::SceneRecords;
 
 /// Configuration of the aggregator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,13 +60,63 @@ pub struct MergeStats {
 pub struct MergedGraph {
     /// The unified graph.
     pub graph: Graph,
-    /// For each input scene graph, the vertex-id translation into `graph`.
-    pub scene_mappings: Vec<Vec<VertexId>>,
+    /// For each input scene graph, in input order, the merged vertex
+    /// indexes its vertices received: they are appended contiguously, in
+    /// the scene graph's own vertex order.
+    pub scene_vertices: Vec<Range<usize>>,
     /// Number of vertices that came from the knowledge graph (they occupy
     /// ids `0..kg_vertex_count`).
     pub kg_vertex_count: usize,
     /// Merge accounting.
     pub stats: MergeStats,
+}
+
+/// The scene graphs one merge consumes, in either held form.
+#[derive(Clone, Copy)]
+enum Scenes<'a> {
+    /// One [`Graph`] per image.
+    Graphs(&'a [Graph]),
+    /// Flat record chunks, each a run of images.
+    Records(&'a [SceneRecords]),
+}
+
+impl Scenes<'_> {
+    /// Algorithm 1 line 2: category counts over every scene vertex.
+    fn histogram(self) -> LabelHistogram {
+        match self {
+            Scenes::Graphs(graphs) => LabelHistogram::from_vertex_labels(graphs),
+            Scenes::Records(records) => {
+                LabelHistogram::from_labels(records.iter().flat_map(SceneRecords::labels))
+            }
+        }
+    }
+
+    /// Total scene `(vertices, edges)`.
+    fn size(self) -> (usize, usize) {
+        match self {
+            Scenes::Graphs(graphs) => graphs.iter().fold((0, 0), |(v, e), g| {
+                (v + g.vertex_count(), e + g.edge_count())
+            }),
+            Scenes::Records(records) => records.iter().fold((0, 0), |(v, e), r| {
+                (v + r.vertex_count(), e + r.edge_count())
+            }),
+        }
+    }
+
+    /// Attach every scene graph in order; the merged indexes of each.
+    fn attach<F>(self, attacher: &mut Attacher<'_, F>) -> Vec<Range<usize>>
+    where
+        F: FnMut(&Graph, &str) -> Option<VertexId>,
+    {
+        match self {
+            Scenes::Graphs(graphs) => graphs.iter().map(|g| attacher.attach_graph(g)).collect(),
+            Scenes::Records(records) => records
+                .iter()
+                .flat_map(SceneRecords::scenes)
+                .map(|scene| attacher.attach_scene(scene))
+                .collect(),
+        }
+    }
 }
 
 /// The Data Aggregator (Algorithm 1 driver).
@@ -85,14 +138,25 @@ impl DataAggregator {
 
     /// Algorithm 1: merge `scene_graphs` into knowledge graph `kg`.
     pub fn merge(&self, scene_graphs: &[Graph], kg: &Graph) -> MergedGraph {
-        let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::AGGREGATE);
-        // --- Initial stage (lines 1–7): build the subgraph cache. ---
-        let (mut cache, histogram) =
-            SubgraphCache::build(scene_graphs, kg, self.config.frequency_threshold, self.config.k);
+        self.merge_scenes(Scenes::Graphs(scene_graphs), kg)
+    }
 
-        // G_mg starts as a copy of G; scene graphs are absorbed into it.
-        let scene_vertices: usize = scene_graphs.iter().map(Graph::vertex_count).sum();
-        let scene_edges: usize = scene_graphs.iter().map(Graph::edge_count).sum();
+    /// Algorithm 1 over scene records: the same merged graph and
+    /// accounting [`merge`](Self::merge) gives for the same scene graphs
+    /// held one `Graph` per image.
+    pub fn merge_records(&self, records: &[SceneRecords], kg: &Graph) -> MergedGraph {
+        self.merge_scenes(Scenes::Records(records), kg)
+    }
+
+    fn merge_scenes(&self, scenes: Scenes<'_>, kg: &Graph) -> MergedGraph {
+        let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::AGGREGATE);
+        let threshold = self.config.frequency_threshold;
+        // --- Initial stage (lines 1–7): build the subgraph cache. ---
+        let histogram = scenes.histogram();
+        let mut cache = SubgraphCache::from_histogram(&histogram, kg, threshold, self.config.k);
+
+        // G_mg starts as a copy of G; scene graphs are appended to it.
+        let (scene_vertices, scene_edges) = scenes.size();
         let mut merged = Graph::with_capacity(
             kg.vertex_count() + scene_vertices,
             kg.edge_count() + scene_edges + 2 * scene_vertices,
@@ -100,49 +164,29 @@ impl DataAggregator {
         let kg_mapping = merged.absorb(kg);
         debug_assert!(kg_mapping.iter().enumerate().all(|(i, v)| v.index() == i));
 
-        // --- Attach stage (lines 8–16). ---
-        let mut links_created = 0usize;
-        let mut unlinked = 0usize;
-        let mut scene_mappings = Vec::with_capacity(scene_graphs.len());
-        for sg in scene_graphs {
-            let mapping = merged.absorb(sg);
-            for (sg_vertex, &merged_id) in sg.vertices().map(|(_, v)| v).zip(&mapping) {
-                // Lines 9–14: find the corresponding knowledge-graph vertex
-                // through the cache, falling back to a direct query.
-                match cache.lookup(kg, sg_vertex.label()) {
-                    Some(kg_local) => {
-                        // connect(v, v') — bidirectional link edges so the
-                        // executor can traverse either way.
-                        let kg_in_merged = kg_mapping[kg_local.index()];
-                        merged
-                            .add_edge(merged_id, kg_in_merged, self.config.link_label.as_str())
-                            .expect("both endpoints exist");
-                        merged
-                            .add_edge(kg_in_merged, merged_id, self.config.link_label.as_str())
-                            .expect("both endpoints exist");
-                        links_created += 2;
-                    }
-                    None => unlinked += 1,
-                }
-            }
-            scene_mappings.push(mapping);
-        }
+        // --- Attach stage (lines 8–16): the cached-subgraph lookup first,
+        // a direct knowledge-graph query as the fallback. ---
+        let mut attacher = Attacher::new(&mut merged, &self.config.link_label, |_, label| {
+            cache
+                .lookup(kg, label)
+                .map(|kg_local| kg_mapping[kg_local.index()])
+        });
+        let scene_vertices = scenes.attach(&mut attacher);
+        let (links_created, unlinked_vertices) = (attacher.links(), attacher.unlinked());
 
         let stats = MergeStats {
             cached_subgraphs: cache.len(),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             links_created,
-            unlinked_vertices: unlinked,
-            fraction_labels_cached: histogram
-                .fraction_of_labels_above(self.config.frequency_threshold),
-            fraction_vertices_covered: histogram
-                .fraction_of_items_above(self.config.frequency_threshold),
+            unlinked_vertices,
+            fraction_labels_cached: histogram.fraction_of_labels_above(threshold),
+            fraction_vertices_covered: histogram.fraction_of_items_above(threshold),
             cache_index_bytes: cache.index_size_bytes(),
         };
         MergedGraph {
             graph: merged,
-            scene_mappings,
+            scene_vertices,
             kg_vertex_count: kg.vertex_count(),
             stats,
         }
@@ -194,7 +238,7 @@ mod tests {
         let scenes = vec![scene(&["dog"], "near")];
         let graph = kg();
         let merged = DataAggregator::default().merge(&scenes, &graph);
-        let scene_dog = merged.scene_mappings[0][0];
+        let scene_dog = VertexId::from_index(merged.scene_vertices[0].start);
         let kg_dog = graph.vertices_with_label("dog")[0];
         assert!(merged.graph.has_edge(scene_dog, kg_dog, "same as"));
         assert!(merged.graph.has_edge(kg_dog, scene_dog, "same as"));
@@ -261,6 +305,50 @@ mod tests {
             .map(|(l, _)| l.to_owned())
             .collect();
         assert!(labels.contains(&"sitting on".to_owned()));
+    }
+
+    #[test]
+    fn records_merge_like_graphs() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use svqa_vision::prior::PairPrior;
+        use svqa_vision::scene::SceneBuilder;
+        use svqa_vision::sgg::{SceneGraphGenerator, SggConfig};
+
+        let mut rng = StdRng::seed_from_u64(21);
+        let images: Vec<_> = (0..12)
+            .map(|id| {
+                let mut b = SceneBuilder::new(id, &mut rng);
+                let dog = b.add_object("dog");
+                let man = b.add_object("man");
+                let cat = b.add_object("cat");
+                b.relate(dog, "near", man);
+                b.relate(man, "watching", cat);
+                b.build()
+            })
+            .collect();
+        let sgg = SceneGraphGenerator::new(SggConfig::default(), PairPrior::fit(&images));
+        let graphs: Vec<Graph> = images.iter().map(|i| sgg.generate(i).graph).collect();
+        let records = [
+            sgg.generate_records(&images[..5]),
+            sgg.generate_records(&[]),
+            sgg.generate_records(&images[5..]),
+        ];
+        let agg = DataAggregator::new(AggregatorConfig {
+            frequency_threshold: 3,
+            ..AggregatorConfig::default()
+        });
+        let (from_graphs, from_records) = (
+            agg.merge(&graphs, &kg()),
+            agg.merge_records(&records, &kg()),
+        );
+        assert!(from_graphs.stats.links_created > 0 && from_graphs.stats.cache_hits > 0);
+        assert_eq!(from_records.stats, from_graphs.stats);
+        assert_eq!(from_records.scene_vertices, from_graphs.scene_vertices);
+        assert_eq!(
+            svqa_graph::io::to_json(&from_records.graph),
+            svqa_graph::io::to_json(&from_graphs.graph)
+        );
     }
 
     #[test]

@@ -40,6 +40,18 @@ impl SubgraphCache {
         k: usize,
     ) -> (Self, LabelHistogram) {
         let histogram = LabelHistogram::from_vertex_labels(scene_graphs.iter());
+        let cache = Self::from_histogram(&histogram, kg, frequency_threshold, k);
+        (cache, histogram)
+    }
+
+    /// Lines 3–7 of the initial stage over an already counted category
+    /// histogram (line 2), however the scene graphs are held.
+    pub(crate) fn from_histogram(
+        histogram: &LabelHistogram,
+        kg: &Graph,
+        frequency_threshold: usize,
+        k: usize,
+    ) -> Self {
         let mut entries = Vec::new();
         for (category, _count) in histogram.above_threshold(frequency_threshold) {
             // find(t_sg, V): the first knowledge-graph vertex labeled with
@@ -50,15 +62,12 @@ impl SubgraphCache {
             };
             entries.push((category.to_owned(), induced_subgraph(kg, t, k)));
         }
-        (
-            SubgraphCache {
-                entries,
-                resolved: HashMap::new(),
-                hits: 0,
-                misses: 0,
-            },
-            histogram,
-        )
+        SubgraphCache {
+            entries,
+            resolved: HashMap::new(),
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// Attach-stage lookup: find the knowledge-graph vertex labeled `label`

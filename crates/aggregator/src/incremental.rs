@@ -7,6 +7,7 @@
 //! for new scene graphs.
 
 use crate::aggregate::AggregatorConfig;
+use crate::attach::Attacher;
 use crate::cache::SubgraphCache;
 use svqa_graph::{Graph, VertexId};
 
@@ -50,24 +51,18 @@ impl IncrementalMerger {
     /// Attach stage for a batch of new scene graphs; returns link edges
     /// created.
     pub fn attach_batch(&mut self, scene_graphs: &[Graph]) -> usize {
-        let mut links = 0usize;
+        // Algorithm 1 lines 9–14: cached-subgraph lookup first, direct
+        // knowledge-graph query as the fallback.
+        let (cache, kg, kg_mapping) = (&mut self.cache, &self.kg, &self.kg_mapping);
+        let mut attacher = Attacher::new(&mut self.merged, &self.config.link_label, |_, label| {
+            cache
+                .lookup(kg, label)
+                .map(|kg_local| kg_mapping[kg_local.index()])
+        });
         for sg in scene_graphs {
-            let mapping = self.merged.absorb(sg);
-            for (sg_vertex, &merged_id) in sg.vertices().map(|(_, v)| v).zip(&mapping) {
-                // Algorithm 1 lines 9–14: cached-subgraph lookup first,
-                // direct knowledge-graph query as the fallback.
-                if let Some(kg_local) = self.cache.lookup(&self.kg, sg_vertex.label()) {
-                    let kg_in_merged = self.kg_mapping[kg_local.index()];
-                    self.merged
-                        .add_edge(merged_id, kg_in_merged, self.config.link_label.as_str())
-                        .expect("endpoints exist");
-                    self.merged
-                        .add_edge(kg_in_merged, merged_id, self.config.link_label.as_str())
-                        .expect("endpoints exist");
-                    links += 2;
-                }
-            }
+            attacher.attach_graph(sg);
         }
+        let links = attacher.links();
         self.scene_graphs_attached += scene_graphs.len();
         links
     }

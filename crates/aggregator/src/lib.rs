@@ -8,7 +8,7 @@
 //! The merged graph contains:
 //! * every knowledge-graph vertex and edge, unchanged;
 //! * every scene-graph vertex and edge (vertex properties carry the image
-//!   id), absorbed per image;
+//!   id), appended per image, from per-image graphs or flat scene records;
 //! * *link edges* (label configurable, default `"same as"`) connecting each
 //!   scene vertex to the knowledge-graph vertex with the matching label,
 //!   in both directions, so query execution can hop between visual
@@ -18,9 +18,11 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod attach;
 pub mod cache;
 pub mod incremental;
 
 pub use aggregate::{AggregatorConfig, DataAggregator, MergeStats, MergedGraph};
+pub use attach::Attacher;
 pub use cache::SubgraphCache;
 pub use incremental::IncrementalMerger;

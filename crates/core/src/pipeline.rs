@@ -9,7 +9,7 @@ use crate::error::SvqaError;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use svqa_fault::{BreakerState, Source};
-use svqa_aggregator::DataAggregator;
+use svqa_aggregator::{Attacher, DataAggregator};
 use svqa_executor::cache::ShardedCache;
 use svqa_executor::executor::QueryGraphExecutor;
 use svqa_executor::scheduler::{BatchReport, QueryScheduler};
@@ -21,6 +21,7 @@ use svqa_telemetry::{counter, global, stage, QueryOutcome, QueryTrace, Span};
 use svqa_vision::prior::PairPrior;
 use svqa_vision::scene::SyntheticImage;
 use svqa_vision::sgg::SceneGraphGenerator;
+use svqa_vision::SceneRecords;
 
 /// Offline build statistics.
 #[derive(Debug, Clone)]
@@ -50,6 +51,48 @@ impl BuildStats {
             self.merged_edges,
             self.merge_time
         )
+    }
+}
+
+/// Scene-graph generation over `images` as flat records, one per
+/// contiguous chunk, in image order. Chunks beyond the first run on scoped
+/// worker threads while the calling thread generates the first; results
+/// join in chunk order. Each image draws from its own RNG stream, so the
+/// records do not depend on `workers`.
+fn scene_records(
+    sgg: &SceneGraphGenerator,
+    images: &[SyntheticImage],
+    workers: usize,
+) -> Vec<SceneRecords> {
+    let mut chunks = images.chunks(images.len().div_ceil(workers.max(1)).max(1));
+    let Some(first) = chunks.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || sgg.generate_records(chunk)))
+            .collect();
+        let mut records = Vec::with_capacity(rest.len() + 1);
+        records.push(sgg.generate_records(first));
+        for worker in rest {
+            records.push(
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        records
+    })
+}
+
+/// Worker count for [`scene_records`]: one per available core, but a
+/// single one while a fault plan is armed, so each fault site draws in
+/// image order.
+fn sgg_workers() -> usize {
+    if svqa_fault::active().is_some() {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
 }
 
@@ -105,17 +148,19 @@ impl Svqa {
         let prior = PairPrior::fit(images);
         let sgg = SceneGraphGenerator::new(config.sgg.clone(), prior);
         let t0 = Instant::now();
-        let scene_graphs: Vec<Graph> = images.iter().map(|i| sgg.generate(i).graph).collect();
+        let records = scene_records(&sgg, images, sgg_workers());
         let sgg_time = t0.elapsed();
-        global().incr_counter_by(counter::SCENE_GRAPHS_BUILT, scene_graphs.len() as u64);
+        global().incr_counter_by(counter::SCENE_GRAPHS_BUILT, images.len() as u64);
 
         let t1 = Instant::now();
         let aggregator = DataAggregator::new(config.aggregator.clone());
-        let merged = aggregator.merge(&scene_graphs, kg);
+        let merged = aggregator.merge_records(&records, kg);
         let merge_time = t1.elapsed();
+        // Free the records before the schema and linter allocate theirs.
+        drop(records);
 
         let build_stats = BuildStats {
-            scene_graphs: scene_graphs.len(),
+            scene_graphs: images.len(),
             merged_vertices: merged.graph.vertex_count(),
             merged_edges: merged.graph.edge_count(),
             merge: merged.stats,
@@ -148,31 +193,25 @@ impl Svqa {
     /// start a fresh [`svqa_executor::cache::ShardedCache`] afterwards —
     /// cached scopes and paths predate the new evidence.
     pub fn add_images(&mut self, images: &[SyntheticImage]) -> usize {
-        let link_label = self.config.aggregator.link_label.clone();
-        let mut links = 0usize;
-        for image in images {
-            let out = self.sgg.generate(image);
-            let mapping = self.merged.absorb(&out.graph);
-            for (local, &merged_id) in out.graph.vertices().map(|(_, v)| v).zip(&mapping) {
-                // Knowledge counterpart: the first vertex with this label
-                // inside the KG id range.
-                let kg_vertex = self
-                    .merged
-                    .vertices_with_label(local.label())
+        let records = scene_records(&self.sgg, images, sgg_workers());
+        let kg_vertex_count = self.kg_vertex_count;
+        // Knowledge counterpart: the first vertex with this label inside
+        // the KG id range.
+        let mut attacher = Attacher::new(
+            &mut self.merged,
+            &self.config.aggregator.link_label,
+            |merged, label| {
+                merged
+                    .vertices_with_label(label)
                     .iter()
                     .copied()
-                    .find(|v| v.index() < self.kg_vertex_count);
-                if let Some(kg) = kg_vertex {
-                    self.merged
-                        .add_edge(merged_id, kg, link_label.as_str())
-                        .expect("endpoints exist");
-                    self.merged
-                        .add_edge(kg, merged_id, link_label.as_str())
-                        .expect("endpoints exist");
-                    links += 2;
-                }
-            }
+                    .find(|v| v.index() < kg_vertex_count)
+            },
+        );
+        for scene in records.iter().flat_map(SceneRecords::scenes) {
+            attacher.attach_scene(scene);
         }
+        let links = attacher.links();
         global().incr_counter_by(counter::SCENE_GRAPHS_BUILT, images.len() as u64);
         self.build_stats.scene_graphs += images.len();
         self.build_stats.merged_vertices = self.merged.vertex_count();
@@ -593,6 +632,31 @@ mod tests {
         let mvqa = Mvqa::generate_small(250, 11);
         let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
         (system, mvqa)
+    }
+
+    #[test]
+    fn scene_records_do_not_depend_on_the_worker_count() {
+        let images = svqa_dataset::generate_images(10, 3);
+        let kg = svqa_dataset::build_knowledge_graph();
+        let config = SvqaConfig::default();
+        let sgg = SceneGraphGenerator::new(config.sgg.clone(), PairPrior::fit(&images));
+        let aggregator = DataAggregator::new(config.aggregator);
+        for n in [0, 1, 3, 10] {
+            let merge = |workers| {
+                let records = scene_records(&sgg, &images[..n], workers);
+                assert!(
+                    records.len() <= workers.max(1),
+                    "{n} images, {workers} workers"
+                );
+                assert_eq!(records.iter().map(SceneRecords::len).sum::<usize>(), n);
+                let merged = aggregator.merge_records(&records, &kg);
+                (svqa_graph::io::to_json(&merged.graph), merged.stats)
+            };
+            let single = merge(1);
+            for workers in [0, 2, 3, 8, 16] {
+                assert!(merge(workers) == single, "{n} images, {workers} workers");
+            }
+        }
     }
 
     #[test]

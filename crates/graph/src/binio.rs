@@ -172,7 +172,7 @@ fn read_props(data: &mut Bytes) -> Result<Properties, GraphError> {
         return Err(corrupt("truncated props"));
     }
     let count = data.get_u16_le() as usize;
-    let mut props = Properties::new();
+    let mut props = Properties::with_capacity(count);
     for _ in 0..count {
         if data.remaining() < 2 {
             return Err(corrupt("truncated prop key length"));

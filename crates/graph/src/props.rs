@@ -126,6 +126,18 @@ impl Properties {
         Self::default()
     }
 
+    /// An empty property set with room for `capacity` entries.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Properties {
+            entries: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Number of entries the set holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Number of stored properties.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -195,7 +207,7 @@ impl Deserialize for Properties {
             .get("entries")
             .and_then(Value::as_array)
             .ok_or_else(|| Error::custom("Properties: expected {\"entries\": [...]}"))?;
-        let mut props = Properties::new();
+        let mut props = Properties::with_capacity(entries.len());
         for entry in entries {
             let (key, value) = <(String, PropValue)>::from_value(entry)
                 .map_err(|e| Error::custom(format!("Properties.entries: {e}")))?;
@@ -208,9 +220,7 @@ impl Deserialize for Properties {
 impl<K: Into<Cow<'static, str>>, V: Into<PropValue>> FromIterator<(K, V)> for Properties {
     fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
         let iter = iter.into_iter();
-        let mut props = Properties {
-            entries: Vec::with_capacity(iter.size_hint().0),
-        };
+        let mut props = Properties::with_capacity(iter.size_hint().0);
         for (k, v) in iter {
             props.set(k, v);
         }
@@ -275,6 +285,30 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: Properties = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn loaded_maps_are_sized_to_their_entries() {
+        // Built by `set`, a one-entry map reserves room for several.
+        let mut score = Properties::new();
+        score.set("score", 0.5);
+        assert!(score.capacity() > 1);
+        let mut g = crate::Graph::new();
+        let bbox: Properties = [("x", 0.1), ("y", 0.2), ("w", 0.3)].into_iter().collect();
+        let dog = g.add_vertex_with_props("dog", bbox);
+        let man = g.add_vertex("man");
+        g.add_edge_with_props(dog, man, "near", score).unwrap();
+
+        let from_json = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
+        let from_bytes = crate::binio::from_bytes(crate::binio::to_bytes(&g)).unwrap();
+        for loaded in [&from_json, &from_bytes] {
+            for (_, v) in loaded.vertices() {
+                assert_eq!(v.props().capacity(), v.props().len(), "{}", v.label());
+            }
+            for (_, e) in loaded.edges() {
+                assert_eq!((e.props().len(), e.props().capacity()), (1, 1));
+            }
+        }
     }
 
     #[test]

@@ -21,24 +21,29 @@ impl LabelHistogram {
     /// Count vertex labels across a collection of graphs — Algorithm 1 line 2
     /// (`T ← statistics({G_sg(I) | ∀I ∈ 𝕀})`).
     pub fn from_vertex_labels<'a>(graphs: impl IntoIterator<Item = &'a Graph>) -> Self {
+        Self::from_labels(
+            graphs
+                .into_iter()
+                .flat_map(|g| g.vertices().map(|(_, v)| v.label())),
+        )
+    }
+
+    /// Count a stream of labels, one item per occurrence.
+    pub fn from_labels<'a>(labels: impl IntoIterator<Item = &'a str>) -> Self {
         let mut counts: HashMap<&str, usize> = HashMap::new();
-        for g in graphs {
-            for (_, v) in g.vertices() {
-                *counts.entry(v.label()).or_insert(0) += 1;
-            }
+        for label in labels {
+            *counts.entry(label).or_insert(0) += 1;
         }
         Self::from_counts(counts)
     }
 
     /// Count edge labels across a collection of graphs.
     pub fn from_edge_labels<'a>(graphs: impl IntoIterator<Item = &'a Graph>) -> Self {
-        let mut counts: HashMap<&str, usize> = HashMap::new();
-        for g in graphs {
-            for (_, e) in g.edges() {
-                *counts.entry(e.label()).or_insert(0) += 1;
-            }
-        }
-        Self::from_counts(counts)
+        Self::from_labels(
+            graphs
+                .into_iter()
+                .flat_map(|g| g.edges().map(|(_, e)| e.label())),
+        )
     }
 
     /// Counts are tallied on borrowed labels; only the distinct ones are
@@ -173,6 +178,13 @@ mod tests {
         assert_eq!(h.count("ghost"), 0);
         assert_eq!(h.total(), 4);
         assert_eq!(h.distinct(), 3);
+    }
+
+    #[test]
+    fn label_stream_counts_like_the_graphs() {
+        let gs = sample_graphs();
+        let h = LabelHistogram::from_labels(["man", "dog", "car", "dog"]);
+        assert_eq!(h, LabelHistogram::from_vertex_labels(&gs));
     }
 
     #[test]

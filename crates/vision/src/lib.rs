@@ -25,6 +25,9 @@
 //! * [`sgg`] — scene-graph generation end-to-end, with the three model
 //!   parameterisations of Table V (Neural Motifs / VCTree / VTransE), each
 //!   in Original and TDE mode;
+//! * [`record`] — flat scene records: a run of images' scene graphs in
+//!   three buffers, for the offline build to merge without a `Graph` per
+//!   image;
 //! * [`eval`] — the Mean Recall@K (mR@K) metric of Exp-3.
 
 #![forbid(unsafe_code)]
@@ -35,6 +38,7 @@ pub mod detector;
 pub mod eval;
 pub mod feature;
 pub mod prior;
+pub mod record;
 pub mod relation;
 pub mod scene;
 pub mod sgg;
@@ -44,6 +48,7 @@ pub use detector::{Detection, Detector, DetectorConfig};
 pub use eval::{mean_recall_at_k, RelationPrediction};
 pub use feature::FeatureMap;
 pub use prior::PairPrior;
+pub use record::{RecordEdge, RecordVertex, SceneRecord, SceneRecords};
 pub use relation::{RelationPredictor, RELATION_VOCAB};
 pub use scene::{SceneObject, SyntheticImage};
 pub use sgg::{SceneGraphGenerator, SggConfig, SggModel};

@@ -2,13 +2,20 @@
 //!
 //! `G_sg(I) = (V_sg, E_sg)`: detections become vertices; per ordered pair,
 //! the relation model produces scores (Original = Eq. (1) argmax,
-//! TDE = Eq. (3) argmax) and pairs above threshold become edges. The
-//! per-pair scores are kept, and the full Table V ranking of
-//! (pair, predicate) triples is derived from them only when asked for.
+//! TDE = Eq. (3) argmax) and pairs above threshold become edges.
+//!
+//! One per-image kernel has two outputs. [`SceneGraphGenerator::generate`]
+//! returns a [`SceneGraphOutput`]: the scene graph as a `Graph` plus the
+//! per-pair scores, from which the full Table V ranking of
+//! (pair, predicate) triples is derived only when asked for.
+//! [`SceneGraphGenerator::generate_records`] writes a run of images into
+//! one flat [`SceneRecords`], which is what the offline build merges.
+//! Both make the same RNG draws, fault draws and telemetry per image.
 
 use crate::detector::{Detection, Detector, DetectorConfig};
 use crate::eval::RelationPrediction;
 use crate::prior::PairPrior;
+use crate::record::{edge_props, vertex_props, RecordEdge, SceneRecords};
 use crate::relation::{
     PairOperand, RelationModelParams, RelationPredictor, RelationScores, RELATION_VOCAB,
 };
@@ -16,7 +23,7 @@ use crate::scene::SyntheticImage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use svqa_graph::{Graph, Properties, VertexId};
+use svqa_graph::{Graph, VertexId};
 
 /// The SGG frameworks compared in Table V, as parameterisations of the
 /// simulated relation model. Ordered weakest → strongest.
@@ -165,6 +172,39 @@ impl SceneGraphGenerator {
 
     /// Generate the scene graph of one image.
     pub fn generate(&self, image: &SyntheticImage) -> SceneGraphOutput {
+        let mut sink = GraphSink::default();
+        let detections = self.scene(image, &mut sink, &mut Vec::new());
+        SceneGraphOutput {
+            graph: sink.graph,
+            detections,
+            vertex_ids: sink.vertex_ids,
+            pair_scores: sink.pair_scores,
+        }
+    }
+
+    /// Generate the scene graphs of a run of images as one flat record,
+    /// in image order: the same scene graphs [`generate`](Self::generate)
+    /// builds, without a `Graph` per image or the per-pair scores.
+    pub fn generate_records(&self, images: &[SyntheticImage]) -> SceneRecords {
+        let mut records = SceneRecords::new();
+        let mut operands = Vec::new();
+        for image in images {
+            self.scene(image, &mut records, &mut operands);
+            records.end_image();
+        }
+        records
+    }
+
+    /// The per-image kernel behind both outputs: the fault gate, the
+    /// image's own RNG stream, detection, then every ordered pair scored
+    /// in row-major order with its argmax edge kept above threshold.
+    /// `operands` is scratch space reused across images.
+    fn scene(
+        &self,
+        image: &SyntheticImage,
+        sink: &mut impl SceneSink,
+        operands: &mut Vec<PairOperand>,
+    ) -> Vec<Detection> {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::SGG);
         // Fault-plan gate, one draw per image. Generation is infallible, so
         // `Error` degrades to an empty scene graph (the image yields
@@ -172,12 +212,7 @@ impl SceneGraphGenerator {
         let fault = svqa_fault::draw(svqa_fault::site::SGG_GENERATE);
         match fault {
             Some(svqa_fault::FaultKind::Error | svqa_fault::FaultKind::DropResult) => {
-                return SceneGraphOutput {
-                    graph: Graph::new(),
-                    detections: Vec::new(),
-                    vertex_ids: Vec::new(),
-                    pair_scores: Vec::new(),
-                };
+                return Vec::new();
             }
             Some(svqa_fault::FaultKind::Latency(ms)) => {
                 svqa_fault::apply_latency(ms, None);
@@ -187,27 +222,12 @@ impl SceneGraphGenerator {
         let corrupt_edges = fault == Some(svqa_fault::FaultKind::CorruptLabel);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ u64::from(image.id));
         let detections = self.detector.detect(image, &mut rng);
-        let n = detections.len();
-
-        let mut graph = Graph::with_capacity(n, n * 2);
-        let mut vertex_ids = Vec::with_capacity(n);
-        for d in &detections {
-            let props: Properties = [
-                ("image", svqa_graph::PropValue::Int(i64::from(image.id))),
-                ("x", svqa_graph::PropValue::Float(d.bbox.x)),
-                ("y", svqa_graph::PropValue::Float(d.bbox.y)),
-                ("w", svqa_graph::PropValue::Float(d.bbox.w)),
-                ("h", svqa_graph::PropValue::Float(d.bbox.h)),
-            ]
-            .into_iter()
-            .collect();
-            vertex_ids.push(graph.add_vertex_with_props(&d.label, props));
-        }
+        sink.vertices(image.id, &detections);
 
         // Every ordered pair is scored (the relational matrix of Eq. (3));
         // graph edges keep only the per-pair argmax above threshold.
-        let operands: Vec<PairOperand> = detections.iter().map(PairOperand::from).collect();
-        let mut pair_scores = Vec::with_capacity(n * n.saturating_sub(1));
+        operands.clear();
+        operands.extend(detections.iter().map(PairOperand::from));
         for (i, sub) in operands.iter().enumerate() {
             for (j, obj) in operands.iter().enumerate() {
                 if i == j {
@@ -222,32 +242,96 @@ impl SceneGraphGenerator {
                         best = r;
                     }
                 }
-                if scores[best] >= self.config.edge_threshold {
-                    let mut props = Properties::new();
-                    props.set("score", scores[best]);
+                let edge = (scores[best] >= self.config.edge_threshold).then(|| {
                     let relation = if corrupt_edges {
                         (best + 1) % RELATION_VOCAB.len()
                     } else {
                         best
                     };
-                    graph
-                        .add_edge_with_props(
-                            vertex_ids[i],
-                            vertex_ids[j],
-                            RELATION_VOCAB[relation],
-                            props,
-                        )
-                        .expect("vertices exist");
-                }
-                pair_scores.push(scores);
+                    (relation, scores[best])
+                });
+                sink.pair(i, j, &scores, edge);
             }
         }
+        detections
+    }
+}
 
-        SceneGraphOutput {
-            graph,
-            detections,
-            vertex_ids,
-            pair_scores,
+/// Where the per-image kernel writes a scene graph.
+trait SceneSink {
+    /// The image's detections, one vertex each, in detection order.
+    fn vertices(&mut self, image: u32, detections: &[Detection]);
+
+    /// One scored ordered pair of detection indexes, in row-major order,
+    /// with its edge `(relation index, score)` when one is kept.
+    fn pair(&mut self, sub: usize, obj: usize, scores: &RelationScores, edge: Option<(usize, f64)>);
+}
+
+/// [`SceneSink`] for [`SceneGraphOutput`]: a graph per image plus every
+/// pair's scores.
+#[derive(Default)]
+struct GraphSink {
+    graph: Graph,
+    vertex_ids: Vec<VertexId>,
+    pair_scores: Vec<RelationScores>,
+}
+
+impl SceneSink for GraphSink {
+    fn vertices(&mut self, image: u32, detections: &[Detection]) {
+        let n = detections.len();
+        self.graph = Graph::with_capacity(n, n * 2);
+        self.pair_scores.reserve_exact(n * n.saturating_sub(1));
+        self.vertex_ids = detections
+            .iter()
+            .map(|d| {
+                self.graph
+                    .add_vertex_with_props(&d.label, vertex_props(image, &d.bbox))
+            })
+            .collect();
+    }
+
+    fn pair(
+        &mut self,
+        sub: usize,
+        obj: usize,
+        scores: &RelationScores,
+        edge: Option<(usize, f64)>,
+    ) {
+        if let Some((relation, score)) = edge {
+            self.graph
+                .add_edge_with_props(
+                    self.vertex_ids[sub],
+                    self.vertex_ids[obj],
+                    RELATION_VOCAB[relation],
+                    edge_props(score),
+                )
+                .expect("vertices exist");
+        }
+        self.pair_scores.push(*scores);
+    }
+}
+
+impl SceneSink for SceneRecords {
+    fn vertices(&mut self, image: u32, detections: &[Detection]) {
+        for d in detections {
+            self.push_vertex(&d.label, image, d.bbox);
+        }
+    }
+
+    fn pair(
+        &mut self,
+        sub: usize,
+        obj: usize,
+        _scores: &RelationScores,
+        edge: Option<(usize, f64)>,
+    ) {
+        if let Some((relation, score)) = edge {
+            self.push_edge(RecordEdge {
+                sub: sub as u32,
+                obj: obj as u32,
+                relation: relation as u8,
+                score,
+            });
         }
     }
 }
@@ -333,6 +417,51 @@ mod tests {
         assert_eq!(a.graph.vertex_count(), b.graph.vertex_count());
         assert_eq!(a.graph.edge_count(), b.graph.edge_count());
         assert_eq!(a.predictions(), b.predictions());
+    }
+
+    #[test]
+    fn records_hold_the_generated_graphs() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut images = vec![frisbee_scene()];
+        for id in 2..6 {
+            let mut b = SceneBuilder::new(id, &mut rng);
+            let man = b.add_object("man");
+            let hat = b.add_object("hat");
+            let dog = b.add_object("dog");
+            b.relate(man, "wearing", hat);
+            b.relate(dog, "near", man);
+            images.push(b.build());
+        }
+        let gen = SceneGraphGenerator::new(SggConfig::default(), PairPrior::fit(&images));
+        let records = gen.generate_records(&images);
+        assert_eq!(records.len(), images.len());
+        for (image, scene) in images.iter().zip(records.scenes()) {
+            let g = gen.generate(image).graph;
+            let vertices: Vec<_> = g
+                .vertices()
+                .map(|(_, v)| (v.label(), v.props().clone()))
+                .collect();
+            let recorded: Vec<_> = scene.vertices().map(|(l, v)| (l, v.props())).collect();
+            assert_eq!(recorded, vertices);
+            let edges: Vec<_> = g
+                .edges()
+                .map(|(_, e)| {
+                    (
+                        e.src().index(),
+                        e.dst().index(),
+                        e.label(),
+                        e.props().clone(),
+                    )
+                })
+                .collect();
+            let recorded: Vec<_> = scene
+                .edges()
+                .iter()
+                .map(|e| (e.sub as usize, e.obj as usize, e.label(), e.props()))
+                .collect();
+            assert!(!edges.is_empty());
+            assert_eq!(recorded, edges);
+        }
     }
 
     #[test]
