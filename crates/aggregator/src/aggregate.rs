@@ -35,7 +35,7 @@ impl Default for AggregatorConfig {
 /// Accounting from one merge run — exposes the paper's §III-B coverage
 /// claims ("approximately 58% of vertex types occur more than 5 times, and
 /// nearly 82% of vertices are covered") plus cache effectiveness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MergeStats {
     /// Number of cached subgraphs built in the initial stage.
     pub cached_subgraphs: usize,

@@ -10,7 +10,7 @@
 //! svqa-cli eval  --images 200 --metrics out.json         # in-process build + metrics dump
 //! svqa-cli repl  --images 500 --verbose                  # interactive loop with traces
 //! svqa-cli stats --images 200                            # build stats + telemetry summary
-//! svqa-cli serve-metrics --images 200 --port 9100        # live Prometheus endpoint
+//! svqa-cli serve --images 200 --port 7878                # query service + /metrics
 //! ```
 //!
 //! `--metrics <file.json>` (on `ask` and `eval`) writes the process-global
@@ -22,24 +22,22 @@
 //! hit/miss/bypass classification, edges scanned, and wall times.
 //! `--trace-out FILE` writes a Chrome trace-event file (open in
 //! `chrome://tracing` or <https://ui.perfetto.dev>); `--profile-out FILE`
-//! writes the machine-readable profile JSON. `serve-metrics` exposes the
-//! live registry at `/metrics` (Prometheus text format), `/metrics.json`,
-//! and the last profiles at `/profiles/recent`.
+//! writes the machine-readable profile JSON. `serve` also exposes the live
+//! registry at `/metrics`, `/metrics.json` and `/profiles/recent`.
 //!
 //! The world directory holds the merged graph as a binary snapshot
 //! (`merged.svqg`, see `svqa_graph::binio`) plus the generated questions
-//! with their ground truth (`questions.json`) — everything the online
-//! phase needs, without regenerating scenes.
+//! with their ground truth (`questions.json`). `--world` commands load it
+//! with `Svqa::from_graph` and answer on the same request path as every
+//! other entry point.
 
 use std::io::{BufRead, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 use svqa::dataset::mvqa::{Mvqa, MvqaConfig};
 use svqa::dataset::questions::{QaPair, QuestionCounts};
-use svqa::executor::executor::QueryGraphExecutor;
-use svqa::executor::ProfiledRun;
-use svqa::qparser::QueryGraphGenerator;
+use svqa::executor::ExecutionProfile;
+use svqa::qlint::Severity;
 use svqa::telemetry::ChromeTrace;
 use svqa::{Svqa, SvqaConfig};
 
@@ -47,18 +45,17 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("build") => cmd_build(&args[1..]),
-        Some("ask") => cmd_ask(&args[1..]),
-        Some("explain") => cmd_explain(&args[1..]),
+        Some("ask") => cmd_ask(&args[1..], false),
+        Some("explain") => cmd_ask(&args[1..], true),
         Some("lint") => cmd_lint(&args[1..]),
         Some("eval") => cmd_eval(&args[1..]),
         Some("repl") => cmd_repl(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("serve-metrics") => cmd_serve_metrics(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         _ => {
             eprintln!(
-                "usage: svqa-cli <build|ask|explain|lint|eval|repl|stats|serve|serve-metrics|chaos> \
+                "usage: svqa-cli <build|ask|explain|lint|eval|repl|stats|serve|chaos> \
                  [--images N] [--seed S] [--out DIR] [--world DIR] [--metrics FILE] \
                  [--corpus FILE] [--explain] [--json] [--trace-out FILE] [--profile-out FILE] \
                  [--port N] [--workers N] [--queue-depth N] [--deadline-ms N] \
@@ -124,7 +121,7 @@ fn positional(args: &[String]) -> Option<String> {
     None
 }
 
-fn build_world(images: usize, seed: u64) -> (Svqa, Mvqa) {
+fn build_world(images: usize, seed: u64, config: SvqaConfig) -> (Svqa, Mvqa) {
     eprintln!("generating {images} images (seed {seed})...");
     let mvqa = Mvqa::generate(MvqaConfig {
         image_count: images,
@@ -132,7 +129,7 @@ fn build_world(images: usize, seed: u64) -> (Svqa, Mvqa) {
         counts: QuestionCounts::default(),
     });
     eprintln!("building the merged graph...");
-    let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
     let stats = system.build_stats();
     eprintln!(
         "merged graph: {} vertices, {} edges",
@@ -147,7 +144,7 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
     let out = PathBuf::from(flag(args, "--out").unwrap_or_else(|| "world".to_owned()));
     std::fs::create_dir_all(&out)?;
 
-    let (system, mvqa) = build_world(images, seed);
+    let (system, mvqa) = build_world(images, seed, SvqaConfig::default());
     std::fs::write(
         out.join("merged.svqg"),
         svqa::graph::binio::to_bytes(system.merged_graph()),
@@ -168,53 +165,81 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn load_world(dir: &Path) -> Result<(svqa::graph::Graph, Vec<QaPair>), AnyError> {
+/// Load the world `build` saved in `--world`: the system over its merged
+/// graph, and its questions with their ground truth.
+fn load_world(args: &[String]) -> Result<(Svqa, Vec<QaPair>), AnyError> {
+    let dir = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
     let snapshot = std::fs::read(dir.join("merged.svqg"))?;
     let graph = svqa::graph::binio::from_bytes(snapshot.into())?;
     let questions: Vec<QaPair> =
         serde_json::from_str(&std::fs::read_to_string(dir.join("questions.json"))?)?;
-    Ok((graph, questions))
+    Ok((Svqa::from_graph(graph, SvqaConfig::default()), questions))
 }
 
-fn answer_over(graph: &svqa::graph::Graph, question: &str) -> Result<(), AnyError> {
-    let result = answer_over_inner(graph, question);
-    let counter = match result {
-        Ok(()) => svqa::telemetry::counter::QUESTIONS_ANSWERED,
-        Err(_) => svqa::telemetry::counter::QUESTIONS_FAILED,
-    };
-    svqa::telemetry::global().incr_counter(counter);
-    result
+/// Write the process-global telemetry snapshot as pretty JSON, if asked.
+fn write_metrics(path: Option<&str>) -> Result<(), AnyError> {
+    if let Some(path) = path {
+        std::fs::write(path, svqa::telemetry::global().snapshot().to_json_pretty())?;
+        eprintln!("metrics written to {path}");
+    }
+    Ok(())
 }
 
-/// Build a linter over a loaded world graph and gate `gq` on it: hard
-/// `Error` diagnostics short-circuit before the executor runs; warnings
-/// and hints come back for display.
-fn lint_world_gate(
-    graph: &svqa::graph::Graph,
-    gq: &svqa::qparser::QueryGraph,
-) -> Result<svqa::qlint::LintReport, AnyError> {
-    let linter = svqa::qlint::Linter::new(svqa::qlint::Schema::extract(graph));
-    let report = linter.lint(gq);
-    if report.has_errors() {
-        return Err(Box::new(svqa::SvqaError::Lint(report)));
+/// Honour `--trace-out` / `--profile-out` for a profiled run.
+fn write_profile_outputs(args: &[String], profile: &ExecutionProfile) -> Result<(), AnyError> {
+    if let Some(path) = flag(args, "--trace-out") {
+        let trace = ChromeTrace::from_query_traces(&[profile.query_trace()]);
+        std::fs::write(&path, trace.to_json())?;
+        eprintln!("chrome trace written to {path} (open in chrome://tracing or ui.perfetto.dev)");
     }
-    Ok(report)
+    if let Some(path) = flag(args, "--profile-out") {
+        std::fs::write(&path, profile.to_json_pretty())?;
+        eprintln!("profile written to {path}");
+    }
+    Ok(())
 }
 
-fn answer_over_inner(graph: &svqa::graph::Graph, question: &str) -> Result<(), AnyError> {
-    let generator = QueryGraphGenerator::new();
-    let gq = generator.generate(question)?;
-    println!("query graph ({:?}):", gq.question_type);
-    for (i, v) in gq.vertices.iter().enumerate() {
-        println!("  v{i}: {}", v.display());
+/// `ask` — answer one question over a saved world, with its query graph,
+/// lint findings and evidence, or with `--explain` the `EXPLAIN ANALYZE`
+/// plan tree. `explain` prints only the plan tree (or the JSON profile
+/// with `--json`).
+fn cmd_ask(args: &[String], explain_only: bool) -> Result<(), AnyError> {
+    let metrics = flag(args, "--metrics");
+    let explain = explain_only || args.iter().any(|a| a == "--explain");
+    let wants_profile =
+        explain || flag(args, "--trace-out").is_some() || flag(args, "--profile-out").is_some();
+    let question = positional(args).ok_or("no question given")?;
+    let (system, _) = load_world(args)?;
+    let prepared = system.prepare(&question);
+    if !wants_profile {
+        if let Some(gq) = &prepared.query {
+            println!("query graph ({:?}):", gq.question_type);
+            for (i, v) in gq.vertices.iter().enumerate() {
+                println!("  v{i}: {}", v.display());
+            }
+        }
+        if let Ok(report) = &prepared.gate {
+            for d in &report.diagnostics {
+                println!("lint: {d}");
+            }
+        }
     }
-    let report = lint_world_gate(graph, &gq)?;
-    for d in &report.diagnostics {
-        println!("lint: {d}");
+    let run = system.run(prepared, None, None);
+    write_metrics(metrics.as_deref())?;
+    let guarded = run.result.clone()?;
+    if !explain_only {
+        println!("answer: {}", guarded.answer);
     }
-    let executor = QueryGraphExecutor::new(graph);
-    let (answer, explanation) = executor.execute_explained(&gq)?;
-    println!("answer: {answer}");
+    if wants_profile {
+        let profile = run.profile().expect("an answered question executed");
+        if explain_only && args.iter().any(|a| a == "--json") {
+            println!("{}", profile.to_json_pretty());
+        } else if explain {
+            print!("{}", profile.render_tree());
+        }
+        return write_profile_outputs(args, &profile);
+    }
+    let explanation = run.explanation().expect("an answered question executed");
     let support = explanation.answer_support();
     if !support.is_empty() {
         println!("evidence ({} facts):", support.len());
@@ -228,93 +253,6 @@ fn answer_over_inner(graph: &svqa::graph::Graph, question: &str) -> Result<(), A
     Ok(())
 }
 
-/// Write the process-global telemetry snapshot as pretty JSON, if asked.
-fn write_metrics(path: Option<&str>) -> Result<(), AnyError> {
-    if let Some(path) = path {
-        std::fs::write(path, svqa::telemetry::global().snapshot().to_json_pretty())?;
-        eprintln!("metrics written to {path}");
-    }
-    Ok(())
-}
-
-/// Parse and execute one question with full plan profiling; the profile
-/// includes the parse stage and lands in the global profile ring.
-fn profile_question(graph: &svqa::graph::Graph, question: &str) -> Result<ProfiledRun, AnyError> {
-    let t0 = Instant::now();
-    let gq = QueryGraphGenerator::new().generate(question)?;
-    let parse_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let t1 = Instant::now();
-    let report = lint_world_gate(graph, &gq)?;
-    let lint_ns = u64::try_from(t1.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let executor = QueryGraphExecutor::new(graph);
-    let mut run = executor.execute_profiled(&gq, None)?;
-    // Reverse order: parse ends up above lint, matching pipeline order.
-    run.profile.prepend_stage(svqa::telemetry::stage::LINT, lint_ns);
-    run.profile.prepend_stage(svqa::telemetry::stage::PARSE, parse_ns);
-    if !report.is_clean() {
-        run.profile.set_lint(report.diagnostics);
-    }
-    svqa::telemetry::global_profiles().push(run.profile.to_json_value());
-    svqa::telemetry::global().incr_counter(svqa::telemetry::counter::QUESTIONS_ANSWERED);
-    Ok(run)
-}
-
-/// Honour `--trace-out` / `--profile-out` for a profiled run.
-fn write_profile_outputs(args: &[String], run: &ProfiledRun) -> Result<(), AnyError> {
-    if let Some(path) = flag(args, "--trace-out") {
-        let trace = ChromeTrace::from_query_traces(&[run.profile.query_trace()]);
-        std::fs::write(&path, trace.to_json())?;
-        eprintln!("chrome trace written to {path} (open in chrome://tracing or ui.perfetto.dev)");
-    }
-    if let Some(path) = flag(args, "--profile-out") {
-        std::fs::write(&path, run.profile.to_json_pretty())?;
-        eprintln!("profile written to {path}");
-    }
-    Ok(())
-}
-
-fn cmd_ask(args: &[String]) -> Result<(), AnyError> {
-    let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
-    let metrics = flag(args, "--metrics");
-    let explain = args.iter().any(|a| a == "--explain");
-    let wants_profile =
-        explain || flag(args, "--trace-out").is_some() || flag(args, "--profile-out").is_some();
-    let question = positional(args).ok_or("no question given")?;
-    let (graph, _) = load_world(&world)?;
-    let outcome = if wants_profile {
-        match profile_question(&graph, &question) {
-            Ok(run) => {
-                println!("answer: {}", run.answer);
-                if explain {
-                    print!("{}", run.profile.render_tree());
-                }
-                write_profile_outputs(args, &run)?;
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
-    } else {
-        answer_over(&graph, &question)
-    };
-    write_metrics(metrics.as_deref())?;
-    outcome
-}
-
-/// `explain` — `EXPLAIN ANALYZE` for one question: print the plan tree
-/// (or the JSON profile with `--json`) without the evidence listing.
-fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
-    let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
-    let question = positional(args).ok_or("no question given")?;
-    let (graph, _) = load_world(&world)?;
-    let run = profile_question(&graph, &question)?;
-    if args.iter().any(|a| a == "--json") {
-        println!("{}", run.profile.to_json_pretty());
-    } else {
-        print!("{}", run.profile.render_tree());
-    }
-    write_profile_outputs(args, &run)
-}
-
 /// `lint` — static analysis of query graphs without executing them: one
 /// question (positional) or a whole corpus (`--corpus questions.json`).
 /// Prints every diagnostic (or a JSON report with `--json`) and exits
@@ -323,11 +261,8 @@ fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
 /// parser rejects are reported but do not fail the gate: parse coverage
 /// is the parser's business, not the linter's.
 fn cmd_lint(args: &[String]) -> Result<(), AnyError> {
-    let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
     let json = args.iter().any(|a| a == "--json");
-    let (graph, _) = load_world(&world)?;
-    let linter = svqa::qlint::Linter::new(svqa::qlint::Schema::extract(&graph));
-    let generator = QueryGraphGenerator::new();
+    let (system, _) = load_world(args)?;
 
     let questions: Vec<String> = match flag(args, "--corpus") {
         Some(path) => {
@@ -340,39 +275,27 @@ fn cmd_lint(args: &[String]) -> Result<(), AnyError> {
     let (mut errors, mut warnings, mut hints, mut parse_failures) = (0usize, 0usize, 0usize, 0usize);
     let mut reports = Vec::with_capacity(questions.len());
     for question in &questions {
-        match generator.generate(question) {
+        reports.push(match system.lint(question) {
             Err(e) => {
                 parse_failures += 1;
                 if !json {
                     println!("{question}\n  parse failed: {e}");
                 }
-                reports.push(serde_json::json!({
-                    "question": question,
-                    "parse_error": e.to_string(),
-                }));
+                serde_json::json!({ "question": question, "parse_error": e.to_string() })
             }
-            Ok(gq) => {
-                let report = linter.lint(&gq);
-                errors += report.errors().count();
-                for d in &report.diagnostics {
-                    match d.severity {
-                        svqa::qlint::Severity::Warning => warnings += 1,
-                        svqa::qlint::Severity::Hint => hints += 1,
-                        svqa::qlint::Severity::Error => {}
-                    }
-                }
+            Ok(report) => {
+                errors += report.count(Severity::Error);
+                warnings += report.count(Severity::Warning);
+                hints += report.count(Severity::Hint);
                 if !json && !report.is_clean() {
                     println!("{question}");
                     for d in &report.diagnostics {
                         println!("  {d}");
                     }
                 }
-                reports.push(serde_json::json!({
-                    "question": question,
-                    "diagnostics": report.diagnostics,
-                }));
+                serde_json::json!({ "question": question, "diagnostics": report.diagnostics })
             }
-        }
+        });
     }
     if json {
         println!(
@@ -425,14 +348,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         config.scheduler.shards = s.parse()?;
     }
 
-    eprintln!("generating {images} images (seed {seed})...");
-    let mvqa = Mvqa::generate(MvqaConfig {
-        image_count: images,
-        seed,
-        counts: QuestionCounts::default(),
-    });
-    eprintln!("building the merged graph...");
-    let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
+    let (system, _) = build_world(images, seed, config);
     // Arm the fault plan only after the build: chaos targets the online
     // phase, not world construction.
     let fault_guard = match flag(args, "--fault-plan") {
@@ -482,16 +398,9 @@ fn cmd_chaos(args: &[String]) -> Result<(), AnyError> {
         flag(args, "--out").unwrap_or_else(|| format!("results/chaos_s{fault_seed}.json")),
     );
 
-    eprintln!("generating {images} images (seed {seed})...");
-    let mvqa = Mvqa::generate(MvqaConfig {
-        image_count: images,
-        seed,
-        counts: QuestionCounts::default(),
-    });
-    eprintln!("building the merged graph...");
     let mut config = SvqaConfig::default();
     config.degrade.breaker.failure_threshold = u32::MAX;
-    let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
+    let (system, mvqa) = build_world(images, seed, config);
     let per_question = std::time::Duration::from_millis(deadline_ms);
 
     let baseline = svqa::evaluate_on_mvqa_guarded(&system, &mvqa, per_question);
@@ -541,127 +450,37 @@ fn cmd_chaos(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// `serve-metrics` — build a world in process, answer its generated
-/// questions once to populate the registry and the profile ring, then
-/// serve both over HTTP until killed.
-fn cmd_serve_metrics(args: &[String]) -> Result<(), AnyError> {
-    let images: usize = flag(args, "--images").map_or(Ok(200), |s| s.parse())?;
-    let seed: u64 = flag(args, "--seed").map_or(Ok(0x4d56_5141), |s| s.parse())?;
-    let port: u16 = flag(args, "--port").map_or(Ok(9100), |s| s.parse())?;
-    let (system, mvqa) = build_world(images, seed);
-    let warmup = if args.iter().any(|a| a == "--no-warmup") { 0 } else { 16 };
-    for q in mvqa.questions.iter().take(warmup) {
-        let _ = system.answer_profiled(&q.question, None);
-    }
-    let server = svqa::telemetry::MetricsServer::bind(
-        &format!("127.0.0.1:{port}"),
-        svqa::telemetry::global().clone(),
-        svqa::telemetry::global_profiles().clone(),
-    )?;
-    let addr = server.local_addr()?;
-    println!("serving metrics on http://{addr}/metrics (ctrl-c to stop)");
-    println!("  also: /metrics.json and /profiles/recent");
-    server.serve_forever()
-}
-
+/// `eval` — score the generated questions: over a world built in process
+/// with `--images` (so `--metrics` captures the offline stages too), or
+/// over a saved `--world`.
 fn cmd_eval(args: &[String]) -> Result<(), AnyError> {
     let metrics = flag(args, "--metrics");
-    if let Some(images) = flag(args, "--images") {
-        // In-process build: scene-graph generation and aggregation run
-        // here, so `--metrics` captures every pipeline stage including the
-        // offline ones (sgg, aggregate).
-        let images: usize = images.parse()?;
-        let seed: u64 = flag(args, "--seed").map_or(Ok(0x4d56_5141), |s| s.parse())?;
-        let (system, mvqa) = build_world(images, seed);
-        let outcome = svqa::evaluate_on_mvqa(&system, &mvqa);
-        println!("{:10} {:.1}%", "Judgment", outcome.judgment * 100.0);
-        println!("{:10} {:.1}%", "Counting", outcome.counting * 100.0);
-        println!("{:10} {:.1}%", "Reasoning", outcome.reasoning * 100.0);
-        println!("{:10} {:.1}%", "Overall", outcome.overall * 100.0);
-        println!(
-            "{} questions in {:.3}s ({} parse failures)",
-            mvqa.questions.len(),
-            outcome.total_latency.as_secs_f64(),
-            outcome.parse_failures
-        );
-        println!(
-            "per-question latency: mean {:.1}µs, p50 {:.1}µs, p95 {:.1}µs",
-            outcome.mean_latency.as_secs_f64() * 1e6,
-            outcome.p50_latency.as_secs_f64() * 1e6,
-            outcome.p95_latency.as_secs_f64() * 1e6
-        );
-    } else {
-        let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
-        let (graph, questions) = load_world(&world)?;
-        eval_world(&graph, &questions);
-    }
+    let (system, questions) = match flag(args, "--images") {
+        Some(images) => {
+            let seed: u64 = flag(args, "--seed").map_or(Ok(0x4d56_5141), |s| s.parse())?;
+            let (system, mvqa) = build_world(images.parse()?, seed, SvqaConfig::default());
+            (system, mvqa.questions)
+        }
+        None => load_world(args)?,
+    };
+    let outcome = svqa::evaluate(&system, &questions);
+    println!("{:10} {:.1}%", "Judgment", outcome.judgment * 100.0);
+    println!("{:10} {:.1}%", "Counting", outcome.counting * 100.0);
+    println!("{:10} {:.1}%", "Reasoning", outcome.reasoning * 100.0);
+    println!("{:10} {:.1}%", "Overall", outcome.overall * 100.0);
+    println!(
+        "{} questions in {:.3}s ({} parse failures)",
+        questions.len(),
+        outcome.total_latency.as_secs_f64(),
+        outcome.parse_failures
+    );
+    println!(
+        "per-question latency: mean {:.1}µs, p50 {:.1}µs, p95 {:.1}µs",
+        outcome.mean_latency.as_secs_f64() * 1e6,
+        outcome.p50_latency.as_secs_f64() * 1e6,
+        outcome.p95_latency.as_secs_f64() * 1e6
+    );
     write_metrics(metrics.as_deref())
-}
-
-/// Score a loaded world through the §V-B scheduler (shared cache +
-/// frequency-sorted order, so the schedule/match spans record).
-fn eval_world(graph: &svqa::graph::Graph, questions: &[QaPair]) {
-    use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
-
-    let generator = QueryGraphGenerator::new();
-    let embedder = svqa::nlp::Embedder::new();
-    let mut parsed: Vec<(usize, svqa::qparser::QueryGraph)> = Vec::new();
-    for (i, q) in questions.iter().enumerate() {
-        if let Ok(gq) = generator.generate(&q.question) {
-            parsed.push((i, gq));
-        }
-    }
-    let graphs: Vec<_> = parsed.iter().map(|(_, g)| g.clone()).collect();
-    let report = QueryScheduler::new(SchedulerConfig::default()).run(graph, &graphs);
-    report.cache_stats.record_to(svqa::telemetry::global());
-    let mut predicted: Vec<Option<svqa::Answer>> = vec![None; questions.len()];
-    for ((i, _), answer) in parsed.iter().zip(report.answers) {
-        predicted[*i] = answer.ok();
-    }
-    let answered = predicted.iter().flatten().count() as u64;
-    let failed = questions.len() as u64 - answered;
-    let recorder = svqa::telemetry::global();
-    recorder.incr_counter_by(svqa::telemetry::counter::QUESTIONS_ANSWERED, answered);
-    recorder.incr_counter_by(svqa::telemetry::counter::QUESTIONS_FAILED, failed);
-
-    let mut per_type: std::collections::HashMap<&str, (usize, usize)> = Default::default();
-    for (q, predicted) in questions.iter().zip(&predicted) {
-        let entry = per_type.entry(q.qtype.name()).or_insert((0, 0));
-        entry.1 += 1;
-        let correct = match (&q.answer, predicted) {
-            (svqa::dataset::GtAnswer::YesNo(g), Some(svqa::Answer::Judgment(p))) => g == p,
-            (svqa::dataset::GtAnswer::Count(g), Some(svqa::Answer::Count(p))) => g == p,
-            (svqa::dataset::GtAnswer::Entity(g), Some(svqa::Answer::Entity { label, .. })) => {
-                g == label || embedder.similarity(g, label) >= 0.7
-            }
-            _ => false,
-        };
-        if correct {
-            entry.0 += 1;
-        }
-    }
-    let mut total = (0usize, 0usize);
-    for (name, (c, n)) in &per_type {
-        println!("{name:10} {c}/{n} = {:.1}%", 100.0 * *c as f64 / *n as f64);
-        total.0 += c;
-        total.1 += n;
-    }
-    println!(
-        "{:10} {}/{} = {:.1}%",
-        "Overall",
-        total.0,
-        total.1,
-        100.0 * total.0 as f64 / total.1.max(1) as f64
-    );
-    let cache = report.cache_stats;
-    println!(
-        "cache: scope {}/{} path {}/{} ({:.0}% hit overall)",
-        cache.scope_hits,
-        cache.scope_hits + cache.scope_misses,
-        cache.path_hits,
-        cache.path_hits + cache.path_misses,
-        cache.hit_rate() * 100.0
-    );
 }
 
 /// `stats` — build (or rebuild) a world in process and print the offline
@@ -669,7 +488,7 @@ fn eval_world(graph: &svqa::graph::Graph, questions: &[QaPair]) {
 fn cmd_stats(args: &[String]) -> Result<(), AnyError> {
     let images: usize = flag(args, "--images").map_or(Ok(200), |s| s.parse())?;
     let seed: u64 = flag(args, "--seed").map_or(Ok(0x4d56_5141), |s| s.parse())?;
-    let (system, mvqa) = build_world(images, seed);
+    let (system, mvqa) = build_world(images, seed, SvqaConfig::default());
     let stats = system.build_stats();
     println!("build: {}", stats.summary_line());
     println!(
@@ -685,15 +504,10 @@ fn cmd_repl(args: &[String]) -> Result<(), AnyError> {
     let images: usize = flag(args, "--images").map_or(Ok(500), |s| s.parse())?;
     let seed: u64 = flag(args, "--seed").map_or(Ok(7), |s| s.parse())?;
     let verbose = args.iter().any(|a| a == "--verbose");
-    let (system, _) = build_world(images, seed);
-    // A session-lived cache so repeat questions show up as hits in the
-    // per-question summaries.
-    let cache = svqa::executor::ShardedCache::new(
-        svqa::executor::CacheGranularity::Both,
-        svqa::executor::EvictionPolicy::Lfu,
-        100,
-        4,
-    );
+    let (system, _) = build_world(images, seed, SvqaConfig::default());
+    // A session-lived cache, shaped like the query server's, so repeat
+    // questions show up as hits in the per-question summaries.
+    let cache = svqa::executor::QueryScheduler::new(system.config().scheduler).build_cache();
     println!("ready — type a question (empty line to quit)");
     let stdin = std::io::stdin();
     loop {
@@ -707,22 +521,16 @@ fn cmd_repl(args: &[String]) -> Result<(), AnyError> {
         if question.is_empty() {
             break;
         }
+        let run = system.run(system.prepare(question), Some(&cache), None);
+        match &run.result {
+            Ok(guarded) => println!("answer: {}", guarded.answer),
+            Err(e) => println!("could not answer: {e}"),
+        }
         if verbose {
-            let (result, trace) = system.answer_traced(question, Some(&cache));
-            match result {
-                Ok(answer) => println!("answer: {answer}"),
-                Err(e) => println!("could not answer: {e}"),
-            }
-            println!("  {}", trace.summary_line());
-        } else {
-            match system.answer_explained(question) {
-                Ok((answer, explanation)) => {
-                    println!("answer: {answer}");
-                    for fact in explanation.answer_support().iter().take(5) {
-                        println!("  {}", fact.display());
-                    }
-                }
-                Err(e) => println!("could not answer: {e}"),
+            println!("  {}", run.trace.summary_line());
+        } else if let Some(explanation) = run.explanation() {
+            for fact in explanation.answer_support().iter().take(5) {
+                println!("  {}", fact.display());
             }
         }
     }

@@ -6,7 +6,7 @@
 //! source is down" is a *view* question, not a storage question: KG
 //! vertices occupy the low id range (absorb order), scene vertices the
 //! rest. When a source's breaker is open,
-//! [`Svqa::answer_guarded`](crate::Svqa::answer_guarded) executes against
+//! [`Svqa::run`](crate::Svqa::run) executes against
 //! a lazily-built filtered copy of the merged graph that keeps only the
 //! surviving source's vertices, and labels the result
 //! [`AnswerStatus::Degraded`].

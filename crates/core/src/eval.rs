@@ -3,7 +3,8 @@
 use crate::pipeline::Svqa;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
-use svqa_dataset::mvqa::{Mvqa, PredictedAnswer};
+use svqa_dataset::mvqa::{score_answers, Mvqa, PredictedAnswer};
+use svqa_dataset::QaPair;
 use svqa_executor::Answer;
 
 /// Outcome of an evaluation run.
@@ -54,7 +55,13 @@ pub fn to_predicted(answer: &Answer) -> Option<PredictedAnswer> {
 
 /// Run SVQA over an MVQA-shaped dataset and score it (Table III / IV).
 pub fn evaluate_on_mvqa(system: &Svqa, mvqa: &Mvqa) -> EvalOutcome {
-    let questions: Vec<&str> = mvqa.questions.iter().map(|q| q.question.as_str()).collect();
+    evaluate(system, &mvqa.questions)
+}
+
+/// Answer `pairs` in one [`Svqa::answer_batch`] and score the answers
+/// against their ground truth.
+pub fn evaluate(system: &Svqa, pairs: &[QaPair]) -> EvalOutcome {
+    let questions: Vec<&str> = pairs.iter().map(|q| q.question.as_str()).collect();
     let outcome = system.answer_batch(&questions);
     let parse_failures = outcome
         .answers
@@ -66,7 +73,7 @@ pub fn evaluate_on_mvqa(system: &Svqa, mvqa: &Mvqa) -> EvalOutcome {
         .iter()
         .map(|a| a.as_ref().ok().and_then(to_predicted))
         .collect();
-    let (judgment, counting, reasoning, overall) = mvqa.score_answers(&predicted);
+    let (judgment, counting, reasoning, overall) = score_answers(pairs, &predicted);
     let n = questions.len().max(1);
     EvalOutcome {
         judgment,

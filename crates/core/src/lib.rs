@@ -51,8 +51,10 @@ pub mod serve;
 pub use config::SvqaConfig;
 pub use degrade::{AnswerStatus, Breakers, GuardedAnswer};
 pub use error::SvqaError;
-pub use eval::{evaluate_on_mvqa, evaluate_on_mvqa_guarded, EvalOutcome, GuardedEvalOutcome};
-pub use pipeline::{BatchOutcome, BuildStats, Svqa};
+pub use eval::{
+    evaluate, evaluate_on_mvqa, evaluate_on_mvqa_guarded, EvalOutcome, GuardedEvalOutcome,
+};
+pub use pipeline::{BatchOutcome, BuildStats, Prepared, QueryRun, Svqa};
 pub use serve::{QueryServer, ServeConfig};
 
 // Re-export the subsystem crates so downstream users need a single

@@ -1,4 +1,7 @@
-//! The end-to-end SVQA pipeline (Fig. 2 of the paper).
+//! The end-to-end SVQA pipeline (Fig. 2 of the paper). Every entry point
+//! takes one request path: [`Svqa::prepare`] (parse, lint gate, trace),
+//! then [`Svqa::run`] (breakers, Algorithm 3 with retry over the merged
+//! graph or a degraded view), which returns a [`QueryRun`] record.
 
 use crate::config::SvqaConfig;
 use crate::degrade::{
@@ -8,23 +11,23 @@ use crate::degrade::{
 use crate::error::SvqaError;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use svqa_fault::{BreakerState, Source};
-use svqa_aggregator::{Attacher, DataAggregator};
+use svqa_aggregator::{Attacher, DataAggregator, MergeStats};
 use svqa_executor::cache::ShardedCache;
-use svqa_executor::executor::QueryGraphExecutor;
-use svqa_executor::scheduler::{BatchReport, QueryScheduler};
-use svqa_executor::{Answer, CacheStats};
+use svqa_executor::executor::{Execution, QueryGraphExecutor};
+use svqa_executor::scheduler::QueryScheduler;
+use svqa_executor::{Answer, CacheStats, ExecutionProfile, Explanation};
+use svqa_fault::{BreakerState, Source};
 use svqa_graph::Graph;
 use svqa_qlint::{LintReport, Linter, Schema, Severity};
 use svqa_qparser::{QueryGraph, QueryGraphGenerator};
-use svqa_telemetry::{counter, global, stage, QueryOutcome, QueryTrace, Span};
+use svqa_telemetry::{counter, global, global_profiles, stage, QueryOutcome, QueryTrace, Span};
 use svqa_vision::prior::PairPrior;
 use svqa_vision::scene::SyntheticImage;
 use svqa_vision::sgg::SceneGraphGenerator;
 use svqa_vision::SceneRecords;
 
 /// Offline build statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BuildStats {
     /// Number of scene graphs generated.
     pub scene_graphs: usize,
@@ -33,7 +36,7 @@ pub struct BuildStats {
     /// Merged-graph edge count.
     pub merged_edges: usize,
     /// Aggregator accounting (Algorithm 1).
-    pub merge: svqa_aggregator::MergeStats,
+    pub merge: MergeStats,
     /// Wall-clock time of scene-graph generation.
     pub sgg_time: Duration,
     /// Wall-clock time of graph merging.
@@ -97,20 +100,77 @@ fn sgg_workers() -> usize {
 }
 
 /// Result of answering a batch of questions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BatchOutcome {
     /// Per-question results (original order). Parse failures are recorded
     /// as errors, matching the paper's Fig. 8a error analysis.
     pub answers: Vec<Result<Answer, SvqaError>>,
+    /// How complete each answer's evidence was (original order;
+    /// [`AnswerStatus::Full`] for questions that got no answer).
+    pub statuses: Vec<AnswerStatus>,
     /// Total wall-clock latency of the batch.
     pub total: Duration,
-    /// Wall-clock per question (original order; parse-failed questions
-    /// carry their parse time).
+    /// Wall-clock per question across its traced stages (original order).
     pub per_query: Vec<Duration>,
-    /// Cache hit/miss counters accumulated over the batch.
+    /// Cache hit/miss counters of the batch's own lookups.
     pub cache_stats: CacheStats,
     /// Per-question telemetry traces (original order).
     pub traces: Vec<QueryTrace>,
+}
+
+/// A question after the request path's first stage: parsed, linted, and
+/// its trace started. A parse or lint failure is kept as the gate's error,
+/// so the question still flows through [`Svqa::run`], which returns it.
+#[derive(Debug)]
+pub struct Prepared {
+    /// The parsed query graph; `None` when the question did not parse.
+    pub query: Option<QueryGraph>,
+    /// The lint report of a question that cleared the gate (warnings and
+    /// hints only), or the parse or lint error that stops it.
+    pub gate: Result<LintReport, SvqaError>,
+    trace: QueryTrace,
+}
+
+/// One question's trip through the request path: the answer, its trace,
+/// and what execution left behind for [`profile`](Self::profile) and
+/// [`explanation`](Self::explanation), which are built only when asked.
+#[derive(Debug)]
+pub struct QueryRun<'s> {
+    /// The answer and how complete its evidence was, or why there is none.
+    pub result: Result<GuardedAnswer, SvqaError>,
+    /// Stage times, the exact traffic of this question's cache lookups,
+    /// and the outcome.
+    pub trace: QueryTrace,
+    /// The graph it ran over (merged, or a degraded view), its query
+    /// graph, lint report and Algorithm 3 output.
+    executed: Option<(&'s Graph, QueryGraph, LintReport, Execution)>,
+}
+
+impl QueryRun<'_> {
+    /// The `EXPLAIN ANALYZE` profile: parse and lint stages ahead of the
+    /// per-quadruple match tree, the question's cache traffic, and any
+    /// lint warnings. Building it also pushes it into the global profile
+    /// ring served at `/profiles/recent`. `None` when nothing executed.
+    pub fn profile(&self) -> Option<ExecutionProfile> {
+        let (_, query, lint, output) = self.executed.as_ref()?;
+        let mut profile = output.profile(query, self.trace.cache);
+        // Prepend in reverse: lint first so parse ends up on top.
+        for name in [stage::LINT, stage::PARSE] {
+            profile.prepend_stage(name, self.trace.stage_nanos(name).unwrap_or(0));
+        }
+        if !lint.is_clean() {
+            profile.set_lint(lint.diagnostics.clone());
+        }
+        global_profiles().push(profile.to_json_value());
+        Some(profile)
+    }
+
+    /// The facts (images and knowledge-graph triples) that support the
+    /// answer. `None` when nothing executed.
+    pub fn explanation(&self) -> Option<Explanation> {
+        let (graph, _, _, output) = self.executed.as_ref()?;
+        Some(output.explanation(graph))
+    }
 }
 
 /// The assembled system: merged graph + query pipeline.
@@ -121,16 +181,15 @@ pub struct Svqa {
     build_stats: BuildStats,
     /// The scene-graph generator, retained for incremental ingestion (its
     /// prior is the one fitted on the original corpus — a deployed model
-    /// does not retrain per batch).
-    sgg: SceneGraphGenerator,
+    /// does not retrain per batch). `None` for a loaded world.
+    sgg: Option<SceneGraphGenerator>,
     /// KG vertices occupy merged ids `0..kg_vertex_count` (absorb order),
     /// which is how incremental linking finds knowledge counterparts.
     kg_vertex_count: usize,
     /// Static query-graph analyzer over the merged graph's extracted
-    /// schema; every `answer*` path runs it before the executor and
-    /// short-circuits error-severity findings.
+    /// schema: the request path's lint gate.
     linter: Linter,
-    /// Per-source circuit breakers for [`answer_guarded`](Self::answer_guarded).
+    /// Per-source circuit breakers, probed by every [`run`](Self::run).
     breakers: Breakers,
     /// Lazily-built merged-graph view without KG vertices (scene evidence
     /// only), for degraded execution when the KG breaker is open.
@@ -159,27 +218,42 @@ impl Svqa {
         // Free the records before the schema and linter allocate theirs.
         drop(records);
 
-        let build_stats = BuildStats {
+        let mut system = Self::from_graph(merged.graph, config);
+        system.sgg = Some(sgg);
+        system.build_stats = BuildStats {
             scene_graphs: images.len(),
-            merged_vertices: merged.graph.vertex_count(),
-            merged_edges: merged.graph.edge_count(),
             merge: merged.stats,
             sgg_time,
             merge_time,
+            ..system.build_stats
         };
-        let linter = Linter::new(Schema::extract(&merged.graph));
-        let breakers = Breakers::new(&config.degrade);
+        system
+    }
+
+    /// The online phase over a merged graph built earlier (a world saved
+    /// by `svqa-cli build`). The KG range is the prefix of vertices without
+    /// an `image` property: Algorithm 1 absorbs the knowledge graph first,
+    /// and every scene vertex carries its image id. A saved world stores no
+    /// fitted prior, so there is no scene-graph generator either.
+    pub fn from_graph(merged: Graph, config: SvqaConfig) -> Svqa {
         Svqa {
-            config,
-            merged: merged.graph,
+            kg_vertex_count: merged
+                .vertices()
+                .take_while(|(_, v)| v.props().get("image").is_none())
+                .count(),
+            build_stats: BuildStats {
+                merged_vertices: merged.vertex_count(),
+                merged_edges: merged.edge_count(),
+                ..BuildStats::default()
+            },
+            linter: Linter::new(Schema::extract(&merged)),
+            breakers: Breakers::new(&config.degrade),
             generator: QueryGraphGenerator::new(),
-            build_stats,
-            sgg,
-            kg_vertex_count: kg.vertex_count(),
-            linter,
-            breakers,
+            sgg: None,
             scene_view: OnceLock::new(),
             kg_view: OnceLock::new(),
+            config,
+            merged,
         }
     }
 
@@ -192,8 +266,17 @@ impl Svqa {
     /// Note: callers running batches through the §V-B scheduler should
     /// start a fresh [`svqa_executor::cache::ShardedCache`] afterwards —
     /// cached scopes and paths predate the new evidence.
+    ///
+    /// # Panics
+    ///
+    /// On a system from [`from_graph`](Self::from_graph): a substitute
+    /// prior would not perceive like the world it extends.
     pub fn add_images(&mut self, images: &[SyntheticImage]) -> usize {
-        let records = scene_records(&self.sgg, images, sgg_workers());
+        let sgg = self.sgg.as_ref().expect(
+            "add_images needs the scene-graph generator fitted by Svqa::build; \
+             a world loaded with Svqa::from_graph has none",
+        );
+        let records = scene_records(sgg, images, sgg_workers());
         let kg_vertex_count = self.kg_vertex_count;
         // Knowledge counterpart: the first vertex with this label inside
         // the KG id range.
@@ -227,22 +310,6 @@ impl Svqa {
         links
     }
 
-    /// Answer a question and return the supporting evidence (which images
-    /// and knowledge-graph facts back the answer).
-    pub fn answer_explained(
-        &self,
-        question: &str,
-    ) -> Result<(Answer, svqa_executor::Explanation), SvqaError> {
-        let result = (|| {
-            let gq = self.parse(question)?;
-            self.lint_gate(&gq)?;
-            let executor = QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-            Ok(executor.execute_explained(&gq)?)
-        })();
-        count_outcome(&result);
-        result
-    }
-
     /// The merged graph `G_mg`.
     pub fn merged_graph(&self) -> &Graph {
         &self.merged
@@ -274,8 +341,7 @@ impl Svqa {
     /// failures — an error-riddled report comes back as `Ok`, so callers
     /// can render every diagnostic.
     pub fn lint(&self, question: &str) -> Result<LintReport, SvqaError> {
-        let gq = self.parse(question)?;
-        Ok(self.lint_graph(&gq))
+        self.parse(question).map(|gq| self.lint_graph(&gq))
     }
 
     /// Lint an already-parsed query graph: records the `lint` stage span
@@ -294,113 +360,198 @@ impl Svqa {
         report
     }
 
-    /// Lint-first gate for the `answer*` paths: error-severity findings
-    /// short-circuit execution; otherwise the (possibly warning-bearing)
-    /// report is handed back for attachment to profiles.
-    fn lint_gate(&self, gq: &QueryGraph) -> Result<LintReport, SvqaError> {
-        let report = self.lint_graph(gq);
-        if report.has_errors() {
-            Err(SvqaError::Lint(report))
+    /// The request path's first stage: parse, then the lint gate (errors
+    /// stop the question); both stage times start its trace.
+    pub fn prepare(&self, question: &str) -> Prepared {
+        let mut trace = QueryTrace::new(question);
+        let t0 = Instant::now();
+        let parsed = self.parse(question);
+        trace.record_stage(stage::PARSE, t0.elapsed());
+        let (query, gate) = match parsed {
+            Err(e) => {
+                trace.outcome = QueryOutcome::ParseError;
+                (None, Err(e))
+            }
+            Ok(gq) => {
+                let t1 = Instant::now();
+                let report = self.lint_graph(&gq);
+                trace.record_stage(stage::LINT, t1.elapsed());
+                let gate = if report.has_errors() {
+                    trace.outcome = QueryOutcome::LintError;
+                    Err(SvqaError::Lint(report))
+                } else {
+                    Ok(report)
+                };
+                (Some(gq), gate)
+            }
+        };
+        Prepared { trace, query, gate }
+    }
+
+    /// The request path's second stage. A question stopped at the gate
+    /// returns its error. Otherwise the source breakers are probed:
+    /// * both sources up → Algorithm 3 over the full merged graph with the
+    ///   shared `cache`, [`AnswerStatus::Full`];
+    /// * one source down (probe failed past the retry budget, or breaker
+    ///   open) → over the survivor's filtered view, without the cache
+    ///   (cached ids refer to the full graph), [`AnswerStatus::Degraded`];
+    /// * both down → [`SvqaError::Unavailable`] with a `Retry-After` hint.
+    ///
+    /// Transient faults are retried; `deadline` bounds stalls and backoff.
+    /// The question's cache traffic goes into its trace and, once, into the
+    /// global recorder.
+    pub fn run(
+        &self,
+        prepared: Prepared,
+        cache: Option<&ShardedCache>,
+        deadline: Option<Instant>,
+    ) -> QueryRun<'_> {
+        let mut trace = prepared.trace;
+        let mut executed = None;
+        let result = prepared.gate.and_then(|lint| {
+            let query = prepared
+                .query
+                .expect("a question that cleared the gate parsed");
+            let (graph, cache, status) = self
+                .guard(cache, deadline)
+                .inspect_err(|_| trace.outcome = QueryOutcome::Unavailable)?;
+            let executor = QueryGraphExecutor::with_config(graph, self.config.executor);
+            let t0 = Instant::now();
+            let mut traffic = CacheStats::new();
+            let output = execute_with_retry(&self.config.degrade.retry, deadline, || {
+                executor.run(&query, cache, &mut traffic)
+            });
+            trace.record_stage(stage::MATCH, t0.elapsed());
+            trace.cache = traffic;
+            traffic.record_to(global());
+            let output = output.inspect_err(|_| trace.outcome = QueryOutcome::ExecError)?;
+            if status.is_degraded() {
+                global().incr_counter(counter::ANSWERS_DEGRADED);
+            }
+            let answer = GuardedAnswer {
+                answer: output.answer.clone(),
+                status,
+            };
+            executed = Some((graph, query, lint, output));
+            Ok(answer)
+        });
+        global().incr_counter(if result.is_ok() {
+            counter::QUESTIONS_ANSWERED
         } else {
-            Ok(report)
+            counter::QUESTIONS_FAILED
+        });
+        QueryRun {
+            result,
+            trace,
+            executed,
         }
     }
 
-    /// Answer a single question end-to-end.
-    pub fn answer(&self, question: &str) -> Result<Answer, SvqaError> {
-        let result = (|| {
-            let gq = self.parse(question)?;
-            self.lint_gate(&gq)?;
-            let executor = QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-            Ok(executor.execute(&gq)?)
-        })();
-        count_outcome(&result);
-        result
+    /// Probe both sources and pick where to execute: the merged graph with
+    /// the shared cache, or the surviving source's view without it.
+    fn guard<'c>(
+        &self,
+        cache: Option<&'c ShardedCache>,
+        deadline: Option<Instant>,
+    ) -> Result<(&Graph, Option<&'c ShardedCache>, AnswerStatus), SvqaError> {
+        let policy = &self.config.degrade;
+        let mut missing: Vec<Source> = Vec::new();
+        let mut retry_after_ms = policy.breaker.cooldown_ms;
+        for source in Source::ALL {
+            match probe_source(&self.breakers, policy, source, deadline) {
+                ProbeOutcome::Available => continue,
+                ProbeOutcome::Down => {}
+                ProbeOutcome::Rejected { retry_after_ms: ms } => {
+                    retry_after_ms = retry_after_ms.max(ms);
+                }
+            }
+            missing.push(source);
+        }
+        self.breakers.publish_gauges();
+        if missing.is_empty() {
+            return Ok((&self.merged, cache, AnswerStatus::Full));
+        }
+        let names = missing.iter().map(|s| s.name().to_owned()).collect();
+        if missing.len() == Source::ALL.len() {
+            let missing = names;
+            return Err(SvqaError::Unavailable {
+                missing,
+                retry_after_ms,
+            });
+        }
+        let status = AnswerStatus::Degraded {
+            missing_sources: names,
+            confidence_penalty: (policy.confidence_penalty * missing.len() as f64).min(1.0),
+        };
+        let view = match missing[0] {
+            Source::Kg => self.scene_view(),
+            Source::Scene => self.kg_view(),
+        };
+        Ok((view, None, status))
     }
 
-    /// Answer a question under the failure-handling policy: per-source
-    /// circuit breakers, bounded retries for transient faults, and partial
-    /// answers from the surviving sources.
-    ///
-    /// * Both sources up → executes against the full merged graph and
-    ///   returns [`AnswerStatus::Full`].
-    /// * One source down (probe failed past the retry budget, or its
-    ///   breaker already open) → executes against the surviving source's
-    ///   filtered view and returns [`AnswerStatus::Degraded`]. The shared
-    ///   `cache` is bypassed for degraded runs: cached ids refer to the
-    ///   full merged graph.
-    /// * Both sources down → [`SvqaError::Unavailable`] with a
-    ///   `Retry-After` hint (the longest remaining breaker cooldown).
-    ///
-    /// `deadline` bounds injected latency stalls and retry backoff; the
-    /// query server derives it from the request's `deadline_ms`.
+    /// Answer a single question end-to-end, uncached (see
+    /// [`run`](Self::run)).
+    pub fn answer(&self, question: &str) -> Result<Answer, SvqaError> {
+        self.answer_guarded(question, None, None).map(|g| g.answer)
+    }
+
+    /// Answer a single question and report how complete its evidence was
+    /// (see [`run`](Self::run)).
     pub fn answer_guarded(
         &self,
         question: &str,
         cache: Option<&ShardedCache>,
         deadline: Option<Instant>,
     ) -> Result<GuardedAnswer, SvqaError> {
-        let result = self.answer_guarded_inner(question, cache, deadline);
-        count_outcome(&result);
-        result
+        self.run(self.prepare(question), cache, deadline).result
     }
 
-    fn answer_guarded_inner(
+    /// Answer a batch with the §V-B optimized scheduler from a cold cache
+    /// (see [`run_batch`](Self::run_batch)).
+    pub fn answer_batch(&self, questions: &[&str]) -> BatchOutcome {
+        let cache = QueryScheduler::new(self.config.scheduler).build_cache();
+        self.run_batch(questions, &cache, None)
+    }
+
+    /// The §V-B batch on the request path: the lint-clean questions run in
+    /// frequency-ratio order (the linter's cost estimates break ties), each
+    /// through [`run`](Self::run) on the shared `cache` with `deadline`, on
+    /// the scheduler's configured threads.
+    pub fn run_batch(
         &self,
-        question: &str,
-        cache: Option<&ShardedCache>,
+        questions: &[&str],
+        cache: &ShardedCache,
         deadline: Option<Instant>,
-    ) -> Result<GuardedAnswer, SvqaError> {
-        let gq = self.parse(question)?;
-        self.lint_gate(&gq)?;
-        let policy = &self.config.degrade;
-        let mut missing: Vec<Source> = Vec::new();
-        let mut retry_after_ms = policy.breaker.cooldown_ms;
-        for source in Source::ALL {
-            match probe_source(&self.breakers, policy, source, deadline) {
-                ProbeOutcome::Available => {}
-                ProbeOutcome::Down => missing.push(source),
-                ProbeOutcome::Rejected {
-                    retry_after_ms: ms,
-                } => {
-                    missing.push(source);
-                    retry_after_ms = retry_after_ms.max(ms);
-                }
-            }
+    ) -> BatchOutcome {
+        let start = Instant::now();
+        let prepared: Vec<Prepared> = questions.iter().map(|q| self.prepare(q)).collect();
+        let (clean, rejected): (Vec<usize>, Vec<usize>) =
+            (0..prepared.len()).partition(|&i| prepared[i].gate.is_ok());
+        let graphs: Vec<QueryGraph> = clean
+            .iter()
+            .filter_map(|&i| prepared[i].query.clone())
+            .collect();
+        let hints: Vec<f64> = graphs.iter().map(|g| self.linter.cost(g).total).collect();
+        let scheduler = QueryScheduler::new(self.config.scheduler);
+        let (order, _) = scheduler.schedule(&graphs, Some(&hints));
+        // Rejected questions only return their gate error: they go last.
+        let order: Vec<usize> = order.iter().map(|&k| clean[k]).chain(rejected).collect();
+        let runs = scheduler.run_ordered(prepared, &order, |p| self.run(p, Some(cache), deadline));
+        let mut outcome = BatchOutcome::default();
+        for run in runs {
+            let (answer, status) = match run.result {
+                Ok(g) => (Ok(g.answer), g.status),
+                Err(e) => (Err(e), AnswerStatus::Full),
+            };
+            outcome.answers.push(answer);
+            outcome.statuses.push(status);
+            outcome.per_query.push(run.trace.total());
+            outcome.cache_stats.merge(&run.trace.cache);
+            outcome.traces.push(run.trace);
         }
-        self.breakers.publish_gauges();
-        if missing.len() == Source::ALL.len() {
-            return Err(SvqaError::Unavailable {
-                missing: missing.iter().map(|s| s.name().to_owned()).collect(),
-                retry_after_ms,
-            });
-        }
-        if missing.is_empty() {
-            let executor = QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-            let answer = execute_with_retry(&policy.retry, deadline, || {
-                executor.execute_cached(&gq, cache).map(|(a, _)| a)
-            })?;
-            return Ok(GuardedAnswer {
-                answer,
-                status: AnswerStatus::Full,
-            });
-        }
-        let view = match missing[0] {
-            Source::Kg => self.scene_view(),
-            Source::Scene => self.kg_view(),
-        };
-        let executor = QueryGraphExecutor::with_config(view, self.config.executor);
-        let answer = execute_with_retry(&policy.retry, deadline, || {
-            executor.execute_cached(&gq, None).map(|(a, _)| a)
-        })?;
-        global().incr_counter(counter::ANSWERS_DEGRADED);
-        Ok(GuardedAnswer {
-            answer,
-            status: AnswerStatus::Degraded {
-                missing_sources: missing.iter().map(|s| s.name().to_owned()).collect(),
-                confidence_penalty: (policy.confidence_penalty * missing.len() as f64).min(1.0),
-            },
-        })
+        outcome.total = start.elapsed();
+        outcome
     }
 
     /// The scene-only view of the merged graph (KG vertices filtered out),
@@ -430,196 +581,6 @@ impl Svqa {
     /// [`Breakers::health`]).
     pub fn health_status(&self) -> &'static str {
         self.breakers.health()
-    }
-
-    /// Answer a single question with a caller-provided shared cache.
-    pub fn answer_cached(
-        &self,
-        question: &str,
-        cache: &ShardedCache,
-    ) -> Result<Answer, SvqaError> {
-        self.answer_traced(question, Some(cache)).0
-    }
-
-    /// Answer a single question and return its [`QueryTrace`]: per-stage
-    /// wall-clock times, exact cache traffic (when a cache is supplied),
-    /// and the terminal outcome. Powers `svqa-cli repl --verbose`.
-    pub fn answer_traced(
-        &self,
-        question: &str,
-        cache: Option<&ShardedCache>,
-    ) -> (Result<Answer, SvqaError>, QueryTrace) {
-        let mut trace = QueryTrace::new(question);
-        let before = cache.map(ShardedCache::stats).unwrap_or_default();
-
-        let t0 = Instant::now();
-        let parsed = self.parse(question);
-        trace.record_stage(stage::PARSE, t0.elapsed());
-
-        let result = match parsed {
-            Ok(gq) => {
-                let t_lint = Instant::now();
-                let lint = self.lint_graph(&gq);
-                trace.record_stage(stage::LINT, t_lint.elapsed());
-                if lint.has_errors() {
-                    trace.outcome = QueryOutcome::LintError;
-                    Err(SvqaError::Lint(lint))
-                } else {
-                    let executor =
-                        QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-                    let t1 = Instant::now();
-                    let executed = executor.execute_cached(&gq, cache).map(|(a, _)| a);
-                    trace.record_stage(stage::MATCH, t1.elapsed());
-                    if executed.is_err() {
-                        trace.outcome = QueryOutcome::ExecError;
-                    }
-                    executed.map_err(SvqaError::from)
-                }
-            }
-            Err(e) => {
-                trace.outcome = QueryOutcome::ParseError;
-                Err(e)
-            }
-        };
-        if let Some(c) = cache {
-            trace.cache = c.stats().delta_since(&before);
-        }
-        count_outcome(&result);
-        (result, trace)
-    }
-
-    /// Answer a question and return the full `EXPLAIN ANALYZE` bundle:
-    /// answer, plan-level [`ExecutionProfile`](svqa_executor::ExecutionProfile)
-    /// (with the parse stage prepended), and answer provenance. The profile
-    /// is also pushed into the global telemetry profile ring, where
-    /// `svqa-cli serve-metrics` exposes it at `/profiles/recent`.
-    pub fn answer_profiled(
-        &self,
-        question: &str,
-        cache: Option<&ShardedCache>,
-    ) -> Result<svqa_executor::ProfiledRun, SvqaError> {
-        let result = (|| {
-            let t0 = Instant::now();
-            let gq = self.parse(question)?;
-            let parse_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let t1 = Instant::now();
-            let lint = self.lint_gate(&gq)?;
-            let lint_ns = u64::try_from(t1.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let executor = QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-            let mut run = executor.execute_profiled(&gq, cache)?;
-            // Prepend in reverse: lint first so parse ends up on top.
-            run.profile.prepend_stage(stage::LINT, lint_ns);
-            run.profile.prepend_stage(stage::PARSE, parse_ns);
-            if !lint.is_clean() {
-                run.profile.set_lint(lint.diagnostics);
-            }
-            svqa_telemetry::global_profiles().push(run.profile.to_json_value());
-            Ok(run)
-        })();
-        count_outcome(&result);
-        result
-    }
-
-    /// Answer a batch with the §V-B optimized scheduler (frequency-sorted
-    /// order, shared key-centric cache, optional parallelism). Each call
-    /// starts from a cold cache; long-lived callers (the query server)
-    /// should hold a [`ShardedCache`] and use
-    /// [`answer_batch_cached`](Self::answer_batch_cached) so hits carry
-    /// over between batches.
-    pub fn answer_batch(&self, questions: &[&str]) -> BatchOutcome {
-        let cache = QueryScheduler::new(self.config.scheduler).build_cache();
-        self.answer_batch_cached(questions, &cache)
-    }
-
-    /// [`answer_batch`](Self::answer_batch) against a caller-provided
-    /// persistent cache: scopes and paths cached by earlier requests
-    /// (single questions or whole batches) accelerate this one.
-    pub fn answer_batch_cached(&self, questions: &[&str], cache: &ShardedCache) -> BatchOutcome {
-        let start = Instant::now();
-        // Parse phase (per-question failures recorded, not fatal).
-        let mut parsed: Vec<(usize, QueryGraph)> = Vec::with_capacity(questions.len());
-        let mut answers: Vec<Option<Result<Answer, SvqaError>>> =
-            (0..questions.len()).map(|_| None).collect();
-        let mut per_query = vec![Duration::ZERO; questions.len()];
-        let mut traces: Vec<QueryTrace> =
-            questions.iter().map(|q| QueryTrace::new(*q)).collect();
-        for (i, q) in questions.iter().enumerate() {
-            let t0 = Instant::now();
-            match self.generator.generate(q) {
-                Ok(gq) => {
-                    traces[i].record_stage(stage::PARSE, t0.elapsed());
-                    let t_lint = Instant::now();
-                    let lint = self.lint_graph(&gq);
-                    traces[i].record_stage(stage::LINT, t_lint.elapsed());
-                    if lint.has_errors() {
-                        traces[i].outcome = QueryOutcome::LintError;
-                        answers[i] = Some(Err(SvqaError::Lint(lint)));
-                    } else {
-                        parsed.push((i, gq));
-                    }
-                }
-                Err(e) => {
-                    traces[i].record_stage(stage::PARSE, t0.elapsed());
-                    traces[i].outcome = QueryOutcome::ParseError;
-                    answers[i] = Some(Err(e.into()));
-                }
-            }
-            per_query[i] = t0.elapsed();
-        }
-        // Execution phase via the scheduler, with the linter's cardinality
-        // estimates as join-order hints (ties in the frequency ordering
-        // break toward cheaper plans).
-        let graphs: Vec<QueryGraph> = parsed.iter().map(|(_, g)| g.clone()).collect();
-        let hints: Vec<f64> = graphs.iter().map(|g| self.linter.cost(g).total).collect();
-        let scheduler = QueryScheduler::new(self.config.scheduler);
-        let report: BatchReport =
-            scheduler.run_with_cache_hinted(&self.merged, &graphs, cache, Some(&hints));
-        for ((orig, _), (answer, dt)) in parsed
-            .iter()
-            .zip(report.answers.into_iter().zip(report.per_query))
-        {
-            if answer.is_err() {
-                traces[*orig].outcome = QueryOutcome::ExecError;
-            }
-            traces[*orig].record_stage(stage::MATCH, dt);
-            answers[*orig] = Some(answer.map_err(SvqaError::from));
-            per_query[*orig] += dt;
-        }
-        report.cache_stats.record_to(global());
-        // The cache is shared across the batch, so per-question attribution
-        // is an even split (documented as approximate on `QueryTrace`).
-        let executed = parsed.len().max(1) as u64;
-        let share = CacheStats {
-            scope_hits: report.cache_stats.scope_hits / executed,
-            scope_misses: report.cache_stats.scope_misses / executed,
-            path_hits: report.cache_stats.path_hits / executed,
-            path_misses: report.cache_stats.path_misses / executed,
-        };
-        for (orig, _) in &parsed {
-            traces[*orig].cache = share;
-        }
-        let answers: Vec<Result<Answer, SvqaError>> = answers
-            .into_iter()
-            .map(|a| a.expect("all questions accounted for"))
-            .collect();
-        for a in &answers {
-            count_outcome(a);
-        }
-        BatchOutcome {
-            answers,
-            total: start.elapsed(),
-            per_query,
-            cache_stats: report.cache_stats,
-            traces,
-        }
-    }
-}
-
-/// Bump the global answered/failed counters for a finished question.
-fn count_outcome<T>(result: &Result<T, SvqaError>) {
-    match result {
-        Ok(_) => global().incr_counter(counter::QUESTIONS_ANSWERED),
-        Err(_) => global().incr_counter(counter::QUESTIONS_FAILED),
     }
 }
 
@@ -717,9 +678,10 @@ mod tests {
     #[test]
     fn explained_answers_cite_images() {
         let (system, _) = small_system();
-        let (answer, explanation) = system
-            .answer_explained("Does the dog appear in the car?")
-            .unwrap();
+        let q = "Does the dog appear in the car?";
+        let run = system.run(system.prepare(q), None, None);
+        let answer = run.result.clone().unwrap().answer;
+        let explanation = run.explanation().unwrap();
         if answer.is_yes() {
             assert!(!explanation.cited_images().is_empty());
             assert!(explanation.fact_count() > 0);
@@ -733,14 +695,15 @@ mod tests {
         let (system, _) = small_system();
         let q = "Does the dog appear in the car?";
         let plain = system.answer(q).unwrap();
-        let run = system.answer_profiled(q, None).unwrap();
-        assert_eq!(run.answer, plain);
-        assert_eq!(run.profile.question, q);
+        let run = system.run(system.prepare(q), None, None);
+        let profile = run.profile().unwrap();
+        assert_eq!(run.result.unwrap().answer, plain);
+        assert_eq!(profile.question, q);
         // parse + match stages, with per-quadruple children under match.
-        assert!(run.profile.stages.len() >= 2);
-        assert_eq!(run.profile.stages[0].stage, stage::PARSE);
-        assert!(!run.profile.quads.is_empty());
-        assert!(run.profile.render_tree().contains("EXPLAIN ANALYZE"));
+        assert!(profile.stages.len() >= 2);
+        assert_eq!(profile.stages[0].stage, stage::PARSE);
+        assert!(!profile.quads.is_empty());
+        assert!(profile.render_tree().contains("EXPLAIN ANALYZE"));
         // The global profile ring saw it (other tests may push too, so
         // only require presence).
         let ring = svqa_telemetry::global_profiles();

@@ -1,28 +1,27 @@
 //! The query-serving subsystem: `svqa serve`.
 //!
-//! A long-running HTTP service over a built SVQA system, on the same
-//! dependency-free `std::net` stack as the metrics endpoint (see
-//! [`svqa_telemetry::router`]). One port serves both query and
-//! observability routes:
+//! A long-running HTTP service over a built SVQA system, on the
+//! dependency-free `std::net` stack of [`svqa_telemetry::router`]. One port
+//! serves both query and observability routes:
 //!
 //! * `POST /ask` — `{"question": "...", "deadline_ms"?: N}` → the answer,
 //!   plus the exact cache traffic this question generated;
 //! * `POST /batch` — `{"questions": [...], "deadline_ms"?: N}` → per-
-//!   question answers via the §V-B scheduler (frequency-sorted order,
-//!   shared cache, configured parallelism);
+//!   question answers via the §V-B scheduler, each on the `/ask` path;
 //! * `GET /healthz` — liveness plus graph/queue shape (answered inline,
 //!   never queued, so health stays green under load);
 //! * `POST /shutdown` — graceful drain: stop accepting, finish queued
 //!   work, then [`QueryServer::serve`] returns;
-//! * `GET /metrics`, `/metrics.json`, `/profiles/recent` — the usual
-//!   telemetry routes, mounted on the same port.
+//! * `GET /metrics`, `/metrics.json`, `/profiles/recent` — telemetry.
 //!
 //! ## Execution model
 //!
 //! Connections are accepted on the caller's thread and parsed on
-//! short-lived connection threads. Query work is **admission-controlled**:
-//! a bounded queue sits between connection threads and a fixed worker
-//! pool. When the queue is full the request is rejected immediately with
+//! short-lived connection threads, which also run an `/ask` question's
+//! [`Svqa::prepare`] (parse and lint), once. Query work is
+//! **admission-controlled**: a bounded queue sits between connection
+//! threads and a fixed pool of workers, which run [`Svqa::run`]. When the
+//! queue is full the request is rejected immediately with
 //! `429 Too Many Requests` and a `Retry-After` header — under overload the
 //! service sheds load instead of accumulating latency. Each request
 //! carries a deadline (`deadline_ms`, default
@@ -41,7 +40,8 @@
 
 use crate::degrade::AnswerStatus;
 use crate::error::SvqaError;
-use crate::pipeline::Svqa;
+use crate::pipeline::{Prepared, Svqa};
+use serde_json::{to_value, Map, Value};
 use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,6 +52,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use svqa_executor::cache::ShardedCache;
 use svqa_executor::scheduler::QueryScheduler;
+use svqa_executor::Answer;
 use svqa_telemetry::router::{HttpServer, Request, Response, Router};
 use svqa_telemetry::{counter, gauge, global, global_profiles, metrics_routes};
 
@@ -81,7 +82,7 @@ impl Default for ServeConfig {
 
 /// What a worker is asked to do.
 enum Work {
-    Ask(String),
+    Ask(Prepared),
     Batch(Vec<String>),
 }
 
@@ -262,18 +263,17 @@ impl QueryServer {
 
     fn handle_healthz(&self) -> Response {
         let stats = self.system.build_stats();
-        let mut sources = serde_json::Map::new();
-        for (source, state) in self.system.breaker_states() {
-            sources.insert(
-                source.name().to_owned(),
-                serde_json::Value::String(state.name().to_owned()),
-            );
-        }
-        Response::json(
+        let sources: Map = self
+            .system
+            .breaker_states()
+            .into_iter()
+            .map(|(source, state)| (source.name().to_owned(), to_value(state.name())))
+            .collect();
+        json_response(
             200,
-            serde_json::to_string(&serde_json::json!({
+            serde_json::json!({
                 "status": self.system.health_status(),
-                "sources": serde_json::Value::Object(sources),
+                "sources": Value::Object(sources),
                 "fault_plan_armed": svqa_fault::active().is_some(),
                 "merged_vertices": stats.merged_vertices,
                 "merged_edges": stats.merged_edges,
@@ -281,8 +281,7 @@ impl QueryServer {
                 "queue_depth": self.config.queue_depth,
                 "in_flight": self.in_flight.load(Ordering::SeqCst),
                 "cache_entries": self.cache.len(),
-            }))
-            .expect("healthz serialization is infallible"),
+            }),
         )
     }
 
@@ -296,7 +295,6 @@ impl QueryServer {
     }
 
     fn handle_ask(&self, req: &Request) -> Response {
-        global().incr_counter(counter::SERVER_REQUESTS);
         let body = match parse_body(req) {
             Ok(b) => b,
             Err(resp) => return resp,
@@ -304,21 +302,18 @@ impl QueryServer {
         let Some(question) = body.get("question").and_then(|q| q.as_str()) else {
             return bad_request("missing-field", "missing string field 'question'");
         };
-        // Lint at the door: a question whose query graph provably cannot
-        // produce answers is rejected on the connection thread with the
-        // full diagnostics, without burning a worker slot on it.
-        match self.system.lint(question) {
-            Err(e) => return error_response(&e),
-            Ok(report) if report.has_errors() => {
-                return error_response(&SvqaError::Lint(report))
-            }
-            Ok(_) => {}
+        // Parse and lint at the door: a question that does not parse, or
+        // whose query graph provably cannot produce answers, is rejected on
+        // the connection thread with the full diagnostics, without burning
+        // a worker slot on it.
+        let prepared = self.system.prepare(question);
+        if let Err(e) = &prepared.gate {
+            return error_response(e);
         }
-        self.submit(Work::Ask(question.to_owned()), self.deadline_of(&body))
+        self.submit(Work::Ask(prepared), self.deadline_of(&body))
     }
 
     fn handle_batch(&self, req: &Request) -> Response {
-        global().incr_counter(counter::SERVER_REQUESTS);
         let body = match parse_body(req) {
             Ok(b) => b,
             Err(resp) => return resp,
@@ -326,13 +321,10 @@ impl QueryServer {
         let Some(questions) = body.get("questions").and_then(|q| q.as_array()) else {
             return bad_request("missing-field", "missing array field 'questions'");
         };
-        let mut batch = Vec::with_capacity(questions.len());
-        for q in questions {
-            match q.as_str() {
-                Some(s) => batch.push(s.to_owned()),
-                None => return bad_request("bad-field", "'questions' must be strings"),
-            }
-        }
+        let strings = questions.iter().map(|q| q.as_str().map(str::to_owned));
+        let Some(batch) = strings.collect() else {
+            return bad_request("bad-field", "'questions' must be strings");
+        };
         self.submit(Work::Batch(batch), self.deadline_of(&body))
     }
 
@@ -366,13 +358,9 @@ impl QueryServer {
                 self.in_flight_delta(1);
                 let remaining = deadline.saturating_duration_since(Instant::now());
                 let response = match rx.recv_timeout(remaining) {
-                    Ok(response) => {
-                        if response.status == 504 {
-                            global().incr_counter(counter::SERVER_DEADLINE_EXCEEDED);
-                        }
-                        response
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
+                    Ok(response) if response.status != 504 => response,
+                    // The worker skipped expired work, or never got to it.
+                    Ok(_) | Err(RecvTimeoutError::Timeout) => {
                         global().incr_counter(counter::SERVER_DEADLINE_EXCEEDED);
                         deadline_response()
                     }
@@ -421,9 +409,9 @@ impl QueryServer {
                     if fault == Some(svqa_fault::FaultKind::Error) {
                         panic!("injected fault: serve.worker");
                     }
-                    match &work {
-                        Work::Ask(question) => self.answer_one(question, deadline),
-                        Work::Batch(questions) => self.answer_many(questions),
+                    match work {
+                        Work::Ask(prepared) => self.answer_one(prepared, deadline),
+                        Work::Batch(questions) => self.answer_many(&questions, deadline),
                     }
                 }));
                 run.unwrap_or_else(|_| {
@@ -436,70 +424,69 @@ impl QueryServer {
         }
     }
 
-    fn answer_one(&self, question: &str, deadline: Instant) -> Response {
-        let before = self.cache.stats();
-        let result = self
-            .system
-            .answer_guarded(question, Some(&self.cache), Some(deadline));
-        let cache = self.cache.stats().delta_since(&before);
-        match result {
+    fn answer_one(&self, prepared: Prepared, deadline: Instant) -> Response {
+        let run = self.system.run(prepared, Some(&self.cache), Some(deadline));
+        match run.result {
             Ok(guarded) => {
-                let body = match &guarded.status {
-                    AnswerStatus::Full => serde_json::json!({
-                        "question": question,
-                        "answer": guarded.answer,
-                        "answer_text": guarded.answer.to_string(),
-                        "status": guarded.status.label(),
-                        "cache": cache,
-                    }),
-                    AnswerStatus::Degraded {
-                        missing_sources,
-                        confidence_penalty,
-                    } => serde_json::json!({
-                        "question": question,
-                        "answer": guarded.answer,
-                        "answer_text": guarded.answer.to_string(),
-                        "status": guarded.status.label(),
-                        "missing_sources": missing_sources,
-                        "confidence_penalty": confidence_penalty,
-                        "cache": cache,
-                    }),
-                };
-                Response::json(
-                    200,
-                    serde_json::to_string(&body).expect("answer serialization is infallible"),
-                )
+                let mut body = answer_fields(&guarded.answer, &guarded.status);
+                body.insert("question".to_owned(), to_value(&run.trace.question));
+                body.insert("cache".to_owned(), to_value(&run.trace.cache));
+                json_response(200, Value::Object(body))
             }
             Err(e) => error_response(&e),
         }
     }
 
-    fn answer_many(&self, questions: &[String]) -> Response {
+    fn answer_many(&self, questions: &[String], deadline: Instant) -> Response {
         let refs: Vec<&str> = questions.iter().map(String::as_str).collect();
-        let outcome = self.system.answer_batch_cached(&refs, &self.cache);
-        let answers: Vec<serde_json::Value> = outcome
+        let outcome = self.system.run_batch(&refs, &self.cache, Some(deadline));
+        let answers: Vec<Value> = outcome
             .answers
             .iter()
-            .map(|r| match r {
-                Ok(a) => serde_json::json!({
-                    "answer": a,
-                    "answer_text": a.to_string(),
-                }),
+            .zip(&outcome.statuses)
+            .map(|(r, status)| match r {
+                Ok(a) => Value::Object(answer_fields(a, status)),
                 Err(e) => serde_json::json!({ "error": e.to_string() }),
             })
             .collect();
-        Response::json(
+        json_response(
             200,
-            serde_json::to_string(&serde_json::json!({
-                "answers": answers,
-                "cache": outcome.cache_stats,
-            }))
-            .expect("batch serialization is infallible"),
+            serde_json::json!({ "answers": answers, "cache": outcome.cache_stats }),
         )
     }
 }
 
+/// An answer's response fields: the answer, its text and status label,
+/// and for a degraded answer the missing sources and confidence penalty.
+fn answer_fields(answer: &Answer, status: &AnswerStatus) -> Map {
+    let mut fields = Map::new();
+    fields.insert("answer".to_owned(), to_value(answer));
+    fields.insert("answer_text".to_owned(), to_value(&answer.to_string()));
+    fields.insert("status".to_owned(), to_value(status.label()));
+    if let AnswerStatus::Degraded {
+        missing_sources,
+        confidence_penalty,
+    } = status
+    {
+        fields.insert("missing_sources".to_owned(), to_value(missing_sources));
+        fields.insert(
+            "confidence_penalty".to_owned(),
+            to_value(confidence_penalty),
+        );
+    }
+    fields
+}
+
+fn json_response(status: u16, body: Value) -> Response {
+    Response::json(
+        status,
+        serde_json::to_string(&body).expect("response serialization is infallible"),
+    )
+}
+
+/// Count a query request and parse its JSON body.
 fn parse_body(req: &Request) -> Result<serde_json::Value, Response> {
+    global().incr_counter(counter::SERVER_REQUESTS);
     let Some(text) = req.body_str() else {
         return Err(bad_request("bad-encoding", "body is not UTF-8"));
     };
@@ -511,11 +498,7 @@ fn parse_body(req: &Request) -> Result<serde_json::Value, Response> {
 /// `server_requests_bad` so malformed traffic is visible in `/metrics`.
 fn bad_request(code: &str, message: &str) -> Response {
     global().incr_counter(counter::SERVER_REQUESTS_BAD);
-    Response::json(
-        400,
-        serde_json::to_string(&serde_json::json!({ "error": message, "code": code }))
-            .expect("error serialization is infallible"),
-    )
+    json_response(400, serde_json::json!({ "error": message, "code": code }))
 }
 
 fn deadline_response() -> Response {
@@ -531,39 +514,37 @@ fn retry_after_secs(retry_after_ms: u64) -> u64 {
 }
 
 fn error_response(e: &SvqaError) -> Response {
+    let mut body = Map::new();
+    body.insert("error".to_owned(), to_value(&e.to_string()));
+    // Lint rejections carry the machine-readable diagnostics alongside the
+    // human-readable summary, so clients can surface "did you mean".
     let status = match e {
-        SvqaError::Parse(_) | SvqaError::Lint(_) => 400,
+        SvqaError::Parse(_) => 400,
+        SvqaError::Lint(report) => {
+            body.insert("code".to_owned(), to_value("lint-rejected"));
+            body.insert("diagnostics".to_owned(), to_value(&report.diagnostics));
+            400
+        }
         SvqaError::Exec(_) => 500,
-        SvqaError::Unavailable { .. } => 503,
+        SvqaError::Unavailable {
+            missing,
+            retry_after_ms,
+        } => {
+            body.insert("code".to_owned(), to_value("unavailable"));
+            body.insert("missing_sources".to_owned(), to_value(missing));
+            body.insert("retry_after_ms".to_owned(), to_value(retry_after_ms));
+            503
+        }
     };
     if status == 400 {
         global().incr_counter(counter::SERVER_REQUESTS_BAD);
     }
-    // Lint rejections carry the machine-readable diagnostics alongside the
-    // human-readable summary, so clients can surface "did you mean".
-    let body = match e {
-        SvqaError::Lint(report) => serde_json::json!({
-            "error": e.to_string(),
-            "code": "lint-rejected",
-            "diagnostics": report.diagnostics,
-        }),
-        SvqaError::Unavailable {
-            missing,
-            retry_after_ms,
-        } => serde_json::json!({
-            "error": e.to_string(),
-            "code": "unavailable",
-            "missing_sources": missing,
-            "retry_after_ms": retry_after_ms,
-        }),
-        _ => serde_json::json!({ "error": e.to_string() }),
-    };
-    let response = Response::json(
-        status,
-        serde_json::to_string(&body).expect("error serialization is infallible"),
-    );
+    let response = json_response(status, Value::Object(body));
     if let SvqaError::Unavailable { retry_after_ms, .. } = e {
-        response.with_header("Retry-After", &retry_after_secs(*retry_after_ms).to_string())
+        response.with_header(
+            "Retry-After",
+            &retry_after_secs(*retry_after_ms).to_string(),
+        )
     } else {
         response
     }

@@ -36,7 +36,7 @@ pub mod vqav2;
 pub use groundtruth::{GroundTruth, GtAnswer};
 pub use io::{load, save, DatasetIoError};
 pub use kg::build_knowledge_graph;
-pub use mvqa::{Mvqa, MvqaConfig, MvqaStats};
+pub use mvqa::{score_answers, Mvqa, MvqaConfig, MvqaStats};
 pub use questions::{QaPair, QuestionSpec};
 pub use scenes::{generate_crowded_images, generate_images};
 pub use vqav2::{generate_vqav2, VqaV2Config};

@@ -131,52 +131,61 @@ impl Mvqa {
         }
     }
 
-    /// Accuracy of a batch of predicted answers against ground truth,
-    /// per question type plus overall: `(judgment, counting, reasoning,
-    /// overall)`. Reasoning answers are compared by the paper's semantic
-    /// rule (exact label, or embedding similarity — "dog" vs "puppy"
-    /// count as consistent).
+    /// Accuracy of a batch of predicted answers against this dataset's
+    /// ground truth (see [`score_answers`]).
     pub fn score_answers(
         &self,
         answers: &[Option<PredictedAnswer>],
     ) -> (f64, f64, f64, f64) {
-        let embedder = svqa_nlp::Embedder::new();
-        let mut per_type: std::collections::HashMap<QuestionType, (usize, usize)> =
-            std::collections::HashMap::new();
-        for (q, ans) in self.questions.iter().zip(answers) {
-            let entry = per_type.entry(q.qtype).or_insert((0, 0));
-            entry.1 += 1;
-            let correct = match (&q.answer, ans) {
-                (GtAnswer::YesNo(gt), Some(PredictedAnswer::YesNo(p))) => gt == p,
-                (GtAnswer::Count(gt), Some(PredictedAnswer::Count(p))) => gt == p,
-                (GtAnswer::Entity(gt), Some(PredictedAnswer::Entity(p))) => {
-                    gt == p || embedder.similarity(gt, p) >= 0.7
-                }
-                _ => false,
-            };
-            if correct {
-                entry.0 += 1;
-            }
-        }
-        let acc = |t: QuestionType| -> f64 {
-            per_type
-                .get(&t)
-                .map_or(0.0, |&(c, n)| if n == 0 { 0.0 } else { c as f64 / n as f64 })
-        };
-        let (total_c, total_n) = per_type
-            .values()
-            .fold((0, 0), |(c, n), &(ci, ni)| (c + ci, n + ni));
-        (
-            acc(QuestionType::Judgment),
-            acc(QuestionType::Counting),
-            acc(QuestionType::Reasoning),
-            if total_n == 0 {
-                0.0
-            } else {
-                total_c as f64 / total_n as f64
-            },
-        )
+        score_answers(&self.questions, answers)
     }
+}
+
+/// Accuracy of a batch of predicted answers (aligned with `questions`)
+/// against their ground truth, per question type plus overall:
+/// `(judgment, counting, reasoning, overall)`. Reasoning answers are
+/// compared by the paper's semantic rule (exact label, or embedding
+/// similarity — "dog" vs "puppy" count as consistent).
+pub fn score_answers(
+    questions: &[QaPair],
+    answers: &[Option<PredictedAnswer>],
+) -> (f64, f64, f64, f64) {
+    let embedder = svqa_nlp::Embedder::new();
+    let mut per_type: std::collections::HashMap<QuestionType, (usize, usize)> =
+        std::collections::HashMap::new();
+    for (q, ans) in questions.iter().zip(answers) {
+        let entry = per_type.entry(q.qtype).or_insert((0, 0));
+        entry.1 += 1;
+        let correct = match (&q.answer, ans) {
+            (GtAnswer::YesNo(gt), Some(PredictedAnswer::YesNo(p))) => gt == p,
+            (GtAnswer::Count(gt), Some(PredictedAnswer::Count(p))) => gt == p,
+            (GtAnswer::Entity(gt), Some(PredictedAnswer::Entity(p))) => {
+                gt == p || embedder.similarity(gt, p) >= 0.7
+            }
+            _ => false,
+        };
+        if correct {
+            entry.0 += 1;
+        }
+    }
+    let acc = |t: QuestionType| -> f64 {
+        per_type
+            .get(&t)
+            .map_or(0.0, |&(c, n)| if n == 0 { 0.0 } else { c as f64 / n as f64 })
+    };
+    let (total_c, total_n) = per_type
+        .values()
+        .fold((0, 0), |(c, n), &(ci, ni)| (c + ci, n + ni));
+    (
+        acc(QuestionType::Judgment),
+        acc(QuestionType::Counting),
+        acc(QuestionType::Reasoning),
+        if total_n == 0 {
+            0.0
+        } else {
+            total_c as f64 / total_n as f64
+        },
+    )
 }
 
 /// A system's predicted answer, for scoring.

@@ -126,14 +126,14 @@ impl KeyCentricCache {
         Self::new(CacheGranularity::None, EvictionPolicy::Lfu, 0)
     }
 
-    fn scope_enabled(&self) -> bool {
+    pub(crate) fn scope_enabled(&self) -> bool {
         matches!(
             self.granularity,
             CacheGranularity::Scope | CacheGranularity::Both
         )
     }
 
-    fn path_enabled(&self) -> bool {
+    pub(crate) fn path_enabled(&self) -> bool {
         matches!(
             self.granularity,
             CacheGranularity::Path | CacheGranularity::Both
@@ -405,10 +405,30 @@ impl ShardedCache {
 
     /// Look up a scope item in the key's shard.
     pub fn scope_get(&self, key: &str) -> Option<Arc<Vec<VertexId>>> {
+        self.scope_get_tallied(key, &mut CacheStats::new())
+    }
+
+    /// [`scope_get`](Self::scope_get), counting the lookup into `tally`
+    /// exactly when it moves the cache's own counters: a lookup the
+    /// granularity skips, or a miss a fault forces, counts in neither. This
+    /// is what attributes shared-cache traffic to one query exactly, however
+    /// many queries run against the cache at once.
+    pub fn scope_get_tallied(
+        &self,
+        key: &str,
+        tally: &mut CacheStats,
+    ) -> Option<Arc<Vec<VertexId>>> {
         if Self::faulted(svqa_fault::site::CACHE_GET) {
             return None;
         }
-        self.shard(key).lock().scope_get(key)
+        let mut shard = self.shard(key).lock();
+        let hit = shard.scope_get(key);
+        match (shard.scope_enabled(), hit.is_some()) {
+            (false, _) => {}
+            (true, true) => tally.scope_hits += 1,
+            (true, false) => tally.scope_misses += 1,
+        }
+        hit
     }
 
     /// Store a scope item in the key's shard.
@@ -421,10 +441,27 @@ impl ShardedCache {
 
     /// Look up a path item in the key's shard.
     pub fn path_get(&self, key: &str) -> Option<Arc<Vec<RelationPair>>> {
+        self.path_get_tallied(key, &mut CacheStats::new())
+    }
+
+    /// [`path_get`](Self::path_get), counting the lookup into `tally` by
+    /// the rule of [`scope_get_tallied`](Self::scope_get_tallied).
+    pub fn path_get_tallied(
+        &self,
+        key: &str,
+        tally: &mut CacheStats,
+    ) -> Option<Arc<Vec<RelationPair>>> {
         if Self::faulted(svqa_fault::site::CACHE_GET) {
             return None;
         }
-        self.shard(key).lock().path_get(key)
+        let mut shard = self.shard(key).lock();
+        let hit = shard.path_get(key);
+        match (shard.path_enabled(), hit.is_some()) {
+            (false, _) => {}
+            (true, true) => tally.path_hits += 1,
+            (true, false) => tally.path_misses += 1,
+        }
+        hit
     }
 
     /// Store a path item in the key's shard.
@@ -701,6 +738,21 @@ mod tests {
         assert_eq!(tiny.shard_count(), 2);
         tiny.scope_put("a", Arc::new(vec![vid(1)]));
         assert_eq!(tiny.len(), 1);
+    }
+
+    #[test]
+    fn tallied_lookups_count_exactly_what_the_cache_counts() {
+        // Scope-only: path lookups are skipped by the granularity and must
+        // count nowhere; scope hits and misses count in both places.
+        let c = ShardedCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 16, 4);
+        let mut tally = CacheStats::new();
+        assert_eq!(c.scope_get_tallied("dog", &mut tally), None);
+        c.scope_put("dog", Arc::new(vec![vid(1)]));
+        assert!(c.scope_get_tallied("dog", &mut tally).is_some());
+        assert!(c.path_get_tallied("dog|car", &mut tally).is_none());
+        assert_eq!(tally, c.stats());
+        assert_eq!((tally.scope_hits, tally.scope_misses), (1, 1));
+        assert_eq!((tally.path_hits, tally.path_misses), (0, 0));
     }
 
     #[test]

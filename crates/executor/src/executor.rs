@@ -14,7 +14,8 @@
 //!   count of scene instances, or ranked entity labels).
 
 use crate::answer::Answer;
-use crate::cache::ShardedCache;
+use crate::cache::{CacheStats, ShardedCache};
+use crate::explain::Explanation;
 use crate::matching::{MatchMethod, RelationPair, VertexMatcher};
 use crate::words::Constraint;
 use serde::{Deserialize, Serialize};
@@ -183,17 +184,48 @@ pub struct VertexTrace {
     pub elapsed_ns: u64,
 }
 
-/// Internal result of one Algorithm-3 run: answer, per-vertex traces, and
-/// per-vertex accepted pairs.
-type RunOutput = (Answer, Vec<VertexTrace>, Vec<Vec<RelationPair>>);
+/// Everything one Algorithm 3 run produced. The `EXPLAIN ANALYZE`
+/// profile and the answer's provenance are built from it only when a
+/// caller asks.
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// The answer.
+    pub answer: Answer,
+    /// Per-vertex traces, indexed by query-graph vertex.
+    pub traces: Vec<VertexTrace>,
+    /// Per-vertex accepted relation pairs (`AP`), indexed by vertex.
+    pub aps: Vec<Vec<RelationPair>>,
+    /// Wall time of the run, ns.
+    pub total_ns: u64,
+}
+
+impl Execution {
+    /// The `EXPLAIN ANALYZE` profile of this run of `gq`, carrying `cache`
+    /// as the run's cache traffic.
+    pub fn profile(&self, gq: &QueryGraph, cache: CacheStats) -> crate::profile::ExecutionProfile {
+        let order = gq.execution_order().expect("run() validated acyclicity");
+        crate::profile::ExecutionProfile::assemble(
+            gq,
+            &self.answer,
+            order,
+            &self.traces,
+            self.total_ns,
+            cache,
+        )
+    }
+
+    /// The facts of `graph` (the graph the run executed over) that
+    /// support the answer.
+    pub fn explanation(&self, graph: &Graph) -> Explanation {
+        Explanation::from_aps(graph, &self.aps)
+    }
+}
 
 /// The executor.
 pub struct QueryGraphExecutor<'g> {
     graph: &'g Graph,
     matcher: VertexMatcher<'g>,
     config: ExecutorConfig,
-    /// `T ← getLabels(E_mg)` (Algorithm 3 line 2), computed once.
-    edge_labels: Vec<String>,
 }
 
 impl<'g> QueryGraphExecutor<'g> {
@@ -207,16 +239,10 @@ impl<'g> QueryGraphExecutor<'g> {
         let mut matcher = VertexMatcher::new(graph);
         matcher.lev_threshold = config.lev_threshold;
         matcher.embed_threshold = config.embed_threshold;
-        let mut edge_labels: Vec<String> = graph
-            .edge_label_counts()
-            .map(|(l, _)| l.to_owned())
-            .collect();
-        edge_labels.sort();
         QueryGraphExecutor {
             graph,
             matcher,
             config,
-            edge_labels,
         }
     }
 
@@ -227,45 +253,28 @@ impl<'g> QueryGraphExecutor<'g> {
 
     /// Execute and return the answer together with its provenance (the
     /// support facts behind every query-graph vertex).
-    pub fn execute_explained(
-        &self,
-        gq: &QueryGraph,
-    ) -> Result<(Answer, crate::explain::Explanation), ExecError> {
-        let (answer, _traces, aps) = self.run(gq, None)?;
-        Ok((answer, crate::explain::Explanation::from_aps(self.graph, &aps)))
+    pub fn execute_explained(&self, gq: &QueryGraph) -> Result<(Answer, Explanation), ExecError> {
+        let run = self.run(gq, None, &mut CacheStats::new())?;
+        let explanation = run.explanation(self.graph);
+        Ok((run.answer, explanation))
     }
 
     /// Execute and return the full `EXPLAIN ANALYZE` bundle: the answer,
     /// a per-quadruple [`ExecutionProfile`](crate::profile::ExecutionProfile)
     /// (candidate counts, cache classification, timings), and the answer's
-    /// provenance. Cache counters in the profile are the *delta* this
-    /// query produced, so a shared batch cache attributes correctly.
+    /// provenance. Cache counters in the profile are the exact traffic this
+    /// query produced, so a shared cache attributes correctly.
     pub fn execute_profiled(
         &self,
         gq: &QueryGraph,
         cache: Option<&ShardedCache>,
     ) -> Result<crate::profile::ProfiledRun, ExecError> {
-        let cache_before = cache.map(ShardedCache::stats).unwrap_or_default();
-        let t0 = Instant::now();
-        let (answer, traces, aps) = self.run(gq, cache)?;
-        let total_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let cache_delta = cache
-            .map(|c| c.stats().delta_since(&cache_before))
-            .unwrap_or_default();
-        let order = gq.execution_order().expect("run() validated acyclicity");
-        let explanation = crate::explain::Explanation::from_aps(self.graph, &aps);
-        let profile = crate::profile::ExecutionProfile::assemble(
-            gq,
-            &answer,
-            order,
-            traces,
-            total_ns,
-            cache_delta,
-        );
+        let mut traffic = CacheStats::new();
+        let run = self.run(gq, cache, &mut traffic)?;
         Ok(crate::profile::ProfiledRun {
-            answer,
-            profile,
-            explanation,
+            profile: run.profile(gq, traffic),
+            explanation: run.explanation(self.graph),
+            answer: run.answer,
         })
     }
 
@@ -277,17 +286,20 @@ impl<'g> QueryGraphExecutor<'g> {
         gq: &QueryGraph,
         cache: Option<&ShardedCache>,
     ) -> Result<(Answer, Vec<VertexTrace>), ExecError> {
-        let (answer, traces, _aps) = self.run(gq, cache)?;
-        Ok((answer, traces))
+        let run = self.run(gq, cache, &mut CacheStats::new())?;
+        Ok((run.answer, run.traces))
     }
 
-    /// The Algorithm 3 main loop, returning the answer, traces, and every
-    /// vertex's accepted pairs.
-    fn run(
+    /// The Algorithm 3 main loop, with an optional shared key-centric
+    /// cache. Every scope and path lookup this run makes is counted into
+    /// `traffic` by the cache's own rule (see
+    /// [`ShardedCache::scope_get_tallied`]), also when the run then fails.
+    pub fn run(
         &self,
         gq: &QueryGraph,
         cache: Option<&ShardedCache>,
-    ) -> Result<RunOutput, ExecError> {
+        traffic: &mut CacheStats,
+    ) -> Result<Execution, ExecError> {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::MATCH);
         if gq.is_empty() {
             return Err(ExecError::EmptyQueryGraph);
@@ -314,7 +326,7 @@ impl<'g> QueryGraphExecutor<'g> {
             let cacheable = sub_binding[u].is_none() && obj_binding[u].is_none();
             let path_key = format!("{}|{}", spoc.subject.phrase, spoc.object.phrase);
             let cached_rp = if cacheable {
-                cache.and_then(|c| c.path_get(&path_key))
+                cache.and_then(|c| c.path_get_tallied(&path_key, traffic))
             } else {
                 None
             };
@@ -328,9 +340,9 @@ impl<'g> QueryGraphExecutor<'g> {
                 Some(hit) => hit,
                 None => {
                     let (subs, sub_trace) =
-                        self.resolve_slot(&spoc.subject, sub_binding[u].as_deref(), cache);
+                        self.resolve_slot(&spoc.subject, sub_binding[u].as_deref(), cache, traffic);
                     let (objs, obj_trace) =
-                        self.resolve_slot(&spoc.object, obj_binding[u].as_deref(), cache);
+                        self.resolve_slot(&spoc.object, obj_binding[u].as_deref(), cache, traffic);
                     traces[u].sub = sub_trace;
                     traces[u].obj = obj_trace;
                     let sub_slice = subs.as_ref().map(|v| v.as_slice());
@@ -440,7 +452,12 @@ impl<'g> QueryGraphExecutor<'g> {
                 Answer::entity_from_ranked(self.ranked_labels(&answer_vertices))
             }
         };
-        Ok((answer, traces, aps))
+        Ok(Execution {
+            answer,
+            traces,
+            aps,
+            total_ns: u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        })
     }
 
     /// Resolve a SPOC slot to its vertex scope: a propagated binding
@@ -452,6 +469,7 @@ impl<'g> QueryGraphExecutor<'g> {
         np: &NounPhrase,
         binding: Option<&[VertexId]>,
         cache: Option<&ShardedCache>,
+        traffic: &mut CacheStats,
     ) -> (Option<Arc<Vec<VertexId>>>, SlotTrace) {
         if let Some(bound) = binding {
             let expanded = self.matcher.expand_semantic(bound);
@@ -467,7 +485,7 @@ impl<'g> QueryGraphExecutor<'g> {
             return (None, SlotTrace::default());
         }
         if let Some(cache) = cache {
-            if let Some(hit) = cache.scope_get(&np.phrase) {
+            if let Some(hit) = cache.scope_get_tallied(&np.phrase, traffic) {
                 let trace = SlotTrace {
                     source: SlotSource::CacheHit,
                     method: None,
@@ -572,11 +590,6 @@ impl<'g> QueryGraphExecutor<'g> {
         let mut ranked: Vec<(&str, usize)> = counts.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         ranked.into_iter().map(|(l, _)| l.to_owned()).collect()
-    }
-
-    /// The edge-label inventory `T` of the merged graph.
-    pub fn edge_labels(&self) -> &[String] {
-        &self.edge_labels
     }
 }
 

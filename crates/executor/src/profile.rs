@@ -71,7 +71,8 @@ pub struct ExecutionProfile {
     pub stages: Vec<StageTiming>,
     /// Total profiled time across the recorded stages, ns.
     pub total_ns: u64,
-    /// Cache traffic this query produced (delta, not the shared total).
+    /// Cache traffic this query produced (its own lookups, not the shared
+    /// cache's totals).
     pub cache: CacheStats,
     /// Batch-scheduling rationale, when the query ran inside a batch.
     #[serde(default)]
@@ -102,7 +103,7 @@ impl ExecutionProfile {
         gq: &QueryGraph,
         answer: &Answer,
         order: Vec<usize>,
-        traces: Vec<VertexTrace>,
+        traces: &[VertexTrace],
         total_ns: u64,
         cache: CacheStats,
     ) -> ExecutionProfile {

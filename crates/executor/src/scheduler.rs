@@ -12,8 +12,7 @@ use crate::answer::Answer;
 use crate::cache::{CacheGranularity, CacheStats, EvictionPolicy, ShardedCache};
 use crate::executor::{ExecError, ExecutorConfig, QueryGraphExecutor};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 use svqa_graph::Graph;
 use svqa_qparser::QueryGraph;
@@ -63,7 +62,7 @@ pub struct BatchReport {
     pub per_query: Vec<Duration>,
     /// Wall-clock time of the whole batch.
     pub total: Duration,
-    /// Cache hit/miss counters accumulated over the batch.
+    /// Cache hit/miss counters of this batch's own lookups.
     pub cache_stats: CacheStats,
     /// Execution order used (indices into the original batch).
     pub order: Vec<usize>,
@@ -172,8 +171,8 @@ impl QueryScheduler {
 
     /// Execute a batch against a caller-owned [`ShardedCache`], so cache
     /// state persists across batches (and across requests when the cache
-    /// belongs to the serving layer). The report's `cache_stats` are the
-    /// *delta* this batch produced, not the cache's lifetime counters.
+    /// belongs to the serving layer). The report's `cache_stats` count this
+    /// batch's own lookups, not the cache's lifetime counters.
     pub fn run_with_cache(
         &self,
         graph: &Graph,
@@ -193,76 +192,94 @@ impl QueryScheduler {
         cache: &ShardedCache,
         cost_hints: Option<&[f64]>,
     ) -> BatchReport {
-        let (order, scores) = {
-            let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::SCHEDULE);
-            let (sorted, scores) = Self::order_with_scores_hinted(queries, cost_hints);
-            if self.config.frequency_sort {
-                (sorted, scores)
-            } else {
-                ((0..queries.len()).collect(), scores)
-            }
-        };
-        let stats_before = cache.stats();
+        let (order, scores) = self.schedule(queries, cost_hints);
         let executor = QueryGraphExecutor::with_config(graph, self.config.executor);
-
-        let mut answers: Vec<Option<Result<Answer, ExecError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut per_query = vec![Duration::ZERO; queries.len()];
         let start = Instant::now();
+        let ran = self.run_ordered(queries.iter().collect(), &order, |gq| {
+            let t0 = Instant::now();
+            let mut traffic = CacheStats::new();
+            let answer = executor.run(gq, Some(cache), &mut traffic).map(|run| run.answer);
+            (answer, t0.elapsed(), traffic)
+        });
+        let mut report = BatchReport {
+            answers: Vec::with_capacity(ran.len()),
+            per_query: Vec::with_capacity(ran.len()),
+            total: start.elapsed(),
+            cache_stats: CacheStats::new(),
+            order,
+            scores,
+        };
+        for (answer, elapsed, traffic) in ran {
+            report.answers.push(answer);
+            report.per_query.push(elapsed);
+            report.cache_stats.merge(&traffic);
+        }
+        report
+    }
 
+    /// The execution order for `queries` — the frequency-ratio order, or
+    /// submission order when `frequency_sort` is off — plus every query's
+    /// score (see [`order_with_scores_hinted`](Self::order_with_scores_hinted)).
+    /// Recorded as the `schedule` span.
+    pub fn schedule(
+        &self,
+        queries: &[QueryGraph],
+        cost_hints: Option<&[f64]>,
+    ) -> (Vec<usize>, Vec<f64>) {
+        let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::SCHEDULE);
+        let (sorted, scores) = Self::order_with_scores_hinted(queries, cost_hints);
+        if self.config.frequency_sort {
+            (sorted, scores)
+        } else {
+            ((0..queries.len()).collect(), scores)
+        }
+    }
+
+    /// The batch loop: call `work` on every item in `order` (which must
+    /// name each item once), on the calling thread, or with `threads > 1`
+    /// on a worker pool draining the ordered queue (the graph is shared
+    /// immutably, the cache sharded behind per-shard locks). Results come
+    /// back in item order. Behind both
+    /// [`run_with_cache_hinted`](Self::run_with_cache_hinted) and the
+    /// pipeline's full-path batch.
+    pub fn run_ordered<I: Send, T: Send>(
+        &self,
+        items: Vec<I>,
+        order: &[usize],
+        work: impl Fn(I) -> T + Sync,
+    ) -> Vec<T> {
+        let mut slots: Vec<Option<I>> = items.into_iter().map(Some).collect();
+        let queue: VecDeque<(usize, I)> = order
+            .iter()
+            .map(|&i| (i, slots[i].take().expect("order names each item once")))
+            .collect();
+        let mut results: Vec<Option<T>> = (0..slots.len()).map(|_| None).collect();
         if self.config.threads <= 1 {
-            for &qi in &order {
-                let t0 = Instant::now();
-                let result = executor
-                    .execute_cached(&queries[qi], Some(cache))
-                    .map(|(a, _)| a);
-                per_query[qi] = t0.elapsed();
-                answers[qi] = Some(result);
+            for (i, item) in queue {
+                results[i] = Some(work(item));
             }
         } else {
-            // Work-stealing over the ordered queue; results collected per
-            // worker and merged afterwards (answers are Send, the graph is
-            // shared immutably, the cache sharded behind per-shard locks).
-            let next = AtomicUsize::new(0);
-            type WorkerResult = (usize, Result<Answer, ExecError>, Duration);
-            let results: Mutex<Vec<WorkerResult>> =
-                Mutex::new(Vec::with_capacity(queries.len()));
+            let queue = Mutex::new(queue);
+            let done = Mutex::new(Vec::with_capacity(slots.len()));
             std::thread::scope(|scope| {
                 for _ in 0..self.config.threads {
-                    scope.spawn(|| {
-                        loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            if slot >= order.len() {
-                                break;
-                            }
-                            let qi = order[slot];
-                            let t0 = Instant::now();
-                            let result = executor
-                                .execute_cached(&queries[qi], Some(cache))
-                                .map(|(a, _)| a);
-                            results.lock().push((qi, result, t0.elapsed()));
-                        }
+                    scope.spawn(|| loop {
+                        let Some((i, item)) = queue.lock().pop_front() else {
+                            break;
+                        };
+                        let out = work(item);
+                        done.lock().push((i, out));
                     });
                 }
             });
-            for (qi, result, dt) in results.into_inner() {
-                answers[qi] = Some(result);
-                per_query[qi] = dt;
+            for (i, out) in done.into_inner() {
+                results[i] = Some(out);
             }
         }
-
-        let cache_stats = cache.stats().delta_since(&stats_before);
-        BatchReport {
-            answers: answers
-                .into_iter()
-                .map(|a| a.expect("every query executed"))
-                .collect(),
-            per_query,
-            total: start.elapsed(),
-            cache_stats,
-            order,
-            scores,
-        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every item ran"))
+            .collect()
     }
 }
 
@@ -393,7 +410,7 @@ mod tests {
 
     /// A caller-owned cache persists across batches: the second identical
     /// batch is served from cache state seeded by the first, and each
-    /// report carries only its own delta.
+    /// report carries only its own traffic.
     #[test]
     fn shared_cache_persists_across_batches() {
         let g = graph();

@@ -1,40 +1,19 @@
-//! Dependency-free metrics endpoint.
-//!
-//! A deliberately tiny HTTP/1.1 server built on the reusable
-//! [`router`](crate::router) layer — no async runtime, no framework —
-//! good enough for a Prometheus scraper or `curl` hitting localhost.
-//! Routes:
+//! The observability routes, mounted by `svqa serve` next to its query
+//! routes on one port:
 //!
 //! * `GET /metrics` — the live [`Recorder`] snapshot in Prometheus text
 //!   exposition format;
 //! * `GET /metrics.json` — the same snapshot as JSON;
 //! * `GET /profiles/recent` — the [`ProfileRing`] contents as a JSON
-//!   array (newest last);
-//! * `GET /` — a plain-text index of the routes.
-//!
-//! Requests are served serially on the accept loop: a scrape is a few
-//! milliseconds of formatting, and serial handling keeps the server free
-//! of any thread-per-connection machinery. Per-connection read/write
-//! timeouts (see [`HttpServer`]) guarantee one silent client cannot wedge
-//! the loop.
+//!   array (newest last).
 
 use crate::exposition::prometheus_text;
 use crate::recent::ProfileRing;
 use crate::recorder::Recorder;
-use crate::router::{HttpServer, Response, Router};
-use std::net::SocketAddr;
-use std::time::Duration;
+use crate::router::{Response, Router};
 
-/// A bound (but not yet serving) metrics server.
-pub struct MetricsServer {
-    server: HttpServer,
-    recorder: Recorder,
-    profiles: ProfileRing,
-}
-
-/// The route table shared by [`MetricsServer`] and the query server: both
-/// expose the same observability surface, `svqa serve` just mounts it next
-/// to its query routes.
+/// Add the observability routes over `recorder` and `profiles` to
+/// `router`.
 pub fn metrics_routes<'h>(
     router: Router<'h>,
     recorder: &Recorder,
@@ -58,69 +37,13 @@ pub fn metrics_routes<'h>(
         })
 }
 
-impl MetricsServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:9100"`; port 0 picks a free port)
-    /// and serve snapshots of `recorder` and `profiles`.
-    pub fn bind(
-        addr: &str,
-        recorder: Recorder,
-        profiles: ProfileRing,
-    ) -> std::io::Result<MetricsServer> {
-        Ok(MetricsServer {
-            server: HttpServer::bind(addr)?,
-            recorder,
-            profiles,
-        })
-    }
-
-    /// The actual bound address (useful with port 0).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.server.local_addr()
-    }
-
-    /// Override the per-connection read/write timeout (`None` disables;
-    /// the default is [`crate::router::DEFAULT_IO_TIMEOUT`]).
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) {
-        self.server.set_io_timeout(timeout);
-    }
-
-    fn router(&self) -> Router<'_> {
-        let router = Router::new().get("/", |_| {
-            Response::text(
-                200,
-                "svqa metrics endpoint\n\n\
-                 /metrics          Prometheus text exposition\n\
-                 /metrics.json     metrics snapshot as JSON\n\
-                 /profiles/recent  recent query profiles (JSON array)\n",
-            )
-        });
-        metrics_routes(router, &self.recorder, &self.profiles)
-    }
-
-    /// Accept and answer connections forever (serially). Per-connection
-    /// I/O errors are swallowed: a scraper hanging up mid-response must
-    /// not kill the endpoint.
-    pub fn serve_forever(&self) -> ! {
-        self.server.serve_serial(&self.router())
-    }
-
-    /// Run `serve_forever` on a background thread, returning the bound
-    /// address. The thread (and socket) live until process exit.
-    pub fn spawn(self) -> std::io::Result<SocketAddr> {
-        let addr = self.local_addr()?;
-        std::thread::Builder::new()
-            .name("svqa-metrics".to_owned())
-            .spawn(move || self.serve_forever())?;
-        Ok(addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::HttpServer;
     use serde_json::json;
     use std::io::{Read, Write};
-    use std::net::TcpStream;
+    use std::net::{SocketAddr, TcpStream};
     use std::time::Duration;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -134,22 +57,31 @@ mod tests {
         (head.to_owned(), body.to_owned())
     }
 
-    fn sample_server() -> MetricsServer {
+    /// Serve the metrics routes over a sample registry for `connections`
+    /// connections, one after another, on a background thread. (Routing
+    /// errors and I/O timeouts are covered by the router's own tests.)
+    fn serve_sample(connections: usize) -> SocketAddr {
         let recorder = Recorder::new();
         recorder.incr_counter_by("questions_answered", 3);
         recorder.record_span("parse", Duration::from_micros(50));
         let profiles = ProfileRing::new(4);
         profiles.push(json!({"question": "How many dogs?"}));
-        MetricsServer::bind("127.0.0.1:0", recorder, profiles).expect("bind")
-    }
-
-    fn serve_sample() -> SocketAddr {
-        sample_server().spawn().expect("spawn")
+        let server = HttpServer::bind("127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().expect("local addr");
+        std::thread::spawn(move || {
+            let router = metrics_routes(Router::new(), &recorder, &profiles);
+            for _ in 0..connections {
+                if let Ok(stream) = server.accept() {
+                    let _ = HttpServer::handle_connection(stream, &router);
+                }
+            }
+        });
+        addr
     }
 
     #[test]
     fn metrics_route_serves_prometheus_text() {
-        let addr = serve_sample();
+        let addr = serve_sample(1);
         let (head, body) = get(addr, "/metrics");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("text/plain; version=0.0.4"), "{head}");
@@ -159,7 +91,7 @@ mod tests {
 
     #[test]
     fn json_and_profile_routes_serve_json() {
-        let addr = serve_sample();
+        let addr = serve_sample(2);
         let (head, body) = get(addr, "/metrics.json");
         assert!(head.contains("application/json"), "{head}");
         let snap: crate::MetricsSnapshot = serde_json::from_str(&body).unwrap();
@@ -174,39 +106,5 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn unknown_route_is_404_and_server_survives() {
-        let addr = serve_sample();
-        let (head, _) = get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-        // The serial accept loop must keep answering after an error path.
-        let (head, _) = get(addr, "/");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    }
-
-    #[test]
-    fn post_to_metrics_is_405() {
-        let addr = serve_sample();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 405"), "{response}");
-    }
-
-    #[test]
-    fn silent_scraper_cannot_wedge_the_endpoint() {
-        let mut server = sample_server();
-        server.set_io_timeout(Some(Duration::from_millis(100)));
-        let addr = server.spawn().expect("spawn");
-
-        // A client that connects and never sends a byte: before the read
-        // timeout existed this parked the serial loop forever.
-        let _silent = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        let (head, _) = get(addr, "/metrics");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     }
 }

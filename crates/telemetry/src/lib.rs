@@ -46,7 +46,7 @@ mod trace_event;
 
 pub use exposition::prometheus_text;
 pub use histogram::{BucketCount, Histogram, HistogramSnapshot};
-pub use http::{metrics_routes, MetricsServer};
+pub use http::metrics_routes;
 pub use recent::{global_profiles, ProfileRing};
 pub use recorder::{global, MetricsSnapshot, Recorder};
 pub use router::{HttpServer, Request, Response, Router};

@@ -70,7 +70,8 @@ impl ProfileRing {
     }
 }
 
-/// The process-global profile ring, fed by `answer_profiled` and served at
+/// The process-global profile ring, fed by every built query profile
+/// (`QueryRun::profile` in the pipeline) and served at
 /// `/profiles/recent`.
 pub fn global_profiles() -> &'static ProfileRing {
     static GLOBAL: OnceLock<ProfileRing> = OnceLock::new();

@@ -1,8 +1,7 @@
 //! A minimal dependency-free HTTP/1.1 toolkit on `std::net`.
 //!
-//! Generalizes the metrics endpoint's hand-rolled request handling into a
-//! small reusable layer shared by the metrics server and the query-serving
-//! subsystem (`svqa serve`):
+//! The small HTTP layer under the query-serving subsystem (`svqa serve`)
+//! and its metrics routes:
 //!
 //! * [`Request`] / [`Response`] — one request, one response, no streaming;
 //! * [`read_request`] / [`write_response`] — the wire format (request line,
@@ -322,17 +321,6 @@ impl HttpServer {
                 write_response(&mut stream, &Response::text(status, format!("{e}\n")))
             }
             Err(e) => Err(e),
-        }
-    }
-
-    /// Accept and answer connections forever, serially. Per-connection
-    /// errors (including timeouts) are swallowed: one bad client must not
-    /// kill the endpoint.
-    pub fn serve_serial(&self, router: &Router<'_>) -> ! {
-        loop {
-            if let Ok(stream) = self.accept() {
-                let _ = Self::handle_connection(stream, router);
-            }
         }
     }
 }

@@ -15,6 +15,8 @@ pub enum QueryOutcome {
     LintError,
     /// Parsed, but execution failed.
     ExecError,
+    /// Parsed, but every evidence source was down.
+    Unavailable,
 }
 
 /// One named stage timing inside a [`QueryTrace`].
@@ -70,8 +72,7 @@ pub struct QueryTrace {
     pub question: String,
     /// Stage timings in execution order.
     pub stages: Vec<StageTiming>,
-    /// Cache traffic attributed to this question (batch-level counters
-    /// may be apportioned, so treat as approximate under concurrency).
+    /// Cache traffic of this question's own lookups.
     pub cache: CacheStats,
     /// Terminal state.
     pub outcome: QueryOutcome,
@@ -141,6 +142,7 @@ impl QueryTrace {
                 QueryOutcome::ParseError => "parse-error",
                 QueryOutcome::LintError => "lint-error",
                 QueryOutcome::ExecError => "exec-error",
+                QueryOutcome::Unavailable => "unavailable",
             },
             fmt_ns(u64::try_from(self.total().as_nanos()).unwrap_or(u64::MAX)),
             stages.join(", "),

@@ -73,14 +73,16 @@ fn main() {
         "Does the woman appear near the table?",
         "What kind of objects is held by the man that is near the table?",
     ] {
-        match system.answer_explained(q) {
-            Ok((answer, explanation)) => {
-                println!("\nQ: {q}\nA: {answer}");
+        let run = system.run(system.prepare(q), None, None);
+        match (&run.result, run.explanation()) {
+            (Ok(guarded), Some(explanation)) => {
+                println!("\nQ: {q}\nA: {}", guarded.answer);
                 for fact in explanation.answer_support().iter().take(3) {
                     println!("   {}", fact.display());
                 }
             }
-            Err(e) => println!("\nQ: {q}\nA: <error: {e}>"),
+            (Err(e), _) => println!("\nQ: {q}\nA: <error: {e}>"),
+            (Ok(_), None) => unreachable!("an answered question executed"),
         }
     }
 

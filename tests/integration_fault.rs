@@ -6,15 +6,15 @@
 //! are labeled and counted, circuit breakers open and recover, and the
 //! same seed reproduces the identical fault sequence.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use common::{http, shutdown_and_join, start_server};
 use std::sync::OnceLock;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use svqa::dataset::Mvqa;
 use svqa::fault::{self, BreakerState, FaultKind, FaultPlan, Source, SiteFault};
 use svqa::telemetry::counter;
-use svqa::{QueryServer, ServeConfig, Svqa, SvqaConfig};
+use svqa::{ServeConfig, Svqa, SvqaConfig};
 
 fn counter_value(name: &str) -> u64 {
     svqa::telemetry::global()
@@ -30,43 +30,6 @@ fn kg_drop_plan(seed: u64, rate: f64) -> FaultPlan {
         fault::site::SOURCE_KG,
         SiteFault::new(FaultKind::DropResult, rate),
     )
-}
-
-/// One HTTP/1.1 request; returns (status code, headers, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\n\
-         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").expect("header separator");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    (status, head.to_owned(), body.to_owned())
-}
-
-fn start_server(system: Svqa, config: ServeConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
-    let server = QueryServer::bind(system, "127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.serve());
-    (addr, handle)
-}
-
-fn shutdown_and_join(addr: SocketAddr, handle: JoinHandle<std::io::Result<()>>) {
-    let (status, _, _) = http(addr, "POST", "/shutdown", "");
-    assert_eq!(status, 200);
-    handle
-        .join()
-        .expect("serve thread panicked")
-        .expect("serve returned an error");
 }
 
 #[test]

@@ -1,45 +1,34 @@
 //! The live metrics endpoint over a real TCP connection: a built world
-//! answers profiled questions, then `/metrics` must serve the registry in
-//! Prometheus text exposition format and `/profiles/recent` the actual
-//! profiles those questions produced.
+//! answers profiled questions, then the query server's `/metrics` must
+//! serve the registry in Prometheus text exposition format and
+//! `/profiles/recent` the actual profiles those questions produced.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use svqa::telemetry::{global, global_profiles, MetricsServer};
-use svqa::{Svqa, SvqaConfig};
+mod common;
+
+use common::{http, shutdown_and_join, start_server};
+use svqa::{ServeConfig, Svqa, SvqaConfig};
 use svqa_dataset::Mvqa;
-
-fn get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("header/body separator");
-    (head.to_owned(), body.to_owned())
-}
 
 #[test]
 fn live_endpoint_serves_real_pipeline_data() {
     let mvqa = Mvqa::generate_small(60, 13);
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let marker = "Does the dog appear in the car?";
-    system.answer_profiled(marker, None).expect("profiled answer");
+    let run = system.run(system.prepare(marker), None, None);
+    run.result.as_ref().expect("answered");
+    run.profile().expect("profiled answer");
     for q in mvqa.questions.iter().take(4) {
-        let _ = system.answer_profiled(&q.question, None);
+        let _ = system.run(system.prepare(&q.question), None, None).profile();
     }
 
-    // Bind port 0 (free port) on the same registry and ring the pipeline
-    // writes to — exactly what `svqa-cli serve-metrics` wires up.
-    let addr = MetricsServer::bind("127.0.0.1:0", global().clone(), global_profiles().clone())
-        .expect("bind")
-        .spawn()
-        .expect("spawn");
+    // Serve the same system on port 0 (free port): its metrics routes read
+    // the registry and ring the pipeline writes to, as `svqa-cli serve`
+    // does.
+    let (addr, handle) = start_server(system, ServeConfig::default());
 
     // /metrics: Prometheus 0.0.4 text with the pipeline's stage
     // histograms, counters, and cumulative buckets ending at +Inf.
-    let (head, body) = get(addr, "/metrics");
+    let (_, head, body) = http(addr, "GET", "/metrics", "");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     assert!(head.contains("text/plain; version=0.0.4"), "{head}");
     assert!(body.contains("# TYPE svqa_span_duration_seconds histogram"), "{body}");
@@ -64,7 +53,7 @@ fn live_endpoint_serves_real_pipeline_data() {
 
     // /profiles/recent: the ring holds the profiles just recorded,
     // including the marker question with its plan details.
-    let (head, body) = get(addr, "/profiles/recent");
+    let (_, head, body) = http(addr, "GET", "/profiles/recent", "");
     assert!(head.contains("application/json"), "{head}");
     let v: serde_json::Value = serde_json::from_str(&body).expect("valid JSON");
     let profiles = v.as_array().expect("profiles array");
@@ -76,7 +65,8 @@ fn live_endpoint_serves_real_pipeline_data() {
     assert!(found["total_ns"].as_u64().unwrap_or(0) > 0);
     assert!(found["quads"].as_array().is_some_and(|q| !q.is_empty()));
 
-    // The serial accept loop keeps serving after the JSON routes.
-    let (head, _) = get(addr, "/metrics.json");
+    // The server keeps serving after the JSON routes.
+    let (_, head, _) = http(addr, "GET", "/metrics.json", "");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    shutdown_and_join(addr, handle);
 }

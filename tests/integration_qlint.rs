@@ -141,7 +141,7 @@ fn batch_isolates_lint_rejections_per_question() {
         "Is the dog weering the hat?",
         "Does the dog appear in the car?",
     ];
-    let outcome = system.answer_batch_cached(&questions, &cache);
+    let outcome = system.run_batch(&questions, &cache, None);
     assert_eq!(outcome.answers.len(), 3);
     assert!(outcome.answers[0].is_ok(), "{:?}", outcome.answers[0]);
     assert!(
@@ -157,19 +157,18 @@ fn profiled_run_carries_lint_stage_and_diagnostics() {
     let (system, _) = world();
 
     // A clean question records the lint stage but attaches no diagnostics.
-    let run = system
-        .answer_profiled("Does the dog appear in the car?", None)
-        .expect("answers");
+    let run = system.run(system.prepare("Does the dog appear in the car?"), None, None);
+    run.result.as_ref().expect("answers");
+    let profile = run.profile().expect("profiled");
     assert!(
-        run.profile.stages.iter().any(|s| s.stage == "lint"),
+        profile.stages.iter().any(|s| s.stage == "lint"),
         "no lint stage in profile"
     );
-    assert!(run.profile.lint.is_empty());
+    assert!(profile.lint.is_empty());
 
     // A warning-level finding rides along in the profile (and the tree).
-    let run = system
-        .answer_profiled("How many dogs are in the car?", None)
-        .expect("answers");
-    let tree = run.profile.render_tree();
+    let run = system.run(system.prepare("How many dogs are in the car?"), None, None);
+    run.result.as_ref().expect("answers");
+    let tree = run.profile().expect("profiled").render_tree();
     assert!(tree.contains("stage lint"), "{tree}");
 }

@@ -68,12 +68,14 @@ fn traced_single_question_reports_exact_cache_delta() {
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
     let q = "Does the dog appear in the car?";
-    let (first, cold) = system.answer_traced(q, Some(&cache));
+    let run = system.run(system.prepare(q), Some(&cache), None);
+    let (first, cold) = (run.result, run.trace);
     first.unwrap();
     assert_eq!(cold.cache.total_hits(), 0, "{:?}", cold.cache);
     assert!(cold.cache.total_lookups() > 0);
 
-    let (second, warm) = system.answer_traced(q, Some(&cache));
+    let run = system.run(system.prepare(q), Some(&cache), None);
+    let (second, warm) = (run.result, run.trace);
     second.unwrap();
     assert!(warm.cache.total_hits() > 0, "{:?}", warm.cache);
     let line = warm.summary_line();
