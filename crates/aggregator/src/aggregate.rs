@@ -4,7 +4,7 @@ use crate::attach::Attacher;
 use crate::cache::SubgraphCache;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use svqa_graph::{Graph, LabelHistogram, VertexId};
+use svqa_graph::Graph;
 use svqa_vision::SceneRecords;
 
 /// Configuration of the aggregator.
@@ -71,54 +71,6 @@ pub struct MergedGraph {
     pub stats: MergeStats,
 }
 
-/// The scene graphs one merge consumes, in either held form.
-#[derive(Clone, Copy)]
-enum Scenes<'a> {
-    /// One [`Graph`] per image.
-    Graphs(&'a [Graph]),
-    /// Flat record chunks, each a run of images.
-    Records(&'a [SceneRecords]),
-}
-
-impl Scenes<'_> {
-    /// Algorithm 1 line 2: category counts over every scene vertex.
-    fn histogram(self) -> LabelHistogram {
-        match self {
-            Scenes::Graphs(graphs) => LabelHistogram::from_vertex_labels(graphs),
-            Scenes::Records(records) => {
-                LabelHistogram::from_labels(records.iter().flat_map(SceneRecords::labels))
-            }
-        }
-    }
-
-    /// Total scene `(vertices, edges)`.
-    fn size(self) -> (usize, usize) {
-        match self {
-            Scenes::Graphs(graphs) => graphs.iter().fold((0, 0), |(v, e), g| {
-                (v + g.vertex_count(), e + g.edge_count())
-            }),
-            Scenes::Records(records) => records.iter().fold((0, 0), |(v, e), r| {
-                (v + r.vertex_count(), e + r.edge_count())
-            }),
-        }
-    }
-
-    /// Attach every scene graph in order; the merged indexes of each.
-    fn attach<F>(self, attacher: &mut Attacher<'_, F>) -> Vec<Range<usize>>
-    where
-        F: FnMut(&Graph, &str) -> Option<VertexId>,
-    {
-        match self {
-            Scenes::Graphs(graphs) => graphs.iter().map(|g| attacher.attach_graph(g)).collect(),
-            Scenes::Records(records) => records
-                .iter()
-                .flat_map(SceneRecords::scenes)
-                .map(|scene| attacher.attach_scene(scene))
-                .collect(),
-        }
-    }
-}
-
 /// The Data Aggregator (Algorithm 1 driver).
 #[derive(Debug, Clone, Default)]
 pub struct DataAggregator {
@@ -138,55 +90,52 @@ impl DataAggregator {
 
     /// Algorithm 1: merge `scene_graphs` into knowledge graph `kg`.
     pub fn merge(&self, scene_graphs: &[Graph], kg: &Graph) -> MergedGraph {
-        self.merge_scenes(Scenes::Graphs(scene_graphs), kg)
-    }
-
-    /// Algorithm 1 over scene records: the same merged graph and
-    /// accounting [`merge`](Self::merge) gives for the same scene graphs
-    /// held one `Graph` per image.
-    pub fn merge_records(&self, records: &[SceneRecords], kg: &Graph) -> MergedGraph {
-        self.merge_scenes(Scenes::Records(records), kg)
-    }
-
-    fn merge_scenes(&self, scenes: Scenes<'_>, kg: &Graph) -> MergedGraph {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::AGGREGATE);
+        self.merge_with(Attacher::graphs(scene_graphs), kg)
+    }
+
+    /// Algorithm 1 over scene records: one part per inner `Vec`, each
+    /// attached on its own thread and freed chunk by chunk as it goes. The
+    /// same merged graph and accounting [`merge`](Self::merge) gives for
+    /// the same scene graphs, in the same order, held one `Graph` per
+    /// image.
+    pub fn merge_records(&self, parts: Vec<Vec<SceneRecords>>, kg: &Graph) -> MergedGraph {
+        let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::AGGREGATE);
+        self.merge_with(Attacher::records(parts), kg)
+    }
+
+    fn merge_with(&self, attacher: Attacher<'_>, kg: &Graph) -> MergedGraph {
         let threshold = self.config.frequency_threshold;
         // --- Initial stage (lines 1–7): build the subgraph cache. ---
-        let histogram = scenes.histogram();
+        let histogram = attacher.histogram();
         let mut cache = SubgraphCache::from_histogram(&histogram, kg, threshold, self.config.k);
 
-        // G_mg starts as a copy of G; scene graphs are appended to it.
-        let (scene_vertices, scene_edges) = scenes.size();
-        let mut merged = Graph::with_capacity(
-            kg.vertex_count() + scene_vertices,
-            kg.edge_count() + scene_edges + 2 * scene_vertices,
-        );
+        // G_mg starts as a copy of G; the attach grows it once, exactly.
+        let mut merged = Graph::with_capacity(kg.vertex_count(), kg.edge_count());
         let kg_mapping = merged.absorb(kg);
         debug_assert!(kg_mapping.iter().enumerate().all(|(i, v)| v.index() == i));
 
         // --- Attach stage (lines 8–16): the cached-subgraph lookup first,
-        // a direct knowledge-graph query as the fallback. ---
-        let mut attacher = Attacher::new(&mut merged, &self.config.link_label, |_, label| {
+        // a direct knowledge-graph query as the fallback, once per label. ---
+        let attached = attacher.attach(&mut merged, &self.config.link_label, |_, label, count| {
             cache
-                .lookup(kg, label)
+                .lookup_counted(kg, label, count)
                 .map(|kg_local| kg_mapping[kg_local.index()])
         });
-        let scene_vertices = scenes.attach(&mut attacher);
-        let (links_created, unlinked_vertices) = (attacher.links(), attacher.unlinked());
 
         let stats = MergeStats {
             cached_subgraphs: cache.len(),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
-            links_created,
-            unlinked_vertices,
+            links_created: attached.links,
+            unlinked_vertices: attached.unlinked,
             fraction_labels_cached: histogram.fraction_of_labels_above(threshold),
             fraction_vertices_covered: histogram.fraction_of_items_above(threshold),
             cache_index_bytes: cache.index_size_bytes(),
         };
         MergedGraph {
             graph: merged,
-            scene_vertices,
+            scene_vertices: attached.scene_vertices,
             kg_vertex_count: kg.vertex_count(),
             stats,
         }
@@ -196,7 +145,7 @@ impl DataAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svqa_graph::GraphBuilder;
+    use svqa_graph::{GraphBuilder, VertexId};
 
     fn scene(labels: &[&str], pred: &str) -> Graph {
         let mut g = Graph::new();
@@ -329,19 +278,19 @@ mod tests {
             .collect();
         let sgg = SceneGraphGenerator::new(SggConfig::default(), PairPrior::fit(&images));
         let graphs: Vec<Graph> = images.iter().map(|i| sgg.generate(i).graph).collect();
-        let records = [
-            sgg.generate_records(&images[..5]),
-            sgg.generate_records(&[]),
-            sgg.generate_records(&images[5..]),
+        let records = vec![
+            vec![
+                sgg.generate_records(&images[..5]),
+                sgg.generate_records(&[]),
+            ],
+            vec![sgg.generate_records(&images[5..])],
         ];
         let agg = DataAggregator::new(AggregatorConfig {
             frequency_threshold: 3,
             ..AggregatorConfig::default()
         });
-        let (from_graphs, from_records) = (
-            agg.merge(&graphs, &kg()),
-            agg.merge_records(&records, &kg()),
-        );
+        let (from_graphs, from_records) =
+            (agg.merge(&graphs, &kg()), agg.merge_records(records, &kg()));
         assert!(from_graphs.stats.links_created > 0 && from_graphs.stats.cache_hits > 0);
         assert_eq!(from_records.stats, from_graphs.stats);
         assert_eq!(from_records.scene_vertices, from_graphs.scene_vertices);
@@ -349,6 +298,81 @@ mod tests {
             svqa_graph::io::to_json(&from_records.graph),
             svqa_graph::io::to_json(&from_graphs.graph)
         );
+    }
+
+    #[test]
+    fn windowed_attach_is_the_same_at_any_part_count() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use svqa_graph::binio;
+        use svqa_vision::prior::PairPrior;
+        use svqa_vision::scene::SceneBuilder;
+        use svqa_vision::sgg::{SceneGraphGenerator, SggConfig};
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let cast = ["dog", "man", "cat", "unicorn", "harry potter", "grass"];
+        let images: Vec<_> = (0..17u32)
+            .map(|id| {
+                let mut b = SceneBuilder::new(id, &mut rng);
+                // Image 5 has no objects at all; the rest vary in size.
+                let ids: Vec<_> = (0..(id as usize * 5) % 7)
+                    .filter(|_| id != 5)
+                    .map(|i| b.add_object(cast[(id as usize + i) % cast.len()]))
+                    .collect();
+                for w in ids.windows(2) {
+                    b.relate(w[0], "near", w[1]);
+                }
+                b.build()
+            })
+            .collect();
+        let sgg = SceneGraphGenerator::new(SggConfig::default(), PairPrior::fit(&images));
+        let graphs: Vec<Graph> = images.iter().map(|i| sgg.generate(i).graph).collect();
+        let agg = DataAggregator::new(AggregatorConfig {
+            frequency_threshold: 2,
+            ..AggregatorConfig::default()
+        });
+        let want = agg.merge(&graphs, &kg());
+        assert!(want.stats.links_created > 0 && want.stats.unlinked_vertices > 0);
+
+        for parts in 1..=4 {
+            // Uneven contiguous parts, each cut into uneven record chunks
+            // (an empty chunk included).
+            let mut bounds: Vec<usize> = (0..parts).map(|p| p * p * 17 / 16).collect();
+            bounds.push(images.len());
+            let records: Vec<Vec<SceneRecords>> = bounds
+                .windows(2)
+                .map(|w| {
+                    let part = &images[w[0]..w[1]];
+                    let cut = part.len().min(1 + parts);
+                    vec![
+                        sgg.generate_records(&part[..cut]),
+                        sgg.generate_records(&[]),
+                        sgg.generate_records(&part[cut..]),
+                    ]
+                })
+                .collect();
+            let got = agg.merge_records(records, &kg());
+            assert_eq!(got.stats, want.stats, "{parts} parts");
+            assert_eq!(got.scene_vertices, want.scene_vertices, "{parts} parts");
+            assert_eq!(
+                binio::to_bytes(&got.graph),
+                binio::to_bytes(&want.graph),
+                "{parts} parts"
+            );
+            assert_eq!(
+                svqa_graph::io::to_json(&got.graph),
+                svqa_graph::io::to_json(&want.graph),
+                "{parts} parts"
+            );
+            for label in cast {
+                assert_eq!(
+                    got.graph.vertices_with_label(label),
+                    want.graph.vertices_with_label(label),
+                    "{parts} parts, {label}"
+                );
+            }
+            got.graph.validate().unwrap();
+        }
     }
 
     #[test]

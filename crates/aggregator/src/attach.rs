@@ -1,121 +1,321 @@
-//! Algorithm 1's attach stage (lines 8–16), the one loop behind every way
+//! Algorithm 1's attach stage (lines 8–16), the one body behind every way
 //! scene graphs enter the merged graph.
 //!
 //! [`crate::DataAggregator::merge`], [`crate::DataAggregator::merge_records`],
 //! [`crate::IncrementalMerger::attach_batch`] and the pipeline's incremental
 //! ingestion differ only in where scene graphs come from and how a label's
 //! knowledge-graph counterpart is found; [`Attacher`] is everything else.
+//!
+//! An attach runs in three steps. A census counts every scene vertex label
+//! per part (Algorithm 1 line 2's statistic comes from it). Each distinct
+//! label is then resolved once to its counterpart, which fixes how many
+//! link edges every part adds, so the merged graph's arenas grow once by
+//! the exact total. Finally each part fills its own window of the merged
+//! graph on its own thread ([`Graph::append_windows`]).
 
+use std::collections::HashMap;
 use std::ops::Range;
-use svqa_graph::{Graph, Properties, VertexId};
-use svqa_vision::SceneRecord;
+use svqa_graph::{Graph, GraphWindow, LabelHistogram, Properties, VertexId, WindowSize};
+use svqa_vision::{SceneRecords, RELATION_VOCAB};
 
-/// Appends scene graphs to a merged graph, one image at a time, and links
-/// every new vertex to its knowledge-graph counterpart.
+/// The scene graphs one part attaches, in either held form.
+enum Part<'p> {
+    /// One [`Graph`] per image.
+    Graphs(&'p [Graph]),
+    /// Record chunks, each freed as soon as it is attached.
+    Records(Vec<SceneRecords>),
+}
+
+/// Appends scene graphs to a merged graph, part by part in parallel, and
+/// links every new vertex to its knowledge-graph counterpart.
 ///
 /// Per image it appends the vertices, then the scene edges, then the link
 /// edges of each vertex in vertex order: the order `Graph::absorb`
-/// followed by a link pass gives, so every input form merges into the
-/// same graph. `counterpart` maps a scene label to its knowledge-graph
-/// vertex *in the merged graph* (it is handed the merged graph as it
-/// stands), or `None` when the label has no counterpart.
-pub struct Attacher<'g, F> {
-    merged: &'g mut Graph,
-    link_label: &'g str,
-    counterpart: F,
-    links: usize,
-    unlinked: usize,
+/// followed by a link pass gives, so every input form and every split into
+/// parts merges into the same graph.
+pub struct Attacher<'p> {
+    parts: Vec<Part<'p>>,
+    /// Number of parts (`parts` is filled after the census).
+    part_count: usize,
+    /// Distinct scene vertex label → slot, in first-seen order.
+    slots: HashMap<Box<str>, usize>,
+    /// Vertices per slot and part: `counts[slot * parts + part]`.
+    counts: Vec<usize>,
+    /// Distinct scene edge label → slot; the relation vocabulary takes
+    /// slots `0..RELATION_VOCAB.len()`, so a record edge's slot is its
+    /// relation index.
+    edge_slots: HashMap<Box<str>, usize>,
+    /// Per part: scene vertices and scene edges.
+    sizes: Vec<(usize, usize)>,
 }
 
-impl<'g, F> Attacher<'g, F>
-where
-    F: FnMut(&Graph, &str) -> Option<VertexId>,
-{
-    /// Attach into `merged`, linking with edges labeled `link_label`.
-    pub fn new(merged: &'g mut Graph, link_label: &'g str, counterpart: F) -> Self {
-        Attacher {
-            merged,
-            link_label,
-            counterpart,
-            links: 0,
-            unlinked: 0,
-        }
-    }
+/// What an attach appended.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Attached {
+    /// Per image, in input order, the merged indexes its vertices
+    /// received.
+    pub scene_vertices: Vec<Range<usize>>,
+    /// Link edges created (two per linked vertex).
+    pub links: usize,
+    /// Attached vertices without a knowledge-graph counterpart.
+    pub unlinked: usize,
+}
 
-    /// Attach one scene graph held as a [`Graph`]; returns the merged
-    /// indexes its vertices received, in its own vertex order.
-    pub fn attach_graph(&mut self, sg: &Graph) -> Range<usize> {
-        self.attach(
-            sg.vertices().map(|(_, v)| (v.label(), v.props().clone())),
-            sg.edges().map(|(_, e)| {
-                (
-                    e.src().index(),
-                    e.dst().index(),
-                    e.label(),
-                    e.props().clone(),
-                )
-            }),
-        )
-    }
-
-    /// Attach one image's scene record; returns the merged indexes its
-    /// vertices received, in detection order.
-    pub fn attach_scene(&mut self, scene: SceneRecord<'_>) -> Range<usize> {
-        self.attach(
-            scene.vertices().map(|(label, v)| (label, v.props())),
-            scene
-                .edges()
-                .iter()
-                .map(|e| (e.sub as usize, e.obj as usize, e.label(), e.props())),
-        )
-    }
-
-    /// Link edges created so far (two per linked vertex).
-    pub fn links(&self) -> usize {
-        self.links
-    }
-
-    /// Attached vertices without a knowledge-graph counterpart so far.
-    pub fn unlinked(&self) -> usize {
-        self.unlinked
-    }
-
-    /// The attach body: vertices, scene edges (endpoints local to the
-    /// image), then links.
-    fn attach<'s>(
-        &mut self,
-        vertices: impl Iterator<Item = (&'s str, Properties)>,
-        edges: impl Iterator<Item = (usize, usize, &'s str, Properties)>,
-    ) -> Range<usize> {
-        let first = self.merged.vertex_count();
-        for (label, props) in vertices {
-            self.merged.add_vertex_with_props(label, props);
-        }
-        let end = self.merged.vertex_count();
-        let local = |i: usize| VertexId::from_index(first + i);
-        for (sub, obj, label, props) in edges {
-            self.merged
-                .add_edge_with_props(local(sub), local(obj), label, props)
-                .expect("scene edge endpoints are the image's own vertices");
-        }
-        for v in (first..end).map(VertexId::from_index) {
-            // Lines 9–14: find the corresponding knowledge-graph vertex,
-            // then connect(v, v') in both directions so the executor can
-            // traverse either way.
-            let label = self.merged.vertex_label(v).expect("vertex just added");
-            match (self.counterpart)(self.merged, label) {
-                Some(kg) => {
-                    self.merged
-                        .add_edge(v, kg, self.link_label)
-                        .expect("both endpoints exist");
-                    self.merged
-                        .add_edge(kg, v, self.link_label)
-                        .expect("both endpoints exist");
-                    self.links += 2;
+impl<'p> Attacher<'p> {
+    /// Attach per-image scene graphs, as one part.
+    pub fn graphs(scene_graphs: &'p [Graph]) -> Self {
+        let mut attacher = Self::new(1);
+        let (mut vertices, mut edges) = (0, 0);
+        for g in scene_graphs {
+            for (_, v) in g.vertices() {
+                attacher.count(0, v.label());
+            }
+            for (_, e) in g.edges() {
+                let next = attacher.edge_slots.len();
+                if !attacher.edge_slots.contains_key(e.label()) {
+                    attacher.edge_slots.insert(e.label().into(), next);
                 }
-                None => self.unlinked += 1,
+            }
+            (vertices, edges) = (vertices + g.vertex_count(), edges + g.edge_count());
+        }
+        attacher.sizes.push((vertices, edges));
+        attacher.parts.push(Part::Graphs(scene_graphs));
+        attacher
+    }
+
+    /// Attach record chunks, one part per inner `Vec` (one thread each).
+    /// Each chunk is freed as soon as it is attached.
+    pub fn records(parts: Vec<Vec<SceneRecords>>) -> Attacher<'static> {
+        let mut attacher = Attacher::new(parts.len());
+        for (p, chunks) in parts.iter().enumerate() {
+            for label in chunks.iter().flat_map(SceneRecords::labels) {
+                attacher.count(p, label);
+            }
+            attacher.sizes.push(chunks.iter().fold((0, 0), |(v, e), r| {
+                (v + r.vertex_count(), e + r.edge_count())
+            }));
+        }
+        attacher.parts = parts.into_iter().map(Part::Records).collect();
+        attacher
+    }
+
+    fn new(part_count: usize) -> Self {
+        Attacher {
+            parts: Vec::with_capacity(part_count),
+            part_count,
+            slots: HashMap::new(),
+            counts: Vec::new(),
+            edge_slots: RELATION_VOCAB
+                .iter()
+                .enumerate()
+                .map(|(slot, &label)| (label.into(), slot))
+                .collect(),
+            sizes: Vec::with_capacity(part_count),
+        }
+    }
+
+    /// Count one vertex labeled `label` in part `part`.
+    fn count(&mut self, part: usize, label: &str) {
+        let parts = self.part_count;
+        let slot = match self.slots.get(label) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.slots.len();
+                self.slots.insert(label.into(), slot);
+                self.counts.resize(self.counts.len() + parts, 0);
+                slot
+            }
+        };
+        self.counts[slot * parts + part] += 1;
+    }
+
+    /// Vertices labeled with `slot`, over all parts.
+    fn total(&self, slot: usize) -> usize {
+        let parts = self.part_count;
+        self.counts[slot * parts..(slot + 1) * parts].iter().sum()
+    }
+
+    /// Algorithm 1 line 2: category counts over every scene vertex.
+    pub fn histogram(&self) -> LabelHistogram {
+        LabelHistogram::from_counts(
+            self.slots
+                .iter()
+                .map(|(label, &slot)| (&**label, self.total(slot))),
+        )
+    }
+
+    /// Attach every part to `merged`, linking with edges labeled
+    /// `link_label`. `counterpart(merged, label, count)` maps a scene label
+    /// to its knowledge-graph vertex in `merged` (handed the graph as it
+    /// stands before the attach), or `None`; it is called once per distinct
+    /// label, with the number of scene vertices carrying it.
+    pub fn attach<F>(self, merged: &mut Graph, link_label: &str, mut counterpart: F) -> Attached
+    where
+        F: FnMut(&Graph, &str, usize) -> Option<VertexId>,
+    {
+        let parts = self.part_count;
+        let mut labels = vec![""; self.slots.len()];
+        for (label, &slot) in &self.slots {
+            labels[slot] = &**label;
+        }
+        // Lines 9–14, once per distinct label.
+        let resolved: Vec<Option<VertexId>> = labels
+            .iter()
+            .enumerate()
+            .map(|(slot, label)| counterpart(&*merged, label, self.total(slot)))
+            .collect();
+        let mut linked = vec![0; parts];
+        for (slot, _) in resolved.iter().enumerate().filter(|(_, kg)| kg.is_some()) {
+            for (part, n) in linked.iter_mut().enumerate() {
+                *n += self.counts[slot * parts + part];
             }
         }
-        first..end
+        let mut edge_labels = vec![""; self.edge_slots.len() + 1];
+        for (label, &slot) in &self.edge_slots {
+            edge_labels[slot] = &**label;
+        }
+        let link = self.edge_slots.len();
+        edge_labels[link] = link_label;
+
+        let windows: Vec<_> = self
+            .sizes
+            .iter()
+            .zip(&linked)
+            .map(|(&(vertices, edges), &linked)| WindowSize {
+                vertices,
+                edges: edges + 2 * linked,
+            })
+            .zip(self.parts)
+            .collect();
+        let plan = Plan {
+            slots: &self.slots,
+            edge_slots: &self.edge_slots,
+            resolved: &resolved,
+            link,
+        };
+        let scene_vertices = merged
+            .append_windows(&labels, &edge_labels, windows, |part, window| {
+                plan.attach_part(part, window)
+            })
+            .concat();
+        let (vertices, linked) = (
+            self.sizes.iter().map(|&(v, _)| v).sum::<usize>(),
+            linked.iter().sum::<usize>(),
+        );
+        Attached {
+            scene_vertices,
+            links: 2 * linked,
+            unlinked: vertices - linked,
+        }
+    }
+}
+
+/// What every part's thread reads: label slots and their resolutions.
+struct Plan<'a> {
+    slots: &'a HashMap<Box<str>, usize>,
+    edge_slots: &'a HashMap<Box<str>, usize>,
+    /// Per vertex-label slot: the knowledge-graph counterpart.
+    resolved: &'a [Option<VertexId>],
+    /// Edge-label slot of the link edges.
+    link: usize,
+}
+
+impl Plan<'_> {
+    /// Fill one part's window; the merged ranges of its images.
+    fn attach_part(&self, part: Part<'_>, window: &mut GraphWindow<'_>) -> Vec<Range<usize>> {
+        let mut counterparts = Vec::new();
+        match part {
+            Part::Graphs(graphs) => graphs
+                .iter()
+                .map(|g| {
+                    self.attach_image(
+                        window,
+                        &mut counterparts,
+                        g.vertices().map(|(_, v)| {
+                            (v.label(), v.props().clone(), v.out_degree(), v.in_degree())
+                        }),
+                        g.edges().map(|(_, e)| {
+                            (
+                                e.src().index(),
+                                e.dst().index(),
+                                self.edge_slots[e.label()],
+                                e.props().clone(),
+                            )
+                        }),
+                    )
+                })
+                .collect(),
+            Part::Records(chunks) => {
+                let mut ranges = Vec::new();
+                let mut degrees = Vec::new();
+                for records in chunks {
+                    for scene in records.scenes() {
+                        degrees.clear();
+                        degrees.resize(scene.vertex_count(), (0, 0));
+                        for e in scene.edges() {
+                            degrees[e.sub as usize].0 += 1;
+                            degrees[e.obj as usize].1 += 1;
+                        }
+                        ranges.push(
+                            self.attach_image(
+                                window,
+                                &mut counterparts,
+                                scene
+                                    .vertices()
+                                    .zip(&degrees)
+                                    .map(|((label, v), &(out, inn))| (label, v.props(), out, inn)),
+                                scene.edges().iter().map(|e| {
+                                    (e.sub as usize, e.obj as usize, e.relation(), e.props())
+                                }),
+                            ),
+                        );
+                    }
+                    // `records` is dropped here, before the next chunk's
+                    // vertices allocate: its memory is reused right away.
+                }
+                ranges
+            }
+        }
+    }
+
+    /// The attach body for one image: vertices (label, properties, scene
+    /// out- and in-degree), scene edges (endpoints local to the image,
+    /// edge-label slot), then links. `counterparts` is scratch space.
+    fn attach_image<'s>(
+        &self,
+        window: &mut GraphWindow<'_>,
+        counterparts: &mut Vec<Option<VertexId>>,
+        vertices: impl Iterator<Item = (&'s str, Properties, usize, usize)>,
+        edges: impl Iterator<Item = (usize, usize, usize, Properties)>,
+    ) -> Range<usize> {
+        let first = window.next_vertex().index();
+        counterparts.clear();
+        for (label, props, out_degree, in_degree) in vertices {
+            let slot = self.slots[label];
+            let kg = self.resolved[slot];
+            let link = usize::from(kg.is_some());
+            window.push_vertex(slot, props, out_degree + link, in_degree + link);
+            counterparts.push(kg);
+        }
+        let local = |i: usize| VertexId::from_index(first + i);
+        for (sub, obj, slot, props) in edges {
+            window
+                .push_edge(local(sub), local(obj), slot, props)
+                .expect("scene edge endpoints are the image's own vertices");
+        }
+        // Lines 9–14: connect(v, v') in both directions so the executor
+        // can traverse either way.
+        for (i, kg) in counterparts.iter().enumerate() {
+            if let Some(kg) = *kg {
+                let v = local(i);
+                window
+                    .push_edge(v, kg, self.link, Properties::new())
+                    .expect("counterparts predate the attach");
+                window
+                    .push_edge(kg, v, self.link, Properties::new())
+                    .expect("counterparts predate the attach");
+            }
+        }
+        first..first + counterparts.len()
     }
 }

@@ -74,6 +74,13 @@ impl SubgraphCache {
     /// through the cached views first (hit), falling back to the full graph
     /// (miss) — Algorithm 1 lines 9–14.
     pub fn lookup(&mut self, kg: &Graph, label: &str) -> Option<VertexId> {
+        self.lookup_counted(kg, label, 1)
+    }
+
+    /// [`lookup`](Self::lookup) on behalf of `count` scene vertices
+    /// carrying `label`: resolved once, counted `count` times as the hit
+    /// or miss it is.
+    pub fn lookup_counted(&mut self, kg: &Graph, label: &str, count: usize) -> Option<VertexId> {
         let (vertex, hit) = match self.resolved.get(label) {
             Some(&memo) => memo,
             None => {
@@ -83,9 +90,9 @@ impl SubgraphCache {
             }
         };
         if hit {
-            self.hits += 1;
+            self.hits += count;
         } else {
-            self.misses += 1;
+            self.misses += count;
         }
         vertex
     }

@@ -54,17 +54,17 @@ impl IncrementalMerger {
         // Algorithm 1 lines 9–14: cached-subgraph lookup first, direct
         // knowledge-graph query as the fallback.
         let (cache, kg, kg_mapping) = (&mut self.cache, &self.kg, &self.kg_mapping);
-        let mut attacher = Attacher::new(&mut self.merged, &self.config.link_label, |_, label| {
-            cache
-                .lookup(kg, label)
-                .map(|kg_local| kg_mapping[kg_local.index()])
-        });
-        for sg in scene_graphs {
-            attacher.attach_graph(sg);
-        }
-        let links = attacher.links();
+        let attached = Attacher::graphs(scene_graphs).attach(
+            &mut self.merged,
+            &self.config.link_label,
+            |_, label, count| {
+                cache
+                    .lookup_counted(kg, label, count)
+                    .map(|kg_local| kg_mapping[kg_local.index()])
+            },
+        );
         self.scene_graphs_attached += scene_graphs.len();
-        links
+        attached.links
     }
 
     /// The merged graph so far.

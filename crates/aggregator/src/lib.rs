@@ -23,6 +23,6 @@ pub mod cache;
 pub mod incremental;
 
 pub use aggregate::{AggregatorConfig, DataAggregator, MergeStats, MergedGraph};
-pub use attach::Attacher;
+pub use attach::{Attached, Attacher};
 pub use cache::SubgraphCache;
 pub use incremental::IncrementalMerger;

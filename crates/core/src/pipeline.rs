@@ -57,26 +57,28 @@ impl BuildStats {
     }
 }
 
-/// Scene-graph generation over `images` as flat records, one per
-/// contiguous chunk, in image order. Chunks beyond the first run on scoped
-/// worker threads while the calling thread generates the first; results
-/// join in chunk order. Each image draws from its own RNG stream, so the
-/// records do not depend on `workers`.
+/// Scene-graph generation over `images` as flat records: one part per
+/// contiguous run of images, each part a list of record chunks (see
+/// [`SceneGraphGenerator::generate_record_chunks`]), in image order.
+/// Parts beyond the first run on scoped worker threads while the calling
+/// thread generates the first; results join in part order. Each image
+/// draws from its own RNG stream, so the records do not depend on
+/// `workers`.
 fn scene_records(
     sgg: &SceneGraphGenerator,
     images: &[SyntheticImage],
     workers: usize,
-) -> Vec<SceneRecords> {
+) -> Vec<Vec<SceneRecords>> {
     let mut chunks = images.chunks(images.len().div_ceil(workers.max(1)).max(1));
     let Some(first) = chunks.next() else {
         return Vec::new();
     };
     std::thread::scope(|scope| {
         let rest: Vec<_> = chunks
-            .map(|chunk| scope.spawn(move || sgg.generate_records(chunk)))
+            .map(|chunk| scope.spawn(move || sgg.generate_record_chunks(chunk)))
             .collect();
         let mut records = Vec::with_capacity(rest.len() + 1);
-        records.push(sgg.generate_records(first));
+        records.push(sgg.generate_record_chunks(first));
         for worker in rest {
             records.push(
                 worker
@@ -88,9 +90,9 @@ fn scene_records(
     })
 }
 
-/// Worker count for [`scene_records`]: one per available core, but a
-/// single one while a fault plan is armed, so each fault site draws in
-/// image order.
+/// Worker count for [`scene_records`], and so for the attach that follows
+/// it: one per available core, but a single one while a fault plan is
+/// armed, so each fault site draws in image order.
 fn sgg_workers() -> usize {
     if svqa_fault::active().is_some() {
         1
@@ -211,12 +213,12 @@ impl Svqa {
         let sgg_time = t0.elapsed();
         global().incr_counter_by(counter::SCENE_GRAPHS_BUILT, images.len() as u64);
 
+        // Each part is attached on its own thread, which frees the part's
+        // records chunk by chunk as it goes.
         let t1 = Instant::now();
         let aggregator = DataAggregator::new(config.aggregator.clone());
-        let merged = aggregator.merge_records(&records, kg);
+        let merged = aggregator.merge_records(records, kg);
         let merge_time = t1.elapsed();
-        // Free the records before the schema and linter allocate theirs.
-        drop(records);
 
         let mut system = Self::from_graph(merged.graph, config);
         system.sgg = Some(sgg);
@@ -278,23 +280,22 @@ impl Svqa {
         );
         let records = scene_records(sgg, images, sgg_workers());
         let kg_vertex_count = self.kg_vertex_count;
-        // Knowledge counterpart: the first vertex with this label inside
-        // the KG id range.
-        let mut attacher = Attacher::new(
-            &mut self.merged,
-            &self.config.aggregator.link_label,
-            |merged, label| {
-                merged
-                    .vertices_with_label(label)
-                    .iter()
-                    .copied()
-                    .find(|v| v.index() < kg_vertex_count)
-            },
-        );
-        for scene in records.iter().flat_map(SceneRecords::scenes) {
-            attacher.attach_scene(scene);
-        }
-        let links = attacher.links();
+        // Knowledge counterpart, once per distinct label: the first vertex
+        // with this label, when it lies inside the KG id range (the label
+        // index lists ids in ascending order, KG vertices first).
+        let links = Attacher::records(records)
+            .attach(
+                &mut self.merged,
+                &self.config.aggregator.link_label,
+                |merged, label, _| {
+                    merged
+                        .vertices_with_label(label)
+                        .first()
+                        .copied()
+                        .filter(|v| v.index() < kg_vertex_count)
+                },
+            )
+            .links;
         global().incr_counter_by(counter::SCENE_GRAPHS_BUILT, images.len() as u64);
         self.build_stats.scene_graphs += images.len();
         self.build_stats.merged_vertices = self.merged.vertex_count();
@@ -609,8 +610,15 @@ mod tests {
                     records.len() <= workers.max(1),
                     "{n} images, {workers} workers"
                 );
-                assert_eq!(records.iter().map(SceneRecords::len).sum::<usize>(), n);
-                let merged = aggregator.merge_records(&records, &kg);
+                assert_eq!(
+                    records
+                        .iter()
+                        .flatten()
+                        .map(SceneRecords::len)
+                        .sum::<usize>(),
+                    n
+                );
+                let merged = aggregator.merge_records(records, &kg);
                 (svqa_graph::io::to_json(&merged.graph), merged.stats)
             };
             let single = merge(1);

@@ -21,15 +21,15 @@ use std::collections::HashMap;
 /// (`edge_label_counts`), so a label's text is stored once per graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Graph {
-    vertices: Vec<Vertex>,
-    edges: Vec<Edge>,
+    pub(crate) vertices: Vec<Vertex>,
+    pub(crate) edges: Vec<Edge>,
     /// label → vertex ids carrying that label (in insertion order).
     #[serde(skip)]
-    label_index: HashMap<Label, Vec<VertexId>>,
+    pub(crate) label_index: HashMap<Label, Vec<VertexId>>,
     /// edge label → number of edges carrying it (Algorithm 3's
     /// `getLabels(E_mg)` reads this).
     #[serde(skip)]
-    edge_label_counts: HashMap<Label, usize>,
+    pub(crate) edge_label_counts: HashMap<Label, usize>,
 }
 
 impl Graph {
@@ -372,7 +372,7 @@ impl Graph {
 /// The shared copy of `label` among `index`'s keys, or `fresh()` when no
 /// element carries it yet. Probing by `&str` means a known label costs a
 /// reference-count bump, never an allocation.
-fn shared<V>(index: &HashMap<Label, V>, label: &str, fresh: impl FnOnce() -> Label) -> Label {
+pub(crate) fn shared<V>(index: &HashMap<Label, V>, label: &str, fresh: impl FnOnce() -> Label) -> Label {
     match index.get_key_value(label) {
         Some((known, _)) => known.clone(),
         None => fresh(),

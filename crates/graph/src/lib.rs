@@ -50,6 +50,7 @@ pub mod stats;
 pub mod subgraph;
 pub mod traverse;
 pub mod vertex;
+pub mod window;
 
 pub use algo::{connected_components, degree_distribution, hop_distance, largest_component_size};
 pub use builder::GraphBuilder;
@@ -62,3 +63,4 @@ pub use stats::{GraphStats, LabelHistogram};
 pub use subgraph::SubgraphView;
 pub use traverse::{induced_subgraph, k_hop_neighborhood, Bfs};
 pub use vertex::Vertex;
+pub use window::{GraphWindow, WindowSize};

@@ -46,9 +46,10 @@ impl LabelHistogram {
         )
     }
 
-    /// Counts are tallied on borrowed labels; only the distinct ones are
-    /// copied into the histogram.
-    fn from_counts(counts: HashMap<&str, usize>) -> Self {
+    /// A histogram over already tallied `(label, count)` pairs, one per
+    /// distinct label. Counts are tallied on borrowed labels; only the
+    /// distinct ones are copied into the histogram.
+    pub fn from_counts<'a>(counts: impl IntoIterator<Item = (&'a str, usize)>) -> Self {
         let mut entries: Vec<_> = counts
             .into_iter()
             .map(|(label, count)| (label.to_owned(), count))

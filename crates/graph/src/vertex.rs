@@ -22,11 +22,21 @@ pub struct Vertex {
 
 impl Vertex {
     pub(crate) fn new(label: Label, props: Properties) -> Self {
+        Self::with_degrees(label, props, 0, 0)
+    }
+
+    /// A vertex whose adjacency lists are sized for its final degrees.
+    pub(crate) fn with_degrees(
+        label: Label,
+        props: Properties,
+        out_degree: usize,
+        in_degree: usize,
+    ) -> Self {
         Vertex {
             label,
             props,
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
+            out_edges: Vec::with_capacity(out_degree),
+            in_edges: Vec::with_capacity(in_degree),
         }
     }
 

@@ -37,13 +37,19 @@ impl Recorder {
         self.incr_counter_by(name, 1);
     }
 
-    /// Add `by` to a named counter.
+    /// Add `by` to a named counter. The name is copied only the first
+    /// time it is seen.
     pub fn incr_counter_by(&self, name: &str, by: u64) {
         if by == 0 {
             return;
         }
         let mut inner = self.inner.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += by;
+        match inner.counters.get_mut(name) {
+            Some(count) => *count += by,
+            None => {
+                inner.counters.insert(name.to_owned(), by);
+            }
+        }
     }
 
     /// Current value of a counter (0 if never incremented).
@@ -53,18 +59,27 @@ impl Recorder {
 
     /// Set a named gauge to a point-in-time value.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.inner.lock().gauges.insert(name.to_owned(), value);
+        let mut inner = self.inner.lock();
+        match inner.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                inner.gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// Record a span duration into the named latency histogram.
     pub fn record_span(&self, name: &str, elapsed: Duration) {
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         let mut inner = self.inner.lock();
-        inner
-            .spans
-            .entry(name.to_owned())
-            .or_default()
-            .record(nanos);
+        match inner.spans.get_mut(name) {
+            Some(histogram) => histogram.record(nanos),
+            None => inner
+                .spans
+                .entry(name.to_owned())
+                .or_default()
+                .record(nanos),
+        }
     }
 
     /// Number of recorded durations for a span name.
@@ -250,5 +265,26 @@ mod tests {
             }
         });
         assert_eq!(r.counter_value("hits"), 4000);
+    }
+
+    #[test]
+    fn concurrent_spans_and_counters_sum_exactly() {
+        let r = Recorder::new();
+        const PER_THREAD: u64 = 5000;
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..PER_THREAD {
+                        r.record_span(stage::SGG, Duration::from_nanos(250));
+                        r.incr_counter_by("scene_graphs_built", 3);
+                        r.set_gauge("load", 0.5);
+                    }
+                });
+            }
+        });
+        assert_eq!(r.span_count(stage::SGG), 2 * PER_THREAD);
+        assert_eq!(r.span_total_ns(stage::SGG), 2 * PER_THREAD * 250);
+        assert_eq!(r.counter_value("scene_graphs_built"), 2 * PER_THREAD * 3);
+        assert_eq!(r.snapshot().gauges["load"], 0.5);
     }
 }

@@ -9,16 +9,17 @@
 //! feature evidence (Eq. (1)); the masked pass returns *only* the prior
 //! (Eq. (2)); TDE subtracts it (Eq. (3)).
 
-use crate::relation::{relation_index, RELATION_VOCAB};
-use crate::scene::{supertype, SyntheticImage};
+use crate::relation::{relation_index, RELATION_COUNT, RELATION_VOCAB};
+use crate::scene::{supertype_id, SyntheticImage, SUPERTYPES};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// Conditional relation distribution keyed by supertype pairs, with a
-/// global marginal fallback for unseen pairs.
+/// Conditional relation distribution per supertype pair, with a global
+/// marginal fallback for unseen pairs.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PairPrior {
-    by_pair: HashMap<(String, String), Vec<f64>>,
+    /// Row-major over [`SUPERTYPES`] × [`SUPERTYPES`]: the pair's
+    /// distribution, `None` for a pair unseen at fit time.
+    by_pair: Vec<Option<Vec<f64>>>,
     marginal: Vec<f64>,
 }
 
@@ -48,36 +49,34 @@ impl PairPrior {
     /// class. The resulting prior is exactly the training bias the paper's
     /// Eq. (2)/(3) machinery exists to remove.
     pub fn fit<'a>(images: impl IntoIterator<Item = &'a SyntheticImage>) -> Self {
-        // Supertypes are static strings; only the distinct pairs are copied
-        // into the owned (serializable) map at the end.
-        let mut by_pair: HashMap<(&'static str, &'static str), Vec<f64>> = HashMap::new();
-        let mut marginal = vec![0.0; RELATION_VOCAB.len()];
+        // No string work per relation beyond naming its predicate: each
+        // object's supertype is looked up once per image, the coarse
+        // predicate comes from a table, and a supertype pair indexes a
+        // dense table. Each distribution receives its additions in corpus
+        // order, whatever the table layout.
+        let ubiquitous: [usize; RELATION_COUNT] = std::array::from_fn(ubiquitous_for);
+        let mut by_pair: Vec<Option<Vec<f64>>> = vec![None; SUPERTYPES.len() * SUPERTYPES.len()];
+        let mut marginal = vec![0.0; RELATION_COUNT];
+        let mut supertypes = Vec::new();
         for img in images {
+            supertypes.clear();
+            supertypes.extend(img.objects.iter().map(|o| supertype_id(&o.category)));
             for rel in &img.relations {
                 let Some(r) = relation_index(&rel.pred) else {
                     continue;
                 };
-                let key = (
-                    supertype(&img.objects[rel.sub].category),
-                    supertype(&img.objects[rel.obj].category),
-                );
-                let dist = by_pair
-                    .entry(key)
-                    .or_insert_with(|| vec![0.0; RELATION_VOCAB.len()]);
+                let pair = supertypes[rel.sub] * SUPERTYPES.len() + supertypes[rel.obj];
+                let dist = by_pair[pair].get_or_insert_with(|| vec![0.0; RELATION_COUNT]);
                 dist[r] += 1.0 - ANNOTATION_BIAS;
-                dist[ubiquitous_for(r)] += ANNOTATION_BIAS;
+                dist[ubiquitous[r]] += ANNOTATION_BIAS;
                 marginal[r] += 1.0 - ANNOTATION_BIAS;
-                marginal[ubiquitous_for(r)] += ANNOTATION_BIAS;
+                marginal[ubiquitous[r]] += ANNOTATION_BIAS;
             }
         }
         normalize(&mut marginal);
-        let by_pair = by_pair
-            .into_iter()
-            .map(|((sub, obj), mut dist)| {
-                normalize(&mut dist);
-                ((sub.to_owned(), obj.to_owned()), dist)
-            })
-            .collect();
+        for dist in by_pair.iter_mut().flatten() {
+            normalize(dist);
+        }
         PairPrior { by_pair, marginal }
     }
 
@@ -85,7 +84,7 @@ impl PairPrior {
     pub fn uniform() -> Self {
         let n = RELATION_VOCAB.len();
         PairPrior {
-            by_pair: HashMap::new(),
+            by_pair: Vec::new(),
             marginal: vec![1.0 / n as f64; n],
         }
     }
@@ -94,21 +93,26 @@ impl PairPrior {
     /// vocabulary (categories are reduced to supertypes; unseen pairs fall
     /// back to the marginal).
     pub fn distribution(&self, sub_label: &str, obj_label: &str) -> &[f64] {
-        self.supertype_distribution(supertype(sub_label), supertype(obj_label))
+        self.supertype_distribution(supertype_id(sub_label), supertype_id(obj_label))
     }
 
-    /// [`distribution`](Self::distribution) keyed by the supertypes
-    /// themselves (see [`crate::scene::SUPERTYPES`]).
-    pub(crate) fn supertype_distribution(&self, sub: &str, obj: &str) -> &[f64] {
+    /// [`distribution`](Self::distribution) keyed by supertype ids
+    /// (indexes into [`SUPERTYPES`]).
+    pub(crate) fn supertype_distribution(&self, sub: usize, obj: usize) -> &[f64] {
         self.by_pair
-            .get(&(sub.to_owned(), obj.to_owned()))
-            .map(Vec::as_slice)
+            .get(sub * SUPERTYPES.len() + obj)
+            .and_then(Option::as_deref)
             .unwrap_or(&self.marginal)
+    }
+
+    /// The marginal relation distribution unseen pairs fall back to.
+    pub fn marginal(&self) -> &[f64] {
+        &self.marginal
     }
 
     /// Number of distinct supertype pairs seen at fit time.
     pub fn pair_count(&self) -> usize {
-        self.by_pair.len()
+        self.by_pair.iter().flatten().count()
     }
 }
 

@@ -50,7 +50,12 @@ pub struct RecordEdge {
 impl RecordEdge {
     /// The edge label (the predicate).
     pub fn label(&self) -> &'static str {
-        RELATION_VOCAB[usize::from(self.relation)]
+        RELATION_VOCAB[self.relation()]
+    }
+
+    /// The predicate's index in [`RELATION_VOCAB`].
+    pub fn relation(&self) -> usize {
+        usize::from(self.relation)
     }
 
     /// The edge properties of a scene-graph edge: its score, at exact
@@ -193,6 +198,11 @@ impl<'a> SceneRecord<'a> {
                 *start = v.label_end as usize;
                 Some((label, v))
             })
+    }
+
+    /// Number of vertices (detections) in the image.
+    pub fn vertex_count(&self) -> usize {
+        self.vertices.len()
     }
 
     /// The image's argmax edges, in pair order.

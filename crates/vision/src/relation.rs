@@ -134,9 +134,9 @@ pub struct RelationPredictor {
 impl RelationPredictor {
     /// Build a predictor from model parameters and a fitted prior.
     pub fn new(params: RelationModelParams, prior: PairPrior) -> Self {
-        let prior_table = SUPERTYPES
-            .iter()
-            .flat_map(|&sub| SUPERTYPES.iter().map(move |&obj| (sub, obj)))
+        let n = SUPERTYPES.len();
+        let prior_table = (0..n)
+            .flat_map(|sub| (0..n).map(move |obj| (sub, obj)))
             .map(|(sub, obj)| {
                 let mut row = [0.0; RELATION_COUNT];
                 row.copy_from_slice(prior.supertype_distribution(sub, obj));

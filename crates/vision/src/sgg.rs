@@ -103,6 +103,13 @@ impl Default for SggConfig {
     }
 }
 
+/// Images per record chunk of
+/// [`SceneGraphGenerator::generate_record_chunks`]: small enough that the
+/// offline build frees its records some tens of kilobytes at a time as it
+/// attaches them (about 480 vertices and 1,200 edges per chunk on the MVQA
+/// world), large enough that a part holds only a few dozen chunks.
+pub const RECORD_CHUNK_IMAGES: usize = 128;
+
 /// The generated scene graph plus evaluation bookkeeping.
 #[derive(Debug, Clone)]
 pub struct SceneGraphOutput {
@@ -180,6 +187,16 @@ impl SceneGraphGenerator {
             vertex_ids: sink.vertex_ids,
             pair_scores: sink.pair_scores,
         }
+    }
+
+    /// Generate the scene graphs of a run of images as flat records of
+    /// at most [`RECORD_CHUNK_IMAGES`] images each, in image order, so a
+    /// consumer can free each chunk as soon as it has used it.
+    pub fn generate_record_chunks(&self, images: &[SyntheticImage]) -> Vec<SceneRecords> {
+        images
+            .chunks(RECORD_CHUNK_IMAGES)
+            .map(|chunk| self.generate_records(chunk))
+            .collect()
     }
 
     /// Generate the scene graphs of a run of images as one flat record,

@@ -7,6 +7,7 @@
 //! armed fault plan must draw every fault in image order, so it repeats
 //! exactly.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use svqa::aggregator::DataAggregator;
 use svqa::dataset::{build_knowledge_graph, generate_images, MvqaConfig};
@@ -102,4 +103,68 @@ fn armed_sgg_and_detector_faults_build_identically_twice() {
     );
     assert!(detector_draws > 0 && fired > 0, "the plan never struck");
     assert_ne!(digest, clean, "the faults left the merged graph untouched");
+}
+
+/// The label index and the edge-label counts are not serialized, so no
+/// digest sees them: check them against the arenas directly.
+fn assert_indexes_match_arenas(g: &Graph, what: &str) {
+    let mut by_label: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (id, v) in g.vertices() {
+        by_label.entry(v.label()).or_default().push(id.index());
+    }
+    for (label, ids) in &by_label {
+        let indexed: Vec<usize> = g
+            .vertices_with_label(label)
+            .iter()
+            .map(|v| v.index())
+            .collect();
+        assert_eq!(&indexed, ids, "{what}: vertices labeled {label:?}");
+    }
+    let indexed_labels: usize = g.vertex_label_counts().map(|(_, n)| n).sum();
+    assert_eq!(indexed_labels, g.vertex_count(), "{what}: label index size");
+    assert_eq!(
+        g.vertex_label_counts().count(),
+        by_label.len(),
+        "{what}: distinct labels"
+    );
+
+    let mut counted: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, e) in g.edges() {
+        *counted.entry(e.label()).or_default() += 1;
+    }
+    let indexed: BTreeMap<&str, usize> = g.edge_label_counts().collect();
+    assert_eq!(indexed, counted, "{what}: edge-label counts");
+    g.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
+}
+
+/// An image the detector cannot find anything in.
+fn empty_image(id: u32) -> SyntheticImage {
+    SyntheticImage {
+        id,
+        objects: Vec::new(),
+        relations: Vec::new(),
+        caption: String::new(),
+    }
+}
+
+#[test]
+fn label_index_and_edge_label_counts_match_the_arenas() {
+    let _serial = BUILDS.lock().unwrap_or_else(|e| e.into_inner());
+    let (all, kg) = world(300);
+    for n in [0, 1, 3, 300] {
+        // Empty images first, inside and last: they attach nothing but
+        // still end a record chunk's image list.
+        let mut images = vec![empty_image(90_000)];
+        images.extend_from_slice(&all[..n / 2]);
+        images.push(empty_image(90_001));
+        images.extend_from_slice(&all[n / 2..n]);
+        images.push(empty_image(90_002));
+        let built = Svqa::build(&images, &kg, SvqaConfig::default());
+        assert_indexes_match_arenas(built.merged_graph(), &format!("build, {n} images"));
+
+        let (head, tail) = images.split_at(images.len() / 2);
+        let mut grown = Svqa::build(head, &kg, SvqaConfig::default());
+        grown.add_images(tail);
+        assert_indexes_match_arenas(grown.merged_graph(), &format!("add_images, {n} images"));
+    }
 }
