@@ -108,19 +108,17 @@ impl DataAggregator {
         let threshold = self.config.frequency_threshold;
         // --- Initial stage (lines 1–7): build the subgraph cache. ---
         let histogram = attacher.histogram();
-        let mut cache = SubgraphCache::from_histogram(&histogram, kg, threshold, self.config.k);
+        let mut cache = SubgraphCache::build(&histogram, kg, threshold, self.config.k);
 
-        // G_mg starts as a copy of G; the attach grows it once, exactly.
+        // G_mg starts as a copy of G, so a KG vertex keeps its id in G_mg;
+        // the attach grows it once, exactly.
         let mut merged = Graph::with_capacity(kg.vertex_count(), kg.edge_count());
-        let kg_mapping = merged.absorb(kg);
-        debug_assert!(kg_mapping.iter().enumerate().all(|(i, v)| v.index() == i));
+        merged.absorb(kg);
 
         // --- Attach stage (lines 8–16): the cached-subgraph lookup first,
         // a direct knowledge-graph query as the fallback, once per label. ---
         let attached = attacher.attach(&mut merged, &self.config.link_label, |_, label, count| {
-            cache
-                .lookup_counted(kg, label, count)
-                .map(|kg_local| kg_mapping[kg_local.index()])
+            cache.lookup(kg, label, count)
         });
 
         let stats = MergeStats {

@@ -1,10 +1,10 @@
 //! Algorithm 1's attach stage (lines 8–16), the one body behind every way
 //! scene graphs enter the merged graph.
 //!
-//! [`crate::DataAggregator::merge`], [`crate::DataAggregator::merge_records`],
-//! [`crate::IncrementalMerger::attach_batch`] and the pipeline's incremental
-//! ingestion differ only in where scene graphs come from and how a label's
-//! knowledge-graph counterpart is found; [`Attacher`] is everything else.
+//! [`crate::DataAggregator::merge`], [`crate::DataAggregator::merge_records`]
+//! and the pipeline's incremental ingestion (`Svqa::add_images`) differ only
+//! in where scene graphs come from and how a label's knowledge-graph
+//! counterpart is found; [`Attacher`] is everything else.
 //!
 //! An attach runs in three steps. A census counts every scene vertex label
 //! per part (Algorithm 1 line 2's statistic comes from it). Each distinct

@@ -30,23 +30,11 @@ pub struct SubgraphCache {
 }
 
 impl SubgraphCache {
-    /// Initial stage (Algorithm 1 lines 1–7): count scene-graph categories,
-    /// and for each category above `frequency_threshold` that resolves to a
-    /// knowledge-graph vertex, cache its `k`-hop induced subgraph.
+    /// Initial stage (Algorithm 1 lines 3–7) over the counted scene-graph
+    /// category histogram (line 2): for each category above
+    /// `frequency_threshold` that resolves to a knowledge-graph vertex,
+    /// cache its `k`-hop induced subgraph.
     pub fn build(
-        scene_graphs: &[Graph],
-        kg: &Graph,
-        frequency_threshold: usize,
-        k: usize,
-    ) -> (Self, LabelHistogram) {
-        let histogram = LabelHistogram::from_vertex_labels(scene_graphs.iter());
-        let cache = Self::from_histogram(&histogram, kg, frequency_threshold, k);
-        (cache, histogram)
-    }
-
-    /// Lines 3–7 of the initial stage over an already counted category
-    /// histogram (line 2), however the scene graphs are held.
-    pub(crate) fn from_histogram(
         histogram: &LabelHistogram,
         kg: &Graph,
         frequency_threshold: usize,
@@ -70,17 +58,12 @@ impl SubgraphCache {
         }
     }
 
-    /// Attach-stage lookup: find the knowledge-graph vertex labeled `label`
-    /// through the cached views first (hit), falling back to the full graph
-    /// (miss) — Algorithm 1 lines 9–14.
-    pub fn lookup(&mut self, kg: &Graph, label: &str) -> Option<VertexId> {
-        self.lookup_counted(kg, label, 1)
-    }
-
-    /// [`lookup`](Self::lookup) on behalf of `count` scene vertices
-    /// carrying `label`: resolved once, counted `count` times as the hit
-    /// or miss it is.
-    pub fn lookup_counted(&mut self, kg: &Graph, label: &str, count: usize) -> Option<VertexId> {
+    /// Attach-stage lookup on behalf of `count` scene vertices carrying
+    /// `label`: find the knowledge-graph vertex with that label through the
+    /// cached views first (hit), falling back to the full graph (miss) —
+    /// Algorithm 1 lines 9–14. Resolved once per label, counted `count`
+    /// times as the hit or miss it is.
+    pub fn lookup(&mut self, kg: &Graph, label: &str, count: usize) -> Option<VertexId> {
         let (vertex, hit) = match self.resolved.get(label) {
             Some(&memo) => memo,
             None => {
@@ -156,6 +139,18 @@ mod tests {
         g
     }
 
+    /// The cache and the category histogram it was built from.
+    fn build(
+        scenes: &[Graph],
+        kg: &Graph,
+        frequency_threshold: usize,
+        k: usize,
+    ) -> (SubgraphCache, LabelHistogram) {
+        let histogram = LabelHistogram::from_vertex_labels(scenes.iter());
+        let cache = SubgraphCache::build(&histogram, kg, frequency_threshold, k);
+        (cache, histogram)
+    }
+
     fn kg() -> Graph {
         let mut b = GraphBuilder::new();
         b.triple("dog", "is a", "animal")
@@ -174,7 +169,7 @@ mod tests {
             scene(&["dog", "man"]),
             scene(&["dog", "cat"]),
         ];
-        let (cache, hist) = SubgraphCache::build(&scenes, &kg(), 1, 2);
+        let (cache, hist) = build(&scenes, &kg(), 1, 2);
         // dog (3) and man (2) exceed threshold 1; cat (1) does not.
         let cached: Vec<_> = cache.cached_categories().collect();
         assert_eq!(cached, vec!["dog", "man"]);
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn categories_missing_from_kg_are_skipped() {
         let scenes = vec![scene(&["unicorn", "unicorn", "dog", "dog"])];
-        let (cache, _) = SubgraphCache::build(&scenes, &kg(), 1, 2);
+        let (cache, _) = build(&scenes, &kg(), 1, 2);
         let cached: Vec<_> = cache.cached_categories().collect();
         assert_eq!(cached, vec!["dog"]);
     }
@@ -193,9 +188,9 @@ mod tests {
     fn lookup_hits_cached_neighborhood() {
         let scenes = vec![scene(&["dog", "dog"])];
         let graph = kg();
-        let (mut cache, _) = SubgraphCache::build(&scenes, &graph, 1, 2);
+        let (mut cache, _) = build(&scenes, &graph, 1, 2);
         // "animal" is within 2 hops of "dog" → cache hit.
-        let v = cache.lookup(&graph, "animal").unwrap();
+        let v = cache.lookup(&graph, "animal", 1).unwrap();
         assert_eq!(graph.vertex_label(v), Some("animal"));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 0);
@@ -205,9 +200,9 @@ mod tests {
     fn lookup_falls_back_to_full_graph() {
         let scenes = vec![scene(&["dog", "dog"])];
         let graph = kg();
-        let (mut cache, _) = SubgraphCache::build(&scenes, &graph, 1, 1);
+        let (mut cache, _) = build(&scenes, &graph, 1, 1);
         // "harry potter" is far from "dog" → miss, then direct query.
-        let v = cache.lookup(&graph, "harry potter").unwrap();
+        let v = cache.lookup(&graph, "harry potter", 1).unwrap();
         assert_eq!(graph.vertex_label(v), Some("harry potter"));
         assert_eq!(cache.misses(), 1);
     }
@@ -216,8 +211,8 @@ mod tests {
     fn lookup_of_unknown_label_is_none_and_counts_miss() {
         let scenes = vec![scene(&["dog", "dog"])];
         let graph = kg();
-        let (mut cache, _) = SubgraphCache::build(&scenes, &graph, 1, 2);
-        assert!(cache.lookup(&graph, "spaceship").is_none());
+        let (mut cache, _) = build(&scenes, &graph, 1, 2);
+        assert!(cache.lookup(&graph, "spaceship", 1).is_none());
         assert_eq!(cache.misses(), 1);
     }
 
@@ -225,21 +220,21 @@ mod tests {
     fn repeated_lookups_count_like_the_first() {
         let scenes = vec![scene(&["dog", "dog"])];
         let graph = kg();
-        let (mut cache, _) = SubgraphCache::build(&scenes, &graph, 1, 1);
+        let (mut cache, _) = build(&scenes, &graph, 1, 1);
         for _ in 0..3 {
             assert_eq!(
-                cache.lookup(&graph, "animal"),
+                cache.lookup(&graph, "animal", 1),
                 graph.vertices_with_label("animal").first().copied()
             );
-            assert!(cache.lookup(&graph, "harry potter").is_some());
-            assert!(cache.lookup(&graph, "spaceship").is_none());
+            assert!(cache.lookup(&graph, "harry potter", 1).is_some());
+            assert!(cache.lookup(&graph, "spaceship", 1).is_none());
         }
         assert_eq!((cache.hits(), cache.misses()), (3, 6));
     }
 
     #[test]
     fn empty_inputs() {
-        let (cache, hist) = SubgraphCache::build(&[], &Graph::new(), 5, 2);
+        let (cache, hist) = build(&[], &Graph::new(), 5, 2);
         assert!(cache.is_empty());
         assert_eq!(hist.total(), 0);
         assert_eq!(cache.index_size_bytes(), 0);

@@ -20,9 +20,7 @@
 pub mod aggregate;
 pub mod attach;
 pub mod cache;
-pub mod incremental;
 
 pub use aggregate::{AggregatorConfig, DataAggregator, MergeStats, MergedGraph};
 pub use attach::{Attached, Attacher};
 pub use cache::SubgraphCache;
-pub use incremental::IncrementalMerger;

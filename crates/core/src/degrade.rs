@@ -3,20 +3,20 @@
 //!
 //! SVQA's merged graph folds two evidence sources — the external knowledge
 //! graph and the per-image scene graphs — into one structure, so "one
-//! source is down" is a *view* question, not a storage question: KG
+//! source is down" is a *scope* question, not a storage question: KG
 //! vertices occupy the low id range (absorb order), scene vertices the
 //! rest. When a source's breaker is open,
-//! [`Svqa::run`](crate::Svqa::run) executes against
-//! a lazily-built filtered copy of the merged graph that keeps only the
-//! surviving source's vertices, and labels the result
-//! [`AnswerStatus::Degraded`].
+//! [`Svqa::run`](crate::Svqa::run) executes over the merged graph with
+//! matching and relation scans confined to the surviving source's id
+//! range — exactly the answer the survivor's subgraph alone would give, at
+//! no copy — and labels the result [`AnswerStatus::Degraded`].
 
 use std::fmt;
 use std::time::Instant;
 use svqa_fault::{
     Acquire, BreakerState, CircuitBreaker, DegradePolicy, FaultKind, RetryPolicy, Source,
 };
-use svqa_graph::Graph;
+use svqa_executor::executor::ExecError;
 use svqa_telemetry::{counter, gauge, global};
 
 /// How complete the evidence behind an answer was.
@@ -181,25 +181,16 @@ fn attempt_with_retry(
     salt: u64,
     deadline: Option<Instant>,
 ) -> bool {
-    let mut attempt = 0u32;
-    loop {
-        match svqa_fault::draw(site) {
-            None | Some(FaultKind::CorruptLabel) => return true,
-            // A stalled source that still fits the deadline counts as
-            // success; a stall truncated by the deadline does not.
-            Some(FaultKind::Latency(ms)) => return svqa_fault::apply_latency(ms, deadline),
-            // The result is silently gone — retrying cannot bring it back.
-            Some(FaultKind::DropResult) => return false,
-            Some(FaultKind::Error) => {
-                if !retry.fits(attempt, salt, deadline) {
-                    return false;
-                }
-                global().incr_counter(counter::FAULT_RETRIES);
-                std::thread::sleep(retry.backoff(attempt, salt));
-                attempt += 1;
-            }
-        }
-    }
+    let attempt = || match svqa_fault::draw(site) {
+        None | Some(FaultKind::CorruptLabel) => Ok(true),
+        // A stalled source that still fits the deadline counts as success;
+        // a stall truncated by the deadline does not.
+        Some(FaultKind::Latency(ms)) => Ok(svqa_fault::apply_latency(ms, deadline)),
+        // The result is silently gone — retrying cannot bring it back.
+        Some(FaultKind::DropResult) => Ok(false),
+        Some(FaultKind::Error) => Err(()),
+    };
+    retry_transient(retry, salt, deadline, |()| true, attempt).unwrap_or(false)
 }
 
 /// Retry a fallible execution closure on injected transient errors, within
@@ -207,31 +198,31 @@ fn attempt_with_retry(
 pub(crate) fn execute_with_retry<T>(
     retry: &RetryPolicy,
     deadline: Option<Instant>,
-    mut run: impl FnMut() -> Result<T, svqa_executor::executor::ExecError>,
-) -> Result<T, svqa_executor::executor::ExecError> {
+    run: impl FnMut() -> Result<T, ExecError>,
+) -> Result<T, ExecError> {
+    retry_transient(retry, 0x6578, deadline, |e| *e == ExecError::Injected, run)
+}
+
+/// Run `op` until it succeeds, fails with an error `transient` rejects, or
+/// the retry/deadline budget runs out; each retry is counted and backs off.
+fn retry_transient<T, E>(
+    retry: &RetryPolicy,
+    salt: u64,
+    deadline: Option<Instant>,
+    transient: impl Fn(&E) -> bool,
+    mut op: impl FnMut() -> Result<T, E>,
+) -> Result<T, E> {
     let mut attempt = 0u32;
     loop {
-        match run() {
-            Err(svqa_executor::executor::ExecError::Injected)
-                if retry.fits(attempt, 0x6578, deadline) =>
-            {
+        match op() {
+            Err(e) if transient(&e) && retry.fits(attempt, salt, deadline) => {
                 global().incr_counter(counter::FAULT_RETRIES);
-                std::thread::sleep(retry.backoff(attempt, 0x6578));
+                std::thread::sleep(retry.backoff(attempt, salt));
                 attempt += 1;
             }
             other => return other,
         }
     }
-}
-
-/// Copy the subgraph induced by the vertices `keep` accepts (by dense
-/// vertex index), preserving labels and properties. Edge endpoints are
-/// remapped; edges with a dropped endpoint are dropped. The copy shares
-/// the source graph's labels.
-pub(crate) fn filter_view(graph: &Graph, keep: impl Fn(usize) -> bool) -> Graph {
-    let mut view = Graph::with_capacity(graph.vertex_count(), graph.edge_count());
-    view.absorb_where(graph, |v| keep(v.index()));
-    view
 }
 
 #[cfg(test)]
@@ -275,23 +266,6 @@ mod tests {
             probe_source(&b, &policy(), Source::Scene, None),
             ProbeOutcome::Available
         ));
-    }
-
-    #[test]
-    fn filter_view_keeps_induced_subgraph() {
-        let mut g = Graph::new();
-        let a = g.add_vertex("a");
-        let b = g.add_vertex("b");
-        let c = g.add_vertex("c");
-        g.add_edge(a, b, "ab").unwrap();
-        g.add_edge(b, c, "bc").unwrap();
-        g.add_edge(a, c, "ac").unwrap();
-        let view = filter_view(&g, |i| i != 1);
-        assert_eq!(view.vertex_count(), 2);
-        assert_eq!(view.edge_count(), 1);
-        let labels: Vec<_> = view.vertices().map(|(_, v)| v.label().to_owned()).collect();
-        assert_eq!(labels, ["a", "c"]);
-        assert_eq!(view.edges().next().unwrap().1.label(), "ac");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The end-to-end SVQA pipeline (Fig. 2 of the paper). Every entry point
 //! takes one request path: [`Svqa::prepare`] (parse, lint gate, trace),
 //! then [`Svqa::run`] (breakers, Algorithm 3 with retry over the merged
-//! graph or a degraded view), which returns a [`QueryRun`] record.
+//! graph, or over the surviving source's part of it), which returns a
+//! [`QueryRun`] record.
 
 use crate::config::SvqaConfig;
 use crate::degrade::{
-    execute_with_retry, filter_view, probe_source, AnswerStatus, Breakers, GuardedAnswer,
-    ProbeOutcome,
+    execute_with_retry, probe_source, AnswerStatus, Breakers, GuardedAnswer, ProbeOutcome,
 };
 use crate::error::SvqaError;
-use std::sync::OnceLock;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 use svqa_aggregator::{Attacher, DataAggregator, MergeStats};
 use svqa_executor::cache::ShardedCache;
@@ -143,9 +143,10 @@ pub struct QueryRun<'s> {
     /// Stage times, the exact traffic of this question's cache lookups,
     /// and the outcome.
     pub trace: QueryTrace,
-    /// The graph it ran over (merged, or a degraded view), its query
-    /// graph, lint report and Algorithm 3 output.
-    executed: Option<(&'s Graph, QueryGraph, LintReport, Execution)>,
+    /// The merged graph the question ran over.
+    merged: &'s Graph,
+    /// Its query graph, lint report and Algorithm 3 output.
+    executed: Option<(QueryGraph, LintReport, Execution)>,
 }
 
 impl QueryRun<'_> {
@@ -154,7 +155,7 @@ impl QueryRun<'_> {
     /// lint warnings. Building it also pushes it into the global profile
     /// ring served at `/profiles/recent`. `None` when nothing executed.
     pub fn profile(&self) -> Option<ExecutionProfile> {
-        let (_, query, lint, output) = self.executed.as_ref()?;
+        let (query, lint, output) = self.executed.as_ref()?;
         let mut profile = output.profile(query, self.trace.cache);
         // Prepend in reverse: lint first so parse ends up on top.
         for name in [stage::LINT, stage::PARSE] {
@@ -170,8 +171,8 @@ impl QueryRun<'_> {
     /// The facts (images and knowledge-graph triples) that support the
     /// answer. `None` when nothing executed.
     pub fn explanation(&self) -> Option<Explanation> {
-        let (graph, _, _, output) = self.executed.as_ref()?;
-        Some(output.explanation(graph))
+        let (_, _, output) = self.executed.as_ref()?;
+        Some(output.explanation(self.merged))
     }
 }
 
@@ -186,19 +187,14 @@ pub struct Svqa {
     /// does not retrain per batch). `None` for a loaded world.
     sgg: Option<SceneGraphGenerator>,
     /// KG vertices occupy merged ids `0..kg_vertex_count` (absorb order),
-    /// which is how incremental linking finds knowledge counterparts.
+    /// scene vertices the rest: how incremental linking finds knowledge
+    /// counterparts, and what a degraded run may match.
     kg_vertex_count: usize,
     /// Static query-graph analyzer over the merged graph's extracted
     /// schema: the request path's lint gate.
     linter: Linter,
     /// Per-source circuit breakers, probed by every [`run`](Self::run).
     breakers: Breakers,
-    /// Lazily-built merged-graph view without KG vertices (scene evidence
-    /// only), for degraded execution when the KG breaker is open.
-    scene_view: OnceLock<Graph>,
-    /// Lazily-built merged-graph view without scene vertices (KG evidence
-    /// only).
-    kg_view: OnceLock<Graph>,
 }
 
 impl Svqa {
@@ -252,8 +248,6 @@ impl Svqa {
             breakers: Breakers::new(&config.degrade),
             generator: QueryGraphGenerator::new(),
             sgg: None,
-            scene_view: OnceLock::new(),
-            kg_view: OnceLock::new(),
             config,
             merged,
         }
@@ -304,10 +298,6 @@ impl Svqa {
         // The new evidence may introduce categories/predicates the old
         // schema has never seen; re-extract so the linter stays truthful.
         self.linter = Linter::new(Schema::extract(&self.merged));
-        // Degraded views were built from the pre-ingestion graph; drop
-        // them so the next guarded answer sees the new evidence.
-        self.scene_view = OnceLock::new();
-        self.kg_view = OnceLock::new();
         links
     }
 
@@ -394,8 +384,9 @@ impl Svqa {
     /// * both sources up → Algorithm 3 over the full merged graph with the
     ///   shared `cache`, [`AnswerStatus::Full`];
     /// * one source down (probe failed past the retry budget, or breaker
-    ///   open) → over the survivor's filtered view, without the cache
-    ///   (cached ids refer to the full graph), [`AnswerStatus::Degraded`];
+    ///   open) → over the merged graph with matching and scans confined to
+    ///   the survivor's vertex range, without the shared cache (its scopes
+    ///   and paths span both sources), [`AnswerStatus::Degraded`];
     /// * both down → [`SvqaError::Unavailable`] with a `Retry-After` hint.
     ///
     /// Transient faults are retried; `deadline` bounds stalls and backoff.
@@ -413,10 +404,11 @@ impl Svqa {
             let query = prepared
                 .query
                 .expect("a question that cleared the gate parsed");
-            let (graph, cache, status) = self
+            let (scope, cache, status) = self
                 .guard(cache, deadline)
                 .inspect_err(|_| trace.outcome = QueryOutcome::Unavailable)?;
-            let executor = QueryGraphExecutor::with_config(graph, self.config.executor);
+            let executor =
+                QueryGraphExecutor::with_config(&self.merged, self.config.executor).with_scope(scope);
             let t0 = Instant::now();
             let mut traffic = CacheStats::new();
             let output = execute_with_retry(&self.config.degrade.retry, deadline, || {
@@ -433,7 +425,7 @@ impl Svqa {
                 answer: output.answer.clone(),
                 status,
             };
-            executed = Some((graph, query, lint, output));
+            executed = Some((query, lint, output));
             Ok(answer)
         });
         global().incr_counter(if result.is_ok() {
@@ -444,17 +436,19 @@ impl Svqa {
         QueryRun {
             result,
             trace,
+            merged: &self.merged,
             executed,
         }
     }
 
-    /// Probe both sources and pick where to execute: the merged graph with
-    /// the shared cache, or the surviving source's view without it.
+    /// Probe both sources and pick the merged-graph vertex range to execute
+    /// over: all of it with the shared cache, or the surviving source's
+    /// range without it.
     fn guard<'c>(
         &self,
         cache: Option<&'c ShardedCache>,
         deadline: Option<Instant>,
-    ) -> Result<(&Graph, Option<&'c ShardedCache>, AnswerStatus), SvqaError> {
+    ) -> Result<(Range<usize>, Option<&'c ShardedCache>, AnswerStatus), SvqaError> {
         let policy = &self.config.degrade;
         let mut missing: Vec<Source> = Vec::new();
         let mut retry_after_ms = policy.breaker.cooldown_ms;
@@ -470,7 +464,7 @@ impl Svqa {
         }
         self.breakers.publish_gauges();
         if missing.is_empty() {
-            return Ok((&self.merged, cache, AnswerStatus::Full));
+            return Ok((0..self.merged.vertex_count(), cache, AnswerStatus::Full));
         }
         let names = missing.iter().map(|s| s.name().to_owned()).collect();
         if missing.len() == Source::ALL.len() {
@@ -484,11 +478,11 @@ impl Svqa {
             missing_sources: names,
             confidence_penalty: (policy.confidence_penalty * missing.len() as f64).min(1.0),
         };
-        let view = match missing[0] {
-            Source::Kg => self.scene_view(),
-            Source::Scene => self.kg_view(),
+        let survivor = match missing[0] {
+            Source::Kg => self.kg_vertex_count..self.merged.vertex_count(),
+            Source::Scene => 0..self.kg_vertex_count,
         };
-        Ok((view, None, status))
+        Ok((survivor, None, status))
     }
 
     /// Answer a single question end-to-end, uncached (see
@@ -553,19 +547,6 @@ impl Svqa {
         }
         outcome.total = start.elapsed();
         outcome
-    }
-
-    /// The scene-only view of the merged graph (KG vertices filtered out),
-    /// built on first use.
-    fn scene_view(&self) -> &Graph {
-        self.scene_view
-            .get_or_init(|| filter_view(&self.merged, |i| i >= self.kg_vertex_count))
-    }
-
-    /// The KG-only view (scene vertices filtered out), built on first use.
-    fn kg_view(&self) -> &Graph {
-        self.kg_view
-            .get_or_init(|| filter_view(&self.merged, |i| i < self.kg_vertex_count))
     }
 
     /// The per-source circuit breakers guarding this system.

@@ -121,11 +121,6 @@ impl KeyCentricCache {
         }
     }
 
-    /// A disabled cache (granularity `None`).
-    pub fn disabled() -> Self {
-        Self::new(CacheGranularity::None, EvictionPolicy::Lfu, 0)
-    }
-
     pub(crate) fn scope_enabled(&self) -> bool {
         matches!(
             self.granularity,
@@ -365,17 +360,6 @@ impl ShardedCache {
         cache
     }
 
-    /// A single-shard cache — the exact semantics of the paper's one pool,
-    /// behind the shared-handle API.
-    pub fn single(granularity: CacheGranularity, policy: EvictionPolicy, pool_size: usize) -> Self {
-        Self::new(granularity, policy, pool_size, 1)
-    }
-
-    /// A disabled cache (granularity `None`, zero budget).
-    pub fn disabled() -> Self {
-        Self::new(CacheGranularity::None, EvictionPolicy::Lfu, 0, 1)
-    }
-
     fn shard_index(&self, key: &str) -> usize {
         // SipHash with the default (fixed) keys: deterministic across runs,
         // well-mixed across shards.
@@ -403,17 +387,12 @@ impl ShardedCache {
         }
     }
 
-    /// Look up a scope item in the key's shard.
-    pub fn scope_get(&self, key: &str) -> Option<Arc<Vec<VertexId>>> {
-        self.scope_get_tallied(key, &mut CacheStats::new())
-    }
-
-    /// [`scope_get`](Self::scope_get), counting the lookup into `tally`
-    /// exactly when it moves the cache's own counters: a lookup the
+    /// Look up a scope item in the key's shard, counting the lookup into
+    /// `tally` exactly when it moves the cache's own counters: a lookup the
     /// granularity skips, or a miss a fault forces, counts in neither. This
     /// is what attributes shared-cache traffic to one query exactly, however
     /// many queries run against the cache at once.
-    pub fn scope_get_tallied(
+    pub fn scope_get(
         &self,
         key: &str,
         tally: &mut CacheStats,
@@ -439,14 +418,9 @@ impl ShardedCache {
         self.shard(key).lock().scope_put(key, value);
     }
 
-    /// Look up a path item in the key's shard.
-    pub fn path_get(&self, key: &str) -> Option<Arc<Vec<RelationPair>>> {
-        self.path_get_tallied(key, &mut CacheStats::new())
-    }
-
-    /// [`path_get`](Self::path_get), counting the lookup into `tally` by
-    /// the rule of [`scope_get_tallied`](Self::scope_get_tallied).
-    pub fn path_get_tallied(
+    /// Look up a path item in the key's shard, counting the lookup into
+    /// `tally` by the rule of [`scope_get`](Self::scope_get).
+    pub fn path_get(
         &self,
         key: &str,
         tally: &mut CacheStats,
@@ -592,7 +566,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_stores() {
-        let mut c = KeyCentricCache::disabled();
+        let mut c = KeyCentricCache::new(CacheGranularity::None, EvictionPolicy::Lfu, 0);
         c.scope_put("dog", Arc::new(vec![vid(1)]));
         c.path_put("dog|car", Arc::new(vec![]));
         assert!(c.is_empty());
@@ -713,11 +687,11 @@ mod tests {
     fn sharded_cache_roundtrip_and_merged_stats() {
         let c = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64, 4);
         assert_eq!(c.shard_count(), 4);
-        assert_eq!(c.scope_get("dog"), None); // miss
+        assert_eq!(c.scope_get("dog", &mut CacheStats::new()), None); // miss
         c.scope_put("dog", Arc::new(vec![vid(1)]));
         c.path_put("dog|car", Arc::new(vec![]));
-        assert_eq!(c.scope_get("dog"), Some(Arc::new(vec![vid(1)])));
-        assert!(c.path_get("dog|car").is_some());
+        assert_eq!(c.scope_get("dog", &mut CacheStats::new()), Some(Arc::new(vec![vid(1)])));
+        assert!(c.path_get("dog|car", &mut CacheStats::new()).is_some());
         assert_eq!(c.len(), 2);
         assert!(c.value_bytes() > 0);
         let stats = c.stats();
@@ -746,10 +720,10 @@ mod tests {
         // count nowhere; scope hits and misses count in both places.
         let c = ShardedCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 16, 4);
         let mut tally = CacheStats::new();
-        assert_eq!(c.scope_get_tallied("dog", &mut tally), None);
+        assert_eq!(c.scope_get("dog", &mut tally), None);
         c.scope_put("dog", Arc::new(vec![vid(1)]));
-        assert!(c.scope_get_tallied("dog", &mut tally).is_some());
-        assert!(c.path_get_tallied("dog|car", &mut tally).is_none());
+        assert!(c.scope_get("dog", &mut tally).is_some());
+        assert!(c.path_get("dog|car", &mut tally).is_none());
         assert_eq!(tally, c.stats());
         assert_eq!((tally.scope_hits, tally.scope_misses), (1, 1));
         assert_eq!((tally.path_hits, tally.path_misses), (0, 0));
@@ -757,9 +731,9 @@ mod tests {
 
     #[test]
     fn sharded_disabled_accepts_nothing() {
-        let c = ShardedCache::disabled();
+        let c = ShardedCache::new(CacheGranularity::None, EvictionPolicy::Lfu, 0, 1);
         c.scope_put("a", Arc::new(vec![vid(1)]));
         assert!(c.is_empty());
-        assert_eq!(c.scope_get("a"), None);
+        assert_eq!(c.scope_get("a", &mut CacheStats::new()), None);
     }
 }

@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
 use svqa_graph::{Graph, VertexId};
 use svqa_qparser::{AnswerRole, Dependency, NounPhrase, QueryGraph, QuestionType};
@@ -246,17 +247,12 @@ impl<'g> QueryGraphExecutor<'g> {
         }
     }
 
-    /// Execute a query graph without caching.
-    pub fn execute(&self, gq: &QueryGraph) -> Result<Answer, ExecError> {
-        self.execute_cached(gq, None).map(|(a, _)| a)
-    }
-
-    /// Execute and return the answer together with its provenance (the
-    /// support facts behind every query-graph vertex).
-    pub fn execute_explained(&self, gq: &QueryGraph) -> Result<(Answer, Explanation), ExecError> {
-        let run = self.run(gq, None, &mut CacheStats::new())?;
-        let explanation = run.explanation(self.graph);
-        Ok((run.answer, explanation))
+    /// Confine matching and scans to the merged-graph vertices whose index
+    /// lies in `scope` (see [`VertexMatcher::with_scope`]): how a degraded
+    /// run answers from the surviving source alone.
+    pub fn with_scope(mut self, scope: Range<usize>) -> Self {
+        self.matcher = self.matcher.with_scope(scope);
+        self
     }
 
     /// Execute and return the full `EXPLAIN ANALYZE` bundle: the answer,
@@ -278,22 +274,10 @@ impl<'g> QueryGraphExecutor<'g> {
         })
     }
 
-    /// Execute with an optional shared key-centric cache (sharded, so
-    /// parallel callers do not serialize on one lock); returns the answer
-    /// and the per-vertex trace.
-    pub fn execute_cached(
-        &self,
-        gq: &QueryGraph,
-        cache: Option<&ShardedCache>,
-    ) -> Result<(Answer, Vec<VertexTrace>), ExecError> {
-        let run = self.run(gq, cache, &mut CacheStats::new())?;
-        Ok((run.answer, run.traces))
-    }
-
     /// The Algorithm 3 main loop, with an optional shared key-centric
     /// cache. Every scope and path lookup this run makes is counted into
     /// `traffic` by the cache's own rule (see
-    /// [`ShardedCache::scope_get_tallied`]), also when the run then fails.
+    /// [`ShardedCache::scope_get`]), also when the run then fails.
     pub fn run(
         &self,
         gq: &QueryGraph,
@@ -326,7 +310,7 @@ impl<'g> QueryGraphExecutor<'g> {
             let cacheable = sub_binding[u].is_none() && obj_binding[u].is_none();
             let path_key = format!("{}|{}", spoc.subject.phrase, spoc.object.phrase);
             let cached_rp = if cacheable {
-                cache.and_then(|c| c.path_get_tallied(&path_key, traffic))
+                cache.and_then(|c| c.path_get(&path_key, traffic))
             } else {
                 None
             };
@@ -360,9 +344,9 @@ impl<'g> QueryGraphExecutor<'g> {
                         (Vec::new(), 0)
                     } else {
                         match (sub_slice, obj_slice) {
-                            (Some(s), Some(o)) => self.matcher.relations_between_counted(s, o),
-                            (Some(s), None) => self.matcher.relations_around_counted(s, true),
-                            (None, Some(o)) => self.matcher.relations_around_counted(o, false),
+                            (Some(s), Some(o)) => self.matcher.relations_between(s, o),
+                            (Some(s), None) => self.matcher.relations_around(s, true),
+                            (None, Some(o)) => self.matcher.relations_around(o, false),
                             (None, None) => (Vec::new(), 0),
                         }
                     };
@@ -375,7 +359,10 @@ impl<'g> QueryGraphExecutor<'g> {
                     }
                     traces[u].edges_scanned = scanned;
                     let rp = Arc::new(rp);
-                    if cacheable {
+                    // A faulted scan serves this run only: a cached copy of
+                    // a dropped or corrupted scan would keep the question
+                    // wrong after the fault ends.
+                    if cacheable && fault.is_none() {
                         if let Some(c) = cache {
                             c.path_put(&path_key, Arc::clone(&rp));
                         }
@@ -485,7 +472,7 @@ impl<'g> QueryGraphExecutor<'g> {
             return (None, SlotTrace::default());
         }
         if let Some(cache) = cache {
-            if let Some(hit) = cache.scope_get_tallied(&np.phrase, traffic) {
+            if let Some(hit) = cache.scope_get(&np.phrase, traffic) {
                 let trace = SlotTrace {
                     source: SlotSource::CacheHit,
                     method: None,
@@ -495,7 +482,7 @@ impl<'g> QueryGraphExecutor<'g> {
                 return (Some(hit), trace);
             }
         }
-        let (matched, method) = self.matcher.match_vertex_traced(&np.phrase, &np.head);
+        let (matched, method) = self.matcher.match_vertex(&np.phrase, &np.head);
         let seed = matched.len();
         let expanded = Arc::new(self.matcher.expand_semantic(&matched));
         if let Some(cache) = cache {
@@ -707,9 +694,14 @@ mod tests {
         g
     }
 
+    /// Run `gq` uncached and return its answer.
+    fn answer(exec: &QueryGraphExecutor<'_>, gq: &QueryGraph) -> Result<Answer, ExecError> {
+        exec.run(gq, None, &mut CacheStats::new()).map(|run| run.answer)
+    }
+
     fn run(graph: &Graph, question: &str) -> Answer {
         let gq = QueryGraphGenerator::new().generate(question).unwrap();
-        QueryGraphExecutor::new(graph).execute(&gq).unwrap()
+        answer(&QueryGraphExecutor::new(graph), &gq).unwrap()
     }
 
     #[test]
@@ -771,7 +763,7 @@ mod tests {
             question: String::new(),
         };
         assert_eq!(
-            QueryGraphExecutor::new(&g).execute(&gq),
+            answer(&QueryGraphExecutor::new(&g), &gq),
             Err(ExecError::EmptyQueryGraph)
         );
     }
@@ -798,12 +790,13 @@ mod tests {
         let mut cached_answers = Vec::new();
         for q in &questions {
             let gq = gen.generate(q).unwrap();
-            cached_answers.push(exec.execute_cached(&gq, Some(&cache)).unwrap().0);
+            let run = exec.run(&gq, Some(&cache), &mut CacheStats::new()).unwrap();
+            cached_answers.push(run.answer);
         }
         let mut plain_answers = Vec::new();
         for q in &questions {
             let gq = gen.generate(q).unwrap();
-            plain_answers.push(exec.execute(&gq).unwrap());
+            plain_answers.push(answer(&exec, &gq).unwrap());
         }
         assert_eq!(cached_answers, plain_answers);
         let stats = cache.stats();
@@ -828,11 +821,11 @@ mod tests {
                 .unwrap()
         };
         let exec = QueryGraphExecutor::new(&g);
-        let at_least_2 = exec.execute(&build("at least 2")).unwrap();
+        let at_least_2 = answer(&exec, &build("at least 2")).unwrap();
         assert_eq!(at_least_2, Answer::Count(2), "{at_least_2:?}"); // n1, n2
-        let exactly_1 = exec.execute(&build("exactly 1")).unwrap();
+        let exactly_1 = answer(&exec, &build("exactly 1")).unwrap();
         assert_eq!(exactly_1, Answer::Count(1), "{exactly_1:?}"); // r3
-        let at_most_1 = exec.execute(&build("at most 1")).unwrap();
+        let at_most_1 = answer(&exec, &build("at most 1")).unwrap();
         assert_eq!(at_most_1, Answer::Count(1), "{at_most_1:?}");
     }
 
@@ -842,9 +835,10 @@ mod tests {
         let gq = QueryGraphGenerator::new()
             .generate("What kind of clothes are worn by the wizard?")
             .unwrap();
-        let (_, traces) = QueryGraphExecutor::new(&g)
-            .execute_cached(&gq, None)
-            .unwrap();
+        let traces = QueryGraphExecutor::new(&g)
+            .run(&gq, None, &mut CacheStats::new())
+            .unwrap()
+            .traces;
         assert_eq!(traces.len(), 1);
         assert!(traces[0].sub_count > 0);
         assert!(traces[0].obj_count > 0);

@@ -5,7 +5,8 @@
 //! human-readable *support facts* — which images (or knowledge-graph
 //! entries) back the answer, through which matched triple. The paper's
 //! Example 5 walks exactly this evidence chain by hand; here it is a
-//! first-class API (`QueryGraphExecutor::execute_explained`).
+//! first-class API (`Execution::explanation`, built from a run's `AP`s only
+//! when asked).
 
 use crate::matching::RelationPair;
 use serde::{Deserialize, Serialize};
@@ -52,22 +53,19 @@ pub struct Explanation {
 impl Explanation {
     /// Build from the executor's accepted pairs.
     pub(crate) fn from_aps(graph: &Graph, aps: &[Vec<RelationPair>]) -> Self {
+        let image = |v| {
+            graph
+                .vertex(v)
+                .and_then(|v| v.props().get("image"))
+                .and_then(|x| x.as_int())
+        };
         let per_vertex = aps
             .iter()
             .map(|ap| {
                 let mut facts: Vec<SupportFact> = ap
                     .iter()
                     .map(|p| SupportFact {
-                        image: graph
-                            .vertex(p.sub)
-                            .and_then(|v| v.props().get("image"))
-                            .and_then(|x| x.as_int())
-                            .or_else(|| {
-                                graph
-                                    .vertex(p.obj)
-                                    .and_then(|v| v.props().get("image"))
-                                    .and_then(|x| x.as_int())
-                            }),
+                        image: image(p.sub).or_else(|| image(p.obj)),
                         subject: graph.vertex_label(p.sub).unwrap_or("?").to_owned(),
                         predicate: graph.edge_label(p.edge).unwrap_or("?").to_owned(),
                         object: graph.vertex_label(p.obj).unwrap_or("?").to_owned(),
@@ -114,6 +112,7 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use crate::executor::QueryGraphExecutor;
     use svqa_graph::{Properties, PropValue};
     use svqa_qparser::QueryGraphGenerator;
@@ -137,9 +136,11 @@ mod tests {
         let gq = QueryGraphGenerator::new()
             .generate("Does the dog appear in the car?")
             .unwrap();
-        let ex = QueryGraphExecutor::new(&g);
-        let (answer, explanation) = ex.execute_explained(&gq).unwrap();
-        assert!(answer.is_yes());
+        let run = QueryGraphExecutor::new(&g)
+            .run(&gq, None, &mut CacheStats::new())
+            .unwrap();
+        let explanation = run.explanation(&g);
+        assert!(run.answer.is_yes());
         assert_eq!(explanation.cited_images(), vec![7]);
         let support = explanation.answer_support();
         assert_eq!(support.len(), 1);
@@ -153,10 +154,11 @@ mod tests {
         let gq = QueryGraphGenerator::new()
             .generate("Does the cat appear in the car?")
             .unwrap();
-        let (answer, explanation) = QueryGraphExecutor::new(&g)
-            .execute_explained(&gq)
+        let run = QueryGraphExecutor::new(&g)
+            .run(&gq, None, &mut CacheStats::new())
             .unwrap();
-        assert_eq!(answer, crate::Answer::Judgment(false));
+        let explanation = run.explanation(&g);
+        assert_eq!(run.answer, crate::Answer::Judgment(false));
         assert_eq!(explanation.fact_count(), 0);
         assert!(explanation.answer_support().is_empty());
     }

@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 use svqa_nlp::lev::levenshtein_similarity;
 use svqa_nlp::Embedder;
 use svqa_graph::{EdgeId, Graph, VertexId};
@@ -67,9 +68,13 @@ pub struct RelationPair {
     pub obj: VertexId,
 }
 
-/// Vertex matching over the merged graph.
+/// Vertex matching over the merged graph, confined to a range of vertex
+/// indices: all of `G_mg`, or one source's part of it when the other
+/// source is down (Algorithm 1 absorbs the knowledge graph first, so its
+/// vertices are a prefix of the ids).
 pub struct VertexMatcher<'g> {
     graph: &'g Graph,
+    scope: Range<usize>,
     embedder: Embedder,
     /// Minimum Levenshtein similarity for a label match.
     pub lev_threshold: f64,
@@ -78,14 +83,23 @@ pub struct VertexMatcher<'g> {
 }
 
 impl<'g> VertexMatcher<'g> {
-    /// Build a matcher over `graph` with the default thresholds.
+    /// Build a matcher over all of `graph` with the default thresholds.
     pub fn new(graph: &'g Graph) -> Self {
         VertexMatcher {
             graph,
+            scope: 0..graph.vertex_count(),
             embedder: Embedder::new(),
             lev_threshold: 0.8,
             embed_threshold: 0.6,
         }
+    }
+
+    /// Confine every match and scan to the vertices whose index lies in
+    /// `scope`: each call answers as it would over the subgraph those
+    /// vertices induce.
+    pub fn with_scope(mut self, scope: Range<usize>) -> Self {
+        self.scope = scope;
+        self
     }
 
     /// The embedder (shared with `maxScore` in the executor).
@@ -93,40 +107,46 @@ impl<'g> VertexMatcher<'g> {
         &self.embedder
     }
 
-    /// `matchVertex(label, G_mg)`: vertices whose label matches the phrase.
+    /// Whether `v` lies in the scope (one compare: an index below the
+    /// scope's start wraps to a huge offset).
+    fn in_scope(&self, v: VertexId) -> bool {
+        v.index().wrapping_sub(self.scope.start) < self.scope.len()
+    }
+
+    /// The in-scope vertices carrying `label`. The label index lists ids in
+    /// ascending order, so they are one subslice of it.
+    fn with_label(&self, label: &str) -> &'g [VertexId] {
+        let ids = self.graph.vertices_with_label(label);
+        let start = ids.partition_point(|v| v.index() < self.scope.start);
+        let end = ids.partition_point(|v| v.index() < self.scope.end);
+        &ids[start..end]
+    }
+
+    /// `matchVertex(label, G_mg)`: vertices whose label matches the phrase,
+    /// and which ladder rung matched.
     ///
     /// 1. exact label match;
     /// 2. Levenshtein similarity ≥ threshold over distinct labels;
     /// 3. main-noun retry for multi-word phrases;
     /// 4. embedding cosine fallback.
-    pub fn match_vertex(&self, phrase: &str, head: &str) -> Vec<VertexId> {
-        self.match_vertex_traced(phrase, head).0
-    }
-
-    /// [`match_vertex`](Self::match_vertex) plus which ladder rung matched —
-    /// the profiling entry point.
-    pub fn match_vertex_traced(&self, phrase: &str, head: &str) -> (Vec<VertexId>, MatchMethod) {
-        let exact = self.graph.vertices_with_label(phrase);
-        if !exact.is_empty() {
-            return (exact.to_vec(), MatchMethod::Exact);
-        }
-        let by_lev = self.match_distinct_labels(|label| {
-            levenshtein_similarity(label, phrase) >= self.lev_threshold
-        });
-        if !by_lev.is_empty() {
-            return (by_lev, MatchMethod::Levenshtein);
-        }
-        // Non-simple noun: retry with the main noun (§V-A).
-        if head != phrase && !head.is_empty() {
-            let exact = self.graph.vertices_with_label(head);
+    pub fn match_vertex(&self, phrase: &str, head: &str) -> (Vec<VertexId>, MatchMethod) {
+        // Exact, then Levenshtein: on the phrase, then on the main noun of
+        // a non-simple phrase (§V-A).
+        let probes = [
+            (phrase, MatchMethod::Exact, MatchMethod::Levenshtein),
+            (head, MatchMethod::HeadExact, MatchMethod::HeadLevenshtein),
+        ];
+        let head_differs = head != phrase && !head.is_empty();
+        for (probe, exact_rung, lev_rung) in probes.into_iter().take(1 + usize::from(head_differs)) {
+            let exact = self.with_label(probe);
             if !exact.is_empty() {
-                return (exact.to_vec(), MatchMethod::HeadExact);
+                return (exact.to_vec(), exact_rung);
             }
             let by_lev = self.match_distinct_labels(|label| {
-                levenshtein_similarity(label, head) >= self.lev_threshold
+                levenshtein_similarity(label, probe) >= self.lev_threshold
             });
             if !by_lev.is_empty() {
-                return (by_lev, MatchMethod::HeadLevenshtein);
+                return (by_lev, lev_rung);
             }
         }
         // Embedding fallback on the head noun.
@@ -145,7 +165,7 @@ impl<'g> VertexMatcher<'g> {
         best.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
         let found: Vec<VertexId> = best
             .iter()
-            .flat_map(|(_, label)| self.graph.vertices_with_label(label))
+            .flat_map(|(_, label)| self.with_label(label))
             .copied()
             .collect();
         if found.is_empty() {
@@ -159,7 +179,7 @@ impl<'g> VertexMatcher<'g> {
         let mut out = Vec::new();
         for (label, _) in self.graph.vertex_label_counts() {
             if pred(label) {
-                out.extend_from_slice(self.graph.vertices_with_label(label));
+                out.extend_from_slice(self.with_label(label));
             }
         }
         out
@@ -167,18 +187,21 @@ impl<'g> VertexMatcher<'g> {
 
     /// Semantic expansion: close the set under `same as` links (both
     /// directions) and *incoming* `is a` edges (instances and subtypes of a
-    /// matched concept are also matches).
+    /// matched concept are also matches), within the scope.
     pub fn expand_semantic(&self, seed: &[VertexId]) -> Vec<VertexId> {
         let mut seen: HashSet<VertexId> = seed.iter().copied().collect();
         let mut stack: Vec<VertexId> = seed.to_vec();
         while let Some(v) = stack.pop() {
             for (_, e) in self.graph.out_edges(v) {
-                if e.label() == SAME_AS && seen.insert(e.dst()) {
+                if self.in_scope(e.dst()) && e.label() == SAME_AS && seen.insert(e.dst()) {
                     stack.push(e.dst());
                 }
             }
             for (_, e) in self.graph.in_edges(v) {
-                if (e.label() == SAME_AS || e.label() == IS_A) && seen.insert(e.src()) {
+                if self.in_scope(e.src())
+                    && (e.label() == SAME_AS || e.label() == IS_A)
+                    && seen.insert(e.src())
+                {
                     stack.push(e.src());
                 }
             }
@@ -190,80 +213,63 @@ impl<'g> VertexMatcher<'g> {
 
     /// `getRelations(Sub, Obj)`: the edges from any subject-side vertex to
     /// any object-side vertex (excluding structural `same as`/`is a` links),
-    /// as relation pairs.
-    pub fn relations_between(&self, subs: &[VertexId], objs: &[VertexId]) -> Vec<RelationPair> {
-        self.relations_between_counted(subs, objs).0
-    }
-
-    /// [`relations_between`](Self::relations_between) plus the number of
-    /// candidate edges examined (the profiling "edges scanned" figure).
-    pub fn relations_between_counted(
+    /// as relation pairs, plus the number of candidate edges examined (the
+    /// profiling "edges scanned" figure).
+    pub fn relations_between(
         &self,
         subs: &[VertexId],
         objs: &[VertexId],
     ) -> (Vec<RelationPair>, usize) {
         let obj_set: HashSet<VertexId> = objs.iter().copied().collect();
-        let mut pairs = Vec::new();
-        let mut scanned = 0usize;
-        for &s in subs {
-            for (eid, e) in self.graph.out_edges(s) {
-                scanned += 1;
-                if e.label() == SAME_AS || e.label() == IS_A {
-                    continue;
-                }
-                if obj_set.contains(&e.dst()) {
-                    pairs.push(RelationPair {
-                        sub: s,
-                        edge: eid,
-                        obj: e.dst(),
-                    });
-                }
-            }
-        }
-        (pairs, scanned)
+        self.scan(subs, true, |obj| obj_set.contains(&obj))
     }
 
     /// Relation pairs when one side is a wildcard: every non-structural
-    /// edge incident to the constrained side.
+    /// edge incident to the constrained side, plus the number of incident
+    /// edges examined.
     pub fn relations_around(
         &self,
         anchors: &[VertexId],
         anchor_is_subject: bool,
-    ) -> Vec<RelationPair> {
-        self.relations_around_counted(anchors, anchor_is_subject).0
+    ) -> (Vec<RelationPair>, usize) {
+        self.scan(anchors, anchor_is_subject, |_| true)
     }
 
-    /// [`relations_around`](Self::relations_around) plus the number of
-    /// incident edges examined.
-    pub fn relations_around_counted(
+    /// The relation scan behind both shapes: the out-edges (subject
+    /// anchors) or in-edges (object anchors) of every anchor. An edge whose
+    /// far end leaves the scope is skipped before it is counted; the rest
+    /// are counted, and become pairs unless structural or refused by
+    /// `keep_far`.
+    fn scan(
         &self,
         anchors: &[VertexId],
         anchor_is_subject: bool,
+        keep_far: impl Fn(VertexId) -> bool,
     ) -> (Vec<RelationPair>, usize) {
         let mut pairs = Vec::new();
         let mut scanned = 0usize;
         for &a in anchors {
-            if anchor_is_subject {
-                for (eid, e) in self.graph.out_edges(a) {
-                    scanned += 1;
-                    if e.label() != SAME_AS && e.label() != IS_A {
-                        pairs.push(RelationPair {
-                            sub: a,
-                            edge: eid,
-                            obj: e.dst(),
-                        });
-                    }
-                }
+            let Some(anchor) = self.graph.vertex(a) else {
+                continue;
+            };
+            let incident = if anchor_is_subject {
+                anchor.out_edge_ids()
             } else {
-                for (eid, e) in self.graph.in_edges(a) {
-                    scanned += 1;
-                    if e.label() != SAME_AS && e.label() != IS_A {
-                        pairs.push(RelationPair {
-                            sub: e.src(),
-                            edge: eid,
-                            obj: a,
-                        });
-                    }
+                anchor.in_edge_ids()
+            };
+            for &edge in incident {
+                let e = self.graph.edge(edge).expect("adjacency lists hold graph edges");
+                let far = if anchor_is_subject { e.dst() } else { e.src() };
+                if !self.in_scope(far) {
+                    continue;
+                }
+                scanned += 1;
+                if e.label() != SAME_AS && e.label() != IS_A && keep_far(far) {
+                    pairs.push(RelationPair {
+                        sub: e.src(),
+                        edge,
+                        obj: e.dst(),
+                    });
                 }
             }
         }
@@ -300,7 +306,7 @@ mod tests {
     fn exact_match() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let found = m.match_vertex("dog", "dog");
+        let (found, _) = m.match_vertex("dog", "dog");
         assert_eq!(found.len(), 2); // KG dog + scene dog
     }
 
@@ -312,7 +318,7 @@ mod tests {
         // passes the Levenshtein threshold (sim 0.75 < 0.8? "dogs"/"dog" =
         // 1 edit over 4 chars = 0.75) — it instead hits the embedding
         // fallback, which maps synonyms too.
-        let found = m.match_vertex("puppy", "puppy");
+        let (found, _) = m.match_vertex("puppy", "puppy");
         assert!(!found.is_empty(), "puppy should reach dog via embeddings");
         assert!(found
             .iter()
@@ -341,7 +347,7 @@ mod tests {
         for _ in 0..8 {
             let g = build();
             let m = VertexMatcher::new(&g);
-            let (found, method) = m.match_vertex_traced("hound", "hound");
+            let (found, method) = m.match_vertex("hound", "hound");
             assert_eq!(method, MatchMethod::Embedding);
             assert!(found.len() >= 2, "both puppy spellings should match");
             orders.push(
@@ -360,7 +366,7 @@ mod tests {
     fn main_noun_retry() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let found = m.match_vertex("kind of dog", "dog");
+        let (found, _) = m.match_vertex("kind of dog", "dog");
         assert_eq!(found.len(), 2);
     }
 
@@ -368,7 +374,7 @@ mod tests {
     fn no_match_is_empty() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        assert!(m.match_vertex("spaceship", "spaceship").is_empty());
+        assert!(m.match_vertex("spaceship", "spaceship").0.is_empty());
     }
 
     #[test]
@@ -376,7 +382,7 @@ mod tests {
         let g = merged();
         let m = VertexMatcher::new(&g);
         // "pet" → KG pet → (incoming is-a) dog, cat → (same as) scene dog.
-        let seed = m.match_vertex("pet", "pet");
+        let (seed, _) = m.match_vertex("pet", "pet");
         let expanded = m.expand_semantic(&seed);
         let labels: Vec<_> = expanded
             .iter()
@@ -392,9 +398,9 @@ mod tests {
     fn relations_between_skips_structural_edges() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let dogs = m.expand_semantic(&m.match_vertex("pet", "pet"));
-        let cars = m.match_vertex("car", "car");
-        let pairs = m.relations_between(&dogs, &cars);
+        let dogs = m.expand_semantic(&m.match_vertex("pet", "pet").0);
+        let (cars, _) = m.match_vertex("car", "car");
+        let (pairs, _) = m.relations_between(&dogs, &cars);
         assert_eq!(pairs.len(), 1);
         assert_eq!(g.edge_label(pairs[0].edge), Some("in"));
     }
@@ -403,8 +409,8 @@ mod tests {
     fn wildcard_object_side() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let harry = m.match_vertex("harry potter", "harry potter");
-        let pairs = m.relations_around(&harry, false);
+        let (harry, _) = m.match_vertex("harry potter", "harry potter");
+        let (pairs, _) = m.relations_around(&harry, false);
         assert_eq!(pairs.len(), 1);
         assert_eq!(g.edge_label(pairs[0].edge), Some("girlfriend of"));
         assert_eq!(g.vertex_label(pairs[0].sub), Some("ginny weasley"));
@@ -415,7 +421,7 @@ mod tests {
         let g = merged();
         let m = VertexMatcher::new(&g);
         let scene_dog = vec![g.vertices_with_label("dog")[1]];
-        let pairs = m.relations_around(&scene_dog, true);
+        let (pairs, _) = m.relations_around(&scene_dog, true);
         assert_eq!(pairs.len(), 1);
         assert_eq!(g.vertex_label(pairs[0].obj), Some("car"));
     }
@@ -424,39 +430,34 @@ mod tests {
     fn traced_matching_reports_the_ladder_rung() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        assert_eq!(m.match_vertex_traced("dog", "dog").1, MatchMethod::Exact);
+        assert_eq!(m.match_vertex("dog", "dog").1, MatchMethod::Exact);
         assert_eq!(
-            m.match_vertex_traced("kind of dog", "dog").1,
+            m.match_vertex("kind of dog", "dog").1,
             MatchMethod::HeadExact
         );
         assert_eq!(
-            m.match_vertex_traced("puppy", "puppy").1,
+            m.match_vertex("puppy", "puppy").1,
             MatchMethod::Embedding
         );
-        let (found, method) = m.match_vertex_traced("spaceship", "spaceship");
+        let (found, method) = m.match_vertex("spaceship", "spaceship");
         assert!(found.is_empty());
         assert_eq!(method, MatchMethod::NoMatch);
-        // The traced and plain entry points agree.
-        assert_eq!(
-            m.match_vertex("pet", "pet"),
-            m.match_vertex_traced("pet", "pet").0
-        );
     }
 
     #[test]
     fn counted_scans_cover_all_incident_edges() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let dogs = m.expand_semantic(&m.match_vertex("pet", "pet"));
-        let cars = m.match_vertex("car", "car");
-        let (pairs, scanned) = m.relations_between_counted(&dogs, &cars);
-        assert_eq!(pairs, m.relations_between(&dogs, &cars));
+        let dogs = m.expand_semantic(&m.match_vertex("pet", "pet").0);
+        let (cars, _) = m.match_vertex("car", "car");
+        let (pairs, scanned) = m.relations_between(&dogs, &cars);
+        assert_eq!(pairs.len(), 1);
         // Structural (same as / is a) edges are scanned even though they
         // never become pairs, so scanned strictly exceeds the pair count.
         assert!(scanned > pairs.len(), "scanned={scanned}");
 
         let scene_dog = vec![g.vertices_with_label("dog")[1]];
-        let (pairs, scanned) = m.relations_around_counted(&scene_dog, true);
+        let (pairs, scanned) = m.relations_around(&scene_dog, true);
         assert_eq!(pairs.len(), 1);
         assert!(scanned >= pairs.len());
     }
@@ -465,8 +466,58 @@ mod tests {
     fn expansion_is_idempotent() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let once = m.expand_semantic(&m.match_vertex("pet", "pet"));
+        let once = m.expand_semantic(&m.match_vertex("pet", "pet").0);
         let twice = m.expand_semantic(&once);
         assert_eq!(once, twice);
+    }
+
+    /// The merged graph with its KG range (vertices before the first
+    /// scene vertex) and its two scene vertices.
+    fn scoped_world() -> (Graph, usize, VertexId, VertexId) {
+        let g = merged();
+        let scene_dog = g.vertices_with_label("dog")[1];
+        let scene_car = g.vertices_with_label("car")[0];
+        (g, scene_dog.index(), scene_dog, scene_car)
+    }
+
+    #[test]
+    fn kg_scope_matches_only_knowledge_vertices() {
+        let (g, kg, _, _) = scoped_world();
+        let m = VertexMatcher::new(&g).with_scope(0..kg);
+        let (found, method) = m.match_vertex("dog", "dog");
+        assert_eq!(found, vec![g.vertices_with_label("dog")[0]]);
+        assert_eq!(method, MatchMethod::Exact);
+        assert!(m.match_vertex("car", "car").0.is_empty());
+    }
+
+    #[test]
+    fn scene_scope_expansion_stays_out_of_the_kg() {
+        let (g, kg, scene_dog, _) = scoped_world();
+        let full = VertexMatcher::new(&g);
+        assert_eq!(full.expand_semantic(&[scene_dog]).len(), 2);
+        let scene = VertexMatcher::new(&g).with_scope(kg..g.vertex_count());
+        assert_eq!(scene.expand_semantic(&[scene_dog]), vec![scene_dog]);
+    }
+
+    #[test]
+    fn scoped_scans_neither_return_nor_count_edges_leaving_the_scope() {
+        let (g, _, scene_dog, scene_car) = scoped_world();
+        let full = VertexMatcher::new(&g);
+        // Everything but the scene car: the `in` edge leaves the scope.
+        let scoped = VertexMatcher::new(&g).with_scope(0..scene_car.index());
+        let dogs = full.expand_semantic(&full.match_vertex("dog", "dog").0);
+        assert_eq!(scoped.expand_semantic(&scoped.match_vertex("dog", "dog").0), dogs);
+
+        let (pairs, scanned) = full.relations_between(&dogs, &[scene_car]);
+        assert_eq!(pairs.len(), 1);
+        let (scoped_pairs, scoped_scanned) = scoped.relations_between(&dogs, &[scene_car]);
+        assert!(scoped_pairs.is_empty());
+        assert_eq!(scoped_scanned, scanned - 1);
+
+        let (pairs, scanned) = full.relations_around(&[scene_dog], true);
+        assert_eq!(pairs.len(), 1);
+        let (scoped_pairs, scoped_scanned) = scoped.relations_around(&[scene_dog], true);
+        assert!(scoped_pairs.is_empty());
+        assert_eq!(scoped_scanned, scanned - 1);
     }
 }

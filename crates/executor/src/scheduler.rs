@@ -93,17 +93,12 @@ impl QueryScheduler {
     /// the batch; each query's score is the sum of its vertices' frequency
     /// ratios; descending score (stable on ties).
     pub fn order(queries: &[QueryGraph]) -> Vec<usize> {
-        Self::order_with_scores(queries).0
+        Self::order_with_scores_hinted(queries, None).0
     }
 
     /// [`order`](Self::order) plus the per-query frequency-ratio scores in
     /// the *original* submission order — the reuse rationale surfaced by
-    /// `EXPLAIN ANALYZE` and `BatchReport`.
-    pub fn order_with_scores(queries: &[QueryGraph]) -> (Vec<usize>, Vec<f64>) {
-        Self::order_with_scores_hinted(queries, None)
-    }
-
-    /// [`order_with_scores`](Self::order_with_scores) with optional static
+    /// `EXPLAIN ANALYZE` and `BatchReport` — with optional static
     /// cost hints (per query, original order — e.g. `qlint`'s cardinality
     /// estimates). Frequency ratio stays the primary key; among queries
     /// with equal reuse potential, the cheaper estimated plan runs first so
@@ -153,7 +148,7 @@ impl QueryScheduler {
     /// Build the sharded cache this scheduler's configuration describes —
     /// what [`run`](Self::run) uses per batch, and what a long-lived caller
     /// (the query service) constructs once and feeds to
-    /// [`run_with_cache`](Self::run_with_cache) forever.
+    /// [`run_with_cache_hinted`](Self::run_with_cache_hinted) forever.
     pub fn build_cache(&self) -> ShardedCache {
         ShardedCache::new(
             self.config.granularity,
@@ -166,25 +161,16 @@ impl QueryScheduler {
     /// Execute a batch of query graphs over the merged graph with a fresh
     /// per-batch cache.
     pub fn run(&self, graph: &Graph, queries: &[QueryGraph]) -> BatchReport {
-        self.run_with_cache(graph, queries, &self.build_cache())
+        self.run_with_cache_hinted(graph, queries, &self.build_cache(), None)
     }
 
     /// Execute a batch against a caller-owned [`ShardedCache`], so cache
     /// state persists across batches (and across requests when the cache
-    /// belongs to the serving layer). The report's `cache_stats` count this
-    /// batch's own lookups, not the cache's lifetime counters.
-    pub fn run_with_cache(
-        &self,
-        graph: &Graph,
-        queries: &[QueryGraph],
-        cache: &ShardedCache,
-    ) -> BatchReport {
-        self.run_with_cache_hinted(graph, queries, cache, None)
-    }
-
-    /// [`run_with_cache`](Self::run_with_cache) with optional per-query
-    /// cost hints forwarded to the frequency ordering (see
-    /// [`order_with_scores_hinted`](Self::order_with_scores_hinted)).
+    /// belongs to the serving layer), with optional per-query cost hints
+    /// forwarded to the frequency ordering (see
+    /// [`order_with_scores_hinted`](Self::order_with_scores_hinted)). The
+    /// report's `cache_stats` count this batch's own lookups, not the
+    /// cache's lifetime counters.
     pub fn run_with_cache_hinted(
         &self,
         graph: &Graph,
@@ -395,7 +381,7 @@ mod tests {
             "Does the dog appear in the car?",
             "Does the dog appear in the car?",
         ]);
-        let (order, scores) = QueryScheduler::order_with_scores(&qs);
+        let (order, scores) = QueryScheduler::order_with_scores_hinted(&qs, None);
         assert_eq!(scores.len(), 3);
         // Shared dog queries score higher than the unique cat query.
         assert!(scores[1] > scores[0] && (scores[1] - scores[2]).abs() < 1e-12);
@@ -417,10 +403,10 @@ mod tests {
         let qs = queries(&["Does the dog appear in the car?"]);
         let scheduler = QueryScheduler::new(SchedulerConfig::default());
         let cache = scheduler.build_cache();
-        let first = scheduler.run_with_cache(&g, &qs, &cache);
+        let first = scheduler.run_with_cache_hinted(&g, &qs, &cache, None);
         assert_eq!(first.cache_stats.path_hits, 0);
         assert!(first.cache_stats.path_misses > 0);
-        let second = scheduler.run_with_cache(&g, &qs, &cache);
+        let second = scheduler.run_with_cache_hinted(&g, &qs, &cache, None);
         assert!(
             second.cache_stats.path_hits > 0,
             "second batch must hit the persistent cache: {:?}",
@@ -440,7 +426,7 @@ mod tests {
             "Does the dog appear in the car?",
         ]);
         for _ in 0..4 {
-            let (order, scores) = QueryScheduler::order_with_scores(&qs);
+            let (order, scores) = QueryScheduler::order_with_scores_hinted(&qs, None);
             assert_eq!(order, vec![0, 1, 2]);
             assert!(scores.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-12));
         }

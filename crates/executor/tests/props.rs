@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use svqa_executor::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache, ShardedCache};
 use svqa_executor::executor::QueryGraphExecutor;
 use svqa_executor::matching::VertexMatcher;
-use svqa_executor::Answer;
+use svqa_executor::{Answer, CacheStats};
 use svqa_graph::{Graph, VertexId};
 use svqa_qparser::{NounPhrase, QueryGraph, QuestionType, Spoc};
 
@@ -177,14 +177,14 @@ proptest! {
             std::collections::HashMap::new();
         for op in ops {
             match op {
-                Op::ScopeGet(k) => { cache.scope_get(&format!("s{k}")); }
+                Op::ScopeGet(k) => { cache.scope_get(&format!("s{k}"), &mut CacheStats::new()); }
                 Op::ScopePut(k, v) => {
                     let key = format!("s{k}");
                     let value = Arc::new(vec![VertexId::from_index(v as usize)]);
                     cache.scope_put(&key, Arc::clone(&value));
                     last_scope.insert(key, value);
                 }
-                Op::PathGet(k) => { cache.path_get(&format!("p{k}")); }
+                Op::PathGet(k) => { cache.path_get(&format!("p{k}"), &mut CacheStats::new()); }
                 Op::PathPut(k) => { cache.path_put(&format!("p{k}"), Arc::new(vec![])); }
             }
             prop_assert!(cache.len() <= pool, "len {} > pool {}", cache.len(), pool);
@@ -193,7 +193,7 @@ proptest! {
             cache.debug_assert_invariants();
         }
         for (key, value) in &last_scope {
-            if let Some(got) = cache.scope_get(key) {
+            if let Some(got) = cache.scope_get(key, &mut CacheStats::new()) {
                 prop_assert_eq!(&got, value, "stale value for {}", key);
             }
         }
@@ -251,7 +251,7 @@ proptest! {
             question: String::new(),
         };
         let ex = QueryGraphExecutor::new(&g);
-        let a = ex.execute(&gq).unwrap();
+        let a = ex.run(&gq, None, &mut CacheStats::new()).unwrap().answer;
         prop_assert!(matches!(a, Answer::Judgment(_)));
     }
 
@@ -269,11 +269,11 @@ proptest! {
             question: String::new(),
         };
         let ex = QueryGraphExecutor::new(&g);
-        let plain = ex.execute(&gq).unwrap();
+        let plain = ex.run(&gq, None, &mut CacheStats::new()).unwrap().answer;
         let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64, 4);
         // Run twice so the second pass reads from a warm cache.
-        let first = ex.execute_cached(&gq, Some(&cache)).unwrap().0;
-        let second = ex.execute_cached(&gq, Some(&cache)).unwrap().0;
+        let first = ex.run(&gq, Some(&cache), &mut CacheStats::new()).unwrap().answer;
+        let second = ex.run(&gq, Some(&cache), &mut CacheStats::new()).unwrap().answer;
         prop_assert_eq!(&plain, &first);
         prop_assert_eq!(&first, &second);
     }
@@ -282,7 +282,7 @@ proptest! {
     fn matcher_exact_labels_always_match(g in arb_world(), li in 0usize..6) {
         const LABELS: [&str; 6] = ["dog", "cat", "man", "grass", "car", "hat"];
         let m = VertexMatcher::new(&g);
-        let found = m.match_vertex(LABELS[li], LABELS[li]);
+        let (found, _) = m.match_vertex(LABELS[li], LABELS[li]);
         prop_assert!(!found.is_empty());
         for v in &found {
             prop_assert_eq!(g.vertex_label(*v), Some(LABELS[li]));

@@ -14,6 +14,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use svqa::executor::executor::QueryGraphExecutor;
+use svqa::executor::CacheStats;
 use svqa::qparser::{Dependency, QueryBuilder};
 use svqa::vision::scene::{SceneBuilder, SyntheticImage};
 use svqa::{Svqa, SvqaConfig};
@@ -98,7 +99,9 @@ fn main() {
         .build()
         .expect("well-formed query");
     let executor = QueryGraphExecutor::new(system.merged_graph());
-    let answer = executor.execute(&gq).expect("executes");
+    let run = executor
+        .run(&gq, None, &mut CacheStats::new())
+        .expect("executes");
     println!("\nstructured query: {}", gq.question);
-    println!("A: {answer}");
+    println!("A: {}", run.answer);
 }

@@ -2,18 +2,14 @@
 //!
 //! Builds the system on an initial corpus, answers a question, then
 //! streams in new batches of images with [`svqa::Svqa::add_images`] and
-//! watches the answer change as new evidence arrives. Also demonstrates
-//! the aggregator-level [`svqa::aggregator::IncrementalMerger`], which
-//! keeps Algorithm 1's subgraph cache alive across batches.
+//! watches the answer change as new evidence arrives. Each batch runs only
+//! Algorithm 1's attach stage against the growing merged graph.
 //!
 //! ```text
 //! cargo run -p svqa --example incremental_stream --release
 //! ```
 
-use svqa::aggregator::{AggregatorConfig, IncrementalMerger};
 use svqa::dataset::{build_knowledge_graph, generate_images};
-use svqa::vision::prior::PairPrior;
-use svqa::vision::sgg::{SceneGraphGenerator, SggConfig};
 use svqa::{Svqa, SvqaConfig};
 
 fn main() {
@@ -46,19 +42,16 @@ fn main() {
         stats.merged_vertices, stats.merged_edges, stats.scene_graphs
     );
 
-    // The aggregator-level incremental path, with cache accounting.
-    println!("\nAlgorithm-1 incremental merger:");
-    let prior = PairPrior::fit(&all_images);
-    let sgg = SceneGraphGenerator::new(SggConfig::default(), prior);
-    let seed_graphs: Vec<_> = initial.iter().map(|i| sgg.generate(i).graph).collect();
-    let mut merger = IncrementalMerger::new(AggregatorConfig::default(), &kg, &seed_graphs);
-    for batch in stream.chunks(200) {
-        let graphs: Vec<_> = batch.iter().map(|i| sgg.generate(i).graph).collect();
-        let links = merger.attach_batch(&graphs);
-        let (hits, misses) = merger.cache_stats();
-        println!(
-            "  +{} scene graphs: {links} links, cache {hits} hits / {misses} misses",
-            graphs.len()
-        );
-    }
+    // The initial build's Algorithm 1 accounting; each batch adds its
+    // links to the total.
+    let merge = &stats.merge;
+    println!(
+        "Algorithm 1 at build: {} cached subgraphs, {} cache hits / {} misses, \
+         {} scene vertices unlinked; {} links in all",
+        merge.cached_subgraphs,
+        merge.cache_hits,
+        merge.cache_misses,
+        merge.unlinked_vertices,
+        merge.links_created
+    );
 }

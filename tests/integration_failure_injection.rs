@@ -1,6 +1,13 @@
 //! Failure-injection tests: the pipeline must degrade, not panic, when a
 //! subsystem is crippled.
+//!
+//! Fault plans are process-global, so every test here holds the plan lock
+//! (an empty plan where it injects nothing): a plan one test arms never
+//! fires into another test's pipeline.
 
+use svqa::executor::cache::ShardedCache;
+use svqa::executor::scheduler::QueryScheduler;
+use svqa::fault::{self, site, FaultKind, FaultPlan, InstalledPlan, SiteFault};
 use svqa::vision::detector::DetectorConfig;
 use svqa::{evaluate_on_mvqa, Svqa, SvqaConfig};
 use svqa_dataset::Mvqa;
@@ -10,8 +17,14 @@ fn mvqa() -> Mvqa {
     Mvqa::generate_small(250, 77)
 }
 
+/// Hold the process-wide plan lock with a plan that injects nothing.
+fn quiet() -> InstalledPlan {
+    fault::install(FaultPlan::new(0))
+}
+
 #[test]
 fn blind_detector_degrades_gracefully() {
+    let _quiet = quiet();
     // detect_prob = 0: no scene evidence at all. Every judgment becomes
     // "No", counting 0, reasoning Unknown — and nothing panics.
     let mvqa = mvqa();
@@ -33,6 +46,7 @@ fn blind_detector_degrades_gracefully() {
 
 #[test]
 fn maximal_label_confusion_still_executes() {
+    let _quiet = quiet();
     let mvqa = mvqa();
     let mut config = SvqaConfig::default();
     config.sgg.detector.confusion_prob = 1.0;
@@ -48,6 +62,7 @@ fn maximal_label_confusion_still_executes() {
 
 #[test]
 fn empty_knowledge_graph_kills_kg_questions_only() {
+    let _quiet = quiet();
     let mvqa = mvqa();
     let empty_kg = Graph::new();
     let system = Svqa::build(&mvqa.images, &empty_kg, SvqaConfig::default());
@@ -65,6 +80,7 @@ fn empty_knowledge_graph_kills_kg_questions_only() {
 
 #[test]
 fn extreme_jitter_hurts_but_does_not_break() {
+    let _quiet = quiet();
     let mvqa = mvqa();
     let mut config = SvqaConfig::default();
     config.sgg.detector.bbox_jitter = 0.9;
@@ -82,6 +98,7 @@ fn extreme_jitter_hurts_but_does_not_break() {
 
 #[test]
 fn empty_image_set_is_knowledge_only() {
+    let _quiet = quiet();
     let mvqa = mvqa();
     let system = Svqa::build(&[], &mvqa.kg, SvqaConfig::default());
     // Knowledge-graph queries still answer.
@@ -98,6 +115,7 @@ fn empty_image_set_is_knowledge_only() {
 
 #[test]
 fn tiny_cache_pool_never_corrupts_answers() {
+    let _quiet = quiet();
     use svqa::executor::cache::{CacheGranularity, EvictionPolicy};
     use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
     use svqa::qparser::QueryGraphGenerator;
@@ -126,4 +144,50 @@ fn tiny_cache_pool_never_corrupts_answers() {
     })
     .run(system.merged_graph(), &graphs);
     assert_eq!(baseline.answers, thrashing.answers);
+}
+
+#[test]
+fn a_faulted_relation_scan_never_reaches_the_path_cache() {
+    // One dropped or corrupted relation scan must cost one wrong answer,
+    // not every later answer served from a long-lived cache.
+    let mvqa = Mvqa::generate_small(300, 11);
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+    let fresh_cache = || QueryScheduler::new(system.config().scheduler).build_cache();
+    let ask = |question: &str, cache: &ShardedCache| {
+        system
+            .run(system.prepare(question), Some(cache), None)
+            .result
+            .ok()
+            .map(|g| g.answer)
+    };
+    let mut changed = Vec::new();
+    for kind in [FaultKind::DropResult, FaultKind::CorruptLabel] {
+        for q in &mvqa.questions {
+            let clean = {
+                let _quiet = quiet();
+                ask(&q.question, &fresh_cache())
+            };
+            let cache = fresh_cache();
+            {
+                let plan = FaultPlan::new(11)
+                    .with_fault(site::RELATION_SCAN, SiteFault::limited(kind, 1.0, 1));
+                let _plan = fault::install(plan);
+                ask(&q.question, &cache);
+            }
+            let again = {
+                let _quiet = quiet();
+                ask(&q.question, &cache)
+            };
+            if again != clean {
+                changed.push(format!("{kind:?}: {}: {clean:?} -> {again:?}", q.question));
+            }
+        }
+    }
+    assert!(
+        changed.is_empty(),
+        "{} of {} answers changed after the fault was disarmed:\n{}",
+        changed.len(),
+        2 * mvqa.questions.len(),
+        changed.join("\n")
+    );
 }

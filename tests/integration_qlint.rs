@@ -49,9 +49,10 @@ fn clean_question_lints_clean_and_answers_exactly_like_the_bare_executor() {
     let gq = svqa::qparser::QueryGraphGenerator::new()
         .generate(question)
         .expect("parses");
-    let (bare, _) = QueryGraphExecutor::new(system.merged_graph())
-        .execute_explained(&gq)
-        .expect("executes");
+    let bare = QueryGraphExecutor::new(system.merged_graph())
+        .run(&gq, None, &mut svqa::executor::CacheStats::new())
+        .expect("executes")
+        .answer;
     assert_eq!(system.answer(question).expect("answers"), bare);
 }
 
