@@ -14,7 +14,8 @@ pub struct SvqaConfig {
     pub sgg: SggConfig,
     /// Data aggregation (§III-B): subgraph-cache thresholds.
     pub aggregator: AggregatorConfig,
-    /// Single-query execution (§V-A).
+    /// Single-query execution (§V-A). It has no fields; it stays because
+    /// the benchmark harness names it.
     pub executor: ExecutorConfig,
     /// Multi-query scheduling and caching (§V-B).
     pub scheduler: SchedulerConfig,

@@ -407,8 +407,7 @@ impl Svqa {
             let (scope, cache, status) = self
                 .guard(cache, deadline)
                 .inspect_err(|_| trace.outcome = QueryOutcome::Unavailable)?;
-            let executor =
-                QueryGraphExecutor::with_config(&self.merged, self.config.executor).with_scope(scope);
+            let executor = QueryGraphExecutor::new(&self.merged).with_scope(scope);
             let t0 = Instant::now();
             let mut traffic = CacheStats::new();
             let output = execute_with_retry(&self.config.degrade.retry, deadline, || {

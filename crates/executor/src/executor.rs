@@ -25,35 +25,18 @@ use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
 use svqa_graph::{Graph, VertexId};
+use svqa_nlp::resolve::{PredicateScorer, PREDICATE_FLOOR};
+use svqa_nlp::Embedder;
 use svqa_qparser::{AnswerRole, Dependency, NounPhrase, QueryGraph, QuestionType};
 
-/// Executor tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecutorConfig {
-    /// Levenshtein similarity threshold for `matchVertex`.
-    pub lev_threshold: f64,
-    /// Embedding similarity threshold for the `matchVertex` fallback.
-    pub embed_threshold: f32,
-    /// Predicate filter slack: keep pairs whose edge-label similarity is
-    /// within this margin of the best label's similarity.
-    pub filter_slack: f32,
-    /// Absolute predicate similarity floor: a pair is kept only if its edge
-    /// label clears this similarity to `c_p` outright. Without it, a query
-    /// whose true predicate is absent from `RP` would keep every pair
-    /// matching the best *wrong* label.
-    pub min_predicate_similarity: f32,
-}
+/// Executor configuration. It has no fields: the §V-A thresholds are
+/// the constants of [`svqa_nlp::resolve`], shared with the linter.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ExecutorConfig;
 
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig {
-            lev_threshold: 0.8,
-            embed_threshold: 0.6,
-            filter_slack: 0.25,
-            min_predicate_similarity: 0.45,
-        }
-    }
-}
+/// Predicate filter slack: pairs whose edge label scores within this margin
+/// of the best label's score are kept.
+const FILTER_SLACK: f32 = 0.25;
 
 /// Structural execution errors (empty answers are *not* errors — they
 /// produce `No` / `0` / `Unknown`).
@@ -226,25 +209,20 @@ impl Execution {
 pub struct QueryGraphExecutor<'g> {
     graph: &'g Graph,
     matcher: VertexMatcher<'g>,
-    config: ExecutorConfig,
 }
 
 impl<'g> QueryGraphExecutor<'g> {
-    /// Build an executor over a merged graph with default configuration.
+    /// Build an executor over a merged graph.
     pub fn new(graph: &'g Graph) -> Self {
-        Self::with_config(graph, ExecutorConfig::default())
-    }
-
-    /// Build an executor with explicit configuration.
-    pub fn with_config(graph: &'g Graph, config: ExecutorConfig) -> Self {
-        let mut matcher = VertexMatcher::new(graph);
-        matcher.lev_threshold = config.lev_threshold;
-        matcher.embed_threshold = config.embed_threshold;
         QueryGraphExecutor {
             graph,
-            matcher,
-            config,
+            matcher: VertexMatcher::new(graph),
         }
+    }
+
+    /// [`new`](Self::new); the configuration has no fields.
+    pub fn with_config(graph: &'g Graph, _config: ExecutorConfig) -> Self {
+        Self::new(graph)
     }
 
     /// Confine matching and scans to the merged-graph vertices whose index
@@ -373,12 +351,12 @@ impl<'g> QueryGraphExecutor<'g> {
             traces[u].rp_count = rp.len();
 
             // maxScore(L(c_p), T) over the labels actually present in RP.
-            let mut ap = self.filter_by_predicate(&spoc.predicate, rp.as_ref().clone(), &mut traces[u]);
+            let mut ap = self.filter_by_predicate(&spoc.predicate, &rp, &mut traces[u]);
             traces[u].ap_after_predicate = ap.len();
 
             // Constraint (maxScore over 𝕊 + frequency aggregation).
             if let Some(cc) = &spoc.constraint {
-                let constraint = Constraint::max_score(cc, self.matcher.embedder());
+                let constraint = Constraint::max_score(cc, &Embedder::new());
                 let operand = Constraint::parse_operand(cc);
                 let side = self.constrained_side(gq, u);
                 ap = apply_constraint(self.graph, ap, constraint, side, operand);
@@ -499,23 +477,23 @@ impl<'g> QueryGraphExecutor<'g> {
 
     /// The `maxScore`/`filter` pair of Algorithm 3 lines 8 and 10: find the
     /// edge label most similar to `c_p` among the labels present in `RP`,
-    /// keep pairs within `filter_slack` of that best similarity.
+    /// keep pairs within [`FILTER_SLACK`] of that best similarity that also
+    /// clear [`PREDICATE_FLOOR`].
     fn filter_by_predicate(
         &self,
         predicate: &str,
-        rp: Vec<RelationPair>,
+        rp: &[RelationPair],
         trace: &mut VertexTrace,
     ) -> Vec<RelationPair> {
         if rp.is_empty() || predicate.is_empty() {
-            return rp;
+            return rp.to_vec();
         }
         // Distinct labels present in RP (usually a handful).
+        let scorer = PredicateScorer::new(predicate);
         let mut label_sims: HashMap<&str, f32> = HashMap::new();
-        for p in &rp {
+        for p in rp {
             let label = self.graph.edge_label(p.edge).expect("edge exists");
-            label_sims.entry(label).or_insert_with(|| {
-                self.matcher.embedder().similarity(predicate, label)
-            });
+            label_sims.entry(label).or_insert_with(|| scorer.score(label));
         }
         let (&best_label, &best_sim) = label_sims
             .iter()
@@ -524,13 +502,13 @@ impl<'g> QueryGraphExecutor<'g> {
             .max_by(|a, b| a.1.total_cmp(b.1).then_with(|| b.0.cmp(a.0)))
             .expect("rp non-empty");
         trace.chosen_predicate = Some(best_label.to_owned());
-        let cutoff = (best_sim - self.config.filter_slack)
-            .max(self.config.min_predicate_similarity);
-        rp.into_iter()
+        let cutoff = (best_sim - FILTER_SLACK).max(PREDICATE_FLOOR);
+        rp.iter()
             .filter(|p| {
                 let label = self.graph.edge_label(p.edge).expect("edge exists");
                 label_sims[label] >= cutoff
             })
+            .copied()
             .collect()
     }
 

@@ -3,19 +3,21 @@
 //! `matchVertex` "uses the Levenshtein Distance to find `v ∈ V_mg` whose
 //! distance is less than the empirical threshold"; for non-simple nouns it
 //! falls back to the main noun and, failing that, cosine similarity of
-//! embeddings. Matched vertices are then *semantically expanded*: following
-//! the aggregator's `same as` link edges (scene instance ↔ knowledge
-//! entity) and incoming taxonomy (`is a`) edges, so that a query about
-//! "pets" reaches the scene-graph `dog` vertices through the knowledge
-//! graph — the cross-source reasoning step the paper's Example 1 builds on.
+//! embeddings. That label ladder is [`svqa_nlp::resolve`], the one the
+//! linter predicts with; this module turns its labels into the in-scope
+//! vertices carrying them. Matched vertices are then *semantically
+//! expanded*: following the aggregator's `same as` link edges (scene
+//! instance ↔ knowledge entity) and incoming taxonomy (`is a`) edges, so
+//! that a query about "pets" reaches the scene-graph `dog` vertices through
+//! the knowledge graph — the cross-source reasoning step the paper's
+//! Example 1 builds on.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::fmt;
 use std::ops::Range;
-use svqa_nlp::lev::levenshtein_similarity;
-use svqa_nlp::Embedder;
 use svqa_graph::{EdgeId, Graph, VertexId};
+use svqa_nlp::resolve::{resolve, LabelCounts};
+
+pub use svqa_nlp::resolve::MatchMethod;
 
 /// The edge label linking scene instances to knowledge entities (must match
 /// the aggregator's `link_label`).
@@ -23,39 +25,6 @@ pub const SAME_AS: &str = "same as";
 
 /// The taxonomy edge label in the knowledge graph.
 pub const IS_A: &str = "is a";
-
-/// Which rung of the `matchVertex` ladder produced a match — recorded in
-/// execution profiles so `EXPLAIN ANALYZE` can say *how* a phrase reached
-/// the graph, not just how many vertices it hit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MatchMethod {
-    /// Exact label match on the full phrase.
-    Exact,
-    /// Levenshtein similarity over distinct labels.
-    Levenshtein,
-    /// Exact match after falling back to the main noun.
-    HeadExact,
-    /// Levenshtein match on the main noun.
-    HeadLevenshtein,
-    /// Embedding cosine-similarity fallback.
-    Embedding,
-    /// Every rung failed: empty candidate set.
-    #[default]
-    NoMatch,
-}
-
-impl fmt::Display for MatchMethod {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            MatchMethod::Exact => "exact",
-            MatchMethod::Levenshtein => "levenshtein",
-            MatchMethod::HeadExact => "head-exact",
-            MatchMethod::HeadLevenshtein => "head-levenshtein",
-            MatchMethod::Embedding => "embedding",
-            MatchMethod::NoMatch => "no-match",
-        })
-    }
-}
 
 /// A relation pair `(Sub, e, Obj)` — one element of `RP`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,22 +44,14 @@ pub struct RelationPair {
 pub struct VertexMatcher<'g> {
     graph: &'g Graph,
     scope: Range<usize>,
-    embedder: Embedder,
-    /// Minimum Levenshtein similarity for a label match.
-    pub lev_threshold: f64,
-    /// Minimum cosine similarity for the embedding fallback.
-    pub embed_threshold: f32,
 }
 
 impl<'g> VertexMatcher<'g> {
-    /// Build a matcher over all of `graph` with the default thresholds.
+    /// Build a matcher over all of `graph`.
     pub fn new(graph: &'g Graph) -> Self {
         VertexMatcher {
             graph,
             scope: 0..graph.vertex_count(),
-            embedder: Embedder::new(),
-            lev_threshold: 0.8,
-            embed_threshold: 0.6,
         }
     }
 
@@ -100,11 +61,6 @@ impl<'g> VertexMatcher<'g> {
     pub fn with_scope(mut self, scope: Range<usize>) -> Self {
         self.scope = scope;
         self
-    }
-
-    /// The embedder (shared with `maxScore` in the executor).
-    pub fn embedder(&self) -> &Embedder {
-        &self.embedder
     }
 
     /// Whether `v` lies in the scope (one compare: an index below the
@@ -122,67 +78,18 @@ impl<'g> VertexMatcher<'g> {
         &ids[start..end]
     }
 
-    /// `matchVertex(label, G_mg)`: vertices whose label matches the phrase,
-    /// and which ladder rung matched.
-    ///
-    /// 1. exact label match;
-    /// 2. Levenshtein similarity ≥ threshold over distinct labels;
-    /// 3. main-noun retry for multi-word phrases;
-    /// 4. embedding cosine fallback.
+    /// `matchVertex(label, G_mg)`: the in-scope vertices whose label the
+    /// phrase resolves to on the §V-A ladder (see
+    /// [`svqa_nlp::resolve::resolve`]), and which rung matched.
     pub fn match_vertex(&self, phrase: &str, head: &str) -> (Vec<VertexId>, MatchMethod) {
-        // Exact, then Levenshtein: on the phrase, then on the main noun of
-        // a non-simple phrase (§V-A).
-        let probes = [
-            (phrase, MatchMethod::Exact, MatchMethod::Levenshtein),
-            (head, MatchMethod::HeadExact, MatchMethod::HeadLevenshtein),
-        ];
-        let head_differs = head != phrase && !head.is_empty();
-        for (probe, exact_rung, lev_rung) in probes.into_iter().take(1 + usize::from(head_differs)) {
-            let exact = self.with_label(probe);
-            if !exact.is_empty() {
-                return (exact.to_vec(), exact_rung);
-            }
-            let by_lev = self.match_distinct_labels(|label| {
-                levenshtein_similarity(label, probe) >= self.lev_threshold
-            });
-            if !by_lev.is_empty() {
-                return (by_lev, lev_rung);
-            }
-        }
-        // Embedding fallback on the head noun.
-        let probe = if head.is_empty() { phrase } else { head };
-        let mut best: Vec<(f32, &str)> = Vec::new();
-        for (label, _) in self.graph.vertex_label_counts() {
-            let sim = self.embedder.similarity(probe, label);
-            if sim >= self.embed_threshold {
-                best.push((sim, label));
-            }
-        }
-        // `total_cmp` never panics (a NaN similarity is an ordinary — if
-        // worthless — value, not a crash), and the label tie-break makes
-        // equal-similarity candidates independent of `HashMap` iteration
-        // order, so embedding-fallback results are deterministic.
-        best.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(b.1)));
-        let found: Vec<VertexId> = best
+        let resolution = resolve(phrase, head, self);
+        let found = resolution
+            .labels
             .iter()
-            .flat_map(|(_, label)| self.with_label(label))
+            .flat_map(|&(label, _)| self.with_label(label))
             .copied()
             .collect();
-        if found.is_empty() {
-            (found, MatchMethod::NoMatch)
-        } else {
-            (found, MatchMethod::Embedding)
-        }
-    }
-
-    fn match_distinct_labels(&self, pred: impl Fn(&str) -> bool) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        for (label, _) in self.graph.vertex_label_counts() {
-            if pred(label) {
-                out.extend_from_slice(self.with_label(label));
-            }
-        }
-        out
+        (found, resolution.rung)
     }
 
     /// Semantic expansion: close the set under `same as` links (both
@@ -274,6 +181,17 @@ impl<'g> VertexMatcher<'g> {
             }
         }
         (pairs, scanned)
+    }
+}
+
+/// The merged graph's vertex labels, counted within the scope.
+impl LabelCounts for VertexMatcher<'_> {
+    fn labels(&self) -> impl Iterator<Item = &str> {
+        self.graph.vertex_label_counts().map(|(label, _)| label)
+    }
+
+    fn count(&self, label: &str) -> usize {
+        self.with_label(label).len()
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::answer::Answer;
 use crate::cache::{CacheGranularity, CacheStats, EvictionPolicy, ShardedCache};
-use crate::executor::{ExecError, ExecutorConfig, QueryGraphExecutor};
+use crate::executor::{ExecError, QueryGraphExecutor};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -35,8 +35,6 @@ pub struct SchedulerConfig {
     /// Whether to apply the frequency-ratio ordering (ablation switch; off
     /// = FIFO order).
     pub frequency_sort: bool,
-    /// Executor tuning.
-    pub executor: ExecutorConfig,
 }
 
 impl Default for SchedulerConfig {
@@ -48,7 +46,6 @@ impl Default for SchedulerConfig {
             shards: 8,
             threads: 1,
             frequency_sort: true,
-            executor: ExecutorConfig::default(),
         }
     }
 }
@@ -179,7 +176,7 @@ impl QueryScheduler {
         cost_hints: Option<&[f64]>,
     ) -> BatchReport {
         let (order, scores) = self.schedule(queries, cost_hints);
-        let executor = QueryGraphExecutor::with_config(graph, self.config.executor);
+        let executor = QueryGraphExecutor::new(graph);
         let start = Instant::now();
         let ran = self.run_ordered(queries.iter().collect(), &order, |gq| {
             let t0 = Instant::now();

@@ -19,7 +19,9 @@
 //!   ("are worn" → "wear", as in the paper's Example 4);
 //! * deterministic concept-cluster word embeddings with cosine similarity
 //!   ([`embedding`]) — the stand-in for word2vec in `maxScore`;
-//! * Levenshtein edit distance ([`lev`]) used by `matchVertex`.
+//! * Levenshtein edit distance ([`lev`]) used by `matchVertex`;
+//! * the `matchVertex` label ladder and the `maxScore` predicate score
+//!   ([`resolve`]), shared by the executor and the linter.
 //!
 //! The substitutions are documented in the repository's `DESIGN.md`.
 
@@ -31,6 +33,7 @@ pub mod embedding;
 pub mod lemma;
 pub mod lev;
 pub mod pos;
+pub mod resolve;
 pub mod tags;
 pub mod token;
 pub mod transition;

@@ -3,11 +3,12 @@
 
 use crate::diag::{codes, Diagnostic, Severity, Slot};
 use crate::schema::Schema;
-use crate::{Linter, structural::bound_slot};
-use std::collections::HashMap;
-use svqa_nlp::lev::levenshtein_similarity;
-use svqa_nlp::vocab;
-use svqa_qparser::{NounPhrase, QueryGraph};
+use crate::{resolve_slots, structural::bound_slot, SlotResolutions};
+use svqa_qparser::{Dependency, QueryGraph};
+
+/// A quad whose estimated pair scan exceeds this many times the graph's
+/// vertex count draws a cartesian-blowup warning.
+const BLOWUP_FACTOR: f64 = 64.0;
 
 /// Estimated work for one quad: the candidate-set sizes of both slots and
 /// the implied pair-scan size.
@@ -34,93 +35,66 @@ pub struct QueryCost {
 
 /// Estimate the cost of every quad. Bound slots inherit the provider's
 /// answer-side estimate (walked in execution order); wildcard slots scan
-/// every vertex; named slots use exact, fuzzy, or cluster cardinalities
-/// from the schema.
+/// every vertex; named slots seed as many vertices as `matchVertex`
+/// resolves them to.
 pub fn query_cost(schema: &Schema, gq: &QueryGraph) -> QueryCost {
+    costs(schema, gq, &resolve_slots(schema, gq))
+}
+
+fn costs(schema: &Schema, gq: &QueryGraph, resolved: &SlotResolutions<'_>) -> QueryCost {
     let Some(order) = gq.execution_order() else {
         // Cyclic/dangling graphs are rejected by the structural pass; a
         // zero cost keeps this function total for direct callers.
         return QueryCost::default();
     };
 
-    // (vertex, is_subject) → resolved cardinality, filled providers-first.
-    let mut cards: HashMap<(usize, bool), usize> = HashMap::new();
-    let mut quads = vec![
-        QuadCost { vertex: 0, subject_card: 0, object_card: 0, pairs: 0.0 };
-        gq.len()
-    ];
+    // Per quad, the resolved `[subject, object]` cardinalities, filled
+    // providers-first.
+    let mut cards = vec![[0usize; 2]; gq.len()];
     for v in order {
-        let spoc = &gq.vertices[v];
-        for (is_subject, np) in [(true, &spoc.subject), (false, &spoc.object)] {
-            let slot = if is_subject { Slot::Subject } else { Slot::Object };
+        for (side, slot) in [Slot::Subject, Slot::Object].into_iter().enumerate() {
             let fed_by: Option<usize> = gq
                 .in_edges(v)
                 .filter(|e| bound_slot(e.dependency) == slot)
                 .map(|e| {
-                    let provider_is_subject = matches!(
-                        e.dependency,
-                        svqa_qparser::Dependency::S2S | svqa_qparser::Dependency::O2S
-                    );
-                    cards
-                        .get(&(e.provider, provider_is_subject))
-                        .copied()
-                        .unwrap_or(0)
+                    let provider_side =
+                        usize::from(!matches!(e.dependency, Dependency::S2S | Dependency::O2S));
+                    cards[e.provider][provider_side]
                 })
                 .min();
-            let card = match fed_by {
-                Some(provided) => provided,
-                None => slot_cardinality(schema, np),
-            };
-            cards.insert((v, is_subject), card);
+            cards[v][side] = fed_by.unwrap_or_else(|| {
+                resolved[v][side]
+                    .as_ref()
+                    // Unresolved and unbound: a wildcard scans every vertex.
+                    .map_or(schema.vertex_total(), |r| r.count())
+            });
         }
-        let subject_card = cards[&(v, true)];
-        let object_card = cards[&(v, false)];
-        quads[v] = QuadCost {
-            vertex: v,
+    }
+    let quads: Vec<QuadCost> = cards
+        .iter()
+        .enumerate()
+        .map(|(vertex, &[subject_card, object_card])| QuadCost {
+            vertex,
             subject_card,
             object_card,
             pairs: subject_card as f64 * object_card as f64,
-        };
-    }
+        })
+        .collect();
     let total = quads.iter().map(|q| q.pairs).sum();
     QueryCost { quads, total }
 }
 
-/// Candidate-set size for one unbound slot.
-fn slot_cardinality(schema: &Schema, np: &NounPhrase) -> usize {
-    if np.is_empty() {
-        // Wildcard: the executor scans every vertex.
-        return schema.vertex_total();
-    }
-    let head = np.head.trim().to_lowercase();
-    let phrase = np.phrase.trim().to_lowercase();
-    let exact = schema.category_cardinality(&head) + if phrase != head {
-        schema.category_cardinality(&phrase)
-    } else {
-        0
-    };
-    if exact > 0 {
-        return exact;
-    }
-    // Fuzzy: everything a Levenshtein or same-cluster match could bind.
-    let cluster = vocab::cluster_of(&head);
-    schema
-        .categories()
-        .filter(|(label, _)| {
-            levenshtein_similarity(&head, label) >= 0.8
-                || cluster.is_some_and(|c| c.members.contains(label))
-        })
-        .map(|(_, n)| n)
-        .sum()
-}
-
-pub(crate) fn check(linter: &Linter, gq: &QueryGraph, out: &mut Vec<Diagnostic>) {
-    let schema = linter.schema();
+pub(crate) fn check(
+    schema: &Schema,
+    gq: &QueryGraph,
+    resolved: &SlotResolutions<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
     let vertex_total = schema.vertex_total().max(1);
-    let blowup = linter.config.blowup_factor * vertex_total as f64;
+    let blowup = BLOWUP_FACTOR * vertex_total as f64;
     let wide = (vertex_total / 10).max(64);
 
-    for q in &query_cost(schema, gq).quads {
+    for q in &costs(schema, gq, resolved).quads {
         let spoc = &gq.vertices[q.vertex];
         if q.pairs > blowup && q.subject_card > 1 && q.object_card > 1 {
             out.push(

@@ -18,10 +18,16 @@
 //!    flagging cartesian blowups and feeding join-order hints to the
 //!    scheduler.
 //!
+//! Both semantic and cost passes read one resolution per unbound category
+//! slot, made by the executor's own `matchVertex` ladder
+//! ([`svqa_nlp::resolve`]) over the schema's labels: a slot is unmatched
+//! when its rung is `NoMatch`, and its cardinality is the sum of the
+//! resolved label counts, i.e. the size of the executor's seed set.
+//!
 //! Severity policy: [`Severity::Error`] means the plan *cannot* produce
-//! answers (the executor's own matching thresholds guarantee an empty
-//! match), [`Severity::Warning`] means the plan is suspicious or expensive
-//! but executable, [`Severity::Hint`] is planner guidance.
+//! answers (the executor runs the same ladder and comes back empty),
+//! [`Severity::Warning`] means the plan is suspicious or expensive but
+//! executable, [`Severity::Hint`] is planner guidance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,58 +42,20 @@ pub use cost::{query_cost, QuadCost, QueryCost};
 pub use diag::{codes, Diagnostic, LintReport, Severity, Slot};
 pub use schema::Schema;
 
+use structural::bound_slot;
+use svqa_nlp::resolve::{resolve, Resolution};
 use svqa_qparser::QueryGraph;
 
-/// Matching thresholds mirrored from the executor's defaults (§V-A). The
-/// linter must agree with `matchVertex`: a slot it calls unmatchable has to
-/// be one the executor would also fail to match, or lint errors would
-/// reject answerable questions.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Levenshtein similarity at or above which a category label matches.
-    pub lev_threshold: f64,
-    /// Embedding cosine similarity at or above which a category matches.
-    pub embed_threshold: f32,
-    /// Minimum embedding similarity for a predicate to select an edge.
-    pub min_predicate_similarity: f32,
-    /// A quad whose estimated pair scan exceeds `blowup_factor *
-    /// vertex_total` draws a cartesian-blowup warning.
-    pub blowup_factor: f64,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            lev_threshold: 0.8,
-            embed_threshold: 0.6,
-            min_predicate_similarity: 0.45,
-            blowup_factor: 64.0,
-        }
-    }
-}
-
-/// The query-graph linter: a [`Schema`] plus the executor-mirroring
-/// thresholds, reused across questions.
+/// The query-graph linter: a [`Schema`], reused across questions.
 #[derive(Debug, Clone)]
 pub struct Linter {
     schema: Schema,
-    config: LintConfig,
-    embedder: svqa_nlp::Embedder,
 }
 
 impl Linter {
-    /// Build a linter over an extracted schema with default thresholds.
+    /// Build a linter over an extracted schema.
     pub fn new(schema: Schema) -> Self {
-        Linter::with_config(schema, LintConfig::default())
-    }
-
-    /// Build a linter with explicit thresholds.
-    pub fn with_config(schema: Schema, config: LintConfig) -> Self {
-        Linter {
-            schema,
-            config,
-            embedder: svqa_nlp::Embedder::new(),
-        }
+        Linter { schema }
     }
 
     /// The schema this linter checks against.
@@ -102,8 +70,9 @@ impl Linter {
         // Semantic and cost checks index slots and walk execution order;
         // both are only meaningful on a structurally sound graph.
         if structurally_sound {
-            semantic::check(self, gq, &mut diagnostics);
-            cost::check(self, gq, &mut diagnostics);
+            let resolved = resolve_slots(&self.schema, gq);
+            semantic::check(&self.schema, gq, &resolved, &mut diagnostics);
+            cost::check(&self.schema, gq, &resolved, &mut diagnostics);
         }
         diagnostics.sort_by(|a, b| {
             b.severity
@@ -119,6 +88,27 @@ impl Linter {
     pub fn cost(&self, gq: &QueryGraph) -> QueryCost {
         cost::query_cost(&self.schema, gq)
     }
+}
+
+/// Per quad, the resolutions of its `[subject, object]`.
+type SlotResolutions<'a> = Vec<[Option<Resolution<'a>>; 2]>;
+
+/// The `matchVertex` resolution of every category slot against the
+/// schema's labels, once per lint. `None` for a wildcard slot and for a
+/// slot fed by a dependency edge, which Algorithm 3 rewrites with the
+/// provider's answers instead of matching its surface text (the
+/// "girlfriend" in ⟨wizard, hang out with, girlfriend⟩).
+fn resolve_slots<'a>(schema: &'a Schema, gq: &'a QueryGraph) -> SlotResolutions<'a> {
+    let bound = |v: usize, slot: Slot| gq.in_edges(v).any(|e| bound_slot(e.dependency) == slot);
+    gq.vertices
+        .iter()
+        .enumerate()
+        .map(|(v, spoc)| {
+            [(Slot::Subject, &spoc.subject), (Slot::Object, &spoc.object)].map(|(slot, np)| {
+                (!np.is_empty() && !bound(v, slot)).then(|| resolve(&np.phrase, &np.head, schema))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

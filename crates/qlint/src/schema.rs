@@ -4,6 +4,7 @@
 
 use std::collections::HashMap;
 use svqa_graph::Graph;
+use svqa_nlp::resolve::LabelCounts;
 
 /// Statistics the lint passes need from a merged graph `G_mg`: which
 /// category labels exist (and how many vertices carry each), which
@@ -75,6 +76,18 @@ impl Schema {
     /// All predicate labels with their cardinalities.
     pub fn predicates(&self) -> impl Iterator<Item = (&str, usize)> {
         self.edge_labels.iter().map(|(l, n)| (l.as_str(), *n))
+    }
+}
+
+/// The category labels, counted over the whole merged graph: what the
+/// lint passes resolve category slots against.
+impl LabelCounts for Schema {
+    fn labels(&self) -> impl Iterator<Item = &str> {
+        self.vertex_labels.keys().map(String::as_str)
+    }
+
+    fn count(&self, label: &str) -> usize {
+        self.category_cardinality(label)
     }
 }
 
