@@ -17,9 +17,6 @@ pub struct AggregatorConfig {
     pub frequency_threshold: usize,
     /// Neighbourhood radius `k` for `G[S(t, k)]`. The paper sets `k = 2`.
     pub k: usize,
-    /// Label of the link edges between scene vertices and their
-    /// knowledge-graph counterparts.
-    pub link_label: String,
 }
 
 impl Default for AggregatorConfig {
@@ -27,7 +24,6 @@ impl Default for AggregatorConfig {
         AggregatorConfig {
             frequency_threshold: 5,
             k: 2,
-            link_label: "same as".to_owned(),
         }
     }
 }
@@ -117,7 +113,7 @@ impl DataAggregator {
 
         // --- Attach stage (lines 8–16): the cached-subgraph lookup first,
         // a direct knowledge-graph query as the fallback, once per label. ---
-        let attached = attacher.attach(&mut merged, &self.config.link_label, |_, label, count| {
+        let attached = attacher.attach(&mut merged, |_, label, count| {
             cache.lookup(kg, label, count)
         });
 

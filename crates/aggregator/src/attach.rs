@@ -15,7 +15,9 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use svqa_graph::{Graph, GraphWindow, LabelHistogram, Properties, VertexId, WindowSize};
+use svqa_graph::{
+    Graph, GraphWindow, LabelHistogram, Properties, VertexId, WindowSize, SAME_AS,
+};
 use svqa_vision::{SceneRecords, RELATION_VOCAB};
 
 /// The scene graphs one part attaches, in either held form.
@@ -144,12 +146,12 @@ impl<'p> Attacher<'p> {
         )
     }
 
-    /// Attach every part to `merged`, linking with edges labeled
-    /// `link_label`. `counterpart(merged, label, count)` maps a scene label
-    /// to its knowledge-graph vertex in `merged` (handed the graph as it
-    /// stands before the attach), or `None`; it is called once per distinct
-    /// label, with the number of scene vertices carrying it.
-    pub fn attach<F>(self, merged: &mut Graph, link_label: &str, mut counterpart: F) -> Attached
+    /// Attach every part to `merged`, linking with [`SAME_AS`] edges.
+    /// `counterpart(merged, label, count)` maps a scene label to its
+    /// knowledge-graph vertex in `merged` (handed the graph as it stands
+    /// before the attach), or `None`; it is called once per distinct label,
+    /// with the number of scene vertices carrying it.
+    pub fn attach<F>(self, merged: &mut Graph, mut counterpart: F) -> Attached
     where
         F: FnMut(&Graph, &str, usize) -> Option<VertexId>,
     {
@@ -175,7 +177,7 @@ impl<'p> Attacher<'p> {
             edge_labels[slot] = &**label;
         }
         let link = self.edge_slots.len();
-        edge_labels[link] = link_label;
+        edge_labels[link] = SAME_AS;
 
         let windows: Vec<_> = self
             .sizes

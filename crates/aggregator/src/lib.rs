@@ -9,7 +9,7 @@
 //! * every knowledge-graph vertex and edge, unchanged;
 //! * every scene-graph vertex and edge (vertex properties carry the image
 //!   id), appended per image, from per-image graphs or flat scene records;
-//! * *link edges* (label configurable, default `"same as"`) connecting each
+//! * *link edges* (labeled [`svqa_graph::SAME_AS`]) connecting each
 //!   scene vertex to the knowledge-graph vertex with the matching label,
 //!   in both directions, so query execution can hop between visual
 //!   evidence and external knowledge.

@@ -61,7 +61,6 @@ fn bench_ablations(c: &mut Criterion) {
         let aggregator = DataAggregator::new(AggregatorConfig {
             frequency_threshold: c_threshold,
             k,
-            ..AggregatorConfig::default()
         });
         c.bench_function(&format!("ablation/aggregator_{label}"), |b| {
             b.iter(|| black_box(aggregator.merge(&scene_graphs, &kg).graph.edge_count()))

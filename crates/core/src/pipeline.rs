@@ -278,17 +278,13 @@ impl Svqa {
         // with this label, when it lies inside the KG id range (the label
         // index lists ids in ascending order, KG vertices first).
         let links = Attacher::records(records)
-            .attach(
-                &mut self.merged,
-                &self.config.aggregator.link_label,
-                |merged, label, _| {
-                    merged
-                        .vertices_with_label(label)
-                        .first()
-                        .copied()
-                        .filter(|v| v.index() < kg_vertex_count)
-                },
-            )
+            .attach(&mut self.merged, |merged, label, _| {
+                merged
+                    .vertices_with_label(label)
+                    .first()
+                    .copied()
+                    .filter(|v| v.index() < kg_vertex_count)
+            })
             .links;
         global().incr_counter_by(counter::SCENE_GRAPHS_BUILT, images.len() as u64);
         self.build_stats.scene_graphs += images.len();

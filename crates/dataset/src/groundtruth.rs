@@ -11,8 +11,9 @@
 
 use crate::kg::CHARACTER_RELATIONS;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use svqa_graph::Graph;
+use svqa_graph::{Graph, IS_A};
 use svqa_vision::scene::SyntheticImage;
 
 /// A ground-truth answer.
@@ -68,14 +69,43 @@ pub struct ChainLink {
 /// knowledge-graph pseudo-triple.
 type ClausePair = (usize, usize, usize, String, String);
 
+/// The label a clause instance carries on `side`.
+fn side_label(pair: &ClausePair, side: Side) -> &str {
+    match side {
+        Side::Sub => &pair.3,
+        Side::Obj => &pair.4,
+    }
+}
+
+/// Labels on `side` of `pairs` with their support, most supported first
+/// (ties broken by label).
+fn ranked(pairs: &[ClausePair], side: Side) -> Vec<(&str, usize)> {
+    let mut counts: HashMap<&str, usize> = HashMap::new();
+    for p in pairs {
+        *counts.entry(side_label(p, side)).or_insert(0) += 1;
+    }
+    let mut ranked: Vec<(&str, usize)> = counts.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    ranked
+}
+
+/// What one walk of a clause chain yields.
+struct Walk {
+    /// Clause 0's matching instances, under every binding it received.
+    answers: Vec<ClausePair>,
+    /// Whether every clause matched at least one instance.
+    all_matched: bool,
+    /// Whether a "most frequently" constraint had two labels tied at the
+    /// top.
+    tied: bool,
+}
+
 /// The ground-truth evaluator.
 pub struct GroundTruth<'a> {
     images: &'a [SyntheticImage],
     /// class noun → the set of labels it covers (taxonomy closure,
     /// including the noun itself and entity names).
     closures: HashMap<String, HashSet<String>>,
-    /// Knowledge relations as label triples.
-    kg_triples: Vec<(String, String, String)>,
 }
 
 impl<'a> GroundTruth<'a> {
@@ -93,7 +123,7 @@ impl<'a> GroundTruth<'a> {
             seen.insert(vid);
             while let Some(cur) = stack.pop() {
                 for (_, e) in kg.in_edges(cur) {
-                    if e.label() == "is a" && seen.insert(e.src()) {
+                    if e.label() == IS_A && seen.insert(e.src()) {
                         members.insert(kg.vertex_label(e.src()).unwrap_or_default().to_owned());
                         stack.push(e.src());
                     }
@@ -101,15 +131,7 @@ impl<'a> GroundTruth<'a> {
             }
             closures.insert(v.label().to_owned(), members);
         }
-        let kg_triples = CHARACTER_RELATIONS
-            .iter()
-            .map(|&(s, r, o)| (s.to_owned(), r.to_owned(), o.to_owned()))
-            .collect();
-        GroundTruth {
-            images,
-            closures,
-            kg_triples,
-        }
+        GroundTruth { images, closures }
     }
 
     /// Labels covered by a head noun (the noun itself if it is not in the
@@ -122,8 +144,23 @@ impl<'a> GroundTruth<'a> {
     }
 
     /// Whether `pred` is a knowledge-graph relation (vs a scene relation).
-    fn is_kg_relation(&self, pred: &str) -> bool {
-        self.kg_triples.iter().any(|(_, r, _)| r == pred)
+    fn is_kg_relation(pred: &str) -> bool {
+        CHARACTER_RELATIONS.iter().any(|&(_, r, _)| r == pred)
+    }
+
+    /// The labels a clause slot admits: its binding as it stands (labels
+    /// propagate at category level), else its head's taxonomy closure;
+    /// `None` for a wildcard.
+    fn admitted<'b>(
+        &self,
+        bind: Option<&'b HashSet<String>>,
+        head: &str,
+    ) -> Option<Cow<'b, HashSet<String>>> {
+        match bind {
+            Some(b) => Some(Cow::Borrowed(b)),
+            None if head.is_empty() => None,
+            None => Some(Cow::Owned(self.closure(head))),
+        }
     }
 
     /// Evaluate one clause: matching `(image idx, sub obj-idx, obj obj-idx)`
@@ -135,33 +172,22 @@ impl<'a> GroundTruth<'a> {
         sub_bind: Option<&HashSet<String>>,
         obj_bind: Option<&HashSet<String>>,
     ) -> Vec<ClausePair> {
-        let sub_set: Option<HashSet<String>> = match sub_bind {
-            Some(b) => Some(self.expand_binding(b)),
-            None if clause.sub.is_empty() => None,
-            None => Some(self.closure(&clause.sub)),
-        };
-        let obj_set: Option<HashSet<String>> = match obj_bind {
-            Some(b) => Some(self.expand_binding(b)),
-            None if clause.obj.is_empty() => None,
-            None => Some(self.closure(&clause.obj)),
-        };
-        let in_set = |set: &Option<HashSet<String>>, label: &str, category: &str| -> bool {
+        let sub_set = self.admitted(sub_bind, &clause.sub);
+        let obj_set = self.admitted(obj_bind, &clause.obj);
+        let in_set = |set: &Option<Cow<HashSet<String>>>, label: &str, category: &str| -> bool {
             match set {
                 None => true,
                 Some(s) => s.contains(label) || s.contains(category),
             }
         };
-        if self.is_kg_relation(&clause.pred) {
-            return self
-                .kg_triples
+        if Self::is_kg_relation(&clause.pred) {
+            return CHARACTER_RELATIONS
                 .iter()
-                .filter(|(s, r, o)| {
-                    r == &clause.pred
-                        && in_set(&sub_set, s, s)
-                        && in_set(&obj_set, o, o)
+                .filter(|&&(s, r, o)| {
+                    r == clause.pred && in_set(&sub_set, s, s) && in_set(&obj_set, o, o)
                 })
                 .enumerate()
-                .map(|(i, (s, _, o))| (usize::MAX, i, i, s.clone(), o.clone()))
+                .map(|(i, &(s, _, o))| (usize::MAX, i, i, s.to_owned(), o.to_owned()))
                 .collect();
         }
         let mut out = Vec::new();
@@ -191,10 +217,54 @@ impl<'a> GroundTruth<'a> {
         out
     }
 
-    /// Bindings propagate at label level; entity labels stay themselves,
-    /// category labels stay themselves (category-level identity).
-    fn expand_binding(&self, binding: &HashSet<String>) -> HashSet<String> {
-        binding.clone()
+    /// Walk a clause chain once, providers before consumers (chains are
+    /// linear, highest index deepest). A "most frequently" clause keeps only
+    /// its modal subject labels; each link binds its consumer slot to the
+    /// provider's labels, intersected with any binding the slot already has.
+    fn walk(&self, clauses: &[ChainClause], links: &[ChainLink]) -> Walk {
+        let n = clauses.len();
+        let mut sub_bind: Vec<Option<HashSet<String>>> = vec![None; n];
+        let mut obj_bind: Vec<Option<HashSet<String>>> = vec![None; n];
+        let mut all_matched = true;
+        let mut tied = false;
+        let mut pairs = Vec::new();
+        for i in (0..n).rev() {
+            pairs = self.clause_pairs(&clauses[i], sub_bind[i].as_ref(), obj_bind[i].as_ref());
+            if clauses[i].most_frequent {
+                // Aggregate on the provided side (subject by convention for
+                // our templates).
+                let ranking = ranked(&pairs, Side::Sub);
+                if let Some(&(_, max)) = ranking.first() {
+                    tied |= ranking.get(1).is_some_and(|&(_, c)| c == max);
+                    let keep: HashSet<String> = ranking
+                        .iter()
+                        .take_while(|&&(_, c)| c == max)
+                        .map(|&(l, _)| l.to_owned())
+                        .collect();
+                    pairs.retain(|p| keep.contains(&p.3));
+                }
+            }
+            all_matched &= !pairs.is_empty();
+            for link in links.iter().filter(|l| l.provider == i) {
+                let labels: HashSet<String> = pairs
+                    .iter()
+                    .map(|p| side_label(p, link.provider_side).to_owned())
+                    .collect();
+                let slot = match link.consumer_side {
+                    Side::Sub => &mut sub_bind[link.consumer],
+                    Side::Obj => &mut obj_bind[link.consumer],
+                };
+                *slot = Some(match slot.take() {
+                    Some(existing) => existing.intersection(&labels).cloned().collect(),
+                    None => labels,
+                });
+            }
+        }
+        Walk {
+            answers: pairs,
+            all_matched,
+            tied,
+        }
     }
 
     /// Evaluate a clause chain. `answer_side` is the answer slot of clause
@@ -206,57 +276,12 @@ impl<'a> GroundTruth<'a> {
         qtype: svqa_qparser::QuestionType,
         answer_side: Side,
     ) -> GtAnswer {
-        let n = clauses.len();
-        let mut sub_bind: Vec<Option<HashSet<String>>> = vec![None; n];
-        let mut obj_bind: Vec<Option<HashSet<String>>> = vec![None; n];
-        let mut pair_sets: Vec<Vec<ClausePair>> = vec![Vec::new(); n];
-        // Execution order: providers before consumers (chains are linear,
-        // highest index deepest).
-        for i in (0..n).rev() {
-            let mut pairs =
-                self.clause_pairs(&clauses[i], sub_bind[i].as_ref(), obj_bind[i].as_ref());
-            if clauses[i].most_frequent {
-                // Aggregate on the provided side (subject by convention for
-                // our templates).
-                let mut counts: HashMap<&str, usize> = HashMap::new();
-                for p in &pairs {
-                    *counts.entry(p.3.as_str()).or_insert(0) += 1;
-                }
-                if let Some(&max) = counts.values().max() {
-                    let keep: HashSet<String> = counts
-                        .iter()
-                        .filter(|(_, &c)| c == max)
-                        .map(|(l, _)| (*l).to_owned())
-                        .collect();
-                    pairs.retain(|p| keep.contains(&p.3));
-                }
-            }
-            for link in links.iter().filter(|l| l.provider == i) {
-                let labels: HashSet<String> = pairs
-                    .iter()
-                    .map(|p| match link.provider_side {
-                        Side::Sub => p.3.clone(),
-                        Side::Obj => p.4.clone(),
-                    })
-                    .collect();
-                let slot = match link.consumer_side {
-                    Side::Sub => &mut sub_bind[link.consumer],
-                    Side::Obj => &mut obj_bind[link.consumer],
-                };
-                *slot = Some(match slot.take() {
-                    Some(existing) => existing.intersection(&labels).cloned().collect(),
-                    None => labels,
-                });
-            }
-            pair_sets[i] = pairs;
-        }
-
+        let walk = self.walk(clauses, links);
         match qtype {
-            svqa_qparser::QuestionType::Judgment => {
-                GtAnswer::YesNo(pair_sets.iter().all(|p| !p.is_empty()))
-            }
+            svqa_qparser::QuestionType::Judgment => GtAnswer::YesNo(walk.all_matched),
             svqa_qparser::QuestionType::Counting => {
-                let distinct: HashSet<(usize, usize)> = pair_sets[0]
+                let distinct: HashSet<(usize, usize)> = walk
+                    .answers
                     .iter()
                     .map(|p| match answer_side {
                         Side::Sub => (p.0, p.1),
@@ -265,95 +290,36 @@ impl<'a> GroundTruth<'a> {
                     .collect();
                 GtAnswer::Count(distinct.len())
             }
-            svqa_qparser::QuestionType::Reasoning => {
-                let mut counts: HashMap<&str, usize> = HashMap::new();
-                for p in &pair_sets[0] {
-                    let label = match answer_side {
-                        Side::Sub => p.3.as_str(),
-                        Side::Obj => p.4.as_str(),
-                    };
-                    *counts.entry(label).or_insert(0) += 1;
-                }
-                let mut ranked: Vec<(&str, usize)> = counts.into_iter().collect();
-                ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-                match ranked.first() {
-                    Some((label, _)) => GtAnswer::Entity((*label).to_owned()),
-                    None => GtAnswer::Entity(String::new()),
-                }
-            }
+            svqa_qparser::QuestionType::Reasoning => GtAnswer::Entity(
+                ranked(&walk.answers, answer_side)
+                    .first()
+                    .map_or_else(String::new, |&(label, _)| label.to_owned()),
+            ),
         }
     }
 
-    /// Whether the reasoning answer is *unique with margin*: the top label
+    /// The reasoning answer, when it is *unique with margin*: no "most
+    /// frequently" constraint on the way may be tied, and the top label
     /// must beat the runner-up by at least 30% relative support. Moderately
     /// contested rankings stay in the dataset (the paper's handwritten
     /// questions are not noise-proof either) — they are where perception
-    /// noise costs reasoning accuracy.
-    pub fn reasoning_is_stable(
+    /// noise costs reasoning accuracy. When `Some`, it is what [`Self::eval`]
+    /// answers for the same chain.
+    pub fn stable_reasoning_answer(
         &self,
         clauses: &[ChainClause],
         links: &[ChainLink],
         answer_side: Side,
-    ) -> bool {
-        let n = clauses.len();
-        let mut sub_bind: Vec<Option<HashSet<String>>> = vec![None; n];
-        let mut obj_bind: Vec<Option<HashSet<String>>> = vec![None; n];
-        let mut top_two: Option<(usize, usize)> = None;
-        for i in (0..n).rev() {
-            let mut pairs =
-                self.clause_pairs(&clauses[i], sub_bind[i].as_ref(), obj_bind[i].as_ref());
-            if clauses[i].most_frequent {
-                let mut counts: HashMap<&str, usize> = HashMap::new();
-                for p in &pairs {
-                    *counts.entry(p.3.as_str()).or_insert(0) += 1;
-                }
-                // Constraint itself must be unambiguous.
-                let mut vals: Vec<usize> = counts.values().copied().collect();
-                vals.sort_unstable_by(|a, b| b.cmp(a));
-                if vals.len() > 1 && vals[0] == vals[1] {
-                    return false;
-                }
-                if let Some(&max) = vals.first() {
-                    let keep: HashSet<String> = counts
-                        .iter()
-                        .filter(|(_, &c)| c == max)
-                        .map(|(l, _)| (*l).to_owned())
-                        .collect();
-                    pairs.retain(|p| keep.contains(&p.3));
-                }
-            }
-            for link in links.iter().filter(|l| l.provider == i) {
-                let labels: HashSet<String> = pairs
-                    .iter()
-                    .map(|p| match link.provider_side {
-                        Side::Sub => p.3.clone(),
-                        Side::Obj => p.4.clone(),
-                    })
-                    .collect();
-                let slot = match link.consumer_side {
-                    Side::Sub => &mut sub_bind[link.consumer],
-                    Side::Obj => &mut obj_bind[link.consumer],
-                };
-                *slot = Some(labels);
-            }
-            if i == 0 {
-                let mut counts: HashMap<&str, usize> = HashMap::new();
-                for p in &pairs {
-                    let label = match answer_side {
-                        Side::Sub => p.3.as_str(),
-                        Side::Obj => p.4.as_str(),
-                    };
-                    *counts.entry(label).or_insert(0) += 1;
-                }
-                let mut vals: Vec<usize> = counts.values().copied().collect();
-                vals.sort_unstable_by(|a, b| b.cmp(a));
-                top_two = Some((
-                    vals.first().copied().unwrap_or(0),
-                    vals.get(1).copied().unwrap_or(0),
-                ));
-            }
+    ) -> Option<GtAnswer> {
+        let walk = self.walk(clauses, links);
+        if walk.tied {
+            return None;
         }
-        matches!(top_two, Some((a, b)) if a > b && a as f64 >= 1.3 * b as f64)
+        let ranking = ranked(&walk.answers, answer_side);
+        let (label, top) = ranking.first().copied()?;
+        let runner_up = ranking.get(1).map_or(0, |&(_, c)| c);
+        (top > runner_up && top as f64 >= 1.3 * runner_up as f64)
+            .then(|| GtAnswer::Entity(label.to_owned()))
     }
 
     /// Number of images containing at least one instance matching any of
@@ -545,6 +511,106 @@ mod tests {
             Side::Sub,
         );
         assert_eq!(ans, GtAnswer::Entity("harry potter".into()));
+    }
+
+    /// One two-object image per `(sub, pred, obj)` triple.
+    fn scenes(triples: &[(&str, &str, &str)]) -> Vec<SyntheticImage> {
+        let object = |category: &str| svqa_vision::scene::SceneObject {
+            category: category.into(),
+            bbox: svqa_vision::BBox::new(0.0, 0.0, 0.1, 0.1),
+            depth: 0.5,
+            entity: None,
+            attributes: Vec::new(),
+        };
+        triples
+            .iter()
+            .zip(0..)
+            .map(|(&(s, p, o), id)| SyntheticImage {
+                id,
+                objects: vec![object(s), object(o)],
+                relations: vec![svqa_vision::scene::GroundTruthRelation {
+                    sub: 0,
+                    pred: p.into(),
+                    obj: 1,
+                    emergent: false,
+                }],
+                caption: String::new(),
+            })
+            .collect()
+    }
+
+    /// `dogs` dogs and `cats` cats near a car.
+    fn pets_near_car(dogs: usize, cats: usize) -> Vec<(&'static str, &'static str, &'static str)> {
+        let mut triples = vec![("dog", "near", "car"); dogs];
+        triples.extend(vec![("cat", "near", "car"); cats]);
+        triples
+    }
+
+    fn is_stable(images: &[SyntheticImage], clauses: &[ChainClause], links: &[ChainLink]) -> bool {
+        let kg = build_knowledge_graph();
+        GroundTruth::new(images, &kg)
+            .stable_reasoning_answer(clauses, links, Side::Sub)
+            .is_some()
+    }
+
+    #[test]
+    fn tied_most_frequent_constraint_is_unstable() {
+        let images = scenes(&pets_near_car(2, 2));
+        let most_frequent = ChainClause {
+            most_frequent: true,
+            ..clause("pet", "near", "car")
+        };
+        assert!(!is_stable(&images, &[most_frequent], &[]));
+    }
+
+    #[test]
+    fn top_label_without_margin_is_unstable() {
+        // 5 dogs against 4 cats: the top label is below 1.3× the runner-up.
+        let images = scenes(&pets_near_car(5, 4));
+        assert!(!is_stable(&images, &[clause("pet", "near", "car")], &[]));
+    }
+
+    #[test]
+    fn clear_winner_is_stable() {
+        let images = scenes(&pets_near_car(5, 2));
+        assert!(is_stable(&images, &[clause("pet", "near", "car")], &[]));
+    }
+
+    #[test]
+    fn stability_intersects_links_sharing_a_slot() {
+        // Dogs and cats are near cars equally often, but only the dog both
+        // holds a ball and watches the tv: the two links into clause 0's
+        // subject intersect to {dog}, so the answer is unique.
+        let mut triples = pets_near_car(3, 3);
+        triples.extend([
+            ("dog", "holding", "ball"),
+            ("cat", "holding", "ball"),
+            ("dog", "watching", "tv"),
+        ]);
+        let images = scenes(&triples);
+        let feed = |provider| ChainLink {
+            provider,
+            consumer: 0,
+            consumer_side: Side::Sub,
+            provider_side: Side::Sub,
+        };
+        let clauses = [
+            clause("pet", "near", "car"),
+            clause("pet", "holding", "ball"),
+            clause("pet", "watching", "tv"),
+        ];
+        let links = [feed(1), feed(2)];
+        let kg = build_knowledge_graph();
+        let gt = GroundTruth::new(&images, &kg);
+        let dog = GtAnswer::Entity("dog".into());
+        assert_eq!(
+            gt.stable_reasoning_answer(&clauses, &links, Side::Sub),
+            Some(dog.clone())
+        );
+        assert_eq!(
+            gt.eval(&clauses, &links, QuestionType::Reasoning, Side::Sub),
+            dog
+        );
     }
 
     #[test]

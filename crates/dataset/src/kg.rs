@@ -8,7 +8,7 @@
 //!   entities with social relations, each `is a` wizard and transitively a
 //!   person.
 
-use svqa_graph::{Graph, GraphBuilder};
+use svqa_graph::{Graph, GraphBuilder, IS_A};
 
 /// `(category, class noun)` taxonomy links; class nouns then roll up via
 /// [`CLASS_HIERARCHY`].
@@ -74,13 +74,13 @@ pub const CHARACTER_RELATIONS: &[(&str, &str, &str)] = &[
 pub fn build_knowledge_graph() -> Graph {
     let mut b = GraphBuilder::new();
     for &(cat, class) in CATEGORY_CLASSES {
-        fault_triple(&mut b, cat, "is a", class);
+        fault_triple(&mut b, cat, IS_A, class);
     }
     for &(sub, sup) in CLASS_HIERARCHY {
-        fault_triple(&mut b, sub, "is a", sup);
+        fault_triple(&mut b, sub, IS_A, sup);
     }
     for &name in CHARACTERS {
-        fault_triple(&mut b, name, "is a", "wizard");
+        fault_triple(&mut b, name, IS_A, "wizard");
     }
     for &(s, r, o) in CHARACTER_RELATIONS {
         fault_triple(&mut b, s, r, o);

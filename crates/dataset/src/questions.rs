@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use svqa_graph::Graph;
 use svqa_qparser::QuestionType;
 use svqa_vision::scene::SyntheticImage;
@@ -80,8 +80,8 @@ impl Default for QuestionCounts {
     }
 }
 
-/// Predicates usable in "appear ..." main clauses (spatial).
-const SPATIAL: &[&str] = &["near", "in front of", "behind", "under", "in", "on"];
+/// Predicates usable in "appear ..." clauses (spatial).
+pub(crate) const SPATIAL: &[&str] = &["near", "in front of", "behind", "under", "in", "on"];
 
 /// Predicates with an irregular passive participle.
 fn passive_form(pred: &str) -> Option<&'static str> {
@@ -110,7 +110,7 @@ fn base_form(pred: &str) -> Option<&'static str> {
 
 /// Class noun of a category (None when the category *is* a class noun or
 /// unknown).
-fn class_of(category: &str) -> Option<&'static str> {
+pub(crate) fn class_of(category: &str) -> Option<&'static str> {
     CATEGORY_CLASSES
         .iter()
         .find(|(c, _)| *c == category)
@@ -118,7 +118,7 @@ fn class_of(category: &str) -> Option<&'static str> {
 }
 
 /// Naive plural (matches the tagger's morphology).
-fn plural(noun: &str) -> String {
+pub(crate) fn plural(noun: &str) -> String {
     match noun {
         "sheep" | "clothes" => return noun.to_owned(),
         "child" => return "children".to_owned(),
@@ -136,18 +136,43 @@ fn plural(noun: &str) -> String {
     }
 }
 
-/// Category-level triple statistics of the generated scenes.
-struct TripleStats {
+/// A plain clause (no "most frequently" constraint).
+pub(crate) fn clause(sub: &str, pred: &str, obj: &str) -> ChainClause {
+    ChainClause {
+        sub: sub.to_owned(),
+        pred: pred.to_owned(),
+        obj: obj.to_owned(),
+        most_frequent: false,
+    }
+}
+
+/// A link feeding clause `provider`'s subject into `consumer_side` of
+/// clause 0 — the shape of every generated relative clause.
+pub(crate) fn subject_feeds(provider: usize, consumer_side: Side) -> ChainLink {
+    ChainLink {
+        provider,
+        consumer: 0,
+        consumer_side,
+        provider_side: Side::Sub,
+    }
+}
+
+/// Category-level triple statistics of the generated scenes — the census
+/// both corpora author their candidates from.
+pub(crate) struct TripleStats {
     /// `(sub category, pred, obj category)` → count, anonymous objects only.
     counts: HashMap<(String, String, String), usize>,
-    /// Categories appearing as subjects.
-    categories: HashSet<String>,
+    /// Categories appearing on either side of a counted triple.
+    pub(crate) categories: BTreeSet<String>,
+    /// Categories appearing as the subject of a counted triple.
+    pub(crate) subjects: BTreeSet<String>,
 }
 
 impl TripleStats {
-    fn collect(images: &[SyntheticImage]) -> Self {
+    pub(crate) fn collect(images: &[SyntheticImage]) -> Self {
         let mut counts: HashMap<(String, String, String), usize> = HashMap::new();
-        let mut categories = HashSet::new();
+        let mut categories = BTreeSet::new();
+        let mut subjects = BTreeSet::new();
         for img in images {
             for rel in &img.relations {
                 if rel.emergent {
@@ -163,14 +188,19 @@ impl TripleStats {
                     .or_insert(0) += 1;
                 categories.insert(s.category.clone());
                 categories.insert(o.category.clone());
+                subjects.insert(s.category.clone());
             }
         }
-        TripleStats { counts, categories }
+        TripleStats {
+            counts,
+            categories,
+            subjects,
+        }
     }
 
     /// Triples with count ≥ `min`, sorted descending by count (then key),
     /// for deterministic iteration.
-    fn frequent(&self, min: usize) -> Vec<(&(String, String, String), usize)> {
+    pub(crate) fn frequent(&self, min: usize) -> Vec<(&(String, String, String), usize)> {
         let mut v: Vec<_> = self
             .counts
             .iter()
@@ -181,11 +211,63 @@ impl TripleStats {
         v
     }
 
-    fn count(&self, s: &str, p: &str, o: &str) -> usize {
+    pub(crate) fn count(&self, s: &str, p: &str, o: &str) -> usize {
         self.counts
             .get(&(s.to_owned(), p.to_owned(), o.to_owned()))
             .copied()
             .unwrap_or(0)
+    }
+}
+
+/// The accept step both generators share: a candidate whose answer passed
+/// its template's check joins the corpus unless its text is already there.
+pub(crate) struct Corpus<'g> {
+    gt: &'g GroundTruth<'g>,
+    seen: HashSet<String>,
+    pairs: Vec<QaPair>,
+    specs: Vec<QuestionSpec>,
+}
+
+impl<'g> Corpus<'g> {
+    pub(crate) fn new(gt: &'g GroundTruth<'g>) -> Self {
+        Corpus {
+            gt,
+            seen: HashSet::new(),
+            pairs: Vec::new(),
+            specs: Vec::new(),
+        }
+    }
+
+    /// Record `spec` with the `answer` its acceptance check computed;
+    /// `false` when a question with the same text is already in.
+    pub(crate) fn accept(&mut self, spec: QuestionSpec, answer: GtAnswer) -> bool {
+        if !self.seen.insert(spec.text.clone()) {
+            return false;
+        }
+        let heads: Vec<&str> = spec
+            .chain
+            .iter()
+            .flat_map(|c| [c.sub.as_str(), c.obj.as_str()])
+            .collect();
+        self.pairs.push(QaPair {
+            question: spec.text.clone(),
+            qtype: spec.qtype,
+            answer,
+            clauses: spec.chain.len(),
+            spo_keys: spec
+                .chain
+                .iter()
+                .map(|c| format!("{}|{}|{}", c.sub, c.pred, c.obj))
+                .collect(),
+            images_needed: self.gt.images_involved(&heads),
+            adversarial: false,
+        });
+        self.specs.push(spec);
+        true
+    }
+
+    pub(crate) fn into_parts(self) -> (Vec<QaPair>, Vec<QuestionSpec>) {
+        (self.pairs, self.specs)
     }
 }
 
@@ -199,42 +281,7 @@ pub fn generate_questions(
     let gt = GroundTruth::new(images, kg);
     let stats = TripleStats::collect(images);
     let mut rng = StdRng::seed_from_u64(seed);
-
-    let mut pairs = Vec::new();
-    let mut specs = Vec::new();
-    let mut seen_questions: HashSet<String> = HashSet::new();
-    let push = |spec: QuestionSpec,
-                    gt: &GroundTruth,
-                    pairs: &mut Vec<QaPair>,
-                    specs: &mut Vec<QuestionSpec>,
-                    seen: &mut HashSet<String>|
-     -> bool {
-        if !seen.insert(spec.text.clone()) {
-            return false;
-        }
-        let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
-        let heads: Vec<&str> = spec
-            .chain
-            .iter()
-            .flat_map(|c| [c.sub.as_str(), c.obj.as_str()])
-            .filter(|h| !h.is_empty())
-            .collect();
-        pairs.push(QaPair {
-            question: spec.text.clone(),
-            qtype: spec.qtype,
-            answer,
-            clauses: spec.chain.len(),
-            spo_keys: spec
-                .chain
-                .iter()
-                .map(|c| format!("{}|{}|{}", c.sub, c.pred, c.obj))
-                .collect(),
-            images_needed: gt.images_involved(&heads),
-            adversarial: false,
-        });
-        specs.push(spec);
-        true
-    };
+    let mut corpus = Corpus::new(&gt);
 
     // ---------- Judgment: 26 two-clause + 14 three-clause ----------
     let two_clause_target = counts.judgment.saturating_mul(26) / 40;
@@ -264,7 +311,6 @@ pub fn generate_questions(
                 (c.clone(), true)
             } else {
                 let mut cats: Vec<&String> = stats.categories.iter().collect();
-                cats.sort();
                 cats.shuffle(&mut rng);
                 match cats
                     .into_iter()
@@ -283,18 +329,15 @@ pub fn generate_questions(
             let spec = QuestionSpec {
                 text,
                 qtype: QuestionType::Judgment,
-                chain: vec![
-                    ChainClause { sub: a.clone(), pred: p2.clone(), obj: obj_c.clone(), most_frequent: false },
-                    ChainClause { sub: a.clone(), pred: p1.clone(), obj: b.clone(), most_frequent: false },
-                ],
-                links: vec![ChainLink { provider: 1, consumer: 0, consumer_side: Side::Sub, provider_side: Side::Sub }],
+                chain: vec![clause(a, p2, &obj_c), clause(a, p1, b)],
+                links: vec![subject_feeds(1, Side::Sub)],
                 answer_side: Side::Sub,
             };
             let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
             if answer != GtAnswer::YesNo(expected_yes) {
                 continue;
             }
-            if push(spec, &gt, &mut pairs, &mut specs, &mut seen_questions) {
+            if corpus.accept(spec, answer) {
                 made += 1;
                 want_yes = !want_yes;
             }
@@ -330,18 +373,12 @@ pub fn generate_questions(
                 let spec = QuestionSpec {
                     text,
                     qtype: QuestionType::Judgment,
-                    chain: vec![
-                        ChainClause { sub: a.clone(), pred: p2.clone(), obj: c.clone(), most_frequent: false },
-                        ChainClause { sub: a.clone(), pred: p1.clone(), obj: b.clone(), most_frequent: false },
-                        ChainClause { sub: c.clone(), pred: p3.clone(), obj: d.clone(), most_frequent: false },
-                    ],
-                    links: vec![
-                        ChainLink { provider: 1, consumer: 0, consumer_side: Side::Sub, provider_side: Side::Sub },
-                        ChainLink { provider: 2, consumer: 0, consumer_side: Side::Obj, provider_side: Side::Sub },
-                    ],
+                    chain: vec![clause(a, p2, c), clause(a, p1, b), clause(c, p3, d)],
+                    links: vec![subject_feeds(1, Side::Sub), subject_feeds(2, Side::Obj)],
                     answer_side: Side::Sub,
                 };
-                if push(spec, &gt, &mut pairs, &mut specs, &mut seen_questions) {
+                let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
+                if corpus.accept(spec, answer) {
                     made3 += 1;
                 }
                 if made3 >= three_clause_target {
@@ -387,18 +424,15 @@ pub fn generate_questions(
             let spec = QuestionSpec {
                 text,
                 qtype: QuestionType::Counting,
-                chain: vec![
-                    ChainClause { sub: a.clone(), pred: p2.clone(), obj: c.clone(), most_frequent: false },
-                    ChainClause { sub: a.clone(), pred: p1.clone(), obj: b.clone(), most_frequent: false },
-                ],
-                links: vec![ChainLink { provider: 1, consumer: 0, consumer_side: Side::Sub, provider_side: Side::Sub }],
+                chain: vec![clause(a, p2, c), clause(a, p1, b)],
+                links: vec![subject_feeds(1, Side::Sub)],
                 answer_side: Side::Sub,
             };
             let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
             if !matches!(answer, GtAnswer::Count(n) if n >= 1 && n <= count_cap) {
                 continue;
             }
-            if push(spec, &gt, &mut pairs, &mut specs, &mut seen_questions) {
+            if corpus.accept(spec, answer) {
                 cmade += 1;
                 counted_triples.insert((a.clone(), p2.clone(), c.clone()));
             }
@@ -440,22 +474,15 @@ pub fn generate_questions(
                 let spec = QuestionSpec {
                     text,
                     qtype: QuestionType::Counting,
-                    chain: vec![
-                        ChainClause { sub: a.clone(), pred: p2.clone(), obj: c.clone(), most_frequent: false },
-                        ChainClause { sub: a.clone(), pred: p1.clone(), obj: b.clone(), most_frequent: false },
-                        ChainClause { sub: c.clone(), pred: p3.clone(), obj: d.clone(), most_frequent: false },
-                    ],
-                    links: vec![
-                        ChainLink { provider: 1, consumer: 0, consumer_side: Side::Sub, provider_side: Side::Sub },
-                        ChainLink { provider: 2, consumer: 0, consumer_side: Side::Obj, provider_side: Side::Sub },
-                    ],
+                    chain: vec![clause(a, p2, c), clause(a, p1, b), clause(c, p3, d)],
+                    links: vec![subject_feeds(1, Side::Sub), subject_feeds(2, Side::Obj)],
                     answer_side: Side::Sub,
                 };
                 let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
                 if !matches!(answer, GtAnswer::Count(n) if n >= 1 && n <= count_cap) {
                     continue;
                 }
-                if push(spec, &gt, &mut pairs, &mut specs, &mut seen_questions) {
+                if corpus.accept(spec, answer) {
                     c3made += 1;
                     counted_triples.insert((a.clone(), p2.clone(), c.clone()));
                 }
@@ -471,14 +498,13 @@ pub fn generate_questions(
     // Character questions first (the paper's flagship Example 1 pattern).
     let mut rmade = 0usize;
     let character_target = 2usize.min(counts.reasoning);
-    for &(partner, relation, owner) in CHARACTER_RELATIONS {
+    for &(_, relation, owner) in CHARACTER_RELATIONS {
         if rmade >= character_target {
             break;
         }
         if !matches!(relation, "girlfriend of" | "boyfriend of") {
             continue;
         }
-        let _ = partner;
         let rel_noun = relation.trim_end_matches(" of");
         let text = format!(
             "What kind of clothes are worn by the wizard who is most frequently hanging out with {owner}'s {rel_noun}?"
@@ -487,20 +513,21 @@ pub fn generate_questions(
             text,
             qtype: QuestionType::Reasoning,
             chain: vec![
-                ChainClause { sub: "wizard".into(), pred: "wearing".into(), obj: "clothes".into(), most_frequent: false },
-                ChainClause { sub: "wizard".into(), pred: "near".into(), obj: String::new(), most_frequent: true },
-                ChainClause { sub: String::new(), pred: relation.into(), obj: owner.into(), most_frequent: false },
+                clause("wizard", "wearing", "clothes"),
+                ChainClause { most_frequent: true, ..clause("wizard", "near", "") },
+                clause("", relation, owner),
             ],
             links: vec![
                 ChainLink { provider: 2, consumer: 1, consumer_side: Side::Obj, provider_side: Side::Sub },
-                ChainLink { provider: 1, consumer: 0, consumer_side: Side::Sub, provider_side: Side::Sub },
+                subject_feeds(1, Side::Sub),
             ],
             answer_side: Side::Obj,
         };
-        if !gt.reasoning_is_stable(&spec.chain, &spec.links, spec.answer_side) {
+        let Some(answer) = gt.stable_reasoning_answer(&spec.chain, &spec.links, spec.answer_side)
+        else {
             continue;
-        }
-        if push(spec, &gt, &mut pairs, &mut specs, &mut seen_questions) {
+        };
+        if corpus.accept(spec, answer) {
             rmade += 1;
         }
     }
@@ -525,11 +552,11 @@ pub fn generate_questions(
                 // variety ("the pets" vs "the dog").
                 let (sub_text, sub_head) = if rmade.is_multiple_of(2) {
                     match class_of(a) {
-                        Some(cl) => (format!("the {}", plural(cl)), cl.to_owned()),
-                        None => (format!("the {a}"), a.clone()),
+                        Some(cl) => (format!("the {}", plural(cl)), cl),
+                        None => (format!("the {a}"), a.as_str()),
                     }
                 } else {
-                    (format!("the {a}"), a.clone())
+                    (format!("the {a}"), a.as_str())
                 };
                 let text = format!(
                     "What kind of {} is {pass} by {sub_text} that is {p2} the {b}?",
@@ -538,17 +565,16 @@ pub fn generate_questions(
                 let spec = QuestionSpec {
                     text,
                     qtype: QuestionType::Reasoning,
-                    chain: vec![
-                        ChainClause { sub: sub_head.clone(), pred: p1.clone(), obj: o_class.to_owned(), most_frequent: false },
-                        ChainClause { sub: sub_head.clone(), pred: p2.clone(), obj: b.clone(), most_frequent: false },
-                    ],
-                    links: vec![ChainLink { provider: 1, consumer: 0, consumer_side: Side::Sub, provider_side: Side::Sub }],
+                    chain: vec![clause(sub_head, p1, o_class), clause(sub_head, p2, b)],
+                    links: vec![subject_feeds(1, Side::Sub)],
                     answer_side: Side::Obj,
                 };
-                if !gt.reasoning_is_stable(&spec.chain, &spec.links, spec.answer_side) {
+                let Some(answer) =
+                    gt.stable_reasoning_answer(&spec.chain, &spec.links, spec.answer_side)
+                else {
                     continue;
-                }
-                if push(spec, &gt, &mut pairs, &mut specs, &mut seen_questions) {
+                };
+                if corpus.accept(spec, answer) {
                     rmade += 1;
                 }
                 if rmade >= counts.reasoning {
@@ -572,17 +598,16 @@ pub fn generate_questions(
                     let spec = QuestionSpec {
                         text,
                         qtype: QuestionType::Reasoning,
-                        chain: vec![
-                            ChainClause { sub: a_class.to_owned(), pred: p1.clone(), obj: o.clone(), most_frequent: false },
-                            ChainClause { sub: o.clone(), pred: p2.clone(), obj: c.clone(), most_frequent: false },
-                        ],
-                        links: vec![ChainLink { provider: 1, consumer: 0, consumer_side: Side::Obj, provider_side: Side::Sub }],
+                        chain: vec![clause(a_class, p1, o), clause(o, p2, c)],
+                        links: vec![subject_feeds(1, Side::Obj)],
                         answer_side: Side::Sub,
                     };
-                    if !gt.reasoning_is_stable(&spec.chain, &spec.links, spec.answer_side) {
+                    let Some(answer) =
+                        gt.stable_reasoning_answer(&spec.chain, &spec.links, spec.answer_side)
+                    else {
                         continue;
-                    }
-                    if push(spec, &gt, &mut pairs, &mut specs, &mut seen_questions) {
+                    };
+                    if corpus.accept(spec, answer) {
                         rmade += 1;
                     }
                     if rmade >= counts.reasoning {
@@ -593,6 +618,7 @@ pub fn generate_questions(
         }
     }
 
+    let (mut pairs, mut specs) = corpus.into_parts();
     apply_lexical_adversity(&mut pairs, &mut specs);
     (pairs, specs)
 }

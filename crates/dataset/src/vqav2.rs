@@ -7,12 +7,13 @@
 //! simpler than MVQA's (one or two clauses), but still require scanning
 //! every image.
 
-use crate::groundtruth::{ChainClause, ChainLink, GroundTruth, GtAnswer, Side};
+use crate::groundtruth::{GroundTruth, GtAnswer, Side};
 use crate::kg::build_knowledge_graph;
-use crate::questions::{QaPair, QuestionSpec};
+use crate::questions::{
+    class_of, clause, plural, subject_feeds, Corpus, QaPair, QuestionSpec, TripleStats, SPATIAL,
+};
 use crate::scenes::generate_images;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use svqa_graph::Graph;
 use svqa_qparser::QuestionType;
 use svqa_vision::scene::SyntheticImage;
@@ -38,9 +39,6 @@ impl Default for VqaV2Config {
     }
 }
 
-/// Spatial predicates usable in "appear X the Y" conjuncts.
-const SPATIAL_JUDGMENT: &[&str] = &["near", "in front of", "behind", "under", "in", "on"];
-
 /// The modified-VQAv2 dataset (same shape as MVQA).
 #[derive(Debug)]
 pub struct VqaV2 {
@@ -59,59 +57,9 @@ pub fn generate_vqav2(config: VqaV2Config) -> VqaV2 {
     let images = generate_images(config.image_count, config.seed);
     let kg = build_knowledge_graph();
     let gt = GroundTruth::new(&images, &kg);
-
-    // Category-level triple counts.
-    let mut counts: HashMap<(String, String, String), usize> = HashMap::new();
-    for img in &images {
-        for rel in &img.relations {
-            if rel.emergent {
-                continue;
-            }
-            let s = &img.objects[rel.sub];
-            let o = &img.objects[rel.obj];
-            if s.entity.is_some() || o.entity.is_some() {
-                continue;
-            }
-            *counts
-                .entry((s.category.clone(), rel.pred.clone(), o.category.clone()))
-                .or_insert(0) += 1;
-        }
-    }
-    let mut frequent: Vec<(&(String, String, String), usize)> =
-        counts.iter().map(|(k, &c)| (k, c)).collect();
-    frequent.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-
-    let mut questions = Vec::new();
-    let mut specs = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-
-    let mut push = |spec: QuestionSpec| {
-        if !seen.insert(spec.text.clone()) {
-            return false;
-        }
-        let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
-        let heads: Vec<&str> = spec
-            .chain
-            .iter()
-            .flat_map(|c| [c.sub.as_str(), c.obj.as_str()])
-            .filter(|h| !h.is_empty())
-            .collect();
-        questions.push(QaPair {
-            question: spec.text.clone(),
-            qtype: spec.qtype,
-            answer,
-            clauses: spec.chain.len(),
-            spo_keys: spec
-                .chain
-                .iter()
-                .map(|c| format!("{}|{}|{}", c.sub, c.pred, c.obj))
-                .collect(),
-            images_needed: gt.images_involved(&heads),
-            adversarial: false,
-        });
-        specs.push(spec);
-        true
-    };
+    let stats = TripleStats::collect(&images);
+    let frequent = stats.frequent(1);
+    let mut corpus = Corpus::new(&gt);
 
     // Accumulated counting over multiple images (modification 1).
     let mut made = 0usize;
@@ -126,16 +74,11 @@ pub fn generate_vqav2(config: VqaV2Config) -> VqaV2 {
         if svqa_vision::scene::supertype(a) == "scenery" {
             continue;
         }
-        let text = format!("How many {} are {p} the {b}?", crate::vqav2::plural(a));
+        let text = format!("How many {} are {p} the {b}?", plural(a));
         let spec = QuestionSpec {
             text,
             qtype: QuestionType::Counting,
-            chain: vec![ChainClause {
-                sub: a.clone(),
-                pred: p.clone(),
-                obj: b.clone(),
-                most_frequent: false,
-            }],
+            chain: vec![clause(a, p, b)],
             links: vec![],
             answer_side: Side::Sub,
         };
@@ -146,7 +89,7 @@ pub fn generate_vqav2(config: VqaV2Config) -> VqaV2 {
         if !matches!(answer, GtAnswer::Count(n) if (1..=6).contains(&n)) {
             continue;
         }
-        if push(spec) {
+        if corpus.accept(spec, answer) {
             made += 1;
         }
     }
@@ -165,24 +108,16 @@ pub fn generate_vqav2(config: VqaV2Config) -> VqaV2 {
                 continue;
             }
             let (p2, c) = (&k2.1, &k2.2);
-            if !matches!(
-                p2.as_str(),
-                "near" | "in front of" | "behind" | "under" | "in" | "on"
-            ) {
+            if !SPATIAL.contains(&p2.as_str()) {
                 continue;
             }
             let (obj, expected) = if want_yes {
                 (c.clone(), true)
             } else {
-                // A category never in that relation with A (sorted scan
-                // for determinism).
-                let mut all: Vec<&String> = counts.keys().map(|(s, _, _)| s).collect();
-                all.sort();
-                all.dedup();
-                match all.into_iter().find(|cc| {
-                    !counts.contains_key(&((*cc).clone(), p2.clone(), a.clone()))
-                        && !counts.contains_key(&(a.clone(), p2.clone(), (*cc).clone()))
-                        && *cc != c
+                // A subject category never in that relation with A (sorted
+                // scan for determinism).
+                match stats.subjects.iter().find(|cc| {
+                    stats.count(cc, p2, a) == 0 && stats.count(a, p2, cc) == 0 && *cc != c
                 }) {
                     Some(cc) => (cc.clone(), false),
                     None => continue,
@@ -191,16 +126,13 @@ pub fn generate_vqav2(config: VqaV2Config) -> VqaV2 {
             // Alternate the paper's two combination styles: a relative
             // clause, or an explicit conjunction of two simple questions.
             let conjunction_form = made % 3 == 2;
-            let spec = if conjunction_form && SPATIAL_JUDGMENT.contains(&p1.as_str()) {
+            let spec = if conjunction_form && SPATIAL.contains(&p1.as_str()) {
                 QuestionSpec {
                     text: format!(
                         "Does the {a} appear {p1} the {b} and does the {a} appear {p2} the {obj}?"
                     ),
                     qtype: QuestionType::Judgment,
-                    chain: vec![
-                        ChainClause { sub: a.clone(), pred: p1.clone(), obj: b.clone(), most_frequent: false },
-                        ChainClause { sub: a.clone(), pred: p2.clone(), obj: obj.clone(), most_frequent: false },
-                    ],
+                    chain: vec![clause(a, p1, b), clause(a, p2, &obj)],
                     links: vec![],
                     answer_side: Side::Sub,
                 }
@@ -208,16 +140,8 @@ pub fn generate_vqav2(config: VqaV2Config) -> VqaV2 {
                 QuestionSpec {
                     text: format!("Does the {a} that is {p1} the {b} appear {p2} the {obj}?"),
                     qtype: QuestionType::Judgment,
-                    chain: vec![
-                        ChainClause { sub: a.clone(), pred: p2.clone(), obj: obj.clone(), most_frequent: false },
-                        ChainClause { sub: a.clone(), pred: p1.clone(), obj: b.clone(), most_frequent: false },
-                    ],
-                    links: vec![ChainLink {
-                        provider: 1,
-                        consumer: 0,
-                        consumer_side: Side::Sub,
-                        provider_side: Side::Sub,
-                    }],
+                    chain: vec![clause(a, p2, &obj), clause(a, p1, b)],
+                    links: vec![subject_feeds(1, Side::Sub)],
                     answer_side: Side::Sub,
                 }
             };
@@ -225,7 +149,7 @@ pub fn generate_vqav2(config: VqaV2Config) -> VqaV2 {
             if answer != GtAnswer::YesNo(expected) {
                 continue;
             }
-            if push(spec) {
+            if corpus.accept(spec, answer) {
                 made += 1;
                 want_yes = !want_yes;
             }
@@ -242,57 +166,32 @@ pub fn generate_vqav2(config: VqaV2Config) -> VqaV2 {
             break;
         }
         let (a, p, b) = (&k.0, &k.1, &k.2);
-        let Some(class) = crate::kg::CATEGORY_CLASSES
-            .iter()
-            .find(|(c, _)| c == a)
-            .map(|&(_, cl)| cl)
-        else {
+        let Some(class) = class_of(a) else {
             continue;
         };
         let text = format!("What kind of {} are {p} the {b}?", plural(class));
         let spec = QuestionSpec {
             text,
             qtype: QuestionType::Reasoning,
-            chain: vec![ChainClause {
-                sub: class.to_owned(),
-                pred: p.clone(),
-                obj: b.clone(),
-                most_frequent: false,
-            }],
+            chain: vec![clause(class, p, b)],
             links: vec![],
             answer_side: Side::Sub,
         };
-        if !gt.reasoning_is_stable(&spec.chain, &spec.links, spec.answer_side) {
+        let Some(answer) = gt.stable_reasoning_answer(&spec.chain, &spec.links, spec.answer_side)
+        else {
             continue;
-        }
-        if push(spec) {
+        };
+        if corpus.accept(spec, answer) {
             made += 1;
         }
     }
 
+    let (questions, specs) = corpus.into_parts();
     VqaV2 {
         images,
         kg,
         questions,
         specs,
-    }
-}
-
-pub(crate) fn plural(noun: &str) -> String {
-    match noun {
-        "sheep" | "clothes" => return noun.to_owned(),
-        "child" => return "children".to_owned(),
-        "man" => return "men".to_owned(),
-        "woman" => return "women".to_owned(),
-        "person" => return "people".to_owned(),
-        _ => {}
-    }
-    if noun.ends_with('s') || noun.ends_with('x') || noun.ends_with("ch") || noun.ends_with("sh") {
-        format!("{noun}es")
-    } else if noun.ends_with('y') && !noun.ends_with("ay") && !noun.ends_with("ey") && !noun.ends_with("oy") {
-        format!("{}ies", &noun[..noun.len() - 1])
-    } else {
-        format!("{noun}s")
     }
 }
 

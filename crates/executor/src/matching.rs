@@ -17,14 +17,8 @@ use std::ops::Range;
 use svqa_graph::{EdgeId, Graph, VertexId};
 use svqa_nlp::resolve::{resolve, LabelCounts};
 
+pub use svqa_graph::{IS_A, SAME_AS};
 pub use svqa_nlp::resolve::MatchMethod;
-
-/// The edge label linking scene instances to knowledge entities (must match
-/// the aggregator's `link_label`).
-pub const SAME_AS: &str = "same as";
-
-/// The taxonomy edge label in the knowledge graph.
-pub const IS_A: &str = "is a";
 
 /// A relation pair `(Sub, e, Obj)` — one element of `RP`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -12,6 +12,13 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
+/// The edge label linking a scene instance to its knowledge-graph
+/// counterpart, in both directions (Algorithm 1's link edges).
+pub const SAME_AS: &str = "same as";
+
+/// The knowledge graph's taxonomy edge label (`dog —is a→ pet`).
+pub const IS_A: &str = "is a";
+
 /// An immutable, cheaply clonable label string. Compares, hashes and
 /// serializes exactly like the `str` it holds, so label-keyed maps can be
 /// probed with a plain `&str`.

@@ -58,6 +58,7 @@ pub use edge::Edge;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, VertexId};
+pub use label::{IS_A, SAME_AS};
 pub use props::{PropValue, Properties};
 pub use stats::{GraphStats, LabelHistogram};
 pub use subgraph::SubgraphView;

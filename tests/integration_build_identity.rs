@@ -9,7 +9,10 @@
 //! must be explained, not re-pinned.
 
 use svqa::aggregator::MergeStats;
-use svqa::dataset::{build_knowledge_graph, generate_images, Mvqa, MvqaConfig};
+use svqa::dataset::{
+    build_knowledge_graph, generate_images, generate_vqav2, Mvqa, MvqaConfig, QaPair,
+    QuestionSpec, VqaV2Config,
+};
 use svqa::graph::{binio, io, Graph, PropValue, Properties};
 use svqa::{Svqa, SvqaConfig};
 
@@ -91,14 +94,36 @@ fn incremental_ingestion_is_pinned() {
     );
 }
 
+/// FNV-1a of a corpus' `questions` and `specs` JSON.
+fn corpus_digests(questions: &[QaPair], specs: &[QuestionSpec]) -> (u64, u64) {
+    (
+        fnv1a(serde_json::to_string(questions).unwrap().as_bytes()),
+        fnv1a(serde_json::to_string(specs).unwrap().as_bytes()),
+    )
+}
+
 #[test]
 fn generated_corpus_is_pinned() {
-    let mvqa = Mvqa::generate_small(IMAGES, MvqaConfig::default().seed);
-    let json = serde_json::to_string(&mvqa.questions).unwrap();
+    let default_seed = MvqaConfig::default().seed;
+    for (images, seed, pinned) in [
+        (IMAGES, default_seed, (0xbd2c_8462_4c59_14a6, 0x64d5_fad5_2810_0c4a)),
+        (IMAGES, 11, (0x7ac1_a30a_90c9_abd7, 0x007d_d8c1_3ab2_e158)),
+        (1000, default_seed, (0xc3b1_b176_8800_525a, 0x89d7_98cd_9386_0dc7)),
+        (1000, 11, (0x2dea_d11f_e923_13d8, 0x7aa4_1259_3dbf_7599)),
+    ] {
+        let mvqa = Mvqa::generate_small(images, seed);
+        assert_eq!(mvqa.questions.len(), 100, "{images} images, seed {seed}");
+        assert_eq!(
+            corpus_digests(&mvqa.questions, &mvqa.specs),
+            pinned,
+            "generated corpus drifted at {images} images, seed {seed}"
+        );
+    }
+    let vqav2 = generate_vqav2(VqaV2Config::default());
     assert_eq!(
-        (mvqa.questions.len(), fnv1a(json.as_bytes())),
-        (100, 0xbd2c_8462_4c59_14a6),
-        "generated corpus drifted"
+        corpus_digests(&vqav2.questions, &vqav2.specs),
+        (0x0699_f7b7_c2ab_13f6, 0x29d9_8a21_13ba_6635),
+        "modified VQAv2 corpus drifted"
     );
 }
 
