@@ -41,8 +41,19 @@ use svqa::qlint::Severity;
 use svqa::telemetry::ChromeTrace;
 use svqa::{Svqa, SvqaConfig};
 
+const USAGE: &str = "usage: svqa-cli <build|ask|explain|lint|eval|repl|stats|serve|chaos> \
+     [--images N] [--seed S] [--out DIR] [--world DIR] [--metrics FILE] \
+     [--corpus FILE] [--explain] [--json] [--trace-out FILE] [--profile-out FILE] \
+     [--port N] [--workers N] [--queue-depth N] [--deadline-ms N] \
+     [--cache-pool N] [--fault-plan FILE] [--fault-seed S] \
+     [--rates R1,R2,...] [--verbose] [question]";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = unknown_flag(&args) {
+        eprintln!("error: unknown flag {unknown}\n{USAGE}");
+        return ExitCode::FAILURE;
+    }
     let result = match args.first().map(String::as_str) {
         Some("build") => cmd_build(&args[1..]),
         Some("ask") => cmd_ask(&args[1..], false),
@@ -54,14 +65,7 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: svqa-cli <build|ask|explain|lint|eval|repl|stats|serve|chaos> \
-                 [--images N] [--seed S] [--out DIR] [--world DIR] [--metrics FILE] \
-                 [--corpus FILE] [--explain] [--json] [--trace-out FILE] [--profile-out FILE] \
-                 [--port N] [--workers N] [--queue-depth N] [--deadline-ms N] \
-                 [--cache-pool N] [--cache-shards N] [--fault-plan FILE] [--fault-seed S] \
-                 [--rates R1,R2,...] [--verbose] [question]"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -76,9 +80,8 @@ fn main() -> ExitCode {
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// Flags that consume the following argument as their value. Anything else
-/// starting with `--` is a boolean switch (`--explain`, `--verbose`, …).
-const VALUE_FLAGS: [&str; 17] = [
+/// Flags that consume the following argument as their value.
+const VALUE_FLAGS: [&str; 16] = [
     "--images",
     "--seed",
     "--out",
@@ -92,11 +95,22 @@ const VALUE_FLAGS: [&str; 17] = [
     "--queue-depth",
     "--deadline-ms",
     "--cache-pool",
-    "--cache-shards",
     "--fault-plan",
     "--fault-seed",
     "--rates",
 ];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 3] = ["--explain", "--json", "--verbose"];
+
+/// The first `--` argument that names neither a value flag nor a switch.
+/// Rejecting it up front keeps a misspelled value flag from passing its
+/// value off as the question.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    args.iter()
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && !VALUE_FLAGS.contains(a) && !SWITCHES.contains(a))
+}
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -344,9 +358,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     if let Some(p) = flag(args, "--cache-pool") {
         config.scheduler.pool_size = p.parse()?;
     }
-    if let Some(s) = flag(args, "--cache-shards") {
-        config.scheduler.shards = s.parse()?;
-    }
 
     let (system, _) = build_world(images, seed, config);
     // Arm the fault plan only after the build: chaos targets the online
@@ -535,4 +546,32 @@ fn cmd_repl(args: &[String]) -> Result<(), AnyError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_named_and_known_ones_pass() {
+        let typo = args("ask --world w --imgaes 5 Does the dog appear in the car?");
+        assert_eq!(unknown_flag(&typo), Some("--imgaes"));
+        assert_eq!(
+            unknown_flag(&args("serve --port 0 --cache-size 8")),
+            Some("--cache-size")
+        );
+        let known = args("ask --world w --explain --json --verbose --trace-out t.json q");
+        assert_eq!(unknown_flag(&known), None);
+        for flag in VALUE_FLAGS {
+            assert_eq!(
+                unknown_flag(&args(&format!("serve {flag} 1"))),
+                None,
+                "{flag}"
+            );
+        }
+    }
 }

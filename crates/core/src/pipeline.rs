@@ -12,7 +12,7 @@ use crate::error::SvqaError;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use svqa_aggregator::{Attacher, DataAggregator, MergeStats};
-use svqa_executor::cache::ShardedCache;
+use svqa_executor::cache::KeyCentricCache;
 use svqa_executor::executor::{Execution, QueryGraphExecutor};
 use svqa_executor::scheduler::QueryScheduler;
 use svqa_executor::{Answer, CacheStats, ExecutionProfile, Explanation};
@@ -260,7 +260,7 @@ impl Svqa {
     /// of new link edges created.
     ///
     /// Note: callers running batches through the §V-B scheduler should
-    /// start a fresh [`svqa_executor::cache::ShardedCache`] afterwards —
+    /// start a fresh [`svqa_executor::cache::KeyCentricCache`] afterwards —
     /// cached scopes and paths predate the new evidence.
     ///
     /// # Panics
@@ -391,7 +391,7 @@ impl Svqa {
     pub fn run(
         &self,
         prepared: Prepared,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
         deadline: Option<Instant>,
     ) -> QueryRun<'_> {
         let mut trace = prepared.trace;
@@ -441,9 +441,9 @@ impl Svqa {
     /// range without it.
     fn guard<'c>(
         &self,
-        cache: Option<&'c ShardedCache>,
+        cache: Option<&'c KeyCentricCache>,
         deadline: Option<Instant>,
-    ) -> Result<(Range<usize>, Option<&'c ShardedCache>, AnswerStatus), SvqaError> {
+    ) -> Result<(Range<usize>, Option<&'c KeyCentricCache>, AnswerStatus), SvqaError> {
         let policy = &self.config.degrade;
         let mut missing: Vec<Source> = Vec::new();
         let mut retry_after_ms = policy.breaker.cooldown_ms;
@@ -491,7 +491,7 @@ impl Svqa {
     pub fn answer_guarded(
         &self,
         question: &str,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
         deadline: Option<Instant>,
     ) -> Result<GuardedAnswer, SvqaError> {
         self.run(self.prepare(question), cache, deadline).result
@@ -511,7 +511,7 @@ impl Svqa {
     pub fn run_batch(
         &self,
         questions: &[&str],
-        cache: &ShardedCache,
+        cache: &KeyCentricCache,
         deadline: Option<Instant>,
     ) -> BatchOutcome {
         let start = Instant::now();

@@ -32,7 +32,7 @@
 //!
 //! ## Cache persistence
 //!
-//! The server owns one [`ShardedCache`] built from the scheduler
+//! The server owns one [`KeyCentricCache`] built from the scheduler
 //! configuration and feeds it to every `/ask` and `/batch` — scopes and
 //! paths cached by one request accelerate all later ones, which is the
 //! §V-B key-centric cache doing its job across requests instead of only
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use svqa_executor::cache::ShardedCache;
+use svqa_executor::cache::KeyCentricCache;
 use svqa_executor::scheduler::QueryScheduler;
 use svqa_executor::Answer;
 use svqa_telemetry::router::{HttpServer, Request, Response, Router};
@@ -176,7 +176,7 @@ impl<T> BoundedQueue<T> {
 pub struct QueryServer {
     system: Svqa,
     config: ServeConfig,
-    cache: ShardedCache,
+    cache: KeyCentricCache,
     http: HttpServer,
     queue: BoundedQueue<Job>,
     shutdown: AtomicBool,
@@ -186,7 +186,7 @@ pub struct QueryServer {
 impl QueryServer {
     /// Bind `addr` (port 0 picks a free port) over a built system. The
     /// persistent cache is shaped by `system.config().scheduler`
-    /// (granularity, policy, pool size, shards).
+    /// (granularity, policy, pool size).
     pub fn bind(system: Svqa, addr: &str, config: ServeConfig) -> io::Result<QueryServer> {
         let mut http = HttpServer::bind(addr)?;
         http.set_io_timeout(Some(config.io_timeout));
@@ -208,7 +208,7 @@ impl QueryServer {
     }
 
     /// The persistent cross-request cache (exposed for tests and stats).
-    pub fn cache(&self) -> &ShardedCache {
+    pub fn cache(&self) -> &KeyCentricCache {
         &self.cache
     }
 

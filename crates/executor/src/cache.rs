@@ -11,13 +11,15 @@
 //!
 //! The pool is bounded by a total *item count* (Fig. 11 sizes pools this
 //! way) shared across both kinds, with LFU (the paper's choice) or LRU
-//! eviction.
+//! eviction over every cached item. An item's kind is named by what it
+//! holds: [`VertexId`]s for a scope, [`RelationPair`]s for a path, so one
+//! [`get`](KeyCentricCache::get) and one [`put`](KeyCentricCache::put)
+//! serve both.
 
 use crate::matching::RelationPair;
 use parking_lot::Mutex;
+use pool::{Item, Pools};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use svqa_graph::VertexId;
 pub use svqa_telemetry::CacheStats;
@@ -45,195 +47,260 @@ pub enum CacheGranularity {
     Both,
 }
 
-#[derive(Debug, Clone)]
-struct Entry<V> {
-    value: V,
-    freq: u64,
-    last_used: u64,
-}
+/// The bounded pools behind the cache's lock. Private: the cache's
+/// methods are the only way in.
+mod pool {
+    use super::{CacheGranularity, CacheStats, EvictionPolicy, RelationPair, VertexId};
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
-/// One bounded key-value store.
-#[derive(Debug)]
-struct Pool<V> {
-    map: HashMap<String, Entry<V>>,
-    hits: u64,
-    misses: u64,
-}
+    #[derive(Debug)]
+    struct Entry<V> {
+        value: Arc<Vec<V>>,
+        freq: u64,
+        last_used: u64,
+    }
 
-impl<V> Pool<V> {
-    fn new() -> Self {
-        Pool {
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
+    impl<V> Entry<V> {
+        /// The eviction order under `policy`: the smallest rank goes first.
+        /// Every get and put stamps its entry with a fresh tick, so no two
+        /// entries share a rank.
+        fn rank(&self, policy: EvictionPolicy) -> (u64, u64) {
+            match policy {
+                EvictionPolicy::Lfu => (self.freq, self.last_used),
+                EvictionPolicy::Lru => (self.last_used, self.freq),
+            }
         }
     }
 
-    fn get(&mut self, key: &str, tick: u64) -> Option<&V> {
-        match self.map.get_mut(key) {
-            Some(e) => {
-                e.freq += 1;
+    /// One item kind's bounded key-value store.
+    #[derive(Debug)]
+    pub struct Pool<V> {
+        map: HashMap<String, Entry<V>>,
+    }
+
+    impl<V> Default for Pool<V> {
+        fn default() -> Self {
+            Pool {
+                map: HashMap::new(),
+            }
+        }
+    }
+
+    impl<V> Pool<V> {
+        /// The rank and key of the entry `policy` would evict first.
+        fn victim(&self, policy: EvictionPolicy) -> Option<((u64, u64), String)> {
+            self.map
+                .iter()
+                .min_by_key(|(_, e)| e.rank(policy))
+                .map(|(k, e)| (e.rank(policy), k.clone()))
+        }
+
+        fn value_bytes(&self) -> usize {
+            self.map
+                .values()
+                .map(|e| e.value.len() * std::mem::size_of::<V>())
+                .sum()
+        }
+    }
+
+    /// A cacheable item kind, named by its element type. Sealed: only
+    /// [`VertexId`] (scope) and [`RelationPair`] (path) implement it.
+    pub trait Item: Sized {
+        /// This kind's pool.
+        fn pool(pools: &mut Pools) -> &mut Pool<Self>;
+        /// Whether `granularity` caches this kind.
+        fn cached_under(granularity: CacheGranularity) -> bool;
+        /// Count one lookup of this kind into `stats`.
+        fn count(stats: &mut CacheStats, hit: bool);
+    }
+
+    impl Item for VertexId {
+        fn pool(pools: &mut Pools) -> &mut Pool<Self> {
+            &mut pools.scope
+        }
+
+        fn cached_under(granularity: CacheGranularity) -> bool {
+            matches!(
+                granularity,
+                CacheGranularity::Scope | CacheGranularity::Both
+            )
+        }
+
+        fn count(stats: &mut CacheStats, hit: bool) {
+            *if hit {
+                &mut stats.scope_hits
+            } else {
+                &mut stats.scope_misses
+            } += 1;
+        }
+    }
+
+    impl Item for RelationPair {
+        fn pool(pools: &mut Pools) -> &mut Pool<Self> {
+            &mut pools.path
+        }
+
+        fn cached_under(granularity: CacheGranularity) -> bool {
+            matches!(granularity, CacheGranularity::Path | CacheGranularity::Both)
+        }
+
+        fn count(stats: &mut CacheStats, hit: bool) {
+            *if hit {
+                &mut stats.path_hits
+            } else {
+                &mut stats.path_misses
+            } += 1;
+        }
+    }
+
+    /// Both pools, the tick clock they share, and the lifetime counters.
+    #[derive(Debug, Default)]
+    pub struct Pools {
+        scope: Pool<VertexId>,
+        path: Pool<RelationPair>,
+        tick: u64,
+        /// Every counted lookup since construction.
+        pub stats: CacheStats,
+    }
+
+    impl Pools {
+        fn tick(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
+
+        /// Look `key` up: a hit counts as one use of the entry.
+        pub fn get<V: Item>(&mut self, key: &str) -> Option<Arc<Vec<V>>> {
+            let tick = self.tick();
+            let e = V::pool(self).map.get_mut(key)?;
+            e.freq += 1;
+            e.last_used = tick;
+            Some(Arc::clone(&e.value))
+        }
+
+        /// Store `value` under `key` in a pool of `budget > 0` items.
+        /// Overwriting an existing key updates the value in place —
+        /// preserving its LFU frequency history and evicting nothing, since
+        /// the pool does not grow.
+        pub fn put<V: Item>(
+            &mut self,
+            key: &str,
+            value: Arc<Vec<V>>,
+            policy: EvictionPolicy,
+            budget: usize,
+        ) {
+            let tick = self.tick();
+            if let Some(e) = V::pool(self).map.get_mut(key) {
+                e.value = value;
                 e.last_used = tick;
-                self.hits += 1;
-                Some(&e.value)
+                return;
             }
-            None => {
-                self.misses += 1;
-                None
+            while self.len() >= budget {
+                self.evict(policy);
+            }
+            let entry = Entry {
+                value,
+                freq: 1,
+                last_used: tick,
+            };
+            V::pool(self).map.insert(key.to_owned(), entry);
+        }
+
+        /// Evict the entry with the smallest rank across both pools.
+        fn evict(&mut self, policy: EvictionPolicy) {
+            match (self.scope.victim(policy), self.path.victim(policy)) {
+                (Some((s, key)), Some((p, _))) if s <= p => {
+                    self.scope.map.remove(&key);
+                }
+                (Some((_, key)), None) => {
+                    self.scope.map.remove(&key);
+                }
+                (_, Some((_, key))) => {
+                    self.path.map.remove(&key);
+                }
+                (None, None) => {}
             }
         }
-    }
 
-    /// `(key, freq, last_used)` of the eviction candidate under `policy`.
-    fn eviction_candidate(&self, policy: EvictionPolicy) -> Option<(String, u64, u64)> {
-        self.map
-            .iter()
-            .min_by_key(|(_, e)| match policy {
-                EvictionPolicy::Lfu => (e.freq, e.last_used),
-                EvictionPolicy::Lru => (e.last_used, e.freq),
-            })
-            .map(|(k, e)| (k.clone(), e.freq, e.last_used))
+        /// The LFU frequency of `key`, without touching it.
+        pub fn frequency<V: Item>(&mut self, key: &str) -> Option<u64> {
+            V::pool(self).map.get(key).map(|e| e.freq)
+        }
+
+        pub fn len(&self) -> usize {
+            self.scope.map.len() + self.path.map.len()
+        }
+
+        pub fn value_bytes(&self) -> usize {
+            self.scope.value_bytes() + self.path.value_bytes()
+        }
     }
 }
 
-/// The shared scope + path cache.
+/// The shared scope + path cache: one pool behind one lock, so a single
+/// long-lived cache backs the query service and parallel scheduler
+/// workers alike. Every method takes `&self`.
 #[derive(Debug)]
 pub struct KeyCentricCache {
     granularity: CacheGranularity,
     policy: EvictionPolicy,
-    /// Total item budget across both pools.
+    /// Total item budget across both kinds.
     pool_size: usize,
-    scope: Pool<Arc<Vec<VertexId>>>,
-    path: Pool<Arc<Vec<RelationPair>>>,
-    tick: u64,
+    pools: Mutex<Pools>,
 }
 
+/// Former name of [`KeyCentricCache`] from when it was split into
+/// key-hashed shards; `svqabench` still names it.
+pub type ShardedCache = KeyCentricCache;
+
 impl KeyCentricCache {
-    /// Build a cache.
+    /// Build a cache of `pool_size` items.
     pub fn new(granularity: CacheGranularity, policy: EvictionPolicy, pool_size: usize) -> Self {
         KeyCentricCache {
             granularity,
             policy,
             pool_size,
-            scope: Pool::new(),
-            path: Pool::new(),
-            tick: 0,
+            pools: Mutex::new(Pools::default()),
         }
     }
 
-    pub(crate) fn scope_enabled(&self) -> bool {
-        matches!(
-            self.granularity,
-            CacheGranularity::Scope | CacheGranularity::Both
-        )
-    }
-
-    pub(crate) fn path_enabled(&self) -> bool {
-        matches!(
-            self.granularity,
-            CacheGranularity::Path | CacheGranularity::Both
-        )
-    }
-
-    /// Look up a scope item (cheap `Arc` clone — the vertex sets over a
-    /// 4,233-image merged graph run to tens of thousands of ids, and deep
-    /// copies on every hit would eat the savings).
-    pub fn scope_get(&mut self, key: &str) -> Option<Arc<Vec<VertexId>>> {
-        if !self.scope_enabled() {
+    /// Look up a scope (`V = VertexId`) or path (`V = RelationPair`) item —
+    /// a cheap `Arc` clone, since the vertex sets over a 4,233-image merged
+    /// graph run to tens of thousands of ids. The lookup counts into
+    /// `tally` exactly when it moves the cache's own counters: a lookup the
+    /// granularity skips, or a miss a fault forces, counts in neither. This
+    /// attributes shared-cache traffic to one query exactly, however many
+    /// queries run against the cache at once.
+    pub fn get<V: Item>(&self, key: &str, tally: &mut CacheStats) -> Option<Arc<Vec<V>>> {
+        if faulted(svqa_fault::site::CACHE_GET) || !V::cached_under(self.granularity) {
             return None;
         }
-        self.tick += 1;
-        let tick = self.tick;
-        self.scope.get(key, tick).cloned()
+        let mut pools = self.pools.lock();
+        let hit = pools.get(key);
+        V::count(&mut pools.stats, hit.is_some());
+        V::count(tally, hit.is_some());
+        hit
     }
 
-    /// Store a scope item. Overwriting an existing key updates the value
-    /// in place — preserving its LFU frequency history and evicting
-    /// nothing, since the pool does not grow.
-    pub fn scope_put(&mut self, key: &str, value: Arc<Vec<VertexId>>) {
-        if !self.scope_enabled() || self.pool_size == 0 {
+    /// Store a scope or path item. Overwriting an existing key keeps its
+    /// LFU history and evicts nothing; a new key in a full pool evicts the
+    /// policy's minimum over every cached item of either kind.
+    pub fn put<V: Item>(&self, key: &str, value: Arc<Vec<V>>) {
+        if faulted(svqa_fault::site::CACHE_PUT)
+            || !V::cached_under(self.granularity)
+            || self.pool_size == 0
+        {
             return;
         }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.scope.map.get_mut(key) {
-            e.value = value;
-            e.last_used = tick;
-            return;
-        }
-        self.make_room();
-        self.scope.map.insert(
-            key.to_owned(),
-            Entry {
-                value,
-                freq: 1,
-                last_used: tick,
-            },
-        );
-    }
-
-    /// Look up a path item (cheap `Arc` clone).
-    pub fn path_get(&mut self, key: &str) -> Option<Arc<Vec<RelationPair>>> {
-        if !self.path_enabled() {
-            return None;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        self.path.get(key, tick).cloned()
-    }
-
-    /// Store a path item. Overwrites update in place (frequency preserved,
-    /// no eviction), exactly like [`scope_put`](Self::scope_put).
-    pub fn path_put(&mut self, key: &str, value: Arc<Vec<RelationPair>>) {
-        if !self.path_enabled() || self.pool_size == 0 {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.path.map.get_mut(key) {
-            e.value = value;
-            e.last_used = tick;
-            return;
-        }
-        self.make_room();
-        self.path.map.insert(
-            key.to_owned(),
-            Entry {
-                value,
-                freq: 1,
-                last_used: tick,
-            },
-        );
-    }
-
-    /// Evict until one slot is free, choosing the globally least-valuable
-    /// entry under the policy.
-    fn make_room(&mut self) {
-        while self.len() >= self.pool_size && !self.is_empty() {
-            let scope_cand = self.scope.eviction_candidate(self.policy);
-            let path_cand = self.path.eviction_candidate(self.policy);
-            let evict_scope = match (&scope_cand, &path_cand) {
-                (Some(s), Some(p)) => match self.policy {
-                    EvictionPolicy::Lfu => (s.1, s.2) <= (p.1, p.2),
-                    EvictionPolicy::Lru => (s.2, s.1) <= (p.2, p.1),
-                },
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => return,
-            };
-            if evict_scope {
-                let key = scope_cand.expect("checked above").0;
-                self.scope.map.remove(&key);
-            } else {
-                let key = path_cand.expect("checked above").0;
-                self.path.map.remove(&key);
-            }
-        }
+        self.pools
+            .lock()
+            .put(key, value, self.policy, self.pool_size);
     }
 
     /// Items currently held (scope + path).
     pub fn len(&self) -> usize {
-        self.scope.map.len() + self.path.map.len()
+        self.pools.lock().len()
     }
 
     /// Whether the cache holds no items.
@@ -241,318 +308,40 @@ impl KeyCentricCache {
         self.len() == 0
     }
 
-    /// Hit/miss counters for both pools since construction.
+    /// Hit/miss counters for both kinds since construction.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            scope_hits: self.scope.hits,
-            scope_misses: self.scope.misses,
-            path_hits: self.path.hits,
-            path_misses: self.path.misses,
-        }
+        self.pools.lock().stats
     }
 
     /// Approximate heap bytes held by cached values (a scope item is a
     /// vertex-id vector; a path item a relation-pair vector — the paper
     /// reports ≈6 KB and ≈96 KB per item on MVQA).
     pub fn value_bytes(&self) -> usize {
-        let scope: usize = self
-            .scope
-            .map
-            .values()
-            .map(|e| e.value.len() * std::mem::size_of::<VertexId>())
-            .sum();
-        let path: usize = self
-            .path
-            .map
-            .values()
-            .map(|e| e.value.len() * std::mem::size_of::<RelationPair>())
-            .sum();
-        scope + path
+        self.pools.lock().value_bytes()
     }
 
-    /// The configured granularity.
-    pub fn granularity(&self) -> CacheGranularity {
-        self.granularity
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
-    /// The LFU frequency of a scope entry, without touching it (does not
-    /// count as a use and does not bump hit/miss counters). `None` when the
-    /// key is absent. Exposed so tests and cache introspection can verify
-    /// eviction history survives overwrites.
-    pub fn scope_frequency(&self, key: &str) -> Option<u64> {
-        self.scope.map.get(key).map(|e| e.freq)
-    }
-
-    /// The LFU frequency of a path entry, without touching it.
-    pub fn path_frequency(&self, key: &str) -> Option<u64> {
-        self.path.map.get(key).map(|e| e.freq)
-    }
-
-    /// The configured item budget.
-    pub fn pool_size(&self) -> usize {
-        self.pool_size
-    }
-
-    /// Every key currently resident in either pool (scope first). Only the
-    /// debug-assertions [`invariants`] read it.
-    #[cfg(debug_assertions)]
-    fn resident_keys(&self) -> impl Iterator<Item = &str> {
-        self.scope
-            .map
-            .keys()
-            .chain(self.path.map.keys())
-            .map(String::as_str)
+    /// The LFU frequency of a scope or path entry, without touching it
+    /// (does not count as a use and does not bump hit/miss counters).
+    /// `None` when the key is absent. Exposed so tests and cache
+    /// introspection can verify eviction history survives overwrites.
+    pub fn frequency<V: Item>(&self, key: &str) -> Option<u64> {
+        self.pools.lock().frequency::<V>(key)
     }
 }
 
-/// A key-hashed, shard-per-lock view of the key-centric cache.
-///
-/// The paper's single pool (§V-B) is kept per shard: keys are hashed to one
-/// of `N` shards, each holding its own [`KeyCentricCache`] behind its own
-/// mutex, with the total item budget split across shards. Callers see the
-/// same scope/path API as the single pool but with `&self` methods, so one
-/// long-lived `ShardedCache` can back the query service and parallel
-/// scheduler workers without serializing every lookup on a single lock.
-///
-/// Stats are the merge of per-shard counters
-/// ([`CacheStats::merge`]); eviction stays shard-local, which approximates
-/// the paper's global LFU/LRU minimum (documented in DESIGN.md).
-#[derive(Debug)]
-pub struct ShardedCache {
-    shards: Vec<Mutex<KeyCentricCache>>,
-    /// The caller's total item budget (what the shard budgets must sum to).
-    /// Only the debug-assertions [`invariants`] read it.
-    #[cfg(debug_assertions)]
-    pool_size: usize,
-}
-
-impl ShardedCache {
-    /// Build a sharded cache: `pool_size` items total, split as evenly as
-    /// possible across `shards` key-hashed shards (the first
-    /// `pool_size % shards` shards take the remainder). The shard count is
-    /// clamped to `max(1, min(shards, pool_size))` so no shard gets a zero
-    /// budget while the total budget is non-zero.
-    pub fn new(
-        granularity: CacheGranularity,
-        policy: EvictionPolicy,
-        pool_size: usize,
-        shards: usize,
-    ) -> Self {
-        let n = shards.min(pool_size).max(1);
-        let base = pool_size / n;
-        let remainder = pool_size % n;
-        let cache = ShardedCache {
-            shards: (0..n)
-                .map(|i| {
-                    let budget = base + usize::from(i < remainder);
-                    Mutex::new(KeyCentricCache::new(granularity, policy, budget))
-                })
-                .collect(),
-            #[cfg(debug_assertions)]
-            pool_size,
-        };
-        cache.debug_assert_invariants();
-        cache
-    }
-
-    fn shard_index(&self, key: &str) -> usize {
-        // SipHash with the default (fixed) keys: deterministic across runs,
-        // well-mixed across shards.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<KeyCentricCache> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// Injection gate shared by the four cache entry points. Lookups and
-    /// inserts are infallible, so `Error` and `DropResult` both degrade to
-    /// "the cache did nothing" (forced miss / dropped insert); `Latency`
-    /// stalls the caller; `CorruptLabel` has no cache meaning and is inert.
-    fn faulted(site: &'static str) -> bool {
-        match svqa_fault::draw(site) {
-            Some(svqa_fault::FaultKind::Error | svqa_fault::FaultKind::DropResult) => true,
-            Some(svqa_fault::FaultKind::Latency(ms)) => {
-                svqa_fault::apply_latency(ms, None);
-                false
-            }
-            Some(svqa_fault::FaultKind::CorruptLabel) | None => false,
+/// Injection gate shared by the cache's get and put, drawn once per call
+/// before the lock. Lookups and inserts are infallible, so `Error` and
+/// `DropResult` both degrade to "the cache did nothing" (forced miss /
+/// dropped insert); `Latency` stalls the caller; `CorruptLabel` has no
+/// cache meaning and is inert.
+fn faulted(site: &'static str) -> bool {
+    match svqa_fault::draw(site) {
+        Some(svqa_fault::FaultKind::Error | svqa_fault::FaultKind::DropResult) => true,
+        Some(svqa_fault::FaultKind::Latency(ms)) => {
+            svqa_fault::apply_latency(ms, None);
+            false
         }
-    }
-
-    /// Look up a scope item in the key's shard, counting the lookup into
-    /// `tally` exactly when it moves the cache's own counters: a lookup the
-    /// granularity skips, or a miss a fault forces, counts in neither. This
-    /// is what attributes shared-cache traffic to one query exactly, however
-    /// many queries run against the cache at once.
-    pub fn scope_get(
-        &self,
-        key: &str,
-        tally: &mut CacheStats,
-    ) -> Option<Arc<Vec<VertexId>>> {
-        if Self::faulted(svqa_fault::site::CACHE_GET) {
-            return None;
-        }
-        let mut shard = self.shard(key).lock();
-        let hit = shard.scope_get(key);
-        match (shard.scope_enabled(), hit.is_some()) {
-            (false, _) => {}
-            (true, true) => tally.scope_hits += 1,
-            (true, false) => tally.scope_misses += 1,
-        }
-        hit
-    }
-
-    /// Store a scope item in the key's shard.
-    pub fn scope_put(&self, key: &str, value: Arc<Vec<VertexId>>) {
-        if Self::faulted(svqa_fault::site::CACHE_PUT) {
-            return;
-        }
-        self.shard(key).lock().scope_put(key, value);
-    }
-
-    /// Look up a path item in the key's shard, counting the lookup into
-    /// `tally` by the rule of [`scope_get`](Self::scope_get).
-    pub fn path_get(
-        &self,
-        key: &str,
-        tally: &mut CacheStats,
-    ) -> Option<Arc<Vec<RelationPair>>> {
-        if Self::faulted(svqa_fault::site::CACHE_GET) {
-            return None;
-        }
-        let mut shard = self.shard(key).lock();
-        let hit = shard.path_get(key);
-        match (shard.path_enabled(), hit.is_some()) {
-            (false, _) => {}
-            (true, true) => tally.path_hits += 1,
-            (true, false) => tally.path_misses += 1,
-        }
-        hit
-    }
-
-    /// Store a path item in the key's shard.
-    pub fn path_put(&self, key: &str, value: Arc<Vec<RelationPair>>) {
-        if Self::faulted(svqa_fault::site::CACHE_PUT) {
-            return;
-        }
-        self.shard(key).lock().path_put(key, value);
-    }
-
-    /// Hit/miss counters merged across all shards.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::new();
-        for shard in &self.shards {
-            total.merge(&shard.lock().stats());
-        }
-        total
-    }
-
-    /// Items currently held across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate heap bytes held by cached values, across all shards.
-    pub fn value_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().value_bytes()).sum()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The LFU frequency of a scope entry (non-touching; see
-    /// [`KeyCentricCache::scope_frequency`]).
-    pub fn scope_frequency(&self, key: &str) -> Option<u64> {
-        self.shard(key).lock().scope_frequency(key)
-    }
-
-    /// The LFU frequency of a path entry (non-touching).
-    pub fn path_frequency(&self, key: &str) -> Option<u64> {
-        self.shard(key).lock().path_frequency(key)
-    }
-
-    /// Run the [`invariants`] suite. Compiles to a no-op in release builds;
-    /// under `debug_assertions` a violation panics with the broken
-    /// invariant. Called at construction and by the property tests after
-    /// every mutation.
-    pub fn debug_assert_invariants(&self) {
-        #[cfg(debug_assertions)]
-        invariants::check(self);
-    }
-}
-
-/// Debug-assertions invariants for [`ShardedCache`] — the structural
-/// properties the sharding layer must preserve over the paper's single
-/// pool, checked exhaustively in debug builds (proptests run them after
-/// every operation) and compiled out of release binaries.
-#[cfg(debug_assertions)]
-mod invariants {
-    use super::ShardedCache;
-
-    /// All invariants, in one sweep over the shards.
-    pub(super) fn check(cache: &ShardedCache) {
-        budget_conserved(cache);
-        no_cross_shard_leakage(cache);
-    }
-
-    /// The per-shard budgets sum exactly to the configured pool size, no
-    /// shard has a zero budget while the pool is non-empty, and no shard
-    /// holds more items than its own budget (so the global `len() ≤
-    /// pool_size` bound follows shard-locally).
-    fn budget_conserved(cache: &ShardedCache) {
-        let mut total_budget = 0;
-        for (i, shard) in cache.shards.iter().enumerate() {
-            let shard = shard.lock();
-            assert!(
-                cache.pool_size == 0 || shard.pool_size() > 0,
-                "shard {i} has a zero budget inside a pool of {}",
-                cache.pool_size
-            );
-            assert!(
-                shard.len() <= shard.pool_size(),
-                "shard {i} holds {} items over its budget of {}",
-                shard.len(),
-                shard.pool_size()
-            );
-            total_budget += shard.pool_size();
-        }
-        assert_eq!(
-            total_budget, cache.pool_size,
-            "shard budgets sum to {total_budget}, configured pool is {}",
-            cache.pool_size
-        );
-    }
-
-    /// Every resident key hashes back to the shard that holds it: routing
-    /// is a function of the key alone, so a key can never be resident in
-    /// two shards at once (no stale aliases after eviction/overwrite).
-    fn no_cross_shard_leakage(cache: &ShardedCache) {
-        for (i, shard) in cache.shards.iter().enumerate() {
-            let shard = shard.lock();
-            for key in shard.resident_keys() {
-                assert_eq!(
-                    cache.shard_index(key),
-                    i,
-                    "key {key:?} resident in shard {i} but routes to shard {}",
-                    cache.shard_index(key)
-                );
-            }
-        }
+        Some(svqa_fault::FaultKind::CorruptLabel) | None => false,
     }
 }
 
@@ -564,21 +353,36 @@ mod tests {
         VertexId::from_index(i)
     }
 
+    fn scope(c: &KeyCentricCache, key: &str) -> Option<Arc<Vec<VertexId>>> {
+        c.get(key, &mut CacheStats::new())
+    }
+
+    fn path(c: &KeyCentricCache, key: &str) -> Option<Arc<Vec<RelationPair>>> {
+        c.get(key, &mut CacheStats::new())
+    }
+
+    fn no_pairs() -> Arc<Vec<RelationPair>> {
+        Arc::new(Vec::new())
+    }
+
     #[test]
     fn disabled_cache_never_stores() {
-        let mut c = KeyCentricCache::new(CacheGranularity::None, EvictionPolicy::Lfu, 0);
-        c.scope_put("dog", Arc::new(vec![vid(1)]));
-        c.path_put("dog|car", Arc::new(vec![]));
+        let c = KeyCentricCache::new(CacheGranularity::None, EvictionPolicy::Lfu, 0);
+        c.put("dog", Arc::new(vec![vid(1)]));
+        c.put("dog|car", no_pairs());
         assert!(c.is_empty());
-        assert_eq!(c.scope_get("dog"), None);
+        let mut tally = CacheStats::new();
+        assert_eq!(c.get::<VertexId>("dog", &mut tally), None);
+        assert_eq!(tally, CacheStats::new());
+        assert_eq!(c.stats(), CacheStats::new());
     }
 
     #[test]
     fn scope_roundtrip_and_stats() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 10);
-        assert_eq!(c.scope_get("dog"), None); // miss
-        c.scope_put("dog", Arc::new(vec![vid(1), vid(2)]));
-        assert_eq!(c.scope_get("dog"), Some(Arc::new(vec![vid(1), vid(2)]))); // hit
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 10);
+        assert_eq!(scope(&c, "dog"), None); // miss
+        c.put("dog", Arc::new(vec![vid(1), vid(2)]));
+        assert_eq!(scope(&c, "dog"), Some(Arc::new(vec![vid(1), vid(2)]))); // hit
         let stats = c.stats();
         assert_eq!((stats.scope_hits, stats.scope_misses), (1, 1));
         assert!((stats.scope_hit_rate() - 0.5).abs() < 1e-12);
@@ -586,68 +390,83 @@ mod tests {
     }
 
     #[test]
+    fn path_roundtrip_counts_as_path_traffic() {
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 10);
+        c.put("dog", Arc::new(vec![vid(1)]));
+        c.put("dog|car", no_pairs());
+        assert!(path(&c, "dog|car").is_some());
+        // Scope and path keys live apart: the same string is a miss in the
+        // other kind.
+        assert!(path(&c, "dog").is_none());
+        assert_eq!(c.len(), 2);
+        let stats = c.stats();
+        assert_eq!((stats.scope_hits, stats.scope_misses), (0, 0));
+        assert_eq!((stats.path_hits, stats.path_misses), (1, 1));
+    }
+
+    #[test]
     fn granularity_scope_only() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 10);
-        c.scope_put("dog", Arc::new(vec![vid(1)]));
-        c.path_put("k", Arc::new(vec![]));
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 10);
+        c.put("dog", Arc::new(vec![vid(1)]));
+        c.put("k", no_pairs());
         assert_eq!(c.len(), 1);
-        assert!(c.scope_get("dog").is_some());
-        assert!(c.path_get("k").is_none());
+        assert!(scope(&c, "dog").is_some());
+        assert!(path(&c, "k").is_none());
     }
 
     #[test]
     fn lfu_evicts_least_frequent() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2);
-        c.scope_put("a", Arc::new(vec![vid(1)]));
-        c.scope_put("b", Arc::new(vec![vid(2)]));
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2);
+        c.put("a", Arc::new(vec![vid(1)]));
+        c.put("b", Arc::new(vec![vid(2)]));
         // Touch "a" twice so "b" is least frequent.
-        c.scope_get("a");
-        c.scope_get("a");
-        c.scope_put("c", Arc::new(vec![vid(3)]));
-        assert!(c.scope_get("a").is_some());
-        assert!(c.scope_get("b").is_none());
-        assert!(c.scope_get("c").is_some());
+        scope(&c, "a");
+        scope(&c, "a");
+        c.put("c", Arc::new(vec![vid(3)]));
+        assert!(scope(&c, "a").is_some());
+        assert!(scope(&c, "b").is_none());
+        assert!(scope(&c, "c").is_some());
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lru, 2);
-        c.scope_put("a", Arc::new(vec![vid(1)]));
-        c.scope_put("b", Arc::new(vec![vid(2)]));
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lru, 2);
+        c.put("a", Arc::new(vec![vid(1)]));
+        c.put("b", Arc::new(vec![vid(2)]));
         // "a" used many times long ago; "b" used once, recently.
-        c.scope_get("a");
-        c.scope_get("a");
-        c.scope_get("b");
-        c.scope_put("c", Arc::new(vec![vid(3)]));
+        scope(&c, "a");
+        scope(&c, "a");
+        scope(&c, "b");
+        c.put("c", Arc::new(vec![vid(3)]));
         // LRU evicts "a" (older last_used) despite higher frequency.
-        assert!(c.scope_get("a").is_none());
-        assert!(c.scope_get("b").is_some());
+        assert!(scope(&c, "a").is_none());
+        assert!(scope(&c, "b").is_some());
     }
 
     #[test]
     fn shared_budget_across_pools() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 2);
-        c.scope_put("a", Arc::new(vec![vid(1)]));
-        c.path_put("p", Arc::new(vec![]));
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 2);
+        c.put("a", Arc::new(vec![vid(1)]));
+        c.put("p", no_pairs());
         assert_eq!(c.len(), 2);
-        c.scope_put("b", Arc::new(vec![vid(2)]));
+        c.put("b", Arc::new(vec![vid(2)]));
         assert_eq!(c.len(), 2); // one of the old entries was evicted
     }
 
     #[test]
     fn zero_pool_accepts_nothing() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 0);
-        c.scope_put("a", Arc::new(vec![vid(1)]));
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 0);
+        c.put("a", Arc::new(vec![vid(1)]));
         assert!(c.is_empty());
     }
 
     #[test]
     fn overwrite_same_key_keeps_len() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 5);
-        c.scope_put("a", Arc::new(vec![vid(1)]));
-        c.scope_put("a", Arc::new(vec![vid(2)]));
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 5);
+        c.put("a", Arc::new(vec![vid(1)]));
+        c.put("a", Arc::new(vec![vid(2)]));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.scope_get("a"), Some(Arc::new(vec![vid(2)])));
+        assert_eq!(scope(&c, "a"), Some(Arc::new(vec![vid(2)])));
     }
 
     /// Regression: overwriting a key in a *full* cache used to call
@@ -655,85 +474,49 @@ mod tests {
     /// not growing.
     #[test]
     fn overwrite_in_full_cache_evicts_nothing() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 2);
-        c.scope_put("a", Arc::new(vec![vid(1)]));
-        c.path_put("p", Arc::new(vec![]));
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 2);
+        c.put("a", Arc::new(vec![vid(1)]));
+        c.put("p", no_pairs());
         assert_eq!(c.len(), 2); // full
-        c.scope_put("a", Arc::new(vec![vid(9)]));
+        c.put("a", Arc::new(vec![vid(9)]));
         assert_eq!(c.len(), 2);
-        assert!(c.scope_frequency("a").is_some());
-        assert!(c.path_frequency("p").is_some(), "unrelated entry evicted");
-        assert_eq!(c.scope_get("a"), Some(Arc::new(vec![vid(9)])));
+        assert!(c.frequency::<VertexId>("a").is_some());
+        assert!(
+            c.frequency::<RelationPair>("p").is_some(),
+            "unrelated entry evicted"
+        );
+        assert_eq!(scope(&c, "a"), Some(Arc::new(vec![vid(9)])));
     }
 
     /// Regression: overwriting used to reset `freq` to 1, destroying the
     /// LFU history that decides the next eviction.
     #[test]
     fn overwrite_preserves_lfu_history() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2);
-        c.scope_put("hot", Arc::new(vec![vid(1)]));
-        c.scope_get("hot");
-        c.scope_get("hot"); // freq 3
-        c.scope_put("cold", Arc::new(vec![vid(2)])); // freq 1
-        c.scope_put("hot", Arc::new(vec![vid(3)])); // overwrite, freq stays 3
-        assert_eq!(c.scope_frequency("hot"), Some(3));
-        c.scope_put("new", Arc::new(vec![vid(4)]));
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2);
+        c.put("hot", Arc::new(vec![vid(1)]));
+        scope(&c, "hot");
+        scope(&c, "hot"); // freq 3
+        c.put("cold", Arc::new(vec![vid(2)])); // freq 1
+        c.put("hot", Arc::new(vec![vid(3)])); // overwrite, freq stays 3
+        assert_eq!(c.frequency::<VertexId>("hot"), Some(3));
+        c.put("new", Arc::new(vec![vid(4)]));
         // LFU must evict "cold" (freq 1), not "hot".
-        assert!(c.scope_frequency("hot").is_some());
-        assert!(c.scope_frequency("cold").is_none());
-    }
-
-    #[test]
-    fn sharded_cache_roundtrip_and_merged_stats() {
-        let c = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64, 4);
-        assert_eq!(c.shard_count(), 4);
-        assert_eq!(c.scope_get("dog", &mut CacheStats::new()), None); // miss
-        c.scope_put("dog", Arc::new(vec![vid(1)]));
-        c.path_put("dog|car", Arc::new(vec![]));
-        assert_eq!(c.scope_get("dog", &mut CacheStats::new()), Some(Arc::new(vec![vid(1)])));
-        assert!(c.path_get("dog|car", &mut CacheStats::new()).is_some());
-        assert_eq!(c.len(), 2);
-        assert!(c.value_bytes() > 0);
-        let stats = c.stats();
-        assert_eq!((stats.scope_hits, stats.scope_misses), (1, 1));
-        assert_eq!((stats.path_hits, stats.path_misses), (1, 0));
-    }
-
-    #[test]
-    fn sharded_cache_budget_split_covers_pool_size() {
-        // 10 items over 4 shards: budgets 3,3,2,2 — total exactly 10.
-        let c = ShardedCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 10, 4);
-        for i in 0..100 {
-            c.scope_put(&format!("k{i}"), Arc::new(vec![vid(i)]));
-        }
-        assert!(c.len() <= 10, "len {} exceeds total budget", c.len());
-        // Shard count clamps so no shard gets a zero budget.
-        let tiny = ShardedCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2, 8);
-        assert_eq!(tiny.shard_count(), 2);
-        tiny.scope_put("a", Arc::new(vec![vid(1)]));
-        assert_eq!(tiny.len(), 1);
+        assert!(c.frequency::<VertexId>("hot").is_some());
+        assert!(c.frequency::<VertexId>("cold").is_none());
     }
 
     #[test]
     fn tallied_lookups_count_exactly_what_the_cache_counts() {
         // Scope-only: path lookups are skipped by the granularity and must
         // count nowhere; scope hits and misses count in both places.
-        let c = ShardedCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 16, 4);
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 16);
         let mut tally = CacheStats::new();
-        assert_eq!(c.scope_get("dog", &mut tally), None);
-        c.scope_put("dog", Arc::new(vec![vid(1)]));
-        assert!(c.scope_get("dog", &mut tally).is_some());
-        assert!(c.path_get("dog|car", &mut tally).is_none());
+        assert_eq!(c.get::<VertexId>("dog", &mut tally), None);
+        c.put("dog", Arc::new(vec![vid(1)]));
+        assert!(c.get::<VertexId>("dog", &mut tally).is_some());
+        assert!(c.get::<RelationPair>("dog|car", &mut tally).is_none());
         assert_eq!(tally, c.stats());
         assert_eq!((tally.scope_hits, tally.scope_misses), (1, 1));
         assert_eq!((tally.path_hits, tally.path_misses), (0, 0));
-    }
-
-    #[test]
-    fn sharded_disabled_accepts_nothing() {
-        let c = ShardedCache::new(CacheGranularity::None, EvictionPolicy::Lfu, 0, 1);
-        c.scope_put("a", Arc::new(vec![vid(1)]));
-        assert!(c.is_empty());
-        assert_eq!(c.scope_get("a", &mut CacheStats::new()), None);
     }
 }

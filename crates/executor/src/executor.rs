@@ -14,7 +14,7 @@
 //!   count of scene instances, or ranked entity labels).
 
 use crate::answer::Answer;
-use crate::cache::{CacheStats, ShardedCache};
+use crate::cache::{CacheStats, KeyCentricCache};
 use crate::explain::Explanation;
 use crate::matching::{MatchMethod, RelationPair, VertexMatcher};
 use crate::words::Constraint;
@@ -241,7 +241,7 @@ impl<'g> QueryGraphExecutor<'g> {
     pub fn execute_profiled(
         &self,
         gq: &QueryGraph,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
     ) -> Result<crate::profile::ProfiledRun, ExecError> {
         let mut traffic = CacheStats::new();
         let run = self.run(gq, cache, &mut traffic)?;
@@ -255,11 +255,11 @@ impl<'g> QueryGraphExecutor<'g> {
     /// The Algorithm 3 main loop, with an optional shared key-centric
     /// cache. Every scope and path lookup this run makes is counted into
     /// `traffic` by the cache's own rule (see
-    /// [`ShardedCache::scope_get`]), also when the run then fails.
+    /// [`KeyCentricCache::get`]), also when the run then fails.
     pub fn run(
         &self,
         gq: &QueryGraph,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
         traffic: &mut CacheStats,
     ) -> Result<Execution, ExecError> {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::MATCH);
@@ -288,7 +288,7 @@ impl<'g> QueryGraphExecutor<'g> {
             let cacheable = sub_binding[u].is_none() && obj_binding[u].is_none();
             let path_key = format!("{}|{}", spoc.subject.phrase, spoc.object.phrase);
             let cached_rp = if cacheable {
-                cache.and_then(|c| c.path_get(&path_key, traffic))
+                cache.and_then(|c| c.get::<RelationPair>(&path_key, traffic))
             } else {
                 None
             };
@@ -342,7 +342,7 @@ impl<'g> QueryGraphExecutor<'g> {
                     // wrong after the fault ends.
                     if cacheable && fault.is_none() {
                         if let Some(c) = cache {
-                            c.path_put(&path_key, Arc::clone(&rp));
+                            c.put(&path_key, Arc::clone(&rp));
                         }
                     }
                     rp
@@ -433,7 +433,7 @@ impl<'g> QueryGraphExecutor<'g> {
         &self,
         np: &NounPhrase,
         binding: Option<&[VertexId]>,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
         traffic: &mut CacheStats,
     ) -> (Option<Arc<Vec<VertexId>>>, SlotTrace) {
         if let Some(bound) = binding {
@@ -450,7 +450,7 @@ impl<'g> QueryGraphExecutor<'g> {
             return (None, SlotTrace::default());
         }
         if let Some(cache) = cache {
-            if let Some(hit) = cache.scope_get(&np.phrase, traffic) {
+            if let Some(hit) = cache.get::<VertexId>(&np.phrase, traffic) {
                 let trace = SlotTrace {
                     source: SlotSource::CacheHit,
                     method: None,
@@ -464,7 +464,7 @@ impl<'g> QueryGraphExecutor<'g> {
         let seed = matched.len();
         let expanded = Arc::new(self.matcher.expand_semantic(&matched));
         if let Some(cache) = cache {
-            cache.scope_put(&np.phrase, Arc::clone(&expanded));
+            cache.put(&np.phrase, Arc::clone(&expanded));
         }
         let trace = SlotTrace {
             source: SlotSource::Matched,
@@ -764,7 +764,7 @@ mod tests {
             "What kind of clothes are worn by the wizard?",
             "Does the wizard appear near Harry Potter's girlfriend?",
         ];
-        let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100);
         let mut cached_answers = Vec::new();
         for q in &questions {
             let gq = gen.generate(q).unwrap();

@@ -13,8 +13,8 @@
 //!   §V: "corresponding to answers in the form of a number, an entity, and
 //!   a judgment word");
 //! * [`cache`] — the key-centric cache of §V-B: *scope* items (vertex match
-//!   sets) and *path* items (relation-pair sets), bounded pools with LFU or
-//!   LRU eviction;
+//!   sets) and *path* items (relation-pair sets) in one bounded pool with
+//!   LFU or LRU eviction;
 //! * [`scheduler`] — optimized multi-query scheduling: frequency-ratio
 //!   scoring, descending execution order, shared cache, and parallel
 //!   execution on `std::thread` scoped threads;
@@ -43,6 +43,6 @@ pub use executor::{
 };
 pub use explain::{Explanation, SupportFact};
 pub use matching::{MatchMethod, VertexMatcher};
-pub use profile::{ExecutionProfile, ProfiledRun, QuadPlan, ScheduleInfo};
+pub use profile::{ExecutionProfile, ProfiledRun, QuadPlan};
 pub use scheduler::{BatchReport, QueryScheduler, SchedulerConfig};
 pub use words::Constraint;

@@ -5,8 +5,7 @@
 //! (matchVertex seed → semantic expansion → relation pairs → predicate
 //! filter → constraint), how the key-centric cache behaved (scope/path
 //! hit, miss, bypass), how many merged-graph edges were scanned, and the
-//! per-quadruple wall time — plus the execution order and the scheduler's
-//! rationale when the query ran inside a batch.
+//! per-quadruple wall time — plus the execution order.
 //!
 //! Two renderings: [`render_tree`](ExecutionProfile::render_tree) is the
 //! human-readable `EXPLAIN ANALYZE` text behind `svqa-cli explain`;
@@ -39,20 +38,6 @@ pub struct QuadPlan {
     pub trace: VertexTrace,
 }
 
-/// Why the scheduler placed this query where it did in a batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScheduleInfo {
-    /// 0-based rank in the chosen execution order.
-    pub position: usize,
-    /// Number of queries in the batch.
-    pub batch_size: usize,
-    /// The frequency-ratio score (§V-B): sum of this query's vertex-key
-    /// frequency ratios across the batch. Higher runs earlier.
-    pub score: f64,
-    /// Whether frequency ordering was active (false = FIFO ablation).
-    pub frequency_sorted: bool,
-}
-
 /// The full `EXPLAIN ANALYZE` document for one executed query.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutionProfile {
@@ -74,9 +59,6 @@ pub struct ExecutionProfile {
     /// Cache traffic this query produced (its own lookups, not the shared
     /// cache's totals).
     pub cache: CacheStats,
-    /// Batch-scheduling rationale, when the query ran inside a batch.
-    #[serde(default)]
-    pub schedule: Option<ScheduleInfo>,
     /// Non-fatal lint diagnostics (warnings/hints) the query-graph linter
     /// raised before execution; error-severity findings short-circuit and
     /// never reach a profile.
@@ -132,7 +114,6 @@ impl ExecutionProfile {
             stages: vec![match_stage],
             total_ns,
             cache,
-            schedule: None,
             lint: Vec::new(),
         }
     }
@@ -145,11 +126,6 @@ impl ExecutionProfile {
         }
         self.stages.insert(0, StageTiming::leaf(stage, 0, nanos));
         self.total_ns += nanos;
-    }
-
-    /// Attach the batch-scheduling rationale.
-    pub fn set_schedule(&mut self, info: ScheduleInfo) {
-        self.schedule = Some(info);
     }
 
     /// Attach the linter's non-fatal diagnostics.
@@ -197,20 +173,6 @@ impl ExecutionProfile {
             self.cache.path_hits,
             self.cache.path_hits + self.cache.path_misses,
         );
-        if let Some(s) = &self.schedule {
-            let _ = writeln!(
-                out,
-                "  schedule: rank {}/{} ({}), frequency score {:.4}",
-                s.position + 1,
-                s.batch_size,
-                if s.frequency_sorted {
-                    "frequency-sorted"
-                } else {
-                    "fifo"
-                },
-                s.score,
-            );
-        }
         for s in &self.stages {
             if s.children.is_empty() {
                 let _ = writeln!(out, "  stage {}: {}", s.stage, fmt_ns(s.nanos));
@@ -296,7 +258,7 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheGranularity, EvictionPolicy, ShardedCache};
+    use crate::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache};
     use crate::executor::QueryGraphExecutor;
     use svqa_graph::{Graph, GraphBuilder};
     use svqa_qparser::QueryGraphGenerator;
@@ -317,7 +279,7 @@ mod tests {
     fn profiled(
         g: &Graph,
         question: &str,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
     ) -> ProfiledRun {
         let gq = QueryGraphGenerator::new().generate(question).unwrap();
         QueryGraphExecutor::new(g)
@@ -350,7 +312,7 @@ mod tests {
     #[test]
     fn cache_outcomes_flip_from_miss_to_hit() {
         let g = graph();
-        let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100);
         let cold = profiled(&g, "Does the dog appear in the car?", Some(&cache));
         assert_eq!(cold.profile.quads[0].trace.path_cache, CacheOutcome::Miss);
         assert!(cold.profile.cache.path_misses > 0);
@@ -365,7 +327,7 @@ mod tests {
     #[test]
     fn render_tree_shows_counts_cache_and_timing() {
         let g = graph();
-        let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100);
         let run = profiled(&g, "Does the dog appear in the car?", Some(&cache));
         let text = run.profile.render_tree();
         assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
@@ -383,12 +345,6 @@ mod tests {
         let mut p = profiled(&g, "How many dogs are in the car?", None).profile;
         let match_ns = p.total_ns;
         p.prepend_stage(stage::PARSE, 5_000);
-        p.set_schedule(ScheduleInfo {
-            position: 0,
-            batch_size: 3,
-            score: 0.5,
-            frequency_sorted: true,
-        });
         assert_eq!(p.total_ns, match_ns + 5_000);
         assert_eq!(p.stages[0].stage, stage::PARSE);
         assert_eq!(p.stages[1].start_ns, 5_000);
@@ -396,8 +352,6 @@ mod tests {
         let back: ExecutionProfile = serde_json::from_str(&p.to_json_pretty()).unwrap();
         assert_eq!(back.question, p.question);
         assert_eq!(back.quads[0].trace, p.quads[0].trace);
-        assert_eq!(back.schedule, p.schedule);
-        assert!(back.render_tree().contains("rank 1/3"));
 
         // The trace bridge carries the stage tree across.
         let qt = p.query_trace();

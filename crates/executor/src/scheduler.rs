@@ -6,10 +6,10 @@
 //! order so queries with highly shared vertices run first and seed the
 //! cache for the rest (Fig. 6). "We parallelize our algorithm to further
 //! improve its performance" — with `threads > 1` a worker pool drains the
-//! ordered queue, sharing one key-centric cache behind a mutex.
+//! ordered queue, sharing one key-centric cache behind its lock.
 
 use crate::answer::Answer;
-use crate::cache::{CacheGranularity, CacheStats, EvictionPolicy, ShardedCache};
+use crate::cache::{CacheGranularity, CacheStats, EvictionPolicy, KeyCentricCache};
 use crate::executor::{ExecError, QueryGraphExecutor};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -26,10 +26,6 @@ pub struct SchedulerConfig {
     pub policy: EvictionPolicy,
     /// Cache pool size in items (Fig. 11).
     pub pool_size: usize,
-    /// Cache shards: the pool is split across this many key-hashed shards,
-    /// each behind its own lock, so parallel workers don't serialize on a
-    /// single cache mutex.
-    pub shards: usize,
     /// Worker threads; 1 = sequential.
     pub threads: usize,
     /// Whether to apply the frequency-ratio ordering (ablation switch; off
@@ -43,7 +39,6 @@ impl Default for SchedulerConfig {
             granularity: CacheGranularity::Both,
             policy: EvictionPolicy::Lfu,
             pool_size: 100,
-            shards: 8,
             threads: 1,
             frequency_sort: true,
         }
@@ -94,8 +89,8 @@ impl QueryScheduler {
     }
 
     /// [`order`](Self::order) plus the per-query frequency-ratio scores in
-    /// the *original* submission order — the reuse rationale surfaced by
-    /// `EXPLAIN ANALYZE` and `BatchReport` — with optional static
+    /// the *original* submission order — the reuse rationale a
+    /// [`BatchReport`] carries in `scores` — with optional static
     /// cost hints (per query, original order — e.g. `qlint`'s cardinality
     /// estimates). Frequency ratio stays the primary key; among queries
     /// with equal reuse potential, the cheaper estimated plan runs first so
@@ -142,16 +137,15 @@ impl QueryScheduler {
         (idx, scores)
     }
 
-    /// Build the sharded cache this scheduler's configuration describes —
+    /// Build the cache this scheduler's configuration describes —
     /// what [`run`](Self::run) uses per batch, and what a long-lived caller
     /// (the query service) constructs once and feeds to
     /// [`run_with_cache_hinted`](Self::run_with_cache_hinted) forever.
-    pub fn build_cache(&self) -> ShardedCache {
-        ShardedCache::new(
+    pub fn build_cache(&self) -> KeyCentricCache {
+        KeyCentricCache::new(
             self.config.granularity,
             self.config.policy,
             self.config.pool_size,
-            self.config.shards,
         )
     }
 
@@ -161,7 +155,7 @@ impl QueryScheduler {
         self.run_with_cache_hinted(graph, queries, &self.build_cache(), None)
     }
 
-    /// Execute a batch against a caller-owned [`ShardedCache`], so cache
+    /// Execute a batch against a caller-owned [`KeyCentricCache`], so cache
     /// state persists across batches (and across requests when the cache
     /// belongs to the serving layer), with optional per-query cost hints
     /// forwarded to the frequency ordering (see
@@ -172,7 +166,7 @@ impl QueryScheduler {
         &self,
         graph: &Graph,
         queries: &[QueryGraph],
-        cache: &ShardedCache,
+        cache: &KeyCentricCache,
         cost_hints: Option<&[f64]>,
     ) -> BatchReport {
         let (order, scores) = self.schedule(queries, cost_hints);
@@ -221,7 +215,7 @@ impl QueryScheduler {
     /// The batch loop: call `work` on every item in `order` (which must
     /// name each item once), on the calling thread, or with `threads > 1`
     /// on a worker pool draining the ordered queue (the graph is shared
-    /// immutably, the cache sharded behind per-shard locks). Results come
+    /// immutably, the cache behind its own lock). Results come
     /// back in item order. Behind both
     /// [`run_with_cache_hinted`](Self::run_with_cache_hinted) and the
     /// pipeline's full-path batch.
@@ -277,7 +271,8 @@ fn vertex_key(v: &svqa_qparser::Spoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svqa_graph::GraphBuilder;
+    use std::sync::Arc;
+    use svqa_graph::{GraphBuilder, VertexId};
     use svqa_qparser::QueryGraphGenerator;
 
     fn graph() -> Graph {
@@ -411,6 +406,53 @@ mod tests {
         );
         assert_eq!(second.cache_stats.path_misses, 0);
         assert_eq!(first.answers, second.answers);
+    }
+
+    /// The default cache is one pool of 100 items under either policy: it
+    /// holds 100 distinct keys, and the 101st put evicts exactly the
+    /// policy minimum over all 100.
+    #[test]
+    fn default_cache_is_one_pool_with_global_eviction() {
+        for policy in [EvictionPolicy::Lfu, EvictionPolicy::Lru] {
+            let config = SchedulerConfig {
+                policy,
+                ..SchedulerConfig::default()
+            };
+            let cache = QueryScheduler::new(config).build_cache();
+            // Model: (key, freq, last_used), on the cache's tick clock
+            // (every get and put advances it by one).
+            let mut tick = 0u64;
+            let mut model: Vec<(String, u64, u64)> = Vec::new();
+            for i in 0..100 {
+                let key = format!("k{i}");
+                tick += 1;
+                cache.put(&key, Arc::new(vec![VertexId::from_index(i)]));
+                model.push((key, 1, tick));
+            }
+            assert_eq!(cache.len(), 100, "{policy:?}");
+            for i in 0..150usize {
+                let idx = (i * i + 7 * i) % 100;
+                tick += 1;
+                let hit = cache.get::<VertexId>(&model[idx].0, &mut CacheStats::new());
+                assert!(hit.is_some(), "{policy:?}: {} missing", model[idx].0);
+                model[idx].1 += 1;
+                model[idx].2 = tick;
+            }
+            cache.put("fresh", Arc::new(Vec::<VertexId>::new()));
+            let victim = &model
+                .iter()
+                .min_by_key(|(_, freq, last)| match policy {
+                    EvictionPolicy::Lfu => (*freq, *last),
+                    EvictionPolicy::Lru => (*last, *freq),
+                })
+                .expect("100 keys")
+                .0;
+            assert_eq!(cache.len(), 100, "{policy:?}");
+            for (key, _, _) in &model {
+                let evicted = cache.frequency::<VertexId>(key).is_none();
+                assert_eq!(evicted, key == victim, "{policy:?}: {key}, victim {victim}");
+            }
+        }
     }
 
     /// Regression for the score sort: exact ties must keep submission

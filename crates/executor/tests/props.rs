@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 use proptest::prelude::*;
-use svqa_executor::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache, ShardedCache};
+use svqa_executor::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache};
 use svqa_executor::executor::QueryGraphExecutor;
-use svqa_executor::matching::VertexMatcher;
+use svqa_executor::matching::{RelationPair, VertexMatcher};
 use svqa_executor::{Answer, CacheStats};
 use svqa_graph::{Graph, VertexId};
 use svqa_qparser::{NounPhrase, QueryGraph, QuestionType, Spoc};
@@ -17,6 +17,30 @@ enum Op {
     ScopePut(u8, u8),
     PathGet(u8),
     PathPut(u8),
+}
+
+/// Apply one scripted operation.
+fn apply(cache: &KeyCentricCache, op: &Op) {
+    let mut tally = CacheStats::new();
+    match *op {
+        Op::ScopeGet(k) => {
+            cache.get::<VertexId>(&format!("s{k}"), &mut tally);
+        }
+        Op::ScopePut(k, v) => {
+            cache.put(
+                &format!("s{k}"),
+                Arc::new(vec![VertexId::from_index(v as usize)]),
+            );
+        }
+        Op::PathGet(k) => {
+            cache.get::<RelationPair>(&format!("p{k}"), &mut tally);
+        }
+        Op::PathPut(k) => cache.put(&format!("p{k}"), Arc::new(Vec::<RelationPair>::new())),
+    }
+}
+
+fn scope_get(cache: &KeyCentricCache, key: &str) -> Option<Arc<Vec<VertexId>>> {
+    cache.get(key, &mut CacheStats::new())
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -36,16 +60,9 @@ proptest! {
         lfu in any::<bool>(),
     ) {
         let policy = if lfu { EvictionPolicy::Lfu } else { EvictionPolicy::Lru };
-        let mut cache = KeyCentricCache::new(CacheGranularity::Both, policy, pool);
-        for op in ops {
-            match op {
-                Op::ScopeGet(k) => { cache.scope_get(&format!("s{k}")); }
-                Op::ScopePut(k, v) => {
-                    cache.scope_put(&format!("s{k}"), Arc::new(vec![VertexId::from_index(v as usize)]));
-                }
-                Op::PathGet(k) => { cache.path_get(&format!("p{k}")); }
-                Op::PathPut(k) => { cache.path_put(&format!("p{k}"), Arc::new(vec![])); }
-            }
+        let cache = KeyCentricCache::new(CacheGranularity::Both, policy, pool);
+        for op in &ops {
+            apply(&cache, op);
             prop_assert!(cache.len() <= pool, "len {} > pool {}", cache.len(), pool);
         }
         // Value accounting never goes negative/overflows.
@@ -57,25 +74,25 @@ proptest! {
         key in 0u8..8,
         values in proptest::collection::vec(0u8..32, 1..10),
     ) {
-        let mut cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 64);
+        let cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 64);
         let k = format!("s{key}");
         let mut last = None;
         for v in values {
             let stored = Arc::new(vec![VertexId::from_index(v as usize)]);
-            cache.scope_put(&k, Arc::clone(&stored));
+            cache.put(&k, Arc::clone(&stored));
             last = Some(stored);
         }
-        prop_assert_eq!(cache.scope_get(&k), last);
+        prop_assert_eq!(scope_get(&cache, &k), last);
     }
 
     #[test]
     fn disabled_granularities_store_nothing(keys in proptest::collection::vec(0u8..8, 0..20)) {
-        let mut cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lru, 16);
-        for k in &keys {
-            cache.path_put(&format!("p{}", k), Arc::new(vec![]));
+        let cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lru, 16);
+        for &k in &keys {
+            apply(&cache, &Op::PathPut(k));
         }
         for k in &keys {
-            let got = cache.path_get(&format!("p{}", k));
+            let got = cache.get::<RelationPair>(&format!("p{}", k), &mut CacheStats::new());
             prop_assert!(got.is_none());
         }
     }
@@ -90,25 +107,25 @@ proptest! {
         pool in 1usize..6,
         touches in 0usize..5,
     ) {
-        let mut cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, pool);
+        let cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, pool);
         for i in 0..pool {
-            cache.scope_put(&format!("k{i}"), Arc::new(vec![]));
+            cache.put(&format!("k{i}"), Arc::new(Vec::<VertexId>::new()));
         }
         for _ in 0..touches {
-            prop_assert!(cache.scope_get("k0").is_some());
+            prop_assert!(scope_get(&cache, "k0").is_some());
         }
-        let freq_before = cache.scope_frequency("k0").unwrap();
+        let freq_before = cache.frequency::<VertexId>("k0").unwrap();
         let len_before = cache.len();
 
         let replacement = Arc::new(vec![VertexId::from_index(9)]);
-        cache.scope_put("k0", Arc::clone(&replacement));
+        cache.put("k0", Arc::clone(&replacement));
 
-        prop_assert_eq!(cache.scope_frequency("k0"), Some(freq_before));
+        prop_assert_eq!(cache.frequency::<VertexId>("k0"), Some(freq_before));
         prop_assert_eq!(cache.len(), len_before);
-        prop_assert_eq!(cache.scope_get("k0"), Some(replacement));
+        prop_assert_eq!(scope_get(&cache, "k0"), Some(replacement));
         // No unrelated entry paid for the overwrite.
         for i in 1..pool {
-            prop_assert!(cache.scope_frequency(&format!("k{i}")).is_some(), "k{} evicted", i);
+            prop_assert!(cache.frequency::<VertexId>(&format!("k{i}")).is_some(), "k{} evicted", i);
         }
     }
 
@@ -123,7 +140,7 @@ proptest! {
         lfu in any::<bool>(),
     ) {
         let policy = if lfu { EvictionPolicy::Lfu } else { EvictionPolicy::Lru };
-        let mut cache = KeyCentricCache::new(CacheGranularity::Scope, policy, pool);
+        let cache = KeyCentricCache::new(CacheGranularity::Scope, policy, pool);
         // Model: (key, freq, last_used), mirroring the cache's tick clock
         // (every get and put advances it by one).
         let mut tick = 0u64;
@@ -131,18 +148,18 @@ proptest! {
         for i in 0..pool {
             let k = format!("k{i}");
             tick += 1;
-            cache.scope_put(&k, Arc::new(vec![]));
+            cache.put(&k, Arc::new(Vec::<VertexId>::new()));
             model.push((k, 1, tick));
         }
         for g in gets {
             let idx = g % pool;
             tick += 1;
-            prop_assert!(cache.scope_get(&model[idx].0).is_some());
+            prop_assert!(scope_get(&cache, &model[idx].0).is_some());
             model[idx].1 += 1;
             model[idx].2 = tick;
         }
 
-        cache.scope_put("fresh", Arc::new(vec![]));
+        cache.put("fresh", Arc::new(Vec::<VertexId>::new()));
 
         let victim = model
             .iter()
@@ -153,51 +170,40 @@ proptest! {
             .unwrap()
             .0
             .clone();
-        prop_assert!(cache.scope_frequency(&victim).is_none(), "{} should be the victim", victim);
-        prop_assert!(cache.scope_frequency("fresh").is_some());
+        prop_assert!(cache.frequency::<VertexId>(&victim).is_none(), "{} should be the victim", victim);
+        prop_assert!(cache.frequency::<VertexId>("fresh").is_some());
         for (k, _, _) in model.iter().filter(|(k, _, _)| *k != victim) {
-            prop_assert!(cache.scope_frequency(k).is_some(), "{} wrongly evicted", k);
+            prop_assert!(cache.frequency::<VertexId>(k).is_some(), "{} wrongly evicted", k);
         }
         prop_assert_eq!(cache.len(), pool);
     }
 
-    /// The sharded cache obeys the same global invariants as a single
-    /// pool: total length never exceeds the budget, and any key still
-    /// resident returns the last value put for it (routing is stable).
+    /// Under mixed scope and path traffic, total length never exceeds the
+    /// budget, and any key still resident returns the last value put for
+    /// it.
     #[test]
-    fn sharded_cache_respects_budget_and_routing(
+    fn mixed_traffic_respects_budget_and_last_put(
         ops in proptest::collection::vec(arb_op(), 0..200),
         pool in 0usize..16,
-        shards in 1usize..6,
         lfu in any::<bool>(),
     ) {
         let policy = if lfu { EvictionPolicy::Lfu } else { EvictionPolicy::Lru };
-        let cache = ShardedCache::new(CacheGranularity::Both, policy, pool, shards);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, policy, pool);
         let mut last_scope: std::collections::HashMap<String, Arc<Vec<VertexId>>> =
             std::collections::HashMap::new();
-        for op in ops {
-            match op {
-                Op::ScopeGet(k) => { cache.scope_get(&format!("s{k}"), &mut CacheStats::new()); }
-                Op::ScopePut(k, v) => {
-                    let key = format!("s{k}");
-                    let value = Arc::new(vec![VertexId::from_index(v as usize)]);
-                    cache.scope_put(&key, Arc::clone(&value));
-                    last_scope.insert(key, value);
-                }
-                Op::PathGet(k) => { cache.path_get(&format!("p{k}"), &mut CacheStats::new()); }
-                Op::PathPut(k) => { cache.path_put(&format!("p{k}"), Arc::new(vec![])); }
+        for op in &ops {
+            apply(&cache, op);
+            if let Op::ScopePut(k, v) = *op {
+                last_scope.insert(format!("s{k}"), Arc::new(vec![VertexId::from_index(v as usize)]));
             }
             prop_assert!(cache.len() <= pool, "len {} > pool {}", cache.len(), pool);
-            // Shard budgets keep summing to the pool budget and no key
-            // leaks into a foreign shard, after every single operation.
-            cache.debug_assert_invariants();
         }
         for (key, value) in &last_scope {
-            if let Some(got) = cache.scope_get(key, &mut CacheStats::new()) {
+            if let Some(got) = scope_get(&cache, key) {
                 prop_assert_eq!(&got, value, "stale value for {}", key);
             }
         }
-        // Merged stats account for every lookup made above.
+        // The stats account for every lookup made above.
         let _ = cache.stats().total_lookups();
         let _ = cache.value_bytes();
     }
@@ -270,7 +276,7 @@ proptest! {
         };
         let ex = QueryGraphExecutor::new(&g);
         let plain = ex.run(&gq, None, &mut CacheStats::new()).unwrap().answer;
-        let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64, 4);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64);
         // Run twice so the second pass reads from a warm cache.
         let first = ex.run(&gq, Some(&cache), &mut CacheStats::new()).unwrap().answer;
         let second = ex.run(&gq, Some(&cache), &mut CacheStats::new()).unwrap().answer;

@@ -59,9 +59,9 @@ pub mod site {
     /// Relation-pair collection, one draw per query-graph vertex
     /// (`svqa-executor`).
     pub const RELATION_SCAN: &str = "executor.relation_scan";
-    /// Sharded-cache lookups (`svqa-executor::cache`).
+    /// Key-centric cache lookups (`svqa-executor::cache`).
     pub const CACHE_GET: &str = "cache.get";
-    /// Sharded-cache inserts (`svqa-executor::cache`).
+    /// Key-centric cache inserts (`svqa-executor::cache`).
     pub const CACHE_PUT: &str = "cache.put";
     /// Query-server worker job execution (`svqa::serve`).
     pub const SERVE_WORKER: &str = "serve.worker";

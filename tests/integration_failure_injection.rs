@@ -5,7 +5,7 @@
 //! (an empty plan where it injects nothing): a plan one test arms never
 //! fires into another test's pipeline.
 
-use svqa::executor::cache::ShardedCache;
+use svqa::executor::cache::KeyCentricCache;
 use svqa::executor::scheduler::QueryScheduler;
 use svqa::fault::{self, site, FaultKind, FaultPlan, InstalledPlan, SiteFault};
 use svqa::vision::detector::DetectorConfig;
@@ -153,7 +153,7 @@ fn a_faulted_relation_scan_never_reaches_the_path_cache() {
     let mvqa = Mvqa::generate_small(300, 11);
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let fresh_cache = || QueryScheduler::new(system.config().scheduler).build_cache();
-    let ask = |question: &str, cache: &ShardedCache| {
+    let ask = |question: &str, cache: &KeyCentricCache| {
         system
             .run(system.prepare(question), Some(cache), None)
             .result

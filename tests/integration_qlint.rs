@@ -131,11 +131,10 @@ fn hand_built_malformed_graphs_get_exact_codes() {
 #[test]
 fn batch_isolates_lint_rejections_per_question() {
     let (system, _) = world();
-    let cache = svqa::executor::ShardedCache::new(
+    let cache = svqa::executor::KeyCentricCache::new(
         svqa::executor::CacheGranularity::Both,
         svqa::executor::EvictionPolicy::Lfu,
         64,
-        4,
     );
     let questions = [
         "Does the dog appear in the car?",
