@@ -349,8 +349,8 @@ mod tests {
             assert_eq!(got.stats, want.stats, "{parts} parts");
             assert_eq!(got.scene_vertices, want.scene_vertices, "{parts} parts");
             assert_eq!(
-                binio::to_bytes(&got.graph),
-                binio::to_bytes(&want.graph),
+                binio::to_bytes(&got.graph).unwrap(),
+                binio::to_bytes(&want.graph).unwrap(),
                 "{parts} parts"
             );
             assert_eq!(

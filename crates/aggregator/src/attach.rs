@@ -70,12 +70,13 @@ impl<'p> Attacher<'p> {
         let (mut vertices, mut edges) = (0, 0);
         for g in scene_graphs {
             for (_, v) in g.vertices() {
-                attacher.count(0, v.label());
+                attacher.count(0, g.vertex_label_text(v.label_id()));
             }
             for (_, e) in g.edges() {
                 let next = attacher.edge_slots.len();
-                if !attacher.edge_slots.contains_key(e.label()) {
-                    attacher.edge_slots.insert(e.label().into(), next);
+                let label = g.edge_label_text(e.label_id());
+                if !attacher.edge_slots.contains_key(label) {
+                    attacher.edge_slots.insert(label.into(), next);
                 }
             }
             (vertices, edges) = (vertices + g.vertex_count(), edges + g.edge_count());
@@ -234,13 +235,18 @@ impl Plan<'_> {
                         window,
                         &mut counterparts,
                         g.vertices().map(|(_, v)| {
-                            (v.label(), v.props().clone(), v.out_degree(), v.in_degree())
+                            (
+                                g.vertex_label_text(v.label_id()),
+                                v.props().clone(),
+                                v.out_degree(),
+                                v.in_degree(),
+                            )
                         }),
                         g.edges().map(|(_, e)| {
                             (
                                 e.src().index(),
                                 e.dst().index(),
-                                self.edge_slots[e.label()],
+                                self.edge_slots[g.edge_label_text(e.label_id())],
                                 e.props().clone(),
                             )
                         }),

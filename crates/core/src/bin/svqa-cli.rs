@@ -161,7 +161,7 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
     let (system, mvqa) = build_world(images, seed, SvqaConfig::default());
     std::fs::write(
         out.join("merged.svqg"),
-        svqa::graph::binio::to_bytes(system.merged_graph()),
+        svqa::graph::binio::to_bytes(system.merged_graph())?,
     )?;
     std::fs::write(
         out.join("questions.json"),

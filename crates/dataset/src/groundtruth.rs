@@ -114,22 +114,24 @@ impl<'a> GroundTruth<'a> {
         // Taxonomy closure: for each vertex, the set of labels reaching it
         // via "is a" paths (plus itself).
         let mut closures: HashMap<String, HashSet<String>> = HashMap::new();
+        let is_a = kg.edge_label_id(IS_A);
         for (vid, v) in kg.vertices() {
+            let label = kg.vertex_label_text(v.label_id());
             let mut members: HashSet<String> = HashSet::new();
-            members.insert(v.label().to_owned());
+            members.insert(label.to_owned());
             // Reverse-BFS along incoming "is a" edges.
             let mut stack = vec![vid];
             let mut seen = HashSet::new();
             seen.insert(vid);
             while let Some(cur) = stack.pop() {
                 for (_, e) in kg.in_edges(cur) {
-                    if e.label() == IS_A && seen.insert(e.src()) {
+                    if Some(e.label_id()) == is_a && seen.insert(e.src()) {
                         members.insert(kg.vertex_label(e.src()).unwrap_or_default().to_owned());
                         stack.push(e.src());
                     }
                 }
             }
-            closures.insert(v.label().to_owned(), members);
+            closures.insert(label.to_owned(), members);
         }
         GroundTruth { images, closures }
     }

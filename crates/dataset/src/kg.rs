@@ -136,7 +136,7 @@ mod tests {
         let harry = g.vertices_with_label("harry potter")[0];
         let girlfriends: Vec<_> = g
             .in_edges(harry)
-            .filter(|(_, e)| e.label() == "girlfriend of")
+            .filter(|&(id, _)| g.edge_label(id) == Some("girlfriend of"))
             .map(|(_, e)| g.vertex_label(e.src()).unwrap().to_owned())
             .collect();
         assert_eq!(girlfriends.len(), 2);

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
-use svqa_graph::{Graph, VertexId};
+use svqa_graph::{Graph, LabelId, VertexId, IMAGE};
 use svqa_nlp::resolve::{PredicateScorer, PREDICATE_FLOOR};
 use svqa_nlp::Embedder;
 use svqa_qparser::{AnswerRole, Dependency, NounPhrase, QueryGraph, QuestionType};
@@ -488,26 +488,28 @@ impl<'g> QueryGraphExecutor<'g> {
         if rp.is_empty() || predicate.is_empty() {
             return rp.to_vec();
         }
-        // Distinct labels present in RP (usually a handful).
+        // Distinct labels present in RP (usually a handful), by id.
         let scorer = PredicateScorer::new(predicate);
-        let mut label_sims: HashMap<&str, f32> = HashMap::new();
+        let label_of = |p: &RelationPair| self.graph.edge(p.edge).expect("edge exists").label_id();
+        let text = |label: LabelId| self.graph.edge_label_text(label);
+        let mut label_sims: HashMap<LabelId, f32> = HashMap::new();
         for p in rp {
-            let label = self.graph.edge_label(p.edge).expect("edge exists");
-            label_sims.entry(label).or_insert_with(|| scorer.score(label));
+            let label = label_of(p);
+            label_sims
+                .entry(label)
+                .or_insert_with(|| scorer.score(text(label)));
         }
         let (&best_label, &best_sim) = label_sims
             .iter()
             // NaN-safe and deterministic: ties on similarity break to the
-            // lexicographically smallest label, not HashMap iteration order.
-            .max_by(|a, b| a.1.total_cmp(b.1).then_with(|| b.0.cmp(a.0)))
+            // lexicographically smallest label text, not HashMap iteration
+            // order or id order.
+            .max_by(|a, b| a.1.total_cmp(b.1).then_with(|| text(*b.0).cmp(text(*a.0))))
             .expect("rp non-empty");
-        trace.chosen_predicate = Some(best_label.to_owned());
+        trace.chosen_predicate = Some(text(best_label).to_owned());
         let cutoff = (best_sim - FILTER_SLACK).max(PREDICATE_FLOOR);
         rp.iter()
-            .filter(|p| {
-                let label = self.graph.edge_label(p.edge).expect("edge exists");
-                label_sims[label] >= cutoff
-            })
+            .filter(|p| label_sims[&label_of(p)] >= cutoff)
             .copied()
             .collect()
     }
@@ -533,7 +535,7 @@ impl<'g> QueryGraphExecutor<'g> {
             .filter(|&&v| {
                 self.graph
                     .vertex(v)
-                    .is_some_and(|vx| vx.props().get("image").is_some())
+                    .is_some_and(|vx| vx.props().get(IMAGE).is_some())
             })
             .count();
         if instances > 0 {
@@ -640,7 +642,7 @@ mod tests {
         // Scene instances: helper that adds an instance with image prop and
         // a same-as link to the KG entity.
         let add_instance = |g: &mut Graph, label: &str, image: i64| {
-            let props: Properties = [("image", PropValue::Int(image))].into_iter().collect();
+            let props: Properties = [(IMAGE, PropValue::Int(image))].into_iter().collect();
             let v = g.add_vertex_with_props(label, props);
             if let Some(&kg) = g.vertices_with_label(label).first() {
                 if kg != v {

@@ -10,7 +10,7 @@
 
 use crate::matching::RelationPair;
 use serde::{Deserialize, Serialize};
-use svqa_graph::Graph;
+use svqa_graph::{Graph, IMAGE};
 
 /// One piece of supporting evidence behind an answer.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -56,7 +56,7 @@ impl Explanation {
         let image = |v| {
             graph
                 .vertex(v)
-                .and_then(|v| v.props().get("image"))
+                .and_then(|v| v.props().get(IMAGE))
                 .and_then(|x| x.as_int())
         };
         let per_vertex = aps
@@ -120,9 +120,9 @@ mod tests {
     fn world() -> Graph {
         let mut g = Graph::new();
         let kg_dog = g.add_vertex("dog");
-        let props: Properties = [("image", PropValue::Int(7))].into_iter().collect();
+        let props: Properties = [(IMAGE, PropValue::Int(7))].into_iter().collect();
         let scene_dog = g.add_vertex_with_props("dog", props);
-        let props: Properties = [("image", PropValue::Int(7))].into_iter().collect();
+        let props: Properties = [(IMAGE, PropValue::Int(7))].into_iter().collect();
         let car = g.add_vertex_with_props("car", props);
         g.add_edge(scene_dog, car, "in").unwrap();
         g.add_edge(scene_dog, kg_dog, "same as").unwrap();

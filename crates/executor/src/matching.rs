@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 use std::ops::Range;
-use svqa_graph::{EdgeId, Graph, VertexId};
+use svqa_graph::{Edge, EdgeId, Graph, LabelId, VertexId};
 use svqa_nlp::resolve::{resolve, LabelCounts};
 
 pub use svqa_graph::{IS_A, SAME_AS};
@@ -38,6 +38,10 @@ pub struct RelationPair {
 pub struct VertexMatcher<'g> {
     graph: &'g Graph,
     scope: Range<usize>,
+    /// The graph's ids of [`SAME_AS`] and [`IS_A`] (`None` when no edge
+    /// carries the label), so a structural-edge test is an integer compare.
+    same_as: Option<LabelId>,
+    is_a: Option<LabelId>,
 }
 
 impl<'g> VertexMatcher<'g> {
@@ -46,7 +50,20 @@ impl<'g> VertexMatcher<'g> {
         VertexMatcher {
             graph,
             scope: 0..graph.vertex_count(),
+            same_as: graph.edge_label_id(SAME_AS),
+            is_a: graph.edge_label_id(IS_A),
         }
+    }
+
+    /// Whether `e` is a `same as` link.
+    fn is_same_as(&self, e: &Edge) -> bool {
+        Some(e.label_id()) == self.same_as
+    }
+
+    /// Whether `e` is a structural `same as` or `is a` edge rather than a
+    /// relation.
+    fn is_structural(&self, e: &Edge) -> bool {
+        self.is_same_as(e) || Some(e.label_id()) == self.is_a
     }
 
     /// Confine every match and scan to the vertices whose index lies in
@@ -94,15 +111,12 @@ impl<'g> VertexMatcher<'g> {
         let mut stack: Vec<VertexId> = seed.to_vec();
         while let Some(v) = stack.pop() {
             for (_, e) in self.graph.out_edges(v) {
-                if self.in_scope(e.dst()) && e.label() == SAME_AS && seen.insert(e.dst()) {
+                if self.in_scope(e.dst()) && self.is_same_as(e) && seen.insert(e.dst()) {
                     stack.push(e.dst());
                 }
             }
             for (_, e) in self.graph.in_edges(v) {
-                if self.in_scope(e.src())
-                    && (e.label() == SAME_AS || e.label() == IS_A)
-                    && seen.insert(e.src())
-                {
+                if self.in_scope(e.src()) && self.is_structural(e) && seen.insert(e.src()) {
                     stack.push(e.src());
                 }
             }
@@ -121,8 +135,10 @@ impl<'g> VertexMatcher<'g> {
         subs: &[VertexId],
         objs: &[VertexId],
     ) -> (Vec<RelationPair>, usize) {
-        let obj_set: HashSet<VertexId> = objs.iter().copied().collect();
-        self.scan(subs, true, |obj| obj_set.contains(&obj))
+        let mut obj_set = objs.to_vec();
+        obj_set.sort_unstable();
+        obj_set.dedup();
+        self.scan(subs, true, |obj| obj_set.binary_search(&obj).is_ok())
     }
 
     /// Relation pairs when one side is a wildcard: every non-structural
@@ -165,7 +181,7 @@ impl<'g> VertexMatcher<'g> {
                     continue;
                 }
                 scanned += 1;
-                if e.label() != SAME_AS && e.label() != IS_A && keep_far(far) {
+                if !self.is_structural(e) && keep_far(far) {
                     pairs.push(RelationPair {
                         sub: e.src(),
                         edge,

@@ -16,10 +16,14 @@
 //! Vertex/edge labels are interned in a shared label table (scene graphs
 //! repeat "dog" thousands of times). Adjacency and indexes are rebuilt on
 //! load, and the result is validated like the JSON path.
+//!
+//! Lengths and the property count are `u16`s: [`to_bytes`] refuses a graph
+//! with a label, key or string over [`u16::MAX`] bytes, or more properties
+//! on one element, rather than write a snapshot it could not load.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::props::{PropValue, Properties};
+use crate::props::{intern, PropValue, Properties};
 use crate::VertexId;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -27,16 +31,30 @@ use std::collections::HashMap;
 const MAGIC: &[u8; 4] = b"SVQG";
 const VERSION: u16 = 1;
 
+/// `len` as a `u16` length field, or the error naming `field`.
+fn u16_len(field: &'static str, len: usize) -> Result<u16, GraphError> {
+    u16::try_from(len).map_err(|_| GraphError::FieldTooLong { field, len })
+}
+
 /// Serialize a graph into the binary snapshot format.
-pub fn to_bytes(graph: &Graph) -> Bytes {
+///
+/// # Errors
+///
+/// [`GraphError::FieldTooLong`] when a label, property key or string value
+/// is longer than [`u16::MAX`] bytes, or an element has more properties.
+pub fn to_bytes(graph: &Graph) -> Result<Bytes, GraphError> {
     // Intern every label into a shared table (one pass over vertices, then
     // edges), in first-seen order.
     let mut labels: Vec<&str> = Vec::new();
     let mut label_ids: HashMap<&str, u32> = HashMap::new();
     let element_label_ids: Vec<u32> = graph
         .vertices()
-        .map(|(_, v)| v.label())
-        .chain(graph.edges().map(|(_, e)| e.label()))
+        .map(|(_, v)| graph.vertex_label_text(v.label_id()))
+        .chain(
+            graph
+                .edges()
+                .map(|(_, e)| graph.edge_label_text(e.label_id())),
+        )
         .map(|label| {
             *label_ids.entry(label).or_insert_with(|| {
                 labels.push(label);
@@ -53,31 +71,31 @@ pub fn to_bytes(graph: &Graph) -> Bytes {
     buf.put_u32_le(graph.edge_count() as u32);
     buf.put_u32_le(labels.len() as u32);
     for label in &labels {
-        buf.put_u16_le(label.len() as u16);
+        buf.put_u16_le(u16_len("label", label.len())?);
         buf.put_slice(label.as_bytes());
     }
     for ((_, v), &lid) in graph.vertices().zip(vertex_label_ids) {
         buf.put_u32_le(lid);
-        write_props(&mut buf, v.props());
+        write_props(&mut buf, v.props())?;
     }
     for ((_, e), &lid) in graph.edges().zip(edge_label_ids) {
         buf.put_u32_le(e.src().index() as u32);
         buf.put_u32_le(e.dst().index() as u32);
         buf.put_u32_le(lid);
-        write_props(&mut buf, e.props());
+        write_props(&mut buf, e.props())?;
     }
-    buf.freeze()
+    Ok(buf.freeze())
 }
 
-fn write_props(buf: &mut BytesMut, props: &Properties) {
-    buf.put_u16_le(props.len() as u16);
+fn write_props(buf: &mut BytesMut, props: &Properties) -> Result<(), GraphError> {
+    buf.put_u16_le(u16_len("property count", props.len())?);
     for (key, value) in props.iter() {
-        buf.put_u16_le(key.len() as u16);
+        buf.put_u16_le(u16_len("property key", key.len())?);
         buf.put_slice(key.as_bytes());
         match value {
             PropValue::Str(s) => {
                 buf.put_u8(0);
-                buf.put_u16_le(s.len() as u16);
+                buf.put_u16_le(u16_len("string value", s.len())?);
                 buf.put_slice(s.as_bytes());
             }
             PropValue::Int(i) => {
@@ -94,6 +112,7 @@ fn write_props(buf: &mut BytesMut, props: &Properties) {
             }
         }
     }
+    Ok(())
 }
 
 /// Deserialize a binary snapshot, rebuild indexes, and validate.
@@ -172,7 +191,7 @@ fn read_props(data: &mut Bytes) -> Result<Properties, GraphError> {
         return Err(corrupt("truncated props"));
     }
     let count = data.get_u16_le() as usize;
-    let mut props = Properties::with_capacity(count);
+    let mut props = Vec::with_capacity(count);
     for _ in 0..count {
         if data.remaining() < 2 {
             return Err(corrupt("truncated prop key length"));
@@ -181,8 +200,8 @@ fn read_props(data: &mut Bytes) -> Result<Properties, GraphError> {
         if data.remaining() < klen + 1 {
             return Err(corrupt("truncated prop key"));
         }
-        let key = String::from_utf8(data.copy_to_bytes(klen).to_vec())
-            .map_err(|_| corrupt("prop key not UTF-8"))?;
+        let key = data.copy_to_bytes(klen);
+        let key = intern(std::str::from_utf8(&key).map_err(|_| corrupt("prop key not UTF-8"))?);
         let tag = data.get_u8();
         let value = match tag {
             0 => {
@@ -193,10 +212,9 @@ fn read_props(data: &mut Bytes) -> Result<Properties, GraphError> {
                 if data.remaining() < len {
                     return Err(corrupt("truncated string prop body"));
                 }
-                PropValue::Str(
-                    String::from_utf8(data.copy_to_bytes(len).to_vec())
-                        .map_err(|_| corrupt("prop value not UTF-8"))?,
-                )
+                String::from_utf8(data.copy_to_bytes(len).to_vec())
+                    .map_err(|_| corrupt("prop value not UTF-8"))?
+                    .into()
             }
             1 => {
                 if data.remaining() < 8 {
@@ -222,9 +240,9 @@ fn read_props(data: &mut Bytes) -> Result<Properties, GraphError> {
                 )))
             }
         };
-        props.set(key, value);
+        props.push((key, value));
     }
-    Ok(props)
+    Ok(Properties::from_entries(props))
 }
 
 #[cfg(test)]
@@ -237,7 +255,7 @@ mod tests {
             ("image", PropValue::Int(3)),
             ("x", PropValue::Float(0.25)),
             ("flag", PropValue::Bool(true)),
-            ("note", PropValue::Str("hello".into())),
+            ("note", PropValue::from("hello")),
         ]
         .into_iter()
         .collect();
@@ -253,17 +271,18 @@ mod tests {
     #[test]
     fn roundtrip_preserves_structure_labels_and_props() {
         let g = sample();
-        let back = from_bytes(to_bytes(&g)).unwrap();
+        let back = from_bytes(to_bytes(&g).unwrap()).unwrap();
         assert_eq!(back.vertex_count(), g.vertex_count());
         assert_eq!(back.edge_count(), g.edge_count());
         for (vid, v) in g.vertices() {
             let bv = back.vertex(vid).unwrap();
-            assert_eq!(bv.label(), v.label());
+            assert_eq!(back.vertex_label(vid), g.vertex_label(vid));
             assert_eq!(bv.props(), v.props());
         }
         for (eid, e) in g.edges() {
             let be = back.edge(eid).unwrap();
-            assert_eq!((be.src(), be.dst(), be.label()), (e.src(), e.dst(), e.label()));
+            assert_eq!((be.src(), be.dst()), (e.src(), e.dst()));
+            assert_eq!(back.edge_label(eid), g.edge_label(eid));
         }
         // Indexes rebuilt.
         assert_eq!(back.vertices_with_label("dog").len(), 2);
@@ -277,7 +296,7 @@ mod tests {
             let v = g.add_vertex("dog");
             g.add_edge(v, hub, "near").unwrap();
         }
-        let bin = to_bytes(&g);
+        let bin = to_bytes(&g).unwrap();
         let json = crate::io::to_json(&g);
         assert!(
             bin.len() * 2 < json.len(),
@@ -295,7 +314,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected_not_panicking() {
-        let full = to_bytes(&sample());
+        let full = to_bytes(&sample()).unwrap();
         for cut in 0..full.len() {
             let sliced = full.slice(..cut);
             assert!(
@@ -318,9 +337,51 @@ mod tests {
     }
 
     #[test]
+    fn oversized_fields_are_refused_not_written() {
+        let long = "x".repeat(70_000);
+        let mut g = Graph::new();
+        g.add_vertex(&long[..70_000]);
+        assert_eq!(
+            to_bytes(&g).unwrap_err(),
+            GraphError::FieldTooLong {
+                field: "label",
+                len: 70_000
+            }
+        );
+
+        let mut g = Graph::new();
+        let props: Properties = [("note", PropValue::from(&long[..65_537]))]
+            .into_iter()
+            .collect();
+        g.add_vertex_with_props("dog", props);
+        let err = to_bytes(&g).unwrap_err();
+        assert!(err.to_string().contains("string value"), "{err}");
+
+        let mut g = Graph::new();
+        let a = g.add_vertex("dog");
+        let props: Properties = [(long.clone(), 1i64)].into_iter().collect();
+        g.add_edge_with_props(a, a, "near", props).unwrap();
+        assert!(matches!(
+            to_bytes(&g),
+            Err(GraphError::FieldTooLong {
+                field: "property key",
+                ..
+            })
+        ));
+
+        // The limits themselves still round-trip.
+        let at_limit = &long[..usize::from(u16::MAX)];
+        let mut g = Graph::new();
+        let props: Properties = [("note", PropValue::from(at_limit))].into_iter().collect();
+        g.add_vertex_with_props(at_limit, props);
+        let back = from_bytes(to_bytes(&g).unwrap()).unwrap();
+        assert_eq!(back.vertex_label(VertexId::from_index(0)), Some(at_limit));
+    }
+
+    #[test]
     fn empty_graph_roundtrips() {
         let g = Graph::new();
-        let back = from_bytes(to_bytes(&g)).unwrap();
+        let back = from_bytes(to_bytes(&g).unwrap()).unwrap();
         assert!(back.is_empty());
     }
 }

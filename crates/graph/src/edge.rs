@@ -1,25 +1,26 @@
 //! Edge storage.
 
 use crate::ids::VertexId;
-use crate::label::Label;
+use crate::label::LabelId;
 use crate::props::Properties;
-use serde::{Deserialize, Serialize};
 
 /// A directed labeled edge `e ∈ E` with label `L(e)` (§II of the paper).
 ///
 /// In the merged graph the edge label carries the relation predicate
 /// ("wearing", "in front of", "girlfriend of", ...), which `maxScore` in
-/// Algorithm 3 matches against the query's predicate `c_p`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Algorithm 3 matches against the query's predicate `c_p`. The label is an
+/// id into the graph's edge-label table ([`crate::Graph::edge_label`] gives
+/// its text).
+#[derive(Debug, Clone)]
 pub struct Edge {
     src: VertexId,
     dst: VertexId,
-    pub(crate) label: Label,
+    pub(crate) label: LabelId,
     props: Properties,
 }
 
 impl Edge {
-    pub(crate) fn new(src: VertexId, dst: VertexId, label: Label, props: Properties) -> Self {
+    pub(crate) fn new(src: VertexId, dst: VertexId, label: LabelId, props: Properties) -> Self {
         Edge {
             src,
             dst,
@@ -38,9 +39,10 @@ impl Edge {
         self.dst
     }
 
-    /// The label `L(e)` (the relation predicate).
-    pub fn label(&self) -> &str {
-        self.label.as_str()
+    /// The id of the label `L(e)` (the relation predicate) in the graph's
+    /// edge-label table.
+    pub fn label_id(&self) -> LabelId {
+        self.label
     }
 
     /// Immutable access to the edge's properties.
@@ -68,18 +70,19 @@ impl Edge {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ids::VertexId;
+    use crate::Graph;
 
     #[test]
     fn endpoints() {
-        let a = VertexId::from_index(0);
-        let b = VertexId::from_index(1);
-        let c = VertexId::from_index(2);
-        let e = Edge::new(a, b, Label::from("wearing"), Properties::new());
+        let mut g = Graph::new();
+        let a = g.add_vertex("man");
+        let b = g.add_vertex("hat");
+        let c = g.add_vertex("dog");
+        let id = g.add_edge(a, b, "wearing").unwrap();
+        let e = g.edge(id).unwrap();
         assert_eq!(e.src(), a);
         assert_eq!(e.dst(), b);
-        assert_eq!(e.label(), "wearing");
+        assert_eq!(g.edge_label_text(e.label_id()), "wearing");
         assert_eq!(e.other_endpoint(a), Some(b));
         assert_eq!(e.other_endpoint(b), Some(a));
         assert_eq!(e.other_endpoint(c), None);

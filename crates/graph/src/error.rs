@@ -14,6 +14,15 @@ pub enum GraphError {
     /// inconsistent adjacency, ...). The payload describes the first
     /// violation found.
     CorruptGraph(String),
+    /// A field of a graph is too long for the binary snapshot format,
+    /// whose lengths and property counts are `u16`s.
+    FieldTooLong {
+        /// The field: `"label"`, `"property key"`, `"string value"` or
+        /// `"property count"`.
+        field: &'static str,
+        /// Its length in bytes (in entries for the property count).
+        len: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -22,6 +31,11 @@ impl fmt::Display for GraphError {
             GraphError::UnknownVertex(v) => write!(f, "unknown vertex {v}"),
             GraphError::UnknownEdge(e) => write!(f, "unknown edge {e}"),
             GraphError::CorruptGraph(msg) => write!(f, "corrupt graph: {msg}"),
+            GraphError::FieldTooLong { field, len } => write!(
+                f,
+                "{field} of length {len} exceeds the snapshot limit of {}",
+                u16::MAX
+            ),
         }
     }
 }
@@ -46,5 +60,13 @@ mod tests {
         assert!(GraphError::CorruptGraph("dangling".into())
             .to_string()
             .contains("dangling"));
+        assert_eq!(
+            GraphError::FieldTooLong {
+                field: "label",
+                len: 70_000
+            }
+            .to_string(),
+            "label of length 70000 exceeds the snapshot limit of 65535"
+        );
     }
 }

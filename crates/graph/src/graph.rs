@@ -3,11 +3,10 @@
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
-use crate::label::Label;
+use crate::label::{LabelId, LabelTable};
 use crate::props::Properties;
 use crate::vertex::Vertex;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use serde::{Deserialize, Error, Map, Serialize, Value};
 
 /// A directed labeled graph `G = (V, E, L)` (§II of the paper).
 ///
@@ -16,20 +15,19 @@ use std::collections::HashMap;
 /// structure mid-query; dropping deletion keeps ids stable and the arenas
 /// dense.
 ///
-/// The two label indexes double as the graph's label interner: every vertex
-/// (edge) holds a clone of its label's key in `label_index`
-/// (`edge_label_counts`), so a label's text is stored once per graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The two label indexes double as the graph's label tables: each distinct
+/// vertex (edge) label's text is stored once in `label_index`
+/// (`edge_label_counts`), and every vertex (edge) holds only its label's
+/// [`LabelId`] there.
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     pub(crate) vertices: Vec<Vertex>,
     pub(crate) edges: Vec<Edge>,
-    /// label → vertex ids carrying that label (in insertion order).
-    #[serde(skip)]
-    pub(crate) label_index: HashMap<Label, Vec<VertexId>>,
-    /// edge label → number of edges carrying it (Algorithm 3's
+    /// Vertex label → vertex ids carrying that label (in insertion order).
+    pub(crate) label_index: LabelTable<Vec<VertexId>>,
+    /// Edge label → number of edges carrying it (Algorithm 3's
     /// `getLabels(E_mg)` reads this).
-    #[serde(skip)]
-    pub(crate) edge_label_counts: HashMap<Label, usize>,
+    pub(crate) edge_label_counts: LabelTable<usize>,
 }
 
 impl Graph {
@@ -44,8 +42,7 @@ impl Graph {
         Graph {
             vertices: Vec::with_capacity(vertices),
             edges: Vec::with_capacity(edges),
-            label_index: HashMap::new(),
-            edge_label_counts: HashMap::new(),
+            ..Graph::default()
         }
     }
 
@@ -70,27 +67,20 @@ impl Graph {
     }
 
     /// Add a vertex with the given label and properties. A label some
-    /// vertex already carries is shared, not copied.
+    /// vertex already carries is referred to by id, not copied.
     pub fn add_vertex_with_props(
         &mut self,
         label: impl AsRef<str>,
         props: Properties,
     ) -> VertexId {
-        let label = label.as_ref();
-        let label = shared(&self.label_index, label, || Label::from(label));
+        let label = self.label_index.intern(label.as_ref());
         self.push_vertex(label, props)
     }
 
-    /// Append a vertex whose label is already this graph's shared copy (or
-    /// new to it).
-    fn push_vertex(&mut self, label: Label, props: Properties) -> VertexId {
+    /// Append a vertex whose label is already in the vertex-label table.
+    pub(crate) fn push_vertex(&mut self, label: LabelId, props: Properties) -> VertexId {
         let id = VertexId::from_index(self.vertices.len());
-        match self.label_index.get_mut(label.as_str()) {
-            Some(ids) => ids.push(id),
-            None => {
-                self.label_index.insert(label.clone(), vec![id]);
-            }
-        }
+        self.label_index.value_mut(label).push(id);
         self.vertices.push(Vertex::new(label, props));
         id
     }
@@ -106,7 +96,7 @@ impl Graph {
     }
 
     /// Add a directed edge `src → dst` with the given label and properties.
-    /// A label some edge already carries is shared, not copied.
+    /// A label some edge already carries is referred to by id, not copied.
     pub fn add_edge_with_props(
         &mut self,
         src: VertexId,
@@ -120,27 +110,21 @@ impl Graph {
         if dst.index() >= self.vertices.len() {
             return Err(GraphError::UnknownVertex(dst));
         }
-        let label = label.as_ref();
-        let label = shared(&self.edge_label_counts, label, || Label::from(label));
+        let label = self.edge_label_counts.intern(label.as_ref());
         Ok(self.push_edge(src, dst, label, props))
     }
 
-    /// Append an edge between existing vertices whose label is already
-    /// this graph's shared copy (or new to it).
+    /// Append an edge between existing vertices whose label is already in
+    /// the edge-label table.
     fn push_edge(
         &mut self,
         src: VertexId,
         dst: VertexId,
-        label: Label,
+        label: LabelId,
         props: Properties,
     ) -> EdgeId {
         let id = EdgeId::from_index(self.edges.len());
-        match self.edge_label_counts.get_mut(label.as_str()) {
-            Some(count) => *count += 1,
-            None => {
-                self.edge_label_counts.insert(label.clone(), 1);
-            }
-        }
+        *self.edge_label_counts.value_mut(label) += 1;
         self.edges.push(Edge::new(src, dst, label, props));
         self.vertices[src.index()].out_edges.push(id);
         self.vertices[dst.index()].in_edges.push(id);
@@ -169,12 +153,44 @@ impl Graph {
 
     /// Label `L(v)` of a vertex; `None` for a foreign id.
     pub fn vertex_label(&self, id: VertexId) -> Option<&str> {
-        self.vertex(id).map(Vertex::label)
+        self.vertex(id).map(|v| self.label_index.text(v.label))
     }
 
     /// Label `L(e)` of an edge; `None` for a foreign id.
     pub fn edge_label(&self, id: EdgeId) -> Option<&str> {
-        self.edge(id).map(Edge::label)
+        self.edge(id).map(|e| self.edge_label_counts.text(e.label))
+    }
+
+    /// The text of a vertex label id ([`Vertex::label_id`]).
+    ///
+    /// # Panics
+    ///
+    /// When `id` is not from this graph's vertex-label table.
+    pub fn vertex_label_text(&self, id: LabelId) -> &str {
+        self.label_index.text(id)
+    }
+
+    /// The text of an edge label id ([`Edge::label_id`]).
+    ///
+    /// # Panics
+    ///
+    /// When `id` is not from this graph's edge-label table.
+    pub fn edge_label_text(&self, id: LabelId) -> &str {
+        self.edge_label_counts.text(id)
+    }
+
+    /// The id of a vertex label: `Some` for every label a vertex carries
+    /// (and for a label [`Graph::append_windows`] was handed but no
+    /// window used), `None` otherwise.
+    pub fn vertex_label_id(&self, label: &str) -> Option<LabelId> {
+        self.label_index.id(label)
+    }
+
+    /// The id of an edge label, as [`Graph::vertex_label_id`] for vertex
+    /// labels: resolve a label once, then test edges with
+    /// [`Edge::label_id`], an integer compare.
+    pub fn edge_label_id(&self, label: &str) -> Option<LabelId> {
+        self.edge_label_counts.id(label)
     }
 
     /// Iterate all vertices with their ids.
@@ -197,20 +213,25 @@ impl Graph {
     /// index behind `matchVertex` (§V) and Algorithm 1's `find(t_sg, V)`.
     pub fn vertices_with_label(&self, label: &str) -> &[VertexId] {
         self.label_index
-            .get(label)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .id(label)
+            .map_or(&[], |id| self.label_index.value(id).as_slice())
     }
 
     /// Distinct vertex labels with their vertex counts.
     pub fn vertex_label_counts(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.label_index.iter().map(|(l, ids)| (l.as_str(), ids.len()))
+        self.label_index
+            .iter()
+            .map(|(l, ids)| (l, ids.len()))
+            .filter(|&(_, n)| n > 0)
     }
 
     /// Distinct edge labels with their edge counts — Algorithm 3's
     /// `T ← getLabels(E_mg)`.
     pub fn edge_label_counts(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.edge_label_counts.iter().map(|(l, c)| (l.as_str(), *c))
+        self.edge_label_counts
+            .iter()
+            .map(|(l, &n)| (l, n))
+            .filter(|&(_, n)| n > 0)
     }
 
     /// Outgoing edges of `v` as `(edge id, edge)` pairs.
@@ -260,28 +281,10 @@ impl Graph {
 
     /// Whether an edge `src → dst` with this label exists.
     pub fn has_edge(&self, src: VertexId, dst: VertexId, label: &str) -> bool {
-        self.edges_between(src, dst).any(|(_, e)| e.label() == label)
-    }
-
-    /// Rebuild the label and edge-label indexes from the arenas, re-pointing
-    /// every element at one shared copy of its label. Called after
-    /// deserialization (the indexes are not persisted).
-    pub(crate) fn rebuild_indexes(&mut self) {
-        self.label_index.clear();
-        self.edge_label_counts.clear();
-        for (i, v) in self.vertices.iter_mut().enumerate() {
-            v.label = shared(&self.label_index, v.label.as_str(), || v.label.clone());
-            self.label_index
-                .entry(v.label.clone())
-                .or_default()
-                .push(VertexId::from_index(i));
-        }
-        for e in &mut self.edges {
-            e.label = shared(&self.edge_label_counts, e.label.as_str(), || {
-                e.label.clone()
-            });
-            *self.edge_label_counts.entry(e.label.clone()).or_insert(0) += 1;
-        }
+        let Some(label) = self.edge_label_id(label) else {
+            return false;
+        };
+        self.edges_between(src, dst).any(|(_, e)| e.label == label)
     }
 
     /// Validate internal consistency: every edge endpoint resolves, and every
@@ -345,23 +348,30 @@ impl Graph {
     /// Copy the subgraph of `other` induced by the vertices `keep` accepts
     /// into `self`, with their labels and properties. Returns the vertex id
     /// translation table (`None` for dropped vertices); edges with a
-    /// dropped endpoint are dropped. Labels are shared, never copied: each
-    /// one is this graph's copy when it has one, `other`'s otherwise.
+    /// dropped endpoint are dropped. Each of `other`'s labels is looked up
+    /// in this graph's tables once.
     pub fn absorb_where(
         &mut self,
         other: &Graph,
         keep: impl Fn(VertexId) -> bool,
     ) -> Vec<Option<VertexId>> {
+        let mut labels = vec![None; other.label_index.len()];
         let mut mapping = Vec::with_capacity(other.vertex_count());
         for (id, v) in other.vertices() {
             mapping.push(keep(id).then(|| {
-                let label = shared(&self.label_index, v.label(), || v.label.clone());
+                let label = *labels[v.label.index()].get_or_insert_with(|| {
+                    self.label_index.intern(other.label_index.text(v.label))
+                });
                 self.push_vertex(label, v.props().clone())
             }));
         }
+        let mut labels = vec![None; other.edge_label_counts.len()];
         for (_, e) in other.edges() {
             if let (Some(src), Some(dst)) = (mapping[e.src().index()], mapping[e.dst().index()]) {
-                let label = shared(&self.edge_label_counts, e.label(), || e.label.clone());
+                let label = *labels[e.label.index()].get_or_insert_with(|| {
+                    self.edge_label_counts
+                        .intern(other.edge_label_counts.text(e.label))
+                });
                 self.push_edge(src, dst, label, e.props().clone());
             }
         }
@@ -369,13 +379,101 @@ impl Graph {
     }
 }
 
-/// The shared copy of `label` among `index`'s keys, or `fresh()` when no
-/// element carries it yet. Probing by `&str` means a known label costs a
-/// reference-count bump, never an allocation.
-pub(crate) fn shared<V>(index: &HashMap<Label, V>, label: &str, fresh: impl FnOnce() -> Label) -> Label {
-    match index.get_key_value(label) {
-        Some((known, _)) => known.clone(),
-        None => fresh(),
+/// The JSON object of `fields`, in order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(name, value)| (name.to_owned(), value))
+            .collect::<Map>(),
+    )
+}
+
+/// Serializes the arenas as `{"vertices": [...], "edges": [...]}`, each
+/// element with its label's text; the label tables are rebuilt on load.
+impl Serialize for Graph {
+    fn to_value(&self) -> Value {
+        let vertices = self
+            .vertices
+            .iter()
+            .map(|v| {
+                object([
+                    (
+                        "label",
+                        Value::String(self.label_index.text(v.label).to_owned()),
+                    ),
+                    ("props", v.props().to_value()),
+                    ("out_edges", v.out_edges.to_value()),
+                    ("in_edges", v.in_edges.to_value()),
+                ])
+            })
+            .collect();
+        let edges = self
+            .edges
+            .iter()
+            .map(|e| {
+                object([
+                    ("src", e.src().to_value()),
+                    ("dst", e.dst().to_value()),
+                    (
+                        "label",
+                        Value::String(self.edge_label_counts.text(e.label).to_owned()),
+                    ),
+                    ("props", e.props().to_value()),
+                ])
+            })
+            .collect();
+        object([
+            ("vertices", Value::Array(vertices)),
+            ("edges", Value::Array(edges)),
+        ])
+    }
+}
+
+/// Reads the arenas and builds the label tables and indexes. Endpoints and
+/// adjacency are taken as written: [`Graph::validate`] checks them.
+impl Deserialize for Graph {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        fn field<'v>(v: &'v Value, what: &str, name: &str) -> Result<&'v Value, Error> {
+            v.get(name)
+                .ok_or_else(|| Error::custom(format!("{what}: missing field `{name}`")))
+        }
+        fn elements<'v>(v: &'v Value, name: &str) -> Result<&'v [Value], Error> {
+            field(v, "Graph", name)?
+                .as_array()
+                .map(Vec::as_slice)
+                .ok_or_else(|| Error::custom(format!("Graph.{name}: expected an array")))
+        }
+        fn label<'v>(v: &'v Value, what: &str) -> Result<&'v str, Error> {
+            let label = field(v, what, "label")?;
+            label.as_str().ok_or_else(|| {
+                Error::custom(format!(
+                    "{what}.label: expected a string, found {}",
+                    label.kind()
+                ))
+            })
+        }
+        let (vertices, edges) = (elements(v, "vertices")?, elements(v, "edges")?);
+        let mut graph = Graph::with_capacity(vertices.len(), edges.len());
+        for v in vertices {
+            let label = graph.label_index.intern(label(v, "Vertex")?);
+            let props = Properties::from_value(field(v, "Vertex", "props")?)?;
+            let id = graph.push_vertex(label, props);
+            let vertex = &mut graph.vertices[id.index()];
+            vertex.out_edges = Deserialize::from_value(field(v, "Vertex", "out_edges")?)?;
+            vertex.in_edges = Deserialize::from_value(field(v, "Vertex", "in_edges")?)?;
+        }
+        for e in edges {
+            let label = graph.edge_label_counts.intern(label(e, "Edge")?);
+            *graph.edge_label_counts.value_mut(label) += 1;
+            graph.edges.push(Edge::new(
+                VertexId::from_value(field(e, "Edge", "src")?)?,
+                VertexId::from_value(field(e, "Edge", "dst")?)?,
+                label,
+                Properties::from_value(field(e, "Edge", "props")?)?,
+            ));
+        }
+        Ok(graph)
     }
 }
 
@@ -501,31 +599,65 @@ mod tests {
         let b = g.add_vertex(String::from("dog"));
         let e1 = g.add_edge(a, b, "near").unwrap();
         let e2 = g.add_edge(b, a, "near").unwrap();
-        let shares = |x: &Label, y: &Label| std::ptr::eq(x.as_str(), y.as_str());
-        assert!(shares(
-            &g.vertices[a.index()].label,
-            &g.vertices[b.index()].label
-        ));
-        assert!(shares(
-            &g.edges[e1.index()].label,
-            &g.edges[e2.index()].label
-        ));
+        assert_eq!(g.vertices[a.index()].label, g.vertices[b.index()].label);
+        assert_eq!(g.edges[e1.index()].label, g.edges[e2.index()].label);
+        assert_eq!((g.label_index.len(), g.edge_label_counts.len()), (1, 1));
+        let dog = g.vertex_label_id("dog").unwrap();
+        assert_eq!(g.vertex_label_text(dog), "dog");
+        assert_eq!(
+            g.edge_label_id("near"),
+            Some(g.edges[e1.index()].label_id())
+        );
+        assert_eq!(g.edge_label_id("dog"), None);
 
-        // Absorbing reuses the target's copy of a label it knows and the
-        // source's copy of one it does not.
+        // Absorbing reuses the target's id of a label it knows and numbers
+        // one it does not.
         let mut h = Graph::new();
+        h.add_vertex("cat");
         let known = h.add_vertex("dog");
         let mapping = h.absorb(&g);
-        assert!(shares(
-            &h.vertices[known.index()].label,
-            &h.vertices[mapping[0].index()].label
-        ));
-        assert!(shares(&h.edges[0].label, &g.edges[e1.index()].label));
+        assert_eq!(
+            h.vertices[known.index()].label,
+            h.vertices[mapping[0].index()].label
+        );
+        assert_eq!((h.label_index.len(), h.edge_label_counts.len()), (2, 1));
+        assert_eq!(h.edge_label(EdgeId::from_index(0)), Some("near"));
 
-        // Deserialized graphs get their labels shared again.
+        // Deserialized graphs number their labels again.
         let back = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
-        assert!(shares(&back.vertices[0].label, &back.vertices[1].label));
-        assert!(shares(&back.edges[0].label, &back.edges[1].label));
+        assert_eq!(back.vertices[0].label, back.vertices[1].label);
+        assert_eq!(
+            (back.label_index.len(), back.edge_label_counts.len()),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn elements_are_packed() {
+        // A label id and an exactly sized property slice: a vertex is its
+        // two adjacency lists plus 24 bytes, an edge 32 bytes.
+        let (vertex, edge) = (std::mem::size_of::<Vertex>(), std::mem::size_of::<Edge>());
+        assert!(vertex <= 72, "{vertex}");
+        assert!(edge <= 32, "{edge}");
+        assert_eq!(std::mem::size_of::<LabelId>(), 4);
+    }
+
+    #[test]
+    fn json_layout_is_pinned() {
+        let (g, _, _, _) = triangle();
+        let json = crate::io::to_json(&g);
+        assert!(json.starts_with(concat!(
+            r#"{"vertices":[{"label":"a","props":{"entries":[]},"out_edges":[0],"in_edges":[2]},"#,
+            r#"{"label":"b","#
+        )));
+        assert!(json.ends_with(r#"{"src":2,"dst":0,"label":"ca","props":{"entries":[]}}]}"#));
+        for missing in [
+            r#"{"edges":[]}"#,
+            r#"{"vertices":[{"label":"a","props":{"entries":[]},"out_edges":[]}],"edges":[]}"#,
+            r#"{"vertices":[],"edges":[{"src":0,"dst":0,"props":{"entries":[]}}]}"#,
+        ] {
+            assert!(crate::io::from_json(missing).is_err(), "{missing}");
+        }
     }
 
     #[test]

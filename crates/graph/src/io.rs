@@ -1,7 +1,7 @@
 //! Graph (de)serialization.
 //!
-//! Graphs persist as JSON (the arenas only; the label indexes are rebuilt on
-//! load). Deserialized graphs are validated before use so a corrupt file
+//! Graphs persist as JSON (the arenas only; the label tables and indexes
+//! are rebuilt on load). Deserialized graphs are validated before use so a corrupt file
 //! surfaces as [`GraphError::CorruptGraph`] rather than a panic deep inside a
 //! query.
 
@@ -21,9 +21,8 @@ pub fn to_json_pretty(graph: &Graph) -> String {
 
 /// Deserialize a graph from JSON, rebuild its indexes, and validate it.
 pub fn from_json(json: &str) -> Result<Graph, GraphError> {
-    let mut graph: Graph =
+    let graph: Graph =
         serde_json::from_str(json).map_err(|e| GraphError::CorruptGraph(e.to_string()))?;
-    graph.rebuild_indexes();
     graph.validate()?;
     Ok(graph)
 }

@@ -12,9 +12,10 @@
 //!
 //! Design notes (informed by the performance guide):
 //! * vertices and edges live in flat arenas indexed by `u32` ids — no
-//!   per-vertex allocation beyond its property list: labels are shared,
-//!   reference-counted strings stored once per graph, and the pipeline's
-//!   fixed property keys are static strings;
+//!   per-vertex allocation beyond its property list: each element holds a
+//!   [`LabelId`] into a per-graph label table that stores every text once,
+//!   and its properties are an exactly sized slice of static keys and
+//!   two-word values;
 //! * adjacency is held as per-vertex out/in edge id lists, giving `O(deg)`
 //!   neighbourhood scans;
 //! * a label index maps each label to its vertices so `matchVertex`-style
@@ -58,8 +59,8 @@ pub use edge::Edge;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, VertexId};
-pub use label::{IS_A, SAME_AS};
-pub use props::{PropValue, Properties};
+pub use label::{LabelId, IS_A, SAME_AS};
+pub use props::{PropValue, Properties, IMAGE};
 pub use stats::{GraphStats, LabelHistogram};
 pub use subgraph::SubgraphView;
 pub use traverse::{induced_subgraph, k_hop_neighborhood, Bfs};

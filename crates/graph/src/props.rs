@@ -4,16 +4,59 @@
 //! graph vertices carry entity metadata, and the aggregator marks vertices
 //! with the subgraph-cache index (Algorithm 1). Properties are a small sorted
 //! `(key, value)` list: the observed property counts are tiny (≤ 8), where a
-//! sorted vec beats a hash map on both memory and lookup cost.
+//! sorted slice beats a hash map on both memory and lookup cost.
 //!
-//! Keys are `Cow<'static, str>`: the fixed keys the pipeline writes
-//! (`"image"`, `"x"`, …, `"score"`) are borrowed string literals and cost no
-//! allocation, while keys only known at run time (deserialized files,
-//! caller-chosen names) are owned.
+//! A merged graph holds one property list per vertex and edge, so the list
+//! is packed: an exactly sized boxed slice of 32-byte entries. Keys are
+//! `&'static str`: the fixed keys the pipeline writes ([`IMAGE`], `"x"`, …,
+//! `"score"`) are string literals used as they are, and a key only known at
+//! run time (a deserialized file, a caller-chosen name) is interned once per
+//! process. A value is two words: string payloads are boxed.
 
 use serde::{Deserialize, Error, Map, Serialize, Value};
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Mutex;
+
+/// The vertex property holding the id of the image a scene-graph vertex
+/// was detected in. Knowledge-graph vertices have none.
+pub const IMAGE: &str = "image";
+
+/// The process-wide copy of a run-time key, leaked once on first sight so
+/// every property list that carries it shares one `&'static str`.
+pub(crate) fn intern(key: &str) -> &'static str {
+    static KEYS: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut keys = KEYS
+        .lock()
+        .expect("no code panics while holding the key interner");
+    if let Some(&known) = keys.get(key) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(Box::from(key));
+    keys.insert(leaked);
+    leaked
+}
+
+/// A static key as it is, an owned one interned.
+fn static_key(key: Cow<'static, str>) -> &'static str {
+    match key {
+        Cow::Borrowed(key) => key,
+        Cow::Owned(key) => intern(&key),
+    }
+}
+
+/// `entries` as an exactly sized boxed slice. A vector with spare room is
+/// copied to a fresh allocation of the final length rather than shrunk in
+/// place, which would leave the freed tail behind as a heap fragment.
+fn exact<T>(entries: Vec<T>) -> Box<[T]> {
+    if entries.len() == entries.capacity() {
+        return entries.into_boxed_slice();
+    }
+    let mut exact = Vec::with_capacity(entries.len());
+    exact.extend(entries);
+    exact.into_boxed_slice()
+}
 
 /// A property value. The variants cover everything SVQA stores on the graph:
 /// strings (labels, categories), integers (image ids, counts), floats
@@ -21,8 +64,8 @@ use std::fmt;
 /// "cached").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PropValue {
-    /// UTF-8 string value.
-    Str(String),
+    /// UTF-8 string value, boxed so that every value is two words.
+    Str(Box<String>),
     /// Signed integer value.
     Int(i64),
     /// 64-bit float value.
@@ -35,7 +78,7 @@ impl PropValue {
     /// Borrow the string payload, if this is a [`PropValue::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            PropValue::Str(s) => Some(s),
+            PropValue::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -79,13 +122,13 @@ impl fmt::Display for PropValue {
 
 impl From<&str> for PropValue {
     fn from(s: &str) -> Self {
-        PropValue::Str(s.to_owned())
+        PropValue::Str(Box::new(s.to_owned()))
     }
 }
 
 impl From<String> for PropValue {
     fn from(s: String) -> Self {
-        PropValue::Str(s)
+        PropValue::Str(Box::new(s))
     }
 }
 
@@ -113,11 +156,11 @@ impl From<bool> for PropValue {
     }
 }
 
-/// A small key-sorted property map. Serializes as
+/// A small key-sorted property map, exactly sized. Serializes as
 /// `{"entries": [[key, value], ...]}`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Properties {
-    entries: Vec<(Cow<'static, str>, PropValue)>,
+    entries: Box<[(&'static str, PropValue)]>,
 }
 
 impl Properties {
@@ -126,16 +169,21 @@ impl Properties {
         Self::default()
     }
 
-    /// An empty property set with room for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// A property set of `entries` in any order, at exactly its length.
+    /// Of two entries with one key the later wins, as if each were `set`
+    /// in turn.
+    pub(crate) fn from_entries(mut entries: Vec<(&'static str, PropValue)>) -> Self {
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
         Properties {
-            entries: Vec::with_capacity(capacity),
+            entries: exact(entries),
         }
-    }
-
-    /// Number of entries the set holds without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.entries.capacity()
     }
 
     /// Number of stored properties.
@@ -148,8 +196,13 @@ impl Properties {
         self.entries.is_empty()
     }
 
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| (*k).cmp(key))
+    }
+
     /// Insert or overwrite a property. Returns the previous value if the key
-    /// was already present.
+    /// was already present. A new key reallocates the list at its new
+    /// length.
     pub fn set(
         &mut self,
         key: impl Into<Cow<'static, str>>,
@@ -157,10 +210,16 @@ impl Properties {
     ) -> Option<PropValue> {
         let key = key.into();
         let value = value.into();
-        match self.entries.binary_search_by(|(k, _)| k.as_ref().cmp(key.as_ref())) {
+        match self.position(&key) {
             Ok(pos) => Some(std::mem::replace(&mut self.entries[pos].1, value)),
             Err(pos) => {
-                self.entries.insert(pos, (key, value));
+                let key = static_key(key);
+                let mut entries = Vec::with_capacity(self.entries.len() + 1);
+                let mut old = std::mem::take(&mut self.entries).into_vec().into_iter();
+                entries.extend(old.by_ref().take(pos));
+                entries.push((key, value));
+                entries.extend(old);
+                self.entries = entries.into_boxed_slice();
                 None
             }
         }
@@ -168,23 +227,21 @@ impl Properties {
 
     /// Look up a property by key.
     pub fn get(&self, key: &str) -> Option<&PropValue> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
-            .ok()
-            .map(|pos| &self.entries[pos].1)
+        self.position(key).ok().map(|pos| &self.entries[pos].1)
     }
 
     /// Remove a property by key, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<PropValue> {
-        match self.entries.binary_search_by(|(k, _)| k.as_ref().cmp(key)) {
-            Ok(pos) => Some(self.entries.remove(pos).1),
-            Err(_) => None,
-        }
+        let pos = self.position(key).ok()?;
+        let mut entries = std::mem::take(&mut self.entries).into_vec();
+        let (_, value) = entries.remove(pos);
+        self.entries = exact(entries);
+        Some(value)
     }
 
     /// Iterate over `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &PropValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_ref(), v))
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &PropValue)> {
+        self.entries.iter().map(|(k, v)| (*k, v))
     }
 }
 
@@ -193,7 +250,7 @@ impl Serialize for Properties {
         let entries = self
             .entries
             .iter()
-            .map(|(k, v)| Value::Array(vec![Value::String(k.as_ref().to_owned()), v.to_value()]))
+            .map(|(k, v)| Value::Array(vec![Value::String((*k).to_owned()), v.to_value()]))
             .collect();
         let mut m = Map::new();
         m.insert("entries".to_owned(), Value::Array(entries));
@@ -207,24 +264,24 @@ impl Deserialize for Properties {
             .get("entries")
             .and_then(Value::as_array)
             .ok_or_else(|| Error::custom("Properties: expected {\"entries\": [...]}"))?;
-        let mut props = Properties::with_capacity(entries.len());
+        let mut props = Vec::with_capacity(entries.len());
         for entry in entries {
             let (key, value) = <(String, PropValue)>::from_value(entry)
                 .map_err(|e| Error::custom(format!("Properties.entries: {e}")))?;
-            props.set(key, value);
+            props.push((intern(&key), value));
         }
-        Ok(props)
+        Ok(Properties::from_entries(props))
     }
 }
 
+/// Static keys are kept as they are and owned ones interned. The list is
+/// built at the iterator's lower size bound, which is exact for arrays.
 impl<K: Into<Cow<'static, str>>, V: Into<PropValue>> FromIterator<(K, V)> for Properties {
     fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
         let iter = iter.into_iter();
-        let mut props = Properties::with_capacity(iter.size_hint().0);
-        for (k, v) in iter {
-            props.set(k, v);
-        }
-        props
+        let mut entries = Vec::with_capacity(iter.size_hint().0);
+        entries.extend(iter.map(|(k, v)| (static_key(k.into()), v.into())));
+        Properties::from_entries(entries)
     }
 }
 
@@ -255,6 +312,9 @@ mod tests {
         p.set("m", 3i64);
         let keys: Vec<&str> = p.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "m", "z"]);
+        assert_eq!(p.remove("m").and_then(|v| v.as_int()), Some(3));
+        let keys: Vec<&str> = p.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec!["a", "z"]);
     }
 
     #[test]
@@ -262,7 +322,7 @@ mod tests {
         let v = PropValue::Int(7);
         assert_eq!(v.as_float(), Some(7.0));
         assert_eq!(PropValue::Float(1.5).as_float(), Some(1.5));
-        assert_eq!(PropValue::Str("x".into()).as_float(), None);
+        assert_eq!(PropValue::from("x").as_float(), None);
     }
 
     #[test]
@@ -289,26 +349,50 @@ mod tests {
 
     #[test]
     fn loaded_maps_are_sized_to_their_entries() {
-        // Built by `set`, a one-entry map reserves room for several.
+        // Every list is an exactly sized slice of 32-byte entries: a
+        // static key and a two-word value.
+        assert_eq!(std::mem::size_of::<PropValue>(), 16);
+        assert_eq!(std::mem::size_of::<(&'static str, PropValue)>(), 32);
+        assert_eq!(std::mem::size_of::<Properties>(), 16);
         let mut score = Properties::new();
         score.set("score", 0.5);
-        assert!(score.capacity() > 1);
         let mut g = crate::Graph::new();
         let bbox: Properties = [("x", 0.1), ("y", 0.2), ("w", 0.3)].into_iter().collect();
-        let dog = g.add_vertex_with_props("dog", bbox);
+        let dog = g.add_vertex_with_props("dog", bbox.clone());
         let man = g.add_vertex("man");
-        g.add_edge_with_props(dog, man, "near", score).unwrap();
+        let near = g
+            .add_edge_with_props(dog, man, "near", score.clone())
+            .unwrap();
 
         let from_json = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
-        let from_bytes = crate::binio::from_bytes(crate::binio::to_bytes(&g)).unwrap();
+        let bytes = crate::binio::to_bytes(&g).unwrap();
+        let from_bytes = crate::binio::from_bytes(bytes).unwrap();
         for loaded in [&from_json, &from_bytes] {
-            for (_, v) in loaded.vertices() {
-                assert_eq!(v.props().capacity(), v.props().len(), "{}", v.label());
-            }
-            for (_, e) in loaded.edges() {
-                assert_eq!((e.props().len(), e.props().capacity()), (1, 1));
-            }
+            assert_eq!(loaded.vertex(dog).unwrap().props(), &bbox);
+            assert!(loaded.vertex(man).unwrap().props().is_empty());
+            assert_eq!(loaded.edge(near).unwrap().props(), &score);
         }
+    }
+
+    #[test]
+    fn runtime_keys_are_interned_once() {
+        let key = |p: &Properties| p.iter().next().unwrap().0;
+        let mut a = Properties::new();
+        a.set(format!("{}_{}", "tag", 9), 1i64);
+        let b: Properties = [(String::from("tag_9"), 2i64)].into_iter().collect();
+        assert!(std::ptr::eq(key(&a), key(&b)));
+
+        // A key loaded twice, through JSON and through the binary
+        // snapshot, is one string.
+        let mut g = crate::Graph::new();
+        g.add_vertex_with_props("dog", a);
+        let from_json = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
+        let bytes = crate::binio::to_bytes(&g).unwrap();
+        let from_bytes = crate::binio::from_bytes(bytes).unwrap();
+        let loaded = |g: &crate::Graph| key(g.vertices().next().unwrap().1.props());
+        assert_eq!(loaded(&from_json), "tag_9");
+        assert!(std::ptr::eq(loaded(&from_json), loaded(&from_bytes)));
+        assert!(std::ptr::eq(loaded(&from_json), key(&b)));
     }
 
     #[test]
@@ -321,7 +405,6 @@ mod tests {
             json,
             r#"{"entries":[["score",{"Float":0.5}],["source",{"Str":"lake"}]]}"#
         );
-        assert!(matches!(p.entries[0].0, Cow::Borrowed(_)));
         let back: Properties = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
         assert!(serde_json::from_str::<Properties>(r#"{"entries":[["k"]]}"#).is_err());

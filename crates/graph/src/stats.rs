@@ -24,7 +24,7 @@ impl LabelHistogram {
         Self::from_labels(
             graphs
                 .into_iter()
-                .flat_map(|g| g.vertices().map(|(_, v)| v.label())),
+                .flat_map(|g| g.vertices().map(|(_, v)| g.vertex_label_text(v.label_id()))),
         )
     }
 
@@ -42,7 +42,7 @@ impl LabelHistogram {
         Self::from_labels(
             graphs
                 .into_iter()
-                .flat_map(|g| g.edges().map(|(_, e)| e.label())),
+                .flat_map(|g| g.edges().map(|(_, e)| g.edge_label_text(e.label_id()))),
         )
     }
 

@@ -1,33 +1,32 @@
 //! Vertex storage.
 
 use crate::ids::EdgeId;
-use crate::label::Label;
+use crate::label::LabelId;
 use crate::props::Properties;
-use serde::{Deserialize, Serialize};
 
 /// A vertex of a directed labeled graph, `v ∈ V` with label `L(v)` (§II of
 /// the paper).
 ///
 /// The adjacency lists are owned by the vertex so that a neighbourhood scan
 /// touches one arena slot; they store *edge* ids, and the edge records hold
-/// the endpoint vertex ids. The label is shared with every other vertex of
-/// the same graph that carries it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// the endpoint vertex ids. The label is an id into the graph's
+/// vertex-label table ([`crate::Graph::vertex_label`] gives its text).
+#[derive(Debug, Clone)]
 pub struct Vertex {
-    pub(crate) label: Label,
+    pub(crate) label: LabelId,
     props: Properties,
     pub(crate) out_edges: Vec<EdgeId>,
     pub(crate) in_edges: Vec<EdgeId>,
 }
 
 impl Vertex {
-    pub(crate) fn new(label: Label, props: Properties) -> Self {
+    pub(crate) fn new(label: LabelId, props: Properties) -> Self {
         Self::with_degrees(label, props, 0, 0)
     }
 
     /// A vertex whose adjacency lists are sized for its final degrees.
     pub(crate) fn with_degrees(
-        label: Label,
+        label: LabelId,
         props: Properties,
         out_degree: usize,
         in_degree: usize,
@@ -40,9 +39,9 @@ impl Vertex {
         }
     }
 
-    /// The label `L(v)`.
-    pub fn label(&self) -> &str {
-        self.label.as_str()
+    /// The id of the label `L(v)` in the graph's vertex-label table.
+    pub fn label_id(&self) -> LabelId {
+        self.label
     }
 
     /// Immutable access to the vertex's properties.
@@ -83,12 +82,12 @@ impl Vertex {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn fresh_vertex_has_no_edges() {
-        let v = Vertex::new(Label::from("dog"), Properties::new());
-        assert_eq!(v.label(), "dog");
+        let mut g = crate::Graph::new();
+        let id = g.add_vertex("dog");
+        let v = g.vertex(id).unwrap();
+        assert_eq!(g.vertex_label_text(v.label_id()), "dog");
         assert_eq!(v.out_degree(), 0);
         assert_eq!(v.in_degree(), 0);
         assert_eq!(v.degree(), 0);
@@ -96,7 +95,9 @@ mod tests {
 
     #[test]
     fn props_are_mutable() {
-        let mut v = Vertex::new(Label::from("dog"), Properties::new());
+        let mut g = crate::Graph::new();
+        let id = g.add_vertex("dog");
+        let v = g.vertex_mut(id).unwrap();
         v.props_mut().set("image", 9u32);
         assert_eq!(
             v.props().get("image").and_then(|p| p.as_int()),

@@ -9,16 +9,15 @@
 //! runs, its edge-label counts and the adjacency of vertices that existed
 //! before the append — into the graph in window order. The result is the
 //! graph that `add_vertex_with_props` / `add_edge_with_props` calls in the
-//! same order would give, label sharing included.
+//! same order would give, label ids included.
 
 use crate::edge::Edge;
 use crate::error::GraphError;
-use crate::graph::{shared, Graph};
+use crate::graph::Graph;
 use crate::ids::{EdgeId, VertexId};
-use crate::label::Label;
+use crate::label::LabelId;
 use crate::props::Properties;
 use crate::vertex::Vertex;
-use std::collections::HashMap;
 
 /// How many vertices and edges one window appends, exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,8 +42,8 @@ pub struct GraphWindow<'g> {
     edges: &'g mut [Edge],
     filled_vertices: usize,
     filled_edges: usize,
-    vertex_labels: &'g [Label],
-    edge_labels: &'g [Label],
+    vertex_labels: &'g [LabelId],
+    edge_labels: &'g [LabelId],
     log: StitchLog,
 }
 
@@ -85,12 +84,7 @@ impl GraphWindow<'_> {
             .vertices
             .get_mut(self.filled_vertices)
             .expect("window holds its declared vertex count");
-        *slot = Vertex::with_degrees(
-            self.vertex_labels[label].clone(),
-            props,
-            out_degree,
-            in_degree,
-        );
+        *slot = Vertex::with_degrees(self.vertex_labels[label], props, out_degree, in_degree);
         self.log.runs[label].push(id);
         self.filled_vertices += 1;
         id
@@ -117,7 +111,7 @@ impl GraphWindow<'_> {
             .edges
             .get_mut(self.filled_edges)
             .expect("window holds its declared edge count");
-        *slot = Edge::new(src, dst, self.edge_labels[label].clone(), props);
+        *slot = Edge::new(src, dst, self.edge_labels[label], props);
         self.log.edge_counts[label] += 1;
         self.filled_edges += 1;
         match src_local {
@@ -166,7 +160,8 @@ impl Graph {
     /// order.
     ///
     /// `vertex_labels` and `edge_labels` are the label texts the windows
-    /// refer to by slot; each is resolved once to this graph's shared copy.
+    /// refer to by slot; each is resolved once to its id in this graph's
+    /// label tables, and windows copy ids.
     /// The graph ends up as if every vertex and edge had been added one by
     /// one, window after window.
     ///
@@ -188,29 +183,31 @@ impl Graph {
         R: Send,
         F: Fn(P, &mut GraphWindow<'_>) -> R + Sync,
     {
-        let vertex_labels = shared_all(&self.label_index, vertex_labels);
-        let edge_labels = shared_all(&self.edge_label_counts, edge_labels);
+        let vertex_labels: Vec<LabelId> = vertex_labels
+            .iter()
+            .map(|text| self.label_index.intern(text))
+            .collect();
+        let edge_labels: Vec<LabelId> = edge_labels
+            .iter()
+            .map(|text| self.edge_label_counts.intern(text))
+            .collect();
         let (existing, existing_edges) = (self.vertices.len(), self.edges.len());
-        self.vertices
-            .reserve_exact(parts.iter().map(|(size, _)| size.vertices).sum());
-        self.edges
-            .reserve_exact(parts.iter().map(|(size, _)| size.edges).sum());
-        for (size, _) in &parts {
-            // A placeholder label per window: each window's thread drops
-            // only its own placeholder's clones.
-            let placeholder = Label::from("");
-            self.vertices.extend(
-                std::iter::repeat_with(|| Vertex::new(placeholder.clone(), Properties::new()))
-                    .take(size.vertices),
-            );
-            let nowhere = VertexId::from_index(0);
-            self.edges.extend(
-                std::iter::repeat_with(|| {
-                    Edge::new(nowhere, nowhere, placeholder.clone(), Properties::new())
-                })
-                .take(size.edges),
-            );
-        }
+        let new_vertices = parts.iter().map(|(size, _)| size.vertices).sum();
+        let new_edges = parts.iter().map(|(size, _)| size.edges).sum();
+        // Placeholders until the windows fill their slots; they allocate
+        // nothing.
+        let placeholder = LabelId(0);
+        self.vertices.reserve_exact(new_vertices);
+        self.vertices.extend(
+            std::iter::repeat_with(|| Vertex::new(placeholder, Properties::new()))
+                .take(new_vertices),
+        );
+        let nowhere = VertexId::from_index(0);
+        self.edges.reserve_exact(new_edges);
+        self.edges.extend(
+            std::iter::repeat_with(|| Edge::new(nowhere, nowhere, placeholder, Properties::new()))
+                .take(new_edges),
+        );
 
         let (mut vertices, mut edges) = (
             &mut self.vertices[existing..],
@@ -277,28 +274,17 @@ impl Graph {
 
     /// Fold one filled window's log into the indexes and the adjacency of
     /// pre-existing vertices.
-    fn stitch(&mut self, vertex_labels: &[Label], edge_labels: &[Label], log: StitchLog) {
-        for (label, run) in vertex_labels.iter().zip(log.runs) {
-            if run.is_empty() {
-                continue;
-            }
-            match self.label_index.get_mut(label.as_str()) {
-                Some(ids) => ids.extend_from_slice(&run),
-                None => {
-                    self.label_index.insert(label.clone(), run);
-                }
+    fn stitch(&mut self, vertex_labels: &[LabelId], edge_labels: &[LabelId], log: StitchLog) {
+        for (&label, run) in vertex_labels.iter().zip(log.runs) {
+            let ids = self.label_index.value_mut(label);
+            if ids.is_empty() {
+                *ids = run;
+            } else {
+                ids.extend_from_slice(&run);
             }
         }
-        for (label, count) in edge_labels.iter().zip(log.edge_counts) {
-            if count == 0 {
-                continue;
-            }
-            match self.edge_label_counts.get_mut(label.as_str()) {
-                Some(n) => *n += count,
-                None => {
-                    self.edge_label_counts.insert(label.clone(), count);
-                }
-            }
+        for (&label, count) in edge_labels.iter().zip(log.edge_counts) {
+            *self.edge_label_counts.value_mut(label) += count;
         }
         for (v, e) in log.existing_out {
             self.vertices[v.index()].out_edges.push(e);
@@ -307,23 +293,6 @@ impl Graph {
             self.vertices[v.index()].in_edges.push(e);
         }
     }
-}
-
-/// Each text's shared copy among `index`'s keys, or one fresh copy per
-/// distinct text the graph does not carry yet.
-fn shared_all<V>(index: &HashMap<Label, V>, texts: &[&str]) -> Vec<Label> {
-    let mut fresh: HashMap<&str, Label> = HashMap::new();
-    texts
-        .iter()
-        .map(|&text| {
-            shared(index, text, || {
-                fresh
-                    .entry(text)
-                    .or_insert_with(|| Label::from(text))
-                    .clone()
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -447,14 +416,29 @@ mod tests {
             vec![(chain(2), 2), (chain(2), 2)],
             fill_chain,
         );
-        let shares = |x: &Label, y: &Label| std::ptr::eq(x.as_str(), y.as_str());
-        // "a" was known: every new "a" vertex holds the graph's copy.
-        assert!(shares(&g.vertices[0].label, &g.vertices[2].label));
-        // "b" was new: both windows hold one fresh copy, the index's key.
-        assert!(shares(&g.vertices[3].label, &g.vertices[5].label));
-        let (key, _) = g.label_index.get_key_value("b").unwrap();
-        assert!(shares(key, &g.vertices[3].label));
-        assert!(shares(&g.edges[0].label, &g.edges[2].label));
+        let label = |v: usize| g.vertices[v].label;
+        // "a" was known: every new "a" vertex carries the graph's id.
+        assert_eq!(label(0), label(2));
+        // "b" was new: both windows carry the one id it was given.
+        assert_eq!(label(3), label(5));
+        assert_eq!(g.vertex_label_id("b"), Some(label(3)));
+        assert_eq!(g.label_index.len(), 3);
+        assert_eq!(g.edges[0].label, g.edges[2].label);
+        assert_eq!(g.edge_label_id("same as"), Some(g.edges[0].label));
+    }
+
+    #[test]
+    fn unused_slot_labels_stay_out_of_the_counts() {
+        let mut g = base();
+        g.append_windows(
+            &["a", "b", "unused"],
+            &["x", "same as", "idle"],
+            vec![(chain(1), 1)],
+            fill_chain,
+        );
+        assert!(g.vertices_with_label("unused").is_empty());
+        assert!(g.vertex_label_counts().all(|(l, n)| l != "unused" && n > 0));
+        assert!(g.edge_label_counts().all(|(l, n)| l != "idle" && n > 0));
     }
 
     #[test]

@@ -35,8 +35,8 @@ proptest! {
         let back = svqa_graph::io::from_json(&svqa_graph::io::to_json(&g)).unwrap();
         prop_assert_eq!(back.vertex_count(), g.vertex_count());
         prop_assert_eq!(back.edge_count(), g.edge_count());
-        for (vid, v) in g.vertices() {
-            prop_assert_eq!(back.vertex_label(vid), Some(v.label()));
+        for (vid, _) in g.vertices() {
+            prop_assert_eq!(back.vertex_label(vid), g.vertex_label(vid));
         }
         // Rebuilt label index answers identically.
         for (label, count) in g.vertex_label_counts() {
@@ -53,8 +53,8 @@ proptest! {
         prop_assert_eq!(mapping.len(), g2.vertex_count());
         merged.validate().unwrap();
         // Labels preserved through the mapping.
-        for (vid, v) in g2.vertices() {
-            prop_assert_eq!(merged.vertex_label(mapping[vid.index()]), Some(v.label()));
+        for (vid, _) in g2.vertices() {
+            prop_assert_eq!(merged.vertex_label(mapping[vid.index()]), g2.vertex_label(vid));
         }
     }
 

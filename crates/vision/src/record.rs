@@ -11,7 +11,7 @@
 
 use crate::bbox::BBox;
 use crate::relation::RELATION_VOCAB;
-use svqa_graph::{PropValue, Properties};
+use svqa_graph::{PropValue, Properties, IMAGE};
 
 /// One detected object of a scene record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +27,7 @@ pub struct RecordVertex {
 
 impl RecordVertex {
     /// The vertex properties of a scene-graph vertex: image provenance
-    /// and bounding box, at exact capacity.
+    /// and bounding box.
     pub fn props(&self) -> Properties {
         vertex_props(self.image, &self.bbox)
     }
@@ -58,18 +58,16 @@ impl RecordEdge {
         usize::from(self.relation)
     }
 
-    /// The edge properties of a scene-graph edge: its score, at exact
-    /// capacity.
+    /// The edge properties of a scene-graph edge: its score.
     pub fn props(&self) -> Properties {
         edge_props(self.score)
     }
 }
 
-/// Properties of a scene-graph vertex. Collecting from an array sizes the
-/// map exactly.
+/// Properties of a scene-graph vertex: image provenance and bounding box.
 pub(crate) fn vertex_props(image: u32, bbox: &BBox) -> Properties {
     [
-        ("image", PropValue::Int(i64::from(image))),
+        (IMAGE, PropValue::Int(i64::from(image))),
         ("x", PropValue::Float(bbox.x)),
         ("y", PropValue::Float(bbox.y)),
         ("w", PropValue::Float(bbox.w)),
@@ -79,8 +77,7 @@ pub(crate) fn vertex_props(image: u32, bbox: &BBox) -> Properties {
     .collect()
 }
 
-/// Properties of a scene-graph edge. Collected rather than `set` on an
-/// empty map, which would reserve four slots for the one entry.
+/// Properties of a scene-graph edge: the predicate's score.
 pub(crate) fn edge_props(score: f64) -> Properties {
     [("score", score)].into_iter().collect()
 }
@@ -262,11 +259,16 @@ mod tests {
             .unwrap()
             .1
             .props();
+        // Five 32-byte entries in one exactly sized slice: the type
+        // guarantees the capacity, so the pins are on the entry size.
+        assert_eq!(std::mem::size_of::<PropValue>(), 16);
+        assert_eq!(std::mem::size_of::<Properties>(), 16);
         assert_eq!(v.len(), 5);
-        assert_eq!(v.capacity(), 5);
-        assert_eq!(v.get("image").and_then(PropValue::as_int), Some(4));
+        assert_eq!(v.get(IMAGE).and_then(PropValue::as_int), Some(4));
+        let keys: Vec<&str> = v.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["h", "image", "w", "x", "y"]);
         let e = r.scenes().next().unwrap().edges()[0].props();
-        assert_eq!((e.len(), e.capacity()), (1, 1));
+        assert_eq!(e.len(), 1);
         assert_eq!(e.get("score").and_then(PropValue::as_float), Some(0.75));
     }
 }

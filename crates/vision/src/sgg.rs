@@ -394,7 +394,11 @@ mod tests {
         assert_eq!(out.graph.vertex_count(), 4);
         assert_eq!(out.detections.len(), 4);
         assert_eq!(out.vertex_ids.len(), 4);
-        let labels: Vec<_> = out.graph.vertices().map(|(_, v)| v.label()).collect();
+        let labels: Vec<_> = out
+            .graph
+            .vertices()
+            .map(|(id, _)| out.graph.vertex_label(id).unwrap())
+            .collect();
         for l in ["dog", "grass", "man", "frisbee"] {
             assert!(labels.contains(&l), "{l} missing from {labels:?}");
         }
@@ -456,17 +460,17 @@ mod tests {
             let g = gen.generate(image).graph;
             let vertices: Vec<_> = g
                 .vertices()
-                .map(|(_, v)| (v.label(), v.props().clone()))
+                .map(|(id, v)| (g.vertex_label(id).unwrap(), v.props().clone()))
                 .collect();
             let recorded: Vec<_> = scene.vertices().map(|(l, v)| (l, v.props())).collect();
             assert_eq!(recorded, vertices);
             let edges: Vec<_> = g
                 .edges()
-                .map(|(_, e)| {
+                .map(|(id, e)| {
                     (
                         e.src().index(),
                         e.dst().index(),
-                        e.label(),
+                        g.edge_label(id).unwrap(),
                         e.props().clone(),
                     )
                 })

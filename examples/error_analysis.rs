@@ -96,7 +96,7 @@ fn main() {
             format!(
                 "{{{}, {}, {}}}",
                 out.graph.vertex_label(e.src()).unwrap_or("?"),
-                e.label(),
+                out.graph.edge_label_text(e.label_id()),
                 out.graph.vertex_label(e.dst()).unwrap_or("?")
             )
         })

@@ -11,6 +11,7 @@
 
 use svqa::aggregator::{AggregatorConfig, DataAggregator};
 use svqa::dataset::{build_knowledge_graph, generate_images};
+use svqa::graph::{IMAGE, SAME_AS};
 use svqa::vision::prior::PairPrior;
 use svqa::vision::sgg::{SceneGraphGenerator, SggConfig};
 
@@ -28,13 +29,13 @@ fn main() {
         println!(
             "  {} --{}--> harry potter",
             kg.vertex_label(e.src()).unwrap_or("?"),
-            e.label()
+            kg.edge_label_text(e.label_id())
         );
     }
     for (_, e) in kg.out_edges(harry) {
         println!(
             "  harry potter --{}--> {}",
-            e.label(),
+            kg.edge_label_text(e.label_id()),
             kg.vertex_label(e.dst()).unwrap_or("?")
         );
     }
@@ -86,27 +87,29 @@ fn main() {
     println!("\ncross-source walk (Example 1 by hand):");
     let g = &merged.graph;
     let harry = g.vertices_with_label("harry potter")[0];
-    for (_, e) in g.in_edges(harry).filter(|(_, e)| e.label() == "girlfriend of") {
+    let girlfriend_of = g.edge_label_id("girlfriend of");
+    let same_as = g.edge_label_id(SAME_AS);
+    for (_, e) in g.in_edges(harry).filter(|(_, e)| Some(e.label_id()) == girlfriend_of) {
         let girlfriend = e.src();
         let name = g.vertex_label(girlfriend).unwrap_or("?");
         println!("  {name} is harry potter's girlfriend (knowledge graph)");
         // Scene instances of the girlfriend via "same as" links.
-        for (_, link) in g.out_edges(girlfriend).filter(|(_, e)| e.label() == "same as") {
+        for (_, link) in g.out_edges(girlfriend).filter(|(_, e)| Some(e.label_id()) == same_as) {
             let instance = link.dst();
             let image = g
                 .vertex(instance)
-                .and_then(|v| v.props().get("image"))
+                .and_then(|v| v.props().get(IMAGE))
                 .and_then(|p| p.as_int());
             // Who appears near her in that image?
             for (_, rel) in g.in_edges(instance) {
-                if rel.label() == "same as" {
+                if Some(rel.label_id()) == same_as {
                     continue;
                 }
                 println!(
                     "    image {:?}: {} --{}--> {name}",
                     image,
                     g.vertex_label(rel.src()).unwrap_or("?"),
-                    rel.label()
+                    g.edge_label_text(rel.label_id())
                 );
             }
         }

@@ -58,7 +58,7 @@ fn print_graph(title: &str, graph: &svqa::graph::Graph) {
         println!(
             "  {{{}, {}, {}}}  (score {:.2})",
             graph.vertex_label(e.src()).unwrap_or("?"),
-            e.label(),
+            graph.edge_label_text(e.label_id()),
             graph.vertex_label(e.dst()).unwrap_or("?"),
             score
         );

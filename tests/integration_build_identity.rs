@@ -136,7 +136,7 @@ fn mixed_graph() -> Graph {
         ("image", PropValue::Int(3)),
         ("x", PropValue::Float(0.125)),
         ("flag", PropValue::Bool(true)),
-        ("note", PropValue::Str("hello".into())),
+        ("note", PropValue::from("hello")),
     ]
     .into_iter()
     .collect();
@@ -165,9 +165,9 @@ fn json_and_binary_round_trips_are_byte_identical() {
         assert_eq!(io::to_json(&back), json);
         assert_eq!(io::to_json_pretty(&back), io::to_json_pretty(&g));
 
-        let bytes = binio::to_bytes(&g);
+        let bytes = binio::to_bytes(&g).unwrap();
         let back = binio::from_bytes(bytes.clone()).unwrap();
-        assert_eq!(binio::to_bytes(&back), bytes);
+        assert_eq!(binio::to_bytes(&back).unwrap(), bytes);
         assert_eq!(io::to_json(&back), json);
     }
     let g = mixed_graph();

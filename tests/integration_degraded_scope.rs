@@ -7,7 +7,7 @@
 use svqa::executor::executor::QueryGraphExecutor;
 use svqa::executor::CacheStats;
 use svqa::fault::Source;
-use svqa::graph::Graph;
+use svqa::graph::{Graph, IMAGE};
 use svqa::{Svqa, SvqaConfig};
 use svqa_dataset::{generate_images, Mvqa};
 
@@ -23,7 +23,7 @@ fn induced(merged: &Graph, keep: impl Fn(usize) -> bool) -> Graph {
 fn kg_vertex_count(merged: &Graph) -> usize {
     merged
         .vertices()
-        .take_while(|(_, v)| v.props().get("image").is_none())
+        .take_while(|(_, v)| v.props().get(IMAGE).is_none())
         .count()
 }
 

@@ -54,8 +54,8 @@ fn record_build_equals_merging_per_image_graphs() {
         let g = built.merged_graph();
         assert_eq!(io::to_json(g), io::to_json(&merged.graph), "{n} images");
         assert_eq!(
-            binio::to_bytes(g),
-            binio::to_bytes(&merged.graph),
+            binio::to_bytes(g).unwrap(),
+            binio::to_bytes(&merged.graph).unwrap(),
             "{n} images"
         );
         assert_eq!(built.build_stats().merge, merged.stats, "{n} images");
@@ -105,12 +105,21 @@ fn armed_sgg_and_detector_faults_build_identically_twice() {
     assert_ne!(digest, clean, "the faults left the merged graph untouched");
 }
 
-/// The label index and the edge-label counts are not serialized, so no
-/// digest sees them: check them against the arenas directly.
+/// The label tables, the label index and the edge-label counts are not
+/// serialized, so no digest sees them: check them against the arenas
+/// directly. Each element's label id must name its text in the graph's
+/// tables, and its text must look up that same id.
 fn assert_indexes_match_arenas(g: &Graph, what: &str) {
     let mut by_label: HashMap<&str, Vec<usize>> = HashMap::new();
     for (id, v) in g.vertices() {
-        by_label.entry(v.label()).or_default().push(id.index());
+        let label = g.vertex_label_text(v.label_id());
+        assert_eq!(g.vertex_label(id), Some(label), "{what}: text of {id}");
+        assert_eq!(
+            g.vertex_label_id(label),
+            Some(v.label_id()),
+            "{what}: id of {label:?}"
+        );
+        by_label.entry(label).or_default().push(id.index());
     }
     for (label, ids) in &by_label {
         let indexed: Vec<usize> = g
@@ -129,8 +138,15 @@ fn assert_indexes_match_arenas(g: &Graph, what: &str) {
     );
 
     let mut counted: BTreeMap<&str, usize> = BTreeMap::new();
-    for (_, e) in g.edges() {
-        *counted.entry(e.label()).or_default() += 1;
+    for (id, e) in g.edges() {
+        let label = g.edge_label_text(e.label_id());
+        assert_eq!(g.edge_label(id), Some(label), "{what}: text of {id}");
+        assert_eq!(
+            g.edge_label_id(label),
+            Some(e.label_id()),
+            "{what}: id of {label:?}"
+        );
+        *counted.entry(label).or_default() += 1;
     }
     let indexed: BTreeMap<&str, usize> = g.edge_label_counts().collect();
     assert_eq!(indexed, counted, "{what}: edge-label counts");
