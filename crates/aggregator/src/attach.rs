@@ -9,16 +9,28 @@
 //! An attach runs in three steps. A census counts every scene vertex label
 //! per part (Algorithm 1 line 2's statistic comes from it). Each distinct
 //! label is then resolved once to its counterpart, which fixes how many
-//! link edges every part adds, so the merged graph's arenas grow once by
-//! the exact total. Finally each part fills its own window of the merged
-//! graph on its own thread ([`Graph::append_windows`]).
+//! link edges every part adds, so the merged graph's arenas and property
+//! value columns grow once by the exact totals. Finally each part fills its
+//! own window of the merged graph on its own thread
+//! ([`Graph::append_windows`]), writing each record's values straight into
+//! its run of the columns.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use svqa_graph::{
-    Graph, GraphWindow, LabelHistogram, Properties, VertexId, WindowSize, SAME_AS,
+    Graph, GraphWindow, LabelHistogram, PropValue, VertexId, WindowSize, WindowSlots, SAME_AS,
 };
-use svqa_vision::{SceneRecords, RELATION_VOCAB};
+use svqa_vision::{SceneRecords, EDGE_KEYS, RELATION_VOCAB, VERTEX_KEYS};
+
+/// A property shape: the sorted keys of an element's properties.
+type Shape<'p> = &'p [&'static str];
+
+/// The shape slot of the empty shape, which link edges use.
+const NO_PROPS: usize = 0;
+
+/// The shape slot every record vertex and every record edge uses
+/// ([`VERTEX_KEYS`], [`EDGE_KEYS`]).
+const RECORD_SHAPE: usize = 1;
 
 /// The scene graphs one part attaches, in either held form.
 enum Part<'p> {
@@ -47,8 +59,12 @@ pub struct Attacher<'p> {
     /// slots `0..RELATION_VOCAB.len()`, so a record edge's slot is its
     /// relation index.
     edge_slots: HashMap<Box<str>, usize>,
-    /// Per part: scene vertices and scene edges.
-    sizes: Vec<(usize, usize)>,
+    /// Distinct vertex and edge property shapes → slot; the empty shape
+    /// takes slot [`NO_PROPS`].
+    vertex_shapes: HashMap<Shape<'p>, usize>,
+    edge_shapes: HashMap<Shape<'p>, usize>,
+    /// Per part: scene vertices and scene edges, and their values.
+    sizes: Vec<WindowSize>,
 }
 
 /// What an attach appended.
@@ -67,21 +83,30 @@ impl<'p> Attacher<'p> {
     /// Attach per-image scene graphs, as one part.
     pub fn graphs(scene_graphs: &'p [Graph]) -> Self {
         let mut attacher = Self::new(1);
-        let (mut vertices, mut edges) = (0, 0);
+        let mut size = WindowSize::default();
         for g in scene_graphs {
-            for (_, v) in g.vertices() {
+            for (id, v) in g.vertices() {
                 attacher.count(0, g.vertex_label_text(v.label_id()));
+                let keys = g.vertex_props(id).keys();
+                size.vertex_values += keys.len();
+                let next = attacher.vertex_shapes.len();
+                attacher.vertex_shapes.entry(keys).or_insert(next);
             }
-            for (_, e) in g.edges() {
+            for (id, e) in g.edges() {
                 let next = attacher.edge_slots.len();
                 let label = g.edge_label_text(e.label_id());
                 if !attacher.edge_slots.contains_key(label) {
                     attacher.edge_slots.insert(label.into(), next);
                 }
+                let keys = g.edge_props(id).keys();
+                size.edge_values += keys.len();
+                let next = attacher.edge_shapes.len();
+                attacher.edge_shapes.entry(keys).or_insert(next);
             }
-            (vertices, edges) = (vertices + g.vertex_count(), edges + g.edge_count());
+            size.vertices += g.vertex_count();
+            size.edges += g.edge_count();
         }
-        attacher.sizes.push((vertices, edges));
+        attacher.sizes.push(size);
         attacher.parts.push(Part::Graphs(scene_graphs));
         attacher
     }
@@ -90,13 +115,21 @@ impl<'p> Attacher<'p> {
     /// Each chunk is freed as soon as it is attached.
     pub fn records(parts: Vec<Vec<SceneRecords>>) -> Attacher<'static> {
         let mut attacher = Attacher::new(parts.len());
+        attacher.vertex_shapes.insert(&VERTEX_KEYS, RECORD_SHAPE);
+        attacher.edge_shapes.insert(&EDGE_KEYS, RECORD_SHAPE);
         for (p, chunks) in parts.iter().enumerate() {
             for label in chunks.iter().flat_map(SceneRecords::labels) {
                 attacher.count(p, label);
             }
-            attacher.sizes.push(chunks.iter().fold((0, 0), |(v, e), r| {
+            let (vertices, edges) = chunks.iter().fold((0, 0), |(v, e), r| {
                 (v + r.vertex_count(), e + r.edge_count())
-            }));
+            });
+            attacher.sizes.push(WindowSize {
+                vertices,
+                edges,
+                vertex_values: vertices * VERTEX_KEYS.len(),
+                edge_values: edges * EDGE_KEYS.len(),
+            });
         }
         attacher.parts = parts.into_iter().map(Part::Records).collect();
         attacher
@@ -113,6 +146,8 @@ impl<'p> Attacher<'p> {
                 .enumerate()
                 .map(|(slot, &label)| (label.into(), slot))
                 .collect(),
+            vertex_shapes: HashMap::from([(&[] as Shape<'_>, NO_PROPS)]),
+            edge_shapes: HashMap::from([(&[] as Shape<'_>, NO_PROPS)]),
             sizes: Vec::with_capacity(part_count),
         }
     }
@@ -179,30 +214,47 @@ impl<'p> Attacher<'p> {
         }
         let link = self.edge_slots.len();
         edge_labels[link] = SAME_AS;
+        let by_slot = |shapes: &HashMap<Shape<'p>, usize>| {
+            let mut by_slot: Vec<Shape<'p>> = vec![&[]; shapes.len()];
+            for (&keys, &slot) in shapes {
+                by_slot[slot] = keys;
+            }
+            by_slot
+        };
+        let (vertex_shapes, edge_shapes) =
+            (by_slot(&self.vertex_shapes), by_slot(&self.edge_shapes));
 
         let windows: Vec<_> = self
             .sizes
             .iter()
             .zip(&linked)
-            .map(|(&(vertices, edges), &linked)| WindowSize {
-                vertices,
-                edges: edges + 2 * linked,
+            .map(|(&size, &linked)| WindowSize {
+                edges: size.edges + 2 * linked,
+                ..size
             })
             .zip(self.parts)
             .collect();
         let plan = Plan {
             slots: &self.slots,
             edge_slots: &self.edge_slots,
+            vertex_shapes: &self.vertex_shapes,
+            edge_shapes: &self.edge_shapes,
             resolved: &resolved,
             link,
         };
+        let slots = WindowSlots {
+            vertex_labels: &labels,
+            edge_labels: &edge_labels,
+            vertex_shapes: &vertex_shapes,
+            edge_shapes: &edge_shapes,
+        };
         let scene_vertices = merged
-            .append_windows(&labels, &edge_labels, windows, |part, window| {
+            .append_windows(&slots, windows, |part, window| {
                 plan.attach_part(part, window)
             })
             .concat();
         let (vertices, linked) = (
-            self.sizes.iter().map(|&(v, _)| v).sum::<usize>(),
+            self.sizes.iter().map(|size| size.vertices).sum::<usize>(),
             linked.iter().sum::<usize>(),
         );
         Attached {
@@ -213,10 +265,13 @@ impl<'p> Attacher<'p> {
     }
 }
 
-/// What every part's thread reads: label slots and their resolutions.
+/// What every part's thread reads: label and shape slots, and the
+/// labels' resolutions.
 struct Plan<'a> {
     slots: &'a HashMap<Box<str>, usize>,
     edge_slots: &'a HashMap<Box<str>, usize>,
+    vertex_shapes: &'a HashMap<Shape<'a>, usize>,
+    edge_shapes: &'a HashMap<Shape<'a>, usize>,
     /// Per vertex-label slot: the knowledge-graph counterpart.
     resolved: &'a [Option<VertexId>],
     /// Edge-label slot of the link edges.
@@ -234,20 +289,24 @@ impl Plan<'_> {
                     self.attach_image(
                         window,
                         &mut counterparts,
-                        g.vertices().map(|(_, v)| {
+                        g.vertices().map(|(id, v)| {
+                            let props = g.vertex_props(id);
                             (
                                 g.vertex_label_text(v.label_id()),
-                                v.props().clone(),
+                                self.vertex_shapes[props.keys()],
+                                props.iter().map(|(_, value)| value.clone()),
                                 v.out_degree(),
                                 v.in_degree(),
                             )
                         }),
-                        g.edges().map(|(_, e)| {
+                        g.edges().map(|(id, e)| {
+                            let props = g.edge_props(id);
                             (
                                 e.src().index(),
                                 e.dst().index(),
                                 self.edge_slots[g.edge_label_text(e.label_id())],
-                                e.props().clone(),
+                                self.edge_shapes[props.keys()],
+                                props.iter().map(|(_, value)| value.clone()),
                             )
                         }),
                     )
@@ -271,9 +330,12 @@ impl Plan<'_> {
                                 scene
                                     .vertices()
                                     .zip(&degrees)
-                                    .map(|((label, v), &(out, inn))| (label, v.props(), out, inn)),
+                                    .map(|((label, v), &(out, inn))| {
+                                        (label, RECORD_SHAPE, v.values(), out, inn)
+                                    }),
                                 scene.edges().iter().map(|e| {
-                                    (e.sub as usize, e.obj as usize, e.relation(), e.props())
+                                    let (sub, obj) = (e.sub as usize, e.obj as usize);
+                                    (sub, obj, e.relation(), RECORD_SHAPE, e.values())
                                 }),
                             ),
                         );
@@ -286,29 +348,34 @@ impl Plan<'_> {
         }
     }
 
-    /// The attach body for one image: vertices (label, properties, scene
-    /// out- and in-degree), scene edges (endpoints local to the image,
-    /// edge-label slot), then links. `counterparts` is scratch space.
-    fn attach_image<'s>(
+    /// The attach body for one image: vertices (label, shape slot,
+    /// property values, scene out- and in-degree), scene edges (endpoints
+    /// local to the image, edge-label slot, shape slot, property values),
+    /// then links. `counterparts` is scratch space.
+    fn attach_image<'s, VV, EV>(
         &self,
         window: &mut GraphWindow<'_>,
         counterparts: &mut Vec<Option<VertexId>>,
-        vertices: impl Iterator<Item = (&'s str, Properties, usize, usize)>,
-        edges: impl Iterator<Item = (usize, usize, usize, Properties)>,
-    ) -> Range<usize> {
+        vertices: impl Iterator<Item = (&'s str, usize, VV, usize, usize)>,
+        edges: impl Iterator<Item = (usize, usize, usize, usize, EV)>,
+    ) -> Range<usize>
+    where
+        VV: IntoIterator<Item = PropValue>,
+        EV: IntoIterator<Item = PropValue>,
+    {
         let first = window.next_vertex().index();
         counterparts.clear();
-        for (label, props, out_degree, in_degree) in vertices {
+        for (label, shape, values, out_degree, in_degree) in vertices {
             let slot = self.slots[label];
             let kg = self.resolved[slot];
             let link = usize::from(kg.is_some());
-            window.push_vertex(slot, props, out_degree + link, in_degree + link);
+            window.push_vertex(slot, shape, values, out_degree + link, in_degree + link);
             counterparts.push(kg);
         }
         let local = |i: usize| VertexId::from_index(first + i);
-        for (sub, obj, slot, props) in edges {
+        for (sub, obj, slot, shape, values) in edges {
             window
-                .push_edge(local(sub), local(obj), slot, props)
+                .push_edge(local(sub), local(obj), slot, shape, values)
                 .expect("scene edge endpoints are the image's own vertices");
         }
         // Lines 9–14: connect(v, v') in both directions so the executor
@@ -317,10 +384,10 @@ impl Plan<'_> {
             if let Some(kg) = *kg {
                 let v = local(i);
                 window
-                    .push_edge(v, kg, self.link, Properties::new())
+                    .push_edge(v, kg, self.link, NO_PROPS, [])
                     .expect("counterparts predate the attach");
                 window
-                    .push_edge(kg, v, self.link, Properties::new())
+                    .push_edge(kg, v, self.link, NO_PROPS, [])
                     .expect("counterparts predate the attach");
             }
         }

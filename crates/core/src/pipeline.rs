@@ -237,7 +237,7 @@ impl Svqa {
         Svqa {
             kg_vertex_count: merged
                 .vertices()
-                .take_while(|(_, v)| v.props().get(svqa_graph::IMAGE).is_none())
+                .take_while(|&(id, _)| merged.vertex_props(id).get(svqa_graph::IMAGE).is_none())
                 .count(),
             build_stats: BuildStats {
                 merged_vertices: merged.vertex_count(),

@@ -532,11 +532,7 @@ impl<'g> QueryGraphExecutor<'g> {
     fn count_scene_instances(&self, vertices: &[VertexId]) -> usize {
         let instances = vertices
             .iter()
-            .filter(|&&v| {
-                self.graph
-                    .vertex(v)
-                    .is_some_and(|vx| vx.props().get(IMAGE).is_some())
-            })
+            .filter(|&&v| self.graph.vertex_props(v).get(IMAGE).is_some())
             .count();
         if instances > 0 {
             instances

@@ -53,12 +53,7 @@ pub struct Explanation {
 impl Explanation {
     /// Build from the executor's accepted pairs.
     pub(crate) fn from_aps(graph: &Graph, aps: &[Vec<RelationPair>]) -> Self {
-        let image = |v| {
-            graph
-                .vertex(v)
-                .and_then(|v| v.props().get(IMAGE))
-                .and_then(|x| x.as_int())
-        };
+        let image = |v| graph.vertex_props(v).get(IMAGE).and_then(|x| x.as_int());
         let per_vertex = aps
             .iter()
             .map(|ap| {

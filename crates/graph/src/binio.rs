@@ -14,8 +14,9 @@
 //! prop:         u16 key-len, key bytes, u8 tag, payload
 //! ```
 //! Vertex/edge labels are interned in a shared label table (scene graphs
-//! repeat "dog" thousands of times). Adjacency and indexes are rebuilt on
-//! load, and the result is validated like the JSON path.
+//! repeat "dog" thousands of times). Adjacency, indexes and the property
+//! columns are rebuilt on load, each column copied into its final size,
+//! and the result is validated like the JSON path.
 //!
 //! Lengths and the property count are `u16`s: [`to_bytes`] refuses a graph
 //! with a label, key or string over [`u16::MAX`] bytes, or more properties
@@ -23,7 +24,7 @@
 
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::props::{intern, PropValue, Properties};
+use crate::props::{exact, intern, PropValue, Properties, Props};
 use crate::VertexId;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -74,20 +75,20 @@ pub fn to_bytes(graph: &Graph) -> Result<Bytes, GraphError> {
         buf.put_u16_le(u16_len("label", label.len())?);
         buf.put_slice(label.as_bytes());
     }
-    for ((_, v), &lid) in graph.vertices().zip(vertex_label_ids) {
+    for ((id, _), &lid) in graph.vertices().zip(vertex_label_ids) {
         buf.put_u32_le(lid);
-        write_props(&mut buf, v.props())?;
+        write_props(&mut buf, graph.vertex_props(id))?;
     }
-    for ((_, e), &lid) in graph.edges().zip(edge_label_ids) {
+    for ((id, e), &lid) in graph.edges().zip(edge_label_ids) {
         buf.put_u32_le(e.src().index() as u32);
         buf.put_u32_le(e.dst().index() as u32);
         buf.put_u32_le(lid);
-        write_props(&mut buf, e.props())?;
+        write_props(&mut buf, graph.edge_props(id))?;
     }
     Ok(buf.freeze())
 }
 
-fn write_props(buf: &mut BytesMut, props: &Properties) -> Result<(), GraphError> {
+fn write_props(buf: &mut BytesMut, props: Props<'_>) -> Result<(), GraphError> {
     buf.put_u16_le(u16_len("property count", props.len())?);
     for (key, value) in props.iter() {
         buf.put_u16_le(u16_len("property key", key.len())?);
@@ -115,7 +116,8 @@ fn write_props(buf: &mut BytesMut, props: &Properties) -> Result<(), GraphError>
     Ok(())
 }
 
-/// Deserialize a binary snapshot, rebuild indexes, and validate.
+/// Deserialize a binary snapshot, rebuild indexes and exactly sized
+/// property columns, and validate.
 pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
     let corrupt = |msg: &str| GraphError::CorruptGraph(msg.to_owned());
     let need = |data: &Bytes, n: usize, what: &str| -> Result<(), GraphError> {
@@ -180,6 +182,11 @@ pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
                 props,
             )
             .map_err(|e| GraphError::CorruptGraph(format!("dangling edge: {e}")))?;
+    }
+    // The snapshot does not store value totals: the columns grew while
+    // loading, and are copied into their final size now.
+    for column in [&mut graph.vertex_column, &mut graph.edge_column] {
+        column.values = exact(std::mem::take(&mut column.values));
     }
     graph.validate()?;
     Ok(graph)
@@ -275,9 +282,9 @@ mod tests {
         assert_eq!(back.vertex_count(), g.vertex_count());
         assert_eq!(back.edge_count(), g.edge_count());
         for (vid, v) in g.vertices() {
-            let bv = back.vertex(vid).unwrap();
             assert_eq!(back.vertex_label(vid), g.vertex_label(vid));
-            assert_eq!(bv.props(), v.props());
+            assert_eq!(back.vertex_props(vid), g.vertex_props(vid));
+            assert_eq!(back.vertex(vid).unwrap().degree(), v.degree());
         }
         for (eid, e) in g.edges() {
             let be = back.edge(eid).unwrap();

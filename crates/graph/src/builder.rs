@@ -116,11 +116,7 @@ mod tests {
         assert_eq!(v1, v2);
         let g = b.build();
         assert_eq!(
-            g.vertex(v1)
-                .unwrap()
-                .props()
-                .get("kind")
-                .and_then(|p| p.as_str()),
+            g.vertex_props(v1).get("kind").and_then(|p| p.as_str()),
             Some("entity")
         );
     }

@@ -2,7 +2,7 @@
 
 use crate::ids::VertexId;
 use crate::label::LabelId;
-use crate::props::Properties;
+use crate::props::PropSlot;
 
 /// A directed labeled edge `e ∈ E` with label `L(e)` (§II of the paper).
 ///
@@ -10,17 +10,18 @@ use crate::props::Properties;
 /// ("wearing", "in front of", "girlfriend of", ...), which `maxScore` in
 /// Algorithm 3 matches against the query's predicate `c_p`. The label is an
 /// id into the graph's edge-label table ([`crate::Graph::edge_label`] gives
-/// its text).
+/// its text), and the properties sit in the graph's edge column
+/// ([`crate::Graph::edge_props`] reads them).
 #[derive(Debug, Clone)]
 pub struct Edge {
     src: VertexId,
     dst: VertexId,
     pub(crate) label: LabelId,
-    props: Properties,
+    pub(crate) props: PropSlot,
 }
 
 impl Edge {
-    pub(crate) fn new(src: VertexId, dst: VertexId, label: LabelId, props: Properties) -> Self {
+    pub(crate) fn new(src: VertexId, dst: VertexId, label: LabelId, props: PropSlot) -> Self {
         Edge {
             src,
             dst,
@@ -44,28 +45,6 @@ impl Edge {
     pub fn label_id(&self) -> LabelId {
         self.label
     }
-
-    /// Immutable access to the edge's properties.
-    pub fn props(&self) -> &Properties {
-        &self.props
-    }
-
-    /// Mutable access to the edge's properties.
-    pub fn props_mut(&mut self) -> &mut Properties {
-        &mut self.props
-    }
-
-    /// Given one endpoint, return the other; `None` if `v` is not an
-    /// endpoint of this edge.
-    pub fn other_endpoint(&self, v: VertexId) -> Option<VertexId> {
-        if v == self.src {
-            Some(self.dst)
-        } else if v == self.dst {
-            Some(self.src)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -77,14 +56,10 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_vertex("man");
         let b = g.add_vertex("hat");
-        let c = g.add_vertex("dog");
         let id = g.add_edge(a, b, "wearing").unwrap();
         let e = g.edge(id).unwrap();
         assert_eq!(e.src(), a);
         assert_eq!(e.dst(), b);
         assert_eq!(g.edge_label_text(e.label_id()), "wearing");
-        assert_eq!(e.other_endpoint(a), Some(b));
-        assert_eq!(e.other_endpoint(b), Some(a));
-        assert_eq!(e.other_endpoint(c), None);
     }
 }

@@ -4,7 +4,7 @@ use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::{LabelId, LabelTable};
-use crate::props::Properties;
+use crate::props::{exact, ColumnSize, PropColumn, PropSlot, Properties, Props};
 use crate::vertex::Vertex;
 use serde::{Deserialize, Error, Map, Serialize, Value};
 
@@ -19,6 +19,10 @@ use serde::{Deserialize, Error, Map, Serialize, Value};
 /// vertex (edge) label's text is stored once in `label_index`
 /// (`edge_label_counts`), and every vertex (edge) holds only its label's
 /// [`LabelId`] there.
+///
+/// Properties live in two columns, one for vertices and one for edges
+/// (see [`crate::props`]): each element holds only the slot of its values
+/// there, and [`Graph::vertex_props`] / [`Graph::edge_props`] read them.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     pub(crate) vertices: Vec<Vertex>,
@@ -28,6 +32,10 @@ pub struct Graph {
     /// Edge label → number of edges carrying it (Algorithm 3's
     /// `getLabels(E_mg)` reads this).
     pub(crate) edge_label_counts: LabelTable<usize>,
+    /// Every vertex's properties.
+    pub(crate) vertex_column: PropColumn,
+    /// Every edge's properties.
+    pub(crate) edge_column: PropColumn,
 }
 
 impl Graph {
@@ -68,17 +76,15 @@ impl Graph {
 
     /// Add a vertex with the given label and properties. A label some
     /// vertex already carries is referred to by id, not copied.
-    pub fn add_vertex_with_props(
-        &mut self,
-        label: impl AsRef<str>,
-        props: Properties,
-    ) -> VertexId {
+    pub fn add_vertex_with_props(&mut self, label: impl AsRef<str>, props: Properties) -> VertexId {
         let label = self.label_index.intern(label.as_ref());
+        let props = self.vertex_column.push(props);
         self.push_vertex(label, props)
     }
 
-    /// Append a vertex whose label is already in the vertex-label table.
-    pub(crate) fn push_vertex(&mut self, label: LabelId, props: Properties) -> VertexId {
+    /// Append a vertex whose label is already in the vertex-label table and
+    /// whose properties are already in the vertex column.
+    pub(crate) fn push_vertex(&mut self, label: LabelId, props: PropSlot) -> VertexId {
         let id = VertexId::from_index(self.vertices.len());
         self.label_index.value_mut(label).push(id);
         self.vertices.push(Vertex::new(label, props));
@@ -111,17 +117,19 @@ impl Graph {
             return Err(GraphError::UnknownVertex(dst));
         }
         let label = self.edge_label_counts.intern(label.as_ref());
+        let props = self.edge_column.push(props);
         Ok(self.push_edge(src, dst, label, props))
     }
 
     /// Append an edge between existing vertices whose label is already in
-    /// the edge-label table.
+    /// the edge-label table and whose properties are already in the edge
+    /// column.
     fn push_edge(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: LabelId,
-        props: Properties,
+        props: PropSlot,
     ) -> EdgeId {
         let id = EdgeId::from_index(self.edges.len());
         *self.edge_label_counts.value_mut(label) += 1;
@@ -136,19 +144,32 @@ impl Graph {
         self.vertices.get(id.index())
     }
 
-    /// Mutable vertex lookup.
-    pub fn vertex_mut(&mut self, id: VertexId) -> Option<&mut Vertex> {
-        self.vertices.get_mut(id.index())
-    }
-
     /// Look up an edge by id.
     pub fn edge(&self, id: EdgeId) -> Option<&Edge> {
         self.edges.get(id.index())
     }
 
-    /// Mutable edge lookup.
-    pub fn edge_mut(&mut self, id: EdgeId) -> Option<&mut Edge> {
-        self.edges.get_mut(id.index())
+    /// The properties of a vertex, borrowed from the vertex column; empty
+    /// for a foreign id.
+    pub fn vertex_props(&self, id: VertexId) -> Props<'_> {
+        self.vertex(id)
+            .map_or_else(Props::default, |v| self.vertex_column.props(v.props))
+    }
+
+    /// The properties of an edge, borrowed from the edge column; empty for
+    /// a foreign id.
+    pub fn edge_props(&self, id: EdgeId) -> Props<'_> {
+        self.edge(id)
+            .map_or_else(Props::default, |e| self.edge_column.props(e.props))
+    }
+
+    /// The length and capacity of the vertex and the edge value columns,
+    /// in that order.
+    pub fn value_columns(&self) -> [ColumnSize; 2] {
+        [&self.vertex_column, &self.edge_column].map(|column| ColumnSize {
+            len: column.values.len(),
+            capacity: column.values.capacity(),
+        })
     }
 
     /// Label `L(v)` of a vertex; `None` for a foreign id.
@@ -287,49 +308,56 @@ impl Graph {
         self.edges_between(src, dst).any(|(_, e)| e.label == label)
     }
 
-    /// Validate internal consistency: every edge endpoint resolves, and every
-    /// adjacency entry points back at the right vertex. Used after
-    /// deserialization and available to tests.
+    /// Validate internal consistency, in one pass over each arena: every
+    /// edge endpoint resolves; each vertex's out-list (in-list) is exactly
+    /// the ascending ids of the edges leaving (entering) it; and every
+    /// property slot names a shape of its column and a run of values that
+    /// fits in it. Used after deserialization and available to tests.
     pub fn validate(&self) -> Result<(), GraphError> {
+        let corrupt = |msg: String| Err(GraphError::CorruptGraph(msg));
+        // Per vertex: how many entries of its out- and in-list the edges
+        // seen so far account for. Edge `i` must be the next entry of its
+        // source's out-list and of its target's in-list.
+        let mut out_seen = vec![0usize; self.vertices.len()];
+        let mut in_seen = vec![0usize; self.vertices.len()];
         for (i, e) in self.edges.iter().enumerate() {
             let eid = EdgeId::from_index(i);
-            let src = self
-                .vertex(e.src())
-                .ok_or(GraphError::CorruptGraph(format!("edge {eid} has dangling src")))?;
-            if !src.out_edge_ids().contains(&eid) {
-                return Err(GraphError::CorruptGraph(format!(
-                    "edge {eid} missing from src adjacency"
-                )));
+            let (src, dst) = (e.src().index(), e.dst().index());
+            let Some(src_vertex) = self.vertices.get(src) else {
+                return corrupt(format!("edge {eid} has dangling src"));
+            };
+            if src_vertex.out_edges.get(out_seen[src]) != Some(&eid) {
+                return corrupt(format!(
+                    "edge {eid} is not next in the out-edges of its src {}",
+                    e.src()
+                ));
             }
-            let dst = self
-                .vertex(e.dst())
-                .ok_or(GraphError::CorruptGraph(format!("edge {eid} has dangling dst")))?;
-            if !dst.in_edge_ids().contains(&eid) {
-                return Err(GraphError::CorruptGraph(format!(
-                    "edge {eid} missing from dst adjacency"
-                )));
+            out_seen[src] += 1;
+            let Some(dst_vertex) = self.vertices.get(dst) else {
+                return corrupt(format!("edge {eid} has dangling dst"));
+            };
+            if dst_vertex.in_edges.get(in_seen[dst]) != Some(&eid) {
+                return corrupt(format!(
+                    "edge {eid} is not next in the in-edges of its dst {}",
+                    e.dst()
+                ));
+            }
+            in_seen[dst] += 1;
+            if !self.edge_column.holds(e.props) {
+                return corrupt(format!("edge {eid} has a property slot outside its column"));
             }
         }
-        for (vid, v) in self.vertices() {
-            for &eid in v.out_edge_ids() {
-                match self.edge(eid) {
-                    Some(e) if e.src() == vid => {}
-                    _ => {
-                        return Err(GraphError::CorruptGraph(format!(
-                            "vertex {vid} lists out-edge {eid} it does not own"
-                        )))
-                    }
-                }
+        for ((vid, v), (&outs, &ins)) in self.vertices().zip(out_seen.iter().zip(&in_seen)) {
+            if let Some(eid) = v.out_edges.get(outs) {
+                return corrupt(format!("vertex {vid} lists out-edge {eid} it does not own"));
             }
-            for &eid in v.in_edge_ids() {
-                match self.edge(eid) {
-                    Some(e) if e.dst() == vid => {}
-                    _ => {
-                        return Err(GraphError::CorruptGraph(format!(
-                            "vertex {vid} lists in-edge {eid} it does not own"
-                        )))
-                    }
-                }
+            if let Some(eid) = v.in_edges.get(ins) {
+                return corrupt(format!("vertex {vid} lists in-edge {eid} it does not own"));
+            }
+            if !self.vertex_column.holds(v.props) {
+                return corrupt(format!(
+                    "vertex {vid} has a property slot outside its column"
+                ));
             }
         }
         Ok(())
@@ -348,31 +376,65 @@ impl Graph {
     /// Copy the subgraph of `other` induced by the vertices `keep` accepts
     /// into `self`, with their labels and properties. Returns the vertex id
     /// translation table (`None` for dropped vertices); edges with a
-    /// dropped endpoint are dropped. Each of `other`'s labels is looked up
-    /// in this graph's tables once.
+    /// dropped endpoint are dropped. Each of `other`'s labels and property
+    /// shapes is looked up in this graph's tables once, and each value
+    /// column grows once, by exactly the values the kept elements carry.
     pub fn absorb_where(
         &mut self,
         other: &Graph,
         keep: impl Fn(VertexId) -> bool,
     ) -> Vec<Option<VertexId>> {
+        let mut next = self.vertices.len();
+        let mapping: Vec<Option<VertexId>> = (0..other.vertex_count())
+            .map(|i| {
+                keep(VertexId::from_index(i)).then(|| {
+                    next += 1;
+                    VertexId::from_index(next - 1)
+                })
+            })
+            .collect();
+        let kept = |e: &Edge| mapping[e.src().index()].zip(mapping[e.dst().index()]);
+        let vertex_values = other
+            .vertices
+            .iter()
+            .zip(&mapping)
+            .filter(|(_, new)| new.is_some())
+            .map(|(v, _)| other.vertex_column.props(v.props).len())
+            .sum();
+        let edge_values = other
+            .edges
+            .iter()
+            .filter(|e| kept(e).is_some())
+            .map(|e| other.edge_column.props(e.props).len())
+            .sum();
+        self.vertex_column.values.reserve_exact(vertex_values);
+        self.edge_column.values.reserve_exact(edge_values);
+
         let mut labels = vec![None; other.label_index.len()];
-        let mut mapping = Vec::with_capacity(other.vertex_count());
-        for (id, v) in other.vertices() {
-            mapping.push(keep(id).then(|| {
+        let mut shapes = vec![None; other.vertex_column.shape_count()];
+        for (v, new) in other.vertices.iter().zip(&mapping) {
+            if new.is_some() {
                 let label = *labels[v.label.index()].get_or_insert_with(|| {
                     self.label_index.intern(other.label_index.text(v.label))
                 });
-                self.push_vertex(label, v.props().clone())
-            }));
+                let props = self
+                    .vertex_column
+                    .copy(&other.vertex_column, v.props, &mut shapes);
+                self.push_vertex(label, props);
+            }
         }
         let mut labels = vec![None; other.edge_label_counts.len()];
-        for (_, e) in other.edges() {
-            if let (Some(src), Some(dst)) = (mapping[e.src().index()], mapping[e.dst().index()]) {
+        let mut shapes = vec![None; other.edge_column.shape_count()];
+        for e in &other.edges {
+            if let Some((src, dst)) = kept(e) {
                 let label = *labels[e.label.index()].get_or_insert_with(|| {
                     self.edge_label_counts
                         .intern(other.edge_label_counts.text(e.label))
                 });
-                self.push_edge(src, dst, label, e.props().clone());
+                let props = self
+                    .edge_column
+                    .copy(&other.edge_column, e.props, &mut shapes);
+                self.push_edge(src, dst, label, props);
             }
         }
         mapping
@@ -402,7 +464,7 @@ impl Serialize for Graph {
                         "label",
                         Value::String(self.label_index.text(v.label).to_owned()),
                     ),
-                    ("props", v.props().to_value()),
+                    ("props", self.vertex_column.props(v.props).to_value()),
                     ("out_edges", v.out_edges.to_value()),
                     ("in_edges", v.in_edges.to_value()),
                 ])
@@ -419,7 +481,7 @@ impl Serialize for Graph {
                         "label",
                         Value::String(self.edge_label_counts.text(e.label).to_owned()),
                     ),
-                    ("props", e.props().to_value()),
+                    ("props", self.edge_column.props(e.props).to_value()),
                 ])
             })
             .collect();
@@ -430,8 +492,9 @@ impl Serialize for Graph {
     }
 }
 
-/// Reads the arenas and builds the label tables and indexes. Endpoints and
-/// adjacency are taken as written: [`Graph::validate`] checks them.
+/// Reads the arenas and builds the label tables, the indexes and exactly
+/// sized property columns. Endpoints and adjacency are taken as written:
+/// [`Graph::validate`] checks them.
 impl Deserialize for Graph {
     fn from_value(v: &Value) -> Result<Self, Error> {
         fn field<'v>(v: &'v Value, what: &str, name: &str) -> Result<&'v Value, Error> {
@@ -453,11 +516,22 @@ impl Deserialize for Graph {
                 ))
             })
         }
+        /// The property entries `elements` list, to size a column once.
+        fn entries(elements: &[Value]) -> usize {
+            elements
+                .iter()
+                .filter_map(|e| e.get("props")?.get("entries")?.as_array())
+                .map(Vec::len)
+                .sum()
+        }
         let (vertices, edges) = (elements(v, "vertices")?, elements(v, "edges")?);
         let mut graph = Graph::with_capacity(vertices.len(), edges.len());
+        graph.vertex_column.values.reserve_exact(entries(vertices));
+        graph.edge_column.values.reserve_exact(entries(edges));
         for v in vertices {
             let label = graph.label_index.intern(label(v, "Vertex")?);
             let props = Properties::from_value(field(v, "Vertex", "props")?)?;
+            let props = graph.vertex_column.push(props);
             let id = graph.push_vertex(label, props);
             let vertex = &mut graph.vertices[id.index()];
             vertex.out_edges = Deserialize::from_value(field(v, "Vertex", "out_edges")?)?;
@@ -466,13 +540,17 @@ impl Deserialize for Graph {
         for e in edges {
             let label = graph.edge_label_counts.intern(label(e, "Edge")?);
             *graph.edge_label_counts.value_mut(label) += 1;
+            let props = Properties::from_value(field(e, "Edge", "props")?)?;
             graph.edges.push(Edge::new(
                 VertexId::from_value(field(e, "Edge", "src")?)?,
                 VertexId::from_value(field(e, "Edge", "dst")?)?,
                 label,
-                Properties::from_value(field(e, "Edge", "props")?)?,
+                graph.edge_column.push(props),
             ));
         }
+        // Entries a repeated key collapsed leave room behind.
+        graph.vertex_column.values = exact(std::mem::take(&mut graph.vertex_column.values));
+        graph.edge_column.values = exact(std::mem::take(&mut graph.edge_column.values));
         Ok(graph)
     }
 }
@@ -634,12 +712,107 @@ mod tests {
 
     #[test]
     fn elements_are_packed() {
-        // A label id and an exactly sized property slice: a vertex is its
-        // two adjacency lists plus 24 bytes, an edge 32 bytes.
+        // A label id and a property slot into the graph's column: a vertex
+        // is its two adjacency lists plus 16 bytes, an edge 20 bytes.
         let (vertex, edge) = (std::mem::size_of::<Vertex>(), std::mem::size_of::<Edge>());
-        assert!(vertex <= 72, "{vertex}");
-        assert!(edge <= 32, "{edge}");
+        assert!(vertex <= 64, "{vertex}");
+        assert!(edge <= 20, "{edge}");
         assert_eq!(std::mem::size_of::<LabelId>(), 4);
+        assert_eq!(std::mem::size_of::<PropSlot>(), 8);
+    }
+
+    /// Two vertex shapes holding every value type, a vertex without
+    /// properties between them, and `score` edges around a bare one.
+    fn shaped() -> Graph {
+        use crate::props::PropValue;
+        let bbox = |image: i64, x: f64, y: f64| -> Properties {
+            [
+                ("image", PropValue::Int(image)),
+                ("x", PropValue::Float(x)),
+                ("y", PropValue::Float(y)),
+            ]
+            .into_iter()
+            .collect()
+        };
+        let score = |s: f64| -> Properties { [("score", s)].into_iter().collect() };
+        let mut g = Graph::new();
+        let dog = g.add_vertex_with_props("dog", bbox(3, 0.25, 0.5));
+        let man = g.add_vertex("man");
+        let wool: Properties = [("kind", PropValue::from("wool")), ("seen", true.into())]
+            .into_iter()
+            .collect();
+        let hat = g.add_vertex_with_props("hat", wool);
+        let dog2 = g.add_vertex_with_props("dog", bbox(4, 0.125, 0.75));
+        g.add_edge_with_props(dog, man, "near", score(0.75))
+            .unwrap();
+        g.add_edge(man, hat, "wearing").unwrap();
+        g.add_edge_with_props(dog2, man, "near", score(0.5))
+            .unwrap();
+        g
+    }
+
+    #[test]
+    fn property_bytes_are_pinned() {
+        // Both encodings as the per-element property lists wrote them.
+        let g = shaped();
+        assert_eq!(
+            crate::io::to_json(&g),
+            concat!(
+                r#"{"vertices":[{"label":"dog","props":{"entries":[["image",{"Int":3}],"#,
+                r#"["x",{"Float":0.25}],["y",{"Float":0.5}]]},"out_edges":[0],"in_edges":[]},"#,
+                r#"{"label":"man","props":{"entries":[]},"out_edges":[1],"in_edges":[0,2]},"#,
+                r#"{"label":"hat","props":{"entries":[["kind",{"Str":"wool"}],"#,
+                r#"["seen",{"Bool":true}]]},"out_edges":[],"in_edges":[1]},"#,
+                r#"{"label":"dog","props":{"entries":[["image",{"Int":4}],"#,
+                r#"["x",{"Float":0.125}],["y",{"Float":0.75}]]},"out_edges":[2],"in_edges":[]}],"#,
+                r#""edges":[{"src":0,"dst":1,"label":"near","props":{"entries":[["score",{"Float":0.75}]]}},"#,
+                r#"{"src":1,"dst":2,"label":"wearing","props":{"entries":[]}},"#,
+                r#"{"src":3,"dst":1,"label":"near","props":{"entries":[["score",{"Float":0.5}]]}}]}"#
+            )
+        );
+        let hex: String = crate::binio::to_bytes(&g)
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "5356514701000400000003000000050000000300646f6703006d616e030068617404006e656172",
+                "070077656172696e670000000003000500696d61676501030000000000000001007802000000",
+                "000000d03f01007902000000000000e03f01000000000002000000020004006b696e64000400",
+                "776f6f6c04007365656e03010000000003000500696d61676501040000000000000001007802",
+                "000000000000c03f01007902000000000000e83f000000000100000003000000010005007363",
+                "6f726502000000000000e83f0100000002000000040000000000030000000100000003000000",
+                "0100050073636f726502000000000000e03f"
+            )
+        );
+
+        // Every element's properties survive both encodings.
+        let from_json = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
+        let from_bytes = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
+        for loaded in [&from_json, &from_bytes] {
+            for (id, _) in g.vertices() {
+                assert_eq!(loaded.vertex_props(id), g.vertex_props(id), "{id}");
+            }
+            for (id, _) in g.edges() {
+                assert_eq!(loaded.edge_props(id), g.edge_props(id), "{id}");
+            }
+            assert_eq!(
+                loaded.value_columns(),
+                g.value_columns().map(|c| ColumnSize {
+                    capacity: c.len,
+                    ..c
+                })
+            );
+        }
+        // One shape per distinct key list: the two bbox vertices share one.
+        assert_eq!(g.vertex_column.shape_count(), 3);
+        assert_eq!(g.edge_column.shape_count(), 2);
+        assert_eq!(
+            g.vertex_props(VertexId::from_index(3)).get("image"),
+            Some(&4i64.into())
+        );
     }
 
     #[test]
@@ -664,6 +837,50 @@ mod tests {
     fn validate_passes_on_well_formed_graph() {
         let (g, _, _, _) = triangle();
         g.validate().unwrap();
+        shaped().validate().unwrap();
+    }
+
+    #[test]
+    fn validate_refuses_bad_property_slots() {
+        let mut g = shaped();
+        g.vertices[1].props = PropSlot::new(9, 0);
+        assert!(g.validate().is_err());
+        let mut g = shaped();
+        let end = g.edge_column.values.len();
+        g.edges[0].props.start = u32::try_from(end).unwrap();
+        assert!(g.validate().unwrap_err().to_string().contains("edge e0"));
+    }
+
+    #[test]
+    fn absorb_copies_properties_into_exact_columns() {
+        let g = shaped();
+        let mut h = Graph::new();
+        let mapping = h.absorb_where(&g, |v| v.index() != 0);
+        assert_eq!(mapping[0], None);
+        for (id, _) in g.vertices().skip(1) {
+            let new = mapping[id.index()].unwrap();
+            assert_eq!(h.vertex_props(new), g.vertex_props(id));
+        }
+        // Only the bare edge and the second score edge survive.
+        assert_eq!(h.edge_count(), 2);
+        assert_eq!(
+            h.edge_props(EdgeId::from_index(1)).get("score"),
+            Some(&0.5.into())
+        );
+        assert_eq!(
+            h.value_columns(),
+            [
+                ColumnSize {
+                    len: 5,
+                    capacity: 5
+                },
+                ColumnSize {
+                    len: 1,
+                    capacity: 1
+                }
+            ]
+        );
+        h.validate().unwrap();
     }
 
     #[test]

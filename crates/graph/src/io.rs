@@ -80,10 +80,48 @@ mod tests {
                 {"src":0,"dst":5,"label":"x","props":{"entries":[]}}
             ]
         }"#;
-        assert!(matches!(
-            from_json(json),
-            Err(GraphError::CorruptGraph(_))
-        ));
+        assert!(matches!(from_json(json), Err(GraphError::CorruptGraph(_))));
+    }
+
+    #[test]
+    fn repeated_adjacency_entry_is_detected() {
+        // The only edge listed twice: every entry names an edge the vertex
+        // owns, but the list is not the ascending ids of its edges.
+        let json = r#"{
+            "vertices": [
+                {"label":"a","props":{"entries":[]},"out_edges":[0,0],"in_edges":[0]}
+            ],
+            "edges": [
+                {"src":0,"dst":0,"label":"x","props":{"entries":[]}}
+            ]
+        }"#;
+        let err = from_json(json).unwrap_err();
+        assert!(err.to_string().contains("out-edge e0"), "{err}");
+        // The same graph listed once loads.
+        let json = json.replace("[0,0]", "[0]");
+        assert_eq!(
+            from_json(&json)
+                .unwrap()
+                .vertex(crate::VertexId::from_index(0))
+                .unwrap()
+                .out_degree(),
+            1
+        );
+    }
+
+    #[test]
+    fn unordered_adjacency_is_detected() {
+        let json = r#"{
+            "vertices": [
+                {"label":"a","props":{"entries":[]},"out_edges":[1,0],"in_edges":[]},
+                {"label":"b","props":{"entries":[]},"out_edges":[],"in_edges":[0,1]}
+            ],
+            "edges": [
+                {"src":0,"dst":1,"label":"x","props":{"entries":[]}},
+                {"src":0,"dst":1,"label":"y","props":{"entries":[]}}
+            ]
+        }"#;
+        assert!(matches!(from_json(json), Err(GraphError::CorruptGraph(_))));
     }
 
     #[test]
@@ -98,9 +136,6 @@ mod tests {
                 {"src":0,"dst":1,"label":"x","props":{"entries":[]}}
             ]
         }"#;
-        assert!(matches!(
-            from_json(json),
-            Err(GraphError::CorruptGraph(_))
-        ));
+        assert!(matches!(from_json(json), Err(GraphError::CorruptGraph(_))));
     }
 }

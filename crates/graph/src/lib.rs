@@ -12,10 +12,11 @@
 //!
 //! Design notes (informed by the performance guide):
 //! * vertices and edges live in flat arenas indexed by `u32` ids — no
-//!   per-vertex allocation beyond its property list: each element holds a
-//!   [`LabelId`] into a per-graph label table that stores every text once,
-//!   and its properties are an exactly sized slice of static keys and
-//!   two-word values;
+//!   per-element allocation beyond a vertex's adjacency lists: each element
+//!   holds a [`LabelId`] into a per-graph label table that stores every
+//!   text once, and a slot into one of two per-graph property columns that
+//!   store every key list once and every value in one exactly sized arena
+//!   ([`props`]);
 //! * adjacency is held as per-vertex out/in edge id lists, giving `O(deg)`
 //!   neighbourhood scans;
 //! * a label index maps each label to its vertices so `matchVertex`-style
@@ -60,9 +61,9 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, VertexId};
 pub use label::{LabelId, IS_A, SAME_AS};
-pub use props::{PropValue, Properties, IMAGE};
+pub use props::{ColumnSize, PropValue, Properties, Props, IMAGE};
 pub use stats::{GraphStats, LabelHistogram};
 pub use subgraph::SubgraphView;
 pub use traverse::{induced_subgraph, k_hop_neighborhood, Bfs};
 pub use vertex::Vertex;
-pub use window::{GraphWindow, WindowSize};
+pub use window::{GraphWindow, WindowSize, WindowSlots};

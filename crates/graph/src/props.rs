@@ -1,21 +1,29 @@
 //! Property storage for vertices and edges.
 //!
 //! Scene-graph vertices carry bounding boxes and image provenance, knowledge
-//! graph vertices carry entity metadata, and the aggregator marks vertices
-//! with the subgraph-cache index (Algorithm 1). Properties are a small sorted
-//! `(key, value)` list: the observed property counts are tiny (≤ 8), where a
-//! sorted slice beats a hash map on both memory and lookup cost.
+//! graph vertices carry entity metadata, and scene edges carry their
+//! predicate's score. An element's properties are a small key-sorted list
+//! (≤ 8 entries), and almost every element of a merged graph repeats one of
+//! a few key lists: `[h, image, w, x, y]` on scene vertices, `[score]` on
+//! scene edges, none on links and knowledge-graph vertices.
 //!
-//! A merged graph holds one property list per vertex and edge, so the list
-//! is packed: an exactly sized boxed slice of 32-byte entries. Keys are
-//! `&'static str`: the fixed keys the pipeline writes ([`IMAGE`], `"x"`, …,
-//! `"score"`) are string literals used as they are, and a key only known at
-//! run time (a deserialized file, a caller-chosen name) is interned once per
-//! process. A value is two words: string payloads are boxed.
+//! So a graph does not store a list per element. It keeps one
+//! `PropColumn` for its vertices and one for its edges. A column interns
+//! each distinct sorted key list once as a *shape* (shape 0 is the empty
+//! list) and holds every element's values, in key order, in one exactly
+//! sized `Vec<PropValue>`. An element keeps only a `PropSlot`: its shape
+//! and where its values start. [`Props`] is the borrowed view a graph hands
+//! out ([`crate::Graph::vertex_props`]), and [`Properties`] the owned list a
+//! caller builds and passes to `add_*_with_props`.
+//!
+//! Keys are `&'static str`: the fixed keys the pipeline writes ([`IMAGE`],
+//! `"x"`, …, `"score"`) are string literals used as they are, and a key only
+//! known at run time (a deserialized file, a caller-chosen name) is interned
+//! once per process. A value is two words: string payloads are boxed.
 
 use serde::{Deserialize, Error, Map, Serialize, Value};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -46,18 +54,17 @@ fn static_key(key: Cow<'static, str>) -> &'static str {
     }
 }
 
-/// `entries` as an exactly sized boxed slice. A vector with spare room is
-/// copied to a fresh allocation of the final length rather than shrunk in
-/// place, which would leave the freed tail behind as a heap fragment.
-fn exact<T>(entries: Vec<T>) -> Box<[T]> {
-    if entries.len() == entries.capacity() {
-        return entries.into_boxed_slice();
+/// `values` at exactly its length. A vector with spare room is copied to a
+/// fresh allocation of the final length rather than shrunk in place, which
+/// would leave the freed tail behind as a heap fragment.
+pub(crate) fn exact<T>(values: Vec<T>) -> Vec<T> {
+    if values.len() == values.capacity() {
+        return values;
     }
-    let mut exact = Vec::with_capacity(entries.len());
-    exact.extend(entries);
-    exact.into_boxed_slice()
+    let mut exact = Vec::with_capacity(values.len());
+    exact.extend(values);
+    exact
 }
-
 /// A property value. The variants cover everything SVQA stores on the graph:
 /// strings (labels, categories), integers (image ids, counts), floats
 /// (bounding-box coordinates, confidences) and booleans (flags such as
@@ -156,11 +163,14 @@ impl From<bool> for PropValue {
     }
 }
 
-/// A small key-sorted property map, exactly sized. Serializes as
-/// `{"entries": [[key, value], ...]}`.
+/// An owned key-sorted property list: what a caller builds and hands to
+/// [`crate::Graph::add_vertex_with_props`] or
+/// [`crate::Graph::add_edge_with_props`], which move its values into the
+/// graph's column. Serializes as `{"entries": [[key, value], ...]}`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Properties {
-    entries: Box<[(&'static str, PropValue)]>,
+    keys: Vec<&'static str>,
+    values: Vec<PropValue>,
 }
 
 impl Properties {
@@ -169,9 +179,8 @@ impl Properties {
         Self::default()
     }
 
-    /// A property set of `entries` in any order, at exactly its length.
-    /// Of two entries with one key the later wins, as if each were `set`
-    /// in turn.
+    /// A property set of `entries` in any order. Of two entries with one
+    /// key the later wins, as if each were `set` in turn.
     pub(crate) fn from_entries(mut entries: Vec<(&'static str, PropValue)>) -> Self {
         entries.sort_by(|a, b| a.0.cmp(b.0));
         entries.dedup_by(|later, kept| {
@@ -181,28 +190,22 @@ impl Properties {
             }
             same
         });
-        Properties {
-            entries: exact(entries),
-        }
+        let (keys, values) = entries.into_iter().unzip();
+        Properties { keys, values }
     }
 
     /// Number of stored properties.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Whether no properties are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn position(&self, key: &str) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| (*k).cmp(key))
+        self.keys.is_empty()
     }
 
     /// Insert or overwrite a property. Returns the previous value if the key
-    /// was already present. A new key reallocates the list at its new
-    /// length.
+    /// was already present.
     pub fn set(
         &mut self,
         key: impl Into<Cow<'static, str>>,
@@ -210,16 +213,11 @@ impl Properties {
     ) -> Option<PropValue> {
         let key = key.into();
         let value = value.into();
-        match self.position(&key) {
-            Ok(pos) => Some(std::mem::replace(&mut self.entries[pos].1, value)),
+        match self.keys.binary_search(&&*key) {
+            Ok(pos) => Some(std::mem::replace(&mut self.values[pos], value)),
             Err(pos) => {
-                let key = static_key(key);
-                let mut entries = Vec::with_capacity(self.entries.len() + 1);
-                let mut old = std::mem::take(&mut self.entries).into_vec().into_iter();
-                entries.extend(old.by_ref().take(pos));
-                entries.push((key, value));
-                entries.extend(old);
-                self.entries = entries.into_boxed_slice();
+                self.keys.insert(pos, static_key(key));
+                self.values.insert(pos, value);
                 None
             }
         }
@@ -227,34 +225,33 @@ impl Properties {
 
     /// Look up a property by key.
     pub fn get(&self, key: &str) -> Option<&PropValue> {
-        self.position(key).ok().map(|pos| &self.entries[pos].1)
+        self.as_props().get(key)
     }
 
     /// Remove a property by key, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<PropValue> {
-        let pos = self.position(key).ok()?;
-        let mut entries = std::mem::take(&mut self.entries).into_vec();
-        let (_, value) = entries.remove(pos);
-        self.entries = exact(entries);
-        Some(value)
+        let pos = self.keys.binary_search(&key).ok()?;
+        self.keys.remove(pos);
+        Some(self.values.remove(pos))
     }
 
     /// Iterate over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &PropValue)> {
-        self.entries.iter().map(|(k, v)| (*k, v))
+        self.keys.iter().copied().zip(&self.values)
+    }
+
+    /// The list as the view a graph hands out.
+    fn as_props(&self) -> Props<'_> {
+        Props {
+            keys: &self.keys,
+            values: &self.values,
+        }
     }
 }
 
 impl Serialize for Properties {
     fn to_value(&self) -> Value {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(k, v)| Value::Array(vec![Value::String((*k).to_owned()), v.to_value()]))
-            .collect();
-        let mut m = Map::new();
-        m.insert("entries".to_owned(), Value::Array(entries));
-        Value::Object(m)
+        self.as_props().to_value()
     }
 }
 
@@ -274,8 +271,7 @@ impl Deserialize for Properties {
     }
 }
 
-/// Static keys are kept as they are and owned ones interned. The list is
-/// built at the iterator's lower size bound, which is exact for arrays.
+/// Static keys are kept as they are and owned ones interned.
 impl<K: Into<Cow<'static, str>>, V: Into<PropValue>> FromIterator<(K, V)> for Properties {
     fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
         let iter = iter.into_iter();
@@ -283,6 +279,184 @@ impl<K: Into<Cow<'static, str>>, V: Into<PropValue>> FromIterator<(K, V)> for Pr
         entries.extend(iter.map(|(k, v)| (static_key(k.into()), v.into())));
         Properties::from_entries(entries)
     }
+}
+
+/// One element's properties, borrowed from its graph's column: the keys of
+/// its shape and its run of values, both in key order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Props<'g> {
+    keys: &'g [&'static str],
+    values: &'g [PropValue],
+}
+
+impl<'g> Props<'g> {
+    /// Number of stored properties.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether no properties are stored.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Look up a property by key.
+    pub fn get(&self, key: &str) -> Option<&'g PropValue> {
+        let pos = self.keys.binary_search(&key).ok()?;
+        Some(&self.values[pos])
+    }
+
+    /// Iterate over `(key, value)` pairs in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &'g PropValue)> + 'g {
+        self.keys.iter().copied().zip(self.values)
+    }
+
+    /// The keys, sorted: the element's shape.
+    pub fn keys(&self) -> &'g [&'static str] {
+        self.keys
+    }
+
+    /// An owned copy of the list.
+    pub fn to_owned(&self) -> Properties {
+        Properties {
+            keys: self.keys.to_vec(),
+            values: self.values.to_vec(),
+        }
+    }
+}
+
+/// Serializes as `{"entries": [[key, value], ...]}`, like [`Properties`].
+impl Serialize for Props<'_> {
+    fn to_value(&self) -> Value {
+        let entries = self
+            .iter()
+            .map(|(k, v)| Value::Array(vec![Value::String(k.to_owned()), v.to_value()]))
+            .collect();
+        let mut m = Map::new();
+        m.insert("entries".to_owned(), Value::Array(entries));
+        Value::Object(m)
+    }
+}
+
+/// Where one element's properties sit in its graph's [`PropColumn`]: its
+/// shape, and the index of its first value. Eight bytes, with no heap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PropSlot {
+    pub(crate) shape: u32,
+    pub(crate) start: u32,
+}
+
+impl PropSlot {
+    pub(crate) fn new(shape: u32, start: usize) -> Self {
+        PropSlot {
+            shape,
+            start: u32::try_from(start).expect("a column holds under 2^32 values"),
+        }
+    }
+}
+
+/// One kind of element's properties in one graph: the interned key shapes
+/// and one value arena that every element's values are a run of.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PropColumn {
+    /// Shape `s > 0` is `shapes[s - 1]`, a strictly ascending key list;
+    /// shape 0, the empty list, is implicit.
+    shapes: Vec<Box<[&'static str]>>,
+    /// Key list → shape id, for every non-empty shape.
+    ids: HashMap<Box<[&'static str]>, u32>,
+    /// Every element's values, element after element.
+    pub(crate) values: Vec<PropValue>,
+}
+
+impl PropColumn {
+    /// The shape id of the key list `keys`, numbering it when new.
+    ///
+    /// # Panics
+    ///
+    /// When `keys` is not strictly ascending.
+    pub(crate) fn shape(&mut self, keys: &[&'static str]) -> u32 {
+        if keys.is_empty() {
+            return 0;
+        }
+        if let Some(&id) = self.ids.get(keys) {
+            return id;
+        }
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "shape keys must be strictly ascending: {keys:?}"
+        );
+        self.shapes.push(keys.into());
+        let id = u32::try_from(self.shapes.len()).expect("under 2^32 shapes");
+        self.ids.insert(keys.into(), id);
+        id
+    }
+
+    /// The keys of shape `shape`; `None` for an id this column never issued.
+    pub(crate) fn keys(&self, shape: u32) -> Option<&[&'static str]> {
+        match shape {
+            0 => Some(&[]),
+            s => self.shapes.get(s as usize - 1).map(|keys| &**keys),
+        }
+    }
+
+    /// The properties in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// When `slot` is not from this column; [`crate::Graph::validate`]
+    /// checks every slot of a loaded graph.
+    pub(crate) fn props(&self, slot: PropSlot) -> Props<'_> {
+        let keys = self.keys(slot.shape).expect("slot shape is in range");
+        let start = slot.start as usize;
+        Props {
+            keys,
+            values: &self.values[start..start + keys.len()],
+        }
+    }
+
+    /// Whether `slot`'s shape is in range and its values fit the column.
+    pub(crate) fn holds(&self, slot: PropSlot) -> bool {
+        self.keys(slot.shape)
+            .is_some_and(|keys| slot.start as usize + keys.len() <= self.values.len())
+    }
+
+    /// Append an owned list, moving its values into the arena.
+    pub(crate) fn push(&mut self, props: Properties) -> PropSlot {
+        let shape = self.shape(&props.keys);
+        let start = self.values.len();
+        self.values.extend(props.values);
+        PropSlot::new(shape, start)
+    }
+
+    /// Append a copy of `from`'s `slot`; `shapes` maps `from`'s shape ids
+    /// to this column's, filled as shapes are first seen.
+    pub(crate) fn copy(
+        &mut self,
+        from: &PropColumn,
+        slot: PropSlot,
+        shapes: &mut [Option<u32>],
+    ) -> PropSlot {
+        let props = from.props(slot);
+        let shape = *shapes[slot.shape as usize].get_or_insert_with(|| self.shape(props.keys));
+        let start = self.values.len();
+        self.values.extend_from_slice(props.values);
+        PropSlot::new(shape, start)
+    }
+
+    /// Number of shapes, the empty one included.
+    pub(crate) fn shape_count(&self) -> usize {
+        self.shapes.len() + 1
+    }
+}
+
+/// How many values a property column holds and has room for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColumnSize {
+    /// Values stored.
+    pub len: usize,
+    /// Values the arena has room for; equal to `len` after every bulk
+    /// build or load.
+    pub capacity: usize,
 }
 
 #[cfg(test)]
@@ -349,11 +523,10 @@ mod tests {
 
     #[test]
     fn loaded_maps_are_sized_to_their_entries() {
-        // Every list is an exactly sized slice of 32-byte entries: a
-        // static key and a two-word value.
+        // Each column is an exactly sized arena of two-word values, and an
+        // element holds an eight-byte slot into it.
         assert_eq!(std::mem::size_of::<PropValue>(), 16);
-        assert_eq!(std::mem::size_of::<(&'static str, PropValue)>(), 32);
-        assert_eq!(std::mem::size_of::<Properties>(), 16);
+        assert_eq!(std::mem::size_of::<PropSlot>(), 8);
         let mut score = Properties::new();
         score.set("score", 0.5);
         let mut g = crate::Graph::new();
@@ -368,9 +541,22 @@ mod tests {
         let bytes = crate::binio::to_bytes(&g).unwrap();
         let from_bytes = crate::binio::from_bytes(bytes).unwrap();
         for loaded in [&from_json, &from_bytes] {
-            assert_eq!(loaded.vertex(dog).unwrap().props(), &bbox);
-            assert!(loaded.vertex(man).unwrap().props().is_empty());
-            assert_eq!(loaded.edge(near).unwrap().props(), &score);
+            assert_eq!(loaded.vertex_props(dog).to_owned(), bbox);
+            assert!(loaded.vertex_props(man).is_empty());
+            assert_eq!(loaded.edge_props(near).to_owned(), score);
+            assert_eq!(
+                loaded.value_columns(),
+                [
+                    ColumnSize {
+                        len: 3,
+                        capacity: 3
+                    },
+                    ColumnSize {
+                        len: 1,
+                        capacity: 1
+                    }
+                ]
+            );
         }
     }
 
@@ -389,7 +575,10 @@ mod tests {
         let from_json = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
         let bytes = crate::binio::to_bytes(&g).unwrap();
         let from_bytes = crate::binio::from_bytes(bytes).unwrap();
-        let loaded = |g: &crate::Graph| key(g.vertices().next().unwrap().1.props());
+        let loaded = |g: &crate::Graph| {
+            let props = g.vertex_props(crate::VertexId::from_index(0));
+            props.iter().next().unwrap().0
+        };
         assert_eq!(loaded(&from_json), "tag_9");
         assert!(std::ptr::eq(loaded(&from_json), loaded(&from_bytes)));
         assert!(std::ptr::eq(loaded(&from_json), key(&b)));

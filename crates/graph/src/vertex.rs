@@ -2,7 +2,7 @@
 
 use crate::ids::EdgeId;
 use crate::label::LabelId;
-use crate::props::Properties;
+use crate::props::PropSlot;
 
 /// A vertex of a directed labeled graph, `v ∈ V` with label `L(v)` (§II of
 /// the paper).
@@ -10,24 +10,26 @@ use crate::props::Properties;
 /// The adjacency lists are owned by the vertex so that a neighbourhood scan
 /// touches one arena slot; they store *edge* ids, and the edge records hold
 /// the endpoint vertex ids. The label is an id into the graph's
-/// vertex-label table ([`crate::Graph::vertex_label`] gives its text).
+/// vertex-label table ([`crate::Graph::vertex_label`] gives its text), and
+/// the properties sit in the graph's vertex column
+/// ([`crate::Graph::vertex_props`] reads them).
 #[derive(Debug, Clone)]
 pub struct Vertex {
     pub(crate) label: LabelId,
-    props: Properties,
+    pub(crate) props: PropSlot,
     pub(crate) out_edges: Vec<EdgeId>,
     pub(crate) in_edges: Vec<EdgeId>,
 }
 
 impl Vertex {
-    pub(crate) fn new(label: LabelId, props: Properties) -> Self {
+    pub(crate) fn new(label: LabelId, props: PropSlot) -> Self {
         Self::with_degrees(label, props, 0, 0)
     }
 
     /// A vertex whose adjacency lists are sized for its final degrees.
     pub(crate) fn with_degrees(
         label: LabelId,
-        props: Properties,
+        props: PropSlot,
         out_degree: usize,
         in_degree: usize,
     ) -> Self {
@@ -42,16 +44,6 @@ impl Vertex {
     /// The id of the label `L(v)` in the graph's vertex-label table.
     pub fn label_id(&self) -> LabelId {
         self.label
-    }
-
-    /// Immutable access to the vertex's properties.
-    pub fn props(&self) -> &Properties {
-        &self.props
-    }
-
-    /// Mutable access to the vertex's properties.
-    pub fn props_mut(&mut self) -> &mut Properties {
-        &mut self.props
     }
 
     /// Outgoing edge ids.
@@ -91,17 +83,6 @@ mod tests {
         assert_eq!(v.out_degree(), 0);
         assert_eq!(v.in_degree(), 0);
         assert_eq!(v.degree(), 0);
-    }
-
-    #[test]
-    fn props_are_mutable() {
-        let mut g = crate::Graph::new();
-        let id = g.add_vertex("dog");
-        let v = g.vertex_mut(id).unwrap();
-        v.props_mut().set("image", 9u32);
-        assert_eq!(
-            v.props().get("image").and_then(|p| p.as_int()),
-            Some(9)
-        );
+        assert!(g.vertex_props(id).is_empty());
     }
 }

@@ -1,38 +1,64 @@
 //! Bulk appends filled in parallel windows.
 //!
-//! Merging thousands of scene graphs appends tens of thousands of vertices
-//! and edges whose counts are known before the first one is written.
-//! [`Graph::append_windows`] grows the arenas once by the exact total,
-//! splits the new slots into one disjoint [`GraphWindow`] per part, and
-//! fills each window on its own thread with final ids. A short serial
-//! stitch then folds what a window cannot write itself — its label-index
-//! runs, its edge-label counts and the adjacency of vertices that existed
-//! before the append — into the graph in window order. The result is the
-//! graph that `add_vertex_with_props` / `add_edge_with_props` calls in the
-//! same order would give, label ids included.
+//! Merging thousands of scene graphs appends tens of thousands of vertices,
+//! edges and property values whose counts are known before the first one
+//! is written. [`Graph::append_windows`] grows the element arenas and both
+//! property value columns once by the exact totals, splits the new slots
+//! into one disjoint [`GraphWindow`] per part, and fills each window on its
+//! own thread with final ids. A window writes each element's values
+//! straight into its run of the column, so filling it allocates nothing
+//! per element beyond the adjacency lists. A short serial stitch then
+//! folds what a window cannot write itself — its label-index runs, its
+//! edge-label counts and the adjacency of vertices that existed before the
+//! append — into the graph in window order. The result is the graph that
+//! `add_vertex_with_props` / `add_edge_with_props` calls in the same order
+//! would give, label ids and property shapes included.
 
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::LabelId;
-use crate::props::Properties;
+use crate::props::{exact, PropSlot, PropValue};
 use crate::vertex::Vertex;
 
-/// How many vertices and edges one window appends, exactly.
+/// How many vertices, edges and property values one window appends,
+/// exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowSize {
     /// Vertices the window's part appends.
     pub vertices: usize,
     /// Edges the window's part appends.
     pub edges: usize,
+    /// Property values over all of those vertices.
+    pub vertex_values: usize,
+    /// Property values over all of those edges.
+    pub edge_values: usize,
 }
+
+/// The label texts and property shapes the windows of one
+/// [`Graph::append_windows`] refer to by slot.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WindowSlots<'a> {
+    /// Vertex labels.
+    pub vertex_labels: &'a [&'a str],
+    /// Edge labels.
+    pub edge_labels: &'a [&'a str],
+    /// Vertex property shapes, each a strictly ascending key list.
+    pub vertex_shapes: &'a [&'a [&'static str]],
+    /// Edge property shapes, each a strictly ascending key list.
+    pub edge_shapes: &'a [&'a [&'static str]],
+}
+
+/// A shape slot resolved to the column's shape id and its key count.
+type ColumnShape = (u32, usize);
 
 /// One part's run of new vertex and edge slots, filled in order.
 ///
-/// Labels are given as slots into the label lists passed to
-/// [`Graph::append_windows`]. An edge may join the window's own vertices
-/// and vertices that existed before the append, not another window's.
+/// Labels and property shapes are given as slots into the lists of the
+/// [`WindowSlots`] passed to [`Graph::append_windows`]. An edge may join
+/// the window's own vertices and vertices that existed before the append,
+/// not another window's.
 pub struct GraphWindow<'g> {
     /// Vertices that existed before the append.
     existing: usize,
@@ -42,9 +68,44 @@ pub struct GraphWindow<'g> {
     edges: &'g mut [Edge],
     filled_vertices: usize,
     filled_edges: usize,
+    vertex_values: ValueRun<'g>,
+    edge_values: ValueRun<'g>,
     vertex_labels: &'g [LabelId],
     edge_labels: &'g [LabelId],
+    vertex_shapes: &'g [ColumnShape],
+    edge_shapes: &'g [ColumnShape],
     log: StitchLog,
+}
+
+/// A window's run of one property value column, filled in order.
+struct ValueRun<'g> {
+    /// Column index of the run's first value.
+    first: usize,
+    values: &'g mut [PropValue],
+    filled: usize,
+}
+
+impl ValueRun<'_> {
+    /// Write one element's `values`, one per key of `shape`, and return
+    /// its slot.
+    fn write(
+        &mut self,
+        (shape, len): ColumnShape,
+        values: impl IntoIterator<Item = PropValue>,
+    ) -> PropSlot {
+        let start = self.filled;
+        let run = self
+            .values
+            .get_mut(start..start + len)
+            .expect("window holds its declared value count");
+        let mut values = values.into_iter();
+        for slot in run {
+            *slot = values.next().expect("one value per shape key");
+        }
+        assert!(values.next().is_none(), "one value per shape key");
+        self.filled += len;
+        PropSlot::new(shape, self.first + start)
+    }
 }
 
 /// What a window leaves for the serial stitch.
@@ -66,16 +127,20 @@ impl GraphWindow<'_> {
     }
 
     /// Append a vertex labeled with vertex-label slot `label`, its
-    /// adjacency lists sized for `out_degree` and `in_degree` edges.
+    /// properties `values` in the key order of vertex-shape slot `shape`,
+    /// and its adjacency lists sized for `out_degree` and `in_degree`
+    /// edges.
     ///
     /// # Panics
     ///
-    /// When the window already holds its declared vertex count, or
-    /// `label` is not a slot.
+    /// When the window already holds its declared vertex or vertex-value
+    /// count, `label` or `shape` is not a slot, or `values` does not give
+    /// one value per key of the shape.
     pub fn push_vertex(
         &mut self,
         label: usize,
-        props: Properties,
+        shape: usize,
+        values: impl IntoIterator<Item = PropValue>,
         out_degree: usize,
         in_degree: usize,
     ) -> VertexId {
@@ -84,6 +149,7 @@ impl GraphWindow<'_> {
             .vertices
             .get_mut(self.filled_vertices)
             .expect("window holds its declared vertex count");
+        let props = self.vertex_values.write(self.vertex_shapes[shape], values);
         *slot = Vertex::with_degrees(self.vertex_labels[label], props, out_degree, in_degree);
         self.log.runs[label].push(id);
         self.filled_vertices += 1;
@@ -91,19 +157,22 @@ impl GraphWindow<'_> {
     }
 
     /// Append a directed edge `src → dst` labeled with edge-label slot
-    /// `label`. Each endpoint must be a vertex this window pushed or one
-    /// that existed before the append.
+    /// `label`, its properties `values` in the key order of edge-shape
+    /// slot `shape`. Each endpoint must be a vertex this window pushed or
+    /// one that existed before the append.
     ///
     /// # Panics
     ///
-    /// When the window already holds its declared edge count, or `label`
-    /// is not a slot.
+    /// When the window already holds its declared edge or edge-value
+    /// count, `label` or `shape` is not a slot, or `values` does not give
+    /// one value per key of the shape.
     pub fn push_edge(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: usize,
-        props: Properties,
+        shape: usize,
+        values: impl IntoIterator<Item = PropValue>,
     ) -> Result<EdgeId, GraphError> {
         let (src_local, dst_local) = (self.local(src)?, self.local(dst)?);
         let id = EdgeId::from_index(self.first_edge + self.filled_edges);
@@ -111,6 +180,7 @@ impl GraphWindow<'_> {
             .edges
             .get_mut(self.filled_edges)
             .expect("window holds its declared edge count");
+        let props = self.edge_values.write(self.edge_shapes[shape], values);
         *slot = Edge::new(src, dst, self.edge_labels[label], props);
         self.log.edge_counts[label] += 1;
         self.filled_edges += 1;
@@ -140,41 +210,60 @@ impl GraphWindow<'_> {
 
     /// The stitch log of a window filled exactly.
     fn finish(self) -> StitchLog {
+        let (vv, ev) = (&self.vertex_values, &self.edge_values);
         assert!(
-            self.filled_vertices == self.vertices.len() && self.filled_edges == self.edges.len(),
-            "window filled {} of {} vertices and {} of {} edges",
+            self.filled_vertices == self.vertices.len()
+                && self.filled_edges == self.edges.len()
+                && vv.filled == vv.values.len()
+                && ev.filled == ev.values.len(),
+            "window filled {} of {} vertices and {} of {} edges, \
+             {} of {} vertex values and {} of {} edge values",
             self.filled_vertices,
             self.vertices.len(),
             self.filled_edges,
-            self.edges.len()
+            self.edges.len(),
+            vv.filled,
+            vv.values.len(),
+            ev.filled,
+            ev.values.len(),
         );
         self.log
     }
 }
 
+/// Grow `arena` by `n` copies of `placeholder()` to exactly its new length
+/// and return the new tail. Spare room the arena had beyond that is copied
+/// away, never shrunk in place.
+fn grow<T>(arena: &mut Vec<T>, n: usize, placeholder: impl FnMut() -> T) -> &mut [T] {
+    let old = arena.len();
+    arena.reserve_exact(n);
+    arena.extend(std::iter::repeat_with(placeholder).take(n));
+    *arena = exact(std::mem::take(arena));
+    &mut arena[old..]
+}
+
 impl Graph {
-    /// Append `parts` in parallel windows: grow the arenas by exactly the
-    /// summed [`WindowSize`]s, then run `fill(part, window)` for each part
-    /// — the first on the calling thread, the rest on scoped threads — and
-    /// stitch the windows in part order. Returns `fill`'s results in part
-    /// order.
+    /// Append `parts` in parallel windows: grow the arenas and the value
+    /// columns by exactly the summed [`WindowSize`]s, then run
+    /// `fill(part, window)` for each part — the first on the calling
+    /// thread, the rest on scoped threads — and stitch the windows in
+    /// part order. Returns `fill`'s results in part order.
     ///
-    /// `vertex_labels` and `edge_labels` are the label texts the windows
-    /// refer to by slot; each is resolved once to its id in this graph's
-    /// label tables, and windows copy ids.
-    /// The graph ends up as if every vertex and edge had been added one by
-    /// one, window after window.
+    /// The labels and shapes in `slots` are what the windows refer to by
+    /// slot; each is resolved once to its id in this graph's tables, and
+    /// windows copy ids. The graph ends up as if every vertex and edge had
+    /// been added one by one, window after window.
     ///
     /// # Panics
     ///
-    /// When `fill` leaves its window short of the declared size, or
-    /// panics itself (the panic is resumed on the calling thread). Either
-    /// is a bug in the caller, and it leaves the graph unusable: unfilled
-    /// slots hold placeholders and nothing is stitched.
+    /// When a shape's keys are not strictly ascending, when `fill` leaves
+    /// its window short of the declared size, or panics itself (the panic
+    /// is resumed on the calling thread). Either is a bug in the caller,
+    /// and it leaves the graph unusable: unfilled slots hold placeholders
+    /// and nothing is stitched.
     pub fn append_windows<P, R, F>(
         &mut self,
-        vertex_labels: &[&str],
-        edge_labels: &[&str],
+        slots: &WindowSlots<'_>,
         parts: Vec<(WindowSize, P)>,
         fill: F,
     ) -> Vec<R>
@@ -183,42 +272,63 @@ impl Graph {
         R: Send,
         F: Fn(P, &mut GraphWindow<'_>) -> R + Sync,
     {
-        let vertex_labels: Vec<LabelId> = vertex_labels
+        let vertex_labels: Vec<LabelId> = slots
+            .vertex_labels
             .iter()
             .map(|text| self.label_index.intern(text))
             .collect();
-        let edge_labels: Vec<LabelId> = edge_labels
+        let edge_labels: Vec<LabelId> = slots
+            .edge_labels
             .iter()
             .map(|text| self.edge_label_counts.intern(text))
             .collect();
-        let (existing, existing_edges) = (self.vertices.len(), self.edges.len());
-        let new_vertices = parts.iter().map(|(size, _)| size.vertices).sum();
-        let new_edges = parts.iter().map(|(size, _)| size.edges).sum();
+        let vertex_shapes: Vec<ColumnShape> = slots
+            .vertex_shapes
+            .iter()
+            .map(|keys| (self.vertex_column.shape(keys), keys.len()))
+            .collect();
+        let edge_shapes: Vec<ColumnShape> = slots
+            .edge_shapes
+            .iter()
+            .map(|keys| (self.edge_column.shape(keys), keys.len()))
+            .collect();
+        let existing = self.vertices.len();
+        let first_edge = self.edges.len();
+        let first_values = (
+            self.vertex_column.values.len(),
+            self.edge_column.values.len(),
+        );
+        let total =
+            |count: fn(&WindowSize) -> usize| parts.iter().map(|(size, _)| count(size)).sum();
         // Placeholders until the windows fill their slots; they allocate
         // nothing.
-        let placeholder = LabelId(0);
-        self.vertices.reserve_exact(new_vertices);
-        self.vertices.extend(
-            std::iter::repeat_with(|| Vertex::new(placeholder, Properties::new()))
-                .take(new_vertices),
+        let (label, slot, nowhere) = (LabelId(0), PropSlot::default(), VertexId::from_index(0));
+        let mut vertices = grow(&mut self.vertices, total(|s| s.vertices), || {
+            Vertex::new(label, slot)
+        });
+        let mut edges = grow(&mut self.edges, total(|s| s.edges), || {
+            Edge::new(nowhere, nowhere, label, slot)
+        });
+        let mut vertex_values = grow(
+            &mut self.vertex_column.values,
+            total(|s| s.vertex_values),
+            || PropValue::Bool(false),
         );
-        let nowhere = VertexId::from_index(0);
-        self.edges.reserve_exact(new_edges);
-        self.edges.extend(
-            std::iter::repeat_with(|| Edge::new(nowhere, nowhere, placeholder, Properties::new()))
-                .take(new_edges),
+        let mut edge_values = grow(
+            &mut self.edge_column.values,
+            total(|s| s.edge_values),
+            || PropValue::Bool(false),
         );
 
-        let (mut vertices, mut edges) = (
-            &mut self.vertices[existing..],
-            &mut self.edges[existing_edges..],
-        );
-        let (mut first_vertex, mut first_edge) = (existing, existing_edges);
+        let (mut first_vertex, mut first_edge) = (existing, first_edge);
+        let (mut first_vertex_value, mut first_edge_value) = first_values;
         let mut windows = Vec::with_capacity(parts.len());
         for (size, part) in parts {
             let (v, v_rest) = std::mem::take(&mut vertices).split_at_mut(size.vertices);
             let (e, e_rest) = std::mem::take(&mut edges).split_at_mut(size.edges);
-            (vertices, edges) = (v_rest, e_rest);
+            let (vv, vv_rest) = std::mem::take(&mut vertex_values).split_at_mut(size.vertex_values);
+            let (ev, ev_rest) = std::mem::take(&mut edge_values).split_at_mut(size.edge_values);
+            (vertices, edges, vertex_values, edge_values) = (v_rest, e_rest, vv_rest, ev_rest);
             let window = GraphWindow {
                 existing,
                 first_vertex,
@@ -227,8 +337,20 @@ impl Graph {
                 edges: e,
                 filled_vertices: 0,
                 filled_edges: 0,
+                vertex_values: ValueRun {
+                    first: first_vertex_value,
+                    values: vv,
+                    filled: 0,
+                },
+                edge_values: ValueRun {
+                    first: first_edge_value,
+                    values: ev,
+                    filled: 0,
+                },
                 vertex_labels: &vertex_labels,
                 edge_labels: &edge_labels,
+                vertex_shapes: &vertex_shapes,
+                edge_shapes: &edge_shapes,
                 log: StitchLog {
                     runs: vec![Vec::new(); vertex_labels.len()],
                     edge_counts: vec![0; edge_labels.len()],
@@ -238,6 +360,8 @@ impl Graph {
             };
             first_vertex += size.vertices;
             first_edge += size.edges;
+            first_vertex_value += size.vertex_values;
+            first_edge_value += size.edge_values;
             windows.push((window, part));
         }
 
@@ -299,14 +423,37 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::io;
+    use crate::props::Properties;
+
+    const SLOTS: WindowSlots<'static> = WindowSlots {
+        vertex_labels: &["a", "b"],
+        edge_labels: &["x", "same as"],
+        vertex_shapes: &[&[], &["image", "x"]],
+        edge_shapes: &[&[], &["score"]],
+    };
 
     /// Part `p` is a chain of `n` vertices labeled `"a"`/`"b"` with `"x"`
     /// edges, each vertex also linked both ways to pre-existing vertex 0.
+    /// The `"a"` vertices carry an image and an `x`, the chain edges a
+    /// score; the `"b"` vertices and the links carry nothing.
     fn chain(n: usize) -> WindowSize {
         WindowSize {
             vertices: n,
             edges: n.saturating_sub(1) + 2 * n,
+            vertex_values: 2 * n.div_ceil(2),
+            edge_values: n.saturating_sub(1),
         }
+    }
+
+    fn vertex_values(i: usize) -> Vec<PropValue> {
+        match i % 2 {
+            0 => vec![PropValue::Int(i as i64), PropValue::Float(0.5)],
+            _ => Vec::new(),
+        }
+    }
+
+    fn vertex_props(i: usize) -> Properties {
+        ["image", "x"].into_iter().zip(vertex_values(i)).collect()
     }
 
     fn fill_chain(n: usize, w: &mut GraphWindow<'_>) {
@@ -315,19 +462,20 @@ mod tests {
         for i in 0..n {
             let out = usize::from(i + 1 < n) + 1;
             let inn = usize::from(i > 0) + 1;
-            w.push_vertex(i % 2, Properties::new(), out, inn);
+            w.push_vertex(i % 2, 1 - i % 2, vertex_values(i), out, inn);
         }
         for i in 1..n {
             let (a, b) = (
                 VertexId::from_index(first + i - 1),
                 VertexId::from_index(first + i),
             );
-            w.push_edge(a, b, 0, Properties::new()).unwrap();
+            w.push_edge(a, b, 0, 1, [PropValue::Float(i as f64)])
+                .unwrap();
         }
         for i in 0..n {
             let v = VertexId::from_index(first + i);
-            w.push_edge(v, hub, 1, Properties::new()).unwrap();
-            w.push_edge(hub, v, 1, Properties::new()).unwrap();
+            w.push_edge(v, hub, 1, 0, []).unwrap();
+            w.push_edge(hub, v, 1, 0, []).unwrap();
         }
     }
 
@@ -338,14 +486,15 @@ mod tests {
         for &n in lens {
             let first = g.vertex_count();
             for i in 0..n {
-                g.add_vertex(["a", "b"][i % 2]);
+                g.add_vertex_with_props(["a", "b"][i % 2], vertex_props(i));
             }
             for i in 1..n {
                 let (a, b) = (
                     VertexId::from_index(first + i - 1),
                     VertexId::from_index(first + i),
                 );
-                g.add_edge(a, b, "x").unwrap();
+                let score: Properties = [("score", i as f64)].into_iter().collect();
+                g.add_edge_with_props(a, b, "x", score).unwrap();
             }
             for i in 0..n {
                 let v = VertexId::from_index(first + i);
@@ -358,7 +507,7 @@ mod tests {
 
     fn base() -> Graph {
         let mut g = Graph::with_capacity(2, 1);
-        let hub = g.add_vertex("a");
+        let hub = g.add_vertex_with_props("a", [("image", 7i64)].into_iter().collect());
         let other = g.add_vertex("kg");
         g.add_edge(hub, other, "same as").unwrap();
         g
@@ -369,7 +518,7 @@ mod tests {
         for lens in [vec![], vec![0], vec![5], vec![3, 0, 7], vec![1, 2, 3, 4]] {
             let mut g = base();
             let parts = lens.iter().map(|&n| (chain(n), n)).collect();
-            let firsts = g.append_windows(&["a", "b"], &["x", "same as"], parts, |n, w| {
+            let firsts = g.append_windows(&SLOTS, parts, |n, w| {
                 let first = w.next_vertex();
                 fill_chain(n, w);
                 first
@@ -397,9 +546,23 @@ mod tests {
                 assert_eq!(first.index(), at);
                 at += n;
             }
-            // Exact sizing leaves no spare arena or adjacency capacity.
+            // Exact sizing leaves no spare arena, column or adjacency
+            // capacity.
             assert_eq!(g.vertices.capacity(), g.vertices.len());
             assert_eq!(g.edges.capacity(), g.edges.len());
+            for column in g.value_columns() {
+                assert_eq!(column.capacity, column.len);
+            }
+            assert_eq!(
+                g.value_columns().map(|c| c.len),
+                want.value_columns().map(|c| c.len)
+            );
+            for (id, _) in want.vertices() {
+                assert_eq!(g.vertex_props(id), want.vertex_props(id));
+            }
+            for (id, _) in want.edges() {
+                assert_eq!(g.edge_props(id), want.edge_props(id));
+            }
             for v in &g.vertices[2..] {
                 assert_eq!(v.out_edges.capacity(), v.out_edges.len());
                 assert_eq!(v.in_edges.capacity(), v.in_edges.len());
@@ -410,12 +573,7 @@ mod tests {
     #[test]
     fn labels_are_shared_with_the_graph() {
         let mut g = base();
-        g.append_windows(
-            &["a", "b"],
-            &["x", "same as"],
-            vec![(chain(2), 2), (chain(2), 2)],
-            fill_chain,
-        );
+        g.append_windows(&SLOTS, vec![(chain(2), 2), (chain(2), 2)], fill_chain);
         let label = |v: usize| g.vertices[v].label;
         // "a" was known: every new "a" vertex carries the graph's id.
         assert_eq!(label(0), label(2));
@@ -425,17 +583,20 @@ mod tests {
         assert_eq!(g.label_index.len(), 3);
         assert_eq!(g.edges[0].label, g.edges[2].label);
         assert_eq!(g.edge_label_id("same as"), Some(g.edges[0].label));
+        // "image, x" is one shape in the graph, and both windows use it.
+        assert_eq!(g.vertices[2].props.shape, g.vertices[4].props.shape);
+        assert_eq!(g.vertex_column.shape_count(), 3);
     }
 
     #[test]
     fn unused_slot_labels_stay_out_of_the_counts() {
         let mut g = base();
-        g.append_windows(
-            &["a", "b", "unused"],
-            &["x", "same as", "idle"],
-            vec![(chain(1), 1)],
-            fill_chain,
-        );
+        let slots = WindowSlots {
+            vertex_labels: &["a", "b", "unused"],
+            edge_labels: &["x", "same as", "idle"],
+            ..SLOTS
+        };
+        g.append_windows(&slots, vec![(chain(1), 1)], fill_chain);
         assert!(g.vertices_with_label("unused").is_empty());
         assert!(g.vertex_label_counts().all(|(l, n)| l != "unused" && n > 0));
         assert!(g.edge_label_counts().all(|(l, n)| l != "idle" && n > 0));
@@ -444,20 +605,11 @@ mod tests {
     #[test]
     fn edges_into_another_window_are_rejected() {
         let mut g = base();
-        let parts = vec![
-            (chain(1), 1),
-            (
-                WindowSize {
-                    vertices: 0,
-                    edges: 0,
-                },
-                0,
-            ),
-        ];
-        let errors = g.append_windows(&["a", "b"], &["x", "same as"], parts, |n, w| {
+        let parts = vec![(chain(1), 1), (WindowSize::default(), 0)];
+        let errors = g.append_windows(&SLOTS, parts, |n, w| {
             // Part 0's vertex, seen from part 1.
             let outside = VertexId::from_index(2);
-            let result = (n == 0).then(|| w.push_edge(outside, outside, 0, Properties::new()));
+            let result = (n == 0).then(|| w.push_edge(outside, outside, 0, 0, []));
             if n == 1 {
                 fill_chain(1, w);
             }
@@ -475,6 +627,15 @@ mod tests {
     #[should_panic(expected = "window filled 0 of 1 vertices")]
     fn a_short_window_panics() {
         let mut g = base();
-        g.append_windows(&["a"], &["x"], vec![(chain(1), ())], |(), _| ());
+        g.append_windows(&SLOTS, vec![(chain(1), ())], |(), _| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per shape key")]
+    fn values_must_fill_the_shape() {
+        let mut g = base();
+        g.append_windows(&SLOTS, vec![(chain(1), ())], |(), w| {
+            w.push_vertex(0, 1, [PropValue::Int(1)], 0, 0);
+        });
     }
 }

@@ -5,9 +5,15 @@
 //! into the merged graph `G_mg` and drop it. [`SceneRecords`] holds the
 //! same scene graphs for a whole chunk of images in three flat buffers —
 //! vertex labels, vertices (image id and box) and argmax edges — so the
-//! aggregator can append them straight into `G_mg`. Vertex and edge
-//! properties are built exactly as [`crate::sgg::SceneGraphGenerator::generate`]
-//! builds them, so both outputs merge into the same bytes.
+//! aggregator can append them straight into `G_mg`.
+//!
+//! A record keeps its properties as plain fields. [`RecordVertex::values`]
+//! and [`RecordEdge::values`] give them as fixed arrays in the key order of
+//! [`VERTEX_KEYS`] and [`EDGE_KEYS`], the shapes the attach writes them
+//! under, straight into the merged graph's value columns and with no
+//! allocation per element. [`crate::sgg::SceneGraphGenerator::generate`]
+//! builds its per-image properties from the same keys and values, so both
+//! outputs merge into the same bytes.
 
 use crate::bbox::BBox;
 use crate::relation::RELATION_VOCAB;
@@ -26,10 +32,10 @@ pub struct RecordVertex {
 }
 
 impl RecordVertex {
-    /// The vertex properties of a scene-graph vertex: image provenance
-    /// and bounding box.
-    pub fn props(&self) -> Properties {
-        vertex_props(self.image, &self.bbox)
+    /// The property values of a scene-graph vertex, in the key order of
+    /// [`VERTEX_KEYS`].
+    pub fn values(&self) -> [PropValue; 5] {
+        vertex_values(self.image, &self.bbox)
     }
 }
 
@@ -58,28 +64,44 @@ impl RecordEdge {
         usize::from(self.relation)
     }
 
-    /// The edge properties of a scene-graph edge: its score.
-    pub fn props(&self) -> Properties {
-        edge_props(self.score)
+    /// The property values of a scene-graph edge, in the key order of
+    /// [`EDGE_KEYS`].
+    pub fn values(&self) -> [PropValue; 1] {
+        [PropValue::Float(self.score)]
     }
+}
+
+/// The property keys of a scene-graph vertex, sorted: the bounding box and
+/// the image the object was detected in.
+pub const VERTEX_KEYS: [&str; 5] = ["h", IMAGE, "w", "x", "y"];
+
+/// The property key of a scene-graph edge: the predicate's score.
+pub const EDGE_KEYS: [&str; 1] = ["score"];
+
+fn vertex_values(image: u32, bbox: &BBox) -> [PropValue; 5] {
+    [
+        PropValue::Float(bbox.h),
+        PropValue::Int(i64::from(image)),
+        PropValue::Float(bbox.w),
+        PropValue::Float(bbox.x),
+        PropValue::Float(bbox.y),
+    ]
 }
 
 /// Properties of a scene-graph vertex: image provenance and bounding box.
 pub(crate) fn vertex_props(image: u32, bbox: &BBox) -> Properties {
-    [
-        (IMAGE, PropValue::Int(i64::from(image))),
-        ("x", PropValue::Float(bbox.x)),
-        ("y", PropValue::Float(bbox.y)),
-        ("w", PropValue::Float(bbox.w)),
-        ("h", PropValue::Float(bbox.h)),
-    ]
-    .into_iter()
-    .collect()
+    VERTEX_KEYS
+        .into_iter()
+        .zip(vertex_values(image, bbox))
+        .collect()
 }
 
 /// Properties of a scene-graph edge: the predicate's score.
 pub(crate) fn edge_props(score: f64) -> Properties {
-    [("score", score)].into_iter().collect()
+    EDGE_KEYS
+        .into_iter()
+        .zip([PropValue::Float(score)])
+        .collect()
 }
 
 /// The scene graphs of a contiguous run of images, in image order.
@@ -250,25 +272,33 @@ mod tests {
     #[test]
     fn props_are_exactly_sized() {
         let r = sample();
-        let v = r
-            .scenes()
-            .next()
-            .unwrap()
-            .vertices()
-            .next()
-            .unwrap()
-            .1
-            .props();
-        // Five 32-byte entries in one exactly sized slice: the type
-        // guarantees the capacity, so the pins are on the entry size.
+        let scene = r.scenes().next().unwrap();
+        let (_, v) = scene.vertices().next().unwrap();
+        // Fixed arrays of two-word values, one per key: nothing to size.
         assert_eq!(std::mem::size_of::<PropValue>(), 16);
-        assert_eq!(std::mem::size_of::<Properties>(), 16);
-        assert_eq!(v.len(), 5);
-        assert_eq!(v.get(IMAGE).and_then(PropValue::as_int), Some(4));
-        let keys: Vec<&str> = v.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, ["h", "image", "w", "x", "y"]);
-        let e = r.scenes().next().unwrap().edges()[0].props();
-        assert_eq!(e.len(), 1);
-        assert_eq!(e.get("score").and_then(PropValue::as_float), Some(0.75));
+        assert_eq!(std::mem::size_of_val(&v.values()), 5 * 16);
+        let keys = VERTEX_KEYS;
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        let props = vertex_props(v.image, &v.bbox);
+        assert_eq!(props.len(), 5);
+        assert_eq!(props.get(IMAGE).and_then(PropValue::as_int), Some(4));
+        assert_eq!(props.get("w").and_then(PropValue::as_float), Some(0.3));
+        assert_eq!(
+            props
+                .iter()
+                .map(|(k, v)| (k, v.clone()))
+                .collect::<Vec<_>>(),
+            keys.into_iter().zip(v.values()).collect::<Vec<_>>()
+        );
+        let e = &scene.edges()[0];
+        let props = edge_props(e.score);
+        assert_eq!(props.get("score").and_then(PropValue::as_float), Some(0.75));
+        assert_eq!(
+            props
+                .iter()
+                .map(|(k, v)| (k, v.clone()))
+                .collect::<Vec<_>>(),
+            EDGE_KEYS.into_iter().zip(e.values()).collect::<Vec<_>>()
+        );
     }
 }

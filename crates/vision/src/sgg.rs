@@ -356,7 +356,9 @@ impl SceneSink for SceneRecords {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{EDGE_KEYS, VERTEX_KEYS};
     use crate::scene::SceneBuilder;
+    use svqa_graph::Properties;
 
     fn frisbee_scene() -> SyntheticImage {
         // Figure 3's scene: a dog jumping over grass to catch a frisbee, a
@@ -423,8 +425,13 @@ mod tests {
         cfg.edge_threshold = 0.2;
         let gen = SceneGraphGenerator::new(cfg, PairPrior::uniform());
         let out = gen.generate(&img);
-        for (_, e) in out.graph.edges() {
-            let score = e.props().get("score").and_then(|p| p.as_float()).unwrap();
+        for (id, _) in out.graph.edges() {
+            let score = out
+                .graph
+                .edge_props(id)
+                .get("score")
+                .and_then(|p| p.as_float())
+                .unwrap();
             assert!(score >= 0.2);
         }
     }
@@ -460,9 +467,20 @@ mod tests {
             let g = gen.generate(image).graph;
             let vertices: Vec<_> = g
                 .vertices()
-                .map(|(id, v)| (g.vertex_label(id).unwrap(), v.props().clone()))
+                .map(|(id, _)| (g.vertex_label(id).unwrap(), g.vertex_props(id).to_owned()))
                 .collect();
-            let recorded: Vec<_> = scene.vertices().map(|(l, v)| (l, v.props())).collect();
+            let recorded: Vec<_> = scene
+                .vertices()
+                .map(|(l, v)| {
+                    (
+                        l,
+                        VERTEX_KEYS
+                            .into_iter()
+                            .zip(v.values())
+                            .collect::<Properties>(),
+                    )
+                })
+                .collect();
             assert_eq!(recorded, vertices);
             let edges: Vec<_> = g
                 .edges()
@@ -471,14 +489,17 @@ mod tests {
                         e.src().index(),
                         e.dst().index(),
                         g.edge_label(id).unwrap(),
-                        e.props().clone(),
+                        g.edge_props(id).to_owned(),
                     )
                 })
                 .collect();
             let recorded: Vec<_> = scene
                 .edges()
                 .iter()
-                .map(|e| (e.sub as usize, e.obj as usize, e.label(), e.props()))
+                .map(|e| {
+                    let props: Properties = EDGE_KEYS.into_iter().zip(e.values()).collect();
+                    (e.sub as usize, e.obj as usize, e.label(), props)
+                })
                 .collect();
             assert!(!edges.is_empty());
             assert_eq!(recorded, edges);

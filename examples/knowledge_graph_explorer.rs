@@ -96,10 +96,7 @@ fn main() {
         // Scene instances of the girlfriend via "same as" links.
         for (_, link) in g.out_edges(girlfriend).filter(|(_, e)| Some(e.label_id()) == same_as) {
             let instance = link.dst();
-            let image = g
-                .vertex(instance)
-                .and_then(|v| v.props().get(IMAGE))
-                .and_then(|p| p.as_int());
+            let image = g.vertex_props(instance).get(IMAGE).and_then(|p| p.as_int());
             // Who appears near her in that image?
             for (_, rel) in g.in_edges(instance) {
                 if Some(rel.label_id()) == same_as {

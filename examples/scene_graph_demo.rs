@@ -49,9 +49,9 @@ fn biased_corpus() -> Vec<SyntheticImage> {
 
 fn print_graph(title: &str, graph: &svqa::graph::Graph) {
     println!("\n--- {title} ---");
-    for (_, e) in graph.edges() {
-        let score = e
-            .props()
+    for (id, e) in graph.edges() {
+        let score = graph
+            .edge_props(id)
             .get("score")
             .and_then(|p| p.as_float())
             .unwrap_or(0.0);

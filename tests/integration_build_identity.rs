@@ -172,10 +172,7 @@ fn json_and_binary_round_trips_are_byte_identical() {
     }
     let g = mixed_graph();
     let back = io::from_json(&io::to_json(&g)).unwrap();
-    let props = back
-        .vertex(back.vertices_with_label("dog")[0])
-        .unwrap()
-        .props();
+    let props = back.vertex_props(back.vertices_with_label("dog")[0]);
     assert_eq!(
         props.get("source_7").and_then(PropValue::as_str),
         Some("lake")

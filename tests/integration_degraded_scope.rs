@@ -23,7 +23,7 @@ fn induced(merged: &Graph, keep: impl Fn(usize) -> bool) -> Graph {
 fn kg_vertex_count(merged: &Graph) -> usize {
     merged
         .vertices()
-        .take_while(|(_, v)| v.props().get(IMAGE).is_none())
+        .take_while(|&(id, _)| merged.vertex_props(id).get(IMAGE).is_none())
         .count()
 }
 

@@ -1,0 +1,54 @@
+//! The merged graph's heap footprint, counted allocation by allocation.
+//!
+//! `G_mg` keeps its vertex and edge properties in two per-graph value
+//! columns, and the offline build writes every scene element's values
+//! straight into them: the build leaves no allocation per vertex or edge
+//! behind beyond the adjacency lists. A counting global allocator holds
+//! that down, for whatever number of attach windows the host's cores give.
+
+use stats_alloc::{Region, StatsAlloc, INSTRUMENTED_SYSTEM};
+use std::alloc::System;
+use svqa::dataset::{build_knowledge_graph, generate_images, MvqaConfig};
+use svqa::{Svqa, SvqaConfig};
+
+#[global_allocator]
+static GLOBAL: &StatsAlloc<System> = &INSTRUMENTED_SYSTEM;
+
+/// Slack for everything a built system owns besides its elements: the
+/// label tables and per-label vertex lists, the key shapes, the subgraph
+/// cache index, the schema, the linter and the breakers.
+const SLACK: usize = 400;
+
+#[test]
+fn build_leaves_no_allocation_per_element() {
+    let images = generate_images(300, MvqaConfig::default().seed);
+    let kg = build_knowledge_graph();
+
+    // A first, smaller build fills what is process-wide and initialised
+    // on first use (about 700 allocations), which no built system owns.
+    drop(Svqa::build(&images[..20], &kg, SvqaConfig::default()));
+    let region = Region::new(GLOBAL);
+    let svqa = Svqa::build(&images, &kg, SvqaConfig::default());
+    let change = region.change();
+    let live = change.allocations - change.deallocations;
+
+    let g = svqa.merged_graph();
+    let adjacency: usize = g
+        .vertices()
+        .map(|(_, v)| usize::from(v.out_degree() > 0) + usize::from(v.in_degree() > 0))
+        .sum();
+    assert!(
+        live <= adjacency + SLACK,
+        "{live} allocations live after the build, against {adjacency} non-empty adjacency lists"
+    );
+
+    // Each column holds exactly its elements' values, with no spare room.
+    let [vertex_column, edge_column] = g.value_columns();
+    let vertex_values: usize = g.vertices().map(|(id, _)| g.vertex_props(id).len()).sum();
+    let edge_values: usize = g.edges().map(|(id, _)| g.edge_props(id).len()).sum();
+    assert_eq!(vertex_column.len, vertex_values);
+    assert_eq!(edge_column.len, edge_values);
+    assert_eq!(vertex_column.capacity, vertex_column.len);
+    assert_eq!(edge_column.capacity, edge_column.len);
+    assert!(vertex_values > 0 && edge_values > 0);
+}
