@@ -336,8 +336,8 @@ fn cmd_lint(args: &[String]) -> Result<(), AnyError> {
 }
 
 /// `serve` — build a world in process and run the query service on it:
-/// `POST /ask` and `/batch` behind a worker pool with admission control
-/// and per-request deadlines, plus `/healthz`, `/shutdown`, and the
+/// `POST /ask` and `/batch` behind an admission gate of `--workers`
+/// permits with per-request deadlines, plus `/healthz`, `/shutdown`, and the
 /// metrics routes, all on one port. Returns after a graceful drain.
 fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     let images: usize = flag(args, "--images").map_or(Ok(200), |s| s.parse())?;

@@ -8,27 +8,28 @@
 //!   plus the exact cache traffic this question generated;
 //! * `POST /batch` — `{"questions": [...], "deadline_ms"?: N}` → per-
 //!   question answers via the §V-B scheduler, each on the `/ask` path;
-//! * `GET /healthz` — liveness plus graph/queue shape (answered inline,
-//!   never queued, so health stays green under load);
-//! * `POST /shutdown` — graceful drain: stop accepting, finish queued
-//!   work, then [`QueryServer::serve`] returns;
+//! * `GET /healthz` — liveness plus graph and gate shape (answered
+//!   without a permit, so health stays green under load);
+//! * `POST /shutdown` — graceful drain: stop accepting, finish admitted
+//!   requests, then [`QueryServer::serve`] returns;
 //! * `GET /metrics`, `/metrics.json`, `/profiles/recent` — telemetry.
 //!
 //! ## Execution model
 //!
-//! Connections are accepted on the caller's thread and parsed on
-//! short-lived connection threads, which also run an `/ask` question's
-//! [`Svqa::prepare`] (parse and lint), once. Query work is
-//! **admission-controlled**: a bounded queue sits between connection
-//! threads and a fixed pool of workers, which run [`Svqa::run`]. When the
-//! queue is full the request is rejected immediately with
-//! `429 Too Many Requests` and a `Retry-After` header — under overload the
-//! service sheds load instead of accumulating latency. Each request
-//! carries a deadline (`deadline_ms`, default
-//! [`ServeConfig::default_deadline`]); a request that cannot be answered
-//! in time gets `504 Gateway Timeout` and is counted in
-//! `server_deadline_exceeded`. Workers also check the deadline before
-//! starting execution, so queued-but-expired work is skipped, not run.
+//! Each accepted connection is served on its own short-lived thread,
+//! which parses the request, runs an `/ask` question's [`Svqa::prepare`]
+//! (parse and lint) once, and then answers it itself: there is no worker
+//! pool and no job queue, because every thread that allocates keeps its
+//! own malloc arena, and long-lived workers keep the pages their
+//! per-request scratch touched. Query work is **admission-controlled** by
+//! a gate of `workers` permits. While `queue_depth` requests already wait
+//! for one, the next is rejected at once with `429 Too Many Requests` and
+//! a `Retry-After` header: under overload the service sheds load instead
+//! of accumulating latency. Each request carries a deadline (`deadline_ms`,
+//! default [`ServeConfig::default_deadline`]); a permit wait that reaches
+//! it, or a run that ends past it, gets `504 Gateway Timeout` and counts
+//! in `server_deadline_exceeded`. Each admitted request's permit wait is
+//! recorded as the `server_queue_wait` span.
 //!
 //! ## Cache persistence
 //!
@@ -42,26 +43,25 @@ use crate::degrade::AnswerStatus;
 use crate::error::SvqaError;
 use crate::pipeline::{Prepared, Svqa};
 use serde_json::{to_value, Map, Value};
-use std::collections::VecDeque;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use svqa_executor::cache::KeyCentricCache;
 use svqa_executor::scheduler::QueryScheduler;
 use svqa_executor::Answer;
 use svqa_telemetry::router::{HttpServer, Request, Response, Router};
-use svqa_telemetry::{counter, gauge, global, global_profiles, metrics_routes};
+use svqa_telemetry::{counter, gauge, global, global_profiles, metrics_routes, stage};
 
 /// Tuning for [`QueryServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads executing queries (≥ 1).
+    /// Requests answered at once: the admission gate's permits (≥ 1).
     pub workers: usize,
-    /// Admission-queue capacity; 0 rejects everything (useful in tests).
+    /// Requests that may wait for a permit; 0 rejects everything (useful
+    /// in tests).
     pub queue_depth: usize,
     /// Deadline applied when a request does not set `deadline_ms`.
     pub default_deadline: Duration,
@@ -80,95 +80,117 @@ impl Default for ServeConfig {
     }
 }
 
-/// What a worker is asked to do.
-enum Work {
-    Ask(Prepared),
-    Batch(Vec<String>),
-}
-
-/// One admitted request: the work, its deadline, and the channel the
-/// waiting connection thread blocks on.
-struct Job {
-    work: Work,
-    deadline: Instant,
-    reply: mpsc::SyncSender<Response>,
-}
-
-/// Why [`BoundedQueue::try_push`] refused a job.
-enum PushError {
-    /// The queue is at capacity — shed load.
+/// Why [`Gate::enter`] turned a request away.
+#[derive(Debug, PartialEq)]
+enum Refusal {
+    /// `queue_depth` requests already wait for a permit: shed load (429).
     Full,
-    /// The server is draining for shutdown.
+    /// The server is draining for shutdown (503).
     Closed,
+    /// No permit came free before the deadline (504).
+    Expired,
 }
 
-/// A bounded MPMC queue on `std::sync` primitives. `try_push` fails
-/// deterministically at capacity (no rendezvous semantics), which is what
-/// makes the 429 path testable with `queue_depth: 0`.
-struct BoundedQueue<T> {
-    capacity: usize,
-    inner: Mutex<QueueInner<T>>,
-    ready: Condvar,
+/// The admission gate: at most `workers` requests run at once, at most
+/// `queue_depth` more wait for a permit, and none enter once closed.
+/// Every request passes through the waiting line, so `queue_depth: 0`
+/// rejects deterministically, which is what makes the 429 path testable.
+struct Gate {
+    workers: usize,
+    queue_depth: usize,
+    state: Mutex<GateState>,
+    freed: Condvar,
 }
 
-struct QueueInner<T> {
-    items: VecDeque<T>,
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
     closed: bool,
 }
 
-impl<T> BoundedQueue<T> {
-    fn new(capacity: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            capacity,
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
+impl GateState {
+    /// Admitted requests, waiting or running: `/healthz`'s `in_flight`.
+    fn in_flight(&self) -> usize {
+        self.running + self.waiting
+    }
+
+    fn publish(&self) {
+        let in_flight = self.in_flight() as f64;
+        global().set_gauge(gauge::SERVER_REQUESTS_IN_FLIGHT, in_flight);
+    }
+}
+
+/// One of the gate's `workers` permits; dropping it (on unwind too) frees
+/// the permit for the next waiter.
+struct Permit<'a>(&'a Gate);
+
+impl Gate {
+    fn new(workers: usize, queue_depth: usize) -> Gate {
+        Gate {
+            workers: workers.max(1),
+            queue_depth,
+            state: Mutex::default(),
+            freed: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, QueueInner<T>> {
-        // A worker panicking mid-pop poisons nothing we can't still use:
-        // the queue state is a plain VecDeque.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        // No panic can happen while the lock is held, so a poisoned gate
+        // still holds consistent counts.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn try_push(&self, item: T) -> Result<(), PushError> {
-        let mut q = self.lock();
-        if q.closed {
-            return Err(PushError::Closed);
+    /// Wait for a permit, but never past `deadline`. The wait of every
+    /// admitted request is recorded as `server_queue_wait`.
+    fn enter(&self, deadline: Instant) -> Result<Permit<'_>, Refusal> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(Refusal::Closed);
         }
-        if q.items.len() >= self.capacity {
-            return Err(PushError::Full);
+        if state.waiting >= self.queue_depth {
+            return Err(Refusal::Full);
         }
-        q.items.push_back(item);
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Block until an item is available; `None` once closed **and**
-    /// drained — workers finish queued jobs before exiting.
-    fn pop(&self) -> Option<T> {
-        let mut q = self.lock();
-        loop {
-            if let Some(item) = q.items.pop_front() {
-                return Some(item);
+        state.waiting += 1;
+        state.publish();
+        let admitted = Instant::now();
+        // A free permit is taken before the deadline is checked, so a
+        // wake-up that races a timeout is never lost.
+        let outcome = loop {
+            if state.running < self.workers {
+                state.running += 1;
+                break Ok(Permit(self));
             }
-            if q.closed {
-                return None;
+            let now = Instant::now();
+            if now >= deadline {
+                break Err(Refusal::Expired);
             }
-            q = self
-                .ready
-                .wait(q)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+            state = self
+                .freed
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        };
+        state.waiting -= 1;
+        state.publish();
+        drop(state);
+        global().record_span(stage::SERVER_QUEUE_WAIT, admitted.elapsed());
+        outcome
     }
 
+    /// Refuse new requests; admitted ones still get their permits.
     fn close(&self) {
         self.lock().closed = true;
-        self.ready.notify_all();
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.running -= 1;
+        state.publish();
+        drop(state);
+        self.0.freed.notify_one();
     }
 }
 
@@ -178,9 +200,8 @@ pub struct QueryServer {
     config: ServeConfig,
     cache: KeyCentricCache,
     http: HttpServer,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
     shutdown: AtomicBool,
-    in_flight: AtomicI64,
 }
 
 impl QueryServer {
@@ -195,9 +216,8 @@ impl QueryServer {
             system,
             cache,
             http,
-            queue: BoundedQueue::new(config.queue_depth),
+            gate: Gate::new(config.workers, config.queue_depth),
             shutdown: AtomicBool::new(false),
-            in_flight: AtomicI64::new(0),
             config,
         })
     }
@@ -212,17 +232,14 @@ impl QueryServer {
         &self.cache
     }
 
-    /// Serve until `POST /shutdown`: workers and connection threads run on
-    /// scoped threads borrowing `self`. On shutdown the accept loop stops,
-    /// the admission queue closes, queued work drains, and this returns
-    /// `Ok(())` — the graceful-exit contract the CI smoke test checks.
+    /// Serve until `POST /shutdown`: connection threads run on scoped
+    /// threads borrowing `self`. On shutdown the accept loop stops, the
+    /// gate closes, admitted requests finish, and this returns `Ok(())` —
+    /// the graceful-exit contract the CI smoke test checks.
     pub fn serve(&self) -> io::Result<()> {
         let addr = self.local_addr()?;
         let router = self.router(addr);
         std::thread::scope(|scope| {
-            for _ in 0..self.config.workers.max(1) {
-                scope.spawn(|| self.worker_loop());
-            }
             while !self.shutdown.load(Ordering::SeqCst) {
                 let Ok(stream) = self.http.accept() else {
                     continue;
@@ -232,9 +249,9 @@ impl QueryServer {
                     let _ = HttpServer::handle_connection(stream, router);
                 });
             }
-            // Drain: no new admissions; workers finish what's queued, then
-            // the scope joins every thread.
-            self.queue.close();
+            // Drain: no new admissions; admitted requests finish, then the
+            // scope joins every connection thread.
+            self.gate.close();
         });
         Ok(())
     }
@@ -279,7 +296,7 @@ impl QueryServer {
                 "merged_edges": stats.merged_edges,
                 "workers": self.config.workers.max(1),
                 "queue_depth": self.config.queue_depth,
-                "in_flight": self.in_flight.load(Ordering::SeqCst),
+                "in_flight": self.gate.lock().in_flight(),
                 "cache_entries": self.cache.len(),
             }),
         )
@@ -304,13 +321,14 @@ impl QueryServer {
         };
         // Parse and lint at the door: a question that does not parse, or
         // whose query graph provably cannot produce answers, is rejected on
-        // the connection thread with the full diagnostics, without burning
-        // a worker slot on it.
+        // the connection thread with the full diagnostics, without taking
+        // a permit.
         let prepared = self.system.prepare(question);
         if let Err(e) = &prepared.gate {
             return error_response(e);
         }
-        self.submit(Work::Ask(prepared), self.deadline_of(&body))
+        let deadline = self.deadline_of(&body);
+        self.admit(deadline, || self.answer_one(prepared, deadline))
     }
 
     fn handle_batch(&self, req: &Request) -> Response {
@@ -322,10 +340,11 @@ impl QueryServer {
             return bad_request("missing-field", "missing array field 'questions'");
         };
         let strings = questions.iter().map(|q| q.as_str().map(str::to_owned));
-        let Some(batch) = strings.collect() else {
+        let Some(batch): Option<Vec<String>> = strings.collect() else {
             return bad_request("bad-field", "'questions' must be strings");
         };
-        self.submit(Work::Batch(batch), self.deadline_of(&body))
+        let deadline = self.deadline_of(&body);
+        self.admit(deadline, || self.answer_many(&batch, deadline))
     }
 
     fn deadline_of(&self, body: &serde_json::Value) -> Instant {
@@ -336,92 +355,49 @@ impl QueryServer {
         Instant::now() + budget
     }
 
-    /// Admission control: enqueue the job and wait for the worker's reply,
-    /// but never past the deadline.
-    fn submit(&self, work: Work, deadline: Instant) -> Response {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let job = Job {
-            work,
-            deadline,
-            reply: tx,
-        };
-        match self.queue.try_push(job) {
-            Err(PushError::Full) => {
+    /// Admission control: wait at the gate for a permit, then run
+    /// `answer` on this connection thread, but answer 504 past `deadline`.
+    fn admit(&self, deadline: Instant, answer: impl FnOnce() -> Response) -> Response {
+        let _permit = match self.gate.enter(deadline) {
+            Ok(permit) => permit,
+            Err(Refusal::Full) => {
                 global().incr_counter(counter::SERVER_REJECTED);
-                Response::json(429, "{\"error\": \"admission queue full\"}")
-                    .with_header("Retry-After", "1")
+                return Response::json(429, "{\"error\": \"admission queue full\"}")
+                    .with_header("Retry-After", "1");
             }
-            Err(PushError::Closed) => {
-                Response::json(503, "{\"error\": \"server is shutting down\"}")
+            Err(Refusal::Closed) => {
+                return Response::json(503, "{\"error\": \"server is shutting down\"}")
             }
-            Ok(()) => {
-                self.in_flight_delta(1);
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                let response = match rx.recv_timeout(remaining) {
-                    Ok(response) if response.status != 504 => response,
-                    // The worker skipped expired work, or never got to it.
-                    Ok(_) | Err(RecvTimeoutError::Timeout) => {
-                        global().incr_counter(counter::SERVER_DEADLINE_EXCEEDED);
-                        deadline_response()
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        Response::json(500, "{\"error\": \"worker dropped the request\"}")
-                    }
-                };
-                self.in_flight_delta(-1);
-                response
-            }
+            Err(Refusal::Expired) => return deadline_response(),
+        };
+        let fault = svqa_fault::draw(svqa_fault::site::SERVE_WORKER);
+        if fault == Some(svqa_fault::FaultKind::DropResult) {
+            // The permit holder "loses" the request without answering it.
+            return Response::json(500, "{\"error\": \"worker dropped the request\"}");
         }
-    }
-
-    fn in_flight_delta(&self, delta: i64) {
-        let now = self.in_flight.fetch_add(delta, Ordering::SeqCst) + delta;
-        global().set_gauge(gauge::SERVER_REQUESTS_IN_FLIGHT, now as f64);
-    }
-
-    fn worker_loop(&self) {
-        while let Some(job) = self.queue.pop() {
-            let Job {
-                work,
-                deadline,
-                reply,
-            } = job;
-            let fault = svqa_fault::draw(svqa_fault::site::SERVE_WORKER);
-            if fault == Some(svqa_fault::FaultKind::DropResult) {
-                // The worker "loses" the job: the reply channel drops
-                // unanswered and the connection thread observes
-                // `Disconnected` (500, "worker dropped the request").
-                continue;
-            }
-            // Queued past its deadline: skip the work. The connection
-            // thread owns the deadline-exceeded counter (it may already
-            // have timed out on its own), so just reply 504.
-            let response = if Instant::now() >= deadline {
-                deadline_response()
-            } else {
-                if let Some(svqa_fault::FaultKind::Latency(ms)) = fault {
-                    svqa_fault::apply_latency(ms, Some(deadline));
-                }
-                // A panic while answering (injected or genuine) must not
-                // shrink the worker pool: catch it, count it, reply 500,
-                // and keep this thread in the loop.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    if fault == Some(svqa_fault::FaultKind::Error) {
-                        panic!("injected fault: serve.worker");
-                    }
-                    match work {
-                        Work::Ask(prepared) => self.answer_one(prepared, deadline),
-                        Work::Batch(questions) => self.answer_many(&questions, deadline),
-                    }
-                }));
-                run.unwrap_or_else(|_| {
-                    global().incr_counter(counter::SERVER_WORKER_PANICS);
-                    Response::json(500, "{\"error\": \"internal panic while answering\"}")
-                })
-            };
-            // The receiver may have timed out and gone — not an error.
-            let _ = reply.send(response);
+        if Instant::now() >= deadline {
+            return deadline_response();
         }
+        if let Some(svqa_fault::FaultKind::Latency(ms)) = fault {
+            svqa_fault::apply_latency(ms, Some(deadline));
+        }
+        // A panic while answering (injected or genuine) is caught, counted
+        // and answered with a 500; the permit is freed either way.
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if fault == Some(svqa_fault::FaultKind::Error) {
+                panic!("injected fault: serve.worker");
+            }
+            answer()
+        }));
+        let response = run.unwrap_or_else(|_| {
+            global().incr_counter(counter::SERVER_WORKER_PANICS);
+            Response::json(500, "{\"error\": \"internal panic while answering\"}")
+        });
+        // The run is never interrupted; one that ends late is still a 504.
+        if Instant::now() >= deadline {
+            return deadline_response();
+        }
+        response
     }
 
     fn answer_one(&self, prepared: Prepared, deadline: Instant) -> Response {
@@ -501,7 +477,9 @@ fn bad_request(code: &str, message: &str) -> Response {
     json_response(400, serde_json::json!({ "error": message, "code": code }))
 }
 
+/// A 504, counted in `server_deadline_exceeded`.
 fn deadline_response() -> Response {
+    global().incr_counter(counter::SERVER_DEADLINE_EXCEEDED);
     // A 504 means the service was too slow for *this* deadline, not that it
     // is down — tell the client when trying again is reasonable.
     Response::json(504, "{\"error\": \"deadline exceeded\"}").with_header("Retry-After", "1")
@@ -553,36 +531,54 @@ fn error_response(e: &SvqaError) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn bounded_queue_rejects_at_capacity_and_drains_on_close() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert!(matches!(q.try_push(3), Err(PushError::Full)));
-        q.close();
-        assert!(matches!(q.try_push(4), Err(PushError::Closed)));
-        // Queued items survive the close; then the queue reports empty.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(60)
     }
 
     #[test]
-    fn zero_capacity_queue_always_rejects() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(0);
-        assert!(matches!(q.try_push(1), Err(PushError::Full)));
+    fn zero_depth_gate_always_rejects() {
+        let gate = Gate::new(4, 0);
+        for _ in 0..3 {
+            assert_eq!(gate.enter(far()).err(), Some(Refusal::Full));
+        }
     }
 
     #[test]
-    fn bounded_queue_unblocks_waiting_consumers_on_close() {
-        let q: std::sync::Arc<BoundedQueue<u32>> = std::sync::Arc::new(BoundedQueue::new(4));
-        let waiter = {
-            let q = std::sync::Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert_eq!(waiter.join().unwrap(), None);
+    fn no_more_than_workers_run_at_once() {
+        let gate = Gate::new(2, 16);
+        let (running, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let _permit = gate.enter(far()).expect("admitted");
+                    most.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    (0..100).for_each(|_| std::thread::yield_now());
+                    running.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert!(most.into_inner() <= 2);
+        assert_eq!(gate.lock().in_flight(), 0);
+    }
+
+    #[test]
+    fn closed_gate_refuses_new_requests_but_admitted_ones_finish() {
+        let gate = Gate::new(1, 1);
+        let holder = gate.enter(far()).expect("admitted");
+        assert_eq!(gate.enter(Instant::now()).err(), Some(Refusal::Expired));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.enter(far()).is_ok());
+            while gate.lock().waiting == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(gate.enter(far()).err(), Some(Refusal::Full));
+            gate.close();
+            assert_eq!(gate.enter(far()).err(), Some(Refusal::Closed));
+            drop(holder);
+            assert!(waiter.join().unwrap(), "the admitted waiter got no permit");
+        });
+        assert_eq!(gate.lock().in_flight(), 0);
     }
 }

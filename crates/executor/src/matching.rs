@@ -12,7 +12,6 @@
 //! the knowledge graph — the cross-source reasoning step the paper's
 //! Example 1 builds on.
 
-use std::collections::HashSet;
 use std::ops::Range;
 use svqa_graph::{Edge, EdgeId, Graph, LabelId, VertexId};
 use svqa_nlp::resolve::{resolve, LabelCounts};
@@ -105,24 +104,43 @@ impl<'g> VertexMatcher<'g> {
 
     /// Semantic expansion: close the set under `same as` links (both
     /// directions) and *incoming* `is a` edges (instances and subtypes of a
-    /// matched concept are also matches), within the scope.
+    /// matched concept are also matches), within the scope. Seeds outside
+    /// the scope are dropped. The visited set is one bit per in-scope
+    /// vertex, so reading its set bits in order gives the sorted output.
     pub fn expand_semantic(&self, seed: &[VertexId]) -> Vec<VertexId> {
-        let mut seen: HashSet<VertexId> = seed.iter().copied().collect();
-        let mut stack: Vec<VertexId> = seed.to_vec();
+        let start = self.scope.start;
+        let mut seen = vec![0u64; self.scope.len().div_ceil(64)];
+        let mut found = 0usize;
+        let mut visit = |v: VertexId| {
+            let i = v.index() - start;
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            let fresh = seen[word] & bit == 0;
+            seen[word] |= bit;
+            found += usize::from(fresh);
+            fresh
+        };
+        let seed = seed.iter().copied().filter(|&v| self.in_scope(v));
+        let mut stack: Vec<VertexId> = seed.filter(|&v| visit(v)).collect();
         while let Some(v) = stack.pop() {
             for (_, e) in self.graph.out_edges(v) {
-                if self.in_scope(e.dst()) && self.is_same_as(e) && seen.insert(e.dst()) {
+                if self.in_scope(e.dst()) && self.is_same_as(e) && visit(e.dst()) {
                     stack.push(e.dst());
                 }
             }
             for (_, e) in self.graph.in_edges(v) {
-                if self.in_scope(e.src()) && self.is_structural(e) && seen.insert(e.src()) {
+                if self.in_scope(e.src()) && self.is_structural(e) && visit(e.src()) {
                     stack.push(e.src());
                 }
             }
         }
-        let mut out: Vec<VertexId> = seen.into_iter().collect();
-        out.sort_unstable();
+        let mut out = Vec::with_capacity(found);
+        for (word, mut bits) in seen.into_iter().enumerate() {
+            while bits != 0 {
+                let index = start + word * 64 + bits.trailing_zeros() as usize;
+                out.push(VertexId::from_index(index));
+                bits &= bits - 1;
+            }
+        }
         out
     }
 

@@ -63,7 +63,7 @@ pub mod site {
     pub const CACHE_GET: &str = "cache.get";
     /// Key-centric cache inserts (`svqa-executor::cache`).
     pub const CACHE_PUT: &str = "cache.put";
-    /// Query-server worker job execution (`svqa::serve`).
+    /// A query-server request, once it holds a permit (`svqa::serve`).
     pub const SERVE_WORKER: &str = "serve.worker";
 
     /// Every site, for plan builders that want blanket coverage.

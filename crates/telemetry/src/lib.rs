@@ -74,6 +74,9 @@ pub mod stage {
     /// Deliberately not part of [`PIPELINE`]: it is a gate in front of the
     /// paper's Fig. 2 stages, not one of them.
     pub const LINT: &str = "lint";
+    /// An admitted request's wait for one of `svqa serve`'s permits.
+    /// Like [`LINT`], a gate in front of the pipeline, not a stage of it.
+    pub const SERVER_QUEUE_WAIT: &str = "server_queue_wait";
 
     /// The five per-question pipeline stages, in paper order.
     pub const PIPELINE: [&str; 5] = [PARSE, DECOMPOSE, SCHEDULE, MATCH, AGGREGATE];
@@ -99,7 +102,8 @@ pub mod counter {
     pub const CACHE_PATH_MISSES: &str = "cache_path_misses";
     /// Requests accepted by the query server (`svqa serve`).
     pub const SERVER_REQUESTS: &str = "server_requests";
-    /// Requests rejected with 429 because the admission queue was full.
+    /// Requests rejected with 429 because `queue_depth` requests already
+    /// waited for a permit.
     pub const SERVER_REJECTED: &str = "server_rejected";
     /// Requests that blew their deadline (answered with 504).
     pub const SERVER_DEADLINE_EXCEEDED: &str = "server_deadline_exceeded";
@@ -116,7 +120,8 @@ pub mod counter {
     pub const FAULT_RETRIES: &str = "fault_retries";
     /// Answers served in degraded mode (one or more sources missing).
     pub const ANSWERS_DEGRADED: &str = "answers_degraded";
-    /// Worker-thread panics caught and converted to 500s (`svqa serve`).
+    /// Panics while answering a request, caught and converted to 500s
+    /// (`svqa serve`).
     pub const SERVER_WORKER_PANICS: &str = "server_worker_panics";
 }
 

@@ -223,6 +223,49 @@ fn dropped_reply_is_a_500_not_a_hung_connection() {
 }
 
 #[test]
+fn a_held_permit_makes_the_next_ask_wait_and_sheds_the_one_after() {
+    let mvqa = Mvqa::generate_small(60, 3);
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+    let config = ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = start_server(system, config);
+    // One stall holds the only permit while the test sequences the rest.
+    // Every request in this binary runs under a plan guard, so no other
+    // test's request can draw the one-shot fault.
+    let plan = FaultPlan::new(61).with_fault(
+        fault::site::SERVE_WORKER,
+        SiteFault::limited(FaultKind::Latency(3000), 1.0, 1),
+    );
+    let guard = fault::install(plan);
+    let in_flight = || {
+        let (_, _, body) = http(addr, "GET", "/healthz", "");
+        let health: serde_json::Value = serde_json::from_str(&body).unwrap();
+        health["in_flight"].as_u64()
+    };
+    let request = r#"{"question": "Does the dog appear in the car?"}"#;
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(|| http(addr, "POST", "/ask", request));
+        while in_flight() != Some(1) {}
+        let waiter = scope.spawn(|| http(addr, "POST", "/ask", request));
+        while in_flight() != Some(2) {}
+        // The one waiting slot is taken: shed at once, not queued.
+        let (status, head, body) = http(addr, "POST", "/ask", request);
+        assert_eq!(status, 429, "{body}");
+        assert!(head.contains("Retry-After"), "{head}");
+        let (status, _, body) = waiter.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        let (status, _, body) = holder.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+    });
+    assert_eq!(in_flight(), Some(0));
+    drop(guard);
+    shutdown_and_join(addr, handle);
+}
+
+#[test]
 fn all_sources_down_is_503_with_retry_after_then_healthz_recovers() {
     let mvqa = Mvqa::generate_small(60, 3);
     let mut config = SvqaConfig::default();

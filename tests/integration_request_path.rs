@@ -157,6 +157,34 @@ fn each_accepted_ask_is_parsed_linted_and_matched_once() {
 }
 
 #[test]
+fn each_admitted_ask_records_one_queue_wait_and_a_429_none() {
+    let _guard = lock();
+    let key = r#"svqa_span_duration_seconds_count{stage="server_queue_wait"}"#;
+    let (system, mvqa) = world(60, 13, SvqaConfig::default());
+    let questions = clean_questions(&system, &mvqa, 5);
+    with_server(system, ServeConfig::default(), |addr, _| {
+        let before = scrape(addr);
+        for q in &questions {
+            let (status, body) = ask(addr, q);
+            assert_eq!(status, 200, "{body:?}");
+        }
+        assert_eq!(delta(&before, &scrape(addr), key), questions.len() as u64);
+    });
+    let (system, _) = world(60, 13, SvqaConfig::default());
+    let shed = ServeConfig {
+        queue_depth: 0,
+        ..ServeConfig::default()
+    };
+    with_server(system, shed, |addr, _| {
+        let before = scrape(addr);
+        for q in &questions {
+            assert_eq!(ask(addr, q).0, 429);
+        }
+        assert_eq!(delta(&before, &scrape(addr), key), 0);
+    });
+}
+
+#[test]
 fn batch_with_the_kg_breaker_open_is_labelled_degraded() {
     let _guard = lock();
     let mut config = SvqaConfig::default();
