@@ -118,11 +118,6 @@ impl SubgraphCache {
             .map(|(c, v)| c.len() + v.index_size_bytes())
             .sum()
     }
-
-    /// Categories with a cached subgraph, in descending frequency order.
-    pub fn cached_categories(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(c, _)| c.as_str())
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +166,7 @@ mod tests {
         ];
         let (cache, hist) = build(&scenes, &kg(), 1, 2);
         // dog (3) and man (2) exceed threshold 1; cat (1) does not.
-        let cached: Vec<_> = cache.cached_categories().collect();
+        let cached: Vec<_> = cache.entries.iter().map(|(c, _)| c.as_str()).collect();
         assert_eq!(cached, vec!["dog", "man"]);
         assert_eq!(hist.count("dog"), 3);
     }
@@ -180,7 +175,7 @@ mod tests {
     fn categories_missing_from_kg_are_skipped() {
         let scenes = vec![scene(&["unicorn", "unicorn", "dog", "dog"])];
         let (cache, _) = build(&scenes, &kg(), 1, 2);
-        let cached: Vec<_> = cache.cached_categories().collect();
+        let cached: Vec<_> = cache.entries.iter().map(|(c, _)| c.as_str()).collect();
         assert_eq!(cached, vec!["dog"]);
     }
 

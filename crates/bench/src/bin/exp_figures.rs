@@ -1,4 +1,5 @@
-//! `exp_figures` — regenerate Figures 9a, 9b, 10a, 10b and 11.
+//! `exp_figures` — regenerate Figures 9a, 9b, 10a, 10b and 11, plus the
+//! §V-B ordering and Algorithm 1 threshold ablations.
 //!
 //! ```text
 //! cargo run -p svqa-bench --bin exp_figures --release [-- --quick]
@@ -23,12 +24,12 @@ fn main() {
     print!("{}", t9b.render());
     save_json("exp4_fig9", &exp4);
 
-    eprintln!("building the pipeline for Exp-5 (Figs. 10–11)...");
+    eprintln!("building the pipeline for Exp-5 (Figs. 10–11 and ablations)...");
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
-    let (exp5, t10a, t10b, t11) = run_exp5(&mvqa, &system);
-    print!("{}", t10a.render());
-    print!("{}", t10b.render());
-    print!("{}", t11.render());
+    let (exp5, tables) = run_exp5(&mvqa, &system);
+    for table in &tables {
+        print!("{}", table.render());
+    }
     save_json("exp5_fig10_fig11", &exp5);
 
     println!("\nreports written to results/*.json");

@@ -2,20 +2,21 @@
 
 use crate::report::{pct, Table};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+use svqa::aggregator::{AggregatorConfig, MergeStats};
 use svqa::baselines::splitters::{SentenceSplitter, SplitterModel};
 use svqa::baselines::vqa_models::{BaselineVqa, VqaModel};
 use svqa::dataset::groundtruth::GroundTruth;
 use svqa::dataset::mvqa::{Mvqa, MvqaConfig};
 use svqa::dataset::questions::QuestionCounts;
 use svqa::dataset::vqav2::{generate_vqav2, VqaV2, VqaV2Config};
-use svqa::executor::cache::{CacheGranularity, EvictionPolicy};
+use svqa::executor::cache::{CacheGranularity, CacheStats, EvictionPolicy, KeyCentricCache};
 use svqa::executor::scheduler::SchedulerConfig;
 use svqa::qparser::QueryGraphGenerator;
 use svqa::vision::eval::RecallAccumulator;
 use svqa::vision::prior::PairPrior;
 use svqa::vision::sgg::{SceneGraphGenerator, SggConfig, SggModel};
-use svqa::{evaluate_on_mvqa, EvalOutcome, Svqa, SvqaConfig};
+use svqa::{evaluate_on_mvqa, BatchOutcome, EvalOutcome, Svqa, SvqaConfig};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -421,155 +422,295 @@ pub fn run_exp4(mvqa: &Mvqa) -> (Exp4Report, Table, Table) {
 
 // ------------------------------------------------------------------- Exp-5
 
+/// One Exp-5 batch: its cache configuration, the fastest of its
+/// repetitions' wall time, and that batch's own cache traffic — a
+/// deterministic counter that shows what the cache did without timing
+/// noise.
+#[derive(Debug, Clone, Serialize)]
+pub struct BatchRow {
+    /// Questions in the batch.
+    pub n: usize,
+    /// Which item kinds were cached.
+    pub granularity: CacheGranularity,
+    /// Eviction policy.
+    pub policy: EvictionPolicy,
+    /// Cache pool size in items.
+    pub pool: usize,
+    /// Whether the batch ran in §V-B frequency-ratio order (off = FIFO).
+    pub frequency_sort: bool,
+    /// Wall time of the fastest repetition, in seconds.
+    pub secs: f64,
+    /// Scope and path hits and misses of that batch.
+    pub cache: CacheStats,
+}
+
+/// One Algorithm 1 threshold setting and what the build did with it.
+#[derive(Debug, Clone, Serialize)]
+pub struct AggregatorRow {
+    /// Frequency threshold `c′`.
+    pub frequency_threshold: usize,
+    /// Neighbourhood radius `k`.
+    pub k: usize,
+    /// Wall time of the whole `Svqa::build`, in seconds.
+    pub build_secs: f64,
+    /// Wall time of the merge phase alone, in seconds.
+    pub merge_secs: f64,
+    /// The merge's accounting: cached subgraphs, attach hits and misses,
+    /// links created.
+    pub merge: MergeStats,
+}
+
 /// Exp-5 report.
 #[derive(Debug, Clone, Serialize)]
 pub struct Exp5Report {
-    /// Fig. 10a: `(N, no-cache seconds, cache seconds)`.
-    pub cache_onoff: Vec<(usize, f64, f64)>,
-    /// Fig. 10b: `(granularity, seconds)` at N = all questions, pool 100.
-    pub granularity: Vec<(String, f64)>,
-    /// Fig. 11: `(policy, pool size, N, seconds)`.
-    pub pool_sweep: Vec<(String, usize, usize, f64)>,
+    /// Fig. 10a: per N, the no-cache batch then the cached one.
+    pub cache_onoff: Vec<BatchRow>,
+    /// Fig. 10b: each granularity at N = all questions, pool 100.
+    pub granularity: Vec<BatchRow>,
+    /// Fig. 11: policy × pool size × N.
+    pub pool_sweep: Vec<BatchRow>,
+    /// §V-B ablation: frequency-sorted vs FIFO, all questions, pools 100
+    /// and 10.
+    pub schedule: Vec<BatchRow>,
+    /// Algorithm 1 ablation: `c′`/`k` settings.
+    pub aggregator: Vec<AggregatorRow>,
 }
 
-fn run_batch(
+/// Run `questions` through [`Svqa::run_batch`] `reps` times, each on a
+/// fresh cache of the given shape, and keep the fastest batch.
+pub fn best_batch(
     system: &Svqa,
     questions: &[&str],
     granularity: CacheGranularity,
     policy: EvictionPolicy,
     pool: usize,
     reps: usize,
-) -> Duration {
-    let config = SvqaConfig {
-        scheduler: SchedulerConfig {
-            granularity,
-            policy,
-            pool_size: pool,
-            ..SchedulerConfig::default()
-        },
-        ..SvqaConfig::default()
-    };
-    // Rebuild only the scheduler side: reuse the merged graph via a
-    // scheduler run on it directly.
-    let generator = QueryGraphGenerator::new();
-    let graphs: Vec<_> = questions
-        .iter()
-        .filter_map(|q| generator.generate(q).ok())
-        .collect();
-    let scheduler = svqa::executor::scheduler::QueryScheduler::new(config.scheduler);
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let report = scheduler.run(system.merged_graph(), &graphs);
-        best = best.min(report.total);
-    }
-    best
+) -> BatchOutcome {
+    (0..reps.max(1))
+        .map(|_| {
+            let cache = KeyCentricCache::new(granularity, policy, pool);
+            system.run_batch(questions, &cache, None)
+        })
+        .min_by_key(|outcome| outcome.total)
+        .expect("at least one repetition")
 }
 
-/// Exp-5 (Figs. 10a, 10b, 11): the caching mechanism.
-pub fn run_exp5(mvqa: &Mvqa, system: &Svqa) -> (Exp5Report, Table, Table, Table) {
-    let questions: Vec<&str> = mvqa
-        .questions
-        .iter()
-        .map(|q| q.question.as_str())
-        .collect();
-    let reps = 3;
+fn batch_row(
+    system: &Svqa,
+    questions: &[&str],
+    granularity: CacheGranularity,
+    policy: EvictionPolicy,
+    pool: usize,
+) -> BatchRow {
+    let outcome = best_batch(system, questions, granularity, policy, pool, 3);
+    BatchRow {
+        n: questions.len(),
+        granularity,
+        policy,
+        pool,
+        frequency_sort: system.config().scheduler.frequency_sort,
+        secs: outcome.total.as_secs_f64(),
+        cache: outcome.cache_stats,
+    }
+}
+
+fn ms(row: &BatchRow) -> String {
+    format!("{:.2}ms", row.secs * 1e3)
+}
+
+fn hits(row: &BatchRow) -> String {
+    let c = &row.cache;
+    format!("{}/{}", c.scope_hits + c.path_hits, c.total_lookups())
+}
+
+fn scope_path(row: &BatchRow) -> [String; 2] {
+    let c = &row.cache;
+    [
+        format!("{}/{}", c.scope_hits, c.scope_misses),
+        format!("{}/{}", c.path_hits, c.path_misses),
+    ]
+}
+
+/// Exp-5 (Figs. 10a, 10b, 11) on the request path, plus the §V-B ordering
+/// and Algorithm 1 threshold ablations. Tables in print order: Figs. 10a,
+/// 10b and 11, then the two ablations.
+pub fn run_exp5(mvqa: &Mvqa, system: &Svqa) -> (Exp5Report, Vec<Table>) {
+    let questions: Vec<&str> = mvqa.questions.iter().map(|q| q.question.as_str()).collect();
+    let first = |n: usize| -> Vec<&str> { questions.iter().copied().cycle().take(n).collect() };
+    let lfu = EvictionPolicy::Lfu;
 
     // Fig. 10a: cache on/off over N.
     let mut cache_onoff = Vec::new();
-    for &n in &[20usize, 40, 60, 80, 100] {
-        let subset: Vec<&str> = questions.iter().copied().cycle().take(n).collect();
-        let off = run_batch(
-            system,
-            &subset,
-            CacheGranularity::None,
-            EvictionPolicy::Lfu,
-            0,
-            reps,
-        );
-        let on = run_batch(
-            system,
-            &subset,
-            CacheGranularity::Both,
-            EvictionPolicy::Lfu,
-            100,
-            reps,
-        );
-        cache_onoff.push((n, off.as_secs_f64(), on.as_secs_f64()));
+    for n in [20usize, 40, 60, 80, 100] {
+        let subset = first(n);
+        cache_onoff.push(batch_row(system, &subset, CacheGranularity::None, lfu, 0));
+        cache_onoff.push(batch_row(system, &subset, CacheGranularity::Both, lfu, 100));
     }
     let mut t10a = Table::new(
         "Fig. 10a — Exp-5: latency with vs without the key-centric cache (paper: −48.89% on average)",
-        &["N", "No cache", "Cache", "Reduction"],
+        &["N", "No cache", "Cache", "Reduction", "Scope hits/misses", "Path hits/misses"],
     );
-    for &(n, off, on) in &cache_onoff {
+    for pair in cache_onoff.chunks(2) {
+        let (off, on) = (&pair[0], &pair[1]);
+        let [scope, path] = scope_path(on);
         t10a.row(&[
-            n.to_string(),
-            format!("{:.2}ms", off * 1e3),
-            format!("{:.2}ms", on * 1e3),
-            pct(1.0 - on / off.max(1e-12)),
+            on.n.to_string(),
+            ms(off),
+            ms(on),
+            pct(1.0 - on.secs / off.secs.max(1e-12)),
+            scope,
+            path,
         ]);
     }
 
     // Fig. 10b: granularity at full batch, pool 100.
-    let mut granularity = Vec::new();
-    for (label, g) in [
-        ("No", CacheGranularity::None),
-        ("Scope", CacheGranularity::Scope),
-        ("Path", CacheGranularity::Path),
-        ("Both", CacheGranularity::Both),
-    ] {
-        let d = run_batch(system, &questions, g, EvictionPolicy::Lfu, 100, reps);
-        granularity.push((label.to_owned(), d.as_secs_f64()));
-    }
+    let granularity: Vec<BatchRow> = [
+        CacheGranularity::None,
+        CacheGranularity::Scope,
+        CacheGranularity::Path,
+        CacheGranularity::Both,
+    ]
+    .into_iter()
+    .map(|g| batch_row(system, &questions, g, lfu, 100))
+    .collect();
     let mut t10b = Table::new(
         "Fig. 10b — Exp-5: cache granularity, 100 questions, pool 100 (paper reductions: Scope −13.46%, Path −27.61%, Both −38.72%)",
-        &["Granularity", "Latency", "Reduction vs No"],
+        &["Granularity", "Latency", "Reduction vs No", "Scope hits/misses", "Path hits/misses"],
     );
-    let no_cache = granularity[0].1;
-    for (label, secs) in &granularity {
+    let no_cache = granularity[0].secs;
+    for (label, row) in ["No", "Scope", "Path", "Both"].iter().zip(&granularity) {
+        let [scope, path] = scope_path(row);
         t10b.row(&[
-            label.clone(),
-            format!("{:.2}ms", secs * 1e3),
-            pct(1.0 - secs / no_cache.max(1e-12)),
+            (*label).to_owned(),
+            ms(row),
+            pct(1.0 - row.secs / no_cache.max(1e-12)),
+            scope,
+            path,
         ]);
     }
 
     // Fig. 11: pool-size sweep × policy × N.
+    let pools = [10usize, 25, 50, 75, 100];
+    let ns = [20usize, 60, 100];
     let mut pool_sweep = Vec::new();
     for policy in [EvictionPolicy::Lfu, EvictionPolicy::Lru] {
-        for &pool in &[10usize, 25, 50, 75, 100] {
-            for &n in &[20usize, 60, 100] {
-                let subset: Vec<&str> = questions.iter().copied().cycle().take(n).collect();
-                let d = run_batch(system, &subset, CacheGranularity::Both, policy, pool, reps);
-                pool_sweep.push((
-                    format!("{policy:?}").to_uppercase(),
+        for pool in pools {
+            for n in ns {
+                pool_sweep.push(batch_row(
+                    system,
+                    &first(n),
+                    CacheGranularity::Both,
+                    policy,
                     pool,
-                    n,
-                    d.as_secs_f64(),
                 ));
             }
         }
     }
     let mut t11 = Table::new(
-        "Fig. 11 — Exp-5: cache pool size vs latency (paper: plateau past pool ≈ 50 at N = 20; LFU slightly ahead of LRU)",
+        "Fig. 11 — Exp-5: cache pool size vs latency, cells are latency · hits/lookups (paper: plateau past pool ≈ 50 at N = 20; LFU slightly ahead of LRU)",
         &["Policy", "Pool", "N=20", "N=60", "N=100"],
     );
-    for policy in ["LFU", "LRU"] {
-        for &pool in &[10usize, 25, 50, 75, 100] {
-            let cell = |n: usize| -> String {
-                pool_sweep
-                    .iter()
-                    .find(|(p, pl, nn, _)| p == policy && *pl == pool && *nn == n)
-                    .map(|(_, _, _, s)| format!("{:.2}ms", s * 1e3))
-                    .unwrap_or_default()
-            };
-            t11.row(&[
-                policy.to_owned(),
-                pool.to_string(),
-                cell(20),
-                cell(60),
-                cell(100),
-            ]);
+    for row in pool_sweep.chunks(ns.len()) {
+        let mut cells = vec![
+            format!("{:?}", row[0].policy).to_uppercase(),
+            row[0].pool.to_string(),
+        ];
+        cells.extend(row.iter().map(|r| format!("{} · {}", ms(r), hits(r))));
+        t11.row(&cells);
+    }
+
+    // §V-B ablation: the same batch and cache, frequency-sorted vs FIFO.
+    let fifo = Svqa::build(
+        &mvqa.images,
+        &mvqa.kg,
+        SvqaConfig {
+            scheduler: SchedulerConfig {
+                frequency_sort: false,
+                ..system.config().scheduler
+            },
+            ..system.config().clone()
+        },
+    );
+    let mut schedule = Vec::new();
+    for pool in [100usize, 10] {
+        for s in [system, &fifo] {
+            schedule.push(batch_row(s, &questions, CacheGranularity::Both, lfu, pool));
         }
+    }
+    let mut tsched = Table::new(
+        "Ablation — §V-B execution order, all questions, LFU (counters are deterministic)",
+        &[
+            "Order",
+            "Pool",
+            "Latency",
+            "Scope hits/misses",
+            "Path hits/misses",
+        ],
+    );
+    for row in &schedule {
+        let [scope, path] = scope_path(row);
+        let order = if row.frequency_sort {
+            "Frequency-sorted"
+        } else {
+            "FIFO"
+        };
+        tsched.row(&[order.to_owned(), row.pool.to_string(), ms(row), scope, path]);
+    }
+
+    // Algorithm 1 ablation: the paper's (c′, k) = (5, 2), no subgraph
+    // cache, and a deeper radius.
+    let aggregator: Vec<AggregatorRow> = [(5usize, 2usize), (usize::MAX / 2, 2), (5, 4)]
+        .into_iter()
+        .map(|(frequency_threshold, k)| {
+            let config = SvqaConfig {
+                aggregator: AggregatorConfig {
+                    frequency_threshold,
+                    k,
+                },
+                ..system.config().clone()
+            };
+            let t0 = Instant::now();
+            let built = Svqa::build(&mvqa.images, &mvqa.kg, config);
+            let build_secs = t0.elapsed().as_secs_f64();
+            let stats = built.build_stats();
+            AggregatorRow {
+                frequency_threshold,
+                k,
+                build_secs,
+                merge_secs: stats.merge_time.as_secs_f64(),
+                merge: stats.merge.clone(),
+            }
+        })
+        .collect();
+    let mut tagg = Table::new(
+        "Ablation — Algorithm 1 thresholds c′/k (paper: c′ = 5, k = 2; counters are deterministic)",
+        &[
+            "c′",
+            "k",
+            "Build",
+            "Merge",
+            "Cached subgraphs",
+            "Attach hits",
+            "Attach misses",
+            "Links",
+        ],
+    );
+    for row in &aggregator {
+        let c = if row.frequency_threshold == usize::MAX / 2 {
+            "∞".to_owned()
+        } else {
+            row.frequency_threshold.to_string()
+        };
+        tagg.row(&[
+            c,
+            row.k.to_string(),
+            format!("{:.1}ms", row.build_secs * 1e3),
+            format!("{:.1}ms", row.merge_secs * 1e3),
+            row.merge.cached_subgraphs.to_string(),
+            row.merge.cache_hits.to_string(),
+            row.merge.cache_misses.to_string(),
+            row.merge.links_created.to_string(),
+        ]);
     }
 
     (
@@ -577,9 +718,9 @@ pub fn run_exp5(mvqa: &Mvqa, system: &Svqa) -> (Exp5Report, Table, Table, Table)
             cache_onoff,
             granularity,
             pool_sweep,
+            schedule,
+            aggregator,
         },
-        t10a,
-        t10b,
-        t11,
+        vec![t10a, t10b, t11, tsched, tagg],
     )
 }

@@ -40,19 +40,6 @@ impl Answer {
         }
     }
 
-    /// Whether this is a positive judgment.
-    pub fn is_yes(&self) -> bool {
-        matches!(self, Answer::Judgment(true))
-    }
-
-    /// The entity label, if this is an entity answer.
-    pub fn entity_label(&self) -> Option<&str> {
-        match self {
-            Answer::Entity { label, .. } => Some(label),
-            _ => None,
-        }
-    }
-
     /// The count, if this is a counting answer.
     pub fn count(&self) -> Option<usize> {
         match self {
@@ -97,9 +84,14 @@ mod tests {
     #[test]
     fn entity_from_ranked() {
         let a = Answer::entity_from_ranked(vec!["robe".into(), "hat".into()]);
-        assert_eq!(a.entity_label(), Some("robe"));
         match a {
-            Answer::Entity { alternatives, .. } => assert_eq!(alternatives, vec!["hat"]),
+            Answer::Entity {
+                label,
+                alternatives,
+            } => {
+                assert_eq!(label, "robe");
+                assert_eq!(alternatives, vec!["hat"]);
+            }
             _ => panic!(),
         }
         assert_eq!(Answer::entity_from_ranked(vec![]), Answer::Unknown);
@@ -107,10 +99,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert!(Answer::Judgment(true).is_yes());
-        assert!(!Answer::Judgment(false).is_yes());
         assert_eq!(Answer::Count(7).count(), Some(7));
         assert_eq!(Answer::Judgment(true).count(), None);
-        assert_eq!(Answer::Count(7).entity_label(), None);
     }
 }

@@ -1,18 +1,17 @@
-//! Optimized multi-query scheduling (§V-B) and parallel execution.
+//! Optimized multi-query scheduling (§V-B).
 //!
 //! Before executing N query graphs, each distinct SPOC vertex key is
 //! counted across the batch; every query graph gets a score = sum of its
 //! vertices' frequency ratios, and the batch executes in descending score
 //! order so queries with highly shared vertices run first and seed the
-//! cache for the rest (Fig. 6). "We parallelize our algorithm to further
-//! improve its performance" — with `threads > 1` a worker pool drains the
-//! ordered queue, sharing one key-centric cache behind its lock.
+//! cache for the rest (Fig. 6). A batch runs on its caller's thread; SVQA's
+//! parallelism lives across requests, one connection thread per admitted
+//! request (see `svqa::serve`).
 
 use crate::answer::Answer;
 use crate::cache::{CacheGranularity, CacheStats, EvictionPolicy, KeyCentricCache};
 use crate::executor::{ExecError, QueryGraphExecutor};
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use svqa_graph::Graph;
 use svqa_qparser::QueryGraph;
@@ -26,8 +25,6 @@ pub struct SchedulerConfig {
     pub policy: EvictionPolicy,
     /// Cache pool size in items (Fig. 11).
     pub pool_size: usize,
-    /// Worker threads; 1 = sequential.
-    pub threads: usize,
     /// Whether to apply the frequency-ratio ordering (ablation switch; off
     /// = FIFO order).
     pub frequency_sort: bool,
@@ -39,7 +36,6 @@ impl Default for SchedulerConfig {
             granularity: CacheGranularity::Both,
             policy: EvictionPolicy::Lfu,
             pool_size: 100,
-            threads: 1,
             frequency_sort: true,
         }
     }
@@ -137,10 +133,9 @@ impl QueryScheduler {
         (idx, scores)
     }
 
-    /// Build the cache this scheduler's configuration describes —
-    /// what [`run`](Self::run) uses per batch, and what a long-lived caller
-    /// (the query service) constructs once and feeds to
-    /// [`run_with_cache_hinted`](Self::run_with_cache_hinted) forever.
+    /// Build the cache this scheduler's configuration describes — what a
+    /// long-lived caller (the query service) constructs once and shares
+    /// across every batch and request.
     pub fn build_cache(&self) -> KeyCentricCache {
         KeyCentricCache::new(
             self.config.granularity,
@@ -149,19 +144,16 @@ impl QueryScheduler {
         )
     }
 
-    /// Execute a batch of query graphs over the merged graph with a fresh
-    /// per-batch cache.
-    pub fn run(&self, graph: &Graph, queries: &[QueryGraph]) -> BatchReport {
-        self.run_with_cache_hinted(graph, queries, &self.build_cache(), None)
-    }
-
-    /// Execute a batch against a caller-owned [`KeyCentricCache`], so cache
-    /// state persists across batches (and across requests when the cache
-    /// belongs to the serving layer), with optional per-query cost hints
-    /// forwarded to the frequency ordering (see
-    /// [`order_with_scores_hinted`](Self::order_with_scores_hinted)). The
-    /// report's `cache_stats` count this batch's own lookups, not the
-    /// cache's lifetime counters.
+    /// Execute a batch of bare query graphs against a caller-owned
+    /// [`KeyCentricCache`], in [`schedule`](Self::schedule) order with
+    /// optional per-query cost hints. The report's `cache_stats` count this
+    /// batch's own lookups, not the cache's lifetime counters.
+    ///
+    /// This skips the request path's lint gate, breakers and deadlines, so
+    /// every in-repo batch goes through `Svqa::run_batch` instead. It is
+    /// kept only for the svqabench harness, which times it as
+    /// `scheduler.batch_match_ms`; ROADMAP.md item 1 moves that harness off
+    /// it and deletes it.
     pub fn run_with_cache_hinted(
         &self,
         graph: &Graph,
@@ -172,26 +164,26 @@ impl QueryScheduler {
         let (order, scores) = self.schedule(queries, cost_hints);
         let executor = QueryGraphExecutor::new(graph);
         let start = Instant::now();
-        let ran = self.run_ordered(queries.iter().collect(), &order, |gq| {
+        let mut answers: Vec<Option<Result<Answer, ExecError>>> = vec![None; queries.len()];
+        let mut per_query = vec![Duration::ZERO; queries.len()];
+        let mut cache_stats = CacheStats::new();
+        for &i in &order {
             let t0 = Instant::now();
-            let mut traffic = CacheStats::new();
-            let answer = executor.run(gq, Some(cache), &mut traffic).map(|run| run.answer);
-            (answer, t0.elapsed(), traffic)
-        });
-        let mut report = BatchReport {
-            answers: Vec::with_capacity(ran.len()),
-            per_query: Vec::with_capacity(ran.len()),
+            let answer = executor.run(&queries[i], Some(cache), &mut cache_stats);
+            answers[i] = Some(answer.map(|run| run.answer));
+            per_query[i] = t0.elapsed();
+        }
+        BatchReport {
+            answers: answers
+                .into_iter()
+                .map(|a| a.expect("order names each query once"))
+                .collect(),
+            per_query,
             total: start.elapsed(),
-            cache_stats: CacheStats::new(),
+            cache_stats,
             order,
             scores,
-        };
-        for (answer, elapsed, traffic) in ran {
-            report.answers.push(answer);
-            report.per_query.push(elapsed);
-            report.cache_stats.merge(&traffic);
         }
-        report
     }
 
     /// The execution order for `queries` — the frequency-ratio order, or
@@ -210,53 +202,6 @@ impl QueryScheduler {
         } else {
             ((0..queries.len()).collect(), scores)
         }
-    }
-
-    /// The batch loop: call `work` on every item in `order` (which must
-    /// name each item once), on the calling thread, or with `threads > 1`
-    /// on a worker pool draining the ordered queue (the graph is shared
-    /// immutably, the cache behind its own lock). Results come
-    /// back in item order. Behind both
-    /// [`run_with_cache_hinted`](Self::run_with_cache_hinted) and the
-    /// pipeline's full-path batch.
-    pub fn run_ordered<I: Send, T: Send>(
-        &self,
-        items: Vec<I>,
-        order: &[usize],
-        work: impl Fn(I) -> T + Sync,
-    ) -> Vec<T> {
-        let mut slots: Vec<Option<I>> = items.into_iter().map(Some).collect();
-        let queue: VecDeque<(usize, I)> = order
-            .iter()
-            .map(|&i| (i, slots[i].take().expect("order names each item once")))
-            .collect();
-        let mut results: Vec<Option<T>> = (0..slots.len()).map(|_| None).collect();
-        if self.config.threads <= 1 {
-            for (i, item) in queue {
-                results[i] = Some(work(item));
-            }
-        } else {
-            let queue = Mutex::new(queue);
-            let done = Mutex::new(Vec::with_capacity(slots.len()));
-            std::thread::scope(|scope| {
-                for _ in 0..self.config.threads {
-                    scope.spawn(|| loop {
-                        let Some((i, item)) = queue.lock().pop_front() else {
-                            break;
-                        };
-                        let out = work(item);
-                        done.lock().push((i, out));
-                    });
-                }
-            });
-            for (i, out) in done.into_inner() {
-                results[i] = Some(out);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every item ran"))
-            .collect()
     }
 }
 
@@ -293,6 +238,12 @@ mod tests {
         texts.iter().map(|q| gen.generate(q).unwrap()).collect()
     }
 
+    /// One batch on a fresh cache of `config`'s shape.
+    fn run(config: SchedulerConfig, g: &Graph, qs: &[QueryGraph]) -> BatchReport {
+        let scheduler = QueryScheduler::new(config);
+        scheduler.run_with_cache_hinted(g, qs, &scheduler.build_cache(), None)
+    }
+
     #[test]
     fn order_puts_most_shared_first() {
         let qs = queries(&[
@@ -312,29 +263,11 @@ mod tests {
             "Does the cat appear in the car?",
             "Does the dog appear in the car?",
         ]);
-        let report = QueryScheduler::new(SchedulerConfig::default()).run(&g, &qs);
+        let report = run(SchedulerConfig::default(), &g, &qs);
         assert_eq!(report.answers.len(), 2);
         assert_eq!(report.answers[0], Ok(Answer::Judgment(false)));
         assert_eq!(report.answers[1], Ok(Answer::Judgment(true)));
         assert!(report.total >= report.per_query.iter().copied().max().unwrap_or_default() / 2);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = graph();
-        let qs = queries(&[
-            "Does the dog appear in the car?",
-            "Does the cat appear in the car?",
-            "How many dogs are in the car?",
-            "Does the dog appear in the car?",
-        ]);
-        let seq = QueryScheduler::new(SchedulerConfig::default()).run(&g, &qs);
-        let par = QueryScheduler::new(SchedulerConfig {
-            threads: 4,
-            ..SchedulerConfig::default()
-        })
-        .run(&g, &qs);
-        assert_eq!(seq.answers, par.answers);
     }
 
     #[test]
@@ -345,7 +278,7 @@ mod tests {
             "Does the dog appear in the car?",
             "Does the dog appear in the car?",
         ]);
-        let report = QueryScheduler::new(SchedulerConfig::default()).run(&g, &qs);
+        let report = run(SchedulerConfig::default(), &g, &qs);
         // Path hits short-circuit the whole query stage (scope lookups are
         // skipped entirely on a hit), so repeats register as path hits.
         let ph = report.cache_stats.path_hits;
@@ -358,11 +291,11 @@ mod tests {
             "Does the cat appear in the car?",
             "Does the dog appear in the car?",
         ]);
-        let report = QueryScheduler::new(SchedulerConfig {
+        let config = SchedulerConfig {
             frequency_sort: false,
             ..SchedulerConfig::default()
-        })
-        .run(&graph(), &qs);
+        };
+        let report = run(config, &graph(), &qs);
         assert_eq!(report.order, vec![0, 1]);
     }
 
@@ -382,7 +315,7 @@ mod tests {
             assert!(scores[w[0]] >= scores[w[1]], "order={order:?} scores={scores:?}");
         }
         // The report carries them through in original order.
-        let report = QueryScheduler::new(SchedulerConfig::default()).run(&graph(), &qs);
+        let report = run(SchedulerConfig::default(), &graph(), &qs);
         assert_eq!(report.scores, scores);
     }
 
@@ -496,7 +429,7 @@ mod tests {
 
     #[test]
     fn empty_batch() {
-        let report = QueryScheduler::new(SchedulerConfig::default()).run(&graph(), &[]);
+        let report = run(SchedulerConfig::default(), &graph(), &[]);
         assert!(report.answers.is_empty());
         assert!(report.order.is_empty());
     }

@@ -37,15 +37,6 @@ impl LabelHistogram {
         Self::from_counts(counts)
     }
 
-    /// Count edge labels across a collection of graphs.
-    pub fn from_edge_labels<'a>(graphs: impl IntoIterator<Item = &'a Graph>) -> Self {
-        Self::from_labels(
-            graphs
-                .into_iter()
-                .flat_map(|g| g.edges().map(|(_, e)| g.edge_label_text(e.label_id()))),
-        )
-    }
-
     /// A histogram over already tallied `(label, count)` pairs, one per
     /// distinct label. Counts are tallied on borrowed labels; only the
     /// distinct ones are copied into the histogram.
@@ -201,7 +192,10 @@ mod tests {
     #[test]
     fn edge_histogram() {
         let gs = sample_graphs();
-        let h = LabelHistogram::from_edge_labels(&gs);
+        let h = LabelHistogram::from_labels(
+            gs.iter()
+                .flat_map(|g| g.edges().map(|(_, e)| g.edge_label_text(e.label_id()))),
+        );
         assert_eq!(h.count("near"), 1);
         assert_eq!(h.count("in"), 1);
     }

@@ -174,24 +174,6 @@ impl DepTree {
         self.tokens[i].tag
     }
 
-    /// CoNLL-like rendering (index, word, tag, head, label) for debugging
-    /// and the error-analysis example.
-    pub fn to_conll(&self) -> String {
-        let mut out = String::new();
-        for i in 0..self.len() {
-            let head = self.heads[i].map_or(0, |h| h + 1);
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\n",
-                i + 1,
-                self.text(i),
-                self.tag(i),
-                head,
-                self.labels[i]
-            ));
-        }
-        out
-    }
-
     /// Check single-rootedness and acyclicity.
     fn validate(&self) -> Result<(), ParseError> {
         let roots = self.heads.iter().filter(|h| h.is_none()).count();
@@ -818,7 +800,7 @@ mod tests {
     fn find(tree: &DepTree, word: &str) -> usize {
         (0..tree.len())
             .find(|&i| tree.text(i) == word)
-            .unwrap_or_else(|| panic!("{word:?} not in {:?}", tree.to_conll()))
+            .unwrap_or_else(|| panic!("{word:?} not in {tree:?}"))
     }
 
     fn arc(tree: &DepTree, dep: &str) -> (Option<String>, DepLabel) {
@@ -973,12 +955,6 @@ mod tests {
         ] {
             parse(q);
         }
-    }
-
-    #[test]
-    fn conll_rendering_has_one_line_per_token() {
-        let t = parse("the dog catches the frisbee");
-        assert_eq!(t.to_conll().lines().count(), t.len());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! worn*) to simple present (*wear*)" — SPOC predicates are stored in lemma
 //! form so the executor's `maxScore` compares like with like.
 
-use crate::tags::PosTag;
 use crate::vocab;
 use std::collections::HashMap;
 
@@ -26,17 +25,6 @@ impl Lemmatizer {
         Lemmatizer {
             irregular_verbs: vocab::IRREGULAR_VERBS.iter().copied().collect(),
             irregular_plurals: vocab::IRREGULAR_PLURALS.iter().copied().collect(),
-        }
-    }
-
-    /// Lemmatize a word given its POS tag.
-    pub fn lemmatize(&self, word: &str, tag: PosTag) -> String {
-        if tag.is_verb() {
-            self.verb_lemma(word)
-        } else if tag.is_noun() {
-            self.noun_lemma(word)
-        } else {
-            word.to_owned()
         }
     }
 
@@ -174,15 +162,6 @@ mod tests {
         // -ss / -us / -is words are not plurals.
         assert_eq!(l.noun_lemma("grass"), "grass");
         assert_eq!(l.noun_lemma("bus"), "bus");
-    }
-
-    #[test]
-    fn lemmatize_respects_tag() {
-        let l = Lemmatizer::new();
-        assert_eq!(l.lemmatize("worn", PosTag::VBN), "wear");
-        assert_eq!(l.lemmatize("dogs", PosTag::NNS), "dog");
-        // Non noun/verb tags pass through.
-        assert_eq!(l.lemmatize("frequently", PosTag::RB), "frequently");
     }
 
     #[test]

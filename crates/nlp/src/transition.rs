@@ -84,11 +84,6 @@ impl Config {
             }
         }
     }
-
-    /// Arcs built so far.
-    pub fn arcs(&self) -> &[Option<(usize, DepLabel)>] {
-        &self.heads
-    }
 }
 
 /// Errors from oracle derivation.

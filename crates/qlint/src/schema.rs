@@ -48,16 +48,6 @@ impl Schema {
         self.edge_total
     }
 
-    /// Number of distinct category (vertex) labels.
-    pub fn category_count(&self) -> usize {
-        self.vertex_labels.len()
-    }
-
-    /// Number of distinct predicate (edge) labels.
-    pub fn predicate_count(&self) -> usize {
-        self.edge_labels.len()
-    }
-
     /// How many vertices carry exactly this label.
     pub fn category_cardinality(&self, label: &str) -> usize {
         self.vertex_labels.get(label).copied().unwrap_or(0)
@@ -111,7 +101,7 @@ mod tests {
         assert_eq!(s.category_cardinality("car"), 1);
         assert_eq!(s.category_cardinality("cat"), 0);
         assert_eq!(s.predicate_cardinality("in"), 2);
-        assert_eq!(s.category_count(), 2);
-        assert_eq!(s.predicate_count(), 1);
+        assert_eq!(s.vertex_labels.len(), 2);
+        assert_eq!(s.edge_labels.len(), 1);
     }
 }

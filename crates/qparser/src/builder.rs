@@ -132,14 +132,6 @@ impl QueryBuilder {
         self
     }
 
-    /// Mark the last clause's object as the answer variable.
-    pub fn answer_is_object(mut self) -> Self {
-        if let Some(last) = self.vertices.last_mut() {
-            last.answer_role = Some(AnswerRole::Object);
-        }
-        self
-    }
-
     /// Mark the last clause as asking for the *kind* of its object
     /// ("what kind of clothes …").
     pub fn asks_kind_of_object(mut self) -> Self {

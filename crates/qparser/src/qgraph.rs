@@ -90,13 +90,6 @@ impl QueryGraph {
         self.vertices.is_empty()
     }
 
-    /// Vertices with in-degree 0 — Algorithm 3's start vertices.
-    pub fn start_vertices(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&v| !self.edges.iter().any(|e| e.consumer == v))
-            .collect()
-    }
-
     /// Out-edges of a vertex.
     pub fn out_edges(&self, v: usize) -> impl Iterator<Item = &QueryEdge> {
         self.edges.iter().filter(move |e| e.provider == v)
@@ -172,8 +165,11 @@ mod tests {
 
     #[test]
     fn start_vertices_have_no_in_edges() {
+        // Algorithm 3 starts at the vertices with in-degree 0.
         let g = two_vertex_graph();
-        assert_eq!(g.start_vertices(), vec![0]);
+        let start = g.execution_order().unwrap()[0];
+        assert_eq!(start, 0);
+        assert!(g.edges.iter().all(|e| e.consumer != start));
     }
 
     #[test]

@@ -75,20 +75,6 @@ impl FeatureMap {
         let (w, h) = self.size();
         BBox::new(cx - w / 2.0, cy - h / 2.0, w, h)
     }
-
-    /// Cosine similarity of the appearance signature dims.
-    pub fn appearance_similarity(&self, other: &FeatureMap) -> f32 {
-        let a = &self.0[GEOM_DIMS..];
-        let b = &other.0[GEOM_DIMS..];
-        let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-        let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-        let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            dot / (na * nb)
-        }
-    }
 }
 
 fn fnv1a(s: &str) -> u64 {
@@ -111,6 +97,19 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cosine similarity of two maps' appearance signature dims.
+    fn appearance_similarity(a: &FeatureMap, b: &FeatureMap) -> f32 {
+        let (a, b) = (&a.0[GEOM_DIMS..], &b.0[GEOM_DIMS..]);
+        let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+        let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
+        let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            dot / (na * nb)
+        }
+    }
 
     fn obj(category: &str, bbox: BBox) -> SceneObject {
         SceneObject {
@@ -147,7 +146,7 @@ mod tests {
         let b2 = BBox::new(0.6, 0.6, 0.3, 0.3);
         let f1 = FeatureMap::extract(&obj("dog", b1), &b1);
         let f2 = FeatureMap::extract(&obj("dog", b2), &b2);
-        assert!(f1.appearance_similarity(&f2) > 0.99);
+        assert!(appearance_similarity(&f1, &f2) > 0.99);
     }
 
     #[test]
@@ -155,7 +154,7 @@ mod tests {
         let b = BBox::new(0.1, 0.1, 0.2, 0.2);
         let f1 = FeatureMap::extract(&obj("dog", b), &b);
         let f2 = FeatureMap::extract(&obj("car", b), &b);
-        assert!(f1.appearance_similarity(&f2).abs() < 0.8);
+        assert!(appearance_similarity(&f1, &f2).abs() < 0.8);
     }
 
     #[test]
@@ -166,7 +165,7 @@ mod tests {
         toy.attributes.push(("kind".into(), "toy".into()));
         let f1 = FeatureMap::extract(&plain, &b);
         let f2 = FeatureMap::extract(&toy, &b);
-        assert!(f1.appearance_similarity(&f2) < 0.99);
+        assert!(appearance_similarity(&f1, &f2) < 0.99);
     }
 
     #[test]

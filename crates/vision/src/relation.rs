@@ -231,32 +231,13 @@ impl RelationPredictor {
         let p_prime = self.raw_scores(&sub.masked(), &obj.masked(), rng);
         std::array::from_fn(|r| p[r] - p_prime[r])
     }
-
-    /// Eq. (3): the Total-Direct-Effect scores `p − p′` for a pair.
-    pub fn tde_scores(&self, sub: &Detection, obj: &Detection, rng: &mut StdRng) -> RelationScores {
-        self.pair_scores(&sub.into(), &obj.into(), true, rng)
-    }
-
-    /// Biased (original-model) scores for a pair: Eq. (1) only, raw space.
-    pub fn original_scores(
-        &self,
-        sub: &Detection,
-        obj: &Detection,
-        rng: &mut StdRng,
-    ) -> RelationScores {
-        self.pair_scores(&sub.into(), &obj.into(), false, rng)
-    }
 }
 
 /// Geometric compatibility of each predicate for an ordered region pair,
-/// decoded from the feature maps. Values in `[0, 1]`.
-pub fn geometric_evidence(sub: &FeatureMap, obj: &FeatureMap) -> RelationScores {
-    geometric_evidence_boxes(sub.bbox(), sub.depth(), obj.bbox(), obj.depth())
-}
-
-/// [`geometric_evidence`] on raw geometry (used both by the relation model
-/// via feature maps and by the scene generator to derive the *emergent*
-/// ground-truth relations implied by final object placement).
+/// from its boxes and depths. Values in `[0, 1]`. Used both by the relation
+/// model (on the geometry decoded from feature maps) and by the scene
+/// generator to derive the *emergent* ground-truth relations implied by
+/// final object placement.
 pub fn geometric_evidence_boxes(sb: BBox, sd: f64, ob: BBox, od: f64) -> RelationScores {
     let dist = sb.center_distance(&ob);
     // Edge-to-edge gap: adjacency for big regions is about separation
@@ -405,7 +386,8 @@ mod tests {
         // into an "in" reading).
         for (pred, seed) in [("on", 1), ("in", 2), ("under", 3), ("near", 5)] {
             let (sub, obj) = pair_scene("dog", pred, "bench", seed);
-            let ev = geometric_evidence(&sub.features, &obj.features);
+            let (s, o) = (&sub.features, &obj.features);
+            let ev = geometric_evidence_boxes(s.bbox(), s.depth(), o.bbox(), o.depth());
             let placed = ev[relation_index(pred).unwrap()];
             // The placed predicate must score in the top tier (some
             // predicates share evidence, e.g. on/sitting on).
@@ -461,12 +443,12 @@ mod tests {
         let (sub, obj) = pair_scene("dog", "on", "grass", 8);
 
         let mut rng = StdRng::seed_from_u64(3);
-        let p = model.original_scores(&sub, &obj, &mut rng);
+        let p = model.pair_scores(&(&sub).into(), &(&obj).into(), false, &mut rng);
         let original_argmax = argmax(&p);
         assert_eq!(RELATION_VOCAB[original_argmax], "near", "bias should win: {p:?}");
 
         let mut rng = StdRng::seed_from_u64(3);
-        let tde = model.tde_scores(&sub, &obj, &mut rng);
+        let tde = model.pair_scores(&(&sub).into(), &(&obj).into(), true, &mut rng);
         let tde_argmax = argmax(&tde);
         // on / sitting on / standing on share geometry; any of them counts
         // as recovering the explicit contact predicate.

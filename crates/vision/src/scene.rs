@@ -163,16 +163,6 @@ pub struct SyntheticImage {
     pub caption: String,
 }
 
-impl SyntheticImage {
-    /// The ground-truth predicate between two objects, if any.
-    pub fn relation_between(&self, sub: usize, obj: usize) -> Option<&str> {
-        self.relations
-            .iter()
-            .find(|r| r.sub == sub && r.obj == obj)
-            .map(|r| r.pred.as_str())
-    }
-}
-
 /// Builds a scene whose geometry realizes the requested relations.
 pub struct SceneBuilder<'r> {
     id: u32,
@@ -564,7 +554,10 @@ mod tests {
         let g = &img.objects[grass].bbox;
         assert!(d.bottom() <= g.y + 0.05, "dog bottom {} vs grass top {}", d.bottom(), g.y);
         assert!(d.x_overlap(g) > 0.0);
-        assert_eq!(img.relation_between(dog, grass), Some("on"));
+        assert!(img
+            .relations
+            .iter()
+            .any(|r| r.sub == dog && r.obj == grass && r.pred == "on"));
     }
 
     #[test]

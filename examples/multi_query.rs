@@ -1,17 +1,16 @@
 //! Multi-query scheduling and key-centric caching — the paper's Figure 6.
 //!
-//! Runs a batch of questions through the §V-B optimized scheduler and
-//! prints the frequency-sorted execution order, cache statistics, and the
-//! latency difference against an uncached FIFO run.
+//! Runs a batch of questions through `Svqa::run_batch` (the §V-B
+//! optimized scheduler on the request path) and prints the
+//! frequency-sorted execution order, the latency difference against an
+//! uncached run, and the cached run's statistics.
 //!
 //! ```text
 //! cargo run -p svqa --example multi_query --release
 //! ```
 
-use std::time::Instant;
-use svqa::executor::cache::{CacheGranularity, EvictionPolicy};
-use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
-use svqa::qparser::QueryGraphGenerator;
+use svqa::executor::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache};
+use svqa::executor::scheduler::QueryScheduler;
 use svqa::{Svqa, SvqaConfig};
 use svqa_dataset::Mvqa;
 
@@ -21,20 +20,14 @@ fn main() {
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
 
     // A batch with deliberately shared SPOC vertices (Fig. 6's premise).
-    let questions: Vec<&str> = mvqa
-        .questions
-        .iter()
-        .map(|q| q.question.as_str())
-        .collect();
+    let questions: Vec<&str> = mvqa.questions.iter().map(|q| q.question.as_str()).collect();
 
-    let generator = QueryGraphGenerator::new();
+    // The frequency-ratio ordering over the questions that parse.
     let graphs: Vec<_> = questions
         .iter()
-        .filter_map(|q| generator.generate(q).ok())
+        .filter_map(|q| system.prepare(q).query)
         .collect();
     println!("parsed {} of {} questions", graphs.len(), questions.len());
-
-    // The frequency-ratio ordering.
     let order = QueryScheduler::order(&graphs);
     println!(
         "scheduler order (first 10 of {}): {:?}",
@@ -42,28 +35,23 @@ fn main() {
         &order[..order.len().min(10)]
     );
 
-    // Uncached FIFO vs cached frequency-sorted.
-    let run = |granularity, frequency_sort| {
-        let scheduler = QueryScheduler::new(SchedulerConfig {
-            granularity,
-            policy: EvictionPolicy::Lfu,
-            pool_size: 100,
-            frequency_sort,
-            ..SchedulerConfig::default()
-        });
-        let t0 = Instant::now();
-        let report = scheduler.run(system.merged_graph(), &graphs);
-        (t0.elapsed(), report)
+    // No cache vs the key-centric cache, both through the request path.
+    let run = |granularity| {
+        let cache = KeyCentricCache::new(granularity, EvictionPolicy::Lfu, 100);
+        system.run_batch(&questions, &cache, None)
     };
-
-    let (t_plain, _) = run(CacheGranularity::None, false);
-    let (t_cached, report) = run(CacheGranularity::Both, true);
-    let stats = report.cache_stats;
-    println!("\nno cache, FIFO order:          {t_plain:?}");
-    println!("key-centric cache + schedule:  {t_cached:?}");
+    let plain = run(CacheGranularity::None);
+    let cached = run(CacheGranularity::Both);
+    assert_eq!(
+        plain.answers, cached.answers,
+        "the cache must not change answers"
+    );
+    let stats = cached.cache_stats;
+    println!("\nno cache:                      {:?}", plain.total);
+    println!("key-centric cache + schedule:  {:?}", cached.total);
     println!(
         "reduction: {:.1}%  (paper reports ≈48.9%)",
-        (1.0 - t_cached.as_secs_f64() / t_plain.as_secs_f64()) * 100.0
+        (1.0 - cached.total.as_secs_f64() / plain.total.as_secs_f64()) * 100.0
     );
     println!(
         "cache stats: scope {} hits / {} misses, path {} hits / {} misses ({:.0}% hit overall)",
@@ -72,18 +60,5 @@ fn main() {
         stats.path_hits,
         stats.path_misses,
         stats.hit_rate() * 100.0
-    );
-
-    // Parallel execution ("we parallelize our algorithm").
-    let par = QueryScheduler::new(SchedulerConfig {
-        threads: 4,
-        ..SchedulerConfig::default()
-    });
-    let t0 = Instant::now();
-    let preport = par.run(system.merged_graph(), &graphs);
-    println!(
-        "\n4-thread parallel run:         {:?} ({} answers)",
-        t0.elapsed(),
-        preport.answers.len()
     );
 }
