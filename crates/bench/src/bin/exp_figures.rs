@@ -22,7 +22,7 @@ fn main() {
     let (exp4, t9a, t9b) = run_exp4(&mvqa);
     print!("{}", t9a.render());
     print!("{}", t9b.render());
-    save_json("exp4_fig9", &exp4);
+    save_json(scale, "exp4_fig9", &exp4);
 
     eprintln!("building the pipeline for Exp-5 (Figs. 10–11 and ablations)...");
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
@@ -30,7 +30,5 @@ fn main() {
     for table in &tables {
         print!("{}", table.render());
     }
-    save_json("exp5_fig10_fig11", &exp5);
-
-    println!("\nreports written to results/*.json");
+    save_json(scale, "exp5_fig10_fig11", &exp5);
 }

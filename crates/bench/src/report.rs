@@ -1,5 +1,6 @@
 //! Report rendering and persistence.
 
+use crate::experiments::Scale;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -67,14 +68,19 @@ impl Table {
     }
 }
 
-/// Write a serializable report to `results/<name>.json` (best effort — the
+/// Write a serializable report to `results/<name>.json`, or to
+/// `results/quick/<name>.json` for a [`Scale::Quick`] run, so a quick run
+/// never overwrites the checked-in full-scale reports (best effort — the
 /// harness still prints everything). The payload is wrapped alongside a
 /// `telemetry` section holding the process-global metrics snapshot at save
 /// time — span histograms, counters, cache hit rates — and a `profiles`
 /// section with any `EXPLAIN ANALYZE` profiles recorded during the run, so
 /// a saved experiment carries its own plan-level evidence.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
+pub fn save_json<T: Serialize>(scale: Scale, name: &str, value: &T) {
+    let dir = Path::new(match scale {
+        Scale::Full => "results",
+        Scale::Quick => "results/quick",
+    });
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
@@ -85,7 +91,9 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
         "profiles": svqa_telemetry::global_profiles().recent(),
     });
     if let Ok(json) = serde_json::to_string_pretty(&wrapped) {
-        let _ = std::fs::write(path, json);
+        if std::fs::write(&path, json).is_ok() {
+            eprintln!("report written to {}", path.display());
+        }
     }
 }
 

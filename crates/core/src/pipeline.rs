@@ -518,9 +518,9 @@ impl Svqa {
         let prepared: Vec<Prepared> = questions.iter().map(|q| self.prepare(q)).collect();
         let (clean, rejected): (Vec<usize>, Vec<usize>) =
             (0..prepared.len()).partition(|&i| prepared[i].gate.is_ok());
-        let graphs: Vec<QueryGraph> = clean
+        let graphs: Vec<&QueryGraph> = clean
             .iter()
-            .filter_map(|&i| prepared[i].query.clone())
+            .filter_map(|&i| prepared[i].query.as_ref())
             .collect();
         let hints: Vec<f64> = graphs.iter().map(|g| self.linter.cost(g).total).collect();
         let (order, _) = QueryScheduler::new(self.config.scheduler).schedule(&graphs, Some(&hints));
@@ -598,7 +598,11 @@ mod tests {
                     n
                 );
                 let merged = aggregator.merge_records(records, &kg);
-                (svqa_graph::io::to_json(&merged.graph), merged.stats)
+                merged.graph.validate().unwrap();
+                (
+                    svqa_graph::binio::to_bytes(&merged.graph).unwrap(),
+                    merged.stats,
+                )
             };
             let single = merge(1);
             for workers in [0, 2, 3, 8, 16] {

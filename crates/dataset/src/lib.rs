@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod groundtruth;
-pub mod io;
 pub mod kg;
 pub mod mvqa;
 pub mod questions;
@@ -34,7 +33,6 @@ pub mod scenes;
 pub mod vqav2;
 
 pub use groundtruth::{GroundTruth, GtAnswer};
-pub use io::{load, save, DatasetIoError};
 pub use kg::build_knowledge_graph;
 pub use mvqa::{score_answers, Mvqa, MvqaConfig, MvqaStats};
 pub use questions::{QaPair, QuestionSpec};

@@ -11,6 +11,7 @@
 use crate::answer::Answer;
 use crate::cache::{CacheGranularity, CacheStats, EvictionPolicy, KeyCentricCache};
 use crate::executor::{ExecError, QueryGraphExecutor};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use svqa_graph::Graph;
@@ -80,7 +81,7 @@ impl QueryScheduler {
     /// The frequency-ratio ordering of §V-B: vertex keys are counted across
     /// the batch; each query's score is the sum of its vertices' frequency
     /// ratios; descending score (stable on ties).
-    pub fn order(queries: &[QueryGraph]) -> Vec<usize> {
+    pub fn order(queries: &[impl Borrow<QueryGraph>]) -> Vec<usize> {
         Self::order_with_scores_hinted(queries, None).0
     }
 
@@ -93,13 +94,13 @@ impl QueryScheduler {
     /// it seeds the cache sooner, and the hint breaks ties *before* the
     /// submission index does.
     pub fn order_with_scores_hinted(
-        queries: &[QueryGraph],
+        queries: &[impl Borrow<QueryGraph>],
         cost_hints: Option<&[f64]>,
     ) -> (Vec<usize>, Vec<f64>) {
         let mut freq: HashMap<String, usize> = HashMap::new();
         let mut total = 0usize;
         for q in queries {
-            for v in &q.vertices {
+            for v in &q.borrow().vertices {
                 *freq.entry(vertex_key(v)).or_insert(0) += 1;
                 total += 1;
             }
@@ -114,7 +115,7 @@ impl QueryScheduler {
                 .sum()
         };
         let mut idx: Vec<usize> = (0..queries.len()).collect();
-        let scores: Vec<f64> = queries.iter().map(score).collect();
+        let scores: Vec<f64> = queries.iter().map(|q| score(q.borrow())).collect();
         let cost = |i: usize| -> f64 {
             cost_hints
                 .and_then(|h| h.get(i))
@@ -192,7 +193,7 @@ impl QueryScheduler {
     /// Recorded as the `schedule` span.
     pub fn schedule(
         &self,
-        queries: &[QueryGraph],
+        queries: &[impl Borrow<QueryGraph>],
         cost_hints: Option<&[f64]>,
     ) -> (Vec<usize>, Vec<f64>) {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::SCHEDULE);

@@ -1,9 +1,8 @@
 //! Compact binary graph snapshots.
 //!
-//! A 4,233-image merged graph serialized as JSON is tens of megabytes; the
-//! binary snapshot format here is a fraction of that and loads without
-//! parsing overhead — the right format for shipping a prebuilt `G_mg`
-//! alongside a deployment (the offline/online split of Fig. 2).
+//! The one persistence format of a [`Graph`]: `svqa-cli build` saves the
+//! merged graph `G_mg` as `merged.svqg` in this format, and `--world`
+//! commands load it (the offline/online split of Fig. 2).
 //!
 //! Format (little-endian):
 //! ```text
@@ -16,7 +15,7 @@
 //! Vertex/edge labels are interned in a shared label table (scene graphs
 //! repeat "dog" thousands of times). Adjacency, indexes and the property
 //! columns are rebuilt on load, each column copied into its final size,
-//! and the result is validated like the JSON path.
+//! and the result is checked with [`Graph::validate`].
 //!
 //! Lengths and the property count are `u16`s: [`to_bytes`] refuses a graph
 //! with a label, key or string over [`u16::MAX`] bytes, or more properties
@@ -296,21 +295,76 @@ mod tests {
     }
 
     #[test]
-    fn binary_is_smaller_than_json_for_label_heavy_graphs() {
+    fn repeated_labels_are_written_once() {
         let mut g = Graph::new();
         let hub = g.add_vertex("dog");
         for _ in 0..500 {
             let v = g.add_vertex("dog");
             g.add_edge(v, hub, "near").unwrap();
         }
-        let bin = to_bytes(&g).unwrap();
-        let json = crate::io::to_json(&g);
-        assert!(
-            bin.len() * 2 < json.len(),
-            "binary {} vs json {}",
-            bin.len(),
-            json.len()
+        // Header, one table entry per distinct label, then a label id and
+        // an empty property count per vertex, and endpoints too per edge.
+        let header = 4 + 2 + 4 + 4 + 4;
+        let table = (2 + "dog".len()) + (2 + "near".len());
+        assert_eq!(
+            to_bytes(&g).unwrap().len(),
+            header + table + 501 * (4 + 2) + 500 * (12 + 2)
         );
+    }
+
+    /// A snapshot header followed by a label table of `labels`.
+    fn header(vertices: u32, edges: u32, labels: &[&str]) -> BytesMut {
+        let mut data = BytesMut::new();
+        data.put_slice(MAGIC);
+        data.put_u16_le(VERSION);
+        data.put_u32_le(vertices);
+        data.put_u32_le(edges);
+        data.put_u32_le(labels.len() as u32);
+        for label in labels {
+            data.put_u16_le(label.len() as u16);
+            data.put_slice(label.as_bytes());
+        }
+        data
+    }
+
+    #[test]
+    fn dangling_edge_is_detected() {
+        // One vertex, and an edge from it to vertex 5, which does not exist.
+        let mut data = header(1, 1, &["a", "x"]);
+        data.put_u32_le(0);
+        data.put_u16_le(0);
+        for field in [0, 5, 1] {
+            data.put_u32_le(field);
+        }
+        data.put_u16_le(0);
+        let err = from_bytes(data.freeze()).unwrap_err();
+        assert!(matches!(err, GraphError::CorruptGraph(_)), "{err}");
+        assert!(err.to_string().contains("dangling edge"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_label_id_is_detected() {
+        // A vertex naming label 3 of a one-label table.
+        let mut data = header(1, 0, &["a"]);
+        data.put_u32_le(3);
+        data.put_u16_le(0);
+        let err = from_bytes(data.freeze()).unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::CorruptGraph("label id out of range".to_owned())
+        );
+        // So does an edge's.
+        let mut data = header(1, 1, &["a"]);
+        data.put_u32_le(0);
+        data.put_u16_le(0);
+        for field in [0, 0, 1] {
+            data.put_u32_le(field);
+        }
+        data.put_u16_le(0);
+        assert!(matches!(
+            from_bytes(data.freeze()),
+            Err(GraphError::CorruptGraph(_))
+        ));
     }
 
     #[test]

@@ -4,9 +4,8 @@ use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::{LabelId, LabelTable};
-use crate::props::{exact, ColumnSize, PropColumn, PropSlot, Properties, Props};
+use crate::props::{ColumnSize, PropColumn, PropSlot, Properties, Props};
 use crate::vertex::Vertex;
-use serde::{Deserialize, Error, Map, Serialize, Value};
 
 /// A directed labeled graph `G = (V, E, L)` (§II of the paper).
 ///
@@ -441,120 +440,6 @@ impl Graph {
     }
 }
 
-/// The JSON object of `fields`, in order.
-fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(name, value)| (name.to_owned(), value))
-            .collect::<Map>(),
-    )
-}
-
-/// Serializes the arenas as `{"vertices": [...], "edges": [...]}`, each
-/// element with its label's text; the label tables are rebuilt on load.
-impl Serialize for Graph {
-    fn to_value(&self) -> Value {
-        let vertices = self
-            .vertices
-            .iter()
-            .map(|v| {
-                object([
-                    (
-                        "label",
-                        Value::String(self.label_index.text(v.label).to_owned()),
-                    ),
-                    ("props", self.vertex_column.props(v.props).to_value()),
-                    ("out_edges", v.out_edges.to_value()),
-                    ("in_edges", v.in_edges.to_value()),
-                ])
-            })
-            .collect();
-        let edges = self
-            .edges
-            .iter()
-            .map(|e| {
-                object([
-                    ("src", e.src().to_value()),
-                    ("dst", e.dst().to_value()),
-                    (
-                        "label",
-                        Value::String(self.edge_label_counts.text(e.label).to_owned()),
-                    ),
-                    ("props", self.edge_column.props(e.props).to_value()),
-                ])
-            })
-            .collect();
-        object([
-            ("vertices", Value::Array(vertices)),
-            ("edges", Value::Array(edges)),
-        ])
-    }
-}
-
-/// Reads the arenas and builds the label tables, the indexes and exactly
-/// sized property columns. Endpoints and adjacency are taken as written:
-/// [`Graph::validate`] checks them.
-impl Deserialize for Graph {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        fn field<'v>(v: &'v Value, what: &str, name: &str) -> Result<&'v Value, Error> {
-            v.get(name)
-                .ok_or_else(|| Error::custom(format!("{what}: missing field `{name}`")))
-        }
-        fn elements<'v>(v: &'v Value, name: &str) -> Result<&'v [Value], Error> {
-            field(v, "Graph", name)?
-                .as_array()
-                .map(Vec::as_slice)
-                .ok_or_else(|| Error::custom(format!("Graph.{name}: expected an array")))
-        }
-        fn label<'v>(v: &'v Value, what: &str) -> Result<&'v str, Error> {
-            let label = field(v, what, "label")?;
-            label.as_str().ok_or_else(|| {
-                Error::custom(format!(
-                    "{what}.label: expected a string, found {}",
-                    label.kind()
-                ))
-            })
-        }
-        /// The property entries `elements` list, to size a column once.
-        fn entries(elements: &[Value]) -> usize {
-            elements
-                .iter()
-                .filter_map(|e| e.get("props")?.get("entries")?.as_array())
-                .map(Vec::len)
-                .sum()
-        }
-        let (vertices, edges) = (elements(v, "vertices")?, elements(v, "edges")?);
-        let mut graph = Graph::with_capacity(vertices.len(), edges.len());
-        graph.vertex_column.values.reserve_exact(entries(vertices));
-        graph.edge_column.values.reserve_exact(entries(edges));
-        for v in vertices {
-            let label = graph.label_index.intern(label(v, "Vertex")?);
-            let props = Properties::from_value(field(v, "Vertex", "props")?)?;
-            let props = graph.vertex_column.push(props);
-            let id = graph.push_vertex(label, props);
-            let vertex = &mut graph.vertices[id.index()];
-            vertex.out_edges = Deserialize::from_value(field(v, "Vertex", "out_edges")?)?;
-            vertex.in_edges = Deserialize::from_value(field(v, "Vertex", "in_edges")?)?;
-        }
-        for e in edges {
-            let label = graph.edge_label_counts.intern(label(e, "Edge")?);
-            *graph.edge_label_counts.value_mut(label) += 1;
-            let props = Properties::from_value(field(e, "Edge", "props")?)?;
-            graph.edges.push(Edge::new(
-                VertexId::from_value(field(e, "Edge", "src")?)?,
-                VertexId::from_value(field(e, "Edge", "dst")?)?,
-                label,
-                graph.edge_column.push(props),
-            ));
-        }
-        // Entries a repeated key collapsed leave room behind.
-        graph.vertex_column.values = exact(std::mem::take(&mut graph.vertex_column.values));
-        graph.edge_column.values = exact(std::mem::take(&mut graph.edge_column.values));
-        Ok(graph)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,8 +586,8 @@ mod tests {
         assert_eq!((h.label_index.len(), h.edge_label_counts.len()), (2, 1));
         assert_eq!(h.edge_label(EdgeId::from_index(0)), Some("near"));
 
-        // Deserialized graphs number their labels again.
-        let back = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
+        // Loaded graphs number their labels again.
+        let back = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
         assert_eq!(back.vertices[0].label, back.vertices[1].label);
         assert_eq!(
             (back.label_index.len(), back.edge_label_counts.len()),
@@ -751,32 +636,21 @@ mod tests {
         g
     }
 
-    #[test]
-    fn property_bytes_are_pinned() {
-        // Both encodings as the per-element property lists wrote them.
-        let g = shaped();
-        assert_eq!(
-            crate::io::to_json(&g),
-            concat!(
-                r#"{"vertices":[{"label":"dog","props":{"entries":[["image",{"Int":3}],"#,
-                r#"["x",{"Float":0.25}],["y",{"Float":0.5}]]},"out_edges":[0],"in_edges":[]},"#,
-                r#"{"label":"man","props":{"entries":[]},"out_edges":[1],"in_edges":[0,2]},"#,
-                r#"{"label":"hat","props":{"entries":[["kind",{"Str":"wool"}],"#,
-                r#"["seen",{"Bool":true}]]},"out_edges":[],"in_edges":[1]},"#,
-                r#"{"label":"dog","props":{"entries":[["image",{"Int":4}],"#,
-                r#"["x",{"Float":0.125}],["y",{"Float":0.75}]]},"out_edges":[2],"in_edges":[]}],"#,
-                r#""edges":[{"src":0,"dst":1,"label":"near","props":{"entries":[["score",{"Float":0.75}]]}},"#,
-                r#"{"src":1,"dst":2,"label":"wearing","props":{"entries":[]}},"#,
-                r#"{"src":3,"dst":1,"label":"near","props":{"entries":[["score",{"Float":0.5}]]}}]}"#
-            )
-        );
-        let hex: String = crate::binio::to_bytes(&g)
+    /// `g`'s snapshot bytes as lowercase hex.
+    fn snapshot_hex(g: &Graph) -> String {
+        crate::binio::to_bytes(g)
             .unwrap()
             .iter()
             .map(|b| format!("{b:02x}"))
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn property_bytes_are_pinned() {
+        // The snapshot as the per-element property lists wrote it.
+        let g = shaped();
         assert_eq!(
-            hex,
+            snapshot_hex(&g),
             concat!(
                 "5356514701000400000003000000050000000300646f6703006d616e030068617404006e656172",
                 "070077656172696e670000000003000500696d61676501030000000000000001007802000000",
@@ -788,24 +662,23 @@ mod tests {
             )
         );
 
-        // Every element's properties survive both encodings.
-        let from_json = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
-        let from_bytes = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
-        for loaded in [&from_json, &from_bytes] {
-            for (id, _) in g.vertices() {
-                assert_eq!(loaded.vertex_props(id), g.vertex_props(id), "{id}");
-            }
-            for (id, _) in g.edges() {
-                assert_eq!(loaded.edge_props(id), g.edge_props(id), "{id}");
-            }
-            assert_eq!(
-                loaded.value_columns(),
-                g.value_columns().map(|c| ColumnSize {
-                    capacity: c.len,
-                    ..c
-                })
-            );
+        // Every element's properties survive the snapshot.
+        let bytes = crate::binio::to_bytes(&g).unwrap();
+        let loaded = crate::binio::from_bytes(bytes.clone()).unwrap();
+        assert_eq!(crate::binio::to_bytes(&loaded).unwrap(), bytes);
+        for (id, _) in g.vertices() {
+            assert_eq!(loaded.vertex_props(id), g.vertex_props(id), "{id}");
         }
+        for (id, _) in g.edges() {
+            assert_eq!(loaded.edge_props(id), g.edge_props(id), "{id}");
+        }
+        assert_eq!(
+            loaded.value_columns(),
+            g.value_columns().map(|c| ColumnSize {
+                capacity: c.len,
+                ..c
+            })
+        );
         // One shape per distinct key list: the two bbox vertices share one.
         assert_eq!(g.vertex_column.shape_count(), 3);
         assert_eq!(g.edge_column.shape_count(), 2);
@@ -816,20 +689,25 @@ mod tests {
     }
 
     #[test]
-    fn json_layout_is_pinned() {
+    fn snapshot_layout_is_pinned() {
+        // Labels in first-seen order, then each vertex's label id and each
+        // edge's endpoints and label id; adjacency is not written.
         let (g, _, _, _) = triangle();
-        let json = crate::io::to_json(&g);
-        assert!(json.starts_with(concat!(
-            r#"{"vertices":[{"label":"a","props":{"entries":[]},"out_edges":[0],"in_edges":[2]},"#,
-            r#"{"label":"b","#
-        )));
-        assert!(json.ends_with(r#"{"src":2,"dst":0,"label":"ca","props":{"entries":[]}}]}"#));
-        for missing in [
-            r#"{"edges":[]}"#,
-            r#"{"vertices":[{"label":"a","props":{"entries":[]},"out_edges":[]}],"edges":[]}"#,
-            r#"{"vertices":[],"edges":[{"src":0,"dst":0,"props":{"entries":[]}}]}"#,
-        ] {
-            assert!(crate::io::from_json(missing).is_err(), "{missing}");
+        assert_eq!(
+            snapshot_hex(&g),
+            concat!(
+                "5356514701000300000003000000060000000100610100620100630200616202006263020063",
+                "6100000000000001000000000002000000000000000000010000000300000000000100000002",
+                "0000000400000000000200000000000000050000000000"
+            )
+        );
+        g.validate().unwrap();
+        // `from_bytes` validates what it loads.
+        let back = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
+        for (id, v) in g.vertices() {
+            let loaded = back.vertex(id).unwrap();
+            assert_eq!(loaded.out_edge_ids(), v.out_edge_ids(), "{id}");
+            assert_eq!(loaded.in_edge_ids(), v.in_edge_ids(), "{id}");
         }
     }
 
@@ -849,6 +727,51 @@ mod tests {
         let end = g.edge_column.values.len();
         g.edges[0].props.start = u32::try_from(end).unwrap();
         assert!(g.validate().unwrap_err().to_string().contains("edge e0"));
+    }
+
+    #[test]
+    fn repeated_adjacency_entry_is_detected() {
+        // The only edge listed twice: every entry names an edge the vertex
+        // owns, but the list is not the ascending ids of its edges.
+        let mut g = Graph::new();
+        let a = g.add_vertex("a");
+        let e = g.add_edge(a, a, "x").unwrap();
+        g.vertices[a.index()].out_edges.push(e);
+        let err = g.validate().unwrap_err();
+        assert!(matches!(err, GraphError::CorruptGraph(_)), "{err}");
+        assert!(err.to_string().contains("out-edge e0"), "{err}");
+        // The same graph listed once validates.
+        g.vertices[a.index()].out_edges.pop();
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn unordered_adjacency_is_detected() {
+        let mut g = Graph::new();
+        let a = g.add_vertex("a");
+        let b = g.add_vertex("b");
+        g.add_edge(a, b, "x").unwrap();
+        g.add_edge(a, b, "y").unwrap();
+        g.vertices[a.index()].out_edges.reverse();
+        assert!(matches!(g.validate(), Err(GraphError::CorruptGraph(_))));
+        g.vertices[a.index()].out_edges.reverse();
+        g.vertices[b.index()].in_edges.reverse();
+        assert!(matches!(g.validate(), Err(GraphError::CorruptGraph(_))));
+    }
+
+    #[test]
+    fn inconsistent_adjacency_is_detected() {
+        // The edge exists but its source does not list it.
+        let mut g = Graph::new();
+        let a = g.add_vertex("a");
+        let b = g.add_vertex("b");
+        g.add_edge(a, b, "x").unwrap();
+        g.vertices[a.index()].out_edges.clear();
+        assert!(matches!(g.validate(), Err(GraphError::CorruptGraph(_))));
+        // The edge exists but its target does not list it.
+        let (mut g, a, _, _) = triangle();
+        g.vertices[a.index()].in_edges.clear();
+        assert!(matches!(g.validate(), Err(GraphError::CorruptGraph(_))));
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod edge;
 pub mod error;
 pub mod graph;
 pub mod ids;
-pub mod io;
 mod label;
 pub mod props;
 pub mod stats;

@@ -21,7 +21,6 @@
 //! known at run time (a deserialized file, a caller-chosen name) is interned
 //! once per process. A value is two words: string payloads are boxed.
 
-use serde::{Deserialize, Error, Map, Serialize, Value};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -69,7 +68,7 @@ pub(crate) fn exact<T>(values: Vec<T>) -> Vec<T> {
 /// strings (labels, categories), integers (image ids, counts), floats
 /// (bounding-box coordinates, confidences) and booleans (flags such as
 /// "cached").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PropValue {
     /// UTF-8 string value, boxed so that every value is two words.
     Str(Box<String>),
@@ -166,7 +165,7 @@ impl From<bool> for PropValue {
 /// An owned key-sorted property list: what a caller builds and hands to
 /// [`crate::Graph::add_vertex_with_props`] or
 /// [`crate::Graph::add_edge_with_props`], which move its values into the
-/// graph's column. Serializes as `{"entries": [[key, value], ...]}`.
+/// graph's column.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Properties {
     keys: Vec<&'static str>,
@@ -249,28 +248,6 @@ impl Properties {
     }
 }
 
-impl Serialize for Properties {
-    fn to_value(&self) -> Value {
-        self.as_props().to_value()
-    }
-}
-
-impl Deserialize for Properties {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let entries = v
-            .get("entries")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::custom("Properties: expected {\"entries\": [...]}"))?;
-        let mut props = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let (key, value) = <(String, PropValue)>::from_value(entry)
-                .map_err(|e| Error::custom(format!("Properties.entries: {e}")))?;
-            props.push((intern(&key), value));
-        }
-        Ok(Properties::from_entries(props))
-    }
-}
-
 /// Static keys are kept as they are and owned ones interned.
 impl<K: Into<Cow<'static, str>>, V: Into<PropValue>> FromIterator<(K, V)> for Properties {
     fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
@@ -322,19 +299,6 @@ impl<'g> Props<'g> {
             keys: self.keys.to_vec(),
             values: self.values.to_vec(),
         }
-    }
-}
-
-/// Serializes as `{"entries": [[key, value], ...]}`, like [`Properties`].
-impl Serialize for Props<'_> {
-    fn to_value(&self) -> Value {
-        let entries = self
-            .iter()
-            .map(|(k, v)| Value::Array(vec![Value::String(k.to_owned()), v.to_value()]))
-            .collect();
-        let mut m = Map::new();
-        m.insert("entries".to_owned(), Value::Array(entries));
-        Value::Object(m)
     }
 }
 
@@ -514,14 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let p: Properties = [("category", "dog")].into_iter().collect();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Properties = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
     fn loaded_maps_are_sized_to_their_entries() {
         // Each column is an exactly sized arena of two-word values, and an
         // element holds an eight-byte slot into it.
@@ -537,27 +493,23 @@ mod tests {
             .add_edge_with_props(dog, man, "near", score.clone())
             .unwrap();
 
-        let from_json = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
-        let bytes = crate::binio::to_bytes(&g).unwrap();
-        let from_bytes = crate::binio::from_bytes(bytes).unwrap();
-        for loaded in [&from_json, &from_bytes] {
-            assert_eq!(loaded.vertex_props(dog).to_owned(), bbox);
-            assert!(loaded.vertex_props(man).is_empty());
-            assert_eq!(loaded.edge_props(near).to_owned(), score);
-            assert_eq!(
-                loaded.value_columns(),
-                [
-                    ColumnSize {
-                        len: 3,
-                        capacity: 3
-                    },
-                    ColumnSize {
-                        len: 1,
-                        capacity: 1
-                    }
-                ]
-            );
-        }
+        let loaded = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
+        assert_eq!(loaded.vertex_props(dog).to_owned(), bbox);
+        assert!(loaded.vertex_props(man).is_empty());
+        assert_eq!(loaded.edge_props(near).to_owned(), score);
+        assert_eq!(
+            loaded.value_columns(),
+            [
+                ColumnSize {
+                    len: 3,
+                    capacity: 3
+                },
+                ColumnSize {
+                    len: 1,
+                    capacity: 1
+                }
+            ]
+        );
     }
 
     #[test]
@@ -568,35 +520,39 @@ mod tests {
         let b: Properties = [(String::from("tag_9"), 2i64)].into_iter().collect();
         assert!(std::ptr::eq(key(&a), key(&b)));
 
-        // A key loaded twice, through JSON and through the binary
-        // snapshot, is one string.
+        // A key loaded twice from a snapshot is the same one string.
         let mut g = crate::Graph::new();
         g.add_vertex_with_props("dog", a);
-        let from_json = crate::io::from_json(&crate::io::to_json(&g)).unwrap();
         let bytes = crate::binio::to_bytes(&g).unwrap();
-        let from_bytes = crate::binio::from_bytes(bytes).unwrap();
+        let [first, second] = [0, 1].map(|_| crate::binio::from_bytes(bytes.clone()).unwrap());
         let loaded = |g: &crate::Graph| {
             let props = g.vertex_props(crate::VertexId::from_index(0));
             props.iter().next().unwrap().0
         };
-        assert_eq!(loaded(&from_json), "tag_9");
-        assert!(std::ptr::eq(loaded(&from_json), loaded(&from_bytes)));
-        assert!(std::ptr::eq(loaded(&from_json), key(&b)));
+        assert_eq!(loaded(&first), "tag_9");
+        assert!(std::ptr::eq(loaded(&first), loaded(&second)));
+        assert!(std::ptr::eq(loaded(&first), key(&b)));
     }
 
     #[test]
     fn static_and_runtime_keys_serialize_alike() {
+        let snapshot = |p: Properties| {
+            let mut g = crate::Graph::new();
+            g.add_vertex_with_props("dog", p);
+            crate::binio::to_bytes(&g).unwrap()
+        };
         let mut p = Properties::new();
         p.set("score", 0.5);
         p.set(String::from("source"), "lake");
-        let json = serde_json::to_string(&p).unwrap();
+        let mut q = Properties::new();
+        q.set(String::from("score"), 0.5);
+        q.set("source", "lake");
+        let bytes = snapshot(p.clone());
+        assert_eq!(bytes, snapshot(q));
+        let back = crate::binio::from_bytes(bytes).unwrap();
         assert_eq!(
-            json,
-            r#"{"entries":[["score",{"Float":0.5}],["source",{"Str":"lake"}]]}"#
+            back.vertex_props(crate::VertexId::from_index(0)).to_owned(),
+            p
         );
-        let back: Properties = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-        assert!(serde_json::from_str::<Properties>(r#"{"entries":[["k"]]}"#).is_err());
-        assert!(serde_json::from_str::<Properties>("[]").is_err());
     }
 }

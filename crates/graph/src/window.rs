@@ -422,7 +422,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io;
+    use crate::binio;
     use crate::props::Properties;
 
     const SLOTS: WindowSlots<'static> = WindowSlots {
@@ -524,7 +524,11 @@ mod tests {
                 first
             });
             let want = sequential(&base(), &lens);
-            assert_eq!(io::to_json(&g), io::to_json(&want), "{lens:?}");
+            assert_eq!(
+                binio::to_bytes(&g).unwrap(),
+                binio::to_bytes(&want).unwrap(),
+                "{lens:?}"
+            );
             g.validate().unwrap();
             for label in ["a", "b", "kg"] {
                 assert_eq!(

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use svqa_graph::{
-    induced_subgraph, k_hop_neighborhood, Bfs, Graph, GraphBuilder, LabelHistogram, VertexId,
+    binio, induced_subgraph, k_hop_neighborhood, Bfs, Graph, GraphBuilder, LabelHistogram, VertexId,
 };
 
 /// Strategy: a random small graph as (vertex labels, edge index pairs).
@@ -31,12 +31,18 @@ proptest! {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_everything(g in arb_graph()) {
-        let back = svqa_graph::io::from_json(&svqa_graph::io::to_json(&g)).unwrap();
+    fn binio_roundtrip_preserves_everything(g in arb_graph()) {
+        // The snapshot holds every label, endpoint and edge order, and
+        // `from_bytes` validates each rebuilt adjacency list against them.
+        let bytes = binio::to_bytes(&g).unwrap();
+        let back = binio::from_bytes(bytes.clone()).unwrap();
+        prop_assert_eq!(binio::to_bytes(&back).unwrap(), bytes);
         prop_assert_eq!(back.vertex_count(), g.vertex_count());
         prop_assert_eq!(back.edge_count(), g.edge_count());
-        for (vid, _) in g.vertices() {
+        for (vid, v) in g.vertices() {
             prop_assert_eq!(back.vertex_label(vid), g.vertex_label(vid));
+            prop_assert_eq!(back.vertex(vid).unwrap().out_edge_ids(), v.out_edge_ids());
+            prop_assert_eq!(back.vertex(vid).unwrap().in_edge_ids(), v.in_edge_ids());
         }
         // Rebuilt label index answers identically.
         for (label, count) in g.vertex_label_counts() {
