@@ -45,7 +45,11 @@ fn main() {
     save_json(scale, "exp2_table4", &exp2);
 
     eprintln!("running Exp-3 (Table V; 6 pipeline builds)...");
-    let exp3_mvqa = if quick { mvqa } else { build_mvqa(Scale::Quick) };
+    let exp3_mvqa = if quick {
+        mvqa
+    } else {
+        build_mvqa(Scale::Quick)
+    };
     let (exp3, t5) = run_exp3(&exp3_mvqa);
     print!("{}", t5.render());
     save_json(scale, "exp3_table5", &exp3);

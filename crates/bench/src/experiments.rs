@@ -62,7 +62,13 @@ pub fn table_1_and_2(mvqa: &Mvqa) -> (Table, Table) {
     let stats = mvqa.stats();
     let mut t1 = Table::new(
         "Table I — VQA dataset comparison (literature rows are the paper's constants)",
-        &["Dataset", "Images", "Knowledge?", "Cross-image?", "Avg. query length"],
+        &[
+            "Dataset",
+            "Images",
+            "Knowledge?",
+            "Cross-image?",
+            "Avg. query length",
+        ],
     );
     for (name, images, kb, cross, len) in [
         ("DAQUR", "1,449", "no", "no", "11.5"),
@@ -134,7 +140,14 @@ pub fn run_exp1(mvqa: &Mvqa) -> (Exp1Report, Table) {
     let outcome = evaluate_on_mvqa(&system, mvqa);
     let mut t = Table::new(
         "Table III — Exp-1: answering complex queries on MVQA",
-        &["Method", "Latency (100 q)", "Judgment", "Counting", "Reasoning", "Overall"],
+        &[
+            "Method",
+            "Latency (100 q)",
+            "Judgment",
+            "Counting",
+            "Reasoning",
+            "Overall",
+        ],
     );
     t.row(&[
         "SVQA (ours)".into(),
@@ -322,11 +335,7 @@ pub struct Exp4Report {
 
 /// Exp-4 (Fig. 9a/9b): query-parse latency vs the split baselines.
 pub fn run_exp4(mvqa: &Mvqa) -> (Exp4Report, Table, Table) {
-    let questions: Vec<&str> = mvqa
-        .questions
-        .iter()
-        .map(|q| q.question.as_str())
-        .collect();
+    let questions: Vec<&str> = mvqa.questions.iter().map(|q| q.question.as_str()).collect();
     let ns: Vec<usize> = vec![1, 5, 10, 15, 20, 25, 30];
     let mut series: Vec<(String, Vec<f64>)> = Vec::new();
 

@@ -41,7 +41,7 @@ fn exp4_series_are_monotone_for_baselines() {
     let mvqa = tiny_mvqa();
     let (report, t9a, t9b) = run_exp4(&mvqa);
     assert_eq!(report.series.len(), 4); // ours + 3 baselines
-    // Baselines' simulated latency strictly grows with N.
+                                        // Baselines' simulated latency strictly grows with N.
     for (name, ys) in report.series.iter().skip(1) {
         for w in ys.windows(2) {
             assert!(w[1] > w[0], "{name} not monotone: {ys:?}");

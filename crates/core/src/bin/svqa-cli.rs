@@ -286,7 +286,8 @@ fn cmd_lint(args: &[String]) -> Result<(), AnyError> {
         None => vec![positional(args).ok_or("no question or --corpus FILE given")?],
     };
 
-    let (mut errors, mut warnings, mut hints, mut parse_failures) = (0usize, 0usize, 0usize, 0usize);
+    let (mut errors, mut warnings, mut hints, mut parse_failures) =
+        (0usize, 0usize, 0usize, 0usize);
     let mut reports = Vec::with_capacity(questions.len());
     for question in &questions {
         reports.push(match system.lint(question) {

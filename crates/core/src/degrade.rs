@@ -13,10 +13,10 @@
 
 use std::fmt;
 use std::time::Instant;
+use svqa_executor::executor::ExecError;
 use svqa_fault::{
     Acquire, BreakerState, CircuitBreaker, DegradePolicy, FaultKind, RetryPolicy, Source,
 };
-use svqa_executor::executor::ExecError;
 use svqa_telemetry::{counter, gauge, global};
 
 /// How complete the evidence behind an answer was.

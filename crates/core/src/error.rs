@@ -89,6 +89,9 @@ mod tests {
         ));
         let e: SvqaError = report.into();
         let text = e.to_string();
-        assert!(text.contains("lint") && text.contains("cyclic-dependency"), "{text}");
+        assert!(
+            text.contains("lint") && text.contains("cyclic-dependency"),
+            "{text}"
+        );
     }
 }

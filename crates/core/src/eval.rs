@@ -173,7 +173,10 @@ mod tests {
 
     #[test]
     fn percentiles_are_ordered_and_from_the_samples() {
-        let samples: Vec<Duration> = [5, 1, 9, 3, 7].iter().map(|&ms| Duration::from_millis(ms)).collect();
+        let samples: Vec<Duration> = [5, 1, 9, 3, 7]
+            .iter()
+            .map(|&ms| Duration::from_millis(ms))
+            .collect();
         let p50 = percentile(&samples, 0.50);
         let p95 = percentile(&samples, 0.95);
         assert_eq!(p50, Duration::from_millis(5));
@@ -188,7 +191,10 @@ mod tests {
             to_predicted(&Answer::Judgment(true)),
             Some(PredictedAnswer::YesNo(true))
         );
-        assert_eq!(to_predicted(&Answer::Count(3)), Some(PredictedAnswer::Count(3)));
+        assert_eq!(
+            to_predicted(&Answer::Count(3)),
+            Some(PredictedAnswer::Count(3))
+        );
         assert_eq!(
             to_predicted(&Answer::Entity {
                 label: "dog".into(),

@@ -60,10 +60,10 @@ pub use serve::{QueryServer, ServeConfig};
 // Re-export the subsystem crates so downstream users need a single
 // dependency.
 pub use svqa_aggregator as aggregator;
-pub use svqa_fault as fault;
 pub use svqa_baselines as baselines;
 pub use svqa_dataset as dataset;
 pub use svqa_executor as executor;
+pub use svqa_fault as fault;
 pub use svqa_graph as graph;
 pub use svqa_nlp as nlp;
 pub use svqa_qlint as qlint;

@@ -625,9 +625,7 @@ mod tests {
     fn answers_a_simple_judgment() {
         let (system, _) = small_system();
         // Pets in vehicles exist by archetype construction.
-        let a = system
-            .answer("Does the dog appear in the car?")
-            .unwrap();
+        let a = system.answer("Does the dog appear in the car?").unwrap();
         assert!(matches!(a, Answer::Judgment(_)));
     }
 

@@ -466,8 +466,7 @@ fn parse_body(req: &Request) -> Result<serde_json::Value, Response> {
     let Some(text) = req.body_str() else {
         return Err(bad_request("bad-encoding", "body is not UTF-8"));
     };
-    serde_json::from_str(text)
-        .map_err(|e| bad_request("bad-json", &format!("invalid JSON: {e}")))
+    serde_json::from_str(text).map_err(|e| bad_request("bad-json", &format!("invalid JSON: {e}")))
 }
 
 /// A structured 400: `{"error": ..., "code": ...}`, counted in

@@ -336,9 +336,8 @@ impl<'a> GroundTruth<'a> {
             .iter()
             .filter(|img| {
                 img.objects.iter().any(|o| {
-                    sets.iter().any(|s| {
-                        s.contains(o.scene_label()) || s.contains(&o.category)
-                    })
+                    sets.iter()
+                        .any(|s| s.contains(o.scene_label()) || s.contains(&o.category))
                 })
             })
             .count()
@@ -470,7 +469,14 @@ mod tests {
                             && matches!(img.objects[r.sub].category.as_str(), "dog" | "cat")
                             && matches!(
                                 img.objects[r.obj].category.as_str(),
-                                "car" | "bus" | "truck" | "motorcycle" | "bicycle" | "train" | "boat" | "airplane"
+                                "car"
+                                    | "bus"
+                                    | "truck"
+                                    | "motorcycle"
+                                    | "bicycle"
+                                    | "train"
+                                    | "boat"
+                                    | "airplane"
                             )
                     })
                     .count()

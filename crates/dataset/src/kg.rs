@@ -14,31 +14,66 @@ use svqa_graph::{Graph, GraphBuilder, IS_A};
 /// [`CLASS_HIERARCHY`].
 pub const CATEGORY_CLASSES: &[(&str, &str)] = &[
     // pets and animals
-    ("dog", "pet"), ("cat", "pet"),
-    ("bird", "animal"), ("horse", "animal"), ("sheep", "animal"),
-    ("cow", "animal"), ("elephant", "animal"), ("bear", "animal"),
-    ("zebra", "animal"), ("giraffe", "animal"), ("teddy bear", "animal"),
+    ("dog", "pet"),
+    ("cat", "pet"),
+    ("bird", "animal"),
+    ("horse", "animal"),
+    ("sheep", "animal"),
+    ("cow", "animal"),
+    ("elephant", "animal"),
+    ("bear", "animal"),
+    ("zebra", "animal"),
+    ("giraffe", "animal"),
+    ("teddy bear", "animal"),
     // people
-    ("man", "person"), ("woman", "person"), ("child", "person"),
-    ("wizard", "person"), ("player", "person"),
+    ("man", "person"),
+    ("woman", "person"),
+    ("child", "person"),
+    ("wizard", "person"),
+    ("player", "person"),
     // vehicles
-    ("car", "vehicle"), ("bus", "vehicle"), ("truck", "vehicle"),
-    ("motorcycle", "vehicle"), ("bicycle", "vehicle"), ("train", "vehicle"),
-    ("boat", "vehicle"), ("airplane", "vehicle"),
+    ("car", "vehicle"),
+    ("bus", "vehicle"),
+    ("truck", "vehicle"),
+    ("motorcycle", "vehicle"),
+    ("bicycle", "vehicle"),
+    ("train", "vehicle"),
+    ("boat", "vehicle"),
+    ("airplane", "vehicle"),
     // clothing
-    ("hat", "clothes"), ("shirt", "clothes"), ("jacket", "clothes"),
-    ("robe", "clothes"), ("helmet", "clothes"), ("dress", "clothes"),
+    ("hat", "clothes"),
+    ("shirt", "clothes"),
+    ("jacket", "clothes"),
+    ("robe", "clothes"),
+    ("helmet", "clothes"),
+    ("dress", "clothes"),
     // structures
-    ("building", "structure"), ("house", "structure"), ("fence", "structure"),
-    ("bench", "structure"), ("tower", "structure"), ("bridge", "structure"),
+    ("building", "structure"),
+    ("house", "structure"),
+    ("fence", "structure"),
+    ("bench", "structure"),
+    ("tower", "structure"),
+    ("bridge", "structure"),
     // furniture
-    ("bed", "furniture"), ("chair", "furniture"), ("table", "furniture"),
-    ("couch", "furniture"), ("window", "furniture"), ("door", "furniture"),
+    ("bed", "furniture"),
+    ("chair", "furniture"),
+    ("table", "furniture"),
+    ("couch", "furniture"),
+    ("window", "furniture"),
+    ("door", "furniture"),
     // everyday objects
-    ("frisbee", "object"), ("ball", "object"), ("umbrella", "object"),
-    ("backpack", "object"), ("bottle", "object"), ("cup", "object"),
-    ("book", "object"), ("phone", "object"), ("laptop", "object"),
-    ("tv", "object"), ("kite", "object"), ("skateboard", "object"),
+    ("frisbee", "object"),
+    ("ball", "object"),
+    ("umbrella", "object"),
+    ("backpack", "object"),
+    ("bottle", "object"),
+    ("cup", "object"),
+    ("book", "object"),
+    ("phone", "object"),
+    ("laptop", "object"),
+    ("tv", "object"),
+    ("kite", "object"),
+    ("skateboard", "object"),
     ("surfboard", "object"),
 ];
 
@@ -47,9 +82,17 @@ pub const CLASS_HIERARCHY: &[(&str, &str)] = &[("pet", "animal")];
 
 /// The character universe: every name `is a` wizard.
 pub const CHARACTERS: &[&str] = &[
-    "harry potter", "ginny weasley", "cho chang", "ron weasley",
-    "hermione granger", "neville longbottom", "luna lovegood",
-    "draco malfoy", "severus snape", "albus dumbledore", "fred weasley",
+    "harry potter",
+    "ginny weasley",
+    "cho chang",
+    "ron weasley",
+    "hermione granger",
+    "neville longbottom",
+    "luna lovegood",
+    "draco malfoy",
+    "severus snape",
+    "albus dumbledore",
+    "fred weasley",
     "cedric diggory",
 ];
 

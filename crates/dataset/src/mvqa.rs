@@ -73,11 +73,8 @@ impl Mvqa {
     /// Compute the Table I/II statistics.
     pub fn stats(&self) -> MvqaStats {
         let row = |qtype: QuestionType| -> MvqaTypeRow {
-            let of_type: Vec<&QaPair> = self
-                .questions
-                .iter()
-                .filter(|p| p.qtype == qtype)
-                .collect();
+            let of_type: Vec<&QaPair> =
+                self.questions.iter().filter(|p| p.qtype == qtype).collect();
             let clauses: usize = of_type.iter().map(|p| p.clauses).sum();
             let mut spos: Vec<&str> = of_type
                 .iter()
@@ -88,8 +85,7 @@ impl Mvqa {
             let avg_images = if of_type.is_empty() {
                 0.0
             } else {
-                of_type.iter().map(|p| p.images_needed).sum::<usize>() as f64
-                    / of_type.len() as f64
+                of_type.iter().map(|p| p.images_needed).sum::<usize>() as f64 / of_type.len() as f64
             };
             MvqaTypeRow {
                 questions: of_type.len(),
@@ -133,10 +129,7 @@ impl Mvqa {
 
     /// Accuracy of a batch of predicted answers against this dataset's
     /// ground truth (see [`score_answers`]).
-    pub fn score_answers(
-        &self,
-        answers: &[Option<PredictedAnswer>],
-    ) -> (f64, f64, f64, f64) {
+    pub fn score_answers(&self, answers: &[Option<PredictedAnswer>]) -> (f64, f64, f64, f64) {
         score_answers(&self.questions, answers)
     }
 }
@@ -169,9 +162,10 @@ pub fn score_answers(
         }
     }
     let acc = |t: QuestionType| -> f64 {
-        per_type
-            .get(&t)
-            .map_or(0.0, |&(c, n)| if n == 0 { 0.0 } else { c as f64 / n as f64 })
+        per_type.get(&t).map_or(
+            0.0,
+            |&(c, n)| if n == 0 { 0.0 } else { c as f64 / n as f64 },
+        )
     };
     let (total_c, total_n) = per_type
         .values()
@@ -272,8 +266,7 @@ mod tests {
         let (j, c, r, all) = mvqa.score_answers(&perfect);
         assert_eq!((j, c, r, all), (1.0, 1.0, 1.0, 1.0));
         // Answer nothing → 0%.
-        let nothing: Vec<Option<PredictedAnswer>> =
-            mvqa.questions.iter().map(|_| None).collect();
+        let nothing: Vec<Option<PredictedAnswer>> = mvqa.questions.iter().map(|_| None).collect();
         let (_, _, _, zero) = mvqa.score_answers(&nothing);
         assert_eq!(zero, 0.0);
     }
@@ -287,9 +280,7 @@ mod tests {
             .questions
             .iter()
             .map(|q| match &q.answer {
-                GtAnswer::Entity(e) if e == "dog" => {
-                    Some(PredictedAnswer::Entity("puppy".into()))
-                }
+                GtAnswer::Entity(e) if e == "dog" => Some(PredictedAnswer::Entity("puppy".into())),
                 GtAnswer::Entity(e) => Some(PredictedAnswer::Entity(e.clone())),
                 GtAnswer::YesNo(b) => Some(PredictedAnswer::YesNo(*b)),
                 GtAnswer::Count(n) => Some(PredictedAnswer::Count(*n)),

@@ -129,7 +129,11 @@ pub(crate) fn plural(noun: &str) -> String {
     }
     if noun.ends_with('s') || noun.ends_with('x') || noun.ends_with("ch") || noun.ends_with("sh") {
         format!("{noun}es")
-    } else if noun.ends_with('y') && !noun.ends_with("ay") && !noun.ends_with("ey") && !noun.ends_with("oy") {
+    } else if noun.ends_with('y')
+        && !noun.ends_with("ay")
+        && !noun.ends_with("ey")
+        && !noun.ends_with("oy")
+    {
         format!("{}ies", &noun[..noun.len() - 1])
     } else {
         format!("{noun}s")
@@ -312,10 +316,9 @@ pub fn generate_questions(
             } else {
                 let mut cats: Vec<&String> = stats.categories.iter().collect();
                 cats.shuffle(&mut rng);
-                match cats
-                    .into_iter()
-                    .find(|cc| *cc != c && stats.count(a, p2, cc) == 0 && stats.count(a, p1, cc) == 0)
-                {
+                match cats.into_iter().find(|cc| {
+                    *cc != c && stats.count(a, p2, cc) == 0 && stats.count(a, p1, cc) == 0
+                }) {
                     Some(cc) => (cc.clone(), false),
                     None => continue,
                 }
@@ -398,84 +401,34 @@ pub fn generate_questions(
     // Escalating count cap: prefer small, exactly-countable answers; widen
     // only if the corpus cannot fill the quota with them.
     'caps_c2: for count_cap in [5usize, 9, 15] {
-    'outer_c2: for (k1, n1) in &freq {
-        if cmade >= c2_target {
-            break 'caps_c2;
-        }
-        let (a, p1, b) = (&k1.0, &k1.1, &k1.2);
-        if svqa_vision::scene::supertype(a) == "scenery" {
-            continue; // "how many grasses…" — mass scenery is not a subject
-        }
-        if *n1 < 2 {
-            continue;
-        }
-        for (k2, _) in &freq {
-            if &k2.0 != a || k2 == k1 || !SPATIAL.contains(&k2.1.as_str()) {
-                continue;
-            }
-            let (p2, c) = (&k2.1, &k2.2);
-            if counted_triples.contains(&(a.clone(), p2.clone(), c.clone())) {
-                continue;
-            }
-            let text = format!(
-                "How many {} that are {p1} the {b} are {p2} the {c}?",
-                plural(a)
-            );
-            let spec = QuestionSpec {
-                text,
-                qtype: QuestionType::Counting,
-                chain: vec![clause(a, p2, c), clause(a, p1, b)],
-                links: vec![subject_feeds(1, Side::Sub)],
-                answer_side: Side::Sub,
-            };
-            let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
-            if !matches!(answer, GtAnswer::Count(n) if n >= 1 && n <= count_cap) {
-                continue;
-            }
-            if corpus.accept(spec, answer) {
-                cmade += 1;
-                counted_triples.insert((a.clone(), p2.clone(), c.clone()));
-            }
+        'outer_c2: for (k1, n1) in &freq {
             if cmade >= c2_target {
-                break 'outer_c2;
+                break 'caps_c2;
             }
-        }
-    }
-    }
-    // Three-clause counting.
-    let c3_target = counts.counting - cmade;
-    let mut c3made = 0usize;
-    'caps_c3: for count_cap in [5usize, 9, 15] {
-    'outer_c3: for (k1, _) in &freq {
-        if c3made >= c3_target {
-            break 'caps_c3;
-        }
-        let (a, p1, b) = (&k1.0, &k1.1, &k1.2);
-        if svqa_vision::scene::supertype(a) == "scenery" {
-            continue; // "how many grasses…" — mass scenery is not a subject
-        }
-        for (k2, _) in &freq {
-            if &k2.0 != a || k2 == k1 || !SPATIAL.contains(&k2.1.as_str()) {
+            let (a, p1, b) = (&k1.0, &k1.1, &k1.2);
+            if svqa_vision::scene::supertype(a) == "scenery" {
+                continue; // "how many grasses…" — mass scenery is not a subject
+            }
+            if *n1 < 2 {
                 continue;
             }
-            let (p2, c) = (&k2.1, &k2.2);
-            if counted_triples.contains(&(a.clone(), p2.clone(), c.clone())) {
-                continue;
-            }
-            for (k3, _) in &freq {
-                if &k3.0 != c {
+            for (k2, _) in &freq {
+                if &k2.0 != a || k2 == k1 || !SPATIAL.contains(&k2.1.as_str()) {
                     continue;
                 }
-                let (p3, d) = (&k3.1, &k3.2);
+                let (p2, c) = (&k2.1, &k2.2);
+                if counted_triples.contains(&(a.clone(), p2.clone(), c.clone())) {
+                    continue;
+                }
                 let text = format!(
-                    "How many {} that are {p1} the {b} are {p2} the {c} that is {p3} the {d}?",
+                    "How many {} that are {p1} the {b} are {p2} the {c}?",
                     plural(a)
                 );
                 let spec = QuestionSpec {
                     text,
                     qtype: QuestionType::Counting,
-                    chain: vec![clause(a, p2, c), clause(a, p1, b), clause(c, p3, d)],
-                    links: vec![subject_feeds(1, Side::Sub), subject_feeds(2, Side::Obj)],
+                    chain: vec![clause(a, p2, c), clause(a, p1, b)],
+                    links: vec![subject_feeds(1, Side::Sub)],
                     answer_side: Side::Sub,
                 };
                 let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
@@ -483,15 +436,65 @@ pub fn generate_questions(
                     continue;
                 }
                 if corpus.accept(spec, answer) {
-                    c3made += 1;
+                    cmade += 1;
                     counted_triples.insert((a.clone(), p2.clone(), c.clone()));
                 }
-                if c3made >= c3_target {
-                    break 'outer_c3;
+                if cmade >= c2_target {
+                    break 'outer_c2;
                 }
             }
         }
     }
+    // Three-clause counting.
+    let c3_target = counts.counting - cmade;
+    let mut c3made = 0usize;
+    'caps_c3: for count_cap in [5usize, 9, 15] {
+        'outer_c3: for (k1, _) in &freq {
+            if c3made >= c3_target {
+                break 'caps_c3;
+            }
+            let (a, p1, b) = (&k1.0, &k1.1, &k1.2);
+            if svqa_vision::scene::supertype(a) == "scenery" {
+                continue; // "how many grasses…" — mass scenery is not a subject
+            }
+            for (k2, _) in &freq {
+                if &k2.0 != a || k2 == k1 || !SPATIAL.contains(&k2.1.as_str()) {
+                    continue;
+                }
+                let (p2, c) = (&k2.1, &k2.2);
+                if counted_triples.contains(&(a.clone(), p2.clone(), c.clone())) {
+                    continue;
+                }
+                for (k3, _) in &freq {
+                    if &k3.0 != c {
+                        continue;
+                    }
+                    let (p3, d) = (&k3.1, &k3.2);
+                    let text = format!(
+                        "How many {} that are {p1} the {b} are {p2} the {c} that is {p3} the {d}?",
+                        plural(a)
+                    );
+                    let spec = QuestionSpec {
+                        text,
+                        qtype: QuestionType::Counting,
+                        chain: vec![clause(a, p2, c), clause(a, p1, b), clause(c, p3, d)],
+                        links: vec![subject_feeds(1, Side::Sub), subject_feeds(2, Side::Obj)],
+                        answer_side: Side::Sub,
+                    };
+                    let answer = gt.eval(&spec.chain, &spec.links, spec.qtype, spec.answer_side);
+                    if !matches!(answer, GtAnswer::Count(n) if n >= 1 && n <= count_cap) {
+                        continue;
+                    }
+                    if corpus.accept(spec, answer) {
+                        c3made += 1;
+                        counted_triples.insert((a.clone(), p2.clone(), c.clone()));
+                    }
+                    if c3made >= c3_target {
+                        break 'outer_c3;
+                    }
+                }
+            }
+        }
     }
 
     // ---------- Reasoning: 42 two-clause + 2 character questions ----------
@@ -514,11 +517,19 @@ pub fn generate_questions(
             qtype: QuestionType::Reasoning,
             chain: vec![
                 clause("wizard", "wearing", "clothes"),
-                ChainClause { most_frequent: true, ..clause("wizard", "near", "") },
+                ChainClause {
+                    most_frequent: true,
+                    ..clause("wizard", "near", "")
+                },
                 clause("", relation, owner),
             ],
             links: vec![
-                ChainLink { provider: 2, consumer: 1, consumer_side: Side::Obj, provider_side: Side::Sub },
+                ChainLink {
+                    provider: 2,
+                    consumer: 1,
+                    consumer_side: Side::Obj,
+                    provider_side: Side::Sub,
+                },
                 subject_feeds(1, Side::Sub),
             ],
             answer_side: Side::Obj,
@@ -674,9 +685,18 @@ mod tests {
         let (pairs, specs) = generate_questions(&images, &kg, 7, QuestionCounts::default());
         assert_eq!(pairs.len(), 100, "generated {}", pairs.len());
         assert_eq!(specs.len(), 100);
-        let j = pairs.iter().filter(|p| p.qtype == QuestionType::Judgment).count();
-        let c = pairs.iter().filter(|p| p.qtype == QuestionType::Counting).count();
-        let r = pairs.iter().filter(|p| p.qtype == QuestionType::Reasoning).count();
+        let j = pairs
+            .iter()
+            .filter(|p| p.qtype == QuestionType::Judgment)
+            .count();
+        let c = pairs
+            .iter()
+            .filter(|p| p.qtype == QuestionType::Counting)
+            .count();
+        let r = pairs
+            .iter()
+            .filter(|p| p.qtype == QuestionType::Reasoning)
+            .count();
         assert_eq!((j, c, r), (40, 16, 44));
     }
 

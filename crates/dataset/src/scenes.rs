@@ -16,7 +16,15 @@ use svqa_vision::scene::{SceneBuilder, SyntheticImage};
 const PEOPLE: &[&str] = &["man", "woman", "child", "person", "player"];
 const PETS: &[&str] = &["dog", "cat"];
 const FARM_ANIMALS: &[&str] = &["horse", "sheep", "cow", "zebra", "giraffe", "elephant"];
-const VEHICLES: &[&str] = &["car", "bus", "truck", "motorcycle", "bicycle", "train", "boat"];
+const VEHICLES: &[&str] = &[
+    "car",
+    "bus",
+    "truck",
+    "motorcycle",
+    "bicycle",
+    "train",
+    "boat",
+];
 const RIDEABLE: &[&str] = &["horse", "bicycle", "motorcycle", "skateboard"];
 const HEADWEAR: &[&str] = &["hat", "helmet"];
 const GARMENTS: &[&str] = &["hat", "shirt", "jacket", "dress"];

@@ -19,10 +19,10 @@ use crate::explain::Explanation;
 use crate::matching::{MatchMethod, RelationPair, VertexMatcher};
 use crate::words::Constraint;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 use svqa_graph::{Graph, LabelId, VertexId, IMAGE};
 use svqa_nlp::resolve::{PredicateScorer, PREDICATE_FLOOR};
@@ -367,12 +367,8 @@ impl<'g> QueryGraphExecutor<'g> {
             // --- Update stage ---
             for edge in gq.out_edges(u) {
                 let provided: Vec<VertexId> = match edge.dependency {
-                    Dependency::S2S | Dependency::O2S => {
-                        dedup(ap.iter().map(|p| p.sub).collect())
-                    }
-                    Dependency::S2O | Dependency::O2O => {
-                        dedup(ap.iter().map(|p| p.obj).collect())
-                    }
+                    Dependency::S2S | Dependency::O2S => dedup(ap.iter().map(|p| p.sub).collect()),
+                    Dependency::S2O | Dependency::O2O => dedup(ap.iter().map(|p| p.obj).collect()),
                 };
                 let slot = match edge.dependency {
                     Dependency::S2S | Dependency::S2O => &mut sub_binding[edge.consumer],
@@ -406,13 +402,9 @@ impl<'g> QueryGraphExecutor<'g> {
             // vertex found supporting evidence (bindings already force
             // chained clauses; this additionally covers disconnected
             // conjuncts).
-            QuestionType::Judgment => {
-                Answer::Judgment(aps.iter().all(|a| !a.is_empty()))
-            }
+            QuestionType::Judgment => Answer::Judgment(aps.iter().all(|a| !a.is_empty())),
             // (answer construction continues below)
-            QuestionType::Counting => {
-                Answer::Count(self.count_scene_instances(&answer_vertices))
-            }
+            QuestionType::Counting => Answer::Count(self.count_scene_instances(&answer_vertices)),
             QuestionType::Reasoning => {
                 Answer::entity_from_ranked(self.ranked_labels(&answer_vertices))
             }
@@ -613,7 +605,7 @@ fn dedup(mut v: Vec<VertexId>) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svqa_graph::{GraphBuilder, Properties, PropValue};
+    use svqa_graph::{GraphBuilder, PropValue, Properties};
     use svqa_qparser::QueryGraphGenerator;
 
     /// Build a miniature merged graph realizing the paper's Example 1:
@@ -672,7 +664,8 @@ mod tests {
 
     /// Run `gq` uncached and return its answer.
     fn answer(exec: &QueryGraphExecutor<'_>, gq: &QueryGraph) -> Result<Answer, ExecError> {
-        exec.run(gq, None, &mut CacheStats::new()).map(|run| run.answer)
+        exec.run(gq, None, &mut CacheStats::new())
+            .map(|run| run.answer)
     }
 
     fn run(graph: &Graph, question: &str) -> Answer {
@@ -722,7 +715,10 @@ mod tests {
         // Both robe and hat are worn by wizards; ranked answer includes
         // both with a deterministic top.
         match a {
-            Answer::Entity { label, alternatives } => {
+            Answer::Entity {
+                label,
+                alternatives,
+            } => {
                 let mut all = vec![label];
                 all.extend(alternatives);
                 all.sort();

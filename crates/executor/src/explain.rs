@@ -91,7 +91,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use crate::executor::QueryGraphExecutor;
-    use svqa_graph::{Properties, PropValue};
+    use svqa_graph::{PropValue, Properties};
     use svqa_qparser::QueryGraphGenerator;
 
     fn world() -> Graph {

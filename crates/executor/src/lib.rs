@@ -38,8 +38,7 @@ pub mod words;
 pub use answer::Answer;
 pub use cache::{CacheGranularity, CacheStats, EvictionPolicy, KeyCentricCache, ShardedCache};
 pub use executor::{
-    CacheOutcome, ExecError, ExecutorConfig, QueryGraphExecutor, SlotSource, SlotTrace,
-    VertexTrace,
+    CacheOutcome, ExecError, ExecutorConfig, QueryGraphExecutor, SlotSource, SlotTrace, VertexTrace,
 };
 pub use explain::{Explanation, SupportFact};
 pub use matching::{MatchMethod, VertexMatcher};

@@ -229,10 +229,9 @@ impl ExecutionProfile {
 fn slot_line(s: &SlotTrace) -> String {
     match s.source {
         SlotSource::Wildcard => "wildcard".to_owned(),
-        SlotSource::Binding => format!(
-            "binding: {} bound → {} after expansion",
-            s.seed, s.expanded
-        ),
+        SlotSource::Binding => {
+            format!("binding: {} bound → {} after expansion", s.seed, s.expanded)
+        }
         SlotSource::CacheHit => format!("scope-cache hit → {} candidates", s.expanded),
         SlotSource::Matched => format!(
             "matched via {}: {} seed → {} after expansion",
@@ -276,11 +275,7 @@ mod tests {
         g
     }
 
-    fn profiled(
-        g: &Graph,
-        question: &str,
-        cache: Option<&KeyCentricCache>,
-    ) -> ProfiledRun {
+    fn profiled(g: &Graph, question: &str, cache: Option<&KeyCentricCache>) -> ProfiledRun {
         let gq = QueryGraphGenerator::new().generate(question).unwrap();
         QueryGraphExecutor::new(g)
             .execute_profiled(&gq, cache)

@@ -116,12 +116,7 @@ impl QueryScheduler {
         };
         let mut idx: Vec<usize> = (0..queries.len()).collect();
         let scores: Vec<f64> = queries.iter().map(|q| score(q.borrow())).collect();
-        let cost = |i: usize| -> f64 {
-            cost_hints
-                .and_then(|h| h.get(i))
-                .copied()
-                .unwrap_or(0.0)
-        };
+        let cost = |i: usize| -> f64 { cost_hints.and_then(|h| h.get(i)).copied().unwrap_or(0.0) };
         // `total_cmp`, not `partial_cmp().expect()`: a NaN score must not
         // panic the whole batch (it sorts last), and the index tie-break
         // keeps the order stable.
@@ -208,10 +203,7 @@ impl QueryScheduler {
 
 /// A vertex's identity for frequency counting: its SPOC key.
 fn vertex_key(v: &svqa_qparser::Spoc) -> String {
-    format!(
-        "{}|{}|{}",
-        v.subject.phrase, v.predicate, v.object.phrase
-    )
+    format!("{}|{}|{}", v.subject.phrase, v.predicate, v.object.phrase)
 }
 
 #[cfg(test)]
@@ -313,7 +305,10 @@ mod tests {
         assert!(scores[1] > scores[0] && (scores[1] - scores[2]).abs() < 1e-12);
         // The order is exactly descending score (stable on ties).
         for w in order.windows(2) {
-            assert!(scores[w[0]] >= scores[w[1]], "order={order:?} scores={scores:?}");
+            assert!(
+                scores[w[0]] >= scores[w[1]],
+                "order={order:?} scores={scores:?}"
+            );
         }
         // The report carries them through in original order.
         let report = run(SchedulerConfig::default(), &graph(), &qs);
@@ -414,8 +409,7 @@ mod tests {
             "Does the dog appear in the car?",
             "Does the dog appear in the car?",
         ]);
-        let (order, _) =
-            QueryScheduler::order_with_scores_hinted(&qs, Some(&[3.0, 1.0, 2.0]));
+        let (order, _) = QueryScheduler::order_with_scores_hinted(&qs, Some(&[3.0, 1.0, 2.0]));
         assert_eq!(order, vec![1, 2, 0]);
         // Hints must never override the frequency ordering itself.
         let mixed = queries(&[
@@ -425,7 +419,11 @@ mod tests {
         ]);
         let (order, scores) =
             QueryScheduler::order_with_scores_hinted(&mixed, Some(&[0.0, 9.0, 9.0]));
-        assert_eq!(*order.last().unwrap(), 0, "order={order:?} scores={scores:?}");
+        assert_eq!(
+            *order.last().unwrap(),
+            0,
+            "order={order:?} scores={scores:?}"
+        );
     }
 
     #[test]

@@ -50,7 +50,11 @@ impl Constraint {
             .filter(|t| t.parse::<usize>().is_err() && Self::parse_operand(t).is_none())
             .collect::<Vec<_>>()
             .join(" ");
-        let probe = if keyword_only.is_empty() { text } else { &keyword_only };
+        let probe = if keyword_only.is_empty() {
+            text
+        } else {
+            &keyword_only
+        };
         let (idx, _) = embedder
             .max_score(probe, Constraint::ALL.iter().map(|c| c.phrase()))
             .expect("𝕊 is non-empty");
@@ -63,9 +67,18 @@ impl Constraint {
     /// superlatives never do).
     pub fn parse_operand(text: &str) -> Option<usize> {
         const WORDS: [(&str, usize); 12] = [
-            ("one", 1), ("two", 2), ("three", 3), ("four", 4), ("five", 5),
-            ("six", 6), ("seven", 7), ("eight", 8), ("nine", 9), ("ten", 10),
-            ("once", 1), ("twice", 2),
+            ("one", 1),
+            ("two", 2),
+            ("three", 3),
+            ("four", 4),
+            ("five", 5),
+            ("six", 6),
+            ("seven", 7),
+            ("eight", 8),
+            ("nine", 9),
+            ("ten", 10),
+            ("once", 1),
+            ("twice", 2),
         ];
         for token in text.split_whitespace() {
             if let Ok(n) = token.parse::<usize>() {

@@ -1,8 +1,8 @@
 //! Property-based tests for the executor: cache invariants, matcher
 //! behaviour, and answer-shape guarantees.
 
-use std::sync::Arc;
 use proptest::prelude::*;
+use std::sync::Arc;
 use svqa_executor::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache};
 use svqa_executor::executor::QueryGraphExecutor;
 use svqa_executor::matching::{RelationPair, VertexMatcher};

@@ -208,8 +208,12 @@ mod tests {
             0.5,
         );
         let inj = Injector::new(plan);
-        let a: Vec<_> = (0..64).map(|_| inj.draw(site::CACHE_GET).is_some()).collect();
-        let b: Vec<_> = (0..64).map(|_| inj.draw(site::CACHE_PUT).is_some()).collect();
+        let a: Vec<_> = (0..64)
+            .map(|_| inj.draw(site::CACHE_GET).is_some())
+            .collect();
+        let b: Vec<_> = (0..64)
+            .map(|_| inj.draw(site::CACHE_PUT).is_some())
+            .collect();
         assert_ne!(a, b, "sites should decorrelate");
     }
 
@@ -238,7 +242,10 @@ mod tests {
         let seq_a: Vec<_> = (0..100).map(|_| a.draw("s")).collect();
         let seq_b: Vec<_> = (0..100).map(|_| b.draw("s")).collect();
         assert_eq!(
-            seq_a.iter().filter(|k| **k == Some(FaultKind::Error)).count(),
+            seq_a
+                .iter()
+                .filter(|k| **k == Some(FaultKind::Error))
+                .count(),
             2,
             "rule must disarm after 2 triggers"
         );
@@ -258,7 +265,8 @@ mod tests {
     fn install_arms_and_drop_disarms() {
         assert!(draw("anything").is_none());
         {
-            let guard = install(FaultPlan::new(5).with_fault("g", SiteFault::new(FaultKind::Error, 1.0)));
+            let guard =
+                install(FaultPlan::new(5).with_fault("g", SiteFault::new(FaultKind::Error, 1.0)));
             assert_eq!(draw("g"), Some(FaultKind::Error));
             assert!(active().is_some());
             assert_eq!(guard.injector().draws_at("g"), 1);
@@ -274,7 +282,10 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(5));
         let tight = Instant::now() + Duration::from_millis(2);
         let t1 = Instant::now();
-        assert!(!apply_latency(500, Some(tight)), "capped sleep is a failed stall");
+        assert!(
+            !apply_latency(500, Some(tight)),
+            "capped sleep is a failed stall"
+        );
         assert!(t1.elapsed() < Duration::from_millis(400));
         // Expired deadline: no sleep at all.
         let t2 = Instant::now();

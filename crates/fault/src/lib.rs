@@ -33,7 +33,7 @@ mod plan;
 mod retry;
 
 pub use breaker::{Acquire, BreakerConfig, BreakerState, CircuitBreaker};
-pub use inject::{active, apply_latency, draw, install, InstalledPlan, Injector};
+pub use inject::{active, apply_latency, draw, install, Injector, InstalledPlan};
 pub use plan::{FaultKind, FaultPlan, SiteFault};
 pub use retry::{DegradePolicy, RetryPolicy};
 

@@ -135,9 +135,15 @@ mod tests {
     fn plan_round_trips_through_json() {
         let plan = FaultPlan::new(42)
             .with_fault(site::SOURCE_KG, SiteFault::new(FaultKind::Error, 0.1))
-            .with_fault(site::SOURCE_KG, SiteFault::limited(FaultKind::Latency(25), 0.05, 3))
+            .with_fault(
+                site::SOURCE_KG,
+                SiteFault::limited(FaultKind::Latency(25), 0.05, 3),
+            )
             .with_fault(site::CACHE_GET, SiteFault::new(FaultKind::DropResult, 0.2))
-            .with_fault(site::DETECTOR_DETECT, SiteFault::new(FaultKind::CorruptLabel, 0.3));
+            .with_fault(
+                site::DETECTOR_DETECT,
+                SiteFault::new(FaultKind::CorruptLabel, 0.3),
+            );
         let back = FaultPlan::from_json(&plan.to_json()).unwrap();
         assert_eq!(plan, back);
     }

@@ -154,7 +154,11 @@ impl DepTree {
     }
 
     /// Children of `i` attached with `label`.
-    pub fn children_with_label(&self, i: usize, label: DepLabel) -> impl Iterator<Item = usize> + '_ {
+    pub fn children_with_label(
+        &self,
+        i: usize,
+        label: DepLabel,
+    ) -> impl Iterator<Item = usize> + '_ {
         self.children_of(i)
             .filter(move |&j| self.labels[j] == label)
     }
@@ -305,7 +309,10 @@ impl Parser<'_> {
     }
 
     fn is_aux_word(&self, i: usize) -> bool {
-        self.is_be_form(i) || self.is_do_form(i) || self.is_have_form(i) || self.tag(i) == PosTag::MD
+        self.is_be_form(i)
+            || self.is_do_form(i)
+            || self.is_have_form(i)
+            || self.tag(i) == PosTag::MD
     }
 
     /// Pass 0: recognize multiword prepositions; continuation words get
@@ -377,9 +384,7 @@ impl Parser<'_> {
                         if self.is_aux_word(j) {
                             let next_participle = (j + 1..self.n())
                                 .find(|&k| !self.tag(k).is_adverb())
-                                .is_some_and(|k| {
-                                    matches!(self.tag(k), PosTag::VBG | PosTag::VBN)
-                                });
+                                .is_some_and(|k| matches!(self.tag(k), PosTag::VBG | PosTag::VBN));
                             if !next_participle {
                                 in_relclause = false;
                             }
@@ -404,7 +409,10 @@ impl Parser<'_> {
                 if t.is_noun()
                     || t.is_adjective()
                     || t.is_adverb()
-                    || matches!(t, PosTag::DT | PosTag::PRPS | PosTag::CD | PosTag::POS | PosTag::PRP)
+                    || matches!(
+                        t,
+                        PosTag::DT | PosTag::PRPS | PosTag::CD | PosTag::POS | PosTag::PRP
+                    )
                     || (t == PosTag::IN && (in_relclause || is_do))
                 {
                     j += 1;
@@ -460,8 +468,10 @@ impl Parser<'_> {
                 continue;
             }
             let t = self.tag(i);
-            let wants_noun = matches!(t, PosTag::DT | PosTag::WDT | PosTag::PRPS | PosTag::CD | PosTag::PDT)
-                || t.is_adjective()
+            let wants_noun = matches!(
+                t,
+                PosTag::DT | PosTag::WDT | PosTag::PRPS | PosTag::CD | PosTag::PDT
+            ) || t.is_adjective()
                 || (t.is_noun() && self.next_is_noun(i));
             if !wants_noun {
                 continue;
@@ -470,9 +480,9 @@ impl Parser<'_> {
             // the man wears") must not be eaten here; only attach WDT when
             // its noun follows without an intervening determiner.
             if t == PosTag::WDT
-                && (i + 1..self.n()).find(|&j| !self.is_mwe_cont[j]).is_some_and(|j| {
-                    matches!(self.tag(j), PosTag::DT | PosTag::PRPS)
-                })
+                && (i + 1..self.n())
+                    .find(|&j| !self.is_mwe_cont[j])
+                    .is_some_and(|j| matches!(self.tag(j), PosTag::DT | PosTag::PRPS))
             {
                 continue;
             }
@@ -608,9 +618,9 @@ impl Parser<'_> {
                     site = Some((j, DepLabel::Obl));
                     break;
                 }
-                if self.tag(j).is_noun() && self.heads[j].is_none_or(|_| {
-                    !matches!(self.labels[j], DepLabel::Compound)
-                }) {
+                if self.tag(j).is_noun()
+                    && self.heads[j].is_none_or(|_| !matches!(self.labels[j], DepLabel::Compound))
+                {
                     site = Some((self.noun_phrase_head(j), DepLabel::Nmod));
                     break;
                 }
@@ -723,7 +733,10 @@ impl Parser<'_> {
             }
             for j in v + 1..self.n() {
                 let t = self.tag(j);
-                if t.is_punct() || t.is_wh() || (t.is_verb() && self.content_verb[j]) || t == PosTag::IN
+                if t.is_punct()
+                    || t.is_wh()
+                    || (t.is_verb() && self.content_verb[j])
+                    || t == PosTag::IN
                 {
                     break;
                 }
@@ -765,9 +778,10 @@ impl Parser<'_> {
             .collect();
         for v in conj_verbs {
             self.attach(v, root, DepLabel::Conj);
-            if let Some(cc) = (root + 1..v).rev().find(|&j| {
-                self.tag(j) == PosTag::CC && !self.attached(j)
-            }) {
+            if let Some(cc) = (root + 1..v)
+                .rev()
+                .find(|&j| self.tag(j) == PosTag::CC && !self.attached(j))
+            {
                 self.attach(cc, v, DepLabel::Cc);
             }
         }
@@ -843,7 +857,10 @@ mod tests {
             arc(&t, "frequently"),
             (Some("hanging".into()), DepLabel::Advmod)
         );
-        assert_eq!(arc(&t, "most"), (Some("frequently".into()), DepLabel::Advmod));
+        assert_eq!(
+            arc(&t, "most"),
+            (Some("frequently".into()), DepLabel::Advmod)
+        );
         assert_eq!(arc(&t, "girl"), (Some("hanging".into()), DepLabel::Obl));
         assert_eq!(arc(&t, "with"), (Some("girl".into()), DepLabel::Case));
     }
@@ -854,10 +871,19 @@ mod tests {
         // situated in the car?"
         let t = parse("What kind of animals is carried by the pets that were situated in the car?");
         assert_eq!(arc(&t, "animals"), (Some("kind".into()), DepLabel::Nmod));
-        assert_eq!(arc(&t, "kind"), (Some("carried".into()), DepLabel::NsubjPass));
+        assert_eq!(
+            arc(&t, "kind"),
+            (Some("carried".into()), DepLabel::NsubjPass)
+        );
         assert_eq!(arc(&t, "pets"), (Some("carried".into()), DepLabel::Obl));
-        assert_eq!(arc(&t, "situated"), (Some("pets".into()), DepLabel::AclRelcl));
-        assert_eq!(arc(&t, "that"), (Some("situated".into()), DepLabel::NsubjPass));
+        assert_eq!(
+            arc(&t, "situated"),
+            (Some("pets".into()), DepLabel::AclRelcl)
+        );
+        assert_eq!(
+            arc(&t, "that"),
+            (Some("situated".into()), DepLabel::NsubjPass)
+        );
         assert_eq!(arc(&t, "car"), (Some("situated".into()), DepLabel::Obl));
     }
 
@@ -879,7 +905,10 @@ mod tests {
     fn possessive_chain() {
         // "Harry Potter's girlfriend is holding a bag"
         let t = parse("Harry Potter's girlfriend is holding a bag");
-        assert_eq!(arc(&t, "harry"), (Some("potter".into()), DepLabel::Compound));
+        assert_eq!(
+            arc(&t, "harry"),
+            (Some("potter".into()), DepLabel::Compound)
+        );
         assert_eq!(
             arc(&t, "potter"),
             (Some("girlfriend".into()), DepLabel::NmodPoss)

@@ -240,8 +240,7 @@ mod tests {
         assert!((v.norm() - 1.0).abs() < 1e-5);
         // Still closer to "dog" than to an unrelated word.
         assert!(
-            cosine_similarity(&v, &e.embed("puppy"))
-                > cosine_similarity(&v, &e.embed("window"))
+            cosine_similarity(&v, &e.embed("puppy")) > cosine_similarity(&v, &e.embed("window"))
         );
     }
 

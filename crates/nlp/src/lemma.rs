@@ -47,7 +47,11 @@ impl Lemmatizer {
             return format!("{stem}y");
         }
         if let Some(stem) = form.strip_suffix("es") {
-            if stem.ends_with("ch") || stem.ends_with("sh") || stem.ends_with('x') || stem.ends_with('s') {
+            if stem.ends_with("ch")
+                || stem.ends_with("sh")
+                || stem.ends_with('x')
+                || stem.ends_with('s')
+            {
                 return stem.to_owned();
             }
         }
@@ -68,7 +72,11 @@ impl Lemmatizer {
             return format!("{stem}y");
         }
         if let Some(stem) = form.strip_suffix("es") {
-            if stem.ends_with("ch") || stem.ends_with("sh") || stem.ends_with('x') || stem.ends_with('s') {
+            if stem.ends_with("ch")
+                || stem.ends_with("sh")
+                || stem.ends_with('x')
+                || stem.ends_with('s')
+            {
                 return stem.to_owned();
             }
         }

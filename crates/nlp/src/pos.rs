@@ -116,11 +116,20 @@ impl PosTagger {
         }
         // Auxiliaries / copulas with their inflection-specific tags.
         for (w, t) in [
-            ("is", PosTag::VBZ), ("are", PosTag::VBP), ("am", PosTag::VBP),
-            ("was", PosTag::VBD), ("were", PosTag::VBD),
-            ("be", PosTag::VB), ("been", PosTag::VBN), ("being", PosTag::VBG),
-            ("does", PosTag::VBZ), ("do", PosTag::VBP), ("did", PosTag::VBD),
-            ("has", PosTag::VBZ), ("have", PosTag::VBP), ("had", PosTag::VBD),
+            ("is", PosTag::VBZ),
+            ("are", PosTag::VBP),
+            ("am", PosTag::VBP),
+            ("was", PosTag::VBD),
+            ("were", PosTag::VBD),
+            ("be", PosTag::VB),
+            ("been", PosTag::VBN),
+            ("being", PosTag::VBG),
+            ("does", PosTag::VBZ),
+            ("do", PosTag::VBP),
+            ("did", PosTag::VBD),
+            ("has", PosTag::VBZ),
+            ("have", PosTag::VBP),
+            ("had", PosTag::VBD),
             ("there", PosTag::EX),
         ] {
             add(w, t);
@@ -160,10 +169,7 @@ impl PosTagger {
 
     /// Tag a pre-tokenized question.
     pub fn tag_tokens(&self, tokens: Vec<Token>) -> Vec<TaggedToken> {
-        let candidates: Vec<Candidates> = tokens
-            .iter()
-            .map(|t| self.candidates_for(t))
-            .collect();
+        let candidates: Vec<Candidates> = tokens.iter().map(|t| self.candidates_for(t)).collect();
         let mut tags = Vec::with_capacity(tokens.len());
         for i in 0..tokens.len() {
             let tag = self.disambiguate(&tokens, &candidates, &tags, i);
@@ -212,8 +218,16 @@ impl PosTagger {
         if has_noun && has_verb {
             let nominal_context = matches!(
                 prev,
-                Some(PosTag::DT | PosTag::JJ | PosTag::JJR | PosTag::JJS | PosTag::PRPS
-                    | PosTag::CD | PosTag::POS | PosTag::WDT)
+                Some(
+                    PosTag::DT
+                        | PosTag::JJ
+                        | PosTag::JJR
+                        | PosTag::JJS
+                        | PosTag::PRPS
+                        | PosTag::CD
+                        | PosTag::POS
+                        | PosTag::WDT
+                )
             );
             let chosen = if nominal_context {
                 *cands.iter().find(|t| t.is_noun()).expect("has noun")
@@ -225,9 +239,13 @@ impl PosTagger {
 
         // VB vs VBP: infinitival/do-support context selects the base form.
         if cands.contains(&PosTag::VB) && cands.contains(&PosTag::VBP) {
-            let base_context = matches!(prev, Some(PosTag::TO | PosTag::MD))
-                || prev_is_do_form(tokens, assigned);
-            let chosen = if base_context { PosTag::VB } else { PosTag::VBP };
+            let base_context =
+                matches!(prev, Some(PosTag::TO | PosTag::MD)) || prev_is_do_form(tokens, assigned);
+            let chosen = if base_context {
+                PosTag::VB
+            } else {
+                PosTag::VBP
+            };
             return self.contextual_fixups(tokens, candidates, assigned, i, chosen);
         }
 
@@ -260,14 +278,18 @@ impl PosTagger {
         // "that" heading a relative clause is WDT, not DT/IN:
         // "the pets that were situated ..." — next word is a verb or aux.
         if text == "that" {
-            let next_is_verbal = next_cands
-                .is_some_and(|c| c.iter().any(|t| t.is_verb() || *t == PosTag::MD));
-            return if next_is_verbal { PosTag::WDT } else { PosTag::DT };
+            let next_is_verbal =
+                next_cands.is_some_and(|c| c.iter().any(|t| t.is_verb() || *t == PosTag::MD));
+            return if next_is_verbal {
+                PosTag::WDT
+            } else {
+                PosTag::DT
+            };
         }
         // "what kind ..." — WP becomes WDT before a nominal.
         if text == "what" && tag == PosTag::WP {
-            let next_is_nominal = next_cands
-                .is_some_and(|c| c.iter().any(|t| t.is_noun() || t.is_adjective()));
+            let next_is_nominal =
+                next_cands.is_some_and(|c| c.iter().any(|t| t.is_noun() || t.is_adjective()));
             if next_is_nominal {
                 return PosTag::WDT;
             }
@@ -300,10 +322,7 @@ impl PosTagger {
 fn verb_form_tags(form: &str) -> Candidates {
     if form.ends_with("ing") {
         vec![PosTag::VBG]
-    } else if vocab::IRREGULAR_VERBS
-        .iter()
-        .any(|(f, _)| *f == form)
-    {
+    } else if vocab::IRREGULAR_VERBS.iter().any(|(f, _)| *f == form) {
         // Irregular inflected form: past/participle, disambiguated in
         // context.
         vec![PosTag::VBD, PosTag::VBN]
@@ -318,11 +337,7 @@ fn verb_form_tags(form: &str) -> Candidates {
 
 /// Regular plural formation (used to extend the noun lexicon).
 fn regular_plural(noun: &str) -> String {
-    if noun.ends_with('s')
-        || noun.ends_with('x')
-        || noun.ends_with("ch")
-        || noun.ends_with("sh")
-    {
+    if noun.ends_with('s') || noun.ends_with('x') || noun.ends_with("ch") || noun.ends_with("sh") {
         format!("{noun}es")
     } else if noun.ends_with('y')
         && !noun.ends_with("ay")
@@ -402,8 +417,7 @@ fn prev_is_aux(tokens: &[Token], assigned: &[PosTag]) -> bool {
         let w = tokens[j].text.as_str();
         return matches!(
             w,
-            "is" | "are" | "am" | "was" | "were" | "be" | "been" | "being"
-                | "has" | "have" | "had"
+            "is" | "are" | "am" | "was" | "were" | "be" | "been" | "being" | "has" | "have" | "had"
         );
     }
     false
@@ -422,8 +436,13 @@ fn prev_is_do_form(tokens: &[Token], assigned: &[PosTag]) -> bool {
             || t.is_wh()
             || matches!(
                 t,
-                PosTag::DT | PosTag::IN | PosTag::POS | PosTag::PRPS | PosTag::CD
-                    | PosTag::VBG | PosTag::VBN
+                PosTag::DT
+                    | PosTag::IN
+                    | PosTag::POS
+                    | PosTag::PRPS
+                    | PosTag::CD
+                    | PosTag::VBG
+                    | PosTag::VBN
             )
             || matches!(w, "is" | "are" | "was" | "were" | "be" | "been" | "being");
         if transparent {

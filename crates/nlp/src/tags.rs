@@ -14,50 +14,152 @@ use std::fmt;
 #[allow(missing_docs)] // the variants are the standard PTB inventory
 pub enum PosTag {
     // --- word tags ---
-    CC, CD, DT, EX, FW, IN, JJ, JJR, JJS, LS, MD,
-    NN, NNS, NNP, NNPS, PDT, POS, PRP, PRPS, // PRPS = PRP$
-    RB, RBR, RBS, RP, SYM, TO, UH,
-    VB, VBD, VBG, VBN, VBP, VBZ,
-    WDT, WP, WPS, // WPS = WP$
+    CC,
+    CD,
+    DT,
+    EX,
+    FW,
+    IN,
+    JJ,
+    JJR,
+    JJS,
+    LS,
+    MD,
+    NN,
+    NNS,
+    NNP,
+    NNPS,
+    PDT,
+    POS,
+    PRP,
+    PRPS, // PRPS = PRP$
+    RB,
+    RBR,
+    RBS,
+    RP,
+    SYM,
+    TO,
+    UH,
+    VB,
+    VBD,
+    VBG,
+    VBN,
+    VBP,
+    VBZ,
+    WDT,
+    WP,
+    WPS, // WPS = WP$
     WRB,
     // --- punctuation / symbol tags ---
-    Period, Comma, Colon, LParen, RParen, OpenQuote, CloseQuote, Dollar, Hash,
+    Period,
+    Comma,
+    Colon,
+    LParen,
+    RParen,
+    OpenQuote,
+    CloseQuote,
+    Dollar,
+    Hash,
 }
 
 impl PosTag {
     /// All 45 tags, in canonical order.
     pub const ALL: [PosTag; 45] = [
-        PosTag::CC, PosTag::CD, PosTag::DT, PosTag::EX, PosTag::FW, PosTag::IN,
-        PosTag::JJ, PosTag::JJR, PosTag::JJS, PosTag::LS, PosTag::MD,
-        PosTag::NN, PosTag::NNS, PosTag::NNP, PosTag::NNPS, PosTag::PDT,
-        PosTag::POS, PosTag::PRP, PosTag::PRPS, PosTag::RB, PosTag::RBR,
-        PosTag::RBS, PosTag::RP, PosTag::SYM, PosTag::TO, PosTag::UH,
-        PosTag::VB, PosTag::VBD, PosTag::VBG, PosTag::VBN, PosTag::VBP,
-        PosTag::VBZ, PosTag::WDT, PosTag::WP, PosTag::WPS, PosTag::WRB,
-        PosTag::Period, PosTag::Comma, PosTag::Colon, PosTag::LParen,
-        PosTag::RParen, PosTag::OpenQuote, PosTag::CloseQuote, PosTag::Dollar,
+        PosTag::CC,
+        PosTag::CD,
+        PosTag::DT,
+        PosTag::EX,
+        PosTag::FW,
+        PosTag::IN,
+        PosTag::JJ,
+        PosTag::JJR,
+        PosTag::JJS,
+        PosTag::LS,
+        PosTag::MD,
+        PosTag::NN,
+        PosTag::NNS,
+        PosTag::NNP,
+        PosTag::NNPS,
+        PosTag::PDT,
+        PosTag::POS,
+        PosTag::PRP,
+        PosTag::PRPS,
+        PosTag::RB,
+        PosTag::RBR,
+        PosTag::RBS,
+        PosTag::RP,
+        PosTag::SYM,
+        PosTag::TO,
+        PosTag::UH,
+        PosTag::VB,
+        PosTag::VBD,
+        PosTag::VBG,
+        PosTag::VBN,
+        PosTag::VBP,
+        PosTag::VBZ,
+        PosTag::WDT,
+        PosTag::WP,
+        PosTag::WPS,
+        PosTag::WRB,
+        PosTag::Period,
+        PosTag::Comma,
+        PosTag::Colon,
+        PosTag::LParen,
+        PosTag::RParen,
+        PosTag::OpenQuote,
+        PosTag::CloseQuote,
+        PosTag::Dollar,
         PosTag::Hash,
     ];
 
     /// The PTB surface string of this tag.
     pub fn as_str(self) -> &'static str {
         match self {
-            PosTag::CC => "CC", PosTag::CD => "CD", PosTag::DT => "DT",
-            PosTag::EX => "EX", PosTag::FW => "FW", PosTag::IN => "IN",
-            PosTag::JJ => "JJ", PosTag::JJR => "JJR", PosTag::JJS => "JJS",
-            PosTag::LS => "LS", PosTag::MD => "MD", PosTag::NN => "NN",
-            PosTag::NNS => "NNS", PosTag::NNP => "NNP", PosTag::NNPS => "NNPS",
-            PosTag::PDT => "PDT", PosTag::POS => "POS", PosTag::PRP => "PRP",
-            PosTag::PRPS => "PRP$", PosTag::RB => "RB", PosTag::RBR => "RBR",
-            PosTag::RBS => "RBS", PosTag::RP => "RP", PosTag::SYM => "SYM",
-            PosTag::TO => "TO", PosTag::UH => "UH", PosTag::VB => "VB",
-            PosTag::VBD => "VBD", PosTag::VBG => "VBG", PosTag::VBN => "VBN",
-            PosTag::VBP => "VBP", PosTag::VBZ => "VBZ", PosTag::WDT => "WDT",
-            PosTag::WP => "WP", PosTag::WPS => "WP$", PosTag::WRB => "WRB",
-            PosTag::Period => ".", PosTag::Comma => ",", PosTag::Colon => ":",
-            PosTag::LParen => "-LRB-", PosTag::RParen => "-RRB-",
-            PosTag::OpenQuote => "``", PosTag::CloseQuote => "''",
-            PosTag::Dollar => "$", PosTag::Hash => "#",
+            PosTag::CC => "CC",
+            PosTag::CD => "CD",
+            PosTag::DT => "DT",
+            PosTag::EX => "EX",
+            PosTag::FW => "FW",
+            PosTag::IN => "IN",
+            PosTag::JJ => "JJ",
+            PosTag::JJR => "JJR",
+            PosTag::JJS => "JJS",
+            PosTag::LS => "LS",
+            PosTag::MD => "MD",
+            PosTag::NN => "NN",
+            PosTag::NNS => "NNS",
+            PosTag::NNP => "NNP",
+            PosTag::NNPS => "NNPS",
+            PosTag::PDT => "PDT",
+            PosTag::POS => "POS",
+            PosTag::PRP => "PRP",
+            PosTag::PRPS => "PRP$",
+            PosTag::RB => "RB",
+            PosTag::RBR => "RBR",
+            PosTag::RBS => "RBS",
+            PosTag::RP => "RP",
+            PosTag::SYM => "SYM",
+            PosTag::TO => "TO",
+            PosTag::UH => "UH",
+            PosTag::VB => "VB",
+            PosTag::VBD => "VBD",
+            PosTag::VBG => "VBG",
+            PosTag::VBN => "VBN",
+            PosTag::VBP => "VBP",
+            PosTag::VBZ => "VBZ",
+            PosTag::WDT => "WDT",
+            PosTag::WP => "WP",
+            PosTag::WPS => "WP$",
+            PosTag::WRB => "WRB",
+            PosTag::Period => ".",
+            PosTag::Comma => ",",
+            PosTag::Colon => ":",
+            PosTag::LParen => "-LRB-",
+            PosTag::RParen => "-RRB-",
+            PosTag::OpenQuote => "``",
+            PosTag::CloseQuote => "''",
+            PosTag::Dollar => "$",
+            PosTag::Hash => "#",
         }
     }
 

@@ -151,7 +151,10 @@ mod tests {
 
     #[test]
     fn hyphenated_words_stay_together() {
-        assert_eq!(texts("a well-known wizard"), vec!["a", "well-known", "wizard"]);
+        assert_eq!(
+            texts("a well-known wizard"),
+            vec!["a", "well-known", "wizard"]
+        );
     }
 
     #[test]

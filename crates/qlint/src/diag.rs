@@ -43,9 +43,7 @@ pub mod codes {
 }
 
 /// Diagnostic severity, ordered so `Error > Warning > Hint`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Severity {
     /// Planner guidance; the plan is fine.
     Hint,

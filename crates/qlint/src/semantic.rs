@@ -177,7 +177,10 @@ mod tests {
     #[test]
     fn suggest_picks_nearest_and_rejects_far_misses() {
         assert_eq!(suggest("dgo", ["dog", "cat", "car"]), Some("dog".into()));
-        assert_eq!(suggest("weer", ["wearing", "wear", "on"]), Some("wear".into()));
+        assert_eq!(
+            suggest("weer", ["wearing", "wear", "on"]),
+            Some("wear".into())
+        );
         assert_eq!(suggest("xqzvv", ["dog", "cat"]), None);
     }
 

@@ -3,9 +3,7 @@
 
 use crate::{codes, query_cost, Linter, Schema, Severity};
 use svqa_graph::Graph;
-use svqa_qparser::{
-    AnswerRole, Dependency, NounPhrase, QueryEdge, QueryGraph, QuestionType, Spoc,
-};
+use svqa_qparser::{AnswerRole, Dependency, NounPhrase, QueryEdge, QueryGraph, QuestionType, Spoc};
 
 fn small_world() -> Graph {
     let mut g = Graph::new();
@@ -75,8 +73,16 @@ fn cyclic_dependency_is_detected() {
     let gq = judgment(
         vec![spoc("dog", "in", "car"), spoc("man", "wearing", "hat")],
         vec![
-            QueryEdge { provider: 0, consumer: 1, dependency: Dependency::S2S },
-            QueryEdge { provider: 1, consumer: 0, dependency: Dependency::O2O },
+            QueryEdge {
+                provider: 0,
+                consumer: 1,
+                dependency: Dependency::S2S,
+            },
+            QueryEdge {
+                provider: 1,
+                consumer: 0,
+                dependency: Dependency::O2O,
+            },
         ],
     );
     assert_eq!(codes_of(&gq), vec![codes::CYCLIC_DEPENDENCY]);
@@ -86,13 +92,21 @@ fn cyclic_dependency_is_detected() {
 fn dangling_and_self_loop_edges_are_errors() {
     let gq = judgment(
         vec![spoc("dog", "in", "car")],
-        vec![QueryEdge { provider: 0, consumer: 7, dependency: Dependency::S2S }],
+        vec![QueryEdge {
+            provider: 0,
+            consumer: 7,
+            dependency: Dependency::S2S,
+        }],
     );
     assert_eq!(codes_of(&gq), vec![codes::DANGLING_EDGE]);
 
     let gq = judgment(
         vec![spoc("dog", "in", "car")],
-        vec![QueryEdge { provider: 0, consumer: 0, dependency: Dependency::S2S }],
+        vec![QueryEdge {
+            provider: 0,
+            consumer: 0,
+            dependency: Dependency::S2S,
+        }],
     );
     assert_eq!(codes_of(&gq), vec![codes::DANGLING_EDGE]);
 }
@@ -102,7 +116,10 @@ fn empty_quad_is_an_error() {
     let gq = judgment(vec![spoc("", "in", "")], vec![]);
     let report = linter().lint(&gq);
     assert!(
-        report.diagnostics.iter().any(|d| d.code == codes::EMPTY_QUAD),
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::EMPTY_QUAD),
         "{}",
         report.render()
     );
@@ -206,13 +223,20 @@ fn bound_slots_are_not_vocabulary_checked() {
             spoc("", "girlfriend of", "harry potter"),
             spoc("harry potter", "girlfriend of", "girlfriend"),
         ],
-        edges: vec![QueryEdge { provider: 0, consumer: 1, dependency: Dependency::O2S }],
+        edges: vec![QueryEdge {
+            provider: 0,
+            consumer: 1,
+            dependency: Dependency::O2S,
+        }],
         question_type: QuestionType::Judgment,
         question: "test".into(),
     };
     let report = linter.lint(&gq);
     assert!(
-        !report.diagnostics.iter().any(|d| d.code == codes::UNKNOWN_CATEGORY),
+        !report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::UNKNOWN_CATEGORY),
         "{}",
         report.render()
     );
@@ -224,7 +248,10 @@ fn unknown_constraint_warns() {
     v.constraint = Some("upside down".into());
     let report = linter().lint(&judgment(vec![v], vec![]));
     assert!(
-        report.diagnostics.iter().any(|d| d.code == codes::UNKNOWN_CONSTRAINT),
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::UNKNOWN_CONSTRAINT),
         "{}",
         report.render()
     );
@@ -247,7 +274,10 @@ fn cartesian_blowup_warns_on_wide_pair_scans() {
     let linter = Linter::new(Schema::extract(&wide_world()));
     let report = linter.lint(&judgment(vec![spoc("dog", "in", "car")], vec![]));
     assert!(
-        report.diagnostics.iter().any(|d| d.code == codes::CARTESIAN_BLOWUP),
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == codes::CARTESIAN_BLOWUP),
         "{}",
         report.render()
     );
@@ -289,7 +319,11 @@ fn bound_slot_inherits_provider_cardinality() {
             // this quad is not a 600-wide wildcard scan.
             spoc("", "in", "car"),
         ],
-        edges: vec![QueryEdge { provider: 0, consumer: 1, dependency: Dependency::S2S }],
+        edges: vec![QueryEdge {
+            provider: 0,
+            consumer: 1,
+            dependency: Dependency::S2S,
+        }],
         question_type: QuestionType::Reasoning,
         question: "test".into(),
     };
@@ -309,7 +343,11 @@ fn report_sorts_errors_first_and_renders_summary() {
     assert!(report.has_errors());
     assert_eq!(report.diagnostics[0].severity, Severity::Error);
     assert!(report.summary().contains("1 error"), "{}", report.summary());
-    assert!(report.render().contains("did you mean"), "{}", report.render());
+    assert!(
+        report.render().contains("did you mean"),
+        "{}",
+        report.render()
+    );
 
     // Diagnostics survive a serde round trip (the serve path ships them).
     let json = serde_json::to_string(&report).unwrap();

@@ -242,7 +242,10 @@ mod tests {
             .build()
             .unwrap();
         assert!(gq.vertices[0].asks_kind);
-        assert_eq!(gq.vertices[1].constraint.as_deref(), Some("most frequently"));
+        assert_eq!(
+            gq.vertices[1].constraint.as_deref(),
+            Some("most frequently")
+        );
         assert_eq!(gq.vertices[0].constraint, None);
     }
 

@@ -89,8 +89,7 @@ fn acl_depth(tree: &DepTree, mut v: usize) -> usize {
 /// Whether token `i` is an auxiliary of `head` (guards against counting a
 /// stray auxiliary as a conjoined clause).
 fn has_aux_to(tree: &DepTree, i: usize, head: usize) -> bool {
-    tree.head_of(i) == Some(head)
-        && matches!(tree.label_of(i), DepLabel::Aux | DepLabel::AuxPass)
+    tree.head_of(i) == Some(head) && matches!(tree.label_of(i), DepLabel::Aux | DepLabel::AuxPass)
 }
 
 /// The token span loosely belonging to a clause: the verb's yield (all

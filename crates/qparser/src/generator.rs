@@ -45,8 +45,19 @@ impl From<ParseError> for QueryParseError {
 /// sub-query ("Harry Potter's girlfriend" → `⟨*, girlfriend of, harry
 /// potter⟩`).
 const RELATIONAL_NOUNS: &[&str] = &[
-    "girlfriend", "boyfriend", "friend", "wife", "husband", "spouse",
-    "sibling", "brother", "sister", "mentor", "teacher", "enemy", "rival",
+    "girlfriend",
+    "boyfriend",
+    "friend",
+    "wife",
+    "husband",
+    "spouse",
+    "sibling",
+    "brother",
+    "sister",
+    "mentor",
+    "teacher",
+    "enemy",
+    "rival",
     "owner",
 ];
 
@@ -126,7 +137,9 @@ impl QueryGraphGenerator {
 
         // --- Connect stage: antecedent links + generic shared-noun links. ---
         for (ci, clause) in clauses.iter().enumerate() {
-            let Some(ant) = clause.antecedent else { continue };
+            let Some(ant) = clause.antecedent else {
+                continue;
+            };
             let ant_head = self.lemmatizer.noun_lemma(tree.text(ant));
             let provider = clause_vertex[ci];
             // The consumer is the clause whose SPOC mentions the antecedent
@@ -156,10 +169,7 @@ impl QueryGraphGenerator {
                     continue;
                 }
                 let (vp, vc) = (clause_vertex[i], clause_vertex[j]);
-                if edges
-                    .iter()
-                    .any(|e| e.provider == vp && e.consumer == vc)
-                {
+                if edges.iter().any(|e| e.provider == vp && e.consumer == vc) {
                     continue;
                 }
                 let provider = &vertices[vp];
@@ -415,8 +425,10 @@ impl QueryGraphGenerator {
             )
             .collect();
         part_tokens.sort_unstable();
-        let mut parts: Vec<String> =
-            part_tokens.iter().map(|&t| tree.text(t).to_owned()).collect();
+        let mut parts: Vec<String> = part_tokens
+            .iter()
+            .map(|&t| tree.text(t).to_owned())
+            .collect();
         parts.push(head_lemma.clone());
         let mut phrase = parts.join(" ");
         let head_lemma = if part_tokens.iter().any(|&t| tree.tag(t).is_noun()) {
@@ -441,9 +453,7 @@ impl QueryGraphGenerator {
 
     /// Flat rendering of a compound name ("harry potter").
     fn render_flat(&self, tree: &DepTree, head: usize) -> String {
-        let mut tokens: Vec<usize> = tree
-            .children_with_label(head, DepLabel::Compound)
-            .collect();
+        let mut tokens: Vec<usize> = tree.children_with_label(head, DepLabel::Compound).collect();
         tokens.push(head);
         tokens.sort_unstable();
         tokens
@@ -514,10 +524,7 @@ fn extract_constraint(tree: &DepTree, verb: usize) -> Option<String> {
         .collect::<Vec<_>>()
         .join(" ");
     const KEYWORDS: [&str; 5] = ["most", "least", "exactly", "at least", "at most"];
-    KEYWORDS
-        .iter()
-        .any(|k| text.contains(k))
-        .then_some(text)
+    KEYWORDS.iter().any(|k| text.contains(k)).then_some(text)
 }
 
 /// Role of a head lemma inside a SPOC, if mentioned.
@@ -621,7 +628,8 @@ mod tests {
     fn example7_two_clause_question() {
         // Figure 7: "What kind of animals is carried by the pets that were
         // situated in the car?"
-        let g = generate("What kind of animals is carried by the pets that were situated in the car?");
+        let g =
+            generate("What kind of animals is carried by the pets that were situated in the car?");
         assert_eq!(g.len(), 2);
         let main = &g.vertices[0];
         assert_eq!(main.subject.head, "pet");
@@ -713,7 +721,13 @@ mod tests {
         let heads: Vec<(&str, &str, &str)> = g
             .vertices
             .iter()
-            .map(|v| (v.subject.head.as_str(), v.predicate.as_str(), v.object.head.as_str()))
+            .map(|v| {
+                (
+                    v.subject.head.as_str(),
+                    v.predicate.as_str(),
+                    v.object.head.as_str(),
+                )
+            })
             .collect();
         assert!(heads.contains(&("dog", "in", "car")), "{heads:?}");
         assert!(heads.contains(&("man", "near", "bus")), "{heads:?}");
@@ -727,8 +741,9 @@ mod tests {
         // subject (the FW token is invisible to NP extraction), or the
         // parse fails outright — either way the pipeline yields a query
         // that cannot match the intended vertex.
-        let result = QueryGraphGenerator::new()
-            .generate("Does the kind of canis that is sitting on the bed appear in front of the vehicle?");
+        let result = QueryGraphGenerator::new().generate(
+            "Does the kind of canis that is sitting on the bed appear in front of the vehicle?",
+        );
         #[allow(clippy::single_match)]
         match result {
             Ok(g) => {
@@ -764,7 +779,8 @@ mod tests {
         // clauses the way Table II does.
         let one = generate("How many dogs are sitting on the grass?");
         assert_eq!(one.len(), 1);
-        let two = generate("What kind of animals is carried by the pets that were situated in the car?");
+        let two =
+            generate("What kind of animals is carried by the pets that were situated in the car?");
         assert_eq!(two.len(), 2);
     }
 }

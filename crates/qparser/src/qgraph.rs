@@ -218,8 +218,16 @@ mod tests {
                 spoc("c", "r", "d"),
             ],
             edges: vec![
-                QueryEdge { provider: 2, consumer: 1, dependency: Dependency::O2S },
-                QueryEdge { provider: 1, consumer: 0, dependency: Dependency::O2S },
+                QueryEdge {
+                    provider: 2,
+                    consumer: 1,
+                    dependency: Dependency::O2S,
+                },
+                QueryEdge {
+                    provider: 1,
+                    consumer: 0,
+                    dependency: Dependency::O2S,
+                },
             ],
             question_type: QuestionType::Reasoning,
             question: "chain".into(),

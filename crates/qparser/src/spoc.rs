@@ -103,6 +103,9 @@ mod tests {
         };
         assert_eq!(spoc.display(), "⟨wizard, hang out, girlfriend⟩");
         spoc.constraint = Some("most frequently".into());
-        assert_eq!(spoc.display(), "⟨wizard, hang out, girlfriend, most frequently⟩");
+        assert_eq!(
+            spoc.display(),
+            "⟨wizard, hang out, girlfriend, most frequently⟩"
+        );
     }
 }

@@ -187,10 +187,16 @@ mod tests {
                 last = v;
             }
         }
-        assert!(bucket_lines >= 4, "3 occupied buckets + +Inf, got {bucket_lines}");
+        assert!(
+            bucket_lines >= 4,
+            "3 occupied buckets + +Inf, got {bucket_lines}"
+        );
         assert!(text.contains("le=\"+Inf\"}} 6") || text.contains("le=\"+Inf\"} 6"));
         let map = samples(&text);
-        assert_eq!(map["svqa_span_duration_seconds_count{stage=\"match\"}"], 6.0);
+        assert_eq!(
+            map["svqa_span_duration_seconds_count{stage=\"match\"}"],
+            6.0
+        );
         assert!(map["svqa_span_duration_seconds_sum{stage=\"match\"}"] > 0.0);
         assert_eq!(last, 6.0, "last cumulative bucket equals count");
     }

@@ -106,10 +106,7 @@ impl Recorder {
                 .get(counter::CACHE_SCOPE_MISSES)
                 .unwrap_or(&0),
             path_hits: *inner.counters.get(counter::CACHE_PATH_HITS).unwrap_or(&0),
-            path_misses: *inner
-                .counters
-                .get(counter::CACHE_PATH_MISSES)
-                .unwrap_or(&0),
+            path_misses: *inner.counters.get(counter::CACHE_PATH_MISSES).unwrap_or(&0),
         };
         // The question counters are part of the snapshot contract: readers
         // (dashboards, the integration tests) can rely on the keys being

@@ -99,6 +99,9 @@ mod tests {
         {
             let _s = Span::enter("telemetry_test_global_span");
         }
-        assert_eq!(global().span_count("telemetry_test_global_span"), before + 1);
+        assert_eq!(
+            global().span_count("telemetry_test_global_span"),
+            before + 1
+        );
     }
 }

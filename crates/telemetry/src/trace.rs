@@ -58,7 +58,11 @@ impl StageTiming {
 
     /// Total number of nodes in this subtree (self + descendants).
     pub fn node_count(&self) -> usize {
-        1 + self.children.iter().map(StageTiming::node_count).sum::<usize>()
+        1 + self
+            .children
+            .iter()
+            .map(StageTiming::node_count)
+            .sum::<usize>()
     }
 }
 

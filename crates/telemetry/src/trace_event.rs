@@ -171,12 +171,10 @@ mod tests {
             other => panic!("expected array, got {other:?}"),
         };
         assert_eq!(arr.len(), ct.events().len());
-        let tids: std::collections::BTreeSet<u64> =
-            ct.events().iter().map(|e| e.tid).collect();
+        let tids: std::collections::BTreeSet<u64> = ct.events().iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 2, "one lane per query: {tids:?}");
         // The second query starts after the first ends.
-        let q_events: Vec<&TraceEvent> =
-            ct.events().iter().filter(|e| e.name == "query").collect();
+        let q_events: Vec<&TraceEvent> = ct.events().iter().filter(|e| e.name == "query").collect();
         assert_eq!(q_events.len(), 2);
         assert!(q_events[1].ts >= q_events[0].ts + q_events[0].dur);
     }

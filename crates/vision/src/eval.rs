@@ -113,7 +113,13 @@ fn predicates_match(predicted: usize, gold: usize) -> bool {
 
 /// Convenience wrapper: mR@K over a corpus for one generator output stream.
 pub fn mean_recall_at_k<'a>(
-    items: impl IntoIterator<Item = (&'a SyntheticImage, &'a [Detection], &'a [RelationPrediction])>,
+    items: impl IntoIterator<
+        Item = (
+            &'a SyntheticImage,
+            &'a [Detection],
+            &'a [RelationPrediction],
+        ),
+    >,
     k: usize,
 ) -> f64 {
     let mut acc = RecallAccumulator::new();

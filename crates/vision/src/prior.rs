@@ -33,7 +33,13 @@ const ANNOTATION_BIAS: f64 = 0.85;
 /// The coarse predicate a lazy annotator writes instead of `r`.
 fn ubiquitous_for(r: usize) -> usize {
     const VERTICALISH: [&str; 7] = [
-        "on", "sitting on", "standing on", "riding", "jumping over", "under", "in",
+        "on",
+        "sitting on",
+        "standing on",
+        "riding",
+        "jumping over",
+        "under",
+        "in",
     ];
     if VERTICALISH.contains(&RELATION_VOCAB[r]) {
         relation_index("on").expect("in vocab")

@@ -266,9 +266,7 @@ pub fn geometric_evidence_boxes(sb: BBox, sd: f64, ob: BBox, od: f64) -> Relatio
     // Containment reads as "in" only at matching depth (a region overlapped
     // by something *behind* it is occlusion, not containment) and unless
     // the subject dwarfs the object.
-    let inn = containment
-        * gauss(depth_gap, 0.1)
-        * (1.0 - gauss_above(size_ratio - 1.5, 0.5));
+    let inn = containment * gauss(depth_gap, 0.1) * (1.0 - gauss_above(size_ratio - 1.5, 0.5));
     // Adjacency at touching distance; attention ("watching") lives at a
     // characteristic standoff distance instead, and overlapping regions
     // are grips/garments, not neighbours.
@@ -279,17 +277,14 @@ pub fn geometric_evidence_boxes(sb: BBox, sd: f64, ob: BBox, od: f64) -> Relatio
     let near = gauss(gap, 0.05)
         * (1.0 - x_overlap_frac).max(0.0)
         * (1.0 - containment)
-        * (1.0 - obj_overlap) * (1.0 - obj_overlap)
+        * (1.0 - obj_overlap)
+        * (1.0 - obj_overlap)
         * gauss(depth_gap, 0.15);
     // Occlusion-order predicates need a clear depth gap *and* line-of-sight
     // alignment (x-overlap) — depth alone would relate every pair of
     // objects at different distances.
-    let behind = gauss_above(depth_gap - 0.15, 0.07)
-        * x_overlap_frac
-        * gauss(dist, 0.35);
-    let in_front = gauss_above(-depth_gap - 0.15, 0.07)
-        * x_overlap_frac
-        * gauss(dist, 0.35);
+    let behind = gauss_above(depth_gap - 0.15, 0.07) * x_overlap_frac * gauss(dist, 0.35);
+    let in_front = gauss_above(-depth_gap - 0.15, 0.07) * x_overlap_frac * gauss(dist, 0.35);
     let under = below * x_overlap_frac;
     // Holding/carrying: a small object overlapping the subject's mid
     // region at its *side* (where hands/mouths are); wearing: a garment
@@ -327,8 +322,21 @@ pub fn geometric_evidence_boxes(sb: BBox, sd: f64, ob: BBox, od: f64) -> Relatio
     let jumping_over = x_overlap_frac * gauss(ob.y - sb.bottom() - 0.06, 0.035);
 
     [
-        on, inn, near, behind, in_front, under, holding, wearing, riding,
-        carrying, watching, sitting_on, standing_on, looking_at, jumping_over,
+        on,
+        inn,
+        near,
+        behind,
+        in_front,
+        under,
+        holding,
+        wearing,
+        riding,
+        carrying,
+        watching,
+        sitting_on,
+        standing_on,
+        looking_at,
+        jumping_over,
     ]
 }
 
@@ -445,7 +453,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let p = model.pair_scores(&(&sub).into(), &(&obj).into(), false, &mut rng);
         let original_argmax = argmax(&p);
-        assert_eq!(RELATION_VOCAB[original_argmax], "near", "bias should win: {p:?}");
+        assert_eq!(
+            RELATION_VOCAB[original_argmax], "near",
+            "bias should win: {p:?}"
+        );
 
         let mut rng = StdRng::seed_from_u64(3);
         let tde = model.pair_scores(&(&sub).into(), &(&obj).into(), true, &mut rng);
@@ -453,7 +464,10 @@ mod tests {
         // on / sitting on / standing on share geometry; any of them counts
         // as recovering the explicit contact predicate.
         assert!(
-            matches!(RELATION_VOCAB[tde_argmax], "on" | "sitting on" | "standing on"),
+            matches!(
+                RELATION_VOCAB[tde_argmax],
+                "on" | "sitting on" | "standing on"
+            ),
             "TDE picked {} ({tde:?})",
             RELATION_VOCAB[tde_argmax]
         );
@@ -471,7 +485,13 @@ mod tests {
             PairPrior::uniform(),
         );
         let mut rng = StdRng::seed_from_u64(4);
-        let p = model.predict(&sub.features, &sub.label, &obj.features, &obj.label, &mut rng);
+        let p = model.predict(
+            &sub.features,
+            &sub.label,
+            &obj.features,
+            &obj.label,
+            &mut rng,
+        );
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(p.iter().all(|&x| x >= 0.0));
     }

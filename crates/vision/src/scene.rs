@@ -21,45 +21,75 @@ use serde::{Deserialize, Serialize};
 /// supporting prop categories scenes need.
 pub const CATEGORIES: &[(&str, &str, f64, f64)] = &[
     // humans
-    ("person", "human", 0.14, 0.38), ("man", "human", 0.14, 0.38),
-    ("woman", "human", 0.13, 0.36), ("child", "human", 0.10, 0.24),
-    ("wizard", "human", 0.14, 0.40), ("player", "human", 0.14, 0.38),
+    ("person", "human", 0.14, 0.38),
+    ("man", "human", 0.14, 0.38),
+    ("woman", "human", 0.13, 0.36),
+    ("child", "human", 0.10, 0.24),
+    ("wizard", "human", 0.14, 0.40),
+    ("player", "human", 0.14, 0.38),
     // animals
-    ("dog", "animal", 0.16, 0.14), ("cat", "animal", 0.12, 0.10),
-    ("bird", "animal", 0.06, 0.05), ("horse", "animal", 0.26, 0.24),
-    ("sheep", "animal", 0.18, 0.14), ("cow", "animal", 0.26, 0.20),
-    ("elephant", "animal", 0.34, 0.28), ("bear", "animal", 0.22, 0.20),
-    ("teddy bear", "animal", 0.08, 0.09), ("zebra", "animal", 0.24, 0.20),
+    ("dog", "animal", 0.16, 0.14),
+    ("cat", "animal", 0.12, 0.10),
+    ("bird", "animal", 0.06, 0.05),
+    ("horse", "animal", 0.26, 0.24),
+    ("sheep", "animal", 0.18, 0.14),
+    ("cow", "animal", 0.26, 0.20),
+    ("elephant", "animal", 0.34, 0.28),
+    ("bear", "animal", 0.22, 0.20),
+    ("teddy bear", "animal", 0.08, 0.09),
+    ("zebra", "animal", 0.24, 0.20),
     ("giraffe", "animal", 0.20, 0.36),
     // vehicles
-    ("car", "vehicle", 0.30, 0.16), ("bus", "vehicle", 0.42, 0.26),
-    ("truck", "vehicle", 0.40, 0.24), ("motorcycle", "vehicle", 0.22, 0.16),
-    ("bicycle", "vehicle", 0.20, 0.16), ("train", "vehicle", 0.55, 0.22),
-    ("boat", "vehicle", 0.30, 0.14), ("airplane", "vehicle", 0.44, 0.14),
+    ("car", "vehicle", 0.30, 0.16),
+    ("bus", "vehicle", 0.42, 0.26),
+    ("truck", "vehicle", 0.40, 0.24),
+    ("motorcycle", "vehicle", 0.22, 0.16),
+    ("bicycle", "vehicle", 0.20, 0.16),
+    ("train", "vehicle", 0.55, 0.22),
+    ("boat", "vehicle", 0.30, 0.14),
+    ("airplane", "vehicle", 0.44, 0.14),
     // buildings / structures
-    ("building", "building", 0.40, 0.55), ("house", "building", 0.34, 0.38),
-    ("fence", "building", 0.45, 0.12), ("bench", "building", 0.24, 0.12),
-    ("tower", "building", 0.16, 0.60), ("bridge", "building", 0.55, 0.16),
+    ("building", "building", 0.40, 0.55),
+    ("house", "building", 0.34, 0.38),
+    ("fence", "building", 0.45, 0.12),
+    ("bench", "building", 0.24, 0.12),
+    ("tower", "building", 0.16, 0.60),
+    ("bridge", "building", 0.55, 0.16),
     // clothing
-    ("hat", "clothing", 0.07, 0.05), ("shirt", "clothing", 0.12, 0.14),
-    ("jacket", "clothing", 0.13, 0.16), ("robe", "clothing", 0.14, 0.26),
-    ("helmet", "clothing", 0.07, 0.06), ("dress", "clothing", 0.12, 0.22),
+    ("hat", "clothing", 0.07, 0.05),
+    ("shirt", "clothing", 0.12, 0.14),
+    ("jacket", "clothing", 0.13, 0.16),
+    ("robe", "clothing", 0.14, 0.26),
+    ("helmet", "clothing", 0.07, 0.06),
+    ("dress", "clothing", 0.12, 0.22),
     // everyday objects
-    ("frisbee", "object", 0.06, 0.03), ("ball", "object", 0.05, 0.05),
-    ("umbrella", "object", 0.14, 0.10), ("backpack", "object", 0.09, 0.11),
-    ("bottle", "object", 0.03, 0.08), ("cup", "object", 0.04, 0.05),
-    ("book", "object", 0.06, 0.05), ("phone", "object", 0.03, 0.05),
-    ("laptop", "object", 0.10, 0.08), ("tv", "object", 0.16, 0.12),
-    ("kite", "object", 0.10, 0.07), ("skateboard", "object", 0.12, 0.04),
+    ("frisbee", "object", 0.06, 0.03),
+    ("ball", "object", 0.05, 0.05),
+    ("umbrella", "object", 0.14, 0.10),
+    ("backpack", "object", 0.09, 0.11),
+    ("bottle", "object", 0.03, 0.08),
+    ("cup", "object", 0.04, 0.05),
+    ("book", "object", 0.06, 0.05),
+    ("phone", "object", 0.03, 0.05),
+    ("laptop", "object", 0.10, 0.08),
+    ("tv", "object", 0.16, 0.12),
+    ("kite", "object", 0.10, 0.07),
+    ("skateboard", "object", 0.12, 0.04),
     ("surfboard", "object", 0.16, 0.05),
     // furniture
-    ("bed", "furniture", 0.34, 0.20), ("chair", "furniture", 0.14, 0.18),
-    ("table", "furniture", 0.28, 0.16), ("couch", "furniture", 0.32, 0.18),
-    ("window", "furniture", 0.14, 0.18), ("door", "furniture", 0.12, 0.30),
+    ("bed", "furniture", 0.34, 0.20),
+    ("chair", "furniture", 0.14, 0.18),
+    ("table", "furniture", 0.28, 0.16),
+    ("couch", "furniture", 0.32, 0.18),
+    ("window", "furniture", 0.14, 0.18),
+    ("door", "furniture", 0.12, 0.30),
     // scenery
-    ("grass", "scenery", 0.70, 0.18), ("tree", "scenery", 0.18, 0.40),
-    ("road", "scenery", 0.80, 0.16), ("sky", "scenery", 0.95, 0.25),
-    ("water", "scenery", 0.70, 0.20), ("beach", "scenery", 0.70, 0.18),
+    ("grass", "scenery", 0.70, 0.18),
+    ("tree", "scenery", 0.18, 0.40),
+    ("road", "scenery", 0.80, 0.16),
+    ("sky", "scenery", 0.95, 0.25),
+    ("water", "scenery", 0.70, 0.20),
+    ("beach", "scenery", 0.70, 0.18),
 ];
 
 /// Look up `(supertype, default width, default height)` for a category.
@@ -277,21 +307,11 @@ impl<'r> SceneBuilder<'r> {
                 target_depth + self.rng.gen_range(-0.05..0.05),
             ),
             "behind" => (
-                BBox::new(
-                    target.x + eps,
-                    target.y - b.h * 0.3,
-                    b.w,
-                    b.h,
-                ),
+                BBox::new(target.x + eps, target.y - b.h * 0.3, b.w, b.h),
                 target_depth + 0.25,
             ),
             "in front of" => (
-                BBox::new(
-                    target.x + eps,
-                    target.bottom() - b.h * 0.8,
-                    b.w,
-                    b.h,
-                ),
+                BBox::new(target.x + eps, target.bottom() - b.h * 0.8, b.w, b.h),
                 (target_depth - 0.25).max(0.0),
             ),
             "under" => (
@@ -552,7 +572,12 @@ mod tests {
         let img = b.build();
         let d = &img.objects[dog].bbox;
         let g = &img.objects[grass].bbox;
-        assert!(d.bottom() <= g.y + 0.05, "dog bottom {} vs grass top {}", d.bottom(), g.y);
+        assert!(
+            d.bottom() <= g.y + 0.05,
+            "dog bottom {} vs grass top {}",
+            d.bottom(),
+            g.y
+        );
         assert!(d.x_overlap(g) > 0.0);
         assert!(img
             .relations
@@ -636,7 +661,16 @@ mod tests {
             let mut b = SceneBuilder::new(0, &mut r);
             let a = b.add_object(seed_obj);
             let t = b.add_object("building");
-            for pred in ["on", "in", "near", "behind", "in front of", "under", "riding", "jumping over"] {
+            for pred in [
+                "on",
+                "in",
+                "near",
+                "behind",
+                "in front of",
+                "under",
+                "riding",
+                "jumping over",
+            ] {
                 b.relate(a, pred, t);
             }
             let img = b.build();

@@ -61,9 +61,7 @@ fn main() {
         }
     }
     println!("ground truth: a TOY bear (teddy bear) sitting on a couch");
-    println!(
-        "detector output over {trials} trials: recognized as a real 'bear' {confused} times"
-    );
+    println!("detector output over {trials} trials: recognized as a real 'bear' {confused} times");
     println!("  → the classifier cannot see the 'toy' attribute; the scene graph");
     println!("    then claims a bear in the living room, exactly as in the paper.");
 

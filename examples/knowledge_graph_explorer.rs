@@ -56,7 +56,11 @@ fn main() {
     let aggregator = DataAggregator::new(AggregatorConfig::default());
     let merged = aggregator.merge(&scene_graphs, &kg);
     println!("\nAlgorithm 1 merge:");
-    println!("  merged graph: {} vertices, {} edges", merged.graph.vertex_count(), merged.graph.edge_count());
+    println!(
+        "  merged graph: {} vertices, {} edges",
+        merged.graph.vertex_count(),
+        merged.graph.edge_count()
+    );
     println!("  cached subgraphs: {}", merged.stats.cached_subgraphs);
     println!(
         "  cache hits/misses during attach: {}/{}",
@@ -89,12 +93,18 @@ fn main() {
     let harry = g.vertices_with_label("harry potter")[0];
     let girlfriend_of = g.edge_label_id("girlfriend of");
     let same_as = g.edge_label_id(SAME_AS);
-    for (_, e) in g.in_edges(harry).filter(|(_, e)| Some(e.label_id()) == girlfriend_of) {
+    for (_, e) in g
+        .in_edges(harry)
+        .filter(|(_, e)| Some(e.label_id()) == girlfriend_of)
+    {
         let girlfriend = e.src();
         let name = g.vertex_label(girlfriend).unwrap_or("?");
         println!("  {name} is harry potter's girlfriend (knowledge graph)");
         // Scene instances of the girlfriend via "same as" links.
-        for (_, link) in g.out_edges(girlfriend).filter(|(_, e)| Some(e.label_id()) == same_as) {
+        for (_, link) in g
+            .out_edges(girlfriend)
+            .filter(|(_, e)| Some(e.label_id()) == same_as)
+        {
             let instance = link.dst();
             let image = g.vertex_props(instance).get(IMAGE).and_then(|p| p.as_int());
             // Who appears near her in that image?

@@ -100,8 +100,5 @@ fn main() {
         },
         prior,
     );
-    print_graph(
-        "TDE-debiased links (Fig. 3c)",
-        &tde.generate(&image).graph,
-    );
+    print_graph("TDE-debiased links (Fig. 3c)", &tde.generate(&image).graph);
 }

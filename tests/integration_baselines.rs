@@ -41,8 +41,7 @@ fn baseline_accuracy_ordering_roughly_matches_table4() {
         config: svqa::dataset::mvqa::MvqaConfig::default(),
     };
     let overall = |model| {
-        let (answers, _) =
-            BaselineVqa::new(model, 7).answer_dataset(&gt, &v.specs, v.images.len());
+        let (answers, _) = BaselineVqa::new(model, 7).answer_dataset(&gt, &v.specs, v.images.len());
         as_mvqa.score_answers(&answers).3
     };
     let ofa = overall(VqaModel::Ofa);

@@ -44,7 +44,10 @@ fn assert_degraded_matches_reference(system: &Svqa, questions: &[&str], down: So
         if prepared.gate.is_err() {
             continue;
         }
-        let gq = prepared.query.clone().expect("a question that cleared the gate parsed");
+        let gq = prepared
+            .query
+            .clone()
+            .expect("a question that cleared the gate parsed");
         let expected = reference
             .run(&gq, None, &mut CacheStats::new())
             .unwrap_or_else(|e| panic!("{q}: reference failed: {e}"));
@@ -59,7 +62,12 @@ fn assert_degraded_matches_reference(system: &Svqa, questions: &[&str], down: So
             } => assert_eq!(missing_sources, &[down.name()], "{q}"),
             other => panic!("{q}: expected a degraded answer, got {other}"),
         }
-        assert_eq!(guarded.answer, expected.answer, "{q} ({} down)", down.name());
+        assert_eq!(
+            guarded.answer,
+            expected.answer,
+            "{q} ({} down)",
+            down.name()
+        );
         assert_eq!(
             run.explanation().expect("executed"),
             expected.explanation(&view),
@@ -81,7 +89,13 @@ fn assert_degraded_matches_reference(system: &Svqa, questions: &[&str], down: So
                     t.obj.method,
                 )
             };
-            assert_eq!(funnel(got), funnel(want), "{q} v{} ({} down)", quad.index, down.name());
+            assert_eq!(
+                funnel(got),
+                funnel(want),
+                "{q} v{} ({} down)",
+                quad.index,
+                down.name()
+            );
         }
         compared += 1;
     }

@@ -67,7 +67,13 @@ fn explain_renders_the_plan_tree() {
 #[test]
 fn explain_json_is_a_machine_readable_profile() {
     let world = world_dir();
-    let text = run_cli(&["explain", "--json", "--world", world.to_str().unwrap(), QUESTION]);
+    let text = run_cli(&[
+        "explain",
+        "--json",
+        "--world",
+        world.to_str().unwrap(),
+        QUESTION,
+    ]);
     let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON profile");
 
     assert_eq!(v["question"].as_str(), Some(QUESTION));

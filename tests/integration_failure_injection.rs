@@ -106,11 +106,8 @@ fn empty_image_set_is_knowledge_only() {
         .answer("How many wizards are near Harry Potter's girlfriend?")
         .unwrap();
     assert_eq!(a, svqa::Answer::Count(0)); // no co-appearance evidence
-    // The merged graph is exactly the KG.
-    assert_eq!(
-        system.merged_graph().vertex_count(),
-        mvqa.kg.vertex_count()
-    );
+                                           // The merged graph is exactly the KG.
+    assert_eq!(system.merged_graph().vertex_count(), mvqa.kg.vertex_count());
 }
 
 #[test]

@@ -12,7 +12,7 @@ use common::{http, shutdown_and_join, start_server};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use svqa::dataset::Mvqa;
-use svqa::fault::{self, BreakerState, FaultKind, FaultPlan, Source, SiteFault};
+use svqa::fault::{self, BreakerState, FaultKind, FaultPlan, SiteFault, Source};
 use svqa::telemetry::counter;
 use svqa::{ServeConfig, Svqa, SvqaConfig};
 
@@ -80,7 +80,10 @@ fn ten_percent_kg_chaos_degrades_deterministically_and_is_counted() {
 
     let (statuses_a, fired_a, draws_a, degraded_a) = run();
     let degraded_count = statuses_a.iter().filter(|s| *s == "degraded").count() as u64;
-    assert!(degraded_count >= 1, "10% plan never degraded: {statuses_a:?}");
+    assert!(
+        degraded_count >= 1,
+        "10% plan never degraded: {statuses_a:?}"
+    );
     assert!(
         statuses_a.iter().any(|s| s == "ok"),
         "10% plan degraded everything: {statuses_a:?}"
@@ -90,7 +93,10 @@ fn ten_percent_kg_chaos_degrades_deterministically_and_is_counted() {
         "answers_degraded counter disagrees with the labeled responses"
     );
     // One KG probe per question that survives parse + lint.
-    assert!(draws_a > 0 && draws_a <= mvqa.questions.len() as u64, "{draws_a}");
+    assert!(
+        draws_a > 0 && draws_a <= mvqa.questions.len() as u64,
+        "{draws_a}"
+    );
 
     // Same seed, same question sequence: the identical fault sequence,
     // decision for decision.
@@ -128,17 +134,27 @@ fn breaker_opens_after_consecutive_faults_and_recovers_via_half_open() {
     let guard = fault::install(plan);
     assert_eq!(kg_state(&system), BreakerState::Closed);
 
-    let first = system.answer_guarded(question, None, None).expect("degraded answer");
+    let first = system
+        .answer_guarded(question, None, None)
+        .expect("degraded answer");
     assert!(first.status.is_degraded(), "{:?}", first.status);
-    assert_eq!(kg_state(&system), BreakerState::Closed, "one failure of two");
+    assert_eq!(
+        kg_state(&system),
+        BreakerState::Closed,
+        "one failure of two"
+    );
 
-    let second = system.answer_guarded(question, None, None).expect("degraded answer");
+    let second = system
+        .answer_guarded(question, None, None)
+        .expect("degraded answer");
     assert!(second.status.is_degraded());
     assert_eq!(kg_state(&system), BreakerState::Open, "threshold reached");
     assert_eq!(system.health_status(), "degraded");
 
     // While open, the source is skipped without drawing: still degraded.
-    let rejected = system.answer_guarded(question, None, None).expect("degraded answer");
+    let rejected = system
+        .answer_guarded(question, None, None)
+        .expect("degraded answer");
     assert!(rejected.status.is_degraded());
     assert_eq!(guard.injector().draws_at(fault::site::SOURCE_KG), 2);
 
@@ -146,7 +162,9 @@ fn breaker_opens_after_consecutive_faults_and_recovers_via_half_open() {
     // exhausted) succeeds and closes it again.
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(kg_state(&system), BreakerState::HalfOpen);
-    let recovered = system.answer_guarded(question, None, None).expect("full answer");
+    let recovered = system
+        .answer_guarded(question, None, None)
+        .expect("full answer");
     assert!(!recovered.status.is_degraded(), "{:?}", recovered.status);
     assert_eq!(kg_state(&system), BreakerState::Closed);
     assert_eq!(system.health_status(), "ok");
@@ -179,7 +197,10 @@ fn poisoned_questions_do_not_shrink_the_worker_pool() {
         assert_eq!(status, 500, "{body}");
         assert!(body.contains("panic"), "{body}");
     }
-    assert_eq!(counter_value(counter::SERVER_WORKER_PANICS) - panics_before, 2);
+    assert_eq!(
+        counter_value(counter::SERVER_WORKER_PANICS) - panics_before,
+        2
+    );
 
     // Both workers survived their panics: the pool still answers (with a
     // finite deadline, so a dead pool would fail fast as 504, not hang).
@@ -340,7 +361,10 @@ fn degraded_ask_response_is_labeled_over_http() {
         Some("kg"),
         "{body}"
     );
-    assert!(answered["confidence_penalty"].as_f64().unwrap_or(0.0) > 0.0, "{body}");
+    assert!(
+        answered["confidence_penalty"].as_f64().unwrap_or(0.0) > 0.0,
+        "{body}"
+    );
     assert!(answered["answer_text"].as_str().is_some(), "{body}");
 
     let (_, _, metrics) = http(addr, "GET", "/metrics", "");

@@ -18,7 +18,9 @@ fn live_endpoint_serves_real_pipeline_data() {
     run.result.as_ref().expect("answered");
     run.profile().expect("profiled answer");
     for q in mvqa.questions.iter().take(4) {
-        let _ = system.run(system.prepare(&q.question), None, None).profile();
+        let _ = system
+            .run(system.prepare(&q.question), None, None)
+            .profile();
     }
 
     // Serve the same system on port 0 (free port): its metrics routes read
@@ -31,19 +33,30 @@ fn live_endpoint_serves_real_pipeline_data() {
     let (_, head, body) = http(addr, "GET", "/metrics", "");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     assert!(head.contains("text/plain; version=0.0.4"), "{head}");
-    assert!(body.contains("# TYPE svqa_span_duration_seconds histogram"), "{body}");
+    assert!(
+        body.contains("# TYPE svqa_span_duration_seconds histogram"),
+        "{body}"
+    );
     for stage in ["parse", "match"] {
         assert!(
-            body.contains(&format!("svqa_span_duration_seconds_count{{stage=\"{stage}\"}}")),
+            body.contains(&format!(
+                "svqa_span_duration_seconds_count{{stage=\"{stage}\"}}"
+            )),
             "missing {stage} histogram:\n{body}"
         );
     }
     assert!(body.contains("le=\"+Inf\""), "{body}");
     assert!(body.contains("svqa_questions_answered_total"), "{body}");
-    assert!(body.contains("svqa_cache_hit_rate{pool=\"overall\"}"), "{body}");
+    assert!(
+        body.contains("svqa_cache_hit_rate{pool=\"overall\"}"),
+        "{body}"
+    );
     // Every non-comment line is `name{labels} value` with a float value —
     // the minimal parseability contract a scraper relies on.
-    for line in body.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
+    for line in body
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+    {
         let value = line.rsplit(' ').next().unwrap_or("");
         assert!(
             value.parse::<f64>().is_ok() || value == "+Inf",

@@ -55,7 +55,11 @@ fn all_mvqa_questions_execute_or_fail_as_parse_errors() {
             // Adversarial rare-word questions may fail to parse (Fig. 8a);
             // nothing else is allowed to error.
             Err(SvqaError::Parse(_)) => {
-                assert!(q.adversarial, "non-adversarial parse failure: {:?}", q.question)
+                assert!(
+                    q.adversarial,
+                    "non-adversarial parse failure: {:?}",
+                    q.question
+                )
             }
             Err(e) => panic!("unexpected error for {:?}: {e}", q.question),
         }
@@ -128,7 +132,10 @@ fn pipeline_is_deterministic() {
         s1.merged_graph().vertex_count(),
         s2.merged_graph().vertex_count()
     );
-    assert_eq!(s1.merged_graph().edge_count(), s2.merged_graph().edge_count());
+    assert_eq!(
+        s1.merged_graph().edge_count(),
+        s2.merged_graph().edge_count()
+    );
     for q in mvqa.questions.iter().take(10) {
         assert_eq!(
             s1.answer(&q.question).ok(),

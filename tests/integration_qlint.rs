@@ -78,9 +78,17 @@ fn generated_corpus_stays_statically_clean() {
 fn hand_built_malformed_graphs_get_exact_codes() {
     let (system, _) = world();
     let spoc = |s: &str, p: &str, o: &str| Spoc {
-        subject: if s.is_empty() { NounPhrase::default() } else { NounPhrase::simple(s) },
+        subject: if s.is_empty() {
+            NounPhrase::default()
+        } else {
+            NounPhrase::simple(s)
+        },
         predicate: p.to_owned(),
-        object: if o.is_empty() { NounPhrase::default() } else { NounPhrase::simple(o) },
+        object: if o.is_empty() {
+            NounPhrase::default()
+        } else {
+            NounPhrase::simple(o)
+        },
         ..Spoc::default()
     };
 
@@ -88,8 +96,16 @@ fn hand_built_malformed_graphs_get_exact_codes() {
     let cyclic = QueryGraph {
         vertices: vec![spoc("dog", "in", "car"), spoc("man", "wear", "hat")],
         edges: vec![
-            QueryEdge { provider: 0, consumer: 1, dependency: Dependency::S2S },
-            QueryEdge { provider: 1, consumer: 0, dependency: Dependency::O2O },
+            QueryEdge {
+                provider: 0,
+                consumer: 1,
+                dependency: Dependency::S2S,
+            },
+            QueryEdge {
+                provider: 1,
+                consumer: 0,
+                dependency: Dependency::O2O,
+            },
         ],
         question_type: QuestionType::Judgment,
         question: "cyclic".into(),
@@ -119,7 +135,11 @@ fn hand_built_malformed_graphs_get_exact_codes() {
     // An edge pointing at a vertex that does not exist.
     let dangling = QueryGraph {
         vertices: vec![spoc("dog", "in", "car")],
-        edges: vec![QueryEdge { provider: 0, consumer: 9, dependency: Dependency::S2S }],
+        edges: vec![QueryEdge {
+            provider: 0,
+            consumer: 9,
+            dependency: Dependency::S2S,
+        }],
         question_type: QuestionType::Judgment,
         question: "dangling".into(),
     };
@@ -157,7 +177,11 @@ fn profiled_run_carries_lint_stage_and_diagnostics() {
     let (system, _) = world();
 
     // A clean question records the lint stage but attaches no diagnostics.
-    let run = system.run(system.prepare("Does the dog appear in the car?"), None, None);
+    let run = system.run(
+        system.prepare("Does the dog appear in the car?"),
+        None,
+        None,
+    );
     run.result.as_ref().expect("answers");
     let profile = run.profile().expect("profiled");
     assert!(

@@ -82,8 +82,12 @@ fn full_admission_queue_rejects_with_429_and_retry_after() {
         ..ServeConfig::default()
     });
 
-    let (status, head, body) =
-        http(addr, "POST", "/ask", r#"{"question": "Does the dog appear in the car?"}"#);
+    let (status, head, body) = http(
+        addr,
+        "POST",
+        "/ask",
+        r#"{"question": "Does the dog appear in the car?"}"#,
+    );
     assert_eq!(status, 429, "{body}");
     assert!(head.contains("Retry-After"), "{head}");
 
@@ -148,7 +152,9 @@ fn lint_rejected_question_gets_400_with_diagnostics_and_server_stays_up() {
     assert_eq!(status, 400, "{body}");
     let rejected: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(rejected["code"].as_str(), Some("lint-rejected"), "{body}");
-    let diagnostics = rejected["diagnostics"].as_array().expect("diagnostics array");
+    let diagnostics = rejected["diagnostics"]
+        .as_array()
+        .expect("diagnostics array");
     assert!(
         diagnostics
             .iter()
@@ -160,8 +166,12 @@ fn lint_rejected_question_gets_400_with_diagnostics_and_server_stays_up() {
     // The service is healthy afterwards and still answers clean questions.
     let (status, _, _) = http(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
-    let (status, _, body) =
-        http(addr, "POST", "/ask", r#"{"question": "Is the dog wearing the hat?"}"#);
+    let (status, _, body) = http(
+        addr,
+        "POST",
+        "/ask",
+        r#"{"question": "Is the dog wearing the hat?"}"#,
+    );
     assert_eq!(status, 200, "{body}");
     let answered: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert!(answered["answer_text"].as_str().is_some(), "{body}");

@@ -43,13 +43,8 @@ fn build_and_batch_record_every_stage() {
     // and the identical repeated question guarantees path traffic.
     assert!(batch.cache_stats.total_lookups() > 0);
     assert!(batch.cache_stats.path_hits > 0, "{:?}", batch.cache_stats);
-    assert!(
-        global().counter_value(counter::CACHE_PATH_HITS) >= batch.cache_stats.path_hits
-    );
-    assert!(
-        global().counter_value(counter::CACHE_SCOPE_MISSES)
-            >= batch.cache_stats.scope_misses
-    );
+    assert!(global().counter_value(counter::CACHE_PATH_HITS) >= batch.cache_stats.path_hits);
+    assert!(global().counter_value(counter::CACHE_SCOPE_MISSES) >= batch.cache_stats.scope_misses);
 
     // Question counters line up with the batch outcome.
     let answered = batch.answers.iter().filter(|a| a.is_ok()).count() as u64;
