@@ -295,8 +295,6 @@ impl Plan<'_> {
                                 g.vertex_label_text(v.label_id()),
                                 self.vertex_shapes[props.keys()],
                                 props.iter().map(|(_, value)| value.clone()),
-                                v.out_degree(),
-                                v.in_degree(),
                             )
                         }),
                         g.edges().map(|(id, e)| {
@@ -314,25 +312,15 @@ impl Plan<'_> {
                 .collect(),
             Part::Records(chunks) => {
                 let mut ranges = Vec::new();
-                let mut degrees = Vec::new();
                 for records in chunks {
                     for scene in records.scenes() {
-                        degrees.clear();
-                        degrees.resize(scene.vertex_count(), (0, 0));
-                        for e in scene.edges() {
-                            degrees[e.sub as usize].0 += 1;
-                            degrees[e.obj as usize].1 += 1;
-                        }
                         ranges.push(
                             self.attach_image(
                                 window,
                                 &mut counterparts,
                                 scene
                                     .vertices()
-                                    .zip(&degrees)
-                                    .map(|((label, v), &(out, inn))| {
-                                        (label, RECORD_SHAPE, v.values(), out, inn)
-                                    }),
+                                    .map(|(label, v)| (label, RECORD_SHAPE, v.values())),
                                 scene.edges().iter().map(|e| {
                                     let (sub, obj) = (e.sub as usize, e.obj as usize);
                                     (sub, obj, e.relation(), RECORD_SHAPE, e.values())
@@ -349,14 +337,14 @@ impl Plan<'_> {
     }
 
     /// The attach body for one image: vertices (label, shape slot,
-    /// property values, scene out- and in-degree), scene edges (endpoints
-    /// local to the image, edge-label slot, shape slot, property values),
-    /// then links. `counterparts` is scratch space.
+    /// property values), scene edges (endpoints local to the image,
+    /// edge-label slot, shape slot, property values), then links.
+    /// `counterparts` is scratch space.
     fn attach_image<'s, VV, EV>(
         &self,
         window: &mut GraphWindow<'_>,
         counterparts: &mut Vec<Option<VertexId>>,
-        vertices: impl Iterator<Item = (&'s str, usize, VV, usize, usize)>,
+        vertices: impl Iterator<Item = (&'s str, usize, VV)>,
         edges: impl Iterator<Item = (usize, usize, usize, usize, EV)>,
     ) -> Range<usize>
     where
@@ -365,12 +353,10 @@ impl Plan<'_> {
     {
         let first = window.next_vertex().index();
         counterparts.clear();
-        for (label, shape, values, out_degree, in_degree) in vertices {
+        for (label, shape, values) in vertices {
             let slot = self.slots[label];
-            let kg = self.resolved[slot];
-            let link = usize::from(kg.is_some());
-            window.push_vertex(slot, shape, values, out_degree + link, in_degree + link);
-            counterparts.push(kg);
+            window.push_vertex(slot, shape, values);
+            counterparts.push(self.resolved[slot]);
         }
         let local = |i: usize| VertexId::from_index(first + i);
         for (sub, obj, slot, shape, values) in edges {

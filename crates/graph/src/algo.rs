@@ -54,8 +54,8 @@ pub fn hop_distance(graph: &Graph, from: VertexId, to: VertexId) -> Option<usize
 /// degree `d`.
 pub fn degree_distribution(graph: &Graph) -> Vec<usize> {
     let mut histogram = Vec::new();
-    for (_, v) in graph.vertices() {
-        let d = v.degree();
+    for (v, _) in graph.vertices() {
+        let d = graph.degree(v);
         if histogram.len() <= d {
             histogram.resize(d + 1, 0);
         }

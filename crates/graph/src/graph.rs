@@ -1,5 +1,6 @@
 //! The directed labeled property graph.
 
+use crate::adjacency::Adjacency;
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
@@ -22,10 +23,21 @@ use crate::vertex::Vertex;
 /// Properties live in two columns, one for vertices and one for edges
 /// (see [`crate::props`]): each element holds only the slot of its values
 /// there, and [`Graph::vertex_props`] / [`Graph::edge_props`] read them.
+///
+/// Adjacency is derived from the edge arena: one compressed index per
+/// direction holds every vertex's incident edge ids as a run of one flat
+/// array, in ascending order ([`Graph::out_edge_ids`] /
+/// [`Graph::in_edge_ids`]). The bulk mutations ([`Graph::absorb_where`],
+/// [`Graph::append_windows`], [`crate::binio::from_bytes`]) build both
+/// indexes with one counting sort when they finish.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     pub(crate) vertices: Vec<Vertex>,
     pub(crate) edges: Vec<Edge>,
+    /// Each vertex's out-edges.
+    pub(crate) outgoing: Adjacency,
+    /// Each vertex's in-edges.
+    pub(crate) incoming: Adjacency,
     /// Vertex label → vertex ids carrying that label (in insertion order).
     pub(crate) label_index: LabelTable<Vec<VertexId>>,
     /// Edge label → number of edges carrying it (Algorithm 3's
@@ -78,11 +90,14 @@ impl Graph {
     pub fn add_vertex_with_props(&mut self, label: impl AsRef<str>, props: Properties) -> VertexId {
         let label = self.label_index.intern(label.as_ref());
         let props = self.vertex_column.push(props);
+        self.outgoing.push_vertex();
+        self.incoming.push_vertex();
         self.push_vertex(label, props)
     }
 
     /// Append a vertex whose label is already in the vertex-label table and
-    /// whose properties are already in the vertex column.
+    /// whose properties are already in the vertex column. The adjacency
+    /// indexes do not cover it until they are rebuilt.
     pub(crate) fn push_vertex(&mut self, label: LabelId, props: PropSlot) -> VertexId {
         let id = VertexId::from_index(self.vertices.len());
         self.label_index.value_mut(label).push(id);
@@ -102,11 +117,33 @@ impl Graph {
 
     /// Add a directed edge `src → dst` with the given label and properties.
     /// A label some edge already carries is referred to by id, not copied.
+    ///
+    /// The edge goes to the end of `src`'s out-run and `dst`'s in-run,
+    /// which shifts every later entry of both adjacency arrays: one call
+    /// costs O(V + E). The bulk paths ([`Graph::absorb_where`],
+    /// [`Graph::append_windows`], [`crate::binio::from_bytes`]) do not use
+    /// it; they index every edge at once when they finish.
     pub fn add_edge_with_props(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: impl AsRef<str>,
+        props: Properties,
+    ) -> Result<EdgeId, GraphError> {
+        let id = self.append_edge(src, dst, label.as_ref(), props)?;
+        self.outgoing.insert(src, id);
+        self.incoming.insert(dst, id);
+        Ok(id)
+    }
+
+    /// Append a directed edge `src → dst` to the edge arena without
+    /// indexing it, for a bulk path that rebuilds the adjacency indexes
+    /// when it finishes ([`Graph::index_adjacency`]).
+    pub(crate) fn append_edge(
+        &mut self,
+        src: VertexId,
+        dst: VertexId,
+        label: &str,
         props: Properties,
     ) -> Result<EdgeId, GraphError> {
         if src.index() >= self.vertices.len() {
@@ -115,14 +152,15 @@ impl Graph {
         if dst.index() >= self.vertices.len() {
             return Err(GraphError::UnknownVertex(dst));
         }
-        let label = self.edge_label_counts.intern(label.as_ref());
+        let label = self.edge_label_counts.intern(label);
         let props = self.edge_column.push(props);
         Ok(self.push_edge(src, dst, label, props))
     }
 
     /// Append an edge between existing vertices whose label is already in
     /// the edge-label table and whose properties are already in the edge
-    /// column.
+    /// column. The adjacency indexes do not cover it until they are
+    /// rebuilt.
     fn push_edge(
         &mut self,
         src: VertexId,
@@ -133,9 +171,16 @@ impl Graph {
         let id = EdgeId::from_index(self.edges.len());
         *self.edge_label_counts.value_mut(label) += 1;
         self.edges.push(Edge::new(src, dst, label, props));
-        self.vertices[src.index()].out_edges.push(id);
-        self.vertices[dst.index()].in_edges.push(id);
         id
+    }
+
+    /// Rebuild both adjacency indexes from the edge arena, each with one
+    /// counting sort into exactly sized arrays: the last step of every
+    /// bulk mutation.
+    pub(crate) fn index_adjacency(&mut self) {
+        let vertices = self.vertices.len();
+        self.outgoing = Adjacency::build(vertices, &self.edges, Edge::src);
+        self.incoming = Adjacency::build(vertices, &self.edges, Edge::dst);
     }
 
     /// Look up a vertex by id.
@@ -254,20 +299,41 @@ impl Graph {
             .filter(|&(_, n)| n > 0)
     }
 
+    /// The ids of `v`'s outgoing edges, ascending; empty for a foreign id.
+    pub fn out_edge_ids(&self, v: VertexId) -> &[EdgeId] {
+        self.outgoing.run(v)
+    }
+
+    /// The ids of `v`'s incoming edges, ascending; empty for a foreign id.
+    pub fn in_edge_ids(&self, v: VertexId) -> &[EdgeId] {
+        self.incoming.run(v)
+    }
+
+    /// Out-degree of `v`.
+    pub fn out_degree(&self, v: VertexId) -> usize {
+        self.out_edge_ids(v).len()
+    }
+
+    /// In-degree of `v`.
+    pub fn in_degree(&self, v: VertexId) -> usize {
+        self.in_edge_ids(v).len()
+    }
+
+    /// Total degree of `v` (in + out).
+    pub fn degree(&self, v: VertexId) -> usize {
+        self.out_degree(v) + self.in_degree(v)
+    }
+
     /// Outgoing edges of `v` as `(edge id, edge)` pairs.
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (EdgeId, &Edge)> {
-        self.vertex(v)
-            .map(|vx| vx.out_edge_ids())
-            .unwrap_or(&[])
+        self.out_edge_ids(v)
             .iter()
             .map(move |&eid| (eid, &self.edges[eid.index()]))
     }
 
     /// Incoming edges of `v` as `(edge id, edge)` pairs.
     pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (EdgeId, &Edge)> {
-        self.vertex(v)
-            .map(|vx| vx.in_edge_ids())
-            .unwrap_or(&[])
+        self.in_edge_ids(v)
             .iter()
             .map(move |&eid| (eid, &self.edges[eid.index()]))
     }
@@ -307,59 +373,40 @@ impl Graph {
         self.edges_between(src, dst).any(|(_, e)| e.label == label)
     }
 
-    /// Validate internal consistency, in one pass over each arena: every
-    /// edge endpoint resolves; each vertex's out-list (in-list) is exactly
-    /// the ascending ids of the edges leaving (entering) it; and every
-    /// property slot names a shape of its column and a run of values that
-    /// fits in it. Used after deserialization and available to tests.
+    /// Validate internal consistency, in one pass over each arena and each
+    /// adjacency index: every edge endpoint resolves; each index holds, for
+    /// every vertex, exactly the ascending ids of the edges leaving
+    /// (entering) it; and every property slot names a shape of its column
+    /// and a run of values that fits in it. Used after deserialization and
+    /// available to tests.
     pub fn validate(&self) -> Result<(), GraphError> {
         let corrupt = |msg: String| Err(GraphError::CorruptGraph(msg));
-        // Per vertex: how many entries of its out- and in-list the edges
-        // seen so far account for. Edge `i` must be the next entry of its
-        // source's out-list and of its target's in-list.
-        let mut out_seen = vec![0usize; self.vertices.len()];
-        let mut in_seen = vec![0usize; self.vertices.len()];
-        for (i, e) in self.edges.iter().enumerate() {
-            let eid = EdgeId::from_index(i);
-            let (src, dst) = (e.src().index(), e.dst().index());
-            let Some(src_vertex) = self.vertices.get(src) else {
+        let vertices = self.vertices.len();
+        for (eid, e) in self.edges() {
+            if e.src().index() >= vertices {
                 return corrupt(format!("edge {eid} has dangling src"));
-            };
-            if src_vertex.out_edges.get(out_seen[src]) != Some(&eid) {
-                return corrupt(format!(
-                    "edge {eid} is not next in the out-edges of its src {}",
-                    e.src()
-                ));
             }
-            out_seen[src] += 1;
-            let Some(dst_vertex) = self.vertices.get(dst) else {
+            if e.dst().index() >= vertices {
                 return corrupt(format!("edge {eid} has dangling dst"));
-            };
-            if dst_vertex.in_edges.get(in_seen[dst]) != Some(&eid) {
-                return corrupt(format!(
-                    "edge {eid} is not next in the in-edges of its dst {}",
-                    e.dst()
-                ));
             }
-            in_seen[dst] += 1;
             if !self.edge_column.holds(e.props) {
                 return corrupt(format!("edge {eid} has a property slot outside its column"));
             }
         }
-        for ((vid, v), (&outs, &ins)) in self.vertices().zip(out_seen.iter().zip(&in_seen)) {
-            if let Some(eid) = v.out_edges.get(outs) {
-                return corrupt(format!("vertex {vid} lists out-edge {eid} it does not own"));
-            }
-            if let Some(eid) = v.in_edges.get(ins) {
-                return corrupt(format!("vertex {vid} lists in-edge {eid} it does not own"));
-            }
+        for (vid, v) in self.vertices() {
             if !self.vertex_column.holds(v.props) {
                 return corrupt(format!(
                     "vertex {vid} has a property slot outside its column"
                 ));
             }
         }
-        Ok(())
+        self.outgoing
+            .check(vertices, &self.edges, Edge::src, "out-edge")
+            .and_then(|()| {
+                self.incoming
+                    .check(vertices, &self.edges, Edge::dst, "in-edge")
+            })
+            .or_else(corrupt)
     }
 
     /// Copy every vertex and edge of `other` into `self`, returning the
@@ -376,8 +423,9 @@ impl Graph {
     /// into `self`, with their labels and properties. Returns the vertex id
     /// translation table (`None` for dropped vertices); edges with a
     /// dropped endpoint are dropped. Each of `other`'s labels and property
-    /// shapes is looked up in this graph's tables once, and each value
-    /// column grows once, by exactly the values the kept elements carry.
+    /// shapes is looked up in this graph's tables once, each value column
+    /// grows once, by exactly the values the kept elements carry, and both
+    /// adjacency indexes are rebuilt once at the end.
     pub fn absorb_where(
         &mut self,
         other: &Graph,
@@ -436,6 +484,7 @@ impl Graph {
                 self.push_edge(src, dst, label, props);
             }
         }
+        self.index_adjacency();
         mapping
     }
 }
@@ -598,9 +647,9 @@ mod tests {
     #[test]
     fn elements_are_packed() {
         // A label id and a property slot into the graph's column: a vertex
-        // is its two adjacency lists plus 16 bytes, an edge 20 bytes.
+        // is 12 bytes, an edge 20. Adjacency lives in the graph's indexes.
         let (vertex, edge) = (std::mem::size_of::<Vertex>(), std::mem::size_of::<Edge>());
-        assert!(vertex <= 64, "{vertex}");
+        assert!(vertex <= 12, "{vertex}");
         assert!(edge <= 20, "{edge}");
         assert_eq!(std::mem::size_of::<LabelId>(), 4);
         assert_eq!(std::mem::size_of::<PropSlot>(), 8);
@@ -704,10 +753,9 @@ mod tests {
         g.validate().unwrap();
         // `from_bytes` validates what it loads.
         let back = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
-        for (id, v) in g.vertices() {
-            let loaded = back.vertex(id).unwrap();
-            assert_eq!(loaded.out_edge_ids(), v.out_edge_ids(), "{id}");
-            assert_eq!(loaded.in_edge_ids(), v.in_edge_ids(), "{id}");
+        for (id, _) in g.vertices() {
+            assert_eq!(back.out_edge_ids(id), g.out_edge_ids(id), "{id}");
+            assert_eq!(back.in_edge_ids(id), g.in_edge_ids(id), "{id}");
         }
     }
 
@@ -729,20 +777,25 @@ mod tests {
         assert!(g.validate().unwrap_err().to_string().contains("edge e0"));
     }
 
+    /// `g`'s validation error, which must be a corrupt-graph error.
+    fn corruption(g: &Graph) -> String {
+        let err = g.validate().unwrap_err();
+        assert!(matches!(err, GraphError::CorruptGraph(_)), "{err}");
+        err.to_string()
+    }
+
     #[test]
     fn repeated_adjacency_entry_is_detected() {
-        // The only edge listed twice: every entry names an edge the vertex
-        // owns, but the list is not the ascending ids of its edges.
+        // Two self-loops, the first listed twice in the out-run: every
+        // entry names an edge the vertex owns, and the offsets still end at
+        // E, but the run is not the ascending ids of its edges.
         let mut g = Graph::new();
         let a = g.add_vertex("a");
         let e = g.add_edge(a, a, "x").unwrap();
-        g.vertices[a.index()].out_edges.push(e);
-        let err = g.validate().unwrap_err();
-        assert!(matches!(err, GraphError::CorruptGraph(_)), "{err}");
-        assert!(err.to_string().contains("out-edge e0"), "{err}");
-        // The same graph listed once validates.
-        g.vertices[a.index()].out_edges.pop();
+        g.add_edge(a, a, "y").unwrap();
         g.validate().unwrap();
+        g.outgoing.ids[1] = e;
+        assert!(corruption(&g).contains("vertex v0 lists out-edge e0 twice"));
     }
 
     #[test]
@@ -752,26 +805,37 @@ mod tests {
         let b = g.add_vertex("b");
         g.add_edge(a, b, "x").unwrap();
         g.add_edge(a, b, "y").unwrap();
-        g.vertices[a.index()].out_edges.reverse();
-        assert!(matches!(g.validate(), Err(GraphError::CorruptGraph(_))));
-        g.vertices[a.index()].out_edges.reverse();
-        g.vertices[b.index()].in_edges.reverse();
-        assert!(matches!(g.validate(), Err(GraphError::CorruptGraph(_))));
+        g.validate().unwrap();
+        g.outgoing.ids.reverse();
+        assert!(corruption(&g).contains("vertex v0 lists out-edge e0 out of ascending order"));
+        g.outgoing.ids.reverse();
+        g.incoming.ids.reverse();
+        assert!(corruption(&g).contains("vertex v1 lists in-edge e0 out of ascending order"));
     }
 
     #[test]
     fn inconsistent_adjacency_is_detected() {
-        // The edge exists but its source does not list it.
+        // An entry in the wrong vertex's run: `a → b`'s id moved from b's
+        // in-run to a's, with the offsets still ending at E.
         let mut g = Graph::new();
         let a = g.add_vertex("a");
         let b = g.add_vertex("b");
         g.add_edge(a, b, "x").unwrap();
-        g.vertices[a.index()].out_edges.clear();
-        assert!(matches!(g.validate(), Err(GraphError::CorruptGraph(_))));
-        // The edge exists but its target does not list it.
-        let (mut g, a, _, _) = triangle();
-        g.vertices[a.index()].in_edges.clear();
-        assert!(matches!(g.validate(), Err(GraphError::CorruptGraph(_))));
+        g.incoming.offsets = vec![0, 1, 1];
+        assert!(corruption(&g).contains("vertex v0 lists in-edge e0 it does not own"));
+        // Offsets that do not end at E: the triangle's last in-run is cut
+        // short, which leaves its edge in no run.
+        let (mut g, _, _, _) = triangle();
+        g.incoming.offsets[3] = 2;
+        assert!(corruption(&g).contains("in-edge offsets do not run from 0 to 3"));
+        // Offsets that fall, with the right end and length.
+        let (mut g, _, _, _) = triangle();
+        g.outgoing.offsets[2] = 0;
+        assert!(corruption(&g).contains("out-edge offsets fall at vertex v1"));
+        // An index that misses a vertex.
+        let (mut g, _, _, _) = triangle();
+        g.incoming.offsets.pop();
+        assert!(corruption(&g).contains("in-edge offsets"));
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //!
 //! Design notes (informed by the performance guide):
 //! * vertices and edges live in flat arenas indexed by `u32` ids — no
-//!   per-element allocation beyond a vertex's adjacency lists: each element
-//!   holds a [`LabelId`] into a per-graph label table that stores every
-//!   text once, and a slot into one of two per-graph property columns that
-//!   store every key list once and every value in one exactly sized arena
-//!   ([`props`]);
-//! * adjacency is held as per-vertex out/in edge id lists, giving `O(deg)`
-//!   neighbourhood scans;
+//!   per-element allocation: each element holds a [`LabelId`] into a
+//!   per-graph label table that stores every text once, and a slot into
+//!   one of two per-graph property columns that store every key list once
+//!   and every value in one exactly sized arena ([`props`]);
+//! * adjacency is derived from the edge arena as one compressed index per
+//!   direction: `V + 1` `u32` offsets and `E` edge ids, each vertex's run
+//!   ascending, giving `O(deg)` neighbourhood scans over one contiguous
+//!   slice ([`Graph::out_edge_ids`], [`Graph::in_edge_ids`]). The bulk
+//!   mutations ([`Graph::absorb_where`], [`Graph::append_windows`],
+//!   [`binio::from_bytes`]) build both indexes with one counting sort when
+//!   they finish; a single [`Graph::add_edge`] inserts into its two runs,
+//!   at O(V + E);
 //! * a label index maps each label to its vertices so `matchVertex`-style
 //!   lookups (§V) do not scan the arena;
 //! * induced subgraphs are *views* (bitsets over the parent graph), matching
@@ -38,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adjacency;
 pub mod algo;
 pub mod binio;
 pub mod builder;

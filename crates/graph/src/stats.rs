@@ -125,8 +125,8 @@ impl GraphStats {
     pub fn of(graph: &Graph) -> Self {
         let mut max_degree = 0;
         let mut degree_sum = 0usize;
-        for (_, v) in graph.vertices() {
-            let d = v.degree();
+        for (v, _) in graph.vertices() {
+            let d = graph.degree(v);
             degree_sum += d;
             max_degree = max_degree.max(d);
         }

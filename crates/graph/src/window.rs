@@ -7,12 +7,12 @@
 //! into one disjoint [`GraphWindow`] per part, and fills each window on its
 //! own thread with final ids. A window writes each element's values
 //! straight into its run of the column, so filling it allocates nothing
-//! per element beyond the adjacency lists. A short serial stitch then
-//! folds what a window cannot write itself — its label-index runs, its
-//! edge-label counts and the adjacency of vertices that existed before the
-//! append — into the graph in window order. The result is the graph that
+//! per element. A short serial stitch then folds what a window cannot
+//! write itself — its label-index runs and its edge-label counts — into
+//! the graph in window order, and one counting sort over the edge arena
+//! rebuilds both adjacency indexes. The result is the graph that
 //! `add_vertex_with_props` / `add_edge_with_props` calls in the same order
-//! would give, label ids and property shapes included.
+//! would give, label ids, property shapes and adjacency included.
 
 use crate::edge::Edge;
 use crate::error::GraphError;
@@ -114,10 +114,6 @@ struct StitchLog {
     runs: Vec<Vec<VertexId>>,
     /// Per edge-label slot: the window's edges carrying it.
     edge_counts: Vec<usize>,
-    /// `(pre-existing vertex, edge)`, in edge order: out-edges and
-    /// in-edges the window adds to vertices outside it.
-    existing_out: Vec<(VertexId, EdgeId)>,
-    existing_in: Vec<(VertexId, EdgeId)>,
 }
 
 impl GraphWindow<'_> {
@@ -127,9 +123,7 @@ impl GraphWindow<'_> {
     }
 
     /// Append a vertex labeled with vertex-label slot `label`, its
-    /// properties `values` in the key order of vertex-shape slot `shape`,
-    /// and its adjacency lists sized for `out_degree` and `in_degree`
-    /// edges.
+    /// properties `values` in the key order of vertex-shape slot `shape`.
     ///
     /// # Panics
     ///
@@ -141,8 +135,6 @@ impl GraphWindow<'_> {
         label: usize,
         shape: usize,
         values: impl IntoIterator<Item = PropValue>,
-        out_degree: usize,
-        in_degree: usize,
     ) -> VertexId {
         let id = self.next_vertex();
         let slot = self
@@ -150,7 +142,7 @@ impl GraphWindow<'_> {
             .get_mut(self.filled_vertices)
             .expect("window holds its declared vertex count");
         let props = self.vertex_values.write(self.vertex_shapes[shape], values);
-        *slot = Vertex::with_degrees(self.vertex_labels[label], props, out_degree, in_degree);
+        *slot = Vertex::new(self.vertex_labels[label], props);
         self.log.runs[label].push(id);
         self.filled_vertices += 1;
         id
@@ -174,7 +166,8 @@ impl GraphWindow<'_> {
         shape: usize,
         values: impl IntoIterator<Item = PropValue>,
     ) -> Result<EdgeId, GraphError> {
-        let (src_local, dst_local) = (self.local(src)?, self.local(dst)?);
+        self.check_endpoint(src)?;
+        self.check_endpoint(dst)?;
         let id = EdgeId::from_index(self.first_edge + self.filled_edges);
         let slot = self
             .edges
@@ -184,25 +177,17 @@ impl GraphWindow<'_> {
         *slot = Edge::new(src, dst, self.edge_labels[label], props);
         self.log.edge_counts[label] += 1;
         self.filled_edges += 1;
-        match src_local {
-            Some(i) => self.vertices[i].out_edges.push(id),
-            None => self.log.existing_out.push((src, id)),
-        }
-        match dst_local {
-            Some(i) => self.vertices[i].in_edges.push(id),
-            None => self.log.existing_in.push((dst, id)),
-        }
         Ok(id)
     }
 
-    /// `Some(slot)` for a vertex this window pushed, `None` for one that
-    /// existed before the append.
-    fn local(&self, v: VertexId) -> Result<Option<usize>, GraphError> {
+    /// `Ok` for a vertex this window pushed or one that existed before the
+    /// append.
+    fn check_endpoint(&self, v: VertexId) -> Result<(), GraphError> {
         let i = v.index();
-        if i < self.existing {
-            Ok(None)
-        } else if (self.first_vertex..self.first_vertex + self.filled_vertices).contains(&i) {
-            Ok(Some(i - self.first_vertex))
+        if i < self.existing
+            || (self.first_vertex..self.first_vertex + self.filled_vertices).contains(&i)
+        {
+            Ok(())
         } else {
             Err(GraphError::UnknownVertex(v))
         }
@@ -354,8 +339,6 @@ impl Graph {
                 log: StitchLog {
                     runs: vec![Vec::new(); vertex_labels.len()],
                     edge_counts: vec![0; edge_labels.len()],
-                    existing_out: Vec::new(),
-                    existing_in: Vec::new(),
                 },
             };
             first_vertex += size.vertices;
@@ -387,34 +370,30 @@ impl Graph {
             filled
         });
 
-        filled
-            .into_iter()
-            .map(|(result, log)| {
-                self.stitch(&vertex_labels, &edge_labels, log);
-                result
-            })
-            .collect()
+        let (results, logs): (Vec<R>, Vec<StitchLog>) = filled.into_iter().unzip();
+        self.stitch(&vertex_labels, &edge_labels, logs);
+        self.index_adjacency();
+        results
     }
 
-    /// Fold one filled window's log into the indexes and the adjacency of
-    /// pre-existing vertices.
-    fn stitch(&mut self, vertex_labels: &[LabelId], edge_labels: &[LabelId], log: StitchLog) {
-        for (&label, run) in vertex_labels.iter().zip(log.runs) {
+    /// Fold the filled windows' logs into the label index and the
+    /// edge-label counts, in window order. Each label's vertex list grows
+    /// once, by exactly the windows' runs, and the runs are copied rather
+    /// than adopted: a run a window thread grew lives in that thread's
+    /// malloc arena, and keeping it would pin the memory the thread freed
+    /// there (its scene records) in the resident set.
+    fn stitch(&mut self, vertex_labels: &[LabelId], edge_labels: &[LabelId], logs: Vec<StitchLog>) {
+        for (slot, &label) in vertex_labels.iter().enumerate() {
             let ids = self.label_index.value_mut(label);
-            if ids.is_empty() {
-                *ids = run;
-            } else {
-                ids.extend_from_slice(&run);
+            ids.reserve_exact(logs.iter().map(|log| log.runs[slot].len()).sum());
+            for log in &logs {
+                ids.extend_from_slice(&log.runs[slot]);
             }
         }
-        for (&label, count) in edge_labels.iter().zip(log.edge_counts) {
-            *self.edge_label_counts.value_mut(label) += count;
-        }
-        for (v, e) in log.existing_out {
-            self.vertices[v.index()].out_edges.push(e);
-        }
-        for (v, e) in log.existing_in {
-            self.vertices[v.index()].in_edges.push(e);
+        for log in &logs {
+            for (&label, count) in edge_labels.iter().zip(&log.edge_counts) {
+                *self.edge_label_counts.value_mut(label) += count;
+            }
         }
     }
 }
@@ -460,9 +439,7 @@ mod tests {
         let hub = VertexId::from_index(0);
         let first = w.next_vertex().index();
         for i in 0..n {
-            let out = usize::from(i + 1 < n) + 1;
-            let inn = usize::from(i > 0) + 1;
-            w.push_vertex(i % 2, 1 - i % 2, vertex_values(i), out, inn);
+            w.push_vertex(i % 2, 1 - i % 2, vertex_values(i));
         }
         for i in 1..n {
             let (a, b) = (
@@ -550,10 +527,19 @@ mod tests {
                 assert_eq!(first.index(), at);
                 at += n;
             }
+            // Both adjacency indexes are the sequential graph's.
+            for (ours, theirs) in [(&g.outgoing, &want.outgoing), (&g.incoming, &want.incoming)] {
+                assert_eq!(ours.offsets, theirs.offsets, "{lens:?}");
+                assert_eq!(ours.ids, theirs.ids, "{lens:?}");
+            }
             // Exact sizing leaves no spare arena, column or adjacency
             // capacity.
             assert_eq!(g.vertices.capacity(), g.vertices.len());
             assert_eq!(g.edges.capacity(), g.edges.len());
+            for index in [&g.outgoing, &g.incoming] {
+                assert_eq!(index.offsets.capacity(), index.offsets.len());
+                assert_eq!(index.ids.capacity(), index.ids.len());
+            }
             for column in g.value_columns() {
                 assert_eq!(column.capacity, column.len);
             }
@@ -566,10 +552,6 @@ mod tests {
             }
             for (id, _) in want.edges() {
                 assert_eq!(g.edge_props(id), want.edge_props(id));
-            }
-            for v in &g.vertices[2..] {
-                assert_eq!(v.out_edges.capacity(), v.out_edges.len());
-                assert_eq!(v.in_edges.capacity(), v.in_edges.len());
             }
         }
     }
@@ -639,7 +621,7 @@ mod tests {
     fn values_must_fill_the_shape() {
         let mut g = base();
         g.append_windows(&SLOTS, vec![(chain(1), ())], |(), w| {
-            w.push_vertex(0, 1, [PropValue::Int(1)], 0, 0);
+            w.push_vertex(0, 1, [PropValue::Int(1)]);
         });
     }
 }

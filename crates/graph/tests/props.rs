@@ -2,14 +2,24 @@
 
 use proptest::prelude::*;
 use svqa_graph::{
-    binio, induced_subgraph, k_hop_neighborhood, Bfs, Graph, GraphBuilder, LabelHistogram, VertexId,
+    binio, induced_subgraph, k_hop_neighborhood, Bfs, Edge, EdgeId, Graph, GraphBuilder,
+    LabelHistogram, VertexId,
 };
 
 /// Strategy: a random small graph as (vertex labels, edge index pairs).
 fn arb_graph() -> impl Strategy<Value = Graph> {
-    (1usize..40).prop_flat_map(|n| {
+    arb_graph_of(1..40, 0..120)
+}
+
+/// Strategy: a graph of `vertices` vertices and `edges` edges, added one
+/// `add_edge` at a time between endpoints drawn at random.
+fn arb_graph_of(
+    vertices: std::ops::Range<usize>,
+    edges: std::ops::Range<usize>,
+) -> impl Strategy<Value = Graph> {
+    vertices.prop_flat_map(move |n| {
         let labels = proptest::collection::vec(0u8..12, n);
-        let edges = proptest::collection::vec((0..n, 0..n, 0u8..5), 0..120);
+        let edges = proptest::collection::vec((0..n, 0..n, 0u8..5), edges.clone());
         (labels, edges).prop_map(|(labels, edges)| {
             let mut g = Graph::new();
             let ids: Vec<_> = labels
@@ -33,20 +43,36 @@ proptest! {
     #[test]
     fn binio_roundtrip_preserves_everything(g in arb_graph()) {
         // The snapshot holds every label, endpoint and edge order, and
-        // `from_bytes` validates each rebuilt adjacency list against them.
+        // `from_bytes` validates the adjacency it derives from them.
         let bytes = binio::to_bytes(&g).unwrap();
         let back = binio::from_bytes(bytes.clone()).unwrap();
         prop_assert_eq!(binio::to_bytes(&back).unwrap(), bytes);
         prop_assert_eq!(back.vertex_count(), g.vertex_count());
         prop_assert_eq!(back.edge_count(), g.edge_count());
-        for (vid, v) in g.vertices() {
+        for (vid, _) in g.vertices() {
             prop_assert_eq!(back.vertex_label(vid), g.vertex_label(vid));
-            prop_assert_eq!(back.vertex(vid).unwrap().out_edge_ids(), v.out_edge_ids());
-            prop_assert_eq!(back.vertex(vid).unwrap().in_edge_ids(), v.in_edge_ids());
         }
         // Rebuilt label index answers identically.
         for (label, count) in g.vertex_label_counts() {
             prop_assert_eq!(back.vertices_with_label(label).len(), count);
+        }
+    }
+
+    #[test]
+    fn adjacency_is_the_ascending_incident_edges(g in arb_graph_of(1..6, 0..80)) {
+        // Up to 80 edges over at most 6 vertices, added one at a time:
+        // self-loops and parallel edges are common. The snapshot's load
+        // indexes all of them at once.
+        let back = binio::from_bytes(binio::to_bytes(&g).unwrap()).unwrap();
+        for (vid, _) in g.vertices() {
+            let incident = |end: fn(&Edge) -> VertexId| -> Vec<EdgeId> {
+                g.edges().filter(|(_, e)| end(e) == vid).map(|(id, _)| id).collect()
+            };
+            let (outs, ins) = (incident(Edge::src), incident(Edge::dst));
+            prop_assert_eq!(g.out_edge_ids(vid), outs.as_slice());
+            prop_assert_eq!(g.in_edge_ids(vid), ins.as_slice());
+            prop_assert_eq!(back.out_edge_ids(vid), outs.as_slice());
+            prop_assert_eq!(back.in_edge_ids(vid), ins.as_slice());
         }
     }
 
