@@ -18,18 +18,15 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use svqa_graph::{
-    Graph, GraphWindow, LabelHistogram, PropValue, VertexId, WindowSize, WindowSlots, SAME_AS,
+    Graph, GraphWindow, LabelHistogram, Shape, Value, VertexId, WindowSize, WindowSlots, SAME_AS,
 };
-use svqa_vision::{SceneRecords, EDGE_KEYS, RELATION_VOCAB, VERTEX_KEYS};
-
-/// A property shape: the sorted keys of an element's properties.
-type Shape<'p> = &'p [&'static str];
+use svqa_vision::{SceneRecords, EDGE_SHAPE, RELATION_VOCAB, VERTEX_SHAPE};
 
 /// The shape slot of the empty shape, which link edges use.
 const NO_PROPS: usize = 0;
 
 /// The shape slot every record vertex and every record edge uses
-/// ([`VERTEX_KEYS`], [`EDGE_KEYS`]).
+/// ([`VERTEX_SHAPE`], [`EDGE_SHAPE`]).
 const RECORD_SHAPE: usize = 1;
 
 /// The scene graphs one part attaches, in either held form.
@@ -87,10 +84,10 @@ impl<'p> Attacher<'p> {
         for g in scene_graphs {
             for (id, v) in g.vertices() {
                 attacher.count(0, g.vertex_label_text(v.label_id()));
-                let keys = g.vertex_props(id).keys();
-                size.vertex_values += keys.len();
+                let shape = g.vertex_props(id).shape();
+                size.vertex_values += shape.keys.len();
                 let next = attacher.vertex_shapes.len();
-                attacher.vertex_shapes.entry(keys).or_insert(next);
+                attacher.vertex_shapes.entry(shape).or_insert(next);
             }
             for (id, e) in g.edges() {
                 let next = attacher.edge_slots.len();
@@ -98,10 +95,10 @@ impl<'p> Attacher<'p> {
                 if !attacher.edge_slots.contains_key(label) {
                     attacher.edge_slots.insert(label.into(), next);
                 }
-                let keys = g.edge_props(id).keys();
-                size.edge_values += keys.len();
+                let shape = g.edge_props(id).shape();
+                size.edge_values += shape.keys.len();
                 let next = attacher.edge_shapes.len();
-                attacher.edge_shapes.entry(keys).or_insert(next);
+                attacher.edge_shapes.entry(shape).or_insert(next);
             }
             size.vertices += g.vertex_count();
             size.edges += g.edge_count();
@@ -115,8 +112,8 @@ impl<'p> Attacher<'p> {
     /// Each chunk is freed as soon as it is attached.
     pub fn records(parts: Vec<Vec<SceneRecords>>) -> Attacher<'static> {
         let mut attacher = Attacher::new(parts.len());
-        attacher.vertex_shapes.insert(&VERTEX_KEYS, RECORD_SHAPE);
-        attacher.edge_shapes.insert(&EDGE_KEYS, RECORD_SHAPE);
+        attacher.vertex_shapes.insert(VERTEX_SHAPE, RECORD_SHAPE);
+        attacher.edge_shapes.insert(EDGE_SHAPE, RECORD_SHAPE);
         for (p, chunks) in parts.iter().enumerate() {
             for label in chunks.iter().flat_map(SceneRecords::labels) {
                 attacher.count(p, label);
@@ -127,8 +124,8 @@ impl<'p> Attacher<'p> {
             attacher.sizes.push(WindowSize {
                 vertices,
                 edges,
-                vertex_values: vertices * VERTEX_KEYS.len(),
-                edge_values: edges * EDGE_KEYS.len(),
+                vertex_values: vertices * VERTEX_SHAPE.keys.len(),
+                edge_values: edges * EDGE_SHAPE.keys.len(),
             });
         }
         attacher.parts = parts.into_iter().map(Part::Records).collect();
@@ -146,8 +143,8 @@ impl<'p> Attacher<'p> {
                 .enumerate()
                 .map(|(slot, &label)| (label.into(), slot))
                 .collect(),
-            vertex_shapes: HashMap::from([(&[] as Shape<'_>, NO_PROPS)]),
-            edge_shapes: HashMap::from([(&[] as Shape<'_>, NO_PROPS)]),
+            vertex_shapes: HashMap::from([(Shape::default(), NO_PROPS)]),
+            edge_shapes: HashMap::from([(Shape::default(), NO_PROPS)]),
             sizes: Vec::with_capacity(part_count),
         }
     }
@@ -215,9 +212,9 @@ impl<'p> Attacher<'p> {
         let link = self.edge_slots.len();
         edge_labels[link] = SAME_AS;
         let by_slot = |shapes: &HashMap<Shape<'p>, usize>| {
-            let mut by_slot: Vec<Shape<'p>> = vec![&[]; shapes.len()];
-            for (&keys, &slot) in shapes {
-                by_slot[slot] = keys;
+            let mut by_slot = vec![Shape::default(); shapes.len()];
+            for (&shape, &slot) in shapes {
+                by_slot[slot] = shape;
             }
             by_slot
         };
@@ -293,8 +290,8 @@ impl Plan<'_> {
                             let props = g.vertex_props(id);
                             (
                                 g.vertex_label_text(v.label_id()),
-                                self.vertex_shapes[props.keys()],
-                                props.iter().map(|(_, value)| value.clone()),
+                                self.vertex_shapes[&props.shape()],
+                                props.iter().map(|(_, value)| value),
                             )
                         }),
                         g.edges().map(|(id, e)| {
@@ -303,8 +300,8 @@ impl Plan<'_> {
                                 e.src().index(),
                                 e.dst().index(),
                                 self.edge_slots[g.edge_label_text(e.label_id())],
-                                self.edge_shapes[props.keys()],
-                                props.iter().map(|(_, value)| value.clone()),
+                                self.edge_shapes[&props.shape()],
+                                props.iter().map(|(_, value)| value),
                             )
                         }),
                     )
@@ -340,7 +337,7 @@ impl Plan<'_> {
     /// property values), scene edges (endpoints local to the image,
     /// edge-label slot, shape slot, property values), then links.
     /// `counterparts` is scratch space.
-    fn attach_image<'s, VV, EV>(
+    fn attach_image<'s, 'v, VV, EV>(
         &self,
         window: &mut GraphWindow<'_>,
         counterparts: &mut Vec<Option<VertexId>>,
@@ -348,8 +345,8 @@ impl Plan<'_> {
         edges: impl Iterator<Item = (usize, usize, usize, usize, EV)>,
     ) -> Range<usize>
     where
-        VV: IntoIterator<Item = PropValue>,
-        EV: IntoIterator<Item = PropValue>,
+        VV: IntoIterator<Item = Value<'v>>,
+        EV: IntoIterator<Item = Value<'v>>,
     {
         let first = window.next_vertex().index();
         counterparts.clear();

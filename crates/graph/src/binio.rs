@@ -13,20 +13,26 @@
 //! prop:         u16 key-len, key bytes, u8 tag, payload
 //! ```
 //! Vertex/edge labels are interned in a shared label table (scene graphs
-//! repeat "dog" thousands of times). Adjacency is not written: the edge
-//! records hold endpoints in edge order, and the load appends them to the
-//! arena, then builds both adjacency indexes with one counting sort. The
-//! label index and the property columns are rebuilt too, each column
-//! copied into its final size, and the result is checked with
-//! [`Graph::validate`].
+//! repeat "dog" thousands of times). A property's tag is the [`Kind`] its
+//! element's shape records for the key (0 string, 1 int, 2 float, 3 bool),
+//! and its payload is what the column's word holds: the `i64` or `f64`
+//! bits, the bool byte, or the string itself. Adjacency is not written:
+//! the edge records hold endpoints in edge order, and the load appends them
+//! to the arena, then builds both adjacency indexes with one counting sort.
+//! The label index and the property columns are rebuilt too: the load reads
+//! each element's list into one reused scratch list and writes it to its
+//! column's words, then copies each column into its final size, and the
+//! result is checked with [`Graph::validate`].
 //!
 //! Lengths and the property count are `u16`s: [`to_bytes`] refuses a graph
 //! with a label, key or string over [`u16::MAX`] bytes, or more properties
-//! on one element, rather than write a snapshot it could not load.
+//! on one element, rather than write a snapshot it could not load. The load
+//! refuses a list that repeats a key, which `to_bytes` never writes, and
+//! header counts the rest of the snapshot is too short to hold.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::props::{exact, intern, PropValue, Properties, Props};
+use crate::props::{exact, intern, Kind, PropValue, Properties, Props, Value};
 use crate::VertexId;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -95,38 +101,50 @@ fn write_props(buf: &mut BytesMut, props: Props<'_>) -> Result<(), GraphError> {
     for (key, value) in props.iter() {
         buf.put_u16_le(u16_len("property key", key.len())?);
         buf.put_slice(key.as_bytes());
+        buf.put_u8(tag(value.kind()));
         match value {
-            PropValue::Str(s) => {
-                buf.put_u8(0);
+            Value::Str(s) => {
                 buf.put_u16_le(u16_len("string value", s.len())?);
                 buf.put_slice(s.as_bytes());
             }
-            PropValue::Int(i) => {
-                buf.put_u8(1);
-                buf.put_i64_le(*i);
-            }
-            PropValue::Float(f) => {
-                buf.put_u8(2);
-                buf.put_f64_le(*f);
-            }
-            PropValue::Bool(b) => {
-                buf.put_u8(3);
-                buf.put_u8(u8::from(*b));
-            }
+            Value::Int(i) => buf.put_i64_le(i),
+            Value::Float(f) => buf.put_f64_le(f),
+            Value::Bool(b) => buf.put_u8(u8::from(b)),
         }
     }
     Ok(())
 }
 
+/// The snapshot tag of a value kind.
+fn tag(kind: Kind) -> u8 {
+    match kind {
+        Kind::Str => 0,
+        Kind::Int => 1,
+        Kind::Float => 2,
+        Kind::Bool => 3,
+    }
+}
+
+/// The fewest bytes a label table entry takes: its length.
+const MIN_LABEL: u64 = 2;
+/// The fewest bytes a vertex record takes: a label id and a property count.
+const MIN_VERTEX: u64 = 4 + 2;
+/// The fewest bytes an edge record takes: endpoints, a label id and a
+/// property count.
+const MIN_EDGE: u64 = 4 + 4 + 4 + 2;
+
 /// Deserialize a binary snapshot, rebuild the indexes and exactly sized
 /// property columns, and validate. Linear in the snapshot's size: edges
-/// are indexed all at once, not inserted one by one.
+/// are indexed all at once, not inserted one by one. Nothing is sized by a
+/// count the remaining bytes could not hold, so a corrupt header is an
+/// error, not an allocation failure.
 pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
     let corrupt = |msg: &str| GraphError::CorruptGraph(msg.to_owned());
-    let need = |data: &Bytes, n: usize, what: &str| -> Result<(), GraphError> {
-        if data.remaining() < n {
+    let need = |data: &Bytes, n: u64, what: &str| -> Result<(), GraphError> {
+        if (data.remaining() as u64) < n {
             Err(GraphError::CorruptGraph(format!(
-                "truncated snapshot at {what}"
+                "truncated snapshot at {what}: {n} bytes needed, {} remain",
+                data.remaining()
             )))
         } else {
             Ok(())
@@ -145,15 +163,16 @@ pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
             "unsupported snapshot version {version}"
         )));
     }
-    let vertex_count = data.get_u32_le() as usize;
-    let edge_count = data.get_u32_le() as usize;
-    let label_count = data.get_u32_le() as usize;
+    let vertex_count = data.get_u32_le();
+    let edge_count = data.get_u32_le();
+    let label_count = data.get_u32_le();
 
-    let mut labels = Vec::with_capacity(label_count);
+    need(&data, u64::from(label_count) * MIN_LABEL, "the labels")?;
+    let mut labels = Vec::with_capacity(label_count as usize);
     for _ in 0..label_count {
         need(&data, 2, "label length")?;
         let len = data.get_u16_le() as usize;
-        need(&data, len, "label body")?;
+        need(&data, len as u64, "label body")?;
         let bytes = data.copy_to_bytes(len);
         labels.push(String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("label not UTF-8"))?);
     }
@@ -164,25 +183,33 @@ pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
             .ok_or_else(|| corrupt("label id out of range"))
     };
 
-    let mut graph = Graph::with_capacity(vertex_count, edge_count);
+    need(
+        &data,
+        u64::from(vertex_count) * MIN_VERTEX + u64::from(edge_count) * MIN_EDGE,
+        "the vertices and edges",
+    )?;
+    let mut graph = Graph::with_capacity(vertex_count as usize, edge_count as usize);
+    let mut props = Properties::new();
     for _ in 0..vertex_count {
         need(&data, 4, "vertex label id")?;
         let lid = data.get_u32_le();
-        let props = read_props(&mut data)?;
-        graph.add_vertex_with_props(label(lid)?, props);
+        read_props(&mut data, &mut props)?;
+        let label = graph.label_index.intern(label(lid)?);
+        let props = graph.vertex_column.push(&props);
+        graph.push_vertex(label, props);
     }
     for _ in 0..edge_count {
         need(&data, 12, "edge header")?;
         let src = data.get_u32_le() as usize;
         let dst = data.get_u32_le() as usize;
         let lid = data.get_u32_le();
-        let props = read_props(&mut data)?;
+        read_props(&mut data, &mut props)?;
         graph
             .append_edge(
                 VertexId::from_index(src),
                 VertexId::from_index(dst),
                 label(lid)?,
-                props,
+                &props,
             )
             .map_err(|e| GraphError::CorruptGraph(format!("dangling edge: {e}")))?;
     }
@@ -191,19 +218,22 @@ pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
     // columns grew while loading, and are copied into their final size now.
     graph.index_adjacency();
     for column in [&mut graph.vertex_column, &mut graph.edge_column] {
-        column.values = exact(std::mem::take(&mut column.values));
+        column.words = exact(std::mem::take(&mut column.words));
+        column.strings = exact(std::mem::take(&mut column.strings));
     }
     graph.validate()?;
     Ok(graph)
 }
 
-fn read_props(data: &mut Bytes) -> Result<Properties, GraphError> {
+/// Read one element's property list into `props`, replacing what it held.
+/// A key the list repeats is refused: [`to_bytes`] never writes one.
+fn read_props(data: &mut Bytes, props: &mut Properties) -> Result<(), GraphError> {
     let corrupt = |msg: &str| GraphError::CorruptGraph(msg.to_owned());
+    props.clear();
     if data.remaining() < 2 {
         return Err(corrupt("truncated props"));
     }
     let count = data.get_u16_le() as usize;
-    let mut props = Vec::with_capacity(count);
     for _ in 0..count {
         if data.remaining() < 2 {
             return Err(corrupt("truncated prop key length"));
@@ -252,9 +282,13 @@ fn read_props(data: &mut Bytes) -> Result<Properties, GraphError> {
                 )))
             }
         };
-        props.push((key, value));
+        if props.set(key, value).is_some() {
+            return Err(GraphError::CorruptGraph(format!(
+                "property key {key:?} repeated"
+            )));
+        }
     }
-    Ok(Properties::from_entries(props))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -377,6 +411,75 @@ mod tests {
             from_bytes(data.freeze()),
             Err(GraphError::CorruptGraph(_))
         ));
+    }
+
+    #[test]
+    fn counts_the_snapshot_cannot_hold_are_refused() {
+        // Headers claiming u32::MAX vertices, edges or labels, over far too
+        // few bytes: an error, not an allocation of that many elements.
+        let mut huge_labels = BytesMut::new();
+        huge_labels.put_slice(MAGIC);
+        huge_labels.put_u16_le(VERSION);
+        for count in [0, 0, u32::MAX] {
+            huge_labels.put_u32_le(count);
+        }
+        for data in [
+            header(u32::MAX, 0, &["a"]),
+            header(0, u32::MAX, &["a"]),
+            header(u32::MAX, u32::MAX, &[]),
+            huge_labels,
+        ] {
+            let err = from_bytes(data.freeze()).unwrap_err();
+            assert!(matches!(err, GraphError::CorruptGraph(_)), "{err}");
+            assert!(err.to_string().contains("remain"), "{err}");
+        }
+        // A vertex takes at least 6 bytes and an edge 14: one vertex record
+        // cannot hold two vertices, or one vertex and an edge.
+        let vertex = |vertices, edges| {
+            let mut data = header(vertices, edges, &["a"]);
+            data.put_u32_le(0);
+            data.put_u16_le(0);
+            from_bytes(data.freeze())
+        };
+        assert_eq!(
+            vertex(2, 0).unwrap_err(),
+            GraphError::CorruptGraph(
+                "truncated snapshot at the vertices and edges: 12 bytes needed, 6 remain"
+                    .to_owned()
+            )
+        );
+        assert!(vertex(1, 1)
+            .unwrap_err()
+            .to_string()
+            .contains("20 bytes needed"));
+        assert_eq!(vertex(1, 0).unwrap().vertex_count(), 1);
+    }
+
+    #[test]
+    fn repeated_property_key_is_refused() {
+        // One vertex whose list holds `keys`, each an int.
+        let load = |keys: &[&str]| {
+            let mut data = header(1, 0, &["a"]);
+            data.put_u32_le(0);
+            data.put_u16_le(keys.len() as u16);
+            for (i, key) in keys.iter().enumerate() {
+                data.put_u16_le(key.len() as u16);
+                data.put_slice(key.as_bytes());
+                data.put_u8(1);
+                data.put_i64_le(i as i64);
+            }
+            from_bytes(data.freeze())
+        };
+        assert_eq!(
+            load(&["k", "k"]).unwrap_err(),
+            GraphError::CorruptGraph("property key \"k\" repeated".to_owned())
+        );
+        assert!(load(&["j", "k", "j"]).is_err());
+        // Keys out of order still load, sorted.
+        let g = load(&["k", "j"]).unwrap();
+        let props = g.vertex_props(VertexId::from_index(0));
+        assert_eq!(props.shape().keys, ["j", "k"]);
+        assert_eq!(props.get("k"), Some(Value::Int(0)));
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Graph {
     /// vertex already carries is referred to by id, not copied.
     pub fn add_vertex_with_props(&mut self, label: impl AsRef<str>, props: Properties) -> VertexId {
         let label = self.label_index.intern(label.as_ref());
-        let props = self.vertex_column.push(props);
+        let props = self.vertex_column.push(&props);
         self.outgoing.push_vertex();
         self.incoming.push_vertex();
         self.push_vertex(label, props)
@@ -130,7 +130,7 @@ impl Graph {
         label: impl AsRef<str>,
         props: Properties,
     ) -> Result<EdgeId, GraphError> {
-        let id = self.append_edge(src, dst, label.as_ref(), props)?;
+        let id = self.append_edge(src, dst, label.as_ref(), &props)?;
         self.outgoing.insert(src, id);
         self.incoming.insert(dst, id);
         Ok(id)
@@ -144,7 +144,7 @@ impl Graph {
         src: VertexId,
         dst: VertexId,
         label: &str,
-        props: Properties,
+        props: &Properties,
     ) -> Result<EdgeId, GraphError> {
         if src.index() >= self.vertices.len() {
             return Err(GraphError::UnknownVertex(src));
@@ -207,12 +207,12 @@ impl Graph {
             .map_or_else(Props::default, |e| self.edge_column.props(e.props))
     }
 
-    /// The length and capacity of the vertex and the edge value columns,
-    /// in that order.
+    /// The length and capacity of the vertex and the edge value columns'
+    /// word arenas, in that order.
     pub fn value_columns(&self) -> [ColumnSize; 2] {
         [&self.vertex_column, &self.edge_column].map(|column| ColumnSize {
-            len: column.values.len(),
-            capacity: column.values.capacity(),
+            len: column.words.len(),
+            capacity: column.words.capacity(),
         })
     }
 
@@ -423,9 +423,9 @@ impl Graph {
     /// into `self`, with their labels and properties. Returns the vertex id
     /// translation table (`None` for dropped vertices); edges with a
     /// dropped endpoint are dropped. Each of `other`'s labels and property
-    /// shapes is looked up in this graph's tables once, each value column
-    /// grows once, by exactly the values the kept elements carry, and both
-    /// adjacency indexes are rebuilt once at the end.
+    /// shapes is looked up in this graph's tables once, each column's words
+    /// and strings grow once, by exactly what the kept elements carry, and
+    /// both adjacency indexes are rebuilt once at the end.
     pub fn absorb_where(
         &mut self,
         other: &Graph,
@@ -441,21 +441,23 @@ impl Graph {
             })
             .collect();
         let kept = |e: &Edge| mapping[e.src().index()].zip(mapping[e.dst().index()]);
-        let vertex_values = other
-            .vertices
-            .iter()
-            .zip(&mapping)
-            .filter(|(_, new)| new.is_some())
-            .map(|(v, _)| other.vertex_column.props(v.props).len())
-            .sum();
-        let edge_values = other
-            .edges
-            .iter()
-            .filter(|e| kept(e).is_some())
-            .map(|e| other.edge_column.props(e.props).len())
-            .sum();
-        self.vertex_column.values.reserve_exact(vertex_values);
-        self.edge_column.values.reserve_exact(edge_values);
+        self.vertex_column.reserve_exact(
+            &other.vertex_column,
+            other
+                .vertices
+                .iter()
+                .zip(&mapping)
+                .filter(|(_, new)| new.is_some())
+                .map(|(v, _)| v.props),
+        );
+        self.edge_column.reserve_exact(
+            &other.edge_column,
+            other
+                .edges
+                .iter()
+                .filter(|e| kept(e).is_some())
+                .map(|e| e.props),
+        );
 
         let mut labels = vec![None; other.label_index.len()];
         let mut shapes = vec![None; other.vertex_column.shape_count()];
@@ -647,12 +649,14 @@ mod tests {
     #[test]
     fn elements_are_packed() {
         // A label id and a property slot into the graph's column: a vertex
-        // is 12 bytes, an edge 20. Adjacency lives in the graph's indexes.
+        // is 12 bytes, an edge 20. Adjacency lives in the graph's indexes,
+        // and each property value is one 8-byte word of a column.
         let (vertex, edge) = (std::mem::size_of::<Vertex>(), std::mem::size_of::<Edge>());
         assert!(vertex <= 12, "{vertex}");
         assert!(edge <= 20, "{edge}");
         assert_eq!(std::mem::size_of::<LabelId>(), 4);
         assert_eq!(std::mem::size_of::<PropSlot>(), 8);
+        assert_eq!(std::mem::size_of::<crate::props::Word>(), 8);
     }
 
     /// Two vertex shapes holding every value type, a vertex without
@@ -733,7 +737,7 @@ mod tests {
         assert_eq!(g.edge_column.shape_count(), 2);
         assert_eq!(
             g.vertex_props(VertexId::from_index(3)).get("image"),
-            Some(&4i64.into())
+            Some(crate::Value::Int(4))
         );
     }
 
@@ -772,9 +776,15 @@ mod tests {
         g.vertices[1].props = PropSlot::new(9, 0);
         assert!(g.validate().is_err());
         let mut g = shaped();
-        let end = g.edge_column.values.len();
+        let end = g.edge_column.words.len();
         g.edges[0].props.start = u32::try_from(end).unwrap();
         assert!(g.validate().unwrap_err().to_string().contains("edge e0"));
+        // A string word past the string table ("wool" is its one entry).
+        let mut g = shaped();
+        let start = g.vertices[2].props.start as usize;
+        assert_eq!(g.vertex_column.words[start], 0);
+        g.vertex_column.words[start] = 1;
+        assert!(g.validate().unwrap_err().to_string().contains("vertex v2"));
     }
 
     /// `g`'s validation error, which must be a corrupt-graph error.
@@ -852,7 +862,7 @@ mod tests {
         assert_eq!(h.edge_count(), 2);
         assert_eq!(
             h.edge_props(EdgeId::from_index(1)).get("score"),
-            Some(&0.5.into())
+            Some(crate::Value::Float(0.5))
         );
         assert_eq!(
             h.value_columns(),

@@ -66,7 +66,7 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, VertexId};
 pub use label::{LabelId, IS_A, SAME_AS};
-pub use props::{ColumnSize, PropValue, Properties, Props, IMAGE};
+pub use props::{ColumnSize, Kind, PropValue, Properties, Props, Shape, Value, IMAGE};
 pub use stats::{GraphStats, LabelHistogram};
 pub use subgraph::SubgraphView;
 pub use traverse::{induced_subgraph, k_hop_neighborhood, Bfs};

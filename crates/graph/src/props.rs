@@ -9,21 +9,27 @@
 //!
 //! So a graph does not store a list per element. It keeps one
 //! `PropColumn` for its vertices and one for its edges. A column interns
-//! each distinct sorted key list once as a *shape* (shape 0 is the empty
-//! list) and holds every element's values, in key order, in one exactly
-//! sized `Vec<PropValue>`. An element keeps only a `PropSlot`: its shape
-//! and where its values start. [`Props`] is the borrowed view a graph hands
-//! out ([`crate::Graph::vertex_props`]), and [`Properties`] the owned list a
-//! caller builds and passes to `add_*_with_props`.
+//! each distinct [`Shape`] once: a sorted key list together with the
+//! [`Kind`] of each key's value, so one key list under two kinds is two
+//! shapes (shape 0 is the empty list). Every element's values sit, in key
+//! order, in one exactly sized arena of 8-byte words: a float's bits, an
+//! integer's bits, 0 or 1 for a boolean, or the index of a string in the
+//! column's string table. The kinds are stored once per shape, not once per
+//! value. An element keeps only a `PropSlot`: its shape and where its words
+//! start. [`Props`] is the borrowed view a graph hands out
+//! ([`crate::Graph::vertex_props`]), which reads each word back as a
+//! [`Value`], and [`Properties`] the owned list of [`PropValue`]s a caller
+//! builds and passes to `add_*_with_props`.
 //!
 //! Keys are `&'static str`: the fixed keys the pipeline writes ([`IMAGE`],
 //! `"x"`, …, `"score"`) are string literals used as they are, and a key only
 //! known at run time (a deserialized file, a caller-chosen name) is interned
-//! once per process. A value is two words: string payloads are boxed.
+//! once per process.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 /// The vertex property holding the id of the image a scene-graph vertex
@@ -67,10 +73,11 @@ pub(crate) fn exact<T>(values: Vec<T>) -> Vec<T> {
 /// A property value. The variants cover everything SVQA stores on the graph:
 /// strings (labels, categories), integers (image ids, counts), floats
 /// (bounding-box coordinates, confidences) and booleans (flags such as
-/// "cached").
+/// "cached"). This is the owned form a [`Properties`] list holds; a graph
+/// hands its values out as [`Value`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PropValue {
-    /// UTF-8 string value, boxed so that every value is two words.
+    /// UTF-8 string value.
     Str(Box<String>),
     /// Signed integer value.
     Int(i64),
@@ -83,46 +90,38 @@ pub enum PropValue {
 impl PropValue {
     /// Borrow the string payload, if this is a [`PropValue::Str`].
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            PropValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
+        self.as_value().as_str()
     }
 
     /// Extract the integer payload, if this is a [`PropValue::Int`].
     pub fn as_int(&self) -> Option<i64> {
-        match self {
-            PropValue::Int(i) => Some(*i),
-            _ => None,
-        }
+        self.as_value().as_int()
     }
 
     /// Extract the float payload; integers are widened for convenience.
     pub fn as_float(&self) -> Option<f64> {
-        match self {
-            PropValue::Float(f) => Some(*f),
-            PropValue::Int(i) => Some(*i as f64),
-            _ => None,
-        }
+        self.as_value().as_float()
     }
 
     /// Extract the boolean payload, if this is a [`PropValue::Bool`].
     pub fn as_bool(&self) -> Option<bool> {
+        self.as_value().as_bool()
+    }
+
+    /// The value as a borrowed view.
+    pub fn as_value(&self) -> Value<'_> {
         match self {
-            PropValue::Bool(b) => Some(*b),
-            _ => None,
+            PropValue::Str(s) => Value::Str(s),
+            PropValue::Int(i) => Value::Int(*i),
+            PropValue::Float(f) => Value::Float(*f),
+            PropValue::Bool(b) => Value::Bool(*b),
         }
     }
 }
 
 impl fmt::Display for PropValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PropValue::Str(s) => write!(f, "{s}"),
-            PropValue::Int(i) => write!(f, "{i}"),
-            PropValue::Float(x) => write!(f, "{x}"),
-            PropValue::Bool(b) => write!(f, "{b}"),
-        }
+        self.as_value().fmt(f)
     }
 }
 
@@ -162,9 +161,150 @@ impl From<bool> for PropValue {
     }
 }
 
+impl From<Value<'_>> for PropValue {
+    fn from(value: Value<'_>) -> Self {
+        match value {
+            Value::Str(s) => s.into(),
+            Value::Int(i) => PropValue::Int(i),
+            Value::Float(f) => PropValue::Float(f),
+            Value::Bool(b) => PropValue::Bool(b),
+        }
+    }
+}
+
+/// The kind of a property value: what its 8-byte word in a column holds.
+/// A [`Shape`] fixes one kind per key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// The index of a string in the column's string table.
+    Str,
+    /// An `i64`'s bits.
+    Int,
+    /// An `f64`'s bits.
+    Float,
+    /// 0 or 1.
+    Bool,
+}
+
+impl Kind {
+    /// The value `word` holds, its strings looked up in `strings`.
+    fn read(self, word: Word, strings: &[Box<str>]) -> Value<'_> {
+        match self {
+            Kind::Str => Value::Str(&strings[word as usize]),
+            Kind::Int => Value::Int(word as i64),
+            Kind::Float => Value::Float(f64::from_bits(word)),
+            Kind::Bool => Value::Bool(word != 0),
+        }
+    }
+}
+
+/// One property value in a column: see [`Kind`] for what it holds.
+pub(crate) type Word = u64;
+
+/// A property value borrowed from a graph's column (or from a
+/// [`PropValue`]): a string is a slice of the column's string table, every
+/// other value a copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'g> {
+    /// UTF-8 string value.
+    Str(&'g str),
+    /// Signed integer value.
+    Int(i64),
+    /// 64-bit float value.
+    Float(f64),
+    /// Boolean flag.
+    Bool(bool),
+}
+
+impl<'g> Value<'g> {
+    /// The string payload, if this is a [`Value::Str`].
+    pub fn as_str(self) -> Option<&'g str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The integer payload, if this is a [`Value::Int`].
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            Value::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// The float payload; integers are widened for convenience.
+    pub fn as_float(self) -> Option<f64> {
+        match self {
+            Value::Float(f) => Some(f),
+            Value::Int(i) => Some(i as f64),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a [`Value::Bool`].
+    pub fn as_bool(self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// What kind of value this is.
+    pub fn kind(self) -> Kind {
+        match self {
+            Value::Str(_) => Kind::Str,
+            Value::Int(_) => Kind::Int,
+            Value::Float(_) => Kind::Float,
+            Value::Bool(_) => Kind::Bool,
+        }
+    }
+
+    /// The value's word; a string is handed to `string`, which stores it
+    /// and returns its index.
+    pub(crate) fn word(self, string: impl FnOnce(&str) -> usize) -> Word {
+        match self {
+            Value::Str(s) => string(s) as Word,
+            Value::Int(i) => i as Word,
+            Value::Float(f) => f.to_bits(),
+            Value::Bool(b) => Word::from(b),
+        }
+    }
+}
+
+impl fmt::Display for Value<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Str(s) => write!(f, "{s}"),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+/// A property shape: the strictly ascending keys of an element's
+/// properties and the kind of each key's value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Shape<'a> {
+    /// The keys, strictly ascending.
+    pub keys: &'a [&'static str],
+    /// One kind per key.
+    pub kinds: &'a [Kind],
+}
+
+/// Hashes the keys alone. Shapes that differ only in kinds are rare, and
+/// hashing the kinds as well would add about a sixth to the attach of
+/// per-image scene graphs, which looks up every element's shape twice.
+impl Hash for Shape<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.keys.hash(state);
+    }
+}
+
 /// An owned key-sorted property list: what a caller builds and hands to
 /// [`crate::Graph::add_vertex_with_props`] or
-/// [`crate::Graph::add_edge_with_props`], which move its values into the
+/// [`crate::Graph::add_edge_with_props`], which copy its values into the
 /// graph's column.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Properties {
@@ -180,7 +320,7 @@ impl Properties {
 
     /// A property set of `entries` in any order. Of two entries with one
     /// key the later wins, as if each were `set` in turn.
-    pub(crate) fn from_entries(mut entries: Vec<(&'static str, PropValue)>) -> Self {
+    fn from_entries(mut entries: Vec<(&'static str, PropValue)>) -> Self {
         entries.sort_by(|a, b| a.0.cmp(b.0));
         entries.dedup_by(|later, kept| {
             let same = later.0 == kept.0;
@@ -224,7 +364,8 @@ impl Properties {
 
     /// Look up a property by key.
     pub fn get(&self, key: &str) -> Option<&PropValue> {
-        self.as_props().get(key)
+        let pos = self.keys.binary_search(&key).ok()?;
+        Some(&self.values[pos])
     }
 
     /// Remove a property by key, returning its value if present.
@@ -234,17 +375,15 @@ impl Properties {
         Some(self.values.remove(pos))
     }
 
+    /// Remove every property, keeping the room they took.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.values.clear();
+    }
+
     /// Iterate over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &PropValue)> {
         self.keys.iter().copied().zip(&self.values)
-    }
-
-    /// The list as the view a graph hands out.
-    fn as_props(&self) -> Props<'_> {
-        Props {
-            keys: &self.keys,
-            values: &self.values,
-        }
     }
 }
 
@@ -258,52 +397,73 @@ impl<K: Into<Cow<'static, str>>, V: Into<PropValue>> FromIterator<(K, V)> for Pr
     }
 }
 
-/// One element's properties, borrowed from its graph's column: the keys of
-/// its shape and its run of values, both in key order.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// One element's properties, borrowed from its graph's column: the keys
+/// and kinds of its shape and its run of words, in key order.
+#[derive(Clone, Copy, Default)]
 pub struct Props<'g> {
-    keys: &'g [&'static str],
-    values: &'g [PropValue],
+    shape: Shape<'g>,
+    words: &'g [Word],
+    /// The column's whole string table, which string words index.
+    strings: &'g [Box<str>],
 }
 
 impl<'g> Props<'g> {
     /// Number of stored properties.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.words.len()
     }
 
     /// Whether no properties are stored.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.words.is_empty()
     }
 
     /// Look up a property by key.
-    pub fn get(&self, key: &str) -> Option<&'g PropValue> {
-        let pos = self.keys.binary_search(&key).ok()?;
-        Some(&self.values[pos])
+    pub fn get(&self, key: &str) -> Option<Value<'g>> {
+        let pos = self.shape.keys.binary_search(&key).ok()?;
+        Some(self.value(pos))
     }
 
     /// Iterate over `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &'g PropValue)> + 'g {
-        self.keys.iter().copied().zip(self.values)
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Value<'g>)> + 'g {
+        let props = *self;
+        (0..self.len()).map(move |pos| (props.shape.keys[pos], props.value(pos)))
     }
 
-    /// The keys, sorted: the element's shape.
-    pub fn keys(&self) -> &'g [&'static str] {
-        self.keys
+    /// The keys and their values' kinds: the element's shape.
+    pub fn shape(&self) -> Shape<'g> {
+        self.shape
     }
 
     /// An owned copy of the list.
     pub fn to_owned(&self) -> Properties {
         Properties {
-            keys: self.keys.to_vec(),
-            values: self.values.to_vec(),
+            keys: self.shape.keys.to_vec(),
+            values: self.iter().map(|(_, value)| value.into()).collect(),
         }
+    }
+
+    /// The value at `pos` in key order.
+    fn value(&self, pos: usize) -> Value<'g> {
+        self.shape.kinds[pos].read(self.words[pos], self.strings)
+    }
+}
+
+/// Equal keys and equal values, whichever columns the two lists sit in.
+impl PartialEq for Props<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Props<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
 /// Where one element's properties sit in its graph's [`PropColumn`]: its
-/// shape, and the index of its first value. Eight bytes, with no heap.
+/// shape, and the index of its first word. Eight bytes, with no heap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PropSlot {
     pub(crate) shape: u32,
@@ -319,47 +479,69 @@ impl PropSlot {
     }
 }
 
-/// One kind of element's properties in one graph: the interned key shapes
-/// and one value arena that every element's values are a run of.
+/// An interned shape: its keys and their kinds.
+type ShapeBox = (Box<[&'static str]>, Box<[Kind]>);
+
+/// One kind of element's properties in one graph: the interned shapes, one
+/// word arena that every element's values are a run of, and the strings
+/// the string words index.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PropColumn {
-    /// Shape `s > 0` is `shapes[s - 1]`, a strictly ascending key list;
-    /// shape 0, the empty list, is implicit.
-    shapes: Vec<Box<[&'static str]>>,
-    /// Key list → shape id, for every non-empty shape.
-    ids: HashMap<Box<[&'static str]>, u32>,
+    /// Shape `s > 0` is `shapes[s - 1]`: a strictly ascending key list and
+    /// one kind per key. Shape 0, the empty list, is implicit.
+    shapes: Vec<ShapeBox>,
+    /// Key list → the ids of the shapes with those keys, one per distinct
+    /// kind list, for every non-empty key list.
+    ids: HashMap<Box<[&'static str]>, Vec<u32>>,
     /// Every element's values, element after element.
-    pub(crate) values: Vec<PropValue>,
+    pub(crate) words: Vec<Word>,
+    /// Every string value, in the order they were written.
+    pub(crate) strings: Vec<Box<str>>,
 }
 
 impl PropColumn {
-    /// The shape id of the key list `keys`, numbering it when new.
+    /// The id of the shape of `keys` with `kinds`, numbering it when new.
     ///
     /// # Panics
     ///
-    /// When `keys` is not strictly ascending.
-    pub(crate) fn shape(&mut self, keys: &[&'static str]) -> u32 {
+    /// When `keys` is not strictly ascending or `kinds` does not give one
+    /// kind per key.
+    pub(crate) fn shape(
+        &mut self,
+        keys: &[&'static str],
+        kinds: impl ExactSizeIterator<Item = Kind> + Clone,
+    ) -> u32 {
+        assert_eq!(keys.len(), kinds.len(), "one kind per shape key");
         if keys.is_empty() {
             return 0;
         }
-        if let Some(&id) = self.ids.get(keys) {
+        let shapes = &self.shapes;
+        let same = |id: u32| shapes[id as usize - 1].1.iter().copied().eq(kinds.clone());
+        if let Some(&id) = self
+            .ids
+            .get(keys)
+            .and_then(|ids| ids.iter().find(|&&id| same(id)))
+        {
             return id;
         }
         assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
             "shape keys must be strictly ascending: {keys:?}"
         );
-        self.shapes.push(keys.into());
+        self.shapes.push((keys.into(), kinds.collect()));
         let id = u32::try_from(self.shapes.len()).expect("under 2^32 shapes");
-        self.ids.insert(keys.into(), id);
+        self.ids.entry(keys.into()).or_default().push(id);
         id
     }
 
-    /// The keys of shape `shape`; `None` for an id this column never issued.
-    pub(crate) fn keys(&self, shape: u32) -> Option<&[&'static str]> {
+    /// Shape `shape`; `None` for an id this column never issued.
+    pub(crate) fn shape_of(&self, shape: u32) -> Option<Shape<'_>> {
         match shape {
-            0 => Some(&[]),
-            s => self.shapes.get(s as usize - 1).map(|keys| &**keys),
+            0 => Some(Shape::default()),
+            s => self
+                .shapes
+                .get(s as usize - 1)
+                .map(|(keys, kinds)| Shape { keys, kinds }),
         }
     }
 
@@ -370,30 +552,42 @@ impl PropColumn {
     /// When `slot` is not from this column; [`crate::Graph::validate`]
     /// checks every slot of a loaded graph.
     pub(crate) fn props(&self, slot: PropSlot) -> Props<'_> {
-        let keys = self.keys(slot.shape).expect("slot shape is in range");
+        let shape = self.shape_of(slot.shape).expect("slot shape is in range");
         let start = slot.start as usize;
         Props {
-            keys,
-            values: &self.values[start..start + keys.len()],
+            shape,
+            words: &self.words[start..start + shape.keys.len()],
+            strings: &self.strings,
         }
     }
 
-    /// Whether `slot`'s shape is in range and its values fit the column.
+    /// Whether `slot`'s shape is in range, its words fit the column and
+    /// each of its string words indexes the string table.
     pub(crate) fn holds(&self, slot: PropSlot) -> bool {
-        self.keys(slot.shape)
-            .is_some_and(|keys| slot.start as usize + keys.len() <= self.values.len())
+        let Some(shape) = self.shape_of(slot.shape) else {
+            return false;
+        };
+        let start = slot.start as usize;
+        self.words
+            .get(start..start + shape.kinds.len())
+            .is_some_and(|words| {
+                words
+                    .iter()
+                    .zip(shape.kinds)
+                    .all(|(&word, &kind)| kind != Kind::Str || (word as usize) < self.strings.len())
+            })
     }
 
-    /// Append an owned list, moving its values into the arena.
-    pub(crate) fn push(&mut self, props: Properties) -> PropSlot {
-        let shape = self.shape(&props.keys);
-        let start = self.values.len();
-        self.values.extend(props.values);
-        PropSlot::new(shape, start)
+    /// Append a copy of an owned list.
+    pub(crate) fn push(&mut self, props: &Properties) -> PropSlot {
+        let values = props.values.iter().map(PropValue::as_value);
+        let shape = self.shape(&props.keys, values.clone().map(Value::kind));
+        PropSlot::new(shape, self.append(values))
     }
 
     /// Append a copy of `from`'s `slot`; `shapes` maps `from`'s shape ids
-    /// to this column's, filled as shapes are first seen.
+    /// to this column's, filled as shapes are first seen. Words are copied
+    /// and strings stored again in this column's table.
     pub(crate) fn copy(
         &mut self,
         from: &PropColumn,
@@ -401,10 +595,42 @@ impl PropColumn {
         shapes: &mut [Option<u32>],
     ) -> PropSlot {
         let props = from.props(slot);
-        let shape = *shapes[slot.shape as usize].get_or_insert_with(|| self.shape(props.keys));
-        let start = self.values.len();
-        self.values.extend_from_slice(props.values);
-        PropSlot::new(shape, start)
+        let Shape { keys, kinds } = props.shape;
+        let shape = *shapes[slot.shape as usize]
+            .get_or_insert_with(|| self.shape(keys, kinds.iter().copied()));
+        PropSlot::new(shape, self.append(props.iter().map(|(_, value)| value)))
+    }
+
+    /// Append the words of `values`; the index of the first.
+    fn append<'v>(&mut self, values: impl Iterator<Item = Value<'v>>) -> usize {
+        let start = self.words.len();
+        for value in values {
+            let word = value.word(|s| self.string(s));
+            self.words.push(word);
+        }
+        start
+    }
+
+    /// Make room for exactly the words and strings of `from`'s `slots`.
+    pub(crate) fn reserve_exact(
+        &mut self,
+        from: &PropColumn,
+        slots: impl Iterator<Item = PropSlot>,
+    ) {
+        let (mut words, mut strings) = (0, 0);
+        for slot in slots {
+            let kinds = from.props(slot).shape.kinds;
+            words += kinds.len();
+            strings += kinds.iter().filter(|&&kind| kind == Kind::Str).count();
+        }
+        self.words.reserve_exact(words);
+        self.strings.reserve_exact(strings);
+    }
+
+    /// Store a string value; its index in the string table.
+    pub(crate) fn string(&mut self, s: &str) -> usize {
+        self.strings.push(s.into());
+        self.strings.len() - 1
     }
 
     /// Number of shapes, the empty one included.
@@ -479,9 +705,9 @@ mod tests {
 
     #[test]
     fn loaded_maps_are_sized_to_their_entries() {
-        // Each column is an exactly sized arena of two-word values, and an
+        // Each column is an exactly sized arena of one-word values, and an
         // element holds an eight-byte slot into it.
-        assert_eq!(std::mem::size_of::<PropValue>(), 16);
+        assert_eq!(std::mem::size_of::<Word>(), 8);
         assert_eq!(std::mem::size_of::<PropSlot>(), 8);
         let mut score = Properties::new();
         score.set("score", 0.5);
@@ -554,5 +780,85 @@ mod tests {
             back.vertex_props(crate::VertexId::from_index(0)).to_owned(),
             p
         );
+    }
+
+    /// Whether `got` is `want`, floats compared by their bits.
+    fn same_bits(got: Value<'_>, want: &PropValue) -> bool {
+        match (got, want) {
+            (Value::Float(x), PropValue::Float(y)) => x.to_bits() == y.to_bits(),
+            (got, want) => got == want.as_value(),
+        }
+    }
+
+    #[test]
+    fn edge_bit_patterns_round_trip() {
+        let long = "x".repeat(usize::from(u16::MAX));
+        let props: Properties = [
+            ("neg_zero", PropValue::Float(-0.0)),
+            (
+                "nan",
+                PropValue::Float(f64::from_bits(0x7ff8_0000_dead_beef)),
+            ),
+            ("subnormal", PropValue::Float(f64::from_bits(1))),
+            ("inf", PropValue::Float(f64::INFINITY)),
+            ("neg_inf", PropValue::Float(f64::NEG_INFINITY)),
+            ("min", PropValue::Int(i64::MIN)),
+            ("max", PropValue::Int(i64::MAX)),
+            ("empty", PropValue::from("")),
+            ("long", PropValue::from(long.as_str())),
+            ("yes", PropValue::Bool(true)),
+            ("no", PropValue::Bool(false)),
+        ]
+        .into_iter()
+        .collect();
+        let mut g = crate::Graph::new();
+        let v = g.add_vertex_with_props("dog", props.clone());
+        let e = g.add_edge_with_props(v, v, "near", props.clone()).unwrap();
+        let loaded = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
+        for g in [&g, &loaded] {
+            for read in [g.vertex_props(v), g.edge_props(e)] {
+                assert_eq!(read.len(), props.len());
+                for ((key, got), (want_key, want)) in read.iter().zip(props.iter()) {
+                    assert_eq!(key, want_key);
+                    assert!(same_bits(got, want), "{key}: {got:?} against {want:?}");
+                    assert!(read.get(key).is_some_and(|again| same_bits(again, want)));
+                }
+            }
+            assert_eq!(
+                g.edge_props(e)
+                    .get("long")
+                    .and_then(Value::as_str)
+                    .map(str::len),
+                Some(usize::from(u16::MAX))
+            );
+        }
+        assert_eq!(loaded.edge_column.strings.len(), 2);
+        assert_eq!(loaded.edge_column.strings.capacity(), 2);
+    }
+
+    #[test]
+    fn one_key_list_under_two_kinds_is_two_shapes() {
+        let int: Properties = [("score", 3i64)].into_iter().collect();
+        let float: Properties = [("score", 0.5)].into_iter().collect();
+        let mut g = crate::Graph::new();
+        let a = g.add_vertex("a");
+        let edges =
+            [&int, &float, &int].map(|p| g.add_edge_with_props(a, a, "x", p.clone()).unwrap());
+        let shape = |g: &crate::Graph, e: crate::EdgeId| g.edges[e.index()].props.shape;
+        assert_eq!(g.edge_column.shape_count(), 3);
+        assert_eq!(shape(&g, edges[0]), shape(&g, edges[2]));
+        assert_ne!(shape(&g, edges[0]), shape(&g, edges[1]));
+
+        let loaded = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
+        let mut absorbed = crate::Graph::new();
+        absorbed.absorb(&g);
+        for g in [&g, &loaded, &absorbed] {
+            let score = |i: usize| g.edge_props(edges[i]).get("score");
+            assert_eq!(score(0), Some(Value::Int(3)));
+            assert_eq!(score(1), Some(Value::Float(0.5)));
+            assert_eq!(score(2), Some(Value::Int(3)));
+            assert_eq!(g.edge_column.shape_count(), 3);
+            assert_eq!(g.edge_props(edges[1]).shape().kinds, [Kind::Float]);
+        }
     }
 }

@@ -3,23 +3,25 @@
 //! Merging thousands of scene graphs appends tens of thousands of vertices,
 //! edges and property values whose counts are known before the first one
 //! is written. [`Graph::append_windows`] grows the element arenas and both
-//! property value columns once by the exact totals, splits the new slots
-//! into one disjoint [`GraphWindow`] per part, and fills each window on its
-//! own thread with final ids. A window writes each element's values
-//! straight into its run of the column, so filling it allocates nothing
-//! per element. A short serial stitch then folds what a window cannot
-//! write itself — its label-index runs and its edge-label counts — into
-//! the graph in window order, and one counting sort over the edge arena
-//! rebuilds both adjacency indexes. The result is the graph that
-//! `add_vertex_with_props` / `add_edge_with_props` calls in the same order
-//! would give, label ids, property shapes and adjacency included.
+//! property columns' word arenas once by the exact totals, splits the new
+//! slots into one disjoint [`GraphWindow`] per part, and fills each window
+//! on its own thread with final ids. A window checks each value's kind
+//! against its shape's and writes the value's word straight into its run
+//! of the column, so filling it allocates nothing per element. A short
+//! serial stitch then folds what a window cannot write itself — its
+//! label-index runs, its edge-label counts and its string values (rare:
+//! scene graphs carry none) — into the graph in window order, and one
+//! counting sort over the edge arena rebuilds both adjacency indexes. The
+//! result is the graph that `add_vertex_with_props` /
+//! `add_edge_with_props` calls in the same order would give, label ids,
+//! property shapes and adjacency included.
 
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::LabelId;
-use crate::props::{exact, PropSlot, PropValue};
+use crate::props::{exact, Kind, PropSlot, Shape, Value, Word};
 use crate::vertex::Vertex;
 
 /// How many vertices, edges and property values one window appends,
@@ -44,14 +46,14 @@ pub struct WindowSlots<'a> {
     pub vertex_labels: &'a [&'a str],
     /// Edge labels.
     pub edge_labels: &'a [&'a str],
-    /// Vertex property shapes, each a strictly ascending key list.
-    pub vertex_shapes: &'a [&'a [&'static str]],
-    /// Edge property shapes, each a strictly ascending key list.
-    pub edge_shapes: &'a [&'a [&'static str]],
+    /// Vertex property shapes.
+    pub vertex_shapes: &'a [Shape<'a>],
+    /// Edge property shapes.
+    pub edge_shapes: &'a [Shape<'a>],
 }
 
-/// A shape slot resolved to the column's shape id and its key count.
-type ColumnShape = (u32, usize);
+/// A shape slot resolved to the column's shape id, and its kinds.
+type ColumnShape<'a> = (u32, &'a [Kind]);
 
 /// One part's run of new vertex and edge slots, filled in order.
 ///
@@ -72,39 +74,51 @@ pub struct GraphWindow<'g> {
     edge_values: ValueRun<'g>,
     vertex_labels: &'g [LabelId],
     edge_labels: &'g [LabelId],
-    vertex_shapes: &'g [ColumnShape],
-    edge_shapes: &'g [ColumnShape],
+    vertex_shapes: &'g [ColumnShape<'g>],
+    edge_shapes: &'g [ColumnShape<'g>],
     log: StitchLog,
 }
 
-/// A window's run of one property value column, filled in order.
+/// A window's run of one property column's words, filled in order.
 struct ValueRun<'g> {
-    /// Column index of the run's first value.
+    /// Column index of the run's first word.
     first: usize,
-    values: &'g mut [PropValue],
+    words: &'g mut [Word],
     filled: usize,
+    /// The run's string values, each with the column index of its word.
+    strings: Vec<(usize, Box<str>)>,
 }
 
 impl ValueRun<'_> {
-    /// Write one element's `values`, one per key of `shape`, and return
-    /// its slot.
-    fn write(
+    /// Write one element's `values`, one per key of `shape` and of the
+    /// key's kind, and return its slot.
+    fn write<'v>(
         &mut self,
-        (shape, len): ColumnShape,
-        values: impl IntoIterator<Item = PropValue>,
+        (shape, kinds): ColumnShape<'_>,
+        values: impl IntoIterator<Item = Value<'v>>,
     ) -> PropSlot {
-        let start = self.filled;
+        let start = self.first + self.filled;
         let run = self
-            .values
-            .get_mut(start..start + len)
+            .words
+            .get_mut(self.filled..self.filled + kinds.len())
             .expect("window holds its declared value count");
         let mut values = values.into_iter();
-        for slot in run {
-            *slot = values.next().expect("one value per shape key");
+        for ((at, word), &kind) in (start..).zip(run).zip(kinds) {
+            let value = values.next().expect("one value per shape key");
+            assert!(
+                value.kind() == kind,
+                "a value of kind {:?} where the shape holds {kind:?}",
+                value.kind()
+            );
+            // A string's index is known only at the stitch.
+            *word = value.word(|s| {
+                self.strings.push((at, s.into()));
+                0
+            });
         }
         assert!(values.next().is_none(), "one value per shape key");
-        self.filled += len;
-        PropSlot::new(shape, self.first + start)
+        self.filled += kinds.len();
+        PropSlot::new(shape, start)
     }
 }
 
@@ -114,6 +128,9 @@ struct StitchLog {
     runs: Vec<Vec<VertexId>>,
     /// Per edge-label slot: the window's edges carrying it.
     edge_counts: Vec<usize>,
+    /// The window's vertex and edge string values, each with the column
+    /// index of its word.
+    strings: [Vec<(usize, Box<str>)>; 2],
 }
 
 impl GraphWindow<'_> {
@@ -129,12 +146,12 @@ impl GraphWindow<'_> {
     ///
     /// When the window already holds its declared vertex or vertex-value
     /// count, `label` or `shape` is not a slot, or `values` does not give
-    /// one value per key of the shape.
-    pub fn push_vertex(
+    /// one value of the key's kind per key of the shape.
+    pub fn push_vertex<'v>(
         &mut self,
         label: usize,
         shape: usize,
-        values: impl IntoIterator<Item = PropValue>,
+        values: impl IntoIterator<Item = Value<'v>>,
     ) -> VertexId {
         let id = self.next_vertex();
         let slot = self
@@ -157,14 +174,14 @@ impl GraphWindow<'_> {
     ///
     /// When the window already holds its declared edge or edge-value
     /// count, `label` or `shape` is not a slot, or `values` does not give
-    /// one value per key of the shape.
-    pub fn push_edge(
+    /// one value of the key's kind per key of the shape.
+    pub fn push_edge<'v>(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: usize,
         shape: usize,
-        values: impl IntoIterator<Item = PropValue>,
+        values: impl IntoIterator<Item = Value<'v>>,
     ) -> Result<EdgeId, GraphError> {
         self.check_endpoint(src)?;
         self.check_endpoint(dst)?;
@@ -199,8 +216,8 @@ impl GraphWindow<'_> {
         assert!(
             self.filled_vertices == self.vertices.len()
                 && self.filled_edges == self.edges.len()
-                && vv.filled == vv.values.len()
-                && ev.filled == ev.values.len(),
+                && vv.filled == vv.words.len()
+                && ev.filled == ev.words.len(),
             "window filled {} of {} vertices and {} of {} edges, \
              {} of {} vertex values and {} of {} edge values",
             self.filled_vertices,
@@ -208,11 +225,13 @@ impl GraphWindow<'_> {
             self.filled_edges,
             self.edges.len(),
             vv.filled,
-            vv.values.len(),
+            vv.words.len(),
             ev.filled,
-            ev.values.len(),
+            ev.words.len(),
         );
-        self.log
+        let mut log = self.log;
+        log.strings = [self.vertex_values.strings, self.edge_values.strings];
+        log
     }
 }
 
@@ -241,7 +260,8 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// When a shape's keys are not strictly ascending, when `fill` leaves
+    /// When a shape's keys are not strictly ascending or its kinds are not
+    /// one per key, when `fill` leaves
     /// its window short of the declared size, or panics itself (the panic
     /// is resumed on the calling thread). Either is a bug in the caller,
     /// and it leaves the graph unusable: unfilled slots hold placeholders
@@ -270,19 +290,26 @@ impl Graph {
         let vertex_shapes: Vec<ColumnShape> = slots
             .vertex_shapes
             .iter()
-            .map(|keys| (self.vertex_column.shape(keys), keys.len()))
+            .map(|s| {
+                (
+                    self.vertex_column.shape(s.keys, s.kinds.iter().copied()),
+                    s.kinds,
+                )
+            })
             .collect();
         let edge_shapes: Vec<ColumnShape> = slots
             .edge_shapes
             .iter()
-            .map(|keys| (self.edge_column.shape(keys), keys.len()))
+            .map(|s| {
+                (
+                    self.edge_column.shape(s.keys, s.kinds.iter().copied()),
+                    s.kinds,
+                )
+            })
             .collect();
         let existing = self.vertices.len();
         let first_edge = self.edges.len();
-        let first_values = (
-            self.vertex_column.values.len(),
-            self.edge_column.values.len(),
-        );
+        let first_values = (self.vertex_column.words.len(), self.edge_column.words.len());
         let total =
             |count: fn(&WindowSize) -> usize| parts.iter().map(|(size, _)| count(size)).sum();
         // Placeholders until the windows fill their slots; they allocate
@@ -295,15 +322,11 @@ impl Graph {
             Edge::new(nowhere, nowhere, label, slot)
         });
         let mut vertex_values = grow(
-            &mut self.vertex_column.values,
+            &mut self.vertex_column.words,
             total(|s| s.vertex_values),
-            || PropValue::Bool(false),
+            || 0,
         );
-        let mut edge_values = grow(
-            &mut self.edge_column.values,
-            total(|s| s.edge_values),
-            || PropValue::Bool(false),
-        );
+        let mut edge_values = grow(&mut self.edge_column.words, total(|s| s.edge_values), || 0);
 
         let (mut first_vertex, mut first_edge) = (existing, first_edge);
         let (mut first_vertex_value, mut first_edge_value) = first_values;
@@ -324,13 +347,15 @@ impl Graph {
                 filled_edges: 0,
                 vertex_values: ValueRun {
                     first: first_vertex_value,
-                    values: vv,
+                    words: vv,
                     filled: 0,
+                    strings: Vec::new(),
                 },
                 edge_values: ValueRun {
                     first: first_edge_value,
-                    values: ev,
+                    words: ev,
                     filled: 0,
+                    strings: Vec::new(),
                 },
                 vertex_labels: &vertex_labels,
                 edge_labels: &edge_labels,
@@ -339,6 +364,7 @@ impl Graph {
                 log: StitchLog {
                     runs: vec![Vec::new(); vertex_labels.len()],
                     edge_counts: vec![0; edge_labels.len()],
+                    strings: Default::default(),
                 },
             };
             first_vertex += size.vertices;
@@ -376,12 +402,13 @@ impl Graph {
         results
     }
 
-    /// Fold the filled windows' logs into the label index and the
-    /// edge-label counts, in window order. Each label's vertex list grows
-    /// once, by exactly the windows' runs, and the runs are copied rather
-    /// than adopted: a run a window thread grew lives in that thread's
-    /// malloc arena, and keeping it would pin the memory the thread freed
-    /// there (its scene records) in the resident set.
+    /// Fold the filled windows' logs into the label index, the edge-label
+    /// counts and the columns' string tables, in window order. Each label's
+    /// vertex list and each string table grows once, by exactly the
+    /// windows' entries, and those are copied rather than adopted: a run a
+    /// window thread grew lives in that thread's malloc arena, and keeping
+    /// it would pin the memory the thread freed there (its scene records)
+    /// in the resident set.
     fn stitch(&mut self, vertex_labels: &[LabelId], edge_labels: &[LabelId], logs: Vec<StitchLog>) {
         for (slot, &label) in vertex_labels.iter().enumerate() {
             let ids = self.label_index.value_mut(label);
@@ -395,6 +422,18 @@ impl Graph {
                 *self.edge_label_counts.value_mut(label) += count;
             }
         }
+        for (c, column) in [&mut self.vertex_column, &mut self.edge_column]
+            .into_iter()
+            .enumerate()
+        {
+            column
+                .strings
+                .reserve_exact(logs.iter().map(|log| log.strings[c].len()).sum());
+            for (at, s) in logs.iter().flat_map(|log| &log.strings[c]) {
+                column.words[*at] = column.string(s) as Word;
+            }
+            column.strings = exact(std::mem::take(&mut column.strings));
+        }
     }
 }
 
@@ -407,8 +446,26 @@ mod tests {
     const SLOTS: WindowSlots<'static> = WindowSlots {
         vertex_labels: &["a", "b"],
         edge_labels: &["x", "same as"],
-        vertex_shapes: &[&[], &["image", "x"]],
-        edge_shapes: &[&[], &["score"]],
+        vertex_shapes: &[
+            Shape {
+                keys: &[],
+                kinds: &[],
+            },
+            Shape {
+                keys: &["image", "x"],
+                kinds: &[Kind::Int, Kind::Float],
+            },
+        ],
+        edge_shapes: &[
+            Shape {
+                keys: &[],
+                kinds: &[],
+            },
+            Shape {
+                keys: &["score"],
+                kinds: &[Kind::Float],
+            },
+        ],
     };
 
     /// Part `p` is a chain of `n` vertices labeled `"a"`/`"b"` with `"x"`
@@ -424,9 +481,9 @@ mod tests {
         }
     }
 
-    fn vertex_values(i: usize) -> Vec<PropValue> {
+    fn vertex_values(i: usize) -> Vec<Value<'static>> {
         match i % 2 {
-            0 => vec![PropValue::Int(i as i64), PropValue::Float(0.5)],
+            0 => vec![Value::Int(i as i64), Value::Float(0.5)],
             _ => Vec::new(),
         }
     }
@@ -446,8 +503,7 @@ mod tests {
                 VertexId::from_index(first + i - 1),
                 VertexId::from_index(first + i),
             );
-            w.push_edge(a, b, 0, 1, [PropValue::Float(i as f64)])
-                .unwrap();
+            w.push_edge(a, b, 0, 1, [Value::Float(i as f64)]).unwrap();
         }
         for i in 0..n {
             let v = VertexId::from_index(first + i);
@@ -616,12 +672,91 @@ mod tests {
         g.append_windows(&SLOTS, vec![(chain(1), ())], |(), _| ());
     }
 
+    /// The message `fill` panics with, resumed from its window.
+    fn window_panic(fill: fn(&mut GraphWindow<'_>)) -> String {
+        let mut g = base();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.append_windows(&SLOTS, vec![(chain(1), ())], |(), w| fill(w));
+        }))
+        .unwrap_err();
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default()
+    }
+
     #[test]
-    #[should_panic(expected = "one value per shape key")]
+    #[should_panic(expected = "a value of kind Float where the shape holds Int")]
     fn values_must_fill_the_shape() {
+        // Too few values for `[image, x]`, and too many.
+        let short: fn(&mut GraphWindow<'_>) = |w| {
+            w.push_vertex(0, 1, [Value::Int(1)]);
+        };
+        let long: fn(&mut GraphWindow<'_>) = |w| {
+            w.push_vertex(0, 1, [Value::Int(1), Value::Float(0.5), Value::Bool(true)]);
+        };
+        for fill in [short, long] {
+            let message = window_panic(fill);
+            assert!(message.contains("one value per shape key"), "{message}");
+        }
+        // One value per key, but `image` is an Int in this shape.
         let mut g = base();
         g.append_windows(&SLOTS, vec![(chain(1), ())], |(), w| {
-            w.push_vertex(0, 1, [PropValue::Int(1)]);
+            w.push_vertex(0, 1, [Value::Float(1.0), Value::Float(0.5)]);
         });
+    }
+
+    #[test]
+    fn strings_are_stitched_in_window_order() {
+        const NOTE: WindowSlots<'static> = WindowSlots {
+            vertex_shapes: &[Shape {
+                keys: &["note"],
+                kinds: &[Kind::Str],
+            }],
+            edge_shapes: &[Shape {
+                keys: &["note", "score"],
+                kinds: &[Kind::Str, Kind::Float],
+            }],
+            ..SLOTS
+        };
+        let size = WindowSize {
+            vertices: 2,
+            edges: 1,
+            vertex_values: 2,
+            edge_values: 2,
+        };
+        let mut g = base();
+        g.append_windows(&NOTE, vec![(size, 0), (size, 1)], |part, w| {
+            let [a, b] = ["first", "second"].map(|n| {
+                let note = format!("{n} of {part}");
+                w.push_vertex(0, 0, [Value::Str(&note)])
+            });
+            let note = format!("edge of {part}");
+            w.push_edge(a, b, 0, 0, [Value::Str(&note), Value::Float(0.5)])
+                .unwrap();
+        });
+        let mut want = base();
+        for part in 0..2 {
+            let [a, b] = ["first", "second"].map(|n| {
+                let props = [("note", format!("{n} of {part}"))].into_iter().collect();
+                want.add_vertex_with_props("a", props)
+            });
+            let mut props: Properties = [("score", 0.5)].into_iter().collect();
+            props.set("note", format!("edge of {part}"));
+            want.add_edge_with_props(a, b, "x", props).unwrap();
+        }
+        g.validate().unwrap();
+        assert_eq!(
+            binio::to_bytes(&g).unwrap(),
+            binio::to_bytes(&want).unwrap()
+        );
+        assert_eq!(
+            g.vertex_props(VertexId::from_index(4)).get("note"),
+            Some(Value::Str("first of 1"))
+        );
+        assert_eq!(g.vertex_column.strings.len(), 4);
+        assert_eq!(g.vertex_column.strings.capacity(), 4);
+        assert_eq!(g.edge_column.strings.len(), 2);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! A record keeps its properties as plain fields. [`RecordVertex::values`]
 //! and [`RecordEdge::values`] give them as fixed arrays in the key order of
-//! [`VERTEX_KEYS`] and [`EDGE_KEYS`], the shapes the attach writes them
+//! [`VERTEX_SHAPE`] and [`EDGE_SHAPE`], the shapes the attach writes them
 //! under, straight into the merged graph's value columns and with no
 //! allocation per element. [`crate::sgg::SceneGraphGenerator::generate`]
 //! builds its per-image properties from the same keys and values, so both
@@ -17,7 +17,7 @@
 
 use crate::bbox::BBox;
 use crate::relation::RELATION_VOCAB;
-use svqa_graph::{PropValue, Properties, IMAGE};
+use svqa_graph::{Kind, Properties, Shape, Value, IMAGE};
 
 /// One detected object of a scene record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,8 +33,8 @@ pub struct RecordVertex {
 
 impl RecordVertex {
     /// The property values of a scene-graph vertex, in the key order of
-    /// [`VERTEX_KEYS`].
-    pub fn values(&self) -> [PropValue; 5] {
+    /// [`VERTEX_SHAPE`].
+    pub fn values(&self) -> [Value<'static>; 5] {
         vertex_values(self.image, &self.bbox)
     }
 }
@@ -65,9 +65,9 @@ impl RecordEdge {
     }
 
     /// The property values of a scene-graph edge, in the key order of
-    /// [`EDGE_KEYS`].
-    pub fn values(&self) -> [PropValue; 1] {
-        [PropValue::Float(self.score)]
+    /// [`EDGE_SHAPE`].
+    pub fn values(&self) -> [Value<'static>; 1] {
+        [Value::Float(self.score)]
     }
 }
 
@@ -78,13 +78,32 @@ pub const VERTEX_KEYS: [&str; 5] = ["h", IMAGE, "w", "x", "y"];
 /// The property key of a scene-graph edge: the predicate's score.
 pub const EDGE_KEYS: [&str; 1] = ["score"];
 
-fn vertex_values(image: u32, bbox: &BBox) -> [PropValue; 5] {
+/// The shape of a scene-graph vertex's properties: a float per box
+/// coordinate and the integer image id.
+pub const VERTEX_SHAPE: Shape<'static> = Shape {
+    keys: &VERTEX_KEYS,
+    kinds: &[
+        Kind::Float,
+        Kind::Int,
+        Kind::Float,
+        Kind::Float,
+        Kind::Float,
+    ],
+};
+
+/// The shape of a scene-graph edge's properties: a float score.
+pub const EDGE_SHAPE: Shape<'static> = Shape {
+    keys: &EDGE_KEYS,
+    kinds: &[Kind::Float],
+};
+
+fn vertex_values(image: u32, bbox: &BBox) -> [Value<'static>; 5] {
     [
-        PropValue::Float(bbox.h),
-        PropValue::Int(i64::from(image)),
-        PropValue::Float(bbox.w),
-        PropValue::Float(bbox.x),
-        PropValue::Float(bbox.y),
+        Value::Float(bbox.h),
+        Value::Int(i64::from(image)),
+        Value::Float(bbox.w),
+        Value::Float(bbox.x),
+        Value::Float(bbox.y),
     ]
 }
 
@@ -98,10 +117,7 @@ pub(crate) fn vertex_props(image: u32, bbox: &BBox) -> Properties {
 
 /// Properties of a scene-graph edge: the predicate's score.
 pub(crate) fn edge_props(score: f64) -> Properties {
-    EDGE_KEYS
-        .into_iter()
-        .zip([PropValue::Float(score)])
-        .collect()
+    EDGE_KEYS.into_iter().zip([Value::Float(score)]).collect()
 }
 
 /// The scene graphs of a contiguous run of images, in image order.
@@ -274,29 +290,33 @@ mod tests {
         let r = sample();
         let scene = r.scenes().next().unwrap();
         let (_, v) = scene.vertices().next().unwrap();
-        // Fixed arrays of two-word values, one per key: nothing to size.
-        assert_eq!(std::mem::size_of::<PropValue>(), 16);
-        assert_eq!(std::mem::size_of_val(&v.values()), 5 * 16);
-        let keys = VERTEX_KEYS;
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        // Fixed arrays of borrowed values, one per key of the shape and of
+        // its kind: nothing to size.
+        for shape in [VERTEX_SHAPE, EDGE_SHAPE] {
+            let keys = shape.keys;
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+            assert_eq!(keys.len(), shape.kinds.len());
+        }
+        assert!(v.values().map(Value::kind).iter().eq(VERTEX_SHAPE.kinds));
         let props = vertex_props(v.image, &v.bbox);
         assert_eq!(props.len(), 5);
-        assert_eq!(props.get(IMAGE).and_then(PropValue::as_int), Some(4));
-        assert_eq!(props.get("w").and_then(PropValue::as_float), Some(0.3));
+        assert_eq!(props.get(IMAGE).and_then(|p| p.as_int()), Some(4));
+        assert_eq!(props.get("w").and_then(|p| p.as_float()), Some(0.3));
         assert_eq!(
             props
                 .iter()
-                .map(|(k, v)| (k, v.clone()))
+                .map(|(k, v)| (k, v.as_value()))
                 .collect::<Vec<_>>(),
-            keys.into_iter().zip(v.values()).collect::<Vec<_>>()
+            VERTEX_KEYS.into_iter().zip(v.values()).collect::<Vec<_>>()
         );
         let e = &scene.edges()[0];
+        assert!(e.values().map(Value::kind).iter().eq(EDGE_SHAPE.kinds));
         let props = edge_props(e.score);
-        assert_eq!(props.get("score").and_then(PropValue::as_float), Some(0.75));
+        assert_eq!(props.get("score").and_then(|p| p.as_float()), Some(0.75));
         assert_eq!(
             props
                 .iter()
-                .map(|(k, v)| (k, v.clone()))
+                .map(|(k, v)| (k, v.as_value()))
                 .collect::<Vec<_>>(),
             EDGE_KEYS.into_iter().zip(e.values()).collect::<Vec<_>>()
         );

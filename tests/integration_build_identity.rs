@@ -16,7 +16,7 @@ use svqa::dataset::{
     build_knowledge_graph, generate_images, generate_vqav2, Mvqa, MvqaConfig, QaPair, QuestionSpec,
     VqaV2Config,
 };
-use svqa::graph::{binio, Graph, PropValue, Properties};
+use svqa::graph::{binio, Graph, PropValue, Properties, Value};
 use svqa::{Svqa, SvqaConfig};
 
 /// Images in the pinned world (default MVQA seed).
@@ -197,8 +197,5 @@ fn binary_round_trips_are_byte_identical() {
     let g = mixed_graph();
     let back = binio::from_bytes(binio::to_bytes(&g).unwrap()).unwrap();
     let props = back.vertex_props(back.vertices_with_label("dog")[0]);
-    assert_eq!(
-        props.get("source_7").and_then(PropValue::as_str),
-        Some("lake")
-    );
+    assert_eq!(props.get("source_7").and_then(Value::as_str), Some("lake"));
 }

@@ -1,11 +1,14 @@
-//! The merged graph's heap footprint, counted allocation by allocation.
+//! The merged graph's heap footprint, counted allocation by allocation and
+//! byte by byte.
 //!
 //! `G_mg` keeps its vertex and edge properties in two per-graph value
-//! columns, and its adjacency in two per-graph indexes derived from the
-//! edge arena; the offline build writes every scene element's values
-//! straight into the columns: the build leaves no allocation per vertex or
-//! edge behind. A counting global allocator holds that down, for whatever
-//! number of attach windows the host's cores give.
+//! columns of 8-byte words, and its adjacency in two per-graph indexes
+//! derived from the edge arena; the offline build writes every scene
+//! element's values straight into the columns: the build leaves no
+//! allocation per vertex or edge behind, and no more bytes than its
+//! elements' records, indexes and words take. A counting global allocator
+//! holds both down, for whatever number of attach windows the host's cores
+//! give.
 
 use stats_alloc::{Region, StatsAlloc, INSTRUMENTED_SYSTEM};
 use std::alloc::System;
@@ -19,6 +22,20 @@ static GLOBAL: &StatsAlloc<System> = &INSTRUMENTED_SYSTEM;
 /// label tables and per-label vertex lists, the key shapes, the subgraph
 /// cache index, the schema, the linter and the breakers.
 const SLACK: usize = 400;
+
+/// Bytes per vertex record: a label id and a property slot.
+const VERTEX_BYTES: usize = 12;
+/// Bytes per edge record: endpoints, a label id and a property slot.
+const EDGE_BYTES: usize = 20;
+/// Bytes per property value: one word of its column.
+const VALUE_BYTES: usize = 8;
+/// Bytes per vertex in its label's vertex list.
+const LABEL_LIST_BYTES: usize = 4;
+/// Byte slack for what does not grow with the elements: the label tables,
+/// the shapes, the subgraph cache index, the schema, the linter and the
+/// breakers. They took about 30 KiB at 300 images; the slack leaves 10 KiB
+/// over that, less than the 68 KiB a return to 16-byte values adds.
+const SLACK_BYTES: usize = 40 << 10;
 
 #[test]
 fn build_leaves_no_allocation_per_element() {
@@ -48,4 +65,22 @@ fn build_leaves_no_allocation_per_element() {
     assert_eq!(vertex_column.capacity, vertex_column.len);
     assert_eq!(edge_column.capacity, edge_column.len);
     assert!(vertex_values > 0 && edge_values > 0);
+
+    // The live bytes the build requested are its elements' records, the
+    // two adjacency indexes (V + 1 offsets and E edge ids each, 4 B
+    // apiece), the label lists, the words, and the slack.
+    let (vertices, edges) = (g.vertex_count(), g.edge_count());
+    let budget = VERTEX_BYTES * vertices
+        + EDGE_BYTES * edges
+        + 2 * 4 * (vertices + 1 + edges)
+        + LABEL_LIST_BYTES * vertices
+        + VALUE_BYTES * (vertex_values + edge_values)
+        + SLACK_BYTES;
+    let live_bytes = change.bytes_allocated - change.bytes_deallocated;
+    assert!(
+        live_bytes <= budget,
+        "{live_bytes} bytes live after the build of {vertices} vertices, {edges} edges \
+         and {} values, against a budget of {budget}",
+        vertex_values + edge_values
+    );
 }
