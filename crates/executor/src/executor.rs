@@ -605,7 +605,7 @@ fn dedup(mut v: Vec<VertexId>) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svqa_graph::{GraphBuilder, PropValue, Properties};
+    use svqa_graph::{GraphBuilder, Kind, Shape, Value};
     use svqa_qparser::QueryGraphGenerator;
 
     /// Build a miniature merged graph realizing the paper's Example 1:
@@ -630,8 +630,11 @@ mod tests {
         // Scene instances: helper that adds an instance with image prop and
         // a same-as link to the KG entity.
         let add_instance = |g: &mut Graph, label: &str, image: i64| {
-            let props: Properties = [(IMAGE, PropValue::Int(image))].into_iter().collect();
-            let v = g.add_vertex_with_props(label, props);
+            let shape = Shape {
+                keys: &[IMAGE],
+                kinds: &[Kind::Int],
+            };
+            let v = g.add_vertex_with_props(label, shape, [Value::Int(image)]);
             if let Some(&kg) = g.vertices_with_label(label).first() {
                 if kg != v {
                     g.add_edge(v, kg, "same as").unwrap();

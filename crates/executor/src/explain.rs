@@ -91,16 +91,18 @@ mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use crate::executor::QueryGraphExecutor;
-    use svqa_graph::{PropValue, Properties};
+    use svqa_graph::{Kind, Shape, Value};
     use svqa_qparser::QueryGraphGenerator;
 
     fn world() -> Graph {
+        let image = Shape {
+            keys: &[IMAGE],
+            kinds: &[Kind::Int],
+        };
         let mut g = Graph::new();
         let kg_dog = g.add_vertex("dog");
-        let props: Properties = [(IMAGE, PropValue::Int(7))].into_iter().collect();
-        let scene_dog = g.add_vertex_with_props("dog", props);
-        let props: Properties = [(IMAGE, PropValue::Int(7))].into_iter().collect();
-        let car = g.add_vertex_with_props("car", props);
+        let scene_dog = g.add_vertex_with_props("dog", image, [Value::Int(7)]);
+        let car = g.add_vertex_with_props("car", image, [Value::Int(7)]);
         g.add_edge(scene_dog, car, "in").unwrap();
         g.add_edge(scene_dog, kg_dog, "same as").unwrap();
         g.add_edge(kg_dog, scene_dog, "same as").unwrap();

@@ -20,19 +20,21 @@
 //! the edge records hold endpoints in edge order, and the load appends them
 //! to the arena, then builds both adjacency indexes with one counting sort.
 //! The label index and the property columns are rebuilt too: the load reads
-//! each element's list into one reused scratch list and writes it to its
-//! column's words, then copies each column into its final size, and the
-//! result is checked with [`Graph::validate`].
+//! each element's keys, kinds and values into one reused list, strings
+//! borrowed from the snapshot, and appends them to its column as the shape
+//! they state, then copies each column into its final size, and the result
+//! is checked with [`Graph::validate`].
 //!
 //! Lengths and the property count are `u16`s: [`to_bytes`] refuses a graph
 //! with a label, key or string over [`u16::MAX`] bytes, or more properties
 //! on one element, rather than write a snapshot it could not load. The load
-//! refuses a list that repeats a key, which `to_bytes` never writes, and
-//! header counts the rest of the snapshot is too short to hold.
+//! refuses a list whose keys are not strictly ascending, which `to_bytes`
+//! never writes, and header counts the rest of the snapshot is too short to
+//! hold.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::props::{exact, intern, Kind, PropValue, Properties, Props, Value};
+use crate::props::{exact, intern, Kind, Props, Shape, Value};
 use crate::VertexId;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -138,23 +140,22 @@ const MIN_EDGE: u64 = 4 + 4 + 4 + 2;
 /// are indexed all at once, not inserted one by one. Nothing is sized by a
 /// count the remaining bytes could not hold, so a corrupt header is an
 /// error, not an allocation failure.
-pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
+pub fn from_bytes(snapshot: Bytes) -> Result<Graph, GraphError> {
     let corrupt = |msg: &str| GraphError::CorruptGraph(msg.to_owned());
-    let need = |data: &Bytes, n: u64, what: &str| -> Result<(), GraphError> {
-        if (data.remaining() as u64) < n {
+    let need = |data: &[u8], n: u64, what: &str| -> Result<(), GraphError> {
+        if (data.len() as u64) < n {
             Err(GraphError::CorruptGraph(format!(
                 "truncated snapshot at {what}: {n} bytes needed, {} remain",
-                data.remaining()
+                data.len()
             )))
         } else {
             Ok(())
         }
     };
+    let mut data: &[u8] = &snapshot;
 
-    need(&data, 4 + 2 + 4 + 4 + 4, "header")?;
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    need(data, 4 + 2 + 4 + 4 + 4, "header")?;
+    if take(&mut data, MAGIC.len()) != MAGIC {
         return Err(corrupt("bad magic"));
     }
     let version = data.get_u16_le();
@@ -167,49 +168,53 @@ pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
     let edge_count = data.get_u32_le();
     let label_count = data.get_u32_le();
 
-    need(&data, u64::from(label_count) * MIN_LABEL, "the labels")?;
+    need(data, u64::from(label_count) * MIN_LABEL, "the labels")?;
     let mut labels = Vec::with_capacity(label_count as usize);
     for _ in 0..label_count {
-        need(&data, 2, "label length")?;
+        need(data, 2, "label length")?;
         let len = data.get_u16_le() as usize;
-        need(&data, len as u64, "label body")?;
-        let bytes = data.copy_to_bytes(len);
-        labels.push(String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("label not UTF-8"))?);
+        need(data, len as u64, "label body")?;
+        labels.push(
+            std::str::from_utf8(take(&mut data, len)).map_err(|_| corrupt("label not UTF-8"))?,
+        );
     }
     let label = |id: u32| -> Result<&str, GraphError> {
         labels
             .get(id as usize)
-            .map(String::as_str)
+            .copied()
             .ok_or_else(|| corrupt("label id out of range"))
     };
 
     need(
-        &data,
+        data,
         u64::from(vertex_count) * MIN_VERTEX + u64::from(edge_count) * MIN_EDGE,
         "the vertices and edges",
     )?;
     let mut graph = Graph::with_capacity(vertex_count as usize, edge_count as usize);
-    let mut props = Properties::new();
+    let mut list = PropList::default();
     for _ in 0..vertex_count {
-        need(&data, 4, "vertex label id")?;
+        need(data, 4, "vertex label id")?;
         let lid = data.get_u32_le();
-        read_props(&mut data, &mut props)?;
+        read_props(&mut data, &mut list)?;
         let label = graph.label_index.intern(label(lid)?);
-        let props = graph.vertex_column.push(&props);
+        let props = graph
+            .vertex_column
+            .append(list.shape(), list.values.iter().copied());
         graph.push_vertex(label, props);
     }
     for _ in 0..edge_count {
-        need(&data, 12, "edge header")?;
+        need(data, 12, "edge header")?;
         let src = data.get_u32_le() as usize;
         let dst = data.get_u32_le() as usize;
         let lid = data.get_u32_le();
-        read_props(&mut data, &mut props)?;
+        read_props(&mut data, &mut list)?;
         graph
             .append_edge(
                 VertexId::from_index(src),
                 VertexId::from_index(dst),
                 label(lid)?,
-                &props,
+                list.shape(),
+                list.values.iter().copied(),
             )
             .map_err(|e| GraphError::CorruptGraph(format!("dangling edge: {e}")))?;
     }
@@ -225,11 +230,40 @@ pub fn from_bytes(mut data: Bytes) -> Result<Graph, GraphError> {
     Ok(graph)
 }
 
-/// Read one element's property list into `props`, replacing what it held.
-/// A key the list repeats is refused: [`to_bytes`] never writes one.
-fn read_props(data: &mut Bytes, props: &mut Properties) -> Result<(), GraphError> {
+/// The next `n` bytes of `data`, which holds at least that many.
+fn take<'a>(data: &mut &'a [u8], n: usize) -> &'a [u8] {
+    let (head, rest) = data.split_at(n);
+    *data = rest;
+    head
+}
+
+/// One element's property list as a snapshot states it, reused from
+/// element to element: its keys, their kinds and its values, strings
+/// borrowed from the snapshot.
+#[derive(Default)]
+struct PropList<'a> {
+    keys: Vec<&'static str>,
+    kinds: Vec<Kind>,
+    values: Vec<Value<'a>>,
+}
+
+impl PropList<'_> {
+    fn shape(&self) -> Shape<'_> {
+        Shape {
+            keys: &self.keys,
+            kinds: &self.kinds,
+        }
+    }
+}
+
+/// Read one element's property list into `list`, replacing what it held.
+/// A list whose keys are not strictly ascending is refused: [`to_bytes`]
+/// never writes one.
+fn read_props<'a>(data: &mut &'a [u8], list: &mut PropList<'a>) -> Result<(), GraphError> {
     let corrupt = |msg: &str| GraphError::CorruptGraph(msg.to_owned());
-    props.clear();
+    list.keys.clear();
+    list.kinds.clear();
+    list.values.clear();
     if data.remaining() < 2 {
         return Err(corrupt("truncated props"));
     }
@@ -242,10 +276,21 @@ fn read_props(data: &mut Bytes, props: &mut Properties) -> Result<(), GraphError
         if data.remaining() < klen + 1 {
             return Err(corrupt("truncated prop key"));
         }
-        let key = data.copy_to_bytes(klen);
-        let key = intern(std::str::from_utf8(&key).map_err(|_| corrupt("prop key not UTF-8"))?);
-        let tag = data.get_u8();
-        let value = match tag {
+        let key =
+            std::str::from_utf8(take(data, klen)).map_err(|_| corrupt("prop key not UTF-8"))?;
+        if let Some(&last) = list.keys.last() {
+            if key == last {
+                return Err(GraphError::CorruptGraph(format!(
+                    "property key {key:?} repeated"
+                )));
+            }
+            if key < last {
+                return Err(GraphError::CorruptGraph(format!(
+                    "property keys out of order: {key:?} after {last:?}"
+                )));
+            }
+        }
+        let value = match data.get_u8() {
             0 => {
                 if data.remaining() < 2 {
                     return Err(corrupt("truncated string prop"));
@@ -254,27 +299,28 @@ fn read_props(data: &mut Bytes, props: &mut Properties) -> Result<(), GraphError
                 if data.remaining() < len {
                     return Err(corrupt("truncated string prop body"));
                 }
-                String::from_utf8(data.copy_to_bytes(len).to_vec())
-                    .map_err(|_| corrupt("prop value not UTF-8"))?
-                    .into()
+                Value::Str(
+                    std::str::from_utf8(take(data, len))
+                        .map_err(|_| corrupt("prop value not UTF-8"))?,
+                )
             }
             1 => {
                 if data.remaining() < 8 {
                     return Err(corrupt("truncated int prop"));
                 }
-                PropValue::Int(data.get_i64_le())
+                Value::Int(data.get_i64_le())
             }
             2 => {
                 if data.remaining() < 8 {
                     return Err(corrupt("truncated float prop"));
                 }
-                PropValue::Float(data.get_f64_le())
+                Value::Float(data.get_f64_le())
             }
             3 => {
                 if data.remaining() < 1 {
                     return Err(corrupt("truncated bool prop"));
                 }
-                PropValue::Bool(data.get_u8() != 0)
+                Value::Bool(data.get_u8() != 0)
             }
             other => {
                 return Err(GraphError::CorruptGraph(format!(
@@ -282,11 +328,9 @@ fn read_props(data: &mut Bytes, props: &mut Properties) -> Result<(), GraphError
                 )))
             }
         };
-        if props.set(key, value).is_some() {
-            return Err(GraphError::CorruptGraph(format!(
-                "property key {key:?} repeated"
-            )));
-        }
+        list.keys.push(intern(key));
+        list.kinds.push(value.kind());
+        list.values.push(value);
     }
     Ok(())
 }
@@ -297,15 +341,20 @@ mod tests {
 
     fn sample() -> Graph {
         let mut g = Graph::new();
-        let props: Properties = [
-            ("image", PropValue::Int(3)),
-            ("x", PropValue::Float(0.25)),
-            ("flag", PropValue::Bool(true)),
-            ("note", PropValue::from("hello")),
-        ]
-        .into_iter()
-        .collect();
-        let d = g.add_vertex_with_props("dog", props);
+        let shape = Shape {
+            keys: &["flag", "image", "note", "x"],
+            kinds: &[Kind::Bool, Kind::Int, Kind::Str, Kind::Float],
+        };
+        let d = g.add_vertex_with_props(
+            "dog",
+            shape,
+            [
+                Value::Bool(true),
+                Value::Int(3),
+                Value::Str("hello"),
+                Value::Float(0.25),
+            ],
+        );
         let m = g.add_vertex("man");
         let c = g.add_vertex("dog"); // repeated label exercises interning
         g.add_edge(d, m, "near").unwrap();
@@ -475,11 +524,16 @@ mod tests {
             GraphError::CorruptGraph("property key \"k\" repeated".to_owned())
         );
         assert!(load(&["j", "k", "j"]).is_err());
-        // Keys out of order still load, sorted.
-        let g = load(&["k", "j"]).unwrap();
+        // Keys out of order: loading them sorted would hold another list
+        // than the snapshot states.
+        assert_eq!(
+            load(&["k", "j"]).unwrap_err(),
+            GraphError::CorruptGraph("property keys out of order: \"j\" after \"k\"".to_owned())
+        );
+        let g = load(&["j", "k"]).unwrap();
         let props = g.vertex_props(VertexId::from_index(0));
         assert_eq!(props.shape().keys, ["j", "k"]);
-        assert_eq!(props.get("k"), Some(Value::Int(0)));
+        assert_eq!(props.get("k"), Some(Value::Int(1)));
     }
 
     #[test]
@@ -522,18 +576,23 @@ mod tests {
             }
         );
 
+        let note = Shape {
+            keys: &["note"],
+            kinds: &[Kind::Str],
+        };
         let mut g = Graph::new();
-        let props: Properties = [("note", PropValue::from(&long[..65_537]))]
-            .into_iter()
-            .collect();
-        g.add_vertex_with_props("dog", props);
+        g.add_vertex_with_props("dog", note, [Value::Str(&long[..65_537])]);
         let err = to_bytes(&g).unwrap_err();
         assert!(err.to_string().contains("string value"), "{err}");
 
         let mut g = Graph::new();
         let a = g.add_vertex("dog");
-        let props: Properties = [(long.clone(), 1i64)].into_iter().collect();
-        g.add_edge_with_props(a, a, "near", props).unwrap();
+        let shape = Shape {
+            keys: &[long.clone().leak()],
+            kinds: &[Kind::Int],
+        };
+        g.add_edge_with_props(a, a, "near", shape, [Value::Int(1)])
+            .unwrap();
         assert!(matches!(
             to_bytes(&g),
             Err(GraphError::FieldTooLong {
@@ -545,8 +604,7 @@ mod tests {
         // The limits themselves still round-trip.
         let at_limit = &long[..usize::from(u16::MAX)];
         let mut g = Graph::new();
-        let props: Properties = [("note", PropValue::from(at_limit))].into_iter().collect();
-        g.add_vertex_with_props(at_limit, props);
+        g.add_vertex_with_props(at_limit, note, [Value::Str(at_limit)]);
         let back = from_bytes(to_bytes(&g).unwrap()).unwrap();
         assert_eq!(back.vertex_label(VertexId::from_index(0)), Some(at_limit));
     }

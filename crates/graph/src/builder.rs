@@ -3,7 +3,6 @@
 
 use crate::graph::Graph;
 use crate::ids::VertexId;
-use crate::props::Properties;
 use std::collections::HashMap;
 
 /// Builds a graph from `(subject, predicate, object)` triples, reusing a
@@ -29,17 +28,6 @@ impl GraphBuilder {
             return id;
         }
         let id = self.graph.add_vertex(label);
-        self.by_label.insert(label.to_owned(), id);
-        id
-    }
-
-    /// Get or create the vertex for `label`, attaching `props` on creation
-    /// (existing vertices keep their properties).
-    pub fn vertex_with_props(&mut self, label: &str, props: Properties) -> VertexId {
-        if let Some(&id) = self.by_label.get(label) {
-            return id;
-        }
-        let id = self.graph.add_vertex_with_props(label, props);
         self.by_label.insert(label.to_owned(), id);
         id
     }
@@ -105,19 +93,5 @@ mod tests {
         let man = g.vertices_with_label("man")[0];
         assert!(g.has_edge(dog, man, "near"));
         assert!(g.has_edge(man, dog, "near"));
-    }
-
-    #[test]
-    fn props_attached_on_creation_only() {
-        let mut b = GraphBuilder::new();
-        let props: Properties = [("kind", "entity")].into_iter().collect();
-        let v1 = b.vertex_with_props("dog", props);
-        let v2 = b.vertex_with_props("dog", Properties::new());
-        assert_eq!(v1, v2);
-        let g = b.build();
-        assert_eq!(
-            g.vertex_props(v1).get("kind").and_then(|p| p.as_str()),
-            Some("entity")
-        );
     }
 }

@@ -5,7 +5,7 @@ use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::{LabelId, LabelTable};
-use crate::props::{ColumnSize, PropColumn, PropSlot, Properties, Props};
+use crate::props::{ColumnSize, PropColumn, PropSlot, Props, Shape, Value};
 use crate::vertex::Vertex;
 
 /// A directed labeled graph `G = (V, E, L)` (§II of the paper).
@@ -20,9 +20,10 @@ use crate::vertex::Vertex;
 /// (`edge_label_counts`), and every vertex (edge) holds only its label's
 /// [`LabelId`] there.
 ///
-/// Properties live in two columns, one for vertices and one for edges
-/// (see [`crate::props`]): each element holds only the slot of its values
-/// there, and [`Graph::vertex_props`] / [`Graph::edge_props`] read them.
+/// A graph keeps its properties in two columns, one for vertices and one
+/// for edges (see [`crate::props`]): each element holds only the slot of
+/// its values there, and [`Graph::vertex_props`] / [`Graph::edge_props`]
+/// read them.
 ///
 /// Adjacency is derived from the edge arena: one compressed index per
 /// direction holds every vertex's incident edge ids as a run of one flat
@@ -82,14 +83,26 @@ impl Graph {
 
     /// Add a vertex with the given label and no properties.
     pub fn add_vertex(&mut self, label: impl AsRef<str>) -> VertexId {
-        self.add_vertex_with_props(label, Properties::new())
+        self.add_vertex_with_props(label, Shape::default(), [])
     }
 
-    /// Add a vertex with the given label and properties. A label some
-    /// vertex already carries is referred to by id, not copied.
-    pub fn add_vertex_with_props(&mut self, label: impl AsRef<str>, props: Properties) -> VertexId {
+    /// Add a vertex with the given label and properties: `values`, one per
+    /// key of `shape` and of that key's kind, in key order. A label or a
+    /// shape some vertex already carries is referred to by id, not copied.
+    ///
+    /// # Panics
+    ///
+    /// When `shape`'s keys are not strictly ascending or its kinds are not
+    /// one per key, or `values` does not give one value of each kind: the
+    /// checks [`crate::GraphWindow::push_vertex`] makes.
+    pub fn add_vertex_with_props<'v>(
+        &mut self,
+        label: impl AsRef<str>,
+        shape: Shape<'_>,
+        values: impl IntoIterator<Item = Value<'v>>,
+    ) -> VertexId {
         let label = self.label_index.intern(label.as_ref());
-        let props = self.vertex_column.push(&props);
+        let props = self.vertex_column.append(shape, values);
         self.outgoing.push_vertex();
         self.incoming.push_vertex();
         self.push_vertex(label, props)
@@ -112,25 +125,32 @@ impl Graph {
         dst: VertexId,
         label: impl AsRef<str>,
     ) -> Result<EdgeId, GraphError> {
-        self.add_edge_with_props(src, dst, label, Properties::new())
+        self.add_edge_with_props(src, dst, label, Shape::default(), [])
     }
 
-    /// Add a directed edge `src → dst` with the given label and properties.
-    /// A label some edge already carries is referred to by id, not copied.
+    /// Add a directed edge `src → dst` with the given label and properties,
+    /// as [`Graph::add_vertex_with_props`] takes them. A label or a shape
+    /// some edge already carries is referred to by id, not copied.
     ///
     /// The edge goes to the end of `src`'s out-run and `dst`'s in-run,
     /// which shifts every later entry of both adjacency arrays: one call
     /// costs O(V + E). The bulk paths ([`Graph::absorb_where`],
     /// [`Graph::append_windows`], [`crate::binio::from_bytes`]) do not use
     /// it; they index every edge at once when they finish.
-    pub fn add_edge_with_props(
+    ///
+    /// # Panics
+    ///
+    /// As [`Graph::add_vertex_with_props`] does, for an edge whose
+    /// endpoints exist.
+    pub fn add_edge_with_props<'v>(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: impl AsRef<str>,
-        props: Properties,
+        shape: Shape<'_>,
+        values: impl IntoIterator<Item = Value<'v>>,
     ) -> Result<EdgeId, GraphError> {
-        let id = self.append_edge(src, dst, label.as_ref(), &props)?;
+        let id = self.append_edge(src, dst, label.as_ref(), shape, values)?;
         self.outgoing.insert(src, id);
         self.incoming.insert(dst, id);
         Ok(id)
@@ -139,12 +159,13 @@ impl Graph {
     /// Append a directed edge `src → dst` to the edge arena without
     /// indexing it, for a bulk path that rebuilds the adjacency indexes
     /// when it finishes ([`Graph::index_adjacency`]).
-    pub(crate) fn append_edge(
+    pub(crate) fn append_edge<'v>(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: &str,
-        props: &Properties,
+        shape: Shape<'_>,
+        values: impl IntoIterator<Item = Value<'v>>,
     ) -> Result<EdgeId, GraphError> {
         if src.index() >= self.vertices.len() {
             return Err(GraphError::UnknownVertex(src));
@@ -153,7 +174,7 @@ impl Graph {
             return Err(GraphError::UnknownVertex(dst));
         }
         let label = self.edge_label_counts.intern(label);
-        let props = self.edge_column.push(props);
+        let props = self.edge_column.append(shape, values);
         Ok(self.push_edge(src, dst, label, props))
     }
 
@@ -662,29 +683,36 @@ mod tests {
     /// Two vertex shapes holding every value type, a vertex without
     /// properties between them, and `score` edges around a bare one.
     fn shaped() -> Graph {
-        use crate::props::PropValue;
-        let bbox = |image: i64, x: f64, y: f64| -> Properties {
-            [
-                ("image", PropValue::Int(image)),
-                ("x", PropValue::Float(x)),
-                ("y", PropValue::Float(y)),
-            ]
-            .into_iter()
-            .collect()
+        use crate::props::Kind;
+        let bbox = Shape {
+            keys: &["image", "x", "y"],
+            kinds: &[Kind::Int, Kind::Float, Kind::Float],
         };
-        let score = |s: f64| -> Properties { [("score", s)].into_iter().collect() };
+        let wool = Shape {
+            keys: &["kind", "seen"],
+            kinds: &[Kind::Str, Kind::Bool],
+        };
+        let score = Shape {
+            keys: &["score"],
+            kinds: &[Kind::Float],
+        };
         let mut g = Graph::new();
-        let dog = g.add_vertex_with_props("dog", bbox(3, 0.25, 0.5));
+        let dog = g.add_vertex_with_props(
+            "dog",
+            bbox,
+            [Value::Int(3), Value::Float(0.25), Value::Float(0.5)],
+        );
         let man = g.add_vertex("man");
-        let wool: Properties = [("kind", PropValue::from("wool")), ("seen", true.into())]
-            .into_iter()
-            .collect();
-        let hat = g.add_vertex_with_props("hat", wool);
-        let dog2 = g.add_vertex_with_props("dog", bbox(4, 0.125, 0.75));
-        g.add_edge_with_props(dog, man, "near", score(0.75))
+        let hat = g.add_vertex_with_props("hat", wool, [Value::Str("wool"), Value::Bool(true)]);
+        let dog2 = g.add_vertex_with_props(
+            "dog",
+            bbox,
+            [Value::Int(4), Value::Float(0.125), Value::Float(0.75)],
+        );
+        g.add_edge_with_props(dog, man, "near", score, [Value::Float(0.75)])
             .unwrap();
         g.add_edge(man, hat, "wearing").unwrap();
-        g.add_edge_with_props(dog2, man, "near", score(0.5))
+        g.add_edge_with_props(dog2, man, "near", score, [Value::Float(0.5)])
             .unwrap();
         g
     }

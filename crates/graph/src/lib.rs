@@ -14,8 +14,11 @@
 //! * vertices and edges live in flat arenas indexed by `u32` ids — no
 //!   per-element allocation: each element holds a [`LabelId`] into a
 //!   per-graph label table that stores every text once, and a slot into
-//!   one of two per-graph property columns that store every key list once
-//!   and every value in one exactly sized arena ([`props`]);
+//!   one of two per-graph property columns that store every [`Shape`]
+//!   (keys and their kinds) once and every value as one 8-byte word in
+//!   one exactly sized arena. A graph takes properties only as a shape
+//!   and one [`Value`] per key, and hands them back as `Value`s
+//!   ([`props`]);
 //! * adjacency is derived from the edge arena as one compressed index per
 //!   direction: `V + 1` `u32` offsets and `E` edge ids, each vertex's run
 //!   ascending, giving `O(deg)` neighbourhood scans over one contiguous
@@ -66,7 +69,7 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, VertexId};
 pub use label::{LabelId, IS_A, SAME_AS};
-pub use props::{ColumnSize, Kind, PropValue, Properties, Props, Shape, Value, IMAGE};
+pub use props::{ColumnSize, Kind, Props, Shape, Value, IMAGE};
 pub use stats::{GraphStats, LabelHistogram};
 pub use subgraph::SubgraphView;
 pub use traverse::{induced_subgraph, k_hop_neighborhood, Bfs};

@@ -16,17 +16,18 @@
 //! integer's bits, 0 or 1 for a boolean, or the index of a string in the
 //! column's string table. The kinds are stored once per shape, not once per
 //! value. An element keeps only a `PropSlot`: its shape and where its words
-//! start. [`Props`] is the borrowed view a graph hands out
-//! ([`crate::Graph::vertex_props`]), which reads each word back as a
-//! [`Value`], and [`Properties`] the owned list of [`PropValue`]s a caller
-//! builds and passes to `add_*_with_props`.
+//! start. [`Value`] is the one form a value takes on either side: a caller
+//! hands a graph a [`Shape`] and one `Value` per key
+//! ([`crate::Graph::add_vertex_with_props`],
+//! [`crate::GraphWindow::push_vertex`]), and [`Props`], the borrowed view a
+//! graph hands out ([`crate::Graph::vertex_props`]), reads each word back
+//! as a `Value`.
 //!
 //! Keys are `&'static str`: the fixed keys the pipeline writes ([`IMAGE`],
-//! `"x"`, …, `"score"`) are string literals used as they are, and a key only
-//! known at run time (a deserialized file, a caller-chosen name) is interned
-//! once per process.
+//! `"x"`, …, `"score"`) are string literals used as they are, and a key
+//! that arrives at run time, from a [`crate::binio`] load, is interned once
+//! per process.
 
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -51,14 +52,6 @@ pub(crate) fn intern(key: &str) -> &'static str {
     leaked
 }
 
-/// A static key as it is, an owned one interned.
-fn static_key(key: Cow<'static, str>) -> &'static str {
-    match key {
-        Cow::Borrowed(key) => key,
-        Cow::Owned(key) => intern(&key),
-    }
-}
-
 /// `values` at exactly its length. A vector with spare room is copied to a
 /// fresh allocation of the final length rather than shrunk in place, which
 /// would leave the freed tail behind as a heap fragment.
@@ -70,108 +63,6 @@ pub(crate) fn exact<T>(values: Vec<T>) -> Vec<T> {
     exact.extend(values);
     exact
 }
-/// A property value. The variants cover everything SVQA stores on the graph:
-/// strings (labels, categories), integers (image ids, counts), floats
-/// (bounding-box coordinates, confidences) and booleans (flags such as
-/// "cached"). This is the owned form a [`Properties`] list holds; a graph
-/// hands its values out as [`Value`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PropValue {
-    /// UTF-8 string value.
-    Str(Box<String>),
-    /// Signed integer value.
-    Int(i64),
-    /// 64-bit float value.
-    Float(f64),
-    /// Boolean flag.
-    Bool(bool),
-}
-
-impl PropValue {
-    /// Borrow the string payload, if this is a [`PropValue::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        self.as_value().as_str()
-    }
-
-    /// Extract the integer payload, if this is a [`PropValue::Int`].
-    pub fn as_int(&self) -> Option<i64> {
-        self.as_value().as_int()
-    }
-
-    /// Extract the float payload; integers are widened for convenience.
-    pub fn as_float(&self) -> Option<f64> {
-        self.as_value().as_float()
-    }
-
-    /// Extract the boolean payload, if this is a [`PropValue::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        self.as_value().as_bool()
-    }
-
-    /// The value as a borrowed view.
-    pub fn as_value(&self) -> Value<'_> {
-        match self {
-            PropValue::Str(s) => Value::Str(s),
-            PropValue::Int(i) => Value::Int(*i),
-            PropValue::Float(f) => Value::Float(*f),
-            PropValue::Bool(b) => Value::Bool(*b),
-        }
-    }
-}
-
-impl fmt::Display for PropValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_value().fmt(f)
-    }
-}
-
-impl From<&str> for PropValue {
-    fn from(s: &str) -> Self {
-        PropValue::Str(Box::new(s.to_owned()))
-    }
-}
-
-impl From<String> for PropValue {
-    fn from(s: String) -> Self {
-        PropValue::Str(Box::new(s))
-    }
-}
-
-impl From<i64> for PropValue {
-    fn from(i: i64) -> Self {
-        PropValue::Int(i)
-    }
-}
-
-impl From<u32> for PropValue {
-    fn from(i: u32) -> Self {
-        PropValue::Int(i64::from(i))
-    }
-}
-
-impl From<f64> for PropValue {
-    fn from(f: f64) -> Self {
-        PropValue::Float(f)
-    }
-}
-
-impl From<bool> for PropValue {
-    fn from(b: bool) -> Self {
-        PropValue::Bool(b)
-    }
-}
-
-impl From<Value<'_>> for PropValue {
-    fn from(value: Value<'_>) -> Self {
-        match value {
-            Value::Str(s) => s.into(),
-            Value::Int(i) => PropValue::Int(i),
-            Value::Float(f) => PropValue::Float(f),
-            Value::Bool(b) => PropValue::Bool(b),
-        }
-    }
-}
-
 /// The kind of a property value: what its 8-byte word in a column holds.
 /// A [`Shape`] fixes one kind per key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,9 +92,9 @@ impl Kind {
 /// One property value in a column: see [`Kind`] for what it holds.
 pub(crate) type Word = u64;
 
-/// A property value borrowed from a graph's column (or from a
-/// [`PropValue`]): a string is a slice of the column's string table, every
-/// other value a copy.
+/// A property value, as a caller hands it to a graph and as a graph's
+/// column hands it back: there a string is a slice of the column's string
+/// table, every other value a copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value<'g> {
     /// UTF-8 string value.
@@ -283,6 +174,37 @@ impl fmt::Display for Value<'_> {
     }
 }
 
+/// `values`, checked against `kinds` as they are read: one value per kind,
+/// each of that kind. Every write into a property column reads its values
+/// through this.
+///
+/// # Panics
+///
+/// While reading, at the first value that is missing, of another kind, or
+/// left over after the last kind.
+pub(crate) fn checked<'k, 'v, I: IntoIterator<Item = Value<'v>>>(
+    kinds: &'k [Kind],
+    values: I,
+) -> impl Iterator<Item = Value<'v>> + use<'k, 'v, I> {
+    let mut values = values.into_iter();
+    let mut kinds = kinds.iter();
+    std::iter::from_fn(move || match kinds.next() {
+        Some(&kind) => {
+            let value = values.next().expect("one value per shape key");
+            assert!(
+                value.kind() == kind,
+                "a value of kind {:?} where the shape holds {kind:?}",
+                value.kind()
+            );
+            Some(value)
+        }
+        None => {
+            assert!(values.next().is_none(), "one value per shape key");
+            None
+        }
+    })
+}
+
 /// A property shape: the strictly ascending keys of an element's
 /// properties and the kind of each key's value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -299,101 +221,6 @@ pub struct Shape<'a> {
 impl Hash for Shape<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.keys.hash(state);
-    }
-}
-
-/// An owned key-sorted property list: what a caller builds and hands to
-/// [`crate::Graph::add_vertex_with_props`] or
-/// [`crate::Graph::add_edge_with_props`], which copy its values into the
-/// graph's column.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Properties {
-    keys: Vec<&'static str>,
-    values: Vec<PropValue>,
-}
-
-impl Properties {
-    /// An empty property set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A property set of `entries` in any order. Of two entries with one
-    /// key the later wins, as if each were `set` in turn.
-    fn from_entries(mut entries: Vec<(&'static str, PropValue)>) -> Self {
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        entries.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                std::mem::swap(&mut later.1, &mut kept.1);
-            }
-            same
-        });
-        let (keys, values) = entries.into_iter().unzip();
-        Properties { keys, values }
-    }
-
-    /// Number of stored properties.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether no properties are stored.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Insert or overwrite a property. Returns the previous value if the key
-    /// was already present.
-    pub fn set(
-        &mut self,
-        key: impl Into<Cow<'static, str>>,
-        value: impl Into<PropValue>,
-    ) -> Option<PropValue> {
-        let key = key.into();
-        let value = value.into();
-        match self.keys.binary_search(&&*key) {
-            Ok(pos) => Some(std::mem::replace(&mut self.values[pos], value)),
-            Err(pos) => {
-                self.keys.insert(pos, static_key(key));
-                self.values.insert(pos, value);
-                None
-            }
-        }
-    }
-
-    /// Look up a property by key.
-    pub fn get(&self, key: &str) -> Option<&PropValue> {
-        let pos = self.keys.binary_search(&key).ok()?;
-        Some(&self.values[pos])
-    }
-
-    /// Remove a property by key, returning its value if present.
-    pub fn remove(&mut self, key: &str) -> Option<PropValue> {
-        let pos = self.keys.binary_search(&key).ok()?;
-        self.keys.remove(pos);
-        Some(self.values.remove(pos))
-    }
-
-    /// Remove every property, keeping the room they took.
-    pub(crate) fn clear(&mut self) {
-        self.keys.clear();
-        self.values.clear();
-    }
-
-    /// Iterate over `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &PropValue)> {
-        self.keys.iter().copied().zip(&self.values)
-    }
-}
-
-/// Static keys are kept as they are and owned ones interned.
-impl<K: Into<Cow<'static, str>>, V: Into<PropValue>> FromIterator<(K, V)> for Properties {
-    fn from_iter<T: IntoIterator<Item = (K, V)>>(iter: T) -> Self {
-        let iter = iter.into_iter();
-        let mut entries = Vec::with_capacity(iter.size_hint().0);
-        entries.extend(iter.map(|(k, v)| (static_key(k.into()), v.into())));
-        Properties::from_entries(entries)
     }
 }
 
@@ -433,14 +260,6 @@ impl<'g> Props<'g> {
     /// The keys and their values' kinds: the element's shape.
     pub fn shape(&self) -> Shape<'g> {
         self.shape
-    }
-
-    /// An owned copy of the list.
-    pub fn to_owned(&self) -> Properties {
-        Properties {
-            keys: self.shape.keys.to_vec(),
-            values: self.iter().map(|(_, value)| value.into()).collect(),
-        }
     }
 
     /// The value at `pos` in key order.
@@ -578,11 +397,21 @@ impl PropColumn {
             })
     }
 
-    /// Append a copy of an owned list.
-    pub(crate) fn push(&mut self, props: &Properties) -> PropSlot {
-        let values = props.values.iter().map(PropValue::as_value);
-        let shape = self.shape(&props.keys, values.clone().map(Value::kind));
-        PropSlot::new(shape, self.append(values))
+    /// Append one element's `values` under `shape`, interning the shape;
+    /// the element's slot.
+    ///
+    /// # Panics
+    ///
+    /// When `shape`'s keys are not strictly ascending or its kinds are not
+    /// one per key, or `values` does not give one value of each kind, in
+    /// key order.
+    pub(crate) fn append<'v>(
+        &mut self,
+        shape: Shape<'_>,
+        values: impl IntoIterator<Item = Value<'v>>,
+    ) -> PropSlot {
+        let id = self.shape(shape.keys, shape.kinds.iter().copied());
+        self.append_to(id, shape.kinds, values)
     }
 
     /// Append a copy of `from`'s `slot`; `shapes` maps `from`'s shape ids
@@ -598,17 +427,23 @@ impl PropColumn {
         let Shape { keys, kinds } = props.shape;
         let shape = *shapes[slot.shape as usize]
             .get_or_insert_with(|| self.shape(keys, kinds.iter().copied()));
-        PropSlot::new(shape, self.append(props.iter().map(|(_, value)| value)))
+        self.append_to(shape, kinds, props.iter().map(|(_, value)| value))
     }
 
-    /// Append the words of `values`; the index of the first.
-    fn append<'v>(&mut self, values: impl Iterator<Item = Value<'v>>) -> usize {
+    /// Append the words of `values` under shape `id`, whose kinds are
+    /// `kinds`, checked as [`checked`] does; the element's slot.
+    fn append_to<'v>(
+        &mut self,
+        id: u32,
+        kinds: &[Kind],
+        values: impl IntoIterator<Item = Value<'v>>,
+    ) -> PropSlot {
         let start = self.words.len();
-        for value in values {
+        for value in checked(kinds, values) {
             let word = value.word(|s| self.string(s));
             self.words.push(word);
         }
-        start
+        PropSlot::new(id, start)
     }
 
     /// Make room for exactly the words and strings of `from`'s `slots`.
@@ -652,56 +487,26 @@ pub struct ColumnSize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn set_get_remove() {
-        let mut p = Properties::new();
-        assert!(p.is_empty());
-        assert_eq!(p.set("image", 3u32), None);
-        assert_eq!(p.set("category", "dog"), None);
-        assert_eq!(p.get("image").and_then(PropValue::as_int), Some(3));
-        assert_eq!(p.get("category").and_then(PropValue::as_str), Some("dog"));
-        assert_eq!(p.len(), 2);
-        let prev = p.set("image", 4u32);
-        assert_eq!(prev.and_then(|v| v.as_int()), Some(3));
-        assert_eq!(p.remove("image").and_then(|v| v.as_int()), Some(4));
-        assert_eq!(p.get("image"), None);
-    }
-
-    #[test]
-    fn keys_stay_sorted() {
-        let mut p = Properties::new();
-        p.set("z", 1i64);
-        p.set("a", 2i64);
-        p.set("m", 3i64);
-        let keys: Vec<&str> = p.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a", "m", "z"]);
-        assert_eq!(p.remove("m").and_then(|v| v.as_int()), Some(3));
-        let keys: Vec<&str> = p.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a", "z"]);
-    }
+    use crate::{binio, Graph, VertexId};
 
     #[test]
     fn float_widening() {
-        let v = PropValue::Int(7);
-        assert_eq!(v.as_float(), Some(7.0));
-        assert_eq!(PropValue::Float(1.5).as_float(), Some(1.5));
-        assert_eq!(PropValue::from("x").as_float(), None);
-    }
-
-    #[test]
-    fn from_iterator_dedups_keys() {
-        let p: Properties = [("k", 1i64), ("k", 2i64)].into_iter().collect();
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.get("k").and_then(PropValue::as_int), Some(2));
+        assert_eq!(Value::Int(7).as_float(), Some(7.0));
+        assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
+        assert_eq!(Value::Str("x").as_float(), None);
     }
 
     #[test]
     fn display_forms() {
-        assert_eq!(PropValue::from("dog").to_string(), "dog");
-        assert_eq!(PropValue::from(3i64).to_string(), "3");
-        assert_eq!(PropValue::from(true).to_string(), "true");
+        assert_eq!(Value::Str("dog").to_string(), "dog");
+        assert_eq!(Value::Int(3).to_string(), "3");
+        assert_eq!(Value::Bool(true).to_string(), "true");
     }
+
+    const SCORE: Shape<'static> = Shape {
+        keys: &["score"],
+        kinds: &[Kind::Float],
+    };
 
     #[test]
     fn loaded_maps_are_sized_to_their_entries() {
@@ -709,20 +514,26 @@ mod tests {
         // element holds an eight-byte slot into it.
         assert_eq!(std::mem::size_of::<Word>(), 8);
         assert_eq!(std::mem::size_of::<PropSlot>(), 8);
-        let mut score = Properties::new();
-        score.set("score", 0.5);
-        let mut g = crate::Graph::new();
-        let bbox: Properties = [("x", 0.1), ("y", 0.2), ("w", 0.3)].into_iter().collect();
-        let dog = g.add_vertex_with_props("dog", bbox.clone());
+        let mut g = Graph::new();
+        let bbox = [Value::Float(0.3), Value::Float(0.1), Value::Float(0.2)];
+        let shape = Shape {
+            keys: &["w", "x", "y"],
+            kinds: &[Kind::Float; 3],
+        };
+        let dog = g.add_vertex_with_props("dog", shape, bbox);
         let man = g.add_vertex("man");
+        let score = [Value::Float(0.5)];
         let near = g
-            .add_edge_with_props(dog, man, "near", score.clone())
+            .add_edge_with_props(dog, man, "near", SCORE, score)
             .unwrap();
 
-        let loaded = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
-        assert_eq!(loaded.vertex_props(dog).to_owned(), bbox);
+        let loaded = binio::from_bytes(binio::to_bytes(&g).unwrap()).unwrap();
+        let holds = |props: Props<'_>, want: &[Value<'_>]| {
+            props.iter().map(|(_, v)| v).eq(want.iter().copied())
+        };
+        assert!(holds(loaded.vertex_props(dog), &bbox));
         assert!(loaded.vertex_props(man).is_empty());
-        assert_eq!(loaded.edge_props(near).to_owned(), score);
+        assert!(holds(loaded.edge_props(near), &score));
         assert_eq!(
             loaded.value_columns(),
             [
@@ -740,85 +551,87 @@ mod tests {
 
     #[test]
     fn runtime_keys_are_interned_once() {
-        let key = |p: &Properties| p.iter().next().unwrap().0;
-        let mut a = Properties::new();
-        a.set(format!("{}_{}", "tag", 9), 1i64);
-        let b: Properties = [(String::from("tag_9"), 2i64)].into_iter().collect();
-        assert!(std::ptr::eq(key(&a), key(&b)));
+        let key: &'static str = format!("{}_{}", "tag", 9).leak();
+        assert!(std::ptr::eq(intern(key), intern("tag_9")));
 
         // A key loaded twice from a snapshot is the same one string.
-        let mut g = crate::Graph::new();
-        g.add_vertex_with_props("dog", a);
-        let bytes = crate::binio::to_bytes(&g).unwrap();
-        let [first, second] = [0, 1].map(|_| crate::binio::from_bytes(bytes.clone()).unwrap());
-        let loaded = |g: &crate::Graph| {
-            let props = g.vertex_props(crate::VertexId::from_index(0));
-            props.iter().next().unwrap().0
+        let mut g = Graph::new();
+        let shape = Shape {
+            keys: &[key],
+            kinds: &[Kind::Int],
         };
+        g.add_vertex_with_props("dog", shape, [Value::Int(1)]);
+        let bytes = binio::to_bytes(&g).unwrap();
+        let [first, second] = [0, 1].map(|_| binio::from_bytes(bytes.clone()).unwrap());
+        let loaded = |g: &Graph| g.vertex_props(VertexId::from_index(0)).shape().keys[0];
         assert_eq!(loaded(&first), "tag_9");
         assert!(std::ptr::eq(loaded(&first), loaded(&second)));
-        assert!(std::ptr::eq(loaded(&first), key(&b)));
+        assert!(std::ptr::eq(loaded(&first), intern("tag_9")));
     }
 
     #[test]
     fn static_and_runtime_keys_serialize_alike() {
-        let snapshot = |p: Properties| {
-            let mut g = crate::Graph::new();
-            g.add_vertex_with_props("dog", p);
-            crate::binio::to_bytes(&g).unwrap()
+        let snapshot = |keys: &[&'static str]| {
+            let shape = Shape {
+                keys,
+                kinds: &[Kind::Float, Kind::Str],
+            };
+            let mut g = Graph::new();
+            g.add_vertex_with_props("dog", shape, [Value::Float(0.5), Value::Str("lake")]);
+            binio::to_bytes(&g).unwrap()
         };
-        let mut p = Properties::new();
-        p.set("score", 0.5);
-        p.set(String::from("source"), "lake");
-        let mut q = Properties::new();
-        q.set(String::from("score"), 0.5);
-        q.set("source", "lake");
-        let bytes = snapshot(p.clone());
-        assert_eq!(bytes, snapshot(q));
-        let back = crate::binio::from_bytes(bytes).unwrap();
+        let runtime = |key: &str| -> &'static str { key.to_owned().leak() };
+        let bytes = snapshot(&["score", "source"]);
+        assert_eq!(bytes, snapshot(&[runtime("score"), "source"]));
+        assert_eq!(bytes, snapshot(&["score", runtime("source")]));
+        let back = binio::from_bytes(bytes).unwrap();
         assert_eq!(
-            back.vertex_props(crate::VertexId::from_index(0)).to_owned(),
-            p
+            back.vertex_props(VertexId::from_index(0))
+                .iter()
+                .collect::<Vec<_>>(),
+            [("score", Value::Float(0.5)), ("source", Value::Str("lake"))]
         );
     }
 
     /// Whether `got` is `want`, floats compared by their bits.
-    fn same_bits(got: Value<'_>, want: &PropValue) -> bool {
+    fn same_bits(got: Value<'_>, want: Value<'_>) -> bool {
         match (got, want) {
-            (Value::Float(x), PropValue::Float(y)) => x.to_bits() == y.to_bits(),
-            (got, want) => got == want.as_value(),
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (got, want) => got == want,
         }
     }
 
     #[test]
     fn edge_bit_patterns_round_trip() {
         let long = "x".repeat(usize::from(u16::MAX));
-        let props: Properties = [
-            ("neg_zero", PropValue::Float(-0.0)),
-            (
-                "nan",
-                PropValue::Float(f64::from_bits(0x7ff8_0000_dead_beef)),
-            ),
-            ("subnormal", PropValue::Float(f64::from_bits(1))),
-            ("inf", PropValue::Float(f64::INFINITY)),
-            ("neg_inf", PropValue::Float(f64::NEG_INFINITY)),
-            ("min", PropValue::Int(i64::MIN)),
-            ("max", PropValue::Int(i64::MAX)),
-            ("empty", PropValue::from("")),
-            ("long", PropValue::from(long.as_str())),
-            ("yes", PropValue::Bool(true)),
-            ("no", PropValue::Bool(false)),
-        ]
-        .into_iter()
-        .collect();
-        let mut g = crate::Graph::new();
-        let v = g.add_vertex_with_props("dog", props.clone());
-        let e = g.add_edge_with_props(v, v, "near", props.clone()).unwrap();
-        let loaded = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
+        let props = [
+            ("empty", Value::Str("")),
+            ("inf", Value::Float(f64::INFINITY)),
+            ("long", Value::Str(&long)),
+            ("max", Value::Int(i64::MAX)),
+            ("min", Value::Int(i64::MIN)),
+            ("nan", Value::Float(f64::from_bits(0x7ff8_0000_dead_beef))),
+            ("neg_inf", Value::Float(f64::NEG_INFINITY)),
+            ("neg_zero", Value::Float(-0.0)),
+            ("no", Value::Bool(false)),
+            ("subnormal", Value::Float(f64::from_bits(1))),
+            ("yes", Value::Bool(true)),
+        ];
+        let keys = props.map(|(key, _)| key);
+        let kinds = props.map(|(_, value)| value.kind());
+        let shape = Shape {
+            keys: &keys,
+            kinds: &kinds,
+        };
+        let values = props.map(|(_, value)| value);
+        let mut g = Graph::new();
+        let v = g.add_vertex_with_props("dog", shape, values);
+        let e = g.add_edge_with_props(v, v, "near", shape, values).unwrap();
+        let loaded = binio::from_bytes(binio::to_bytes(&g).unwrap()).unwrap();
         for g in [&g, &loaded] {
             for read in [g.vertex_props(v), g.edge_props(e)] {
                 assert_eq!(read.len(), props.len());
-                for ((key, got), (want_key, want)) in read.iter().zip(props.iter()) {
+                for ((key, got), (want_key, want)) in read.iter().zip(props) {
                     assert_eq!(key, want_key);
                     assert!(same_bits(got, want), "{key}: {got:?} against {want:?}");
                     assert!(read.get(key).is_some_and(|again| same_bits(again, want)));
@@ -838,19 +651,22 @@ mod tests {
 
     #[test]
     fn one_key_list_under_two_kinds_is_two_shapes() {
-        let int: Properties = [("score", 3i64)].into_iter().collect();
-        let float: Properties = [("score", 0.5)].into_iter().collect();
-        let mut g = crate::Graph::new();
+        let int_score = Shape {
+            kinds: &[Kind::Int],
+            ..SCORE
+        };
+        let (int, float) = ((int_score, Value::Int(3)), (SCORE, Value::Float(0.5)));
+        let mut g = Graph::new();
         let a = g.add_vertex("a");
-        let edges =
-            [&int, &float, &int].map(|p| g.add_edge_with_props(a, a, "x", p.clone()).unwrap());
-        let shape = |g: &crate::Graph, e: crate::EdgeId| g.edges[e.index()].props.shape;
+        let edges = [int, float, int]
+            .map(|(shape, value)| g.add_edge_with_props(a, a, "x", shape, [value]).unwrap());
+        let shape = |g: &Graph, e: crate::EdgeId| g.edges[e.index()].props.shape;
         assert_eq!(g.edge_column.shape_count(), 3);
         assert_eq!(shape(&g, edges[0]), shape(&g, edges[2]));
         assert_ne!(shape(&g, edges[0]), shape(&g, edges[1]));
 
-        let loaded = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
-        let mut absorbed = crate::Graph::new();
+        let loaded = binio::from_bytes(binio::to_bytes(&g).unwrap()).unwrap();
+        let mut absorbed = Graph::new();
         absorbed.absorb(&g);
         for g in [&g, &loaded, &absorbed] {
             let score = |i: usize| g.edge_props(edges[i]).get("score");

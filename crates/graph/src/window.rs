@@ -12,16 +12,17 @@
 //! label-index runs, its edge-label counts and its string values (rare:
 //! scene graphs carry none) — into the graph in window order, and one
 //! counting sort over the edge arena rebuilds both adjacency indexes. The
-//! result is the graph that `add_vertex_with_props` /
-//! `add_edge_with_props` calls in the same order would give, label ids,
-//! property shapes and adjacency included.
+//! result is the graph that [`Graph::add_vertex_with_props`] /
+//! [`Graph::add_edge_with_props`] calls with the same labels, shapes and
+//! values in the same order would give, label ids, property shapes and
+//! adjacency included: both paths read their values through one check.
 
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::LabelId;
-use crate::props::{exact, Kind, PropSlot, Shape, Value, Word};
+use crate::props::{checked, exact, Kind, PropSlot, Shape, Value, Word};
 use crate::vertex::Vertex;
 
 /// How many vertices, edges and property values one window appends,
@@ -102,21 +103,13 @@ impl ValueRun<'_> {
             .words
             .get_mut(self.filled..self.filled + kinds.len())
             .expect("window holds its declared value count");
-        let mut values = values.into_iter();
-        for ((at, word), &kind) in (start..).zip(run).zip(kinds) {
-            let value = values.next().expect("one value per shape key");
-            assert!(
-                value.kind() == kind,
-                "a value of kind {:?} where the shape holds {kind:?}",
-                value.kind()
-            );
+        for (i, value) in checked(kinds, values).enumerate() {
             // A string's index is known only at the stitch.
-            *word = value.word(|s| {
-                self.strings.push((at, s.into()));
+            run[i] = value.word(|s| {
+                self.strings.push((start + i, s.into()));
                 0
             });
         }
-        assert!(values.next().is_none(), "one value per shape key");
         self.filled += kinds.len();
         PropSlot::new(shape, start)
     }
@@ -441,7 +434,6 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::binio;
-    use crate::props::Properties;
 
     const SLOTS: WindowSlots<'static> = WindowSlots {
         vertex_labels: &["a", "b"],
@@ -488,10 +480,6 @@ mod tests {
         }
     }
 
-    fn vertex_props(i: usize) -> Properties {
-        ["image", "x"].into_iter().zip(vertex_values(i)).collect()
-    }
-
     fn fill_chain(n: usize, w: &mut GraphWindow<'_>) {
         let hub = VertexId::from_index(0);
         let first = w.next_vertex().index();
@@ -519,15 +507,17 @@ mod tests {
         for &n in lens {
             let first = g.vertex_count();
             for i in 0..n {
-                g.add_vertex_with_props(["a", "b"][i % 2], vertex_props(i));
+                let shape = SLOTS.vertex_shapes[1 - i % 2];
+                g.add_vertex_with_props(["a", "b"][i % 2], shape, vertex_values(i));
             }
             for i in 1..n {
                 let (a, b) = (
                     VertexId::from_index(first + i - 1),
                     VertexId::from_index(first + i),
                 );
-                let score: Properties = [("score", i as f64)].into_iter().collect();
-                g.add_edge_with_props(a, b, "x", score).unwrap();
+                let score = [Value::Float(i as f64)];
+                g.add_edge_with_props(a, b, "x", SLOTS.edge_shapes[1], score)
+                    .unwrap();
             }
             for i in 0..n {
                 let v = VertexId::from_index(first + i);
@@ -540,7 +530,11 @@ mod tests {
 
     fn base() -> Graph {
         let mut g = Graph::with_capacity(2, 1);
-        let hub = g.add_vertex_with_props("a", [("image", 7i64)].into_iter().collect());
+        let image = Shape {
+            keys: &["image"],
+            kinds: &[Kind::Int],
+        };
+        let hub = g.add_vertex_with_props("a", image, [Value::Int(7)]);
         let other = g.add_vertex("kg");
         g.add_edge(hub, other, "same as").unwrap();
         g
@@ -672,13 +666,9 @@ mod tests {
         g.append_windows(&SLOTS, vec![(chain(1), ())], |(), _| ());
     }
 
-    /// The message `fill` panics with, resumed from its window.
-    fn window_panic(fill: fn(&mut GraphWindow<'_>)) -> String {
-        let mut g = base();
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            g.append_windows(&SLOTS, vec![(chain(1), ())], |(), w| fill(w));
-        }))
-        .unwrap_err();
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
         panic
             .downcast_ref::<String>()
             .cloned()
@@ -689,15 +679,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "a value of kind Float where the shape holds Int")]
     fn values_must_fill_the_shape() {
-        // Too few values for `[image, x]`, and too many.
-        let short: fn(&mut GraphWindow<'_>) = |w| {
-            w.push_vertex(0, 1, [Value::Int(1)]);
+        // Too few values for `[image, x]`, too many, one of the wrong kind,
+        // and keys out of order, added to a graph directly.
+        let shape = SLOTS.vertex_shapes[1];
+        let unsorted = Shape {
+            keys: &["x", "image"],
+            kinds: &[Kind::Float, Kind::Int],
         };
-        let long: fn(&mut GraphWindow<'_>) = |w| {
-            w.push_vertex(0, 1, [Value::Int(1), Value::Float(0.5), Value::Bool(true)]);
-        };
-        for fill in [short, long] {
-            let message = window_panic(fill);
+        let short = vec![Value::Int(1)];
+        let long = vec![Value::Int(1), Value::Float(0.5), Value::Bool(true)];
+        let wrong = vec![Value::Float(1.0), Value::Float(0.5)];
+        let swapped = vec![Value::Float(0.5), Value::Int(1)];
+        for (shape, values, want) in [
+            (shape, &short, "one value per shape key"),
+            (shape, &long, "one value per shape key"),
+            (
+                shape,
+                &wrong,
+                "a value of kind Float where the shape holds Int",
+            ),
+            (unsorted, &swapped, "shape keys must be strictly ascending"),
+        ] {
+            let message = panic_message(|| {
+                base().add_vertex_with_props("a", shape, values.iter().copied());
+            });
+            assert!(message.contains(want), "{message}");
+        }
+        // Too few and too many in a window.
+        for values in [short, long] {
+            let message = panic_message(|| {
+                base().append_windows(&SLOTS, vec![(chain(1), ())], |(), w| {
+                    w.push_vertex(0, 1, values.iter().copied());
+                });
+            });
             assert!(message.contains("one value per shape key"), "{message}");
         }
         // One value per key, but `image` is an Int in this shape.
@@ -739,12 +753,13 @@ mod tests {
         let mut want = base();
         for part in 0..2 {
             let [a, b] = ["first", "second"].map(|n| {
-                let props = [("note", format!("{n} of {part}"))].into_iter().collect();
-                want.add_vertex_with_props("a", props)
+                let note = format!("{n} of {part}");
+                want.add_vertex_with_props("a", NOTE.vertex_shapes[0], [Value::Str(&note)])
             });
-            let mut props: Properties = [("score", 0.5)].into_iter().collect();
-            props.set("note", format!("edge of {part}"));
-            want.add_edge_with_props(a, b, "x", props).unwrap();
+            let note = format!("edge of {part}");
+            let values = [Value::Str(&note), Value::Float(0.5)];
+            want.add_edge_with_props(a, b, "x", NOTE.edge_shapes[0], values)
+                .unwrap();
         }
         g.validate().unwrap();
         assert_eq!(

@@ -12,12 +12,12 @@
 //! [`VERTEX_SHAPE`] and [`EDGE_SHAPE`], the shapes the attach writes them
 //! under, straight into the merged graph's value columns and with no
 //! allocation per element. [`crate::sgg::SceneGraphGenerator::generate`]
-//! builds its per-image properties from the same keys and values, so both
-//! outputs merge into the same bytes.
+//! adds each per-image vertex and edge under the same shapes with the same
+//! value arrays, so both outputs merge into the same bytes.
 
 use crate::bbox::BBox;
 use crate::relation::RELATION_VOCAB;
-use svqa_graph::{Kind, Properties, Shape, Value, IMAGE};
+use svqa_graph::{Kind, Shape, Value, IMAGE};
 
 /// One detected object of a scene record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +67,7 @@ impl RecordEdge {
     /// The property values of a scene-graph edge, in the key order of
     /// [`EDGE_SHAPE`].
     pub fn values(&self) -> [Value<'static>; 1] {
-        [Value::Float(self.score)]
+        edge_values(self.score)
     }
 }
 
@@ -97,7 +97,9 @@ pub const EDGE_SHAPE: Shape<'static> = Shape {
     kinds: &[Kind::Float],
 };
 
-fn vertex_values(image: u32, bbox: &BBox) -> [Value<'static>; 5] {
+/// The property values of a scene-graph vertex, in the key order of
+/// [`VERTEX_SHAPE`].
+pub(crate) fn vertex_values(image: u32, bbox: &BBox) -> [Value<'static>; 5] {
     [
         Value::Float(bbox.h),
         Value::Int(i64::from(image)),
@@ -107,17 +109,10 @@ fn vertex_values(image: u32, bbox: &BBox) -> [Value<'static>; 5] {
     ]
 }
 
-/// Properties of a scene-graph vertex: image provenance and bounding box.
-pub(crate) fn vertex_props(image: u32, bbox: &BBox) -> Properties {
-    VERTEX_KEYS
-        .into_iter()
-        .zip(vertex_values(image, bbox))
-        .collect()
-}
-
-/// Properties of a scene-graph edge: the predicate's score.
-pub(crate) fn edge_props(score: f64) -> Properties {
-    EDGE_KEYS.into_iter().zip([Value::Float(score)]).collect()
+/// The property values of a scene-graph edge, in the key order of
+/// [`EDGE_SHAPE`].
+pub(crate) fn edge_values(score: f64) -> [Value<'static>; 1] {
+    [Value::Float(score)]
 }
 
 /// The scene graphs of a contiguous run of images, in image order.
@@ -298,27 +293,21 @@ mod tests {
             assert_eq!(keys.len(), shape.kinds.len());
         }
         assert!(v.values().map(Value::kind).iter().eq(VERTEX_SHAPE.kinds));
-        let props = vertex_props(v.image, &v.bbox);
-        assert_eq!(props.len(), 5);
-        assert_eq!(props.get(IMAGE).and_then(|p| p.as_int()), Some(4));
-        assert_eq!(props.get("w").and_then(|p| p.as_float()), Some(0.3));
-        assert_eq!(
-            props
-                .iter()
-                .map(|(k, v)| (k, v.as_value()))
-                .collect::<Vec<_>>(),
-            VERTEX_KEYS.into_iter().zip(v.values()).collect::<Vec<_>>()
-        );
         let e = &scene.edges()[0];
         assert!(e.values().map(Value::kind).iter().eq(EDGE_SHAPE.kinds));
-        let props = edge_props(e.score);
-        assert_eq!(props.get("score").and_then(|p| p.as_float()), Some(0.75));
-        assert_eq!(
-            props
-                .iter()
-                .map(|(k, v)| (k, v.as_value()))
-                .collect::<Vec<_>>(),
-            EDGE_KEYS.into_iter().zip(e.values()).collect::<Vec<_>>()
-        );
+        // Each value reads back under its key.
+        let mut g = svqa_graph::Graph::new();
+        let dog = g.add_vertex_with_props("dog", VERTEX_SHAPE, v.values());
+        let near = g
+            .add_edge_with_props(dog, dog, e.label(), EDGE_SHAPE, e.values())
+            .unwrap();
+        let props = g.vertex_props(dog);
+        assert_eq!(props.len(), 5);
+        assert_eq!(props.get(IMAGE).and_then(Value::as_int), Some(4));
+        assert_eq!(props.get("w").and_then(Value::as_float), Some(0.3));
+        assert!(props.iter().eq(VERTEX_KEYS.into_iter().zip(v.values())));
+        let props = g.edge_props(near);
+        assert_eq!(props.get("score").and_then(Value::as_float), Some(0.75));
+        assert!(props.iter().eq(EDGE_KEYS.into_iter().zip(e.values())));
     }
 }

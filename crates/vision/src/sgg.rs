@@ -15,7 +15,9 @@
 use crate::detector::{Detection, Detector, DetectorConfig};
 use crate::eval::RelationPrediction;
 use crate::prior::PairPrior;
-use crate::record::{edge_props, vertex_props, RecordEdge, SceneRecords};
+use crate::record::{
+    edge_values, vertex_values, RecordEdge, SceneRecords, EDGE_SHAPE, VERTEX_SHAPE,
+};
 use crate::relation::{
     PairOperand, RelationModelParams, RelationPredictor, RelationScores, RELATION_VOCAB,
 };
@@ -301,8 +303,11 @@ impl SceneSink for GraphSink {
         self.vertex_ids = detections
             .iter()
             .map(|d| {
-                self.graph
-                    .add_vertex_with_props(&d.label, vertex_props(image, &d.bbox))
+                self.graph.add_vertex_with_props(
+                    &d.label,
+                    VERTEX_SHAPE,
+                    vertex_values(image, &d.bbox),
+                )
             })
             .collect();
     }
@@ -320,7 +325,8 @@ impl SceneSink for GraphSink {
                     self.vertex_ids[sub],
                     self.vertex_ids[obj],
                     RELATION_VOCAB[relation],
-                    edge_props(score),
+                    EDGE_SHAPE,
+                    edge_values(score),
                 )
                 .expect("vertices exist");
         }
@@ -358,7 +364,6 @@ mod tests {
     use super::*;
     use crate::record::{EDGE_KEYS, VERTEX_KEYS};
     use crate::scene::SceneBuilder;
-    use svqa_graph::Properties;
 
     fn frisbee_scene() -> SyntheticImage {
         // Figure 3's scene: a dog jumping over grass to catch a frisbee, a
@@ -467,19 +472,14 @@ mod tests {
             let g = gen.generate(image).graph;
             let vertices: Vec<_> = g
                 .vertices()
-                .map(|(id, _)| (g.vertex_label(id).unwrap(), g.vertex_props(id).to_owned()))
+                .map(|(id, _)| {
+                    let props: Vec<_> = g.vertex_props(id).iter().collect();
+                    (g.vertex_label(id).unwrap(), props)
+                })
                 .collect();
             let recorded: Vec<_> = scene
                 .vertices()
-                .map(|(l, v)| {
-                    (
-                        l,
-                        VERTEX_KEYS
-                            .into_iter()
-                            .zip(v.values())
-                            .collect::<Properties>(),
-                    )
-                })
+                .map(|(l, v)| (l, VERTEX_KEYS.into_iter().zip(v.values()).collect()))
                 .collect();
             assert_eq!(recorded, vertices);
             let edges: Vec<_> = g
@@ -489,7 +489,7 @@ mod tests {
                         e.src().index(),
                         e.dst().index(),
                         g.edge_label(id).unwrap(),
-                        g.edge_props(id).to_owned(),
+                        g.edge_props(id).iter().collect::<Vec<_>>(),
                     )
                 })
                 .collect();
@@ -497,7 +497,7 @@ mod tests {
                 .edges()
                 .iter()
                 .map(|e| {
-                    let props: Properties = EDGE_KEYS.into_iter().zip(e.values()).collect();
+                    let props = EDGE_KEYS.into_iter().zip(e.values()).collect();
                     (e.sub as usize, e.obj as usize, e.label(), props)
                 })
                 .collect();

@@ -11,12 +11,13 @@
 //! re-taken over the `binio` snapshot, from builds whose JSON digests still
 //! matched the old pins.
 
+use std::sync::OnceLock;
 use svqa::aggregator::MergeStats;
 use svqa::dataset::{
     build_knowledge_graph, generate_images, generate_vqav2, Mvqa, MvqaConfig, QaPair, QuestionSpec,
     VqaV2Config,
 };
-use svqa::graph::{binio, Graph, PropValue, Properties, Value};
+use svqa::graph::{binio, Graph, Kind, Shape, Value};
 use svqa::{Svqa, SvqaConfig};
 
 /// Images in the pinned world (default MVQA seed).
@@ -154,26 +155,37 @@ fn generated_corpus_is_pinned() {
     );
 }
 
+/// A property key built at run time, leaked once.
+fn runtime_key() -> &'static str {
+    static KEY: OnceLock<&'static str> = OnceLock::new();
+    KEY.get_or_init(|| format!("{}_{}", "source", 7).leak())
+}
+
 /// A graph mixing static and runtime property keys, repeated labels and
 /// every value type.
 fn mixed_graph() -> Graph {
     let mut g = Graph::new();
-    let runtime_key = format!("{}_{}", "source", 7);
-    let mut props: Properties = [
-        ("image", PropValue::Int(3)),
-        ("x", PropValue::Float(0.125)),
-        ("flag", PropValue::Bool(true)),
-        ("note", PropValue::from("hello")),
-    ]
-    .into_iter()
-    .collect();
-    props.set(runtime_key, "lake");
-    let dog = g.add_vertex_with_props("dog", props);
+    let keys = ["flag", "image", "note", runtime_key(), "x"];
+    let shape = Shape {
+        keys: &keys,
+        kinds: &[Kind::Bool, Kind::Int, Kind::Str, Kind::Str, Kind::Float],
+    };
+    let values = [
+        Value::Bool(true),
+        Value::Int(3),
+        Value::Str("hello"),
+        Value::Str("lake"),
+        Value::Float(0.125),
+    ];
+    let dog = g.add_vertex_with_props("dog", shape, values);
     let man = g.add_vertex(String::from("man"));
     let dog2 = g.add_vertex("dog");
-    let mut score = Properties::new();
-    score.set("score", 0.75);
-    g.add_edge_with_props(dog, man, "near", score).unwrap();
+    let score = Shape {
+        keys: &["score"],
+        kinds: &[Kind::Float],
+    };
+    g.add_edge_with_props(dog, man, "near", score, [Value::Float(0.75)])
+        .unwrap();
     g.add_edge(dog2, man, "near").unwrap();
     g.add_edge(man, dog, String::from("watching")).unwrap();
     g
