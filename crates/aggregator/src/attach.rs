@@ -18,7 +18,8 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use svqa_graph::{
-    Graph, GraphWindow, LabelHistogram, Shape, Value, VertexId, WindowSize, WindowSlots, SAME_AS,
+    Graph, GraphWindow, LabelHistogram, LabelId, Shape, Value, VertexId, WindowSize, WindowSlots,
+    SAME_AS,
 };
 use svqa_vision::{SceneRecords, EDGE_SHAPE, RELATION_VOCAB, VERTEX_SHAPE};
 
@@ -28,6 +29,32 @@ const NO_PROPS: usize = 0;
 /// The shape slot every record vertex and every record edge uses
 /// ([`VERTEX_SHAPE`], [`EDGE_SHAPE`]).
 const RECORD_SHAPE: usize = 1;
+
+/// One input graph's label ids translated to attacher slots: each id's
+/// text is looked up once, when the id is first seen, and every later
+/// element carrying it costs an array read. Cleared from graph to graph.
+#[derive(Default)]
+struct LabelSlots(Vec<Option<usize>>);
+
+impl LabelSlots {
+    /// The slot of label `id`; `slot` resolves it the first time.
+    fn get(&mut self, id: LabelId, slot: impl FnOnce() -> usize) -> usize {
+        let i = id.index();
+        if self.0.len() <= i {
+            self.0.resize(i + 1, None);
+        }
+        *self.0[i].get_or_insert_with(slot)
+    }
+}
+
+/// The slot of each of `runs`' elements, in element order: `shapes` is
+/// looked up once per run of one property shape, not once per element.
+fn shape_slots<'a>(
+    runs: impl Iterator<Item = (Range<usize>, Shape<'a>)> + 'a,
+    shapes: &'a HashMap<Shape<'a>, usize>,
+) -> impl Iterator<Item = usize> + 'a {
+    runs.flat_map(|(elements, shape)| std::iter::repeat_n(shapes[&shape], elements.len()))
+}
 
 /// The scene graphs one part attaches, in either held form.
 enum Part<'p> {
@@ -77,26 +104,33 @@ pub struct Attached {
 }
 
 impl<'p> Attacher<'p> {
-    /// Attach per-image scene graphs, as one part.
+    /// Attach per-image scene graphs, as one part. Each graph's label ids
+    /// are translated to slots once per graph, and its shapes once per run
+    /// of its property columns.
     pub fn graphs(scene_graphs: &'p [Graph]) -> Self {
         let mut attacher = Self::new(1);
         let mut size = WindowSize::default();
+        let (mut labels, mut edge_labels) = (LabelSlots::default(), LabelSlots::default());
         for g in scene_graphs {
-            for (id, v) in g.vertices() {
-                attacher.count(0, g.vertex_label_text(v.label_id()));
-                let shape = g.vertex_props(id).shape();
-                size.vertex_values += shape.keys.len();
+            labels.0.clear();
+            edge_labels.0.clear();
+            for (_, v) in g.vertices() {
+                let id = v.label_id();
+                let slot = labels.get(id, || attacher.slot(g.vertex_label_text(id)));
+                // One part: the slot's count is its only one.
+                attacher.counts[slot] += 1;
+            }
+            for (_, e) in g.edges() {
+                let id = e.label_id();
+                edge_labels.get(id, || attacher.edge_slot(g.edge_label_text(id)));
+            }
+            for (elements, shape) in g.vertex_shape_runs() {
+                size.vertex_values += shape.keys.len() * elements.len();
                 let next = attacher.vertex_shapes.len();
                 attacher.vertex_shapes.entry(shape).or_insert(next);
             }
-            for (id, e) in g.edges() {
-                let next = attacher.edge_slots.len();
-                let label = g.edge_label_text(e.label_id());
-                if !attacher.edge_slots.contains_key(label) {
-                    attacher.edge_slots.insert(label.into(), next);
-                }
-                let shape = g.edge_props(id).shape();
-                size.edge_values += shape.keys.len();
+            for (elements, shape) in g.edge_shape_runs() {
+                size.edge_values += shape.keys.len() * elements.len();
                 let next = attacher.edge_shapes.len();
                 attacher.edge_shapes.entry(shape).or_insert(next);
             }
@@ -151,17 +185,33 @@ impl<'p> Attacher<'p> {
 
     /// Count one vertex labeled `label` in part `part`.
     fn count(&mut self, part: usize, label: &str) {
-        let parts = self.part_count;
-        let slot = match self.slots.get(label) {
+        let slot = self.slot(label);
+        self.counts[slot * self.part_count + part] += 1;
+    }
+
+    /// The slot of vertex label `label`, numbering it when new.
+    fn slot(&mut self, label: &str) -> usize {
+        match self.slots.get(label) {
             Some(&slot) => slot,
             None => {
                 let slot = self.slots.len();
                 self.slots.insert(label.into(), slot);
-                self.counts.resize(self.counts.len() + parts, 0);
+                self.counts.resize(self.counts.len() + self.part_count, 0);
                 slot
             }
-        };
-        self.counts[slot * parts + part] += 1;
+        }
+    }
+
+    /// The slot of edge label `label`, numbering it when new.
+    fn edge_slot(&mut self, label: &str) -> usize {
+        match self.edge_slots.get(label) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.edge_slots.len();
+                self.edge_slots.insert(label.into(), slot);
+                slot
+            }
+        }
     }
 
     /// Vertices labeled with `slot`, over all parts.
@@ -280,33 +330,41 @@ impl Plan<'_> {
     fn attach_part(&self, part: Part<'_>, window: &mut GraphWindow<'_>) -> Vec<Range<usize>> {
         let mut counterparts = Vec::new();
         match part {
-            Part::Graphs(graphs) => graphs
-                .iter()
-                .map(|g| {
-                    self.attach_image(
-                        window,
-                        &mut counterparts,
-                        g.vertices().map(|(id, v)| {
-                            let props = g.vertex_props(id);
-                            (
-                                g.vertex_label_text(v.label_id()),
-                                self.vertex_shapes[&props.shape()],
-                                props.iter().map(|(_, value)| value),
-                            )
-                        }),
-                        g.edges().map(|(id, e)| {
-                            let props = g.edge_props(id);
-                            (
-                                e.src().index(),
-                                e.dst().index(),
-                                self.edge_slots[g.edge_label_text(e.label_id())],
-                                self.edge_shapes[&props.shape()],
-                                props.iter().map(|(_, value)| value),
-                            )
-                        }),
-                    )
-                })
-                .collect(),
+            Part::Graphs(graphs) => {
+                let (mut labels, mut edge_labels) = (LabelSlots::default(), LabelSlots::default());
+                graphs
+                    .iter()
+                    .map(|g| {
+                        labels.0.clear();
+                        edge_labels.0.clear();
+                        let vertex_shapes = shape_slots(g.vertex_shape_runs(), self.vertex_shapes);
+                        let edge_shapes = shape_slots(g.edge_shape_runs(), self.edge_shapes);
+                        self.attach_image(
+                            window,
+                            &mut counterparts,
+                            g.vertices().zip(vertex_shapes).map(|((id, v), shape)| {
+                                let label = v.label_id();
+                                (
+                                    labels.get(label, || self.slots[g.vertex_label_text(label)]),
+                                    shape,
+                                    g.vertex_props(id).iter().map(|(_, value)| value),
+                                )
+                            }),
+                            g.edges().zip(edge_shapes).map(|((id, e), shape)| {
+                                let label = e.label_id();
+                                (
+                                    e.src().index(),
+                                    e.dst().index(),
+                                    edge_labels
+                                        .get(label, || self.edge_slots[g.edge_label_text(label)]),
+                                    shape,
+                                    g.edge_props(id).iter().map(|(_, value)| value),
+                                )
+                            }),
+                        )
+                    })
+                    .collect()
+            }
             Part::Records(chunks) => {
                 let mut ranges = Vec::new();
                 for records in chunks {
@@ -315,9 +373,9 @@ impl Plan<'_> {
                             self.attach_image(
                                 window,
                                 &mut counterparts,
-                                scene
-                                    .vertices()
-                                    .map(|(label, v)| (label, RECORD_SHAPE, v.values())),
+                                scene.vertices().map(|(label, v)| {
+                                    (self.slots[label], RECORD_SHAPE, v.values())
+                                }),
                                 scene.edges().iter().map(|e| {
                                     let (sub, obj) = (e.sub as usize, e.obj as usize);
                                     (sub, obj, e.relation(), RECORD_SHAPE, e.values())
@@ -333,15 +391,15 @@ impl Plan<'_> {
         }
     }
 
-    /// The attach body for one image: vertices (label, shape slot,
+    /// The attach body for one image: vertices (label slot, shape slot,
     /// property values), scene edges (endpoints local to the image,
     /// edge-label slot, shape slot, property values), then links.
     /// `counterparts` is scratch space.
-    fn attach_image<'s, 'v, VV, EV>(
+    fn attach_image<'v, VV, EV>(
         &self,
         window: &mut GraphWindow<'_>,
         counterparts: &mut Vec<Option<VertexId>>,
-        vertices: impl Iterator<Item = (&'s str, usize, VV)>,
+        vertices: impl Iterator<Item = (usize, usize, VV)>,
         edges: impl Iterator<Item = (usize, usize, usize, usize, EV)>,
     ) -> Range<usize>
     where
@@ -350,8 +408,7 @@ impl Plan<'_> {
     {
         let first = window.next_vertex().index();
         counterparts.clear();
-        for (label, shape, values) in vertices {
-            let slot = self.slots[label];
+        for (slot, shape, values) in vertices {
             window.push_vertex(slot, shape, values);
             counterparts.push(self.resolved[slot]);
         }

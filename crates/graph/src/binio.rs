@@ -22,8 +22,10 @@
 //! The label index and the property columns are rebuilt too: the load reads
 //! each element's keys, kinds and values into one reused list, strings
 //! borrowed from the snapshot, and appends them to its column as the shape
-//! they state, then copies each column into its final size, and the result
-//! is checked with [`Graph::validate`].
+//! they state, which extends the column's run table or folds the element
+//! into its last run. It then copies each column's runs, words and strings
+//! into their final size, and the result is checked with
+//! [`Graph::validate`].
 //!
 //! Lengths and the property count are `u16`s: [`to_bytes`] refuses a graph
 //! with a label, key or string over [`u16::MAX`] bytes, or more properties
@@ -197,10 +199,12 @@ pub fn from_bytes(snapshot: Bytes) -> Result<Graph, GraphError> {
         let lid = data.get_u32_le();
         read_props(&mut data, &mut list)?;
         let label = graph.label_index.intern(label(lid)?);
-        let props = graph
-            .vertex_column
-            .append(list.shape(), list.values.iter().copied());
-        graph.push_vertex(label, props);
+        graph.vertex_column.append(
+            graph.vertices.len(),
+            list.shape(),
+            list.values.iter().copied(),
+        );
+        graph.push_vertex(label);
     }
     for _ in 0..edge_count {
         need(data, 12, "edge header")?;
@@ -219,10 +223,12 @@ pub fn from_bytes(snapshot: Bytes) -> Result<Graph, GraphError> {
             .map_err(|e| GraphError::CorruptGraph(format!("dangling edge: {e}")))?;
     }
     // The snapshot stores no adjacency: both indexes are built from the
-    // edge arena in one pass. It does not store value totals either: the
-    // columns grew while loading, and are copied into their final size now.
+    // edge arena in one pass. It does not store value or run totals either:
+    // the columns grew while loading, and are copied into their final size
+    // now.
     graph.index_adjacency();
     for column in [&mut graph.vertex_column, &mut graph.edge_column] {
+        column.runs = exact(std::mem::take(&mut column.runs));
         column.words = exact(std::mem::take(&mut column.words));
         column.strings = exact(std::mem::take(&mut column.strings));
     }
@@ -386,6 +392,10 @@ mod tests {
         for index in [&back.outgoing, &back.incoming] {
             assert_eq!(index.offsets.capacity(), g.vertex_count() + 1);
             assert_eq!(index.ids.capacity(), g.edge_count());
+        }
+        // So are the run tables: vertices flagged, then bare; edges bare.
+        for (column, runs) in [(&back.vertex_column, 2), (&back.edge_column, 1)] {
+            assert_eq!((column.runs.len(), column.runs.capacity()), (runs, runs));
         }
     }
 

@@ -2,7 +2,6 @@
 
 use crate::ids::VertexId;
 use crate::label::LabelId;
-use crate::props::PropSlot;
 
 /// A directed labeled edge `e ∈ E` with label `L(e)` (§II of the paper).
 ///
@@ -10,24 +9,20 @@ use crate::props::PropSlot;
 /// ("wearing", "in front of", "girlfriend of", ...), which `maxScore` in
 /// Algorithm 3 matches against the query's predicate `c_p`. The label is an
 /// id into the graph's edge-label table ([`crate::Graph::edge_label`] gives
-/// its text), and the properties sit in the graph's edge column
-/// ([`crate::Graph::edge_props`] reads them).
+/// its text). An edge is its endpoints and its label, 12 bytes: its
+/// properties sit in the graph's edge column, whose run table knows each
+/// edge's shape and first word by its index ([`crate::Graph::edge_props`]
+/// reads them).
 #[derive(Debug, Clone)]
 pub struct Edge {
     src: VertexId,
     dst: VertexId,
     pub(crate) label: LabelId,
-    pub(crate) props: PropSlot,
 }
 
 impl Edge {
-    pub(crate) fn new(src: VertexId, dst: VertexId, label: LabelId, props: PropSlot) -> Self {
-        Edge {
-            src,
-            dst,
-            label,
-            props,
-        }
+    pub(crate) fn new(src: VertexId, dst: VertexId, label: LabelId) -> Self {
+        Edge { src, dst, label }
     }
 
     /// Source vertex id.

@@ -5,8 +5,9 @@ use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::{LabelId, LabelTable};
-use crate::props::{ColumnSize, PropColumn, PropSlot, Props, Shape, Value};
+use crate::props::{exact, ColumnSize, PropColumn, Props, Shape, Value};
 use crate::vertex::Vertex;
+use std::ops::Range;
 
 /// A directed labeled graph `G = (V, E, L)` (§II of the paper).
 ///
@@ -21,8 +22,9 @@ use crate::vertex::Vertex;
 /// [`LabelId`] there.
 ///
 /// A graph keeps its properties in two columns, one for vertices and one
-/// for edges (see [`crate::props`]): each element holds only the slot of
-/// its values there, and [`Graph::vertex_props`] / [`Graph::edge_props`]
+/// for edges (see [`crate::props`]). An element holds nothing of them:
+/// each column's run table gives every element's shape and first word by
+/// the element's index, and [`Graph::vertex_props`] / [`Graph::edge_props`]
 /// read them.
 ///
 /// Adjacency is derived from the edge arena: one compressed index per
@@ -102,19 +104,20 @@ impl Graph {
         values: impl IntoIterator<Item = Value<'v>>,
     ) -> VertexId {
         let label = self.label_index.intern(label.as_ref());
-        let props = self.vertex_column.append(shape, values);
+        self.vertex_column
+            .append(self.vertices.len(), shape, values);
         self.outgoing.push_vertex();
         self.incoming.push_vertex();
-        self.push_vertex(label, props)
+        self.push_vertex(label)
     }
 
     /// Append a vertex whose label is already in the vertex-label table and
-    /// whose properties are already in the vertex column. The adjacency
+    /// whose properties the vertex column already holds. The adjacency
     /// indexes do not cover it until they are rebuilt.
-    pub(crate) fn push_vertex(&mut self, label: LabelId, props: PropSlot) -> VertexId {
+    pub(crate) fn push_vertex(&mut self, label: LabelId) -> VertexId {
         let id = VertexId::from_index(self.vertices.len());
         self.label_index.value_mut(label).push(id);
-        self.vertices.push(Vertex::new(label, props));
+        self.vertices.push(Vertex::new(label));
         id
     }
 
@@ -174,24 +177,17 @@ impl Graph {
             return Err(GraphError::UnknownVertex(dst));
         }
         let label = self.edge_label_counts.intern(label);
-        let props = self.edge_column.append(shape, values);
-        Ok(self.push_edge(src, dst, label, props))
+        self.edge_column.append(self.edges.len(), shape, values);
+        Ok(self.push_edge(src, dst, label))
     }
 
     /// Append an edge between existing vertices whose label is already in
-    /// the edge-label table and whose properties are already in the edge
-    /// column. The adjacency indexes do not cover it until they are
-    /// rebuilt.
-    fn push_edge(
-        &mut self,
-        src: VertexId,
-        dst: VertexId,
-        label: LabelId,
-        props: PropSlot,
-    ) -> EdgeId {
+    /// the edge-label table and whose properties the edge column already
+    /// holds. The adjacency indexes do not cover it until they are rebuilt.
+    fn push_edge(&mut self, src: VertexId, dst: VertexId, label: LabelId) -> EdgeId {
         let id = EdgeId::from_index(self.edges.len());
         *self.edge_label_counts.value_mut(label) += 1;
-        self.edges.push(Edge::new(src, dst, label, props));
+        self.edges.push(Edge::new(src, dst, label));
         id
     }
 
@@ -218,14 +214,27 @@ impl Graph {
     /// for a foreign id.
     pub fn vertex_props(&self, id: VertexId) -> Props<'_> {
         self.vertex(id)
-            .map_or_else(Props::default, |v| self.vertex_column.props(v.props))
+            .map_or_else(Props::default, |_| self.vertex_column.props(id.index()))
     }
 
     /// The properties of an edge, borrowed from the edge column; empty for
     /// a foreign id.
     pub fn edge_props(&self, id: EdgeId) -> Props<'_> {
         self.edge(id)
-            .map_or_else(Props::default, |e| self.edge_column.props(e.props))
+            .map_or_else(Props::default, |_| self.edge_column.props(id.index()))
+    }
+
+    /// The vertex column's run table: each maximal stretch of consecutive
+    /// vertices sharing a property shape, as its vertex index range and
+    /// the shape, in vertex order.
+    pub fn vertex_shape_runs(&self) -> impl Iterator<Item = (Range<usize>, Shape<'_>)> {
+        shape_runs(&self.vertex_column, self.vertices.len())
+    }
+
+    /// The edge column's run table, as [`Graph::vertex_shape_runs`] gives
+    /// the vertex column's.
+    pub fn edge_shape_runs(&self) -> impl Iterator<Item = (Range<usize>, Shape<'_>)> {
+        shape_runs(&self.edge_column, self.edges.len())
     }
 
     /// The length and capacity of the vertex and the edge value columns'
@@ -394,11 +403,12 @@ impl Graph {
         self.edges_between(src, dst).any(|(_, e)| e.label == label)
     }
 
-    /// Validate internal consistency, in one pass over each arena and each
-    /// adjacency index: every edge endpoint resolves; each index holds, for
-    /// every vertex, exactly the ascending ids of the edges leaving
-    /// (entering) it; and every property slot names a shape of its column
-    /// and a run of values that fits in it. Used after deserialization and
+    /// Validate internal consistency, in one pass over each arena, each
+    /// adjacency index and each property column: every edge endpoint
+    /// resolves; each index holds, for every vertex, exactly the ascending
+    /// ids of the edges leaving (entering) it; and each column's run table
+    /// is minimal and covers exactly its elements and its words, with every
+    /// string word inside the string table. Used after deserialization and
     /// available to tests.
     pub fn validate(&self) -> Result<(), GraphError> {
         let corrupt = |msg: String| Err(GraphError::CorruptGraph(msg));
@@ -410,15 +420,13 @@ impl Graph {
             if e.dst().index() >= vertices {
                 return corrupt(format!("edge {eid} has dangling dst"));
             }
-            if !self.edge_column.holds(e.props) {
-                return corrupt(format!("edge {eid} has a property slot outside its column"));
-            }
         }
-        for (vid, v) in self.vertices() {
-            if !self.vertex_column.holds(v.props) {
-                return corrupt(format!(
-                    "vertex {vid} has a property slot outside its column"
-                ));
+        for (column, len, what) in [
+            (&self.vertex_column, vertices, "vertex"),
+            (&self.edge_column, self.edges.len(), "edge"),
+        ] {
+            if let Err(msg) = column.check(len) {
+                return corrupt(format!("{what} column: {msg}"));
             }
         }
         self.outgoing
@@ -444,9 +452,10 @@ impl Graph {
     /// into `self`, with their labels and properties. Returns the vertex id
     /// translation table (`None` for dropped vertices); edges with a
     /// dropped endpoint are dropped. Each of `other`'s labels and property
-    /// shapes is looked up in this graph's tables once, each column's words
-    /// and strings grow once, by exactly what the kept elements carry, and
-    /// both adjacency indexes are rebuilt once at the end.
+    /// shapes is looked up in this graph's tables once, each column's
+    /// words, strings and run table grow once, by exactly what the kept
+    /// elements carry, and both adjacency indexes are rebuilt once at the
+    /// end. `other`'s run tables are walked, not searched per element.
     pub fn absorb_where(
         &mut self,
         other: &Graph,
@@ -465,51 +474,65 @@ impl Graph {
         self.vertex_column.reserve_exact(
             &other.vertex_column,
             other
-                .vertices
-                .iter()
+                .vertex_column
+                .slots(other.vertices.len())
                 .zip(&mapping)
                 .filter(|(_, new)| new.is_some())
-                .map(|(v, _)| v.props),
+                .map(|(slot, _)| slot),
         );
         self.edge_column.reserve_exact(
             &other.edge_column,
             other
-                .edges
-                .iter()
-                .filter(|e| kept(e).is_some())
-                .map(|e| e.props),
+                .edge_column
+                .slots(other.edges.len())
+                .zip(&other.edges)
+                .filter(|(_, e)| kept(e).is_some())
+                .map(|(slot, _)| slot),
         );
 
         let mut labels = vec![None; other.label_index.len()];
         let mut shapes = vec![None; other.vertex_column.shape_count()];
-        for (v, new) in other.vertices.iter().zip(&mapping) {
-            if new.is_some() {
+        let slots = other.vertex_column.slots(other.vertices.len());
+        for ((v, new), slot) in other.vertices.iter().zip(&mapping).zip(slots) {
+            if let Some(new) = new {
                 let label = *labels[v.label.index()].get_or_insert_with(|| {
                     self.label_index.intern(other.label_index.text(v.label))
                 });
-                let props = self
-                    .vertex_column
-                    .copy(&other.vertex_column, v.props, &mut shapes);
-                self.push_vertex(label, props);
+                self.vertex_column
+                    .copy(new.index(), &other.vertex_column, slot, &mut shapes);
+                self.push_vertex(label);
             }
         }
         let mut labels = vec![None; other.edge_label_counts.len()];
         let mut shapes = vec![None; other.edge_column.shape_count()];
-        for e in &other.edges {
+        let slots = other.edge_column.slots(other.edges.len());
+        for (e, slot) in other.edges.iter().zip(slots) {
             if let Some((src, dst)) = kept(e) {
                 let label = *labels[e.label.index()].get_or_insert_with(|| {
                     self.edge_label_counts
                         .intern(other.edge_label_counts.text(e.label))
                 });
-                let props = self
-                    .edge_column
-                    .copy(&other.edge_column, e.props, &mut shapes);
-                self.push_edge(src, dst, label, props);
+                self.edge_column
+                    .copy(self.edges.len(), &other.edge_column, slot, &mut shapes);
+                self.push_edge(src, dst, label);
             }
+        }
+        // No spare room stays in a run table: room it had before, or the
+        // entry left over when the first copied run folded into its last.
+        for column in [&mut self.vertex_column, &mut self.edge_column] {
+            column.runs = exact(std::mem::take(&mut column.runs));
         }
         self.index_adjacency();
         mapping
     }
+}
+
+/// `column`'s runs over its `len` elements, each shape resolved.
+fn shape_runs(column: &PropColumn, len: usize) -> impl Iterator<Item = (Range<usize>, Shape<'_>)> {
+    column.run_ranges(len).map(|(elements, shape, _)| {
+        let shape = column.shape_of(shape).expect("run shape is in range");
+        (elements, shape)
+    })
 }
 
 #[cfg(test)]
@@ -669,14 +692,14 @@ mod tests {
 
     #[test]
     fn elements_are_packed() {
-        // A label id and a property slot into the graph's column: a vertex
-        // is 12 bytes, an edge 20. Adjacency lives in the graph's indexes,
-        // and each property value is one 8-byte word of a column.
-        let (vertex, edge) = (std::mem::size_of::<Vertex>(), std::mem::size_of::<Edge>());
-        assert!(vertex <= 12, "{vertex}");
-        assert!(edge <= 20, "{edge}");
+        // A vertex is its label id, 4 bytes, and an edge its endpoints and
+        // label id, 12. Adjacency lives in the graph's indexes, each
+        // property value is one 8-byte word of a column, and which shape an
+        // element has is one 12-byte run per stretch of elements.
+        assert_eq!(std::mem::size_of::<Vertex>(), 4);
+        assert_eq!(std::mem::size_of::<Edge>(), 12);
         assert_eq!(std::mem::size_of::<LabelId>(), 4);
-        assert_eq!(std::mem::size_of::<PropSlot>(), 8);
+        assert_eq!(std::mem::size_of::<crate::props::Run>(), 12);
         assert_eq!(std::mem::size_of::<crate::props::Word>(), 8);
     }
 
@@ -798,28 +821,108 @@ mod tests {
         shaped().validate().unwrap();
     }
 
-    #[test]
-    fn validate_refuses_bad_property_slots() {
-        let mut g = shaped();
-        g.vertices[1].props = PropSlot::new(9, 0);
-        assert!(g.validate().is_err());
-        let mut g = shaped();
-        let end = g.edge_column.words.len();
-        g.edges[0].props.start = u32::try_from(end).unwrap();
-        assert!(g.validate().unwrap_err().to_string().contains("edge e0"));
-        // A string word past the string table ("wool" is its one entry).
-        let mut g = shaped();
-        let start = g.vertices[2].props.start as usize;
-        assert_eq!(g.vertex_column.words[start], 0);
-        g.vertex_column.words[start] = 1;
-        assert!(g.validate().unwrap_err().to_string().contains("vertex v2"));
-    }
-
-    /// `g`'s validation error, which must be a corrupt-graph error.
+    /// `g`'s validation error, which must be the corrupt-graph error a
+    /// `binio` load of `g` would return.
     fn corruption(g: &Graph) -> String {
         let err = g.validate().unwrap_err();
         assert!(matches!(err, GraphError::CorruptGraph(_)), "{err}");
-        err.to_string()
+        let message = err.to_string();
+        assert!(message.starts_with("corrupt graph: "), "{message}");
+        message
+    }
+
+    /// The run tables of [`shaped`], as (first element, shape, first word)
+    /// triples: vertices bbox, bare, wool, bbox; edges score, bare, score.
+    #[test]
+    fn run_tables_are_minimal_and_cover_the_words() {
+        let g = shaped();
+        let table = |column: &PropColumn| {
+            column
+                .runs
+                .iter()
+                .map(|run| (run.first, run.shape, run.start))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            table(&g.vertex_column),
+            [(0, 1, 0), (1, 0, 3), (2, 2, 3), (3, 1, 5)]
+        );
+        assert_eq!(table(&g.edge_column), [(0, 1, 0), (1, 0, 1), (2, 1, 1)]);
+        let back = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
+        assert_eq!(table(&back.vertex_column), table(&g.vertex_column));
+        assert_eq!(table(&back.edge_column), table(&g.edge_column));
+        let runs: Vec<_> = g
+            .vertex_shape_runs()
+            .map(|(range, s)| (range, s.keys.len()))
+            .collect();
+        assert_eq!(runs, [(0..1, 3), (1..2, 0), (2..3, 2), (3..4, 3)]);
+    }
+
+    #[test]
+    fn runs_must_start_at_element_0() {
+        let mut g = shaped();
+        g.vertex_column.runs[0].first = 1;
+        assert!(corruption(&g).contains("vertex column: run 0 starts at element 1, not 0"));
+        // No run at all over elements that exist.
+        let mut g = shaped();
+        g.edge_column.runs.clear();
+        assert!(corruption(&g).contains("edge column: no run starts at element 0"));
+    }
+
+    #[test]
+    fn run_first_elements_must_strictly_ascend() {
+        let mut g = shaped();
+        g.vertex_column.runs[2].first = 1;
+        assert!(corruption(&g).contains("vertex column: run 2 does not start after run 1"));
+        // A run past the last element is empty, and so is every run after
+        // it.
+        let mut g = shaped();
+        g.edge_column.runs[2].first = 3;
+        assert!(corruption(&g).contains("edge column: run 2 starts at element 3, past 3"));
+    }
+
+    #[test]
+    fn run_shapes_must_be_in_range() {
+        let mut g = shaped();
+        g.vertex_column.runs[1].shape = 9;
+        assert!(corruption(&g).contains("vertex column: run 1 has shape 9 out of range"));
+    }
+
+    #[test]
+    fn adjacent_runs_must_differ_in_shape() {
+        // The bare edge's run given the score shape: a table that would
+        // read the same elements with one run fewer.
+        let mut g = shaped();
+        g.edge_column.runs[1].shape = 1;
+        assert!(corruption(&g).contains("edge column: runs 0 and 1 share shape 1"));
+    }
+
+    #[test]
+    fn runs_must_start_where_the_previous_run_ends() {
+        let mut g = shaped();
+        g.vertex_column.runs[2].start = 4;
+        assert!(corruption(&g).contains("vertex column: run 2 starts at word 4, not at 3"));
+    }
+
+    #[test]
+    fn the_last_run_must_end_at_the_last_word() {
+        let mut g = shaped();
+        g.vertex_column.words.push(0);
+        assert!(corruption(&g).contains("vertex column: runs end at word 8, not at 9"));
+        let mut g = shaped();
+        g.edge_column.words.pop();
+        assert!(corruption(&g).contains("edge column: runs end at word 2, not at 1"));
+    }
+
+    #[test]
+    fn string_words_must_index_the_string_table() {
+        // The hat's `kind` ("wool", the table's one entry) is the vertex
+        // column's word 3.
+        let mut g = shaped();
+        assert_eq!(g.vertex_column.words[3], 0);
+        g.vertex_column.words[3] = 1;
+        assert!(corruption(&g)
+            .contains("vertex column: element 2 has a string word past the string table"));
     }
 
     #[test]
@@ -905,6 +1008,10 @@ mod tests {
                 }
             ]
         );
+        // The run tables too: vertices bare, wool, bbox; edges bare, score.
+        for (column, runs) in [(&h.vertex_column, 3), (&h.edge_column, 2)] {
+            assert_eq!((column.runs.len(), column.runs.capacity()), (runs, runs));
+        }
         h.validate().unwrap();
     }
 

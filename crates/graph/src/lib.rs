@@ -13,12 +13,13 @@
 //! Design notes (informed by the performance guide):
 //! * vertices and edges live in flat arenas indexed by `u32` ids — no
 //!   per-element allocation: each element holds a [`LabelId`] into a
-//!   per-graph label table that stores every text once, and a slot into
-//!   one of two per-graph property columns that store every [`Shape`]
-//!   (keys and their kinds) once and every value as one 8-byte word in
-//!   one exactly sized arena. A graph takes properties only as a shape
-//!   and one [`Value`] per key, and hands them back as `Value`s
-//!   ([`props`]);
+//!   per-graph label table that stores every text once (and an edge its
+//!   endpoints), nothing more. Properties sit in two per-graph columns
+//!   that store every [`Shape`] (keys and their kinds) once, every value
+//!   as one 8-byte word in one exactly sized arena, and one run per
+//!   stretch of consecutive elements sharing a shape. A graph takes
+//!   properties only as a shape and one [`Value`] per key, and hands them
+//!   back as `Value`s ([`props`]);
 //! * adjacency is derived from the edge arena as one compressed index per
 //!   direction: `V + 1` `u32` offsets and `E` edge ids, each vertex's run
 //!   ascending, giving `O(deg)` neighbourhood scans over one contiguous

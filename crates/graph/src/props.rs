@@ -15,9 +15,13 @@
 //! order, in one exactly sized arena of 8-byte words: a float's bits, an
 //! integer's bits, 0 or 1 for a boolean, or the index of a string in the
 //! column's string table. The kinds are stored once per shape, not once per
-//! value. An element keeps only a `PropSlot`: its shape and where its words
-//! start. [`Value`] is the one form a value takes on either side: a caller
-//! hands a graph a [`Shape`] and one `Value` per key
+//! value. An element stores nothing of its properties: the column keeps a
+//! run table, one 12-byte entry per maximal stretch of consecutive elements
+//! sharing a shape (its first element, its shape and its first word), and
+//! finds element `i`'s words by a binary search of that table. A merged
+//! graph holds a handful of such stretches per image, against thousands of
+//! elements. [`Value`] is the one form a value takes on either side: a
+//! caller hands a graph a [`Shape`] and one `Value` per key
 //! ([`crate::Graph::add_vertex_with_props`],
 //! [`crate::GraphWindow::push_vertex`]), and [`Props`], the borrowed view a
 //! graph hands out ([`crate::Graph::vertex_props`]), reads each word back
@@ -31,6 +35,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// The vertex property holding the id of the image a scene-graph vertex
@@ -215,9 +220,8 @@ pub struct Shape<'a> {
     pub kinds: &'a [Kind],
 }
 
-/// Hashes the keys alone. Shapes that differ only in kinds are rare, and
-/// hashing the kinds as well would add about a sixth to the attach of
-/// per-image scene graphs, which looks up every element's shape twice.
+/// Hashes the keys alone: shapes that differ only in kinds are rare, and
+/// share a bucket.
 impl Hash for Shape<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.keys.hash(state);
@@ -281,29 +285,52 @@ impl fmt::Debug for Props<'_> {
     }
 }
 
-/// Where one element's properties sit in its graph's [`PropColumn`]: its
-/// shape, and the index of its first word. Eight bytes, with no heap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PropSlot {
+/// One maximal stretch of consecutive elements of a [`PropColumn`] that
+/// share a shape: its first element, the shape, and the index of the first
+/// element's first word. The stretch's elements' words follow one another,
+/// the shape's key count of them per element. Twelve bytes, with no heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub(crate) first: u32,
     pub(crate) shape: u32,
     pub(crate) start: u32,
 }
 
-impl PropSlot {
-    pub(crate) fn new(shape: u32, start: usize) -> Self {
-        PropSlot {
+impl Run {
+    pub(crate) fn new(first: usize, shape: u32, start: usize) -> Self {
+        Run {
+            first: u32::try_from(first).expect("a column holds under 2^32 elements"),
             shape,
             start: u32::try_from(start).expect("a column holds under 2^32 values"),
         }
     }
 }
 
+/// Append `run` to `runs`, or fold it into the last run when that has the
+/// same shape: the one way a run table grows, so every table stays
+/// minimal.
+pub(crate) fn push_run(runs: &mut Vec<Run>, run: Run) {
+    if runs.last().is_none_or(|last| last.shape != run.shape) {
+        runs.push(run);
+    }
+}
+
+/// How many runs `runs` leave once [`push_run`] folds each into its
+/// predecessor of the same shape.
+pub(crate) fn folded_len<'r>(runs: impl IntoIterator<Item = &'r Run>) -> usize {
+    let mut last = None;
+    runs.into_iter()
+        .filter(|run| last.replace(run.shape) != Some(run.shape))
+        .count()
+}
+
 /// An interned shape: its keys and their kinds.
 type ShapeBox = (Box<[&'static str]>, Box<[Kind]>);
 
 /// One kind of element's properties in one graph: the interned shapes, one
-/// word arena that every element's values are a run of, and the strings
-/// the string words index.
+/// word arena that every element's values are a run of, the strings the
+/// string words index, and the run table that says which shape each
+/// element has and where its words start.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PropColumn {
     /// Shape `s > 0` is `shapes[s - 1]`: a strictly ascending key list and
@@ -312,6 +339,9 @@ pub(crate) struct PropColumn {
     /// Key list → the ids of the shapes with those keys, one per distinct
     /// kind list, for every non-empty key list.
     ids: HashMap<Box<[&'static str]>, Vec<u32>>,
+    /// One entry per maximal stretch of elements sharing a shape, in
+    /// element order; the first starts at element 0.
+    pub(crate) runs: Vec<Run>,
     /// Every element's values, element after element.
     pub(crate) words: Vec<Word>,
     /// Every string value, in the order they were written.
@@ -364,15 +394,33 @@ impl PropColumn {
         }
     }
 
-    /// The properties in `slot`.
+    /// The number of words an element of shape `shape` takes.
+    fn width(&self, shape: u32) -> usize {
+        self.shape_of(shape).map_or(0, |s| s.keys.len())
+    }
+
+    /// The properties of element `element`: the last run starting at or
+    /// before it names the shape, and its words follow the run's earlier
+    /// elements'.
     ///
     /// # Panics
     ///
-    /// When `slot` is not from this column; [`crate::Graph::validate`]
-    /// checks every slot of a loaded graph.
-    pub(crate) fn props(&self, slot: PropSlot) -> Props<'_> {
-        let shape = self.shape_of(slot.shape).expect("slot shape is in range");
-        let start = slot.start as usize;
+    /// When no run covers `element`; [`crate::Graph::validate`] checks the
+    /// run table of a loaded graph.
+    pub(crate) fn props(&self, element: usize) -> Props<'_> {
+        let at = self
+            .runs
+            .partition_point(|run| run.first as usize <= element);
+        let run = self.runs[at.checked_sub(1).expect("a run covers every element")];
+        self.props_at(
+            run.shape,
+            run.start as usize + (element - run.first as usize) * self.width(run.shape),
+        )
+    }
+
+    /// The properties of shape `shape` whose words start at `start`.
+    fn props_at(&self, shape: u32, start: usize) -> Props<'_> {
+        let shape = self.shape_of(shape).expect("run shape is in range");
         Props {
             shape,
             words: &self.words[start..start + shape.keys.len()],
@@ -380,25 +428,93 @@ impl PropColumn {
         }
     }
 
-    /// Whether `slot`'s shape is in range, its words fit the column and
-    /// each of its string words indexes the string table.
-    pub(crate) fn holds(&self, slot: PropSlot) -> bool {
-        let Some(shape) = self.shape_of(slot.shape) else {
-            return false;
-        };
-        let start = slot.start as usize;
-        self.words
-            .get(start..start + shape.kinds.len())
-            .is_some_and(|words| {
-                words
-                    .iter()
-                    .zip(shape.kinds)
-                    .all(|(&word, &kind)| kind != Kind::Str || (word as usize) < self.strings.len())
-            })
+    /// The column's runs over its first `len` elements: each one's element
+    /// range, shape id and first word.
+    pub(crate) fn run_ranges(
+        &self,
+        len: usize,
+    ) -> impl Iterator<Item = (Range<usize>, u32, usize)> + '_ {
+        let ends = self.runs.iter().skip(1).map(|run| run.first as usize);
+        self.runs
+            .iter()
+            .zip(ends.chain([len]))
+            .map(|(run, end)| (run.first as usize..end, run.shape, run.start as usize))
     }
 
-    /// Append one element's `values` under `shape`, interning the shape;
-    /// the element's slot.
+    /// Each of the first `len` elements' shape id and first word, in
+    /// element order: one walk of the run table, no search per element.
+    pub(crate) fn slots(&self, len: usize) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.run_ranges(len).flat_map(|(elements, shape, start)| {
+            let width = self.width(shape);
+            (0..elements.len()).map(move |i| (shape, start + i * width))
+        })
+    }
+
+    /// Check the run table against `len` elements, as
+    /// [`crate::Graph::validate`] does: the first run starts at element 0,
+    /// first elements strictly ascend below `len`, every shape is in range
+    /// and differs from the previous run's, each run's words start where
+    /// the previous run's end, the last run ends exactly at the end of the
+    /// words, and every string word indexes the string table. The error
+    /// names the run at fault.
+    pub(crate) fn check(&self, len: usize) -> Result<(), String> {
+        if len > 0 && self.runs.is_empty() {
+            return Err("no run starts at element 0".to_owned());
+        }
+        let mut words = 0;
+        for (r, run) in self.runs.iter().enumerate() {
+            let first = run.first as usize;
+            if r == 0 && first != 0 {
+                return Err(format!("run 0 starts at element {first}, not 0"));
+            }
+            let end = match self.runs.get(r + 1) {
+                Some(next) if next.first <= run.first => {
+                    return Err(format!("run {} does not start after run {r}", r + 1))
+                }
+                Some(next) => next.first as usize,
+                None if first >= len => {
+                    return Err(format!("run {r} starts at element {first}, past {len}"))
+                }
+                None => len,
+            };
+            if r > 0 && self.runs[r - 1].shape == run.shape {
+                return Err(format!("runs {} and {r} share shape {}", r - 1, run.shape));
+            }
+            let Some(shape) = self.shape_of(run.shape) else {
+                return Err(format!("run {r} has shape {} out of range", run.shape));
+            };
+            if run.start as usize != words {
+                return Err(format!(
+                    "run {r} starts at word {}, not at {words}",
+                    run.start
+                ));
+            }
+            words += (end - first) * shape.kinds.len();
+        }
+        if words != self.words.len() {
+            return Err(format!(
+                "runs end at word {words}, not at {}",
+                self.words.len()
+            ));
+        }
+        for (elements, shape, start) in self.run_ranges(len) {
+            let kinds = self.shape_of(shape).map_or(&[][..], |s| s.kinds);
+            let run = &self.words[start..start + elements.len() * kinds.len()];
+            for (i, &word) in run.iter().enumerate() {
+                if kinds[i % kinds.len()] == Kind::Str && word as usize >= self.strings.len() {
+                    return Err(format!(
+                        "element {} has a string word past the string table",
+                        elements.start + i / kinds.len()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Append element `element`'s `values` under `shape`, interning the
+    /// shape. `element` is the column's element count: elements are
+    /// appended in order.
     ///
     /// # Panics
     ///
@@ -407,59 +523,67 @@ impl PropColumn {
     /// key order.
     pub(crate) fn append<'v>(
         &mut self,
+        element: usize,
         shape: Shape<'_>,
         values: impl IntoIterator<Item = Value<'v>>,
-    ) -> PropSlot {
+    ) {
         let id = self.shape(shape.keys, shape.kinds.iter().copied());
-        self.append_to(id, shape.kinds, values)
+        self.append_to(element, id, shape.kinds, values);
     }
 
-    /// Append a copy of `from`'s `slot`; `shapes` maps `from`'s shape ids
-    /// to this column's, filled as shapes are first seen. Words are copied
-    /// and strings stored again in this column's table.
+    /// Append, as element `element`, a copy of `from`'s properties of
+    /// shape `shape` whose words start at `start`; `shapes` maps `from`'s
+    /// shape ids to this column's, filled as shapes are first seen. Words
+    /// are copied and strings stored again in this column's table.
     pub(crate) fn copy(
         &mut self,
+        element: usize,
         from: &PropColumn,
-        slot: PropSlot,
+        (shape, start): (u32, usize),
         shapes: &mut [Option<u32>],
-    ) -> PropSlot {
-        let props = from.props(slot);
+    ) {
+        let props = from.props_at(shape, start);
         let Shape { keys, kinds } = props.shape;
-        let shape = *shapes[slot.shape as usize]
-            .get_or_insert_with(|| self.shape(keys, kinds.iter().copied()));
-        self.append_to(shape, kinds, props.iter().map(|(_, value)| value))
+        let id =
+            *shapes[shape as usize].get_or_insert_with(|| self.shape(keys, kinds.iter().copied()));
+        self.append_to(element, id, kinds, props.iter().map(|(_, value)| value));
     }
 
-    /// Append the words of `values` under shape `id`, whose kinds are
-    /// `kinds`, checked as [`checked`] does; the element's slot.
+    /// Append element `element`'s words of `values` under shape `id`, whose
+    /// kinds are `kinds`, checked as [`checked`] does.
     fn append_to<'v>(
         &mut self,
+        element: usize,
         id: u32,
         kinds: &[Kind],
         values: impl IntoIterator<Item = Value<'v>>,
-    ) -> PropSlot {
-        let start = self.words.len();
+    ) {
+        push_run(&mut self.runs, Run::new(element, id, self.words.len()));
         for value in checked(kinds, values) {
             let word = value.word(|s| self.string(s));
             self.words.push(word);
         }
-        PropSlot::new(id, start)
     }
 
-    /// Make room for exactly the words and strings of `from`'s `slots`.
+    /// Make room for exactly the words and strings of `from`'s elements at
+    /// `slots` (shape id and first word each, in element order), and for
+    /// one run per stretch of them sharing a shape.
     pub(crate) fn reserve_exact(
         &mut self,
         from: &PropColumn,
-        slots: impl Iterator<Item = PropSlot>,
+        slots: impl Iterator<Item = (u32, usize)>,
     ) {
-        let (mut words, mut strings) = (0, 0);
-        for slot in slots {
-            let kinds = from.props(slot).shape.kinds;
+        let (mut words, mut strings, mut runs) = (0, 0, 0);
+        let mut last = None;
+        for (shape, _) in slots {
+            let kinds = from.shape_of(shape).map_or(&[][..], |s| s.kinds);
             words += kinds.len();
             strings += kinds.iter().filter(|&&kind| kind == Kind::Str).count();
+            runs += usize::from(last.replace(shape) != Some(shape));
         }
         self.words.reserve_exact(words);
         self.strings.reserve_exact(strings);
+        self.runs.reserve_exact(runs);
     }
 
     /// Store a string value; its index in the string table.
@@ -510,10 +634,10 @@ mod tests {
 
     #[test]
     fn loaded_maps_are_sized_to_their_entries() {
-        // Each column is an exactly sized arena of one-word values, and an
-        // element holds an eight-byte slot into it.
+        // Each column is an exactly sized arena of one-word values, and its
+        // run table holds a 12-byte entry per stretch of one shape.
         assert_eq!(std::mem::size_of::<Word>(), 8);
-        assert_eq!(std::mem::size_of::<PropSlot>(), 8);
+        assert_eq!(std::mem::size_of::<Run>(), 12);
         let mut g = Graph::new();
         let bbox = [Value::Float(0.3), Value::Float(0.1), Value::Float(0.2)];
         let shape = Shape {
@@ -660,10 +784,12 @@ mod tests {
         let a = g.add_vertex("a");
         let edges = [int, float, int]
             .map(|(shape, value)| g.add_edge_with_props(a, a, "x", shape, [value]).unwrap());
-        let shape = |g: &Graph, e: crate::EdgeId| g.edges[e.index()].props.shape;
+        // Each edge is a run of its own, of its own shape id.
+        let shapes: Vec<u32> = g.edge_column.runs.iter().map(|run| run.shape).collect();
         assert_eq!(g.edge_column.shape_count(), 3);
-        assert_eq!(shape(&g, edges[0]), shape(&g, edges[2]));
-        assert_ne!(shape(&g, edges[0]), shape(&g, edges[1]));
+        assert_eq!(shapes.len(), 3);
+        assert_eq!(shapes[0], shapes[2]);
+        assert_ne!(shapes[0], shapes[1]);
 
         let loaded = binio::from_bytes(binio::to_bytes(&g).unwrap()).unwrap();
         let mut absorbed = Graph::new();

@@ -1,26 +1,25 @@
 //! Vertex storage.
 
 use crate::label::LabelId;
-use crate::props::PropSlot;
 
 /// A vertex of a directed labeled graph, `v ∈ V` with label `L(v)` (§II of
 /// the paper).
 ///
-/// A vertex is its label and its properties, 12 bytes: the label is an id
-/// into the graph's vertex-label table ([`crate::Graph::vertex_label`]
-/// gives its text), and the properties sit in the graph's vertex column
-/// ([`crate::Graph::vertex_props`] reads them). Its incident edges are in
-/// the graph's adjacency indexes ([`crate::Graph::out_edge_ids`],
+/// A vertex is its label alone, 4 bytes: an id into the graph's
+/// vertex-label table ([`crate::Graph::vertex_label`] gives its text). Its
+/// properties sit in the graph's vertex column, whose run table knows each
+/// vertex's shape and first word by its index
+/// ([`crate::Graph::vertex_props`] reads them), and its incident edges are
+/// in the graph's adjacency indexes ([`crate::Graph::out_edge_ids`],
 /// [`crate::Graph::in_edge_ids`]), not in the vertex.
 #[derive(Debug, Clone)]
 pub struct Vertex {
     pub(crate) label: LabelId,
-    pub(crate) props: PropSlot,
 }
 
 impl Vertex {
-    pub(crate) fn new(label: LabelId, props: PropSlot) -> Self {
-        Vertex { label, props }
+    pub(crate) fn new(label: LabelId) -> Self {
+        Vertex { label }
     }
 
     /// The id of the label `L(v)` in the graph's vertex-label table.

@@ -7,11 +7,13 @@
 //! slots into one disjoint [`GraphWindow`] per part, and fills each window
 //! on its own thread with final ids. A window checks each value's kind
 //! against its shape's and writes the value's word straight into its run
-//! of the column, so filling it allocates nothing per element. A short
-//! serial stitch then folds what a window cannot write itself — its
-//! label-index runs, its edge-label counts and its string values (rare:
-//! scene graphs carry none) — into the graph in window order, and one
-//! counting sort over the edge arena rebuilds both adjacency indexes. The
+//! of the column, so filling it allocates nothing per element. Each window
+//! also records its own run table, one entry per stretch of its elements
+//! sharing a shape. A short serial stitch then folds what a window cannot
+//! write itself — its label-index lists, its edge-label counts, its shape
+//! runs and its string values (rare: scene graphs carry none) — into the
+//! graph in window order, and one counting sort over the edge arena
+//! rebuilds both adjacency indexes. The
 //! result is the graph that [`Graph::add_vertex_with_props`] /
 //! [`Graph::add_edge_with_props`] calls with the same labels, shapes and
 //! values in the same order would give, label ids, property shapes and
@@ -22,7 +24,7 @@ use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::LabelId;
-use crate::props::{checked, exact, Kind, PropSlot, Shape, Value, Word};
+use crate::props::{checked, exact, folded_len, push_run, Kind, Run, Shape, Value, Word};
 use crate::vertex::Vertex;
 
 /// How many vertices, edges and property values one window appends,
@@ -88,17 +90,21 @@ struct ValueRun<'g> {
     filled: usize,
     /// The run's string values, each with the column index of its word.
     strings: Vec<(usize, Box<str>)>,
+    /// The window's own run table over its elements, in column indexes.
+    runs: Vec<Run>,
 }
 
 impl ValueRun<'_> {
-    /// Write one element's `values`, one per key of `shape` and of the
-    /// key's kind, and return its slot.
+    /// Write element `element`'s `values`, one per key of `shape` and of
+    /// the key's kind.
     fn write<'v>(
         &mut self,
+        element: usize,
         (shape, kinds): ColumnShape<'_>,
         values: impl IntoIterator<Item = Value<'v>>,
-    ) -> PropSlot {
+    ) {
         let start = self.first + self.filled;
+        push_run(&mut self.runs, Run::new(element, shape, start));
         let run = self
             .words
             .get_mut(self.filled..self.filled + kinds.len())
@@ -111,19 +117,20 @@ impl ValueRun<'_> {
             });
         }
         self.filled += kinds.len();
-        PropSlot::new(shape, start)
     }
 }
 
 /// What a window leaves for the serial stitch.
 struct StitchLog {
     /// Per vertex-label slot: the window's vertices carrying it, ascending.
-    runs: Vec<Vec<VertexId>>,
+    label_lists: Vec<Vec<VertexId>>,
     /// Per edge-label slot: the window's edges carrying it.
     edge_counts: Vec<usize>,
     /// The window's vertex and edge string values, each with the column
     /// index of its word.
     strings: [Vec<(usize, Box<str>)>; 2],
+    /// The window's vertex and edge run tables.
+    shape_runs: [Vec<Run>; 2],
 }
 
 impl GraphWindow<'_> {
@@ -151,9 +158,10 @@ impl GraphWindow<'_> {
             .vertices
             .get_mut(self.filled_vertices)
             .expect("window holds its declared vertex count");
-        let props = self.vertex_values.write(self.vertex_shapes[shape], values);
-        *slot = Vertex::new(self.vertex_labels[label], props);
-        self.log.runs[label].push(id);
+        self.vertex_values
+            .write(id.index(), self.vertex_shapes[shape], values);
+        *slot = Vertex::new(self.vertex_labels[label]);
+        self.log.label_lists[label].push(id);
         self.filled_vertices += 1;
         id
     }
@@ -183,8 +191,9 @@ impl GraphWindow<'_> {
             .edges
             .get_mut(self.filled_edges)
             .expect("window holds its declared edge count");
-        let props = self.edge_values.write(self.edge_shapes[shape], values);
-        *slot = Edge::new(src, dst, self.edge_labels[label], props);
+        self.edge_values
+            .write(id.index(), self.edge_shapes[shape], values);
+        *slot = Edge::new(src, dst, self.edge_labels[label]);
         self.log.edge_counts[label] += 1;
         self.filled_edges += 1;
         Ok(id)
@@ -224,6 +233,7 @@ impl GraphWindow<'_> {
         );
         let mut log = self.log;
         log.strings = [self.vertex_values.strings, self.edge_values.strings];
+        log.shape_runs = [self.vertex_values.runs, self.edge_values.runs];
         log
     }
 }
@@ -307,12 +317,12 @@ impl Graph {
             |count: fn(&WindowSize) -> usize| parts.iter().map(|(size, _)| count(size)).sum();
         // Placeholders until the windows fill their slots; they allocate
         // nothing.
-        let (label, slot, nowhere) = (LabelId(0), PropSlot::default(), VertexId::from_index(0));
+        let (label, nowhere) = (LabelId(0), VertexId::from_index(0));
         let mut vertices = grow(&mut self.vertices, total(|s| s.vertices), || {
-            Vertex::new(label, slot)
+            Vertex::new(label)
         });
         let mut edges = grow(&mut self.edges, total(|s| s.edges), || {
-            Edge::new(nowhere, nowhere, label, slot)
+            Edge::new(nowhere, nowhere, label)
         });
         let mut vertex_values = grow(
             &mut self.vertex_column.words,
@@ -343,21 +353,24 @@ impl Graph {
                     words: vv,
                     filled: 0,
                     strings: Vec::new(),
+                    runs: Vec::new(),
                 },
                 edge_values: ValueRun {
                     first: first_edge_value,
                     words: ev,
                     filled: 0,
                     strings: Vec::new(),
+                    runs: Vec::new(),
                 },
                 vertex_labels: &vertex_labels,
                 edge_labels: &edge_labels,
                 vertex_shapes: &vertex_shapes,
                 edge_shapes: &edge_shapes,
                 log: StitchLog {
-                    runs: vec![Vec::new(); vertex_labels.len()],
+                    label_lists: vec![Vec::new(); vertex_labels.len()],
                     edge_counts: vec![0; edge_labels.len()],
                     strings: Default::default(),
+                    shape_runs: Default::default(),
                 },
             };
             first_vertex += size.vertices;
@@ -396,18 +409,20 @@ impl Graph {
     }
 
     /// Fold the filled windows' logs into the label index, the edge-label
-    /// counts and the columns' string tables, in window order. Each label's
-    /// vertex list and each string table grows once, by exactly the
-    /// windows' entries, and those are copied rather than adopted: a run a
-    /// window thread grew lives in that thread's malloc arena, and keeping
-    /// it would pin the memory the thread freed there (its scene records)
-    /// in the resident set.
+    /// counts and the columns' run tables and string tables, in window
+    /// order. Each label's vertex list and each string table grows once,
+    /// by exactly the windows' entries, and each run table is allocated
+    /// once, at the size it has after folding every window's first run
+    /// into the run before it when they share a shape. The entries are
+    /// copied rather than adopted: a list a window thread grew lives in
+    /// that thread's malloc arena, and keeping it would pin the memory the
+    /// thread freed there (its scene records) in the resident set.
     fn stitch(&mut self, vertex_labels: &[LabelId], edge_labels: &[LabelId], logs: Vec<StitchLog>) {
         for (slot, &label) in vertex_labels.iter().enumerate() {
             let ids = self.label_index.value_mut(label);
-            ids.reserve_exact(logs.iter().map(|log| log.runs[slot].len()).sum());
+            ids.reserve_exact(logs.iter().map(|log| log.label_lists[slot].len()).sum());
             for log in &logs {
-                ids.extend_from_slice(&log.runs[slot]);
+                ids.extend_from_slice(&log.label_lists[slot]);
             }
         }
         for log in &logs {
@@ -419,6 +434,17 @@ impl Graph {
             .into_iter()
             .enumerate()
         {
+            let existing = std::mem::take(&mut column.runs);
+            let all = || {
+                existing
+                    .iter()
+                    .chain(logs.iter().flat_map(|log| &log.shape_runs[c]))
+            };
+            let mut runs = Vec::with_capacity(folded_len(all()));
+            for &run in all() {
+                push_run(&mut runs, run);
+            }
+            column.runs = runs;
             column
                 .strings
                 .reserve_exact(logs.iter().map(|log| log.strings[c].len()).sum());
@@ -593,6 +619,9 @@ mod tests {
             for column in g.value_columns() {
                 assert_eq!(column.capacity, column.len);
             }
+            for column in [&g.vertex_column, &g.edge_column] {
+                assert_eq!(column.runs.capacity(), column.runs.len());
+            }
             assert_eq!(
                 g.value_columns().map(|c| c.len),
                 want.value_columns().map(|c| c.len)
@@ -620,7 +649,9 @@ mod tests {
         assert_eq!(g.edges[0].label, g.edges[2].label);
         assert_eq!(g.edge_label_id("same as"), Some(g.edges[0].label));
         // "image, x" is one shape in the graph, and both windows use it.
-        assert_eq!(g.vertices[2].props.shape, g.vertices[4].props.shape);
+        let shape = |v: usize| g.vertex_props(VertexId::from_index(v)).shape();
+        assert_eq!(shape(2), shape(4));
+        assert_eq!(shape(2).keys, ["image", "x"]);
         assert_eq!(g.vertex_column.shape_count(), 3);
     }
 
