@@ -80,6 +80,33 @@ fn merged_graph_and_merge_stats_are_pinned() {
     );
 }
 
+/// The paper-size world the benchmark's ask-wide workload serves: every
+/// image of the default-seed MVQA world through the default build.
+#[test]
+fn paper_size_world_is_pinned() {
+    let images = generate_images(4233, MvqaConfig::default().seed);
+    let svqa = Svqa::build(&images, &build_knowledge_graph(), SvqaConfig::default());
+    let g = svqa.merged_graph();
+    assert_eq!(
+        (g.vertex_count(), g.edge_count(), graph_digest(g)),
+        (15_905, 66_977, 0xc8bc_d487_d24b_f97a),
+        "paper-size merged graph drifted"
+    );
+    assert_eq!(
+        svqa.build_stats().merge,
+        MergeStats {
+            cached_subgraphs: 59,
+            cache_hits: 13064,
+            cache_misses: 2766,
+            links_created: 26128,
+            unlinked_vertices: 2766,
+            fraction_labels_cached: 0.875,
+            fraction_vertices_covered: 0.9989260897030954,
+            cache_index_bytes: 6679,
+        }
+    );
+}
+
 #[test]
 fn incremental_ingestion_is_pinned() {
     let (images, kg) = world();
