@@ -7,7 +7,9 @@
 //! counterpart is found; [`Attacher`] is everything else.
 //!
 //! An attach runs in three steps. A census counts every scene vertex label
-//! per part (Algorithm 1 line 2's statistic comes from it). Each distinct
+//! per part (Algorithm 1 line 2's statistic comes from it); scene records
+//! arrive with their labels already numbered and counted per chunk, so
+//! for them it reads one entry per distinct label per chunk. Each distinct
 //! label is then resolved once to its counterpart, which fixes how many
 //! link edges every part adds, so the merged graph's arenas and property
 //! value columns grow once by the exact totals. Finally each part fills its
@@ -60,8 +62,9 @@ fn shape_slots<'a>(
 enum Part<'p> {
     /// One [`Graph`] per image.
     Graphs(&'p [Graph]),
-    /// Record chunks, each freed as soon as it is attached.
-    Records(Vec<SceneRecords>),
+    /// Record chunks, each freed as soon as it is attached, with the
+    /// attacher slot of each of the chunk's label slots.
+    Records(Vec<(SceneRecords, Vec<usize>)>),
 }
 
 /// Appends scene graphs to a merged graph, part by part in parallel, and
@@ -73,7 +76,7 @@ enum Part<'p> {
 /// parts merges into the same graph.
 pub struct Attacher<'p> {
     parts: Vec<Part<'p>>,
-    /// Number of parts (`parts` is filled after the census).
+    /// Number of parts (`parts` is filled by the census).
     part_count: usize,
     /// Distinct scene vertex label → slot, in first-seen order.
     slots: HashMap<Box<str>, usize>,
@@ -143,26 +146,41 @@ impl<'p> Attacher<'p> {
     }
 
     /// Attach record chunks, one part per inner `Vec` (one thread each).
-    /// Each chunk is freed as soon as it is attached.
+    /// Each chunk is freed as soon as it is attached. The census reads
+    /// each chunk's label table, which numbers its distinct labels in
+    /// first-seen order with their counts: taken chunk by chunk, part by
+    /// part, that numbers the attacher's slots in the order a census of
+    /// every vertex would.
     pub fn records(parts: Vec<Vec<SceneRecords>>) -> Attacher<'static> {
         let mut attacher = Attacher::new(parts.len());
         attacher.vertex_shapes.insert(VERTEX_SHAPE, RECORD_SHAPE);
         attacher.edge_shapes.insert(EDGE_SHAPE, RECORD_SHAPE);
-        for (p, chunks) in parts.iter().enumerate() {
-            for label in chunks.iter().flat_map(SceneRecords::labels) {
-                attacher.count(p, label);
-            }
-            let (vertices, edges) = chunks.iter().fold((0, 0), |(v, e), r| {
-                (v + r.vertex_count(), e + r.edge_count())
-            });
+        for (p, chunks) in parts.into_iter().enumerate() {
+            let (mut vertices, mut edges) = (0, 0);
+            let chunks: Vec<_> = chunks
+                .into_iter()
+                .map(|records| {
+                    vertices += records.vertex_count();
+                    edges += records.edge_count();
+                    let slots = records
+                        .labels()
+                        .map(|(label, count)| {
+                            let slot = attacher.slot(label);
+                            attacher.counts[slot * attacher.part_count + p] += count;
+                            slot
+                        })
+                        .collect();
+                    (records, slots)
+                })
+                .collect();
             attacher.sizes.push(WindowSize {
                 vertices,
                 edges,
                 vertex_values: vertices * VERTEX_SHAPE.keys.len(),
                 edge_values: edges * EDGE_SHAPE.keys.len(),
             });
+            attacher.parts.push(Part::Records(chunks));
         }
-        attacher.parts = parts.into_iter().map(Part::Records).collect();
         attacher
     }
 
@@ -181,12 +199,6 @@ impl<'p> Attacher<'p> {
             edge_shapes: HashMap::from([(Shape::default(), NO_PROPS)]),
             sizes: Vec::with_capacity(part_count),
         }
-    }
-
-    /// Count one vertex labeled `label` in part `part`.
-    fn count(&mut self, part: usize, label: &str) {
-        let slot = self.slot(label);
-        self.counts[slot * self.part_count + part] += 1;
     }
 
     /// The slot of vertex label `label`, numbering it when new.
@@ -367,14 +379,14 @@ impl Plan<'_> {
             }
             Part::Records(chunks) => {
                 let mut ranges = Vec::new();
-                for records in chunks {
+                for (records, slots) in chunks {
                     for scene in records.scenes() {
                         ranges.push(
                             self.attach_image(
                                 window,
                                 &mut counterparts,
-                                scene.vertices().map(|(label, v)| {
-                                    (self.slots[label], RECORD_SHAPE, v.values())
+                                scene.vertices().map(|(_, v)| {
+                                    (slots[v.label_slot()], RECORD_SHAPE, v.values())
                                 }),
                                 scene.edges().iter().map(|e| {
                                     let (sub, obj) = (e.sub as usize, e.obj as usize);

@@ -144,11 +144,7 @@ fn build_world(images: usize, seed: u64, config: SvqaConfig) -> (Svqa, Mvqa) {
     });
     eprintln!("building the merged graph...");
     let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
-    let stats = system.build_stats();
-    eprintln!(
-        "merged graph: {} vertices, {} edges",
-        stats.merged_vertices, stats.merged_edges
-    );
+    eprintln!("build: {}", system.build_stats().summary_line());
     (system, mvqa)
 }
 

@@ -37,6 +37,9 @@ pub struct BuildStats {
     pub merged_edges: usize,
     /// Aggregator accounting (Algorithm 1).
     pub merge: MergeStats,
+    /// Wall-clock time of fitting the relation model's label-pair prior
+    /// on the corpus.
+    pub prior_time: Duration,
     /// Wall-clock time of scene-graph generation.
     pub sgg_time: Duration,
     /// Wall-clock time of graph merging.
@@ -47,7 +50,8 @@ impl BuildStats {
     /// One-line human summary of the offline phase.
     pub fn summary_line(&self) -> String {
         format!(
-            "{} scene graphs in {:.1?}; merged {} vertices / {} edges in {:.1?}",
+            "prior fitted in {:.1?}; {} scene graphs in {:.1?}; merged {} vertices / {} edges in {:.1?}",
+            self.prior_time,
             self.scene_graphs,
             self.sgg_time,
             self.merged_vertices,
@@ -202,7 +206,9 @@ impl Svqa {
     /// the relation model's prior on the corpus), then merge with the
     /// knowledge graph (Algorithm 1).
     pub fn build(images: &[SyntheticImage], kg: &Graph, config: SvqaConfig) -> Svqa {
+        let t = Instant::now();
         let prior = PairPrior::fit(images);
+        let prior_time = t.elapsed();
         let sgg = SceneGraphGenerator::new(config.sgg.clone(), prior);
         let t0 = Instant::now();
         let records = scene_records(&sgg, images, sgg_workers());
@@ -221,6 +227,7 @@ impl Svqa {
         system.build_stats = BuildStats {
             scene_graphs: images.len(),
             merge: merged.stats,
+            prior_time,
             sgg_time,
             merge_time,
             ..system.build_stats

@@ -2,11 +2,15 @@
 //!
 //! The paper's Eq. (1) feeds `(b_i, m_i, l_i)` into the relation model;
 //! Eq. (2) repeats the pass with `Mask(m_i)` — zeroed feature maps. Here a
-//! feature map is a fixed-width vector encoding what the RPN features carry
-//! about a region: its geometry, depth, and an appearance signature of the
-//! *true* object (the region's pixels don't lie even when the classifier
-//! head mislabels them — this is what lets TDE recover explicit predicates
-//! that the label prior obscures).
+//! feature map is a fixed-width vector: the geometry of a region (center,
+//! size) and its depth, then an appearance signature of the *true* object
+//! it shows. The relation model reads only the geometry and depth dims,
+//! plus the supertype of the detection's label (see [`crate::relation`]);
+//! masking the map is what removes its feature evidence, leaving the label
+//! prior, and that difference is what lets TDE recover explicit
+//! predicates. The appearance dims describe the region for inspection and
+//! play no part in relation scores; scene-graph generation's record path
+//! builds no feature map at all, only the decoded geometry.
 
 use crate::bbox::BBox;
 use crate::scene::SceneObject;
@@ -14,7 +18,8 @@ use serde::{Deserialize, Serialize};
 
 /// Feature vector width: 5 geometry dims + 11 appearance dims.
 pub const FEATURE_DIM: usize = 16;
-const GEOM_DIMS: usize = 5;
+/// Leading geometry dims: center, size and depth.
+pub(crate) const GEOM_DIMS: usize = 5;
 
 /// A region feature map `m_i`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,16 +29,22 @@ impl FeatureMap {
     /// Extract the feature map of a ground-truth object (what the RPN would
     /// compute for its region).
     pub fn extract(obj: &SceneObject, bbox: &BBox) -> Self {
+        Self::of_region(&obj.category, &obj.attributes, bbox, obj.depth)
+    }
+
+    /// The feature map of a region: its geometry, then the appearance
+    /// signature of the object it shows.
+    pub(crate) fn of_region(
+        category: &str,
+        attributes: &[(String, String)],
+        bbox: &BBox,
+        depth: f64,
+    ) -> Self {
         let mut v = vec![0.0f32; FEATURE_DIM];
-        let (cx, cy) = bbox.center();
-        v[0] = cx as f32;
-        v[1] = cy as f32;
-        v[2] = bbox.w as f32;
-        v[3] = bbox.h as f32;
-        v[4] = obj.depth as f32;
+        v[..GEOM_DIMS].copy_from_slice(&geometry(bbox, depth));
         // Appearance signature: seeded by the true category and attributes.
-        let mut seed = fnv1a(&obj.category);
-        for (k, val) in &obj.attributes {
+        let mut seed = fnv1a(category);
+        for (k, val) in attributes {
             seed ^= fnv1a(k).rotate_left(17) ^ fnv1a(val);
         }
         let mut state = seed;
@@ -71,10 +82,28 @@ impl FeatureMap {
 
     /// Decoded bounding box.
     pub fn bbox(&self) -> BBox {
-        let (cx, cy) = self.center();
-        let (w, h) = self.size();
-        BBox::new(cx - w / 2.0, cy - h / 2.0, w, h)
+        decode_bbox(&self.0)
     }
+}
+
+/// The geometry dims of a region's feature map, as the map stores them:
+/// center, size and depth, each rounded to `f32`.
+pub(crate) fn geometry(bbox: &BBox, depth: f64) -> [f32; GEOM_DIMS] {
+    let (cx, cy) = bbox.center();
+    [
+        cx as f32,
+        cy as f32,
+        bbox.w as f32,
+        bbox.h as f32,
+        depth as f32,
+    ]
+}
+
+/// The box a map's geometry dims decode to ([`FeatureMap::bbox`]).
+pub(crate) fn decode_bbox(geometry: &[f32]) -> BBox {
+    let (cx, cy) = (f64::from(geometry[0]), f64::from(geometry[1]));
+    let (w, h) = (f64::from(geometry[2]), f64::from(geometry[3]));
+    BBox::new(cx - w / 2.0, cy - h / 2.0, w, h)
 }
 
 fn fnv1a(s: &str) -> u64 {

@@ -14,12 +14,16 @@
 //!   probability, a label confusion matrix (Fig. 8b's "toy bear → bear"),
 //!   bounding-box jitter, spurious detections; emits `(b_i, m_i, l_i)`
 //!   triples exactly as Eq. (1) consumes them;
-//! * [`feature`] — feature maps `m_i`: deterministic vectors encoding
-//!   geometry, depth and appearance (what the RPN features carry);
+//! * [`feature`] — feature maps `m_i`: deterministic vectors holding a
+//!   region's geometry and depth, then an appearance signature of the
+//!   true object. The relation model reads only the geometry and depth,
+//!   plus the supertype of the detection's label; the appearance dims
+//!   never enter a relation score;
 //! * [`prior`] — the label-pair co-occurrence prior, i.e. the *training
 //!   bias* that TDE subtracts, fitted on ground-truth scenes;
 //! * [`relation`] — the MOTIFNET stand-in: relation probability = feature
-//!   evidence + label prior (Eq. (1)); masking the feature maps leaves the
+//!   evidence (geometric compatibility of the two regions' boxes and
+//!   depths) + label prior (Eq. (1)); masking the feature maps leaves the
 //!   prior (Eq. (2)); the TDE difference recovers the explicit predicate
 //!   (Eq. (3));
 //! * [`sgg`] — scene-graph generation end-to-end, with the three model
@@ -37,6 +41,7 @@ pub mod bbox;
 pub mod detector;
 pub mod eval;
 pub mod feature;
+mod lookup;
 pub mod prior;
 pub mod record;
 pub mod relation;

@@ -3,9 +3,19 @@
 //!
 //! The offline build generates one scene graph per image only to copy it
 //! into the merged graph `G_mg` and drop it. [`SceneRecords`] holds the
-//! same scene graphs for a whole chunk of images in three flat buffers —
-//! vertex labels, vertices (image id and box) and argmax edges — so the
-//! aggregator can append them straight into `G_mg`.
+//! same scene graphs for a whole chunk of images in flat buffers — a
+//! table of the chunk's distinct vertex labels, vertices (label slot,
+//! image id and box) and argmax edges — so the aggregator can append them
+//! straight into `G_mg`.
+//!
+//! Labels are numbered as they are recorded, on the thread that generates
+//! the chunk: each distinct label gets the next slot of the chunk's table,
+//! in first-seen order, with a count of the vertices carrying it. A
+//! category label finds its slot by its index in
+//! [`crate::scene::CATEGORIES`], with no hashing; only names outside the
+//! taxonomy (entities) are looked up by text. The aggregator's census then
+//! reads one entry per distinct label per chunk instead of every vertex's
+//! text.
 //!
 //! A record keeps its properties as plain fields. [`RecordVertex::values`]
 //! and [`RecordEdge::values`] give them as fixed arrays in the key order of
@@ -17,14 +27,14 @@
 
 use crate::bbox::BBox;
 use crate::relation::RELATION_VOCAB;
+use std::collections::HashMap;
 use svqa_graph::{Kind, Shape, Value, IMAGE};
 
 /// One detected object of a scene record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecordVertex {
-    /// End offset of this vertex's label in the chunk's label buffer (the
-    /// label starts where the previous vertex's ends).
-    label_end: u32,
+    /// Slot of this vertex's label in its chunk's label table.
+    label: u32,
     /// Id of the image the object was detected in.
     pub(crate) image: u32,
     /// Detected bounding box.
@@ -32,6 +42,12 @@ pub struct RecordVertex {
 }
 
 impl RecordVertex {
+    /// The slot of this vertex's label: its position in
+    /// [`SceneRecords::labels`] of the chunk holding it.
+    pub fn label_slot(&self) -> usize {
+        self.label as usize
+    }
+
     /// The property values of a scene-graph vertex, in the key order of
     /// [`VERTEX_SHAPE`].
     pub fn values(&self) -> [Value<'static>; 5] {
@@ -118,12 +134,19 @@ pub(crate) fn edge_values(score: f64) -> [Value<'static>; 1] {
 /// The scene graphs of a contiguous run of images, in image order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SceneRecords {
-    /// Every vertex label, concatenated.
-    labels: String,
+    /// Every distinct vertex label, in slot order, concatenated.
+    label_text: String,
+    /// Per label slot: the end offset of its text in `label_text` (it
+    /// starts where the previous slot's ends) and its vertex count.
+    label_slots: Vec<(u32, u32)>,
     vertices: Vec<RecordVertex>,
     edges: Vec<RecordEdge>,
     /// Per image: end offsets into `vertices` and `edges`.
     ends: Vec<(u32, u32)>,
+    /// While recording: the slot of each category label, by its index in
+    /// [`crate::scene::CATEGORIES`], and of every other label, by text.
+    category_slots: Vec<Option<u32>>,
+    other_slots: HashMap<Box<str>, u32>,
 }
 
 impl SceneRecords {
@@ -152,13 +175,20 @@ impl SceneRecords {
         self.edges.len()
     }
 
-    /// Every vertex label, in vertex order.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.vertices.iter().scan(0usize, |start, v| {
-            let label = &self.labels[*start..v.label_end as usize];
-            *start = v.label_end as usize;
-            Some(label)
-        })
+    /// Every distinct vertex label, in slot order (the order the labels
+    /// were first recorded), with the number of vertices carrying it.
+    pub fn labels(&self) -> impl Iterator<Item = (&str, usize)> {
+        (0..self.label_slots.len())
+            .map(|slot| (self.label(slot), self.label_slots[slot].1 as usize))
+    }
+
+    /// The text of label slot `slot`.
+    fn label(&self, slot: usize) -> &str {
+        let start = match slot {
+            0 => 0,
+            s => self.label_slots[s - 1].0 as usize,
+        };
+        &self.label_text[start..self.label_slots[slot].0 as usize]
     }
 
     /// The per-image scene graphs, in image order.
@@ -167,13 +197,8 @@ impl SceneRecords {
             .iter()
             .scan((0usize, 0usize), |(v0, e0), &(v1, e1)| {
                 let (v1, e1) = (v1 as usize, e1 as usize);
-                let label_start = match *v0 {
-                    0 => 0,
-                    v => self.vertices[v - 1].label_end as usize,
-                };
                 let scene = SceneRecord {
-                    labels: &self.labels,
-                    label_start,
+                    records: self,
                     vertices: &self.vertices[*v0..v1],
                     edges: &self.edges[*e0..e1],
                 };
@@ -182,14 +207,50 @@ impl SceneRecords {
             })
     }
 
-    /// Append a vertex to the image being recorded.
-    pub(crate) fn push_vertex(&mut self, label: &str, image: u32, bbox: BBox) {
-        self.labels.push_str(label);
+    /// Append a vertex to the image being recorded. `category` is
+    /// `label`'s index in [`crate::scene::CATEGORIES`]
+    /// ([`crate::scene::category_index`]).
+    pub(crate) fn push_vertex(
+        &mut self,
+        label: &str,
+        category: Option<usize>,
+        image: u32,
+        bbox: BBox,
+    ) {
+        debug_assert_eq!(category, crate::scene::category_index(label));
+        let slot = self.label_slot(label, category);
+        self.label_slots[slot].1 += 1;
         self.vertices.push(RecordVertex {
-            label_end: to_u32(self.labels.len()),
+            label: to_u32(slot),
             image,
             bbox,
         });
+    }
+
+    /// The slot of `label`, numbering it when new.
+    fn label_slot(&mut self, label: &str, category: Option<usize>) -> usize {
+        let found = match category {
+            Some(c) => self.category_slots.get(c).copied().flatten(),
+            None => self.other_slots.get(label).copied(),
+        };
+        if let Some(slot) = found {
+            return slot as usize;
+        }
+        let slot = self.label_slots.len();
+        self.label_text.push_str(label);
+        self.label_slots.push((to_u32(self.label_text.len()), 0));
+        match category {
+            Some(c) => {
+                if self.category_slots.len() <= c {
+                    self.category_slots.resize(c + 1, None);
+                }
+                self.category_slots[c] = Some(to_u32(slot));
+            }
+            None => {
+                self.other_slots.insert(label.into(), to_u32(slot));
+            }
+        }
+        slot
     }
 
     /// Append an edge to the image being recorded.
@@ -211,8 +272,7 @@ fn to_u32(n: usize) -> u32 {
 /// One image's scene graph inside a [`SceneRecords`].
 #[derive(Debug, Clone, Copy)]
 pub struct SceneRecord<'a> {
-    labels: &'a str,
-    label_start: usize,
+    records: &'a SceneRecords,
     vertices: &'a [RecordVertex],
     edges: &'a [RecordEdge],
 }
@@ -220,14 +280,10 @@ pub struct SceneRecord<'a> {
 impl<'a> SceneRecord<'a> {
     /// The image's vertices with their labels, in detection order.
     pub fn vertices(&self) -> impl Iterator<Item = (&'a str, &'a RecordVertex)> {
-        let labels = self.labels;
+        let records = self.records;
         self.vertices
             .iter()
-            .scan(self.label_start, move |start, v| {
-                let label = &labels[*start..v.label_end as usize];
-                *start = v.label_end as usize;
-                Some((label, v))
-            })
+            .map(move |v| (records.label(v.label_slot()), v))
     }
 
     /// Number of vertices (detections) in the image.
@@ -244,11 +300,16 @@ impl<'a> SceneRecord<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scene::category_index;
+
+    fn push(r: &mut SceneRecords, label: &str, image: u32, bbox: BBox) {
+        r.push_vertex(label, category_index(label), image, bbox);
+    }
 
     fn sample() -> SceneRecords {
         let mut r = SceneRecords::new();
-        r.push_vertex("dog", 4, BBox::new(0.1, 0.2, 0.3, 0.4));
-        r.push_vertex("harry potter", 4, BBox::new(0.5, 0.5, 0.1, 0.1));
+        push(&mut r, "dog", 4, BBox::new(0.1, 0.2, 0.3, 0.4));
+        push(&mut r, "harry potter", 4, BBox::new(0.5, 0.5, 0.1, 0.1));
         r.push_edge(RecordEdge {
             sub: 1,
             obj: 0,
@@ -257,7 +318,9 @@ mod tests {
         });
         r.end_image();
         r.end_image(); // an image that yielded nothing
-        r.push_vertex("grass", 9, BBox::new(0.0, 0.8, 1.0, 0.2));
+        push(&mut r, "grass", 9, BBox::new(0.0, 0.8, 1.0, 0.2));
+        push(&mut r, "harry potter", 9, BBox::new(0.2, 0.1, 0.1, 0.3));
+        push(&mut r, "dog", 9, BBox::new(0.6, 0.6, 0.1, 0.1));
         r.end_image();
         r
     }
@@ -265,16 +328,20 @@ mod tests {
     #[test]
     fn scenes_slice_the_flat_buffers_per_image() {
         let r = sample();
-        assert_eq!((r.len(), r.vertex_count(), r.edge_count()), (3, 3, 1));
+        assert_eq!((r.len(), r.vertex_count(), r.edge_count()), (3, 5, 1));
+        // Distinct labels in first-seen order, each counted once per
+        // vertex; categories and entities alike.
         assert_eq!(
             r.labels().collect::<Vec<_>>(),
-            ["dog", "harry potter", "grass"]
+            [("dog", 2), ("harry potter", 2), ("grass", 1)]
         );
         let scenes: Vec<_> = r.scenes().collect();
         let labels = |s: &SceneRecord| s.vertices().map(|(l, _)| l.to_owned()).collect::<Vec<_>>();
         assert_eq!(labels(&scenes[0]), ["dog", "harry potter"]);
         assert!(labels(&scenes[1]).is_empty());
-        assert_eq!(labels(&scenes[2]), ["grass"]);
+        assert_eq!(labels(&scenes[2]), ["grass", "harry potter", "dog"]);
+        let slots: Vec<_> = scenes[2].vertices().map(|(_, v)| v.label_slot()).collect();
+        assert_eq!(slots, [2, 1, 0]);
         assert_eq!(scenes[0].edges()[0].label(), "near");
         assert!(scenes[1].edges().is_empty() && scenes[2].edges().is_empty());
         assert_eq!(scenes[2].vertices().next().unwrap().1.image, 9);

@@ -11,9 +11,11 @@
 //! signal, not a lookup of the answer.
 
 use crate::bbox::BBox;
+use crate::lookup::NameTable;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Category metadata: `(name, supertype, default width, default height)`.
 /// Supertypes follow §VI-B: "humans, animals, vehicles, and buildings,
@@ -92,12 +94,17 @@ pub const CATEGORIES: &[(&str, &str, f64, f64)] = &[
     ("beach", "scenery", 0.70, 0.18),
 ];
 
+/// Index of a category in [`CATEGORIES`], from a table built once.
+pub fn category_index(category: &str) -> Option<usize> {
+    category_table().names.get(category)
+}
+
 /// Look up `(supertype, default width, default height)` for a category.
 pub fn category_info(category: &str) -> Option<(&'static str, f64, f64)> {
-    CATEGORIES
-        .iter()
-        .find(|(n, ..)| *n == category)
-        .map(|&(_, s, w, h)| (s, w, h))
+    category_index(category).map(|i| {
+        let (_, s, w, h) = CATEGORIES[i];
+        (s, w, h)
+    })
 }
 
 /// Supertype of a category ("human", "animal", "vehicle", "building",
@@ -120,11 +127,39 @@ pub(crate) const SUPERTYPES: &[&str] = &[
 
 /// Index of a category's supertype in [`SUPERTYPES`].
 pub(crate) fn supertype_id(category: &str) -> usize {
-    let st = supertype(category);
-    SUPERTYPES
-        .iter()
-        .position(|&s| s == st)
-        .expect("every category supertype is listed in SUPERTYPES")
+    category_supertype_id(category_index(category))
+}
+
+/// [`supertype_id`] of the category at `category` in [`CATEGORIES`], or
+/// of a name that is no category (`None`), which reads as "object".
+pub(crate) fn category_supertype_id(category: Option<usize>) -> usize {
+    let table = category_table();
+    category.map_or(table.object, |i| table.supertypes[i])
+}
+
+/// [`CATEGORIES`] indexed by name, and each category's supertype id.
+struct CategoryTable {
+    names: NameTable,
+    supertypes: Vec<usize>,
+    /// The supertype id of "object", the fallback of [`supertype`].
+    object: usize,
+}
+
+fn category_table() -> &'static CategoryTable {
+    static TABLE: OnceLock<CategoryTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let id = |st: &str| {
+            SUPERTYPES
+                .iter()
+                .position(|&s| s == st)
+                .expect("every category supertype is listed in SUPERTYPES")
+        };
+        CategoryTable {
+            names: NameTable::new(CATEGORIES.iter().map(|&(n, ..)| n)),
+            supertypes: CATEGORIES.iter().map(|&(_, st, ..)| id(st)).collect(),
+            object: id("object"),
+        }
+    })
 }
 
 /// A ground-truth object in a scene.
@@ -556,10 +591,14 @@ mod tests {
 
     #[test]
     fn supertype_ids_cover_every_category() {
-        for &(name, st, ..) in CATEGORIES {
+        for (i, &(name, st, ..)) in CATEGORIES.iter().enumerate() {
             assert_eq!(SUPERTYPES[supertype_id(name)], st);
+            // Each name is listed once, so its index is its own.
+            assert_eq!(category_index(name), Some(i));
         }
         assert_eq!(SUPERTYPES[supertype_id("harry potter")], "object");
+        assert_eq!(category_index("harry potter"), None);
+        assert_eq!(category_index("teddy"), None);
     }
 
     #[test]

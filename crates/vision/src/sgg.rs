@@ -12,14 +12,15 @@
 //! one flat [`SceneRecords`], which is what the offline build merges.
 //! Both make the same RNG draws, fault draws and telemetry per image.
 
-use crate::detector::{Detection, Detector, DetectorConfig};
+use crate::detector::{Detected, Detection, Detector, DetectorConfig};
 use crate::eval::RelationPrediction;
 use crate::prior::PairPrior;
 use crate::record::{
     edge_values, vertex_values, RecordEdge, SceneRecords, EDGE_SHAPE, VERTEX_SHAPE,
 };
 use crate::relation::{
-    PairOperand, RelationModelParams, RelationPredictor, RelationScores, RELATION_VOCAB,
+    evidence_matrix, PairOperand, RelationModelParams, RelationPredictor, RelationScores,
+    RELATION_VOCAB,
 };
 use crate::scene::SyntheticImage;
 use rand::rngs::StdRng;
@@ -182,10 +183,10 @@ impl SceneGraphGenerator {
     /// Generate the scene graph of one image.
     pub fn generate(&self, image: &SyntheticImage) -> SceneGraphOutput {
         let mut sink = GraphSink::default();
-        let detections = self.scene(image, &mut sink, &mut Vec::new());
+        self.scene(image, &mut sink, &mut Scratch::default());
         SceneGraphOutput {
             graph: sink.graph,
-            detections,
+            detections: sink.detections,
             vertex_ids: sink.vertex_ids,
             pair_scores: sink.pair_scores,
         }
@@ -203,36 +204,35 @@ impl SceneGraphGenerator {
 
     /// Generate the scene graphs of a run of images as one flat record,
     /// in image order: the same scene graphs [`generate`](Self::generate)
-    /// builds, without a `Graph` per image or the per-pair scores.
+    /// builds, without a `Graph` per image, the per-pair scores, feature
+    /// maps or owned labels.
     pub fn generate_records(&self, images: &[SyntheticImage]) -> SceneRecords {
         let mut records = SceneRecords::new();
-        let mut operands = Vec::new();
+        let mut scratch = Scratch::default();
         for image in images {
-            self.scene(image, &mut records, &mut operands);
+            self.scene(image, &mut records, &mut scratch);
             records.end_image();
         }
         records
     }
 
     /// The per-image kernel behind both outputs: the fault gate, the
-    /// image's own RNG stream, detection, then every ordered pair scored
-    /// in row-major order with its argmax edge kept above threshold.
-    /// `operands` is scratch space reused across images.
-    fn scene(
+    /// image's own RNG stream, the detector's walk, then every ordered
+    /// pair scored in row-major order with its argmax edge kept above
+    /// threshold.
+    fn scene<'a>(
         &self,
-        image: &SyntheticImage,
+        image: &'a SyntheticImage,
         sink: &mut impl SceneSink,
-        operands: &mut Vec<PairOperand>,
-    ) -> Vec<Detection> {
+        scratch: &mut Scratch<'a>,
+    ) {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::SGG);
         // Fault-plan gate, one draw per image. Generation is infallible, so
         // `Error` degrades to an empty scene graph (the image yields
         // nothing); `CorruptLabel` scrambles every edge predicate.
         let fault = svqa_fault::draw(svqa_fault::site::SGG_GENERATE);
         match fault {
-            Some(svqa_fault::FaultKind::Error | svqa_fault::FaultKind::DropResult) => {
-                return Vec::new();
-            }
+            Some(svqa_fault::FaultKind::Error | svqa_fault::FaultKind::DropResult) => return,
             Some(svqa_fault::FaultKind::Latency(ms)) => {
                 svqa_fault::apply_latency(ms, None);
             }
@@ -240,21 +240,35 @@ impl SceneGraphGenerator {
         }
         let corrupt_edges = fault == Some(svqa_fault::FaultKind::CorruptLabel);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ u64::from(image.id));
-        let detections = self.detector.detect(image, &mut rng);
-        sink.vertices(image.id, &detections);
+        let Scratch {
+            detected,
+            operands,
+            evidence,
+        } = scratch;
+        detected.clear();
+        self.detector.walk(image, &mut rng, detected);
+        sink.vertices(image.id, detected);
 
         // Every ordered pair is scored (the relational matrix of Eq. (3));
-        // graph edges keep only the per-pair argmax above threshold.
+        // graph edges keep only the per-pair argmax above threshold. The
+        // feature evidence draws nothing, so it is computed up front, each
+        // unordered pair once.
         operands.clear();
-        operands.extend(detections.iter().map(PairOperand::from));
+        operands.extend(detected.iter().map(|d| d.operand));
+        evidence_matrix(operands, evidence);
+        let n = operands.len();
         for (i, sub) in operands.iter().enumerate() {
             for (j, obj) in operands.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                let scores = self
-                    .predictor
-                    .pair_scores(sub, obj, self.config.use_tde, &mut rng);
+                let scores = self.predictor.pair_scores(
+                    &evidence[i * n + j],
+                    sub,
+                    obj,
+                    self.config.use_tde,
+                    &mut rng,
+                );
                 let mut best = 0usize;
                 for (r, &score) in scores.iter().enumerate() {
                     if score > scores[best] {
@@ -272,39 +286,49 @@ impl SceneGraphGenerator {
                 sink.pair(i, j, &scores, edge);
             }
         }
-        detections
     }
+}
+
+/// Space the per-image kernel reuses from image to image: the detector
+/// walk's output, the relation model's operands and the pair evidence.
+#[derive(Default)]
+struct Scratch<'a> {
+    detected: Vec<Detected<'a>>,
+    operands: Vec<PairOperand>,
+    evidence: Vec<RelationScores>,
 }
 
 /// Where the per-image kernel writes a scene graph.
 trait SceneSink {
     /// The image's detections, one vertex each, in detection order.
-    fn vertices(&mut self, image: u32, detections: &[Detection]);
+    fn vertices(&mut self, image: u32, detected: &[Detected<'_>]);
 
     /// One scored ordered pair of detection indexes, in row-major order,
     /// with its edge `(relation index, score)` when one is kept.
     fn pair(&mut self, sub: usize, obj: usize, scores: &RelationScores, edge: Option<(usize, f64)>);
 }
 
-/// [`SceneSink`] for [`SceneGraphOutput`]: a graph per image plus every
-/// pair's scores.
+/// [`SceneSink`] for [`SceneGraphOutput`]: a graph per image, the owned
+/// detections, plus every pair's scores.
 #[derive(Default)]
 struct GraphSink {
     graph: Graph,
+    detections: Vec<Detection>,
     vertex_ids: Vec<VertexId>,
     pair_scores: Vec<RelationScores>,
 }
 
 impl SceneSink for GraphSink {
-    fn vertices(&mut self, image: u32, detections: &[Detection]) {
-        let n = detections.len();
+    fn vertices(&mut self, image: u32, detected: &[Detected<'_>]) {
+        let n = detected.len();
         self.graph = Graph::with_capacity(n, n * 2);
         self.pair_scores.reserve_exact(n * n.saturating_sub(1));
-        self.vertex_ids = detections
+        self.detections = detected.iter().map(Detected::detection).collect();
+        self.vertex_ids = detected
             .iter()
             .map(|d| {
                 self.graph.add_vertex_with_props(
-                    &d.label,
+                    d.label,
                     VERTEX_SHAPE,
                     vertex_values(image, &d.bbox),
                 )
@@ -335,9 +359,9 @@ impl SceneSink for GraphSink {
 }
 
 impl SceneSink for SceneRecords {
-    fn vertices(&mut self, image: u32, detections: &[Detection]) {
-        for d in detections {
-            self.push_vertex(&d.label, image, d.bbox);
+    fn vertices(&mut self, image: u32, detected: &[Detected<'_>]) {
+        for d in detected {
+            self.push_vertex(d.label, d.category, image, d.bbox);
         }
     }
 
