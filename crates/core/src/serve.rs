@@ -19,9 +19,7 @@
 //! Each accepted connection is served on its own short-lived thread,
 //! which parses the request, runs an `/ask` question's [`Svqa::prepare`]
 //! (parse and lint) once, and then answers it itself: there is no worker
-//! pool and no job queue, because every thread that allocates keeps its
-//! own malloc arena, and long-lived workers keep the pages their
-//! per-request scratch touched. Query work is **admission-controlled** by
+//! pool and no job queue. Query work is **admission-controlled** by
 //! a gate of `workers` permits. While `queue_depth` requests already wait
 //! for one, the next is rejected at once with `429 Too Many Requests` and
 //! a `Retry-After` header: under overload the service sheds load instead
@@ -30,6 +28,22 @@
 //! it, or a run that ends past it, gets `504 Gateway Timeout` and counts
 //! in `server_deadline_exceeded`. Each admitted request's permit wait is
 //! recorded as the `server_queue_wait` span.
+//!
+//! ## Where serving memory goes
+//!
+//! A thread that allocates takes a glibc malloc arena, and an arena keeps
+//! the heap high-water of every request served on it: when a connection
+//! thread exits, the next one reuses its arena, pages included. So the
+//! lever on the served process's RSS is the heap one request peaks at,
+//! not the number of threads. Read from `/proc/self/smaps` on a 2-vCPU
+//! box, a 10 s ask-wide benchmark run ends with 6 more arena heaps than
+//! set-up left. With 12-byte relation pairs they held about 1.1 MB of
+//! the 3.5–3.6 MB `rss_mb`; with 4-byte pairs about 0.65 MB. Two
+//! variants were measured and not kept. Serving every connection on the
+//! accept thread serialises requests, so it was a measurement only: it
+//! read `rss_mb` 0.4–0.85 MB lower with 12-byte pairs and 0–0.25 MB lower
+//! with 4-byte ones. A pool of four reused connection threads read
+//! 0.3–0.6 MB higher.
 //!
 //! ## Cache persistence
 //!

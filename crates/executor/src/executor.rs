@@ -332,7 +332,7 @@ impl<'g> QueryGraphExecutor<'g> {
                         // Corrupt the scan by reversing every relation's
                         // direction — structurally valid, semantically wrong.
                         for pair in &mut rp {
-                            std::mem::swap(&mut pair.sub, &mut pair.obj);
+                            *pair = pair.reversed();
                         }
                     }
                     traces[u].edges_scanned = scanned;
@@ -367,8 +367,12 @@ impl<'g> QueryGraphExecutor<'g> {
             // --- Update stage ---
             for edge in gq.out_edges(u) {
                 let provided: Vec<VertexId> = match edge.dependency {
-                    Dependency::S2S | Dependency::O2S => dedup(ap.iter().map(|p| p.sub).collect()),
-                    Dependency::S2O | Dependency::O2O => dedup(ap.iter().map(|p| p.obj).collect()),
+                    Dependency::S2S | Dependency::O2S => {
+                        dedup(ap.iter().map(|p| p.subject(self.graph)).collect())
+                    }
+                    Dependency::S2O | Dependency::O2O => {
+                        dedup(ap.iter().map(|p| p.object(self.graph)).collect())
+                    }
                 };
                 let slot = match edge.dependency {
                     Dependency::S2S | Dependency::S2O => &mut sub_binding[edge.consumer],
@@ -394,8 +398,8 @@ impl<'g> QueryGraphExecutor<'g> {
         let spoc = &gq.vertices[answer_vertex];
         let side = spoc.answer_role.unwrap_or(AnswerRole::Object);
         let answer_vertices: Vec<VertexId> = dedup(match side {
-            AnswerRole::Subject => ap.iter().map(|p| p.sub).collect(),
-            AnswerRole::Object => ap.iter().map(|p| p.obj).collect(),
+            AnswerRole::Subject => ap.iter().map(|p| p.subject(self.graph)).collect(),
+            AnswerRole::Object => ap.iter().map(|p| p.object(self.graph)).collect(),
         });
         let answer = match gq.question_type {
             // Every clause is a conjunct: the judgment holds only if every
@@ -482,7 +486,8 @@ impl<'g> QueryGraphExecutor<'g> {
         }
         // Distinct labels present in RP (usually a handful), by id.
         let scorer = PredicateScorer::new(predicate);
-        let label_of = |p: &RelationPair| self.graph.edge(p.edge).expect("edge exists").label_id();
+        let label_of =
+            |p: &RelationPair| self.graph.edge(p.edge()).expect("edge exists").label_id();
         let text = |label: LabelId| self.graph.edge_label_text(label);
         let mut label_sims: HashMap<LabelId, f32> = HashMap::new();
         for p in rp {
@@ -561,8 +566,8 @@ fn apply_constraint(
     let mut counts: HashMap<&str, usize> = HashMap::new();
     for p in &ap {
         let v = match side {
-            AnswerRole::Subject => p.sub,
-            AnswerRole::Object => p.obj,
+            AnswerRole::Subject => p.subject(graph),
+            AnswerRole::Object => p.object(graph),
         };
         if let Some(label) = graph.vertex_label(v) {
             *counts.entry(label).or_insert(0) += 1;
@@ -586,8 +591,8 @@ fn apply_constraint(
     ap.into_iter()
         .filter(|p| {
             let v = match side {
-                AnswerRole::Subject => p.sub,
-                AnswerRole::Object => p.obj,
+                AnswerRole::Subject => p.subject(graph),
+                AnswerRole::Object => p.object(graph),
             };
             graph
                 .vertex_label(v)

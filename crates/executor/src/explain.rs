@@ -59,11 +59,14 @@ impl Explanation {
             .map(|ap| {
                 let mut facts: Vec<SupportFact> = ap
                     .iter()
-                    .map(|p| SupportFact {
-                        image: image(p.sub).or_else(|| image(p.obj)),
-                        subject: graph.vertex_label(p.sub).unwrap_or("?").to_owned(),
-                        predicate: graph.edge_label(p.edge).unwrap_or("?").to_owned(),
-                        object: graph.vertex_label(p.obj).unwrap_or("?").to_owned(),
+                    .map(|p| {
+                        let (sub, obj) = p.ends(graph);
+                        SupportFact {
+                            image: image(sub).or_else(|| image(obj)),
+                            subject: graph.vertex_label(sub).unwrap_or("?").to_owned(),
+                            predicate: graph.edge_label(p.edge()).unwrap_or("?").to_owned(),
+                            object: graph.vertex_label(obj).unwrap_or("?").to_owned(),
+                        }
                     })
                     .collect();
                 facts.sort();

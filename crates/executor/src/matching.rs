@@ -19,15 +19,64 @@ use svqa_nlp::resolve::{resolve, LabelCounts};
 pub use svqa_graph::{IS_A, SAME_AS};
 pub use svqa_nlp::resolve::MatchMethod;
 
-/// A relation pair `(Sub, e, Obj)` — one element of `RP`.
+/// A relation pair `(Sub, e, Obj)` — one element of `RP` — held as its
+/// edge: 4 bytes, since the edge arena already stores both endpoints, and
+/// [`ends`](Self::ends) reads them from the graph the pair was scanned
+/// from. The top bit of the word marks a [`reversed`](Self::reversed)
+/// pair, whose subject is the edge's destination and whose object is its
+/// source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RelationPair {
-    /// Subject-side vertex.
-    pub sub: VertexId,
+pub struct RelationPair(u32);
+
+impl RelationPair {
+    /// The bit marking a reversed pair.
+    const REVERSED: u32 = 1 << 31;
+
+    /// The pair `(src(e), e, dst(e))`.
+    ///
+    /// # Panics
+    ///
+    /// If the edge index needs the reserved top bit, which takes an edge
+    /// arena of more than 2^31 edges (24 GiB of 12-byte edges).
+    pub fn new(edge: EdgeId) -> Self {
+        let index = edge.index();
+        assert!(
+            index < Self::REVERSED as usize,
+            "edge index {index} needs the relation pair's reserved bit"
+        );
+        RelationPair(index as u32)
+    }
+
     /// The connecting edge.
-    pub edge: EdgeId,
+    pub fn edge(self) -> EdgeId {
+        EdgeId::from_index((self.0 & !Self::REVERSED) as usize)
+    }
+
+    /// The same edge with subject and object swapped.
+    pub fn reversed(self) -> Self {
+        RelationPair(self.0 ^ Self::REVERSED)
+    }
+
+    /// `(subject, object)`: the edge's endpoints in `graph`, swapped if
+    /// the pair is reversed.
+    pub fn ends(self, graph: &Graph) -> (VertexId, VertexId) {
+        let e = graph.edge(self.edge()).expect("pairs hold graph edges");
+        if self.0 & Self::REVERSED == 0 {
+            (e.src(), e.dst())
+        } else {
+            (e.dst(), e.src())
+        }
+    }
+
+    /// Subject-side vertex.
+    pub fn subject(self, graph: &Graph) -> VertexId {
+        self.ends(graph).0
+    }
+
     /// Object-side vertex.
-    pub obj: VertexId,
+    pub fn object(self, graph: &Graph) -> VertexId {
+        self.ends(graph).1
+    }
 }
 
 /// Vertex matching over the merged graph, confined to a range of vertex
@@ -147,16 +196,19 @@ impl<'g> VertexMatcher<'g> {
     /// `getRelations(Sub, Obj)`: the edges from any subject-side vertex to
     /// any object-side vertex (excluding structural `same as`/`is a` links),
     /// as relation pairs, plus the number of candidate edges examined (the
-    /// profiling "edges scanned" figure).
+    /// profiling "edges scanned" figure). `objs` must be ascending and
+    /// free of duplicates, as [`expand_semantic`](Self::expand_semantic)
+    /// returns it: the scan binary-searches it as given.
     pub fn relations_between(
         &self,
         subs: &[VertexId],
         objs: &[VertexId],
     ) -> (Vec<RelationPair>, usize) {
-        let mut obj_set = objs.to_vec();
-        obj_set.sort_unstable();
-        obj_set.dedup();
-        self.scan(subs, true, |obj| obj_set.binary_search(&obj).is_ok())
+        debug_assert!(
+            objs.windows(2).all(|w| w[0] < w[1]),
+            "the object scope must be ascending and unique"
+        );
+        self.scan(subs, true, |obj| objs.binary_search(&obj).is_ok())
     }
 
     /// Relation pairs when one side is a wildcard: every non-structural
@@ -200,11 +252,7 @@ impl<'g> VertexMatcher<'g> {
                 }
                 scanned += 1;
                 if !self.is_structural(e) && keep_far(far) {
-                    pairs.push(RelationPair {
-                        sub: e.src(),
-                        edge,
-                        obj: e.dst(),
-                    });
+                    pairs.push(RelationPair::new(edge));
                 }
             }
         }
@@ -339,6 +387,32 @@ mod tests {
     }
 
     #[test]
+    fn a_relation_pair_is_one_word() {
+        assert_eq!(std::mem::size_of::<RelationPair>(), 4);
+    }
+
+    #[test]
+    fn a_pair_reads_its_ends_from_the_edge() {
+        let g = merged();
+        let (id, e) = g.edges().next().unwrap();
+        let pair = RelationPair::new(id);
+        assert_eq!(pair.edge(), id);
+        assert_eq!(pair.ends(&g), (e.src(), e.dst()));
+        let reversed = pair.reversed();
+        assert_eq!(reversed.edge(), id);
+        assert_eq!(reversed.ends(&g), (e.dst(), e.src()));
+        assert_eq!(reversed.subject(&g), e.dst());
+        assert_eq!(reversed.object(&g), e.src());
+        assert_eq!(reversed.reversed(), pair);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved bit")]
+    fn the_constructor_refuses_an_edge_index_with_the_reserved_bit() {
+        RelationPair::new(EdgeId::from_index(1 << 31));
+    }
+
+    #[test]
     fn relations_between_skips_structural_edges() {
         let g = merged();
         let m = VertexMatcher::new(&g);
@@ -346,7 +420,7 @@ mod tests {
         let (cars, _) = m.match_vertex("car", "car");
         let (pairs, _) = m.relations_between(&dogs, &cars);
         assert_eq!(pairs.len(), 1);
-        assert_eq!(g.edge_label(pairs[0].edge), Some("in"));
+        assert_eq!(g.edge_label(pairs[0].edge()), Some("in"));
     }
 
     #[test]
@@ -356,8 +430,8 @@ mod tests {
         let (harry, _) = m.match_vertex("harry potter", "harry potter");
         let (pairs, _) = m.relations_around(&harry, false);
         assert_eq!(pairs.len(), 1);
-        assert_eq!(g.edge_label(pairs[0].edge), Some("girlfriend of"));
-        assert_eq!(g.vertex_label(pairs[0].sub), Some("ginny weasley"));
+        assert_eq!(g.edge_label(pairs[0].edge()), Some("girlfriend of"));
+        assert_eq!(g.vertex_label(pairs[0].subject(&g)), Some("ginny weasley"));
     }
 
     #[test]
@@ -367,7 +441,7 @@ mod tests {
         let scene_dog = vec![g.vertices_with_label("dog")[1]];
         let (pairs, _) = m.relations_around(&scene_dog, true);
         assert_eq!(pairs.len(), 1);
-        assert_eq!(g.vertex_label(pairs[0].obj), Some("car"));
+        assert_eq!(g.vertex_label(pairs[0].object(&g)), Some("car"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use svqa::executor::cache::KeyCentricCache;
 use svqa::executor::scheduler::QueryScheduler;
+use svqa::executor::{CacheStats, QueryGraphExecutor};
 use svqa::fault::{self, site, FaultKind, FaultPlan, InstalledPlan, SiteFault};
 use svqa::vision::detector::DetectorConfig;
 use svqa::{evaluate_on_mvqa, Svqa, SvqaConfig};
@@ -178,5 +179,57 @@ fn a_faulted_relation_scan_never_reaches_the_path_cache() {
         changed.len(),
         2 * mvqa.questions.len(),
         changed.join("\n")
+    );
+}
+
+#[test]
+fn a_corrupted_relation_scan_reverses_every_pair() {
+    // `CorruptLabel` at the relation scan swaps each pair's subject and
+    // object and changes nothing else: the clean scan's edges, in order.
+    let mvqa = Mvqa::generate_small(300, 11);
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+    let graph = system.merged_graph();
+    let executor = QueryGraphExecutor::new(graph);
+    let (mut compared, mut pairs) = (0, 0);
+    for q in &mvqa.questions {
+        let Some(gq) = system.prepare(&q.question).query else {
+            continue;
+        };
+        // The first clause run has no bound slot, so its scan sees the
+        // same scopes in both runs. Without a constraint its AP is its RP
+        // filtered by edge label alone, which a reversal leaves as it was.
+        let first = gq.execution_order().expect("a parsed query is acyclic")[0];
+        if gq.vertices[first].constraint.is_some() {
+            continue;
+        }
+        let clean = {
+            let _quiet = quiet();
+            executor.run(&gq, None, &mut CacheStats::new())
+        };
+        let corrupt = {
+            let plan = FaultPlan::new(11).with_fault(
+                site::RELATION_SCAN,
+                SiteFault::new(FaultKind::CorruptLabel, 1.0),
+            );
+            let _plan = fault::install(plan);
+            executor.run(&gq, None, &mut CacheStats::new())
+        };
+        let (clean, corrupt) = (clean.unwrap(), corrupt.unwrap());
+        let q = &q.question;
+        let rp_counts = [&clean, &corrupt].map(|run| run.traces[first].rp_count);
+        assert_eq!(rp_counts[0], rp_counts[1], "{q}");
+        let (clean, corrupt) = (&clean.aps[first], &corrupt.aps[first]);
+        assert_eq!(clean.len(), corrupt.len(), "{q}");
+        for (c, x) in clean.iter().zip(corrupt) {
+            assert_eq!(x.edge(), c.edge(), "{q}");
+            let (sub, obj) = c.ends(graph);
+            assert_eq!(x.ends(graph), (obj, sub), "{q}");
+        }
+        compared += 1;
+        pairs += clean.len();
+    }
+    assert!(
+        compared > 0 && pairs > 0,
+        "{compared} clauses, {pairs} pairs"
     );
 }
