@@ -11,26 +11,36 @@
 //! arrive with their labels already numbered and counted per chunk, so
 //! for them it reads one entry per distinct label per chunk. Each distinct
 //! label is then resolved once to its counterpart, which fixes how many
-//! link edges every part adds, so the merged graph's arenas and property
-//! value columns grow once by the exact totals. Finally each part fills its
+//! link edges every part adds, so the merged graph's arenas and vertex
+//! value column grow once by the exact totals. Finally each part fills its
 //! own window of the merged graph on its own thread
-//! ([`Graph::append_windows`]), writing each record's values straight into
-//! its run of the columns.
+//! ([`Graph::append_windows`]).
+//!
+//! The merged graph keeps what the query path reads and nothing else: a
+//! scene vertex is written under [`IMAGE_SHAPE`] with its image id, and
+//! scene edges and links bare. An input graph's boxes and scores are not
+//! copied, so a vertex of a per-image `Graph` is written as its record
+//! would be: under [`IMAGE_SHAPE`] when it carries an image id, bare when
+//! it carries none.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use svqa_graph::{
-    Graph, GraphWindow, LabelHistogram, LabelId, Shape, Value, VertexId, WindowSize, WindowSlots,
-    SAME_AS,
+    scene_image, Graph, GraphWindow, LabelHistogram, LabelId, Shape, Value, VertexId, WindowSize,
+    WindowSlots, IMAGE_SHAPE, SAME_AS,
 };
-use svqa_vision::{SceneRecords, EDGE_SHAPE, RELATION_VOCAB, VERTEX_SHAPE};
+use svqa_vision::{SceneRecords, RELATION_VOCAB};
 
-/// The shape slot of the empty shape, which link edges use.
-const NO_PROPS: usize = 0;
-
-/// The shape slot every record vertex and every record edge uses
-/// ([`VERTEX_SHAPE`], [`EDGE_SHAPE`]).
-const RECORD_SHAPE: usize = 1;
+/// The vertex shapes the attach writes, by slot: a vertex without an image
+/// id bare, one with an image id under [`IMAGE_SHAPE`], so its slot is
+/// whether it has one.
+const VERTEX_SHAPES: [Shape<'static>; 2] = [
+    Shape {
+        keys: &[],
+        kinds: &[],
+    },
+    IMAGE_SHAPE,
+];
 
 /// One input graph's label ids translated to attacher slots: each id's
 /// text is looked up once, when the id is first seen, and every later
@@ -47,15 +57,6 @@ impl LabelSlots {
         }
         *self.0[i].get_or_insert_with(slot)
     }
-}
-
-/// The slot of each of `runs`' elements, in element order: `shapes` is
-/// looked up once per run of one property shape, not once per element.
-fn shape_slots<'a>(
-    runs: impl Iterator<Item = (Range<usize>, Shape<'a>)> + 'a,
-    shapes: &'a HashMap<Shape<'a>, usize>,
-) -> impl Iterator<Item = usize> + 'a {
-    runs.flat_map(|(elements, shape)| std::iter::repeat_n(shapes[&shape], elements.len()))
 }
 
 /// The scene graphs one part attaches, in either held form.
@@ -86,11 +87,7 @@ pub struct Attacher<'p> {
     /// slots `0..RELATION_VOCAB.len()`, so a record edge's slot is its
     /// relation index.
     edge_slots: HashMap<Box<str>, usize>,
-    /// Distinct vertex and edge property shapes → slot; the empty shape
-    /// takes slot [`NO_PROPS`].
-    vertex_shapes: HashMap<Shape<'p>, usize>,
-    edge_shapes: HashMap<Shape<'p>, usize>,
-    /// Per part: scene vertices and scene edges, and their values.
+    /// Per part: scene vertices, scene edges and image ids.
     sizes: Vec<WindowSize>,
 }
 
@@ -108,8 +105,7 @@ pub struct Attached {
 
 impl<'p> Attacher<'p> {
     /// Attach per-image scene graphs, as one part. Each graph's label ids
-    /// are translated to slots once per graph, and its shapes once per run
-    /// of its property columns.
+    /// are translated to slots once per graph.
     pub fn graphs(scene_graphs: &'p [Graph]) -> Self {
         let mut attacher = Self::new(1);
         let mut size = WindowSize::default();
@@ -117,25 +113,16 @@ impl<'p> Attacher<'p> {
         for g in scene_graphs {
             labels.0.clear();
             edge_labels.0.clear();
-            for (_, v) in g.vertices() {
-                let id = v.label_id();
+            for (v, vertex) in g.vertices() {
+                let id = vertex.label_id();
                 let slot = labels.get(id, || attacher.slot(g.vertex_label_text(id)));
                 // One part: the slot's count is its only one.
                 attacher.counts[slot] += 1;
+                size.vertex_values += usize::from(scene_image(g, v).is_some());
             }
             for (_, e) in g.edges() {
                 let id = e.label_id();
                 edge_labels.get(id, || attacher.edge_slot(g.edge_label_text(id)));
-            }
-            for (elements, shape) in g.vertex_shape_runs() {
-                size.vertex_values += shape.keys.len() * elements.len();
-                let next = attacher.vertex_shapes.len();
-                attacher.vertex_shapes.entry(shape).or_insert(next);
-            }
-            for (elements, shape) in g.edge_shape_runs() {
-                size.edge_values += shape.keys.len() * elements.len();
-                let next = attacher.edge_shapes.len();
-                attacher.edge_shapes.entry(shape).or_insert(next);
             }
             size.vertices += g.vertex_count();
             size.edges += g.edge_count();
@@ -153,8 +140,6 @@ impl<'p> Attacher<'p> {
     /// every vertex would.
     pub fn records(parts: Vec<Vec<SceneRecords>>) -> Attacher<'static> {
         let mut attacher = Attacher::new(parts.len());
-        attacher.vertex_shapes.insert(VERTEX_SHAPE, RECORD_SHAPE);
-        attacher.edge_shapes.insert(EDGE_SHAPE, RECORD_SHAPE);
         for (p, chunks) in parts.into_iter().enumerate() {
             let (mut vertices, mut edges) = (0, 0);
             let chunks: Vec<_> = chunks
@@ -176,8 +161,7 @@ impl<'p> Attacher<'p> {
             attacher.sizes.push(WindowSize {
                 vertices,
                 edges,
-                vertex_values: vertices * VERTEX_SHAPE.keys.len(),
-                edge_values: edges * EDGE_SHAPE.keys.len(),
+                vertex_values: vertices,
             });
             attacher.parts.push(Part::Records(chunks));
         }
@@ -195,8 +179,6 @@ impl<'p> Attacher<'p> {
                 .enumerate()
                 .map(|(slot, &label)| (label.into(), slot))
                 .collect(),
-            vertex_shapes: HashMap::from([(Shape::default(), NO_PROPS)]),
-            edge_shapes: HashMap::from([(Shape::default(), NO_PROPS)]),
             sizes: Vec::with_capacity(part_count),
         }
     }
@@ -273,15 +255,6 @@ impl<'p> Attacher<'p> {
         }
         let link = self.edge_slots.len();
         edge_labels[link] = SAME_AS;
-        let by_slot = |shapes: &HashMap<Shape<'p>, usize>| {
-            let mut by_slot = vec![Shape::default(); shapes.len()];
-            for (&shape, &slot) in shapes {
-                by_slot[slot] = shape;
-            }
-            by_slot
-        };
-        let (vertex_shapes, edge_shapes) =
-            (by_slot(&self.vertex_shapes), by_slot(&self.edge_shapes));
 
         let windows: Vec<_> = self
             .sizes
@@ -296,16 +269,13 @@ impl<'p> Attacher<'p> {
         let plan = Plan {
             slots: &self.slots,
             edge_slots: &self.edge_slots,
-            vertex_shapes: &self.vertex_shapes,
-            edge_shapes: &self.edge_shapes,
             resolved: &resolved,
             link,
         };
         let slots = WindowSlots {
             vertex_labels: &labels,
             edge_labels: &edge_labels,
-            vertex_shapes: &vertex_shapes,
-            edge_shapes: &edge_shapes,
+            vertex_shapes: &VERTEX_SHAPES,
         };
         let scene_vertices = merged
             .append_windows(&slots, windows, |part, window| {
@@ -324,13 +294,11 @@ impl<'p> Attacher<'p> {
     }
 }
 
-/// What every part's thread reads: label and shape slots, and the
-/// labels' resolutions.
+/// What every part's thread reads: label slots and the labels'
+/// resolutions.
 struct Plan<'a> {
     slots: &'a HashMap<Box<str>, usize>,
     edge_slots: &'a HashMap<Box<str>, usize>,
-    vertex_shapes: &'a HashMap<Shape<'a>, usize>,
-    edge_shapes: &'a HashMap<Shape<'a>, usize>,
     /// Per vertex-label slot: the knowledge-graph counterpart.
     resolved: &'a [Option<VertexId>],
     /// Edge-label slot of the link edges.
@@ -349,28 +317,23 @@ impl Plan<'_> {
                     .map(|g| {
                         labels.0.clear();
                         edge_labels.0.clear();
-                        let vertex_shapes = shape_slots(g.vertex_shape_runs(), self.vertex_shapes);
-                        let edge_shapes = shape_slots(g.edge_shape_runs(), self.edge_shapes);
                         self.attach_image(
                             window,
                             &mut counterparts,
-                            g.vertices().zip(vertex_shapes).map(|((id, v), shape)| {
+                            g.vertices().map(|(id, v)| {
                                 let label = v.label_id();
                                 (
                                     labels.get(label, || self.slots[g.vertex_label_text(label)]),
-                                    shape,
-                                    g.vertex_props(id).iter().map(|(_, value)| value),
+                                    scene_image(g, id),
                                 )
                             }),
-                            g.edges().zip(edge_shapes).map(|((id, e), shape)| {
+                            g.edges().map(|(_, e)| {
                                 let label = e.label_id();
                                 (
                                     e.src().index(),
                                     e.dst().index(),
                                     edge_labels
                                         .get(label, || self.edge_slots[g.edge_label_text(label)]),
-                                    shape,
-                                    g.edge_props(id).iter().map(|(_, value)| value),
                                 )
                             }),
                         )
@@ -386,12 +349,12 @@ impl Plan<'_> {
                                 window,
                                 &mut counterparts,
                                 scene.vertices().map(|(_, v)| {
-                                    (slots[v.label_slot()], RECORD_SHAPE, v.values())
+                                    (slots[v.label_slot()], Some(i64::from(v.image())))
                                 }),
-                                scene.edges().iter().map(|e| {
-                                    let (sub, obj) = (e.sub as usize, e.obj as usize);
-                                    (sub, obj, e.relation(), RECORD_SHAPE, e.values())
-                                }),
+                                scene
+                                    .edges()
+                                    .iter()
+                                    .map(|e| (e.sub as usize, e.obj as usize, e.relation())),
                             ),
                         );
                     }
@@ -403,31 +366,27 @@ impl Plan<'_> {
         }
     }
 
-    /// The attach body for one image: vertices (label slot, shape slot,
-    /// property values), scene edges (endpoints local to the image,
-    /// edge-label slot, shape slot, property values), then links.
-    /// `counterparts` is scratch space.
-    fn attach_image<'v, VV, EV>(
+    /// The attach body for one image: vertices (label slot, image id),
+    /// scene edges (endpoints local to the image, edge-label slot), then
+    /// links. `counterparts` is scratch space.
+    fn attach_image(
         &self,
         window: &mut GraphWindow<'_>,
         counterparts: &mut Vec<Option<VertexId>>,
-        vertices: impl Iterator<Item = (usize, usize, VV)>,
-        edges: impl Iterator<Item = (usize, usize, usize, usize, EV)>,
-    ) -> Range<usize>
-    where
-        VV: IntoIterator<Item = Value<'v>>,
-        EV: IntoIterator<Item = Value<'v>>,
-    {
+        vertices: impl Iterator<Item = (usize, Option<i64>)>,
+        edges: impl Iterator<Item = (usize, usize, usize)>,
+    ) -> Range<usize> {
         let first = window.next_vertex().index();
         counterparts.clear();
-        for (slot, shape, values) in vertices {
-            window.push_vertex(slot, shape, values);
+        for (slot, image) in vertices {
+            let shape = usize::from(image.is_some());
+            window.push_vertex(slot, shape, image.map(Value::Int));
             counterparts.push(self.resolved[slot]);
         }
         let local = |i: usize| VertexId::from_index(first + i);
-        for (sub, obj, slot, shape, values) in edges {
+        for (sub, obj, slot) in edges {
             window
-                .push_edge(local(sub), local(obj), slot, shape, values)
+                .push_edge(local(sub), local(obj), slot)
                 .expect("scene edge endpoints are the image's own vertices");
         }
         // Lines 9–14: connect(v, v') in both directions so the executor
@@ -436,10 +395,10 @@ impl Plan<'_> {
             if let Some(kg) = *kg {
                 let v = local(i);
                 window
-                    .push_edge(v, kg, self.link, NO_PROPS, [])
+                    .push_edge(v, kg, self.link)
                     .expect("counterparts predate the attach");
                 window
-                    .push_edge(kg, v, self.link, NO_PROPS, [])
+                    .push_edge(kg, v, self.link)
                     .expect("counterparts predate the attach");
             }
         }

@@ -244,7 +244,7 @@ impl Svqa {
         Svqa {
             kg_vertex_count: merged
                 .vertices()
-                .take_while(|&(id, _)| merged.vertex_props(id).get(svqa_graph::IMAGE).is_none())
+                .take_while(|&(id, _)| svqa_graph::scene_image(&merged, id).is_none())
                 .count(),
             build_stats: BuildStats {
                 merged_vertices: merged.vertex_count(),

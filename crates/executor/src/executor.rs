@@ -24,7 +24,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use svqa_graph::{Graph, LabelId, VertexId, IMAGE};
+use svqa_graph::{scene_image, Graph, LabelId, VertexId};
 use svqa_nlp::resolve::{PredicateScorer, PREDICATE_FLOOR};
 use svqa_nlp::Embedder;
 use svqa_qparser::{AnswerRole, Dependency, NounPhrase, QueryGraph, QuestionType};
@@ -529,7 +529,7 @@ impl<'g> QueryGraphExecutor<'g> {
     fn count_scene_instances(&self, vertices: &[VertexId]) -> usize {
         let instances = vertices
             .iter()
-            .filter(|&&v| self.graph.vertex_props(v).get(IMAGE).is_some())
+            .filter(|&&v| scene_image(self.graph, v).is_some())
             .count();
         if instances > 0 {
             instances
@@ -610,7 +610,7 @@ fn dedup(mut v: Vec<VertexId>) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svqa_graph::{GraphBuilder, Kind, Shape, Value};
+    use svqa_graph::{GraphBuilder, Value, IMAGE_SHAPE};
     use svqa_qparser::QueryGraphGenerator;
 
     /// Build a miniature merged graph realizing the paper's Example 1:
@@ -635,11 +635,7 @@ mod tests {
         // Scene instances: helper that adds an instance with image prop and
         // a same-as link to the KG entity.
         let add_instance = |g: &mut Graph, label: &str, image: i64| {
-            let shape = Shape {
-                keys: &[IMAGE],
-                kinds: &[Kind::Int],
-            };
-            let v = g.add_vertex_with_props(label, shape, [Value::Int(image)]);
+            let v = g.add_vertex_with_props(label, IMAGE_SHAPE, [Value::Int(image)]);
             if let Some(&kg) = g.vertices_with_label(label).first() {
                 if kg != v {
                     g.add_edge(v, kg, "same as").unwrap();

@@ -10,7 +10,7 @@
 
 use crate::matching::RelationPair;
 use serde::{Deserialize, Serialize};
-use svqa_graph::{Graph, IMAGE};
+use svqa_graph::{scene_image, Graph};
 
 /// One piece of supporting evidence behind an answer.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -53,7 +53,7 @@ pub struct Explanation {
 impl Explanation {
     /// Build from the executor's accepted pairs.
     pub(crate) fn from_aps(graph: &Graph, aps: &[Vec<RelationPair>]) -> Self {
-        let image = |v| graph.vertex_props(v).get(IMAGE).and_then(|x| x.as_int());
+        let image = |v| scene_image(graph, v);
         let per_vertex = aps
             .iter()
             .map(|ap| {
@@ -94,18 +94,14 @@ mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use crate::executor::QueryGraphExecutor;
-    use svqa_graph::{Kind, Shape, Value};
+    use svqa_graph::{Value, IMAGE_SHAPE};
     use svqa_qparser::QueryGraphGenerator;
 
     fn world() -> Graph {
-        let image = Shape {
-            keys: &[IMAGE],
-            kinds: &[Kind::Int],
-        };
         let mut g = Graph::new();
         let kg_dog = g.add_vertex("dog");
-        let scene_dog = g.add_vertex_with_props("dog", image, [Value::Int(7)]);
-        let car = g.add_vertex_with_props("car", image, [Value::Int(7)]);
+        let scene_dog = g.add_vertex_with_props("dog", IMAGE_SHAPE, [Value::Int(7)]);
+        let car = g.add_vertex_with_props("car", IMAGE_SHAPE, [Value::Int(7)]);
         g.add_edge(scene_dog, car, "in").unwrap();
         g.add_edge(scene_dog, kg_dog, "same as").unwrap();
         g.add_edge(kg_dog, scene_dog, "same as").unwrap();

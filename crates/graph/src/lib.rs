@@ -70,7 +70,7 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, VertexId};
 pub use label::{LabelId, IS_A, SAME_AS};
-pub use props::{ColumnSize, Kind, Props, Shape, Value, IMAGE};
+pub use props::{scene_image, ColumnSize, Kind, Props, Shape, Value, IMAGE, IMAGE_SHAPE};
 pub use stats::{GraphStats, LabelHistogram};
 pub use subgraph::SubgraphView;
 pub use traverse::{induced_subgraph, k_hop_neighborhood, Bfs};

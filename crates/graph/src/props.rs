@@ -1,11 +1,12 @@
 //! Property storage for vertices and edges.
 //!
-//! Scene-graph vertices carry bounding boxes and image provenance, knowledge
-//! graph vertices carry entity metadata, and scene edges carry their
-//! predicate's score. An element's properties are a small key-sorted list
-//! (≤ 8 entries), and almost every element of a merged graph repeats one of
-//! a few key lists: `[h, image, w, x, y]` on scene vertices, `[score]` on
-//! scene edges, none on links and knowledge-graph vertices.
+//! A per-image scene graph's vertices carry their bounding box and image
+//! id, and its edges their predicate's score. The merged graph `G_mg`
+//! keeps only what the query path reads: a scene vertex carries its image
+//! id alone ([`IMAGE_SHAPE`], read through [`scene_image`]), and
+//! knowledge-graph vertices and every edge carry nothing. An element's
+//! properties are a small key-sorted list (≤ 8 entries), and almost every
+//! element of a graph repeats one of a few key lists.
 //!
 //! So a graph does not store a list per element. It keeps one
 //! `PropColumn` for its vertices and one for its edges. A column interns
@@ -32,6 +33,7 @@
 //! that arrives at run time, from a [`crate::binio`] load, is interned once
 //! per process.
 
+use crate::{Graph, VertexId};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -41,6 +43,20 @@ use std::sync::Mutex;
 /// The vertex property holding the id of the image a scene-graph vertex
 /// was detected in. Knowledge-graph vertices have none.
 pub const IMAGE: &str = "image";
+
+/// The shape of a scene vertex's properties in the merged graph: its
+/// [`IMAGE`] id, as an integer, and nothing else.
+pub const IMAGE_SHAPE: Shape<'static> = Shape {
+    keys: &[IMAGE],
+    kinds: &[Kind::Int],
+};
+
+/// The id of the image vertex `v` of `graph` was detected in: `Some` for a
+/// scene vertex, `None` for a knowledge-graph vertex or a foreign id. The
+/// one place that knows how a vertex's image is stored.
+pub fn scene_image(graph: &Graph, v: VertexId) -> Option<i64> {
+    graph.vertex_props(v).get(IMAGE).and_then(Value::as_int)
+}
 
 /// The process-wide copy of a run-time key, leaked once on first sight so
 /// every property list that carries it shares one `&'static str`.

@@ -1,23 +1,25 @@
 //! Bulk appends filled in parallel windows.
 //!
 //! Merging thousands of scene graphs appends tens of thousands of vertices,
-//! edges and property values whose counts are known before the first one
-//! is written. [`Graph::append_windows`] grows the element arenas and both
-//! property columns' word arenas once by the exact totals, splits the new
-//! slots into one disjoint [`GraphWindow`] per part, and fills each window
-//! on its own thread with final ids. A window checks each value's kind
-//! against its shape's and writes the value's word straight into its run
-//! of the column, so filling it allocates nothing per element. Each window
-//! also records its own run table, one entry per stretch of its elements
-//! sharing a shape. A short serial stitch then folds what a window cannot
-//! write itself — its label-index lists, its edge-label counts, its shape
+//! edges and vertex property values whose counts are known before the
+//! first one is written. [`Graph::append_windows`] grows the element
+//! arenas and the vertex column's word arena once by the exact totals,
+//! splits the new slots into one disjoint [`GraphWindow`] per part, and
+//! fills each window on its own thread with final ids. A window checks
+//! each vertex value's kind against its shape's and writes the value's
+//! word straight into its run of the column, so filling it allocates
+//! nothing per element. Each window also records its own vertex run table,
+//! one entry per stretch of its vertices sharing a shape. Appended edges
+//! carry no properties: the merged graph's edges are labels and endpoints
+//! only. A short serial stitch then folds what a window cannot write
+//! itself — its label-index lists, its edge-label counts, its vertex shape
 //! runs and its string values (rare: scene graphs carry none) — into the
-//! graph in window order, and one counting sort over the edge arena
-//! rebuilds both adjacency indexes. The
+//! graph in window order, covers the new edges with one bare run, and one
+//! counting sort over the edge arena rebuilds both adjacency indexes. The
 //! result is the graph that [`Graph::add_vertex_with_props`] /
-//! [`Graph::add_edge_with_props`] calls with the same labels, shapes and
-//! values in the same order would give, label ids, property shapes and
-//! adjacency included: both paths read their values through one check.
+//! [`Graph::add_edge`] calls with the same labels, shapes and values in
+//! the same order would give, label ids, property shapes and adjacency
+//! included: both paths read their values through one check.
 
 use crate::edge::Edge;
 use crate::error::GraphError;
@@ -27,8 +29,8 @@ use crate::label::LabelId;
 use crate::props::{checked, exact, folded_len, push_run, Kind, Run, Shape, Value, Word};
 use crate::vertex::Vertex;
 
-/// How many vertices, edges and property values one window appends,
-/// exactly.
+/// How many vertices, edges and vertex property values one window
+/// appends, exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowSize {
     /// Vertices the window's part appends.
@@ -37,11 +39,9 @@ pub struct WindowSize {
     pub edges: usize,
     /// Property values over all of those vertices.
     pub vertex_values: usize,
-    /// Property values over all of those edges.
-    pub edge_values: usize,
 }
 
-/// The label texts and property shapes the windows of one
+/// The label texts and vertex property shapes the windows of one
 /// [`Graph::append_windows`] refer to by slot.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WindowSlots<'a> {
@@ -51,8 +51,6 @@ pub struct WindowSlots<'a> {
     pub edge_labels: &'a [&'a str],
     /// Vertex property shapes.
     pub vertex_shapes: &'a [Shape<'a>],
-    /// Edge property shapes.
-    pub edge_shapes: &'a [Shape<'a>],
 }
 
 /// A shape slot resolved to the column's shape id, and its kinds.
@@ -60,10 +58,10 @@ type ColumnShape<'a> = (u32, &'a [Kind]);
 
 /// One part's run of new vertex and edge slots, filled in order.
 ///
-/// Labels and property shapes are given as slots into the lists of the
-/// [`WindowSlots`] passed to [`Graph::append_windows`]. An edge may join
-/// the window's own vertices and vertices that existed before the append,
-/// not another window's.
+/// Labels and vertex property shapes are given as slots into the lists of
+/// the [`WindowSlots`] passed to [`Graph::append_windows`]. An edge may
+/// join the window's own vertices and vertices that existed before the
+/// append, not another window's.
 pub struct GraphWindow<'g> {
     /// Vertices that existed before the append.
     existing: usize,
@@ -74,15 +72,13 @@ pub struct GraphWindow<'g> {
     filled_vertices: usize,
     filled_edges: usize,
     vertex_values: ValueRun<'g>,
-    edge_values: ValueRun<'g>,
     vertex_labels: &'g [LabelId],
     edge_labels: &'g [LabelId],
     vertex_shapes: &'g [ColumnShape<'g>],
-    edge_shapes: &'g [ColumnShape<'g>],
     log: StitchLog,
 }
 
-/// A window's run of one property column's words, filled in order.
+/// A window's run of the vertex column's words, filled in order.
 struct ValueRun<'g> {
     /// Column index of the run's first word.
     first: usize,
@@ -126,11 +122,11 @@ struct StitchLog {
     label_lists: Vec<Vec<VertexId>>,
     /// Per edge-label slot: the window's edges carrying it.
     edge_counts: Vec<usize>,
-    /// The window's vertex and edge string values, each with the column
-    /// index of its word.
-    strings: [Vec<(usize, Box<str>)>; 2],
-    /// The window's vertex and edge run tables.
-    shape_runs: [Vec<Run>; 2],
+    /// The window's vertex string values, each with the column index of
+    /// its word.
+    strings: Vec<(usize, Box<str>)>,
+    /// The window's vertex run table.
+    shape_runs: Vec<Run>,
 }
 
 impl GraphWindow<'_> {
@@ -167,22 +163,18 @@ impl GraphWindow<'_> {
     }
 
     /// Append a directed edge `src → dst` labeled with edge-label slot
-    /// `label`, its properties `values` in the key order of edge-shape
-    /// slot `shape`. Each endpoint must be a vertex this window pushed or
-    /// one that existed before the append.
+    /// `label`, with no properties. Each endpoint must be a vertex this
+    /// window pushed or one that existed before the append.
     ///
     /// # Panics
     ///
-    /// When the window already holds its declared edge or edge-value
-    /// count, `label` or `shape` is not a slot, or `values` does not give
-    /// one value of the key's kind per key of the shape.
-    pub fn push_edge<'v>(
+    /// When the window already holds its declared edge count, or `label`
+    /// is not a slot.
+    pub fn push_edge(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: usize,
-        shape: usize,
-        values: impl IntoIterator<Item = Value<'v>>,
     ) -> Result<EdgeId, GraphError> {
         self.check_endpoint(src)?;
         self.check_endpoint(dst)?;
@@ -191,8 +183,6 @@ impl GraphWindow<'_> {
             .edges
             .get_mut(self.filled_edges)
             .expect("window holds its declared edge count");
-        self.edge_values
-            .write(id.index(), self.edge_shapes[shape], values);
         *slot = Edge::new(src, dst, self.edge_labels[label]);
         self.log.edge_counts[label] += 1;
         self.filled_edges += 1;
@@ -214,26 +204,23 @@ impl GraphWindow<'_> {
 
     /// The stitch log of a window filled exactly.
     fn finish(self) -> StitchLog {
-        let (vv, ev) = (&self.vertex_values, &self.edge_values);
+        let values = &self.vertex_values;
         assert!(
             self.filled_vertices == self.vertices.len()
                 && self.filled_edges == self.edges.len()
-                && vv.filled == vv.words.len()
-                && ev.filled == ev.words.len(),
+                && values.filled == values.words.len(),
             "window filled {} of {} vertices and {} of {} edges, \
-             {} of {} vertex values and {} of {} edge values",
+             and {} of {} vertex values",
             self.filled_vertices,
             self.vertices.len(),
             self.filled_edges,
             self.edges.len(),
-            vv.filled,
-            vv.words.len(),
-            ev.filled,
-            ev.words.len(),
+            values.filled,
+            values.words.len(),
         );
         let mut log = self.log;
-        log.strings = [self.vertex_values.strings, self.edge_values.strings];
-        log.shape_runs = [self.vertex_values.runs, self.edge_values.runs];
+        log.strings = self.vertex_values.strings;
+        log.shape_runs = self.vertex_values.runs;
         log
     }
 }
@@ -250,8 +237,8 @@ fn grow<T>(arena: &mut Vec<T>, n: usize, placeholder: impl FnMut() -> T) -> &mut
 }
 
 impl Graph {
-    /// Append `parts` in parallel windows: grow the arenas and the value
-    /// columns by exactly the summed [`WindowSize`]s, then run
+    /// Append `parts` in parallel windows: grow the arenas and the vertex
+    /// value column by exactly the summed [`WindowSize`]s, then run
     /// `fill(part, window)` for each part — the first on the calling
     /// thread, the rest on scoped threads — and stitch the windows in
     /// part order. Returns `fill`'s results in part order.
@@ -259,7 +246,8 @@ impl Graph {
     /// The labels and shapes in `slots` are what the windows refer to by
     /// slot; each is resolved once to its id in this graph's tables, and
     /// windows copy ids. The graph ends up as if every vertex and edge had
-    /// been added one by one, window after window.
+    /// been added one by one, window after window, each edge with no
+    /// properties.
     ///
     /// # Panics
     ///
@@ -300,19 +288,9 @@ impl Graph {
                 )
             })
             .collect();
-        let edge_shapes: Vec<ColumnShape> = slots
-            .edge_shapes
-            .iter()
-            .map(|s| {
-                (
-                    self.edge_column.shape(s.keys, s.kinds.iter().copied()),
-                    s.kinds,
-                )
-            })
-            .collect();
         let existing = self.vertices.len();
         let first_edge = self.edges.len();
-        let first_values = (self.vertex_column.words.len(), self.edge_column.words.len());
+        let first_value = self.vertex_column.words.len();
         let total =
             |count: fn(&WindowSize) -> usize| parts.iter().map(|(size, _)| count(size)).sum();
         // Placeholders until the windows fill their slots; they allocate
@@ -329,21 +307,19 @@ impl Graph {
             total(|s| s.vertex_values),
             || 0,
         );
-        let mut edge_values = grow(&mut self.edge_column.words, total(|s| s.edge_values), || 0);
 
-        let (mut first_vertex, mut first_edge) = (existing, first_edge);
-        let (mut first_vertex_value, mut first_edge_value) = first_values;
+        let (mut first_vertex, mut next_edge, mut first_vertex_value) =
+            (existing, first_edge, first_value);
         let mut windows = Vec::with_capacity(parts.len());
         for (size, part) in parts {
             let (v, v_rest) = std::mem::take(&mut vertices).split_at_mut(size.vertices);
             let (e, e_rest) = std::mem::take(&mut edges).split_at_mut(size.edges);
             let (vv, vv_rest) = std::mem::take(&mut vertex_values).split_at_mut(size.vertex_values);
-            let (ev, ev_rest) = std::mem::take(&mut edge_values).split_at_mut(size.edge_values);
-            (vertices, edges, vertex_values, edge_values) = (v_rest, e_rest, vv_rest, ev_rest);
+            (vertices, edges, vertex_values) = (v_rest, e_rest, vv_rest);
             let window = GraphWindow {
                 existing,
                 first_vertex,
-                first_edge,
+                first_edge: next_edge,
                 vertices: v,
                 edges: e,
                 filled_vertices: 0,
@@ -355,28 +331,19 @@ impl Graph {
                     strings: Vec::new(),
                     runs: Vec::new(),
                 },
-                edge_values: ValueRun {
-                    first: first_edge_value,
-                    words: ev,
-                    filled: 0,
-                    strings: Vec::new(),
-                    runs: Vec::new(),
-                },
                 vertex_labels: &vertex_labels,
                 edge_labels: &edge_labels,
                 vertex_shapes: &vertex_shapes,
-                edge_shapes: &edge_shapes,
                 log: StitchLog {
                     label_lists: vec![Vec::new(); vertex_labels.len()],
                     edge_counts: vec![0; edge_labels.len()],
-                    strings: Default::default(),
-                    shape_runs: Default::default(),
+                    strings: Vec::new(),
+                    shape_runs: Vec::new(),
                 },
             };
             first_vertex += size.vertices;
-            first_edge += size.edges;
+            next_edge += size.edges;
             first_vertex_value += size.vertex_values;
-            first_edge_value += size.edge_values;
             windows.push((window, part));
         }
 
@@ -403,21 +370,29 @@ impl Graph {
         });
 
         let (results, logs): (Vec<R>, Vec<StitchLog>) = filled.into_iter().unzip();
-        self.stitch(&vertex_labels, &edge_labels, logs);
+        self.stitch(&vertex_labels, &edge_labels, first_edge, logs);
         self.index_adjacency();
         results
     }
 
     /// Fold the filled windows' logs into the label index, the edge-label
-    /// counts and the columns' run tables and string tables, in window
-    /// order. Each label's vertex list and each string table grows once,
+    /// counts and the vertex column's run table and string table, in
+    /// window order, and cover the edges from `first_edge` on with one
+    /// bare run. Each label's vertex list and the string table grow once,
     /// by exactly the windows' entries, and each run table is allocated
-    /// once, at the size it has after folding every window's first run
-    /// into the run before it when they share a shape. The entries are
-    /// copied rather than adopted: a list a window thread grew lives in
-    /// that thread's malloc arena, and keeping it would pin the memory the
-    /// thread freed there (its scene records) in the resident set.
-    fn stitch(&mut self, vertex_labels: &[LabelId], edge_labels: &[LabelId], logs: Vec<StitchLog>) {
+    /// once, at its final size: a window's first run folds into the run
+    /// before it when they share a shape, and the edges' bare run into a
+    /// bare last run. The entries are copied rather than adopted: a list a
+    /// window thread grew lives in that thread's malloc arena, and keeping
+    /// it would pin the memory the thread freed there (its scene records)
+    /// in the resident set.
+    fn stitch(
+        &mut self,
+        vertex_labels: &[LabelId],
+        edge_labels: &[LabelId],
+        first_edge: usize,
+        logs: Vec<StitchLog>,
+    ) {
         for (slot, &label) in vertex_labels.iter().enumerate() {
             let ids = self.label_index.value_mut(label);
             ids.reserve_exact(logs.iter().map(|log| log.label_lists[slot].len()).sum());
@@ -430,30 +405,36 @@ impl Graph {
                 *self.edge_label_counts.value_mut(label) += count;
             }
         }
-        for (c, column) in [&mut self.vertex_column, &mut self.edge_column]
-            .into_iter()
-            .enumerate()
-        {
-            let existing = std::mem::take(&mut column.runs);
-            let all = || {
-                existing
-                    .iter()
-                    .chain(logs.iter().flat_map(|log| &log.shape_runs[c]))
-            };
-            let mut runs = Vec::with_capacity(folded_len(all()));
-            for &run in all() {
-                push_run(&mut runs, run);
-            }
-            column.runs = runs;
-            column
-                .strings
-                .reserve_exact(logs.iter().map(|log| log.strings[c].len()).sum());
-            for (at, s) in logs.iter().flat_map(|log| &log.strings[c]) {
-                column.words[*at] = column.string(s) as Word;
-            }
-            column.strings = exact(std::mem::take(&mut column.strings));
+        let column = &mut self.vertex_column;
+        column.runs = folded(
+            std::mem::take(&mut column.runs)
+                .iter()
+                .chain(logs.iter().flat_map(|log| &log.shape_runs)),
+        );
+        column
+            .strings
+            .reserve_exact(logs.iter().map(|log| log.strings.len()).sum());
+        for (at, s) in logs.iter().flat_map(|log| &log.strings) {
+            column.words[*at] = column.string(s) as Word;
         }
+        column.strings = exact(std::mem::take(&mut column.strings));
+
+        let column = &mut self.edge_column;
+        let bare =
+            (first_edge < self.edges.len()).then(|| Run::new(first_edge, 0, column.words.len()));
+        column.runs = folded(std::mem::take(&mut column.runs).iter().chain(&bare));
+        column.words = exact(std::mem::take(&mut column.words));
     }
+}
+
+/// `runs` as one exactly sized run table, each run folded into the run
+/// before it when they share a shape.
+fn folded<'r>(runs: impl Iterator<Item = &'r Run> + Clone) -> Vec<Run> {
+    let mut table = Vec::with_capacity(folded_len(runs.clone()));
+    for &run in runs {
+        push_run(&mut table, run);
+    }
+    table
 }
 
 #[cfg(test)]
@@ -474,28 +455,17 @@ mod tests {
                 kinds: &[Kind::Int, Kind::Float],
             },
         ],
-        edge_shapes: &[
-            Shape {
-                keys: &[],
-                kinds: &[],
-            },
-            Shape {
-                keys: &["score"],
-                kinds: &[Kind::Float],
-            },
-        ],
     };
 
     /// Part `p` is a chain of `n` vertices labeled `"a"`/`"b"` with `"x"`
     /// edges, each vertex also linked both ways to pre-existing vertex 0.
-    /// The `"a"` vertices carry an image and an `x`, the chain edges a
-    /// score; the `"b"` vertices and the links carry nothing.
+    /// The `"a"` vertices carry an image and an `x`; the `"b"` vertices
+    /// and every edge carry nothing.
     fn chain(n: usize) -> WindowSize {
         WindowSize {
             vertices: n,
             edges: n.saturating_sub(1) + 2 * n,
             vertex_values: 2 * n.div_ceil(2),
-            edge_values: n.saturating_sub(1),
         }
     }
 
@@ -517,12 +487,12 @@ mod tests {
                 VertexId::from_index(first + i - 1),
                 VertexId::from_index(first + i),
             );
-            w.push_edge(a, b, 0, 1, [Value::Float(i as f64)]).unwrap();
+            w.push_edge(a, b, 0).unwrap();
         }
         for i in 0..n {
             let v = VertexId::from_index(first + i);
-            w.push_edge(v, hub, 1, 0, []).unwrap();
-            w.push_edge(hub, v, 1, 0, []).unwrap();
+            w.push_edge(v, hub, 1).unwrap();
+            w.push_edge(hub, v, 1).unwrap();
         }
     }
 
@@ -541,9 +511,7 @@ mod tests {
                     VertexId::from_index(first + i - 1),
                     VertexId::from_index(first + i),
                 );
-                let score = [Value::Float(i as f64)];
-                g.add_edge_with_props(a, b, "x", SLOTS.edge_shapes[1], score)
-                    .unwrap();
+                g.add_edge(a, b, "x").unwrap();
             }
             for i in 0..n {
                 let v = VertexId::from_index(first + i);
@@ -554,15 +522,22 @@ mod tests {
         g
     }
 
+    /// Two vertices and a scored edge, so the appended bare edges start
+    /// a run of their own.
     fn base() -> Graph {
         let mut g = Graph::with_capacity(2, 1);
         let image = Shape {
             keys: &["image"],
             kinds: &[Kind::Int],
         };
+        let score = Shape {
+            keys: &["score"],
+            kinds: &[Kind::Float],
+        };
         let hub = g.add_vertex_with_props("a", image, [Value::Int(7)]);
         let other = g.add_vertex("kg");
-        g.add_edge(hub, other, "same as").unwrap();
+        g.add_edge_with_props(hub, other, "same as", score, [Value::Float(0.5)])
+            .unwrap();
         g
     }
 
@@ -622,6 +597,10 @@ mod tests {
             for column in [&g.vertex_column, &g.edge_column] {
                 assert_eq!(column.runs.capacity(), column.runs.len());
             }
+            // The base's scored edge, then one bare run over every
+            // appended edge.
+            let appended = lens.iter().any(|&n| n > 0);
+            assert_eq!(g.edge_column.runs.len(), 1 + usize::from(appended));
             assert_eq!(
                 g.value_columns().map(|c| c.len),
                 want.value_columns().map(|c| c.len)
@@ -676,7 +655,7 @@ mod tests {
         let errors = g.append_windows(&SLOTS, parts, |n, w| {
             // Part 0's vertex, seen from part 1.
             let outside = VertexId::from_index(2);
-            let result = (n == 0).then(|| w.push_edge(outside, outside, 0, 0, []));
+            let result = (n == 0).then(|| w.push_edge(outside, outside, 0));
             if n == 1 {
                 fill_chain(1, w);
             }
@@ -759,17 +738,12 @@ mod tests {
                 keys: &["note"],
                 kinds: &[Kind::Str],
             }],
-            edge_shapes: &[Shape {
-                keys: &["note", "score"],
-                kinds: &[Kind::Str, Kind::Float],
-            }],
             ..SLOTS
         };
         let size = WindowSize {
             vertices: 2,
             edges: 1,
             vertex_values: 2,
-            edge_values: 2,
         };
         let mut g = base();
         g.append_windows(&NOTE, vec![(size, 0), (size, 1)], |part, w| {
@@ -777,9 +751,7 @@ mod tests {
                 let note = format!("{n} of {part}");
                 w.push_vertex(0, 0, [Value::Str(&note)])
             });
-            let note = format!("edge of {part}");
-            w.push_edge(a, b, 0, 0, [Value::Str(&note), Value::Float(0.5)])
-                .unwrap();
+            w.push_edge(a, b, 0).unwrap();
         });
         let mut want = base();
         for part in 0..2 {
@@ -787,10 +759,7 @@ mod tests {
                 let note = format!("{n} of {part}");
                 want.add_vertex_with_props("a", NOTE.vertex_shapes[0], [Value::Str(&note)])
             });
-            let note = format!("edge of {part}");
-            let values = [Value::Str(&note), Value::Float(0.5)];
-            want.add_edge_with_props(a, b, "x", NOTE.edge_shapes[0], values)
-                .unwrap();
+            want.add_edge(a, b, "x").unwrap();
         }
         g.validate().unwrap();
         assert_eq!(
@@ -803,6 +772,6 @@ mod tests {
         );
         assert_eq!(g.vertex_column.strings.len(), 4);
         assert_eq!(g.vertex_column.strings.capacity(), 4);
-        assert_eq!(g.edge_column.strings.len(), 2);
+        assert!(g.edge_column.strings.is_empty());
     }
 }

@@ -53,10 +53,7 @@ pub use detector::{Detection, Detector, DetectorConfig};
 pub use eval::{mean_recall_at_k, RelationPrediction};
 pub use feature::FeatureMap;
 pub use prior::PairPrior;
-pub use record::{
-    RecordEdge, RecordVertex, SceneRecord, SceneRecords, EDGE_KEYS, EDGE_SHAPE, VERTEX_KEYS,
-    VERTEX_SHAPE,
-};
+pub use record::{RecordEdge, RecordVertex, SceneRecord, SceneRecords};
 pub use relation::{RelationPredictor, RELATION_VOCAB};
 pub use scene::{SceneObject, SyntheticImage};
-pub use sgg::{SceneGraphGenerator, SggConfig, SggModel};
+pub use sgg::{SceneGraphGenerator, SggConfig, SggModel, EDGE_SHAPE, VERTEX_SHAPE};

@@ -3,10 +3,10 @@
 //!
 //! The offline build generates one scene graph per image only to copy it
 //! into the merged graph `G_mg` and drop it. [`SceneRecords`] holds the
-//! same scene graphs for a whole chunk of images in flat buffers — a
-//! table of the chunk's distinct vertex labels, vertices (label slot,
-//! image id and box) and argmax edges — so the aggregator can append them
-//! straight into `G_mg`.
+//! scene graphs for a whole chunk of images in flat buffers — a table of
+//! the chunk's distinct vertex labels, vertices (label slot and image id)
+//! and argmax edges (endpoints and predicate) — so the aggregator can
+//! append them straight into `G_mg`.
 //!
 //! Labels are numbered as they are recorded, on the thread that generates
 //! the chunk: each distinct label gets the next slot of the chunk's table,
@@ -17,18 +17,17 @@
 //! reads one entry per distinct label per chunk instead of every vertex's
 //! text.
 //!
-//! A record keeps its properties as plain fields. [`RecordVertex::values`]
-//! and [`RecordEdge::values`] give them as fixed arrays in the key order of
-//! [`VERTEX_SHAPE`] and [`EDGE_SHAPE`], the shapes the attach writes them
-//! under, straight into the merged graph's value columns and with no
-//! allocation per element. [`crate::sgg::SceneGraphGenerator::generate`]
-//! adds each per-image vertex and edge under the same shapes with the same
-//! value arrays, so both outputs merge into the same bytes.
+//! A record keeps only what `G_mg` keeps. The query path reads a scene
+//! vertex's label, its image id and its edges, never a box or a
+//! predicate's score: those feed relation prediction, which has run by the
+//! time a record is written. So a record vertex is its label slot and
+//! image id, and a record edge its endpoints and predicate. The per-image
+//! graphs of [`crate::sgg::SceneGraphGenerator::generate`] keep boxes and
+//! scores for Table V and the demos; merging one drops them, so both
+//! outputs merge into the same bytes.
 
-use crate::bbox::BBox;
 use crate::relation::RELATION_VOCAB;
 use std::collections::HashMap;
-use svqa_graph::{Kind, Shape, Value, IMAGE};
 
 /// One detected object of a scene record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,9 +35,7 @@ pub struct RecordVertex {
     /// Slot of this vertex's label in its chunk's label table.
     label: u32,
     /// Id of the image the object was detected in.
-    pub(crate) image: u32,
-    /// Detected bounding box.
-    pub(crate) bbox: BBox,
+    image: u32,
 }
 
 impl RecordVertex {
@@ -48,10 +45,9 @@ impl RecordVertex {
         self.label as usize
     }
 
-    /// The property values of a scene-graph vertex, in the key order of
-    /// [`VERTEX_SHAPE`].
-    pub fn values(&self) -> [Value<'static>; 5] {
-        vertex_values(self.image, &self.bbox)
+    /// The id of the image the object was detected in.
+    pub fn image(&self) -> u32 {
+        self.image
     }
 }
 
@@ -65,8 +61,6 @@ pub struct RecordEdge {
     pub obj: u32,
     /// Predicate, as an index into [`RELATION_VOCAB`].
     pub(crate) relation: u8,
-    /// The predicate's score.
-    pub(crate) score: f64,
 }
 
 impl RecordEdge {
@@ -79,56 +73,6 @@ impl RecordEdge {
     pub fn relation(&self) -> usize {
         usize::from(self.relation)
     }
-
-    /// The property values of a scene-graph edge, in the key order of
-    /// [`EDGE_SHAPE`].
-    pub fn values(&self) -> [Value<'static>; 1] {
-        edge_values(self.score)
-    }
-}
-
-/// The property keys of a scene-graph vertex, sorted: the bounding box and
-/// the image the object was detected in.
-pub const VERTEX_KEYS: [&str; 5] = ["h", IMAGE, "w", "x", "y"];
-
-/// The property key of a scene-graph edge: the predicate's score.
-pub const EDGE_KEYS: [&str; 1] = ["score"];
-
-/// The shape of a scene-graph vertex's properties: a float per box
-/// coordinate and the integer image id.
-pub const VERTEX_SHAPE: Shape<'static> = Shape {
-    keys: &VERTEX_KEYS,
-    kinds: &[
-        Kind::Float,
-        Kind::Int,
-        Kind::Float,
-        Kind::Float,
-        Kind::Float,
-    ],
-};
-
-/// The shape of a scene-graph edge's properties: a float score.
-pub const EDGE_SHAPE: Shape<'static> = Shape {
-    keys: &EDGE_KEYS,
-    kinds: &[Kind::Float],
-};
-
-/// The property values of a scene-graph vertex, in the key order of
-/// [`VERTEX_SHAPE`].
-pub(crate) fn vertex_values(image: u32, bbox: &BBox) -> [Value<'static>; 5] {
-    [
-        Value::Float(bbox.h),
-        Value::Int(i64::from(image)),
-        Value::Float(bbox.w),
-        Value::Float(bbox.x),
-        Value::Float(bbox.y),
-    ]
-}
-
-/// The property values of a scene-graph edge, in the key order of
-/// [`EDGE_SHAPE`].
-pub(crate) fn edge_values(score: f64) -> [Value<'static>; 1] {
-    [Value::Float(score)]
 }
 
 /// The scene graphs of a contiguous run of images, in image order.
@@ -210,20 +154,13 @@ impl SceneRecords {
     /// Append a vertex to the image being recorded. `category` is
     /// `label`'s index in [`crate::scene::CATEGORIES`]
     /// ([`crate::scene::category_index`]).
-    pub(crate) fn push_vertex(
-        &mut self,
-        label: &str,
-        category: Option<usize>,
-        image: u32,
-        bbox: BBox,
-    ) {
+    pub(crate) fn push_vertex(&mut self, label: &str, category: Option<usize>, image: u32) {
         debug_assert_eq!(category, crate::scene::category_index(label));
         let slot = self.label_slot(label, category);
         self.label_slots[slot].1 += 1;
         self.vertices.push(RecordVertex {
             label: to_u32(slot),
             image,
-            bbox,
         });
     }
 
@@ -302,25 +239,24 @@ mod tests {
     use super::*;
     use crate::scene::category_index;
 
-    fn push(r: &mut SceneRecords, label: &str, image: u32, bbox: BBox) {
-        r.push_vertex(label, category_index(label), image, bbox);
+    fn push(r: &mut SceneRecords, label: &str, image: u32) {
+        r.push_vertex(label, category_index(label), image);
     }
 
     fn sample() -> SceneRecords {
         let mut r = SceneRecords::new();
-        push(&mut r, "dog", 4, BBox::new(0.1, 0.2, 0.3, 0.4));
-        push(&mut r, "harry potter", 4, BBox::new(0.5, 0.5, 0.1, 0.1));
+        push(&mut r, "dog", 4);
+        push(&mut r, "harry potter", 4);
         r.push_edge(RecordEdge {
             sub: 1,
             obj: 0,
             relation: 2,
-            score: 0.75,
         });
         r.end_image();
         r.end_image(); // an image that yielded nothing
-        push(&mut r, "grass", 9, BBox::new(0.0, 0.8, 1.0, 0.2));
-        push(&mut r, "harry potter", 9, BBox::new(0.2, 0.1, 0.1, 0.3));
-        push(&mut r, "dog", 9, BBox::new(0.6, 0.6, 0.1, 0.1));
+        push(&mut r, "grass", 9);
+        push(&mut r, "harry potter", 9);
+        push(&mut r, "dog", 9);
         r.end_image();
         r
     }
@@ -344,37 +280,21 @@ mod tests {
         assert_eq!(slots, [2, 1, 0]);
         assert_eq!(scenes[0].edges()[0].label(), "near");
         assert!(scenes[1].edges().is_empty() && scenes[2].edges().is_empty());
-        assert_eq!(scenes[2].vertices().next().unwrap().1.image, 9);
+        assert_eq!(scenes[2].vertices().next().unwrap().1.image(), 9);
     }
 
     #[test]
     fn props_are_exactly_sized() {
+        // A record holds what the merged graph keeps and nothing more: a
+        // vertex its label slot and image id, an edge its endpoints and
+        // predicate.
+        assert_eq!(std::mem::size_of::<RecordVertex>(), 8);
+        assert_eq!(std::mem::size_of::<RecordEdge>(), 12);
         let r = sample();
         let scene = r.scenes().next().unwrap();
-        let (_, v) = scene.vertices().next().unwrap();
-        // Fixed arrays of borrowed values, one per key of the shape and of
-        // its kind: nothing to size.
-        for shape in [VERTEX_SHAPE, EDGE_SHAPE] {
-            let keys = shape.keys;
-            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
-            assert_eq!(keys.len(), shape.kinds.len());
-        }
-        assert!(v.values().map(Value::kind).iter().eq(VERTEX_SHAPE.kinds));
-        let e = &scene.edges()[0];
-        assert!(e.values().map(Value::kind).iter().eq(EDGE_SHAPE.kinds));
-        // Each value reads back under its key.
-        let mut g = svqa_graph::Graph::new();
-        let dog = g.add_vertex_with_props("dog", VERTEX_SHAPE, v.values());
-        let near = g
-            .add_edge_with_props(dog, dog, e.label(), EDGE_SHAPE, e.values())
-            .unwrap();
-        let props = g.vertex_props(dog);
-        assert_eq!(props.len(), 5);
-        assert_eq!(props.get(IMAGE).and_then(Value::as_int), Some(4));
-        assert_eq!(props.get("w").and_then(Value::as_float), Some(0.3));
-        assert!(props.iter().eq(VERTEX_KEYS.into_iter().zip(v.values())));
-        let props = g.edge_props(near);
-        assert_eq!(props.get("score").and_then(Value::as_float), Some(0.75));
-        assert!(props.iter().eq(EDGE_KEYS.into_iter().zip(e.values())));
+        let images: Vec<_> = scene.vertices().map(|(_, v)| v.image()).collect();
+        assert_eq!(images, [4, 4]);
+        let e = scene.edges()[0];
+        assert_eq!((e.sub, e.obj, e.relation()), (1, 0, 2));
     }
 }

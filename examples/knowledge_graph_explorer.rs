@@ -11,7 +11,7 @@
 
 use svqa::aggregator::{AggregatorConfig, DataAggregator};
 use svqa::dataset::{build_knowledge_graph, generate_images};
-use svqa::graph::{IMAGE, SAME_AS};
+use svqa::graph::{scene_image, SAME_AS};
 use svqa::vision::prior::PairPrior;
 use svqa::vision::sgg::{SceneGraphGenerator, SggConfig};
 
@@ -106,7 +106,7 @@ fn main() {
             .filter(|(_, e)| Some(e.label_id()) == same_as)
         {
             let instance = link.dst();
-            let image = g.vertex_props(instance).get(IMAGE).and_then(|p| p.as_int());
+            let image = scene_image(g, instance);
             // Who appears near her in that image?
             for (_, rel) in g.in_edges(instance) {
                 if Some(rel.label_id()) == same_as {

@@ -9,7 +9,13 @@
 //! must be explained, not re-pinned. The two graph digests were first taken
 //! over the graph's JSON form; when that format was retired they were
 //! re-taken over the `binio` snapshot, from builds whose JSON digests still
-//! matched the old pins.
+//! matched the old pins. The three graph digests were re-taken once more
+//! when `G_mg` stopped carrying boxes and predicate scores: each new graph
+//! is the old one, vertex for vertex and edge for edge with the same labels
+//! and adjacency, with every scene vertex's properties cut to its `image`
+//! and every edge's dropped. The incremental build then equals the one-shot
+//! build byte for byte: the two had differed only in the last bit of some
+//! scores.
 
 use std::sync::OnceLock;
 use svqa::aggregator::MergeStats;
@@ -62,7 +68,7 @@ fn merged_graph_and_merge_stats_are_pinned() {
     let g = svqa.merged_graph();
     assert_eq!(
         (g.vertex_count(), g.edge_count(), graph_digest(g)),
-        (1202, 4829, 0xf3b0_2cd1_90e3_8d91),
+        (1202, 4829, 0x05a2_46a9_ad85_ab32),
         "merged graph drifted"
     );
     assert_eq!(
@@ -89,7 +95,7 @@ fn paper_size_world_is_pinned() {
     let g = svqa.merged_graph();
     assert_eq!(
         (g.vertex_count(), g.edge_count(), graph_digest(g)),
-        (15_905, 66_977, 0xc8bc_d487_d24b_f97a),
+        (15_905, 66_977, 0x47f5_0e0c_95b2_6227),
         "paper-size merged graph drifted"
     );
     assert_eq!(
@@ -121,7 +127,7 @@ fn incremental_ingestion_is_pinned() {
     let g = svqa.merged_graph();
     assert_eq!(
         (links, g.vertex_count(), g.edge_count(), graph_digest(g)),
-        (638, 1202, 4829, 0x95a2_c421_8539_caff),
+        (638, 1202, 4829, 0x05a2_46a9_ad85_ab32),
         "incrementally merged graph drifted"
     );
     // Ingestion adds its links to the seed build's accounting and leaves

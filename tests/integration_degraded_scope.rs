@@ -7,7 +7,7 @@
 use svqa::executor::executor::QueryGraphExecutor;
 use svqa::executor::CacheStats;
 use svqa::fault::Source;
-use svqa::graph::{Graph, IMAGE};
+use svqa::graph::{scene_image, Graph};
 use svqa::{Svqa, SvqaConfig};
 use svqa_dataset::{generate_images, Mvqa};
 
@@ -23,7 +23,7 @@ fn induced(merged: &Graph, keep: impl Fn(usize) -> bool) -> Graph {
 fn kg_vertex_count(merged: &Graph) -> usize {
     merged
         .vertices()
-        .take_while(|&(id, _)| merged.vertex_props(id).get(IMAGE).is_none())
+        .take_while(|&(id, _)| scene_image(merged, id).is_none())
         .count()
 }
 

@@ -161,3 +161,32 @@ fn tde_improves_end_to_end_accuracy() {
         "TDE {tde_acc} should not lose to Original {orig_acc}"
     );
 }
+
+/// Table III's per-type accuracies on the 1,000-image MVQA world, for the
+/// default seed and for seed 11: judgment, counting, reasoning, overall,
+/// and the parse failures among the 100 questions. The corpus digests in
+/// `integration_build_identity` pin the questions; this pins what the
+/// system answers over them.
+#[test]
+fn table3_accuracies_at_1000_images_are_pinned() {
+    let default_seed = svqa::dataset::MvqaConfig::default().seed;
+    for (seed, pinned) in [
+        (default_seed, (0.9, 0.3125, 0.9772727272727273, 0.84, 3)),
+        (11, (0.925, 0.4375, 0.9772727272727273, 0.87, 2)),
+    ] {
+        let mvqa = Mvqa::generate_small(1000, seed);
+        let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+        let outcome = evaluate_on_mvqa(&system, &mvqa);
+        assert_eq!(
+            (
+                outcome.judgment,
+                outcome.counting,
+                outcome.reasoning,
+                outcome.overall,
+                outcome.parse_failures,
+            ),
+            pinned,
+            "Table III drifted at 1,000 images, seed {seed}"
+        );
+    }
+}
