@@ -84,7 +84,11 @@ impl DataAggregator {
         &self.config
     }
 
-    /// Algorithm 1: merge `scene_graphs` into knowledge graph `kg`.
+    /// Algorithm 1: merge `scene_graphs` into knowledge graph `kg`. Only
+    /// labels, edges and each vertex's Int `image` carry over: a merged
+    /// scene vertex is written under [`svqa_graph::IMAGE_SHAPE`] (bare
+    /// when its input vertex has no image id), and merged edges are bare,
+    /// so boxes, scores and any other input property are dropped.
     pub fn merge(&self, scene_graphs: &[Graph], kg: &Graph) -> MergedGraph {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::AGGREGATE);
         self.merge_with(Attacher::graphs(scene_graphs), kg)

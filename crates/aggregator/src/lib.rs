@@ -7,8 +7,10 @@
 //!
 //! The merged graph contains:
 //! * every knowledge-graph vertex and edge, unchanged;
-//! * every scene-graph vertex and edge (vertex properties carry the image
-//!   id), appended per image, from per-image graphs or flat scene records;
+//! * every scene-graph vertex and edge, appended per image, from
+//!   per-image graphs or flat scene records; a scene vertex keeps only
+//!   its image id (under [`svqa_graph::IMAGE_SHAPE`]) and an edge keeps
+//!   no property, so boxes and scores are dropped;
 //! * *link edges* (labeled [`svqa_graph::SAME_AS`]) connecting each
 //!   scene vertex to the knowledge-graph vertex with the matching label,
 //!   in both directions, so query execution can hop between visual
