@@ -17,30 +17,21 @@
 //! ([`Graph::append_windows`]).
 //!
 //! The merged graph keeps what the query path reads and nothing else: a
-//! scene vertex is written under [`IMAGE_SHAPE`] with its image id, and
-//! scene edges and links bare. An input graph's boxes and scores are not
-//! copied, so a vertex of a per-image `Graph` is written as its record
-//! would be: under [`IMAGE_SHAPE`] when it carries an image id, bare when
+//! scene vertex is handed to its window with its image id, which the
+//! window writes under [`svqa_graph::IMAGE_SHAPE`], and scene edges and
+//! links go bare. The window is the one writer of a merged vertex's image
+//! id, next to its one reader, [`scene_image`]. An input graph's boxes and
+//! scores are not copied, so a vertex of a per-image `Graph` is written as
+//! its record would be: with its image id when it carries one, bare when
 //! it carries none.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use svqa_graph::{
-    scene_image, Graph, GraphWindow, LabelHistogram, LabelId, Shape, Value, VertexId, WindowSize,
-    WindowSlots, IMAGE_SHAPE, SAME_AS,
+    scene_image, Graph, GraphWindow, LabelHistogram, LabelId, VertexId, WindowSize, WindowSlots,
+    SAME_AS,
 };
 use svqa_vision::{SceneRecords, RELATION_VOCAB};
-
-/// The vertex shapes the attach writes, by slot: a vertex without an image
-/// id bare, one with an image id under [`IMAGE_SHAPE`], so its slot is
-/// whether it has one.
-const VERTEX_SHAPES: [Shape<'static>; 2] = [
-    Shape {
-        keys: &[],
-        kinds: &[],
-    },
-    IMAGE_SHAPE,
-];
 
 /// One input graph's label ids translated to attacher slots: each id's
 /// text is looked up once, when the id is first seen, and every later
@@ -275,7 +266,6 @@ impl<'p> Attacher<'p> {
         let slots = WindowSlots {
             vertex_labels: &labels,
             edge_labels: &edge_labels,
-            vertex_shapes: &VERTEX_SHAPES,
         };
         let scene_vertices = merged
             .append_windows(&slots, windows, |part, window| {
@@ -379,8 +369,7 @@ impl Plan<'_> {
         let first = window.next_vertex().index();
         counterparts.clear();
         for (slot, image) in vertices {
-            let shape = usize::from(image.is_some());
-            window.push_vertex(slot, shape, image.map(Value::Int));
+            window.push_vertex(slot, image);
             counterparts.push(self.resolved[slot]);
         }
         let local = |i: usize| VertexId::from_index(first + i);

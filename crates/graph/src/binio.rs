@@ -14,22 +14,22 @@
 //! ```
 //! Vertex/edge labels are interned in a shared label table (scene graphs
 //! repeat "dog" thousands of times). A property's tag is the [`Kind`] its
-//! element's shape records for the key (0 string, 1 int, 2 float, 3 bool),
-//! and its payload is what the column's word holds: the `i64` or `f64`
-//! bits, the bool byte, or the string itself. Adjacency is not written:
-//! the edge records hold endpoints in edge order, and the load appends them
-//! to the arena, then builds both adjacency indexes with one counting sort.
+//! element's shape records for the key, 1 for an int and 2 for a float,
+//! and its payload is the column's word: the `i64`'s or the `f64`'s 8
+//! bytes. Tags 0 (a string) and 3 (a bool) are refused as unknown: no
+//! writer of the program ever stored one. Adjacency is not written: the
+//! edge records hold endpoints in edge order, and the load appends them to
+//! the arena, then builds both adjacency indexes with one counting sort.
 //! The label index and the property columns are rebuilt too: the load reads
-//! each element's keys, kinds and values into one reused list, strings
-//! borrowed from the snapshot, and appends them to its column as the shape
-//! they state, which extends the column's run table or folds the element
-//! into its last run. It then copies each column's runs, words and strings
-//! into their final size, and the result is checked with
-//! [`Graph::validate`].
+//! each element's keys, kinds and values into one reused list and appends
+//! them to its column as the shape they state, which extends the column's
+//! run table or folds the element into its last run. It then copies each
+//! column's runs and words into their final size, and the result is checked
+//! with [`Graph::validate`].
 //!
 //! Lengths and the property count are `u16`s: [`to_bytes`] refuses a graph
-//! with a label, key or string over [`u16::MAX`] bytes, or more properties
-//! on one element, rather than write a snapshot it could not load. The load
+//! with a label or key over [`u16::MAX`] bytes, or more properties on one
+//! element, rather than write a snapshot it could not load. The load
 //! refuses a list whose keys are not strictly ascending, which `to_bytes`
 //! never writes, and header counts the rest of the snapshot is too short to
 //! hold.
@@ -53,8 +53,8 @@ fn u16_len(field: &'static str, len: usize) -> Result<u16, GraphError> {
 ///
 /// # Errors
 ///
-/// [`GraphError::FieldTooLong`] when a label, property key or string value
-/// is longer than [`u16::MAX`] bytes, or an element has more properties.
+/// [`GraphError::FieldTooLong`] when a label or property key is longer
+/// than [`u16::MAX`] bytes, or an element has more properties.
 pub fn to_bytes(graph: &Graph) -> Result<Bytes, GraphError> {
     // Intern every label into a shared table (one pass over vertices, then
     // edges), in first-seen order.
@@ -105,28 +105,13 @@ fn write_props(buf: &mut BytesMut, props: Props<'_>) -> Result<(), GraphError> {
     for (key, value) in props.iter() {
         buf.put_u16_le(u16_len("property key", key.len())?);
         buf.put_slice(key.as_bytes());
-        buf.put_u8(tag(value.kind()));
-        match value {
-            Value::Str(s) => {
-                buf.put_u16_le(u16_len("string value", s.len())?);
-                buf.put_slice(s.as_bytes());
-            }
-            Value::Int(i) => buf.put_i64_le(i),
-            Value::Float(f) => buf.put_f64_le(f),
-            Value::Bool(b) => buf.put_u8(u8::from(b)),
-        }
+        buf.put_u8(match value.kind() {
+            Kind::Int => 1,
+            Kind::Float => 2,
+        });
+        buf.put_u64_le(value.word());
     }
     Ok(())
-}
-
-/// The snapshot tag of a value kind.
-fn tag(kind: Kind) -> u8 {
-    match kind {
-        Kind::Str => 0,
-        Kind::Int => 1,
-        Kind::Float => 2,
-        Kind::Bool => 3,
-    }
 }
 
 /// The fewest bytes a label table entry takes: its length.
@@ -230,7 +215,6 @@ pub fn from_bytes(snapshot: Bytes) -> Result<Graph, GraphError> {
     for column in [&mut graph.vertex_column, &mut graph.edge_column] {
         column.runs = exact(std::mem::take(&mut column.runs));
         column.words = exact(std::mem::take(&mut column.words));
-        column.strings = exact(std::mem::take(&mut column.strings));
     }
     graph.validate()?;
     Ok(graph)
@@ -244,16 +228,15 @@ fn take<'a>(data: &mut &'a [u8], n: usize) -> &'a [u8] {
 }
 
 /// One element's property list as a snapshot states it, reused from
-/// element to element: its keys, their kinds and its values, strings
-/// borrowed from the snapshot.
+/// element to element: its keys, their kinds and its values.
 #[derive(Default)]
-struct PropList<'a> {
+struct PropList {
     keys: Vec<&'static str>,
     kinds: Vec<Kind>,
-    values: Vec<Value<'a>>,
+    values: Vec<Value>,
 }
 
-impl PropList<'_> {
+impl PropList {
     fn shape(&self) -> Shape<'_> {
         Shape {
             keys: &self.keys,
@@ -263,9 +246,9 @@ impl PropList<'_> {
 }
 
 /// Read one element's property list into `list`, replacing what it held.
-/// A list whose keys are not strictly ascending is refused: [`to_bytes`]
-/// never writes one.
-fn read_props<'a>(data: &mut &'a [u8], list: &mut PropList<'a>) -> Result<(), GraphError> {
+/// A list whose keys are not strictly ascending, or a value of a tag other
+/// than 1 or 2, is refused: [`to_bytes`] never writes one.
+fn read_props(data: &mut &[u8], list: &mut PropList) -> Result<(), GraphError> {
     let corrupt = |msg: &str| GraphError::CorruptGraph(msg.to_owned());
     list.keys.clear();
     list.kinds.clear();
@@ -296,47 +279,21 @@ fn read_props<'a>(data: &mut &'a [u8], list: &mut PropList<'a>) -> Result<(), Gr
                 )));
             }
         }
-        let value = match data.get_u8() {
-            0 => {
-                if data.remaining() < 2 {
-                    return Err(corrupt("truncated string prop"));
-                }
-                let len = data.get_u16_le() as usize;
-                if data.remaining() < len {
-                    return Err(corrupt("truncated string prop body"));
-                }
-                Value::Str(
-                    std::str::from_utf8(take(data, len))
-                        .map_err(|_| corrupt("prop value not UTF-8"))?,
-                )
-            }
-            1 => {
-                if data.remaining() < 8 {
-                    return Err(corrupt("truncated int prop"));
-                }
-                Value::Int(data.get_i64_le())
-            }
-            2 => {
-                if data.remaining() < 8 {
-                    return Err(corrupt("truncated float prop"));
-                }
-                Value::Float(data.get_f64_le())
-            }
-            3 => {
-                if data.remaining() < 1 {
-                    return Err(corrupt("truncated bool prop"));
-                }
-                Value::Bool(data.get_u8() != 0)
-            }
+        let kind = match data.get_u8() {
+            1 => Kind::Int,
+            2 => Kind::Float,
             other => {
                 return Err(GraphError::CorruptGraph(format!(
                     "unknown prop tag {other}"
                 )))
             }
         };
+        if data.remaining() < 8 {
+            return Err(corrupt("truncated prop value"));
+        }
         list.keys.push(intern(key));
-        list.kinds.push(value.kind());
-        list.values.push(value);
+        list.kinds.push(kind);
+        list.values.push(kind.read(data.get_u64_le()));
     }
     Ok(())
 }
@@ -349,15 +306,15 @@ mod tests {
         let mut g = Graph::new();
         let shape = Shape {
             keys: &["flag", "image", "note", "x"],
-            kinds: &[Kind::Bool, Kind::Int, Kind::Str, Kind::Float],
+            kinds: &[Kind::Int, Kind::Int, Kind::Float, Kind::Float],
         };
         let d = g.add_vertex_with_props(
             "dog",
             shape,
             [
-                Value::Bool(true),
+                Value::Int(1),
                 Value::Int(3),
-                Value::Str("hello"),
+                Value::Float(-2.5),
                 Value::Float(0.25),
             ],
         );
@@ -547,6 +504,39 @@ mod tests {
     }
 
     #[test]
+    fn removed_value_tags_are_refused() {
+        // One vertex whose one property is a string (tag 0: a length and
+        // its bytes) or a bool (tag 3: one byte), each payload complete.
+        let load = |tag: u8, payload: &[u8]| {
+            let mut data = header(1, 0, &["a"]);
+            data.put_u32_le(0);
+            data.put_u16_le(1);
+            data.put_u16_le(4);
+            data.put_slice(b"note");
+            data.put_u8(tag);
+            data.put_slice(payload);
+            from_bytes(data.freeze())
+        };
+        for (tag, payload) in [(0, &b"\x04\x00lake"[..]), (3, &b"\x01"[..])] {
+            assert_eq!(
+                load(tag, payload).unwrap_err(),
+                GraphError::CorruptGraph(format!("unknown prop tag {tag}"))
+            );
+        }
+        // The two tags a snapshot holds still load.
+        let g = load(1, &7i64.to_le_bytes()).unwrap();
+        assert_eq!(
+            g.vertex_props(VertexId::from_index(0)).get("note"),
+            Some(Value::Int(7))
+        );
+        let g = load(2, &0.5f64.to_le_bytes()).unwrap();
+        assert_eq!(
+            g.vertex_props(VertexId::from_index(0)).get("note"),
+            Some(Value::Float(0.5))
+        );
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let err = from_bytes(Bytes::from_static(b"NOPE\x01\x00")).unwrap_err();
         assert!(matches!(err, GraphError::CorruptGraph(_)));
@@ -586,15 +576,6 @@ mod tests {
             }
         );
 
-        let note = Shape {
-            keys: &["note"],
-            kinds: &[Kind::Str],
-        };
-        let mut g = Graph::new();
-        g.add_vertex_with_props("dog", note, [Value::Str(&long[..65_537])]);
-        let err = to_bytes(&g).unwrap_err();
-        assert!(err.to_string().contains("string value"), "{err}");
-
         let mut g = Graph::new();
         let a = g.add_vertex("dog");
         let shape = Shape {
@@ -613,10 +594,16 @@ mod tests {
 
         // The limits themselves still round-trip.
         let at_limit = &long[..usize::from(u16::MAX)];
+        let key = Shape {
+            keys: &[at_limit.to_owned().leak()],
+            kinds: &[Kind::Int],
+        };
         let mut g = Graph::new();
-        g.add_vertex_with_props(at_limit, note, [Value::Str(at_limit)]);
+        g.add_vertex_with_props(at_limit, key, [Value::Int(1)]);
         let back = from_bytes(to_bytes(&g).unwrap()).unwrap();
-        assert_eq!(back.vertex_label(VertexId::from_index(0)), Some(at_limit));
+        let v = VertexId::from_index(0);
+        assert_eq!(back.vertex_label(v), Some(at_limit));
+        assert_eq!(back.vertex_props(v).get(at_limit), Some(Value::Int(1)));
     }
 
     #[test]

@@ -17,8 +17,7 @@ pub enum GraphError {
     /// A field of a graph is too long for the binary snapshot format,
     /// whose lengths and property counts are `u16`s.
     FieldTooLong {
-        /// The field: `"label"`, `"property key"`, `"string value"` or
-        /// `"property count"`.
+        /// The field: `"label"`, `"property key"` or `"property count"`.
         field: &'static str,
         /// Its length in bytes (in entries for the property count).
         len: usize,

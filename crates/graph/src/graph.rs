@@ -95,13 +95,12 @@ impl Graph {
     /// # Panics
     ///
     /// When `shape`'s keys are not strictly ascending or its kinds are not
-    /// one per key, or `values` does not give one value of each kind: the
-    /// checks [`crate::GraphWindow::push_vertex`] makes.
-    pub fn add_vertex_with_props<'v>(
+    /// one per key, or `values` does not give one value of each kind.
+    pub fn add_vertex_with_props(
         &mut self,
         label: impl AsRef<str>,
         shape: Shape<'_>,
-        values: impl IntoIterator<Item = Value<'v>>,
+        values: impl IntoIterator<Item = Value>,
     ) -> VertexId {
         let label = self.label_index.intern(label.as_ref());
         self.vertex_column
@@ -145,13 +144,13 @@ impl Graph {
     ///
     /// As [`Graph::add_vertex_with_props`] does, for an edge whose
     /// endpoints exist.
-    pub fn add_edge_with_props<'v>(
+    pub fn add_edge_with_props(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: impl AsRef<str>,
         shape: Shape<'_>,
-        values: impl IntoIterator<Item = Value<'v>>,
+        values: impl IntoIterator<Item = Value>,
     ) -> Result<EdgeId, GraphError> {
         let id = self.append_edge(src, dst, label.as_ref(), shape, values)?;
         self.outgoing.insert(src, id);
@@ -162,13 +161,13 @@ impl Graph {
     /// Append a directed edge `src → dst` to the edge arena without
     /// indexing it, for a bulk path that rebuilds the adjacency indexes
     /// when it finishes ([`Graph::index_adjacency`]).
-    pub(crate) fn append_edge<'v>(
+    pub(crate) fn append_edge(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: &str,
         shape: Shape<'_>,
-        values: impl IntoIterator<Item = Value<'v>>,
+        values: impl IntoIterator<Item = Value>,
     ) -> Result<EdgeId, GraphError> {
         if src.index() >= self.vertices.len() {
             return Err(GraphError::UnknownVertex(src));
@@ -407,9 +406,8 @@ impl Graph {
     /// adjacency index and each property column: every edge endpoint
     /// resolves; each index holds, for every vertex, exactly the ascending
     /// ids of the edges leaving (entering) it; and each column's run table
-    /// is minimal and covers exactly its elements and its words, with every
-    /// string word inside the string table. Used after deserialization and
-    /// available to tests.
+    /// is minimal and covers exactly its elements and its words. Used after
+    /// deserialization and available to tests.
     pub fn validate(&self) -> Result<(), GraphError> {
         let corrupt = |msg: String| Err(GraphError::CorruptGraph(msg));
         let vertices = self.vertices.len();
@@ -453,9 +451,8 @@ impl Graph {
     /// translation table (`None` for dropped vertices); edges with a
     /// dropped endpoint are dropped. Each of `other`'s labels and property
     /// shapes is looked up in this graph's tables once, each column's
-    /// words, strings and run table grow once, by exactly what the kept
-    /// elements carry, and both adjacency indexes are rebuilt once at the
-    /// end. `other`'s run tables are walked, not searched per element.
+    /// words and run table grow once, by exactly what the kept elements
+    /// carry, and both adjacency indexes are rebuilt once at the end. `other`'s run tables are walked, not searched per element.
     pub fn absorb_where(
         &mut self,
         other: &Graph,
@@ -703,7 +700,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<crate::props::Word>(), 8);
     }
 
-    /// Two vertex shapes holding every value type, a vertex without
+    /// Two vertex shapes holding both value kinds, a vertex without
     /// properties between them, and `score` edges around a bare one.
     fn shaped() -> Graph {
         use crate::props::Kind;
@@ -713,7 +710,7 @@ mod tests {
         };
         let wool = Shape {
             keys: &["kind", "seen"],
-            kinds: &[Kind::Str, Kind::Bool],
+            kinds: &[Kind::Int, Kind::Float],
         };
         let score = Shape {
             keys: &["score"],
@@ -726,7 +723,7 @@ mod tests {
             [Value::Int(3), Value::Float(0.25), Value::Float(0.5)],
         );
         let man = g.add_vertex("man");
-        let hat = g.add_vertex_with_props("hat", wool, [Value::Str("wool"), Value::Bool(true)]);
+        let hat = g.add_vertex_with_props("hat", wool, [Value::Int(-2), Value::Float(1.0)]);
         let dog2 = g.add_vertex_with_props(
             "dog",
             bbox,
@@ -756,13 +753,13 @@ mod tests {
         assert_eq!(
             snapshot_hex(&g),
             concat!(
-                "5356514701000400000003000000050000000300646f6703006d616e030068617404006e656172",
-                "070077656172696e670000000003000500696d61676501030000000000000001007802000000",
-                "000000d03f01007902000000000000e03f01000000000002000000020004006b696e64000400",
-                "776f6f6c04007365656e03010000000003000500696d61676501040000000000000001007802",
-                "000000000000c03f01007902000000000000e83f000000000100000003000000010005007363",
-                "6f726502000000000000e83f0100000002000000040000000000030000000100000003000000",
-                "0100050073636f726502000000000000e03f"
+                "5356514701000400000003000000050000000300646f6703006d616e030068617404006e6561",
+                "72070077656172696e670000000003000500696d616765010300000000000000010078020000",
+                "00000000d03f01007902000000000000e03f01000000000002000000020004006b696e6401fe",
+                "ffffffffffffff04007365656e02000000000000f03f0000000003000500696d616765010400",
+                "00000000000001007802000000000000c03f01007902000000000000e83f0000000001000000",
+                "030000000100050073636f726502000000000000e83f01000000020000000400000000000300",
+                "000001000000030000000100050073636f726502000000000000e03f"
             )
         );
 
@@ -912,17 +909,6 @@ mod tests {
         let mut g = shaped();
         g.edge_column.words.pop();
         assert!(corruption(&g).contains("edge column: runs end at word 2, not at 1"));
-    }
-
-    #[test]
-    fn string_words_must_index_the_string_table() {
-        // The hat's `kind` ("wool", the table's one entry) is the vertex
-        // column's word 3.
-        let mut g = shaped();
-        assert_eq!(g.vertex_column.words[3], 0);
-        g.vertex_column.words[3] = 1;
-        assert!(corruption(&g)
-            .contains("vertex column: element 2 has a string word past the string table"));
     }
 
     #[test]

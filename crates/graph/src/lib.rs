@@ -17,9 +17,11 @@
 //!   endpoints), nothing more. Properties sit in two per-graph columns
 //!   that store every [`Shape`] (keys and their kinds) once, every value
 //!   as one 8-byte word in one exactly sized arena, and one run per
-//!   stretch of consecutive elements sharing a shape. A graph takes
-//!   properties only as a shape and one [`Value`] per key, and hands them
-//!   back as `Value`s ([`props`]);
+//!   stretch of consecutive elements sharing a shape. A value is an
+//!   integer or a float. A graph takes properties as a shape and one
+//!   [`Value`] per key, or in a window as a vertex's image id alone
+//!   ([`GraphWindow::push_vertex`]), and hands them back as `Value`s
+//!   ([`props`]);
 //! * adjacency is derived from the edge arena as one compressed index per
 //!   direction: `V + 1` `u32` offsets and `E` edge ids, each vertex's run
 //!   ascending, giving `O(deg)` neighbourhood scans over one contiguous

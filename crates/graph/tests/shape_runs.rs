@@ -1,20 +1,24 @@
 //! A model-based test of the property columns' run tables.
 //!
 //! Random sequences of elements over five shapes (none, `[score]` as a
-//! float, the five-key scene vertex shape, a string shape, and `[score]`
-//! as an integer: one key list under two kinds) go through every writer of
-//! a column: `add_*_with_props`, `absorb_where` with a random filter,
+//! float, the five-key scene vertex shape, `[score]` as an integer: one key
+//! list under two kinds, and `IMAGE_SHAPE`) go through every writer of a
+//! column: `add_*_with_props`, `absorb_where` with a random filter,
 //! `append_windows` with one to four windows (empty ones included), and a
-//! `binio` round trip. A window appends its edges bare, so the parts'
-//! edges carry nothing; the prefix's edges take every shape, so the bare
-//! run of the appended edges follows runs of each. Every element's
+//! `binio` round trip. A prefix of elements of every shape comes first,
+//! written one at a time. The parts after it are what a window can write:
+//! vertices bare or under `IMAGE_SHAPE`, and bare edges. So the windows'
+//! runs follow runs of each shape, and the same parts added one element at
+//! a time must give the same graph, byte for byte. Every element's
 //! properties must equal a naive per-element list of `(key, value)` pairs,
 //! and every run table must be minimal: one run per maximal stretch of
 //! elements sharing a shape.
 
 use proptest::prelude::*;
 use std::ops::Range;
-use svqa_graph::{binio, Graph, Kind, Shape, Value, VertexId, WindowSize, WindowSlots};
+use svqa_graph::{
+    binio, Graph, Kind, Shape, Value, VertexId, WindowSize, WindowSlots, IMAGE_SHAPE,
+};
 
 /// The shapes elements are drawn from, by index.
 const SHAPES: [Shape<'static>; 5] = [
@@ -37,42 +41,27 @@ const SHAPES: [Shape<'static>; 5] = [
         ],
     },
     Shape {
-        keys: &["note"],
-        kinds: &[Kind::Str],
-    },
-    Shape {
         keys: &["score"],
         kinds: &[Kind::Int],
     },
+    IMAGE_SHAPE,
 ];
+
+/// The index of [`IMAGE_SHAPE`] in [`SHAPES`].
+const IMAGE: usize = 4;
+
+/// The shapes a window writes a vertex under: bare, or [`IMAGE_SHAPE`].
+const WINDOW_SHAPES: [usize; 2] = [0, IMAGE];
 
 const VERTEX_LABELS: [&str; 3] = ["dog", "man", "hat"];
 const EDGE_LABELS: [&str; 2] = ["near", "wearing"];
-
-/// A value as the model owns it.
-#[derive(Debug, Clone, PartialEq)]
-enum Owned {
-    Str(String),
-    Int(i64),
-    Float(f64),
-}
-
-impl Owned {
-    fn as_value(&self) -> Value<'_> {
-        match self {
-            Owned::Str(s) => Value::Str(s),
-            Owned::Int(i) => Value::Int(*i),
-            Owned::Float(f) => Value::Float(*f),
-        }
-    }
-}
 
 /// One element as the model holds it: its shape's index and its
 /// properties, key by key.
 #[derive(Debug, Clone, PartialEq)]
 struct Element {
     shape: usize,
-    props: Vec<(&'static str, Owned)>,
+    props: Vec<(&'static str, Value)>,
 }
 
 impl Element {
@@ -86,10 +75,8 @@ impl Element {
             .map(|(i, (&key, kind))| {
                 let n = i64::from(seed) + i as i64;
                 let value = match kind {
-                    Kind::Str => Owned::Str(format!("s{n}")),
-                    Kind::Int => Owned::Int(n),
-                    Kind::Float => Owned::Float(n as f64 / 4.0),
-                    Kind::Bool => unreachable!("no shape holds a bool"),
+                    Kind::Int => Value::Int(n),
+                    Kind::Float => Value::Float(n as f64 / 4.0),
                 };
                 (key, value)
             })
@@ -97,8 +84,18 @@ impl Element {
         Element { shape, props }
     }
 
-    fn values(&self) -> impl Iterator<Item = Value<'_>> {
-        self.props.iter().map(|(_, value)| value.as_value())
+    fn values(&self) -> impl Iterator<Item = Value> + '_ {
+        self.props.iter().map(|&(_, value)| value)
+    }
+
+    /// The image id a window writes this element with: `None` for a bare
+    /// one.
+    fn image(&self) -> Option<i64> {
+        match self.shape {
+            0 => None,
+            IMAGE => self.props[0].1.as_int(),
+            shape => unreachable!("a window writes no shape {shape}"),
+        }
     }
 }
 
@@ -196,11 +193,7 @@ fn check(g: &Graph, model: &Model, what: &str) {
     g.validate().unwrap();
     assert_eq!(g.vertex_count(), model.vertices.len(), "{what}");
     assert_eq!(g.edge_count(), model.edges.len(), "{what}");
-    let same = |props: svqa_graph::Props<'_>, e: &Element| {
-        props
-            .iter()
-            .eq(e.props.iter().map(|(key, value)| (*key, value.as_value())))
-    };
+    let same = |props: svqa_graph::Props<'_>, e: &Element| props.iter().eq(e.props.iter().copied());
     for (i, e) in model.vertices.iter().enumerate() {
         let props = g.vertex_props(VertexId::from_index(i));
         assert!(
@@ -223,30 +216,34 @@ fn check(g: &Graph, model: &Model, what: &str) {
             })
             .collect::<Vec<_>>()
     };
-    let vertex_shapes: Vec<usize> = model.vertices.iter().map(|e| e.shape).collect();
-    let edge_shapes: Vec<usize> = model.edges.iter().map(|(_, _, e)| e.shape).collect();
+    let vertex_shape_ids: Vec<usize> = model.vertices.iter().map(|e| e.shape).collect();
+    let edge_shape_ids: Vec<usize> = model.edges.iter().map(|(_, _, e)| e.shape).collect();
     assert_eq!(
         runs(g.vertex_shape_runs().collect()),
-        stretches(&vertex_shapes),
+        stretches(&vertex_shape_ids),
         "{what}: vertex runs"
     );
     assert_eq!(
         runs(g.edge_shape_runs().collect()),
-        stretches(&edge_shapes),
+        stretches(&edge_shape_ids),
         "{what}: edge runs"
     );
 }
 
-/// Strategy: an element whose shape is drawn from [`SHAPES`], often
-/// repeating the last one so that stretches form: `shape` 5 and over means
-/// "the same as before".
-fn arb_elements(len: Range<usize>) -> impl Strategy<Value = Vec<(usize, Element)>> {
-    proptest::collection::vec((0usize..3, 0usize..9, any::<u16>()), len).prop_map(|draws| {
-        let mut last = 0;
+/// Strategy: elements whose shapes are drawn from `shapes` (indexes into
+/// [`SHAPES`]), often repeating the last one so that stretches form: a
+/// draw past the end of `shapes` means "the same as before".
+fn arb_elements(
+    len: Range<usize>,
+    shapes: &'static [usize],
+) -> impl Strategy<Value = Vec<(usize, Element)>> {
+    let draws = 0..2 * shapes.len();
+    proptest::collection::vec((0usize..3, draws, any::<u16>()), len).prop_map(move |draws| {
+        let mut last = shapes[0];
         draws
             .into_iter()
             .map(|(label, shape, seed)| {
-                if shape < SHAPES.len() {
+                if let Some(&shape) = shapes.get(shape) {
                     last = shape;
                 }
                 (label, Element::new(last, seed))
@@ -255,16 +252,18 @@ fn arb_elements(len: Range<usize>) -> impl Strategy<Value = Vec<(usize, Element)
     })
 }
 
-/// Strategy: a part; with `bare_edges`, every edge of the empty shape.
+/// Strategy: a part whose vertices take `vertex_shape_ids` and whose edges
+/// take `edge_shape_ids`.
 fn arb_part(
     vertices: Range<usize>,
     edges: Range<usize>,
-    bare_edges: bool,
+    vertex_shape_ids: &'static [usize],
+    edge_shape_ids: &'static [usize],
 ) -> impl Strategy<Value = Part> {
     let edge = (any::<u16>(), any::<u16>(), 0usize..2);
     (
-        arb_elements(vertices),
-        arb_elements(edges.clone()),
+        arb_elements(vertices, vertex_shape_ids),
+        arb_elements(edges.clone(), edge_shape_ids),
         proptest::collection::vec(edge, edges.end),
     )
         .prop_map(move |(vertices, elements, ends)| Part {
@@ -272,21 +271,21 @@ fn arb_part(
             edges: elements
                 .into_iter()
                 .zip(ends)
-                .map(|((_, e), (a, b, label))| {
-                    let e = if bare_edges { Element::new(0, 0) } else { e };
-                    (usize::from(a), usize::from(b), label, e)
-                })
+                .map(|((_, e), (a, b, label))| (usize::from(a), usize::from(b), label, e))
                 .collect(),
         })
 }
+
+/// Every index of [`SHAPES`].
+const ALL_SHAPES: [usize; 5] = [0, 1, 2, 3, 4];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn every_writer_keeps_minimal_run_tables(
-        prefix in arb_part(0..6, 0..6, false),
-        parts in proptest::collection::vec(arb_part(0..8, 0..12, true), 1..5),
+        prefix in arb_part(0..6, 0..6, &ALL_SHAPES, &ALL_SHAPES),
+        parts in proptest::collection::vec(arb_part(0..8, 0..12, &WINDOW_SHAPES, &[0]), 1..5),
         keep in proptest::collection::vec(any::<bool>(), 50),
     ) {
         // One element at a time: the prefix, then every part.
@@ -305,14 +304,13 @@ proptest! {
         let slots = WindowSlots {
             vertex_labels: &VERTEX_LABELS,
             edge_labels: &EDGE_LABELS,
-            vertex_shapes: &SHAPES,
         };
         let mut windows = base.clone();
         let sized: Vec<_> = parts.iter().map(|part| (part.size(before), part)).collect();
         windows.append_windows(&slots, sized, |part, w| {
             let first = w.next_vertex().index();
             for (label, e) in &part.vertices {
-                w.push_vertex(*label, e.shape, e.values());
+                w.push_vertex(*label, e.image());
             }
             for (src, dst, label, _) in part.resolved(before, first) {
                 w.push_edge(src, dst, label).unwrap();
