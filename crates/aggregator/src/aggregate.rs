@@ -84,11 +84,9 @@ impl DataAggregator {
         &self.config
     }
 
-    /// Algorithm 1: merge `scene_graphs` into knowledge graph `kg`. Only
-    /// labels, edges and each vertex's Int `image` carry over: a merged
-    /// scene vertex is written under [`svqa_graph::IMAGE_SHAPE`] (bare
-    /// when its input vertex has no image id), and merged edges are bare,
-    /// so boxes, scores and any other input property are dropped.
+    /// Algorithm 1: merge `scene_graphs` into knowledge graph `kg`. Each
+    /// merged vertex keeps its label and image id (none when its input
+    /// vertex has none), and each merged edge its endpoints and label.
     pub fn merge(&self, scene_graphs: &[Graph], kg: &Graph) -> MergedGraph {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::AGGREGATE);
         self.merge_with(Attacher::graphs(scene_graphs), kg)

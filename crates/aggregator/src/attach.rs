@@ -11,19 +11,16 @@
 //! arrive with their labels already numbered and counted per chunk, so
 //! for them it reads one entry per distinct label per chunk. Each distinct
 //! label is then resolved once to its counterpart, which fixes how many
-//! link edges every part adds, so the merged graph's arenas and vertex
-//! value column grow once by the exact totals. Finally each part fills its
-//! own window of the merged graph on its own thread
-//! ([`Graph::append_windows`]).
+//! link edges every part adds, so the merged graph's arenas grow once by
+//! the exact totals. Finally each part fills its own window of the merged
+//! graph on its own thread ([`Graph::append_windows`]).
 //!
 //! The merged graph keeps what the query path reads and nothing else: a
 //! scene vertex is handed to its window with its image id, which the
-//! window writes under [`svqa_graph::IMAGE_SHAPE`], and scene edges and
-//! links go bare. The window is the one writer of a merged vertex's image
-//! id, next to its one reader, [`scene_image`]. An input graph's boxes and
-//! scores are not copied, so a vertex of a per-image `Graph` is written as
-//! its record would be: with its image id when it carries one, bare when
-//! it carries none.
+//! window writes into the vertex, and scene edges and links go bare. A
+//! vertex of a per-image `Graph` is written as its record would be: with
+//! its image id when it carries one ([`scene_image`]), bare when it
+//! carries none.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -78,7 +75,7 @@ pub struct Attacher<'p> {
     /// slots `0..RELATION_VOCAB.len()`, so a record edge's slot is its
     /// relation index.
     edge_slots: HashMap<Box<str>, usize>,
-    /// Per part: scene vertices, scene edges and image ids.
+    /// Per part: scene vertices and scene edges.
     sizes: Vec<WindowSize>,
 }
 
@@ -104,12 +101,11 @@ impl<'p> Attacher<'p> {
         for g in scene_graphs {
             labels.0.clear();
             edge_labels.0.clear();
-            for (v, vertex) in g.vertices() {
+            for (_, vertex) in g.vertices() {
                 let id = vertex.label_id();
                 let slot = labels.get(id, || attacher.slot(g.vertex_label_text(id)));
                 // One part: the slot's count is its only one.
                 attacher.counts[slot] += 1;
-                size.vertex_values += usize::from(scene_image(g, v).is_some());
             }
             for (_, e) in g.edges() {
                 let id = e.label_id();
@@ -149,11 +145,7 @@ impl<'p> Attacher<'p> {
                     (records, slots)
                 })
                 .collect();
-            attacher.sizes.push(WindowSize {
-                vertices,
-                edges,
-                vertex_values: vertices,
-            });
+            attacher.sizes.push(WindowSize { vertices, edges });
             attacher.parts.push(Part::Records(chunks));
         }
         attacher
@@ -338,9 +330,9 @@ impl Plan<'_> {
                             self.attach_image(
                                 window,
                                 &mut counterparts,
-                                scene.vertices().map(|(_, v)| {
-                                    (slots[v.label_slot()], Some(i64::from(v.image())))
-                                }),
+                                scene
+                                    .vertices()
+                                    .map(|(_, v)| (slots[v.label_slot()], Some(v.image()))),
                                 scene
                                     .edges()
                                     .iter()
@@ -363,7 +355,7 @@ impl Plan<'_> {
         &self,
         window: &mut GraphWindow<'_>,
         counterparts: &mut Vec<Option<VertexId>>,
-        vertices: impl Iterator<Item = (usize, Option<i64>)>,
+        vertices: impl Iterator<Item = (usize, Option<u32>)>,
         edges: impl Iterator<Item = (usize, usize, usize)>,
     ) -> Range<usize> {
         let first = window.next_vertex().index();

@@ -523,8 +523,8 @@ impl<'g> QueryGraphExecutor<'g> {
         gq.vertices[u].answer_role.unwrap_or(AnswerRole::Subject)
     }
 
-    /// Count distinct scene-instance vertices (those carrying an `image`
-    /// property) — counting questions accumulate visual evidence, not
+    /// Count distinct scene-instance vertices (those carrying an image
+    /// id) — counting questions accumulate visual evidence, not
     /// knowledge-graph concepts.
     fn count_scene_instances(&self, vertices: &[VertexId]) -> usize {
         let instances = vertices
@@ -610,7 +610,7 @@ fn dedup(mut v: Vec<VertexId>) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svqa_graph::{GraphBuilder, Value, IMAGE_SHAPE};
+    use svqa_graph::GraphBuilder;
     use svqa_qparser::QueryGraphGenerator;
 
     /// Build a miniature merged graph realizing the paper's Example 1:
@@ -632,10 +632,10 @@ mod tests {
             .triple("bird", "is a", "animal");
         let mut g = b.build();
 
-        // Scene instances: helper that adds an instance with image prop and
+        // Scene instances: helper that adds an instance with its image id and
         // a same-as link to the KG entity.
-        let add_instance = |g: &mut Graph, label: &str, image: i64| {
-            let v = g.add_vertex_with_props(label, IMAGE_SHAPE, [Value::Int(image)]);
+        let add_instance = |g: &mut Graph, label: &str, image: u32| {
+            let v = g.add_scene_vertex(label, image);
             if let Some(&kg) = g.vertices_with_label(label).first() {
                 if kg != v {
                     g.add_edge(v, kg, "same as").unwrap();

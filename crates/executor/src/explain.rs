@@ -17,7 +17,7 @@ use svqa_graph::{scene_image, Graph};
 pub struct SupportFact {
     /// Image id when the fact is visual evidence; `None` for
     /// knowledge-graph facts.
-    pub image: Option<i64>,
+    pub image: Option<u32>,
     /// Subject label.
     pub subject: String,
     /// Matched edge label.
@@ -94,14 +94,13 @@ mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use crate::executor::QueryGraphExecutor;
-    use svqa_graph::{Value, IMAGE_SHAPE};
     use svqa_qparser::QueryGraphGenerator;
 
     fn world() -> Graph {
         let mut g = Graph::new();
         let kg_dog = g.add_vertex("dog");
-        let scene_dog = g.add_vertex_with_props("dog", IMAGE_SHAPE, [Value::Int(7)]);
-        let car = g.add_vertex_with_props("car", IMAGE_SHAPE, [Value::Int(7)]);
+        let scene_dog = g.add_scene_vertex("dog", 7);
+        let car = g.add_scene_vertex("car", 7);
         g.add_edge(scene_dog, car, "in").unwrap();
         g.add_edge(scene_dog, kg_dog, "same as").unwrap();
         g.add_edge(kg_dog, scene_dog, "same as").unwrap();

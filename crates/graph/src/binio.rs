@@ -9,34 +9,32 @@
 //! magic "SVQG" | u16 version | u32 vertex count | u32 edge count
 //! label table:  u32 count, then (u16 len, bytes) per label
 //! vertices:     u32 label-id, u16 prop count, props
-//! edges:        u32 src, u32 dst, u32 label-id, u16 prop count, props
+//! edges:        u32 src, u32 dst, u32 label-id, u16 prop count (0)
 //! prop:         u16 key-len, key bytes, u8 tag, payload
 //! ```
 //! Vertex/edge labels are interned in a shared label table (scene graphs
-//! repeat "dog" thousands of times). A property's tag is the [`Kind`] its
-//! element's shape records for the key, 1 for an int and 2 for a float,
-//! and its payload is the column's word: the `i64`'s or the `f64`'s 8
-//! bytes. Tags 0 (a string) and 3 (a bool) are refused as unknown: no
-//! writer of the program ever stored one. Adjacency is not written: the
+//! repeat "dog" thousands of times). The property lists are what a vertex
+//! holds besides its label: a scene vertex's list is one property, the key
+//! `image`, tag 1 (an integer) and the image id as an `i64`'s 8 bytes; a
+//! knowledge-graph vertex's list and every edge's are empty. The load
+//! accepts exactly that and refuses anything else as a corrupt graph that
+//! names the cause: another key, more than one property, a tag other than
+//! 1, an id a vertex cannot hold, or an edge property. A snapshot that
+//! still holds the boxes and scores earlier builds wrote is refused that
+//! way too, and `svqa-cli build` rewrites it. Adjacency is not written: the
 //! edge records hold endpoints in edge order, and the load appends them to
 //! the arena, then builds both adjacency indexes with one counting sort.
-//! The label index and the property columns are rebuilt too: the load reads
-//! each element's keys, kinds and values into one reused list and appends
-//! them to its column as the shape they state, which extends the column's
-//! run table or folds the element into its last run. It then copies each
-//! column's runs and words into their final size, and the result is checked
-//! with [`Graph::validate`].
+//! The label index is rebuilt too, and the result is checked with
+//! [`Graph::validate`].
 //!
-//! Lengths and the property count are `u16`s: [`to_bytes`] refuses a graph
-//! with a label or key over [`u16::MAX`] bytes, or more properties on one
-//! element, rather than write a snapshot it could not load. The load
-//! refuses a list whose keys are not strictly ascending, which `to_bytes`
-//! never writes, and header counts the rest of the snapshot is too short to
+//! Label lengths are `u16`s: [`to_bytes`] refuses a graph with a label over
+//! [`u16::MAX`] bytes rather than write a snapshot it could not load. The
+//! load refuses header counts the rest of the snapshot is too short to
 //! hold.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
-use crate::props::{exact, intern, Kind, Props, Shape, Value};
+use crate::vertex::{Vertex, MAX_IMAGE};
 use crate::VertexId;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -49,12 +47,21 @@ fn u16_len(field: &'static str, len: usize) -> Result<u16, GraphError> {
     u16::try_from(len).map_err(|_| GraphError::FieldTooLong { field, len })
 }
 
+/// The key of a scene vertex's one property, its image id.
+const IMAGE: &[u8] = b"image";
+/// The tag of an integer value.
+const INT: u8 = 1;
+
+/// What a refused property list adds to its cause.
+const REBUILD: &str = "vertices hold only their image id and edges nothing; \
+                       rebuild the world with `svqa-cli build`";
+
 /// Serialize a graph into the binary snapshot format.
 ///
 /// # Errors
 ///
-/// [`GraphError::FieldTooLong`] when a label or property key is longer
-/// than [`u16::MAX`] bytes, or an element has more properties.
+/// [`GraphError::FieldTooLong`] when a label is longer than [`u16::MAX`]
+/// bytes.
 pub fn to_bytes(graph: &Graph) -> Result<Bytes, GraphError> {
     // Intern every label into a shared table (one pass over vertices, then
     // edges), in first-seen order.
@@ -87,31 +94,26 @@ pub fn to_bytes(graph: &Graph) -> Result<Bytes, GraphError> {
         buf.put_u16_le(u16_len("label", label.len())?);
         buf.put_slice(label.as_bytes());
     }
-    for ((id, _), &lid) in graph.vertices().zip(vertex_label_ids) {
+    for ((_, v), &lid) in graph.vertices().zip(vertex_label_ids) {
         buf.put_u32_le(lid);
-        write_props(&mut buf, graph.vertex_props(id))?;
+        match v.image() {
+            Some(image) => {
+                buf.put_u16_le(1);
+                buf.put_u16_le(IMAGE.len() as u16);
+                buf.put_slice(IMAGE);
+                buf.put_u8(INT);
+                buf.put_i64_le(i64::from(image));
+            }
+            None => buf.put_u16_le(0),
+        }
     }
-    for ((id, e), &lid) in graph.edges().zip(edge_label_ids) {
+    for ((_, e), &lid) in graph.edges().zip(edge_label_ids) {
         buf.put_u32_le(e.src().index() as u32);
         buf.put_u32_le(e.dst().index() as u32);
         buf.put_u32_le(lid);
-        write_props(&mut buf, graph.edge_props(id))?;
+        buf.put_u16_le(0);
     }
     Ok(buf.freeze())
-}
-
-fn write_props(buf: &mut BytesMut, props: Props<'_>) -> Result<(), GraphError> {
-    buf.put_u16_le(u16_len("property count", props.len())?);
-    for (key, value) in props.iter() {
-        buf.put_u16_le(u16_len("property key", key.len())?);
-        buf.put_slice(key.as_bytes());
-        buf.put_u8(match value.kind() {
-            Kind::Int => 1,
-            Kind::Float => 2,
-        });
-        buf.put_u64_le(value.word());
-    }
-    Ok(())
 }
 
 /// The fewest bytes a label table entry takes: its length.
@@ -122,11 +124,11 @@ const MIN_VERTEX: u64 = 4 + 2;
 /// property count.
 const MIN_EDGE: u64 = 4 + 4 + 4 + 2;
 
-/// Deserialize a binary snapshot, rebuild the indexes and exactly sized
-/// property columns, and validate. Linear in the snapshot's size: edges
-/// are indexed all at once, not inserted one by one. Nothing is sized by a
-/// count the remaining bytes could not hold, so a corrupt header is an
-/// error, not an allocation failure.
+/// Deserialize a binary snapshot, rebuild the indexes, and validate.
+/// Linear in the snapshot's size: edges are indexed all at once, not
+/// inserted one by one. Nothing is sized by a count the remaining bytes
+/// could not hold, so a corrupt header is an error, not an allocation
+/// failure.
 pub fn from_bytes(snapshot: Bytes) -> Result<Graph, GraphError> {
     let corrupt = |msg: &str| GraphError::CorruptGraph(msg.to_owned());
     let need = |data: &[u8], n: u64, what: &str| -> Result<(), GraphError> {
@@ -178,44 +180,40 @@ pub fn from_bytes(snapshot: Bytes) -> Result<Graph, GraphError> {
         "the vertices and edges",
     )?;
     let mut graph = Graph::with_capacity(vertex_count as usize, edge_count as usize);
-    let mut list = PropList::default();
-    for _ in 0..vertex_count {
+    for v in 0..vertex_count {
         need(data, 4, "vertex label id")?;
         let lid = data.get_u32_le();
-        read_props(&mut data, &mut list)?;
+        let image = read_image(&mut data).map_err(|cause| {
+            GraphError::CorruptGraph(format!(
+                "vertex {}: {cause}",
+                VertexId::from_index(v as usize)
+            ))
+        })?;
         let label = graph.label_index.intern(label(lid)?);
-        graph.vertex_column.append(
-            graph.vertices.len(),
-            list.shape(),
-            list.values.iter().copied(),
-        );
-        graph.push_vertex(label);
+        graph.push_vertex(Vertex::new(label, image));
     }
-    for _ in 0..edge_count {
-        need(data, 12, "edge header")?;
+    for e in 0..edge_count {
+        need(data, 12 + 2, "edge header")?;
         let src = data.get_u32_le() as usize;
         let dst = data.get_u32_le() as usize;
         let lid = data.get_u32_le();
-        read_props(&mut data, &mut list)?;
+        let count = data.get_u16_le();
+        if count != 0 {
+            return Err(GraphError::CorruptGraph(format!(
+                "edge e{e}: {count} properties; {REBUILD}"
+            )));
+        }
         graph
             .append_edge(
                 VertexId::from_index(src),
                 VertexId::from_index(dst),
                 label(lid)?,
-                list.shape(),
-                list.values.iter().copied(),
             )
             .map_err(|e| GraphError::CorruptGraph(format!("dangling edge: {e}")))?;
     }
     // The snapshot stores no adjacency: both indexes are built from the
-    // edge arena in one pass. It does not store value or run totals either:
-    // the columns grew while loading, and are copied into their final size
-    // now.
+    // edge arena in one pass.
     graph.index_adjacency();
-    for column in [&mut graph.vertex_column, &mut graph.edge_column] {
-        column.runs = exact(std::mem::take(&mut column.runs));
-        column.words = exact(std::mem::take(&mut column.words));
-    }
     graph.validate()?;
     Ok(graph)
 }
@@ -227,99 +225,58 @@ fn take<'a>(data: &mut &'a [u8], n: usize) -> &'a [u8] {
     head
 }
 
-/// One element's property list as a snapshot states it, reused from
-/// element to element: its keys, their kinds and its values.
-#[derive(Default)]
-struct PropList {
-    keys: Vec<&'static str>,
-    kinds: Vec<Kind>,
-    values: Vec<Value>,
-}
-
-impl PropList {
-    fn shape(&self) -> Shape<'_> {
-        Shape {
-            keys: &self.keys,
-            kinds: &self.kinds,
-        }
-    }
-}
-
-/// Read one element's property list into `list`, replacing what it held.
-/// A list whose keys are not strictly ascending, or a value of a tag other
-/// than 1 or 2, is refused: [`to_bytes`] never writes one.
-fn read_props(data: &mut &[u8], list: &mut PropList) -> Result<(), GraphError> {
-    let corrupt = |msg: &str| GraphError::CorruptGraph(msg.to_owned());
-    list.keys.clear();
-    list.kinds.clear();
-    list.values.clear();
+/// Read one vertex's property list: empty, or its image id alone, exactly
+/// as [`to_bytes`] writes them. The error is the cause of a refusal.
+fn read_image(data: &mut &[u8]) -> Result<Option<u32>, String> {
     if data.remaining() < 2 {
-        return Err(corrupt("truncated props"));
+        return Err("truncated props".to_owned());
     }
-    let count = data.get_u16_le() as usize;
-    for _ in 0..count {
-        if data.remaining() < 2 {
-            return Err(corrupt("truncated prop key length"));
-        }
-        let klen = data.get_u16_le() as usize;
-        if data.remaining() < klen + 1 {
-            return Err(corrupt("truncated prop key"));
-        }
-        let key =
-            std::str::from_utf8(take(data, klen)).map_err(|_| corrupt("prop key not UTF-8"))?;
-        if let Some(&last) = list.keys.last() {
-            if key == last {
-                return Err(GraphError::CorruptGraph(format!(
-                    "property key {key:?} repeated"
-                )));
-            }
-            if key < last {
-                return Err(GraphError::CorruptGraph(format!(
-                    "property keys out of order: {key:?} after {last:?}"
-                )));
-            }
-        }
-        let kind = match data.get_u8() {
-            1 => Kind::Int,
-            2 => Kind::Float,
-            other => {
-                return Err(GraphError::CorruptGraph(format!(
-                    "unknown prop tag {other}"
-                )))
-            }
-        };
-        if data.remaining() < 8 {
-            return Err(corrupt("truncated prop value"));
-        }
-        list.keys.push(intern(key));
-        list.kinds.push(kind);
-        list.values.push(kind.read(data.get_u64_le()));
+    match data.get_u16_le() {
+        0 => return Ok(None),
+        1 => {}
+        count => return Err(format!("{count} properties; {REBUILD}")),
     }
-    Ok(())
+    if data.remaining() < 2 {
+        return Err("truncated prop key length".to_owned());
+    }
+    let klen = data.get_u16_le() as usize;
+    if data.remaining() < klen + 1 {
+        return Err("truncated prop key".to_owned());
+    }
+    let key = take(data, klen);
+    if key != IMAGE {
+        let key = String::from_utf8_lossy(key);
+        return Err(format!("property {key:?}; {REBUILD}"));
+    }
+    match data.get_u8() {
+        INT => {}
+        2 => return Err("image id under tag 2, a float, not an int".to_owned()),
+        other => return Err(format!("unknown prop tag {other}")),
+    }
+    if data.remaining() < 8 {
+        return Err("truncated prop value".to_owned());
+    }
+    let value = data.get_i64_le();
+    u32::try_from(value)
+        .ok()
+        .filter(|&id| id <= MAX_IMAGE)
+        .map(Some)
+        .ok_or_else(|| {
+            format!("image id {value} out of the range a vertex holds (0 to {MAX_IMAGE})")
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scene_image;
 
     fn sample() -> Graph {
         let mut g = Graph::new();
-        let shape = Shape {
-            keys: &["flag", "image", "note", "x"],
-            kinds: &[Kind::Int, Kind::Int, Kind::Float, Kind::Float],
-        };
-        let d = g.add_vertex_with_props(
-            "dog",
-            shape,
-            [
-                Value::Int(1),
-                Value::Int(3),
-                Value::Float(-2.5),
-                Value::Float(0.25),
-            ],
-        );
+        let d = g.add_scene_vertex("dog", 3);
         let m = g.add_vertex("man");
-        let c = g.add_vertex("dog"); // repeated label exercises interning
+        let c = g.add_scene_vertex("dog", 0); // repeated label exercises interning
+        g.add_vertex("hat");
         g.add_edge(d, m, "near").unwrap();
         g.add_edge(c, m, "near").unwrap();
         g.add_edge(m, d, "watching").unwrap();
@@ -334,10 +291,15 @@ mod tests {
         assert_eq!(back.edge_count(), g.edge_count());
         for (vid, _) in g.vertices() {
             assert_eq!(back.vertex_label(vid), g.vertex_label(vid));
-            assert_eq!(back.vertex_props(vid), g.vertex_props(vid));
+            assert_eq!(scene_image(&back, vid), scene_image(&g, vid));
             assert_eq!(back.out_edge_ids(vid), g.out_edge_ids(vid));
             assert_eq!(back.in_edge_ids(vid), g.in_edge_ids(vid));
         }
+        let images: Vec<_> = back
+            .vertices()
+            .map(|(v, _)| scene_image(&back, v))
+            .collect();
+        assert_eq!(images, [Some(3), None, Some(0), None]);
         for (eid, e) in g.edges() {
             let be = back.edge(eid).unwrap();
             assert_eq!((be.src(), be.dst()), (e.src(), e.dst()));
@@ -349,10 +311,6 @@ mod tests {
         for index in [&back.outgoing, &back.incoming] {
             assert_eq!(index.offsets.capacity(), g.vertex_count() + 1);
             assert_eq!(index.ids.capacity(), g.edge_count());
-        }
-        // So are the run tables: vertices flagged, then bare; edges bare.
-        for (column, runs) in [(&back.vertex_column, 2), (&back.edge_column, 1)] {
-            assert_eq!((column.runs.len(), column.runs.capacity()), (runs, runs));
         }
     }
 
@@ -387,6 +345,97 @@ mod tests {
             data.put_slice(label.as_bytes());
         }
         data
+    }
+
+    /// A property list of `props`, each a key, a tag and an 8-byte value.
+    fn put_props(data: &mut BytesMut, props: &[(&str, u8, i64)]) {
+        data.put_u16_le(props.len() as u16);
+        for &(key, tag, value) in props {
+            data.put_u16_le(key.len() as u16);
+            data.put_slice(key.as_bytes());
+            data.put_u8(tag);
+            data.put_i64_le(value);
+        }
+    }
+
+    /// Load a snapshot of one vertex labeled `a` whose property list is
+    /// `props`.
+    fn load_vertex(props: &[(&str, u8, i64)]) -> Result<Graph, GraphError> {
+        let mut data = header(1, 0, &["a"]);
+        data.put_u32_le(0);
+        put_props(&mut data, props);
+        from_bytes(data.freeze())
+    }
+
+    /// The cause `result` was refused for, which must be a corrupt graph.
+    fn refusal(result: Result<Graph, GraphError>) -> String {
+        match result {
+            Err(GraphError::CorruptGraph(cause)) => cause,
+            other => panic!("loaded or failed otherwise: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn box_keys_are_refused() {
+        // A vertex whose one property is a box coordinate, as snapshots
+        // saved with boxes and scores hold.
+        let cause = refusal(load_vertex(&[("h", 2, 0.25f64.to_bits() as i64)]));
+        assert!(cause.starts_with("vertex v0: property \"h\""), "{cause}");
+        assert!(cause.contains("svqa-cli build"), "{cause}");
+    }
+
+    #[test]
+    fn repeated_property_key_is_refused() {
+        // Two properties on one vertex: its image id twice, or the id and
+        // a box coordinate, in or out of key order.
+        for props in [
+            &[("image", 1, 3), ("image", 1, 3)][..],
+            &[("image", 1, 3), ("x", 2, 0)],
+            &[("h", 2, 0), ("image", 1, 3)],
+        ] {
+            let cause = refusal(load_vertex(props));
+            assert!(cause.starts_with("vertex v0: 2 properties;"), "{cause}");
+            assert!(cause.contains("svqa-cli build"), "{cause}");
+        }
+    }
+
+    #[test]
+    fn float_images_are_refused() {
+        assert_eq!(
+            refusal(load_vertex(&[("image", 2, 3.0f64.to_bits() as i64)])),
+            "vertex v0: image id under tag 2, a float, not an int"
+        );
+    }
+
+    #[test]
+    fn image_ids_a_vertex_cannot_hold_are_refused() {
+        for id in [-1, 1 << 40, i64::from(u32::MAX)] {
+            assert_eq!(
+                refusal(load_vertex(&[("image", 1, id)])),
+                format!(
+                    "vertex v0: image id {id} out of the range a vertex holds (0 to 4294967294)"
+                )
+            );
+        }
+        let g = load_vertex(&[("image", 1, i64::from(u32::MAX) - 1)]).unwrap();
+        assert_eq!(scene_image(&g, VertexId::from_index(0)), Some(u32::MAX - 1));
+    }
+
+    #[test]
+    fn edge_properties_are_refused() {
+        // Two vertices and an edge between them carrying a score.
+        let mut data = header(2, 1, &["a", "near"]);
+        for _ in 0..2 {
+            data.put_u32_le(0);
+            data.put_u16_le(0);
+        }
+        for field in [0, 1, 1] {
+            data.put_u32_le(field);
+        }
+        put_props(&mut data, &[("score", 2, 0.5f64.to_bits() as i64)]);
+        let cause = refusal(from_bytes(data.freeze()));
+        assert!(cause.starts_with("edge e0: 1 properties;"), "{cause}");
+        assert!(cause.contains("svqa-cli build"), "{cause}");
     }
 
     #[test]
@@ -472,47 +521,15 @@ mod tests {
     }
 
     #[test]
-    fn repeated_property_key_is_refused() {
-        // One vertex whose list holds `keys`, each an int.
-        let load = |keys: &[&str]| {
-            let mut data = header(1, 0, &["a"]);
-            data.put_u32_le(0);
-            data.put_u16_le(keys.len() as u16);
-            for (i, key) in keys.iter().enumerate() {
-                data.put_u16_le(key.len() as u16);
-                data.put_slice(key.as_bytes());
-                data.put_u8(1);
-                data.put_i64_le(i as i64);
-            }
-            from_bytes(data.freeze())
-        };
-        assert_eq!(
-            load(&["k", "k"]).unwrap_err(),
-            GraphError::CorruptGraph("property key \"k\" repeated".to_owned())
-        );
-        assert!(load(&["j", "k", "j"]).is_err());
-        // Keys out of order: loading them sorted would hold another list
-        // than the snapshot states.
-        assert_eq!(
-            load(&["k", "j"]).unwrap_err(),
-            GraphError::CorruptGraph("property keys out of order: \"j\" after \"k\"".to_owned())
-        );
-        let g = load(&["j", "k"]).unwrap();
-        let props = g.vertex_props(VertexId::from_index(0));
-        assert_eq!(props.shape().keys, ["j", "k"]);
-        assert_eq!(props.get("k"), Some(Value::Int(1)));
-    }
-
-    #[test]
     fn removed_value_tags_are_refused() {
-        // One vertex whose one property is a string (tag 0: a length and
-        // its bytes) or a bool (tag 3: one byte), each payload complete.
+        // A vertex whose image id is a string (tag 0: a length and its
+        // bytes) or a bool (tag 3: one byte), each payload complete.
         let load = |tag: u8, payload: &[u8]| {
             let mut data = header(1, 0, &["a"]);
             data.put_u32_le(0);
             data.put_u16_le(1);
-            data.put_u16_le(4);
-            data.put_slice(b"note");
+            data.put_u16_le(5);
+            data.put_slice(b"image");
             data.put_u8(tag);
             data.put_slice(payload);
             from_bytes(data.freeze())
@@ -520,20 +537,12 @@ mod tests {
         for (tag, payload) in [(0, &b"\x04\x00lake"[..]), (3, &b"\x01"[..])] {
             assert_eq!(
                 load(tag, payload).unwrap_err(),
-                GraphError::CorruptGraph(format!("unknown prop tag {tag}"))
+                GraphError::CorruptGraph(format!("vertex v0: unknown prop tag {tag}"))
             );
         }
-        // The two tags a snapshot holds still load.
+        // The one tag a snapshot holds still loads.
         let g = load(1, &7i64.to_le_bytes()).unwrap();
-        assert_eq!(
-            g.vertex_props(VertexId::from_index(0)).get("note"),
-            Some(Value::Int(7))
-        );
-        let g = load(2, &0.5f64.to_le_bytes()).unwrap();
-        assert_eq!(
-            g.vertex_props(VertexId::from_index(0)).get("note"),
-            Some(Value::Float(0.5))
-        );
+        assert_eq!(scene_image(&g, VertexId::from_index(0)), Some(7));
     }
 
     #[test]
@@ -576,34 +585,14 @@ mod tests {
             }
         );
 
-        let mut g = Graph::new();
-        let a = g.add_vertex("dog");
-        let shape = Shape {
-            keys: &[long.clone().leak()],
-            kinds: &[Kind::Int],
-        };
-        g.add_edge_with_props(a, a, "near", shape, [Value::Int(1)])
-            .unwrap();
-        assert!(matches!(
-            to_bytes(&g),
-            Err(GraphError::FieldTooLong {
-                field: "property key",
-                ..
-            })
-        ));
-
-        // The limits themselves still round-trip.
+        // The limit itself still round-trips.
         let at_limit = &long[..usize::from(u16::MAX)];
-        let key = Shape {
-            keys: &[at_limit.to_owned().leak()],
-            kinds: &[Kind::Int],
-        };
         let mut g = Graph::new();
-        g.add_vertex_with_props(at_limit, key, [Value::Int(1)]);
+        g.add_scene_vertex(at_limit, 1);
         let back = from_bytes(to_bytes(&g).unwrap()).unwrap();
         let v = VertexId::from_index(0);
         assert_eq!(back.vertex_label(v), Some(at_limit));
-        assert_eq!(back.vertex_props(v).get(at_limit), Some(Value::Int(1)));
+        assert_eq!(scene_image(&back, v), Some(1));
     }
 
     #[test]

@@ -9,10 +9,8 @@ use crate::label::LabelId;
 /// ("wearing", "in front of", "girlfriend of", ...), which `maxScore` in
 /// Algorithm 3 matches against the query's predicate `c_p`. The label is an
 /// id into the graph's edge-label table ([`crate::Graph::edge_label`] gives
-/// its text). An edge is its endpoints and its label, 12 bytes: its
-/// properties sit in the graph's edge column, whose run table knows each
-/// edge's shape and first word by its index ([`crate::Graph::edge_props`]
-/// reads them).
+/// its text). An edge is its endpoints and its label, 12 bytes, and carries
+/// no property.
 #[derive(Debug, Clone)]
 pub struct Edge {
     src: VertexId,

@@ -15,11 +15,11 @@ pub enum GraphError {
     /// violation found.
     CorruptGraph(String),
     /// A field of a graph is too long for the binary snapshot format,
-    /// whose lengths and property counts are `u16`s.
+    /// whose label lengths are `u16`s.
     FieldTooLong {
-        /// The field: `"label"`, `"property key"` or `"property count"`.
+        /// The field: `"label"`.
         field: &'static str,
-        /// Its length in bytes (in entries for the property count).
+        /// Its length in bytes.
         len: usize,
     },
 }

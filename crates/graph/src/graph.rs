@@ -1,13 +1,11 @@
-//! The directed labeled property graph.
+//! The directed labeled graph.
 
 use crate::adjacency::Adjacency;
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::{LabelId, LabelTable};
-use crate::props::{exact, ColumnSize, PropColumn, Props, Shape, Value};
 use crate::vertex::Vertex;
-use std::ops::Range;
 
 /// A directed labeled graph `G = (V, E, L)` (§II of the paper).
 ///
@@ -21,11 +19,9 @@ use std::ops::Range;
 /// (`edge_label_counts`), and every vertex (edge) holds only its label's
 /// [`LabelId`] there.
 ///
-/// A graph keeps its properties in two columns, one for vertices and one
-/// for edges (see [`crate::props`]). An element holds nothing of them:
-/// each column's run table gives every element's shape and first word by
-/// the element's index, and [`Graph::vertex_props`] / [`Graph::edge_props`]
-/// read them.
+/// A vertex's one property, the image id of a scene vertex, sits in the
+/// [`Vertex`] itself ([`Graph::add_scene_vertex`], read by
+/// [`crate::scene_image`]); edges carry none.
 ///
 /// Adjacency is derived from the edge arena: one compressed index per
 /// direction holds every vertex's incident edge ids as a run of one flat
@@ -46,10 +42,6 @@ pub struct Graph {
     /// Edge label → number of edges carrying it (Algorithm 3's
     /// `getLabels(E_mg)` reads this).
     pub(crate) edge_label_counts: LabelTable<usize>,
-    /// Every vertex's properties.
-    pub(crate) vertex_column: PropColumn,
-    /// Every edge's properties.
-    pub(crate) edge_column: PropColumn,
 }
 
 impl Graph {
@@ -83,76 +75,53 @@ impl Graph {
         self.vertices.is_empty()
     }
 
-    /// Add a vertex with the given label and no properties.
+    /// Add a vertex with the given label and no image: a knowledge-graph
+    /// vertex. A label some vertex already carries is referred to by id,
+    /// not copied.
     pub fn add_vertex(&mut self, label: impl AsRef<str>) -> VertexId {
-        self.add_vertex_with_props(label, Shape::default(), [])
+        self.insert_vertex(label.as_ref(), None)
     }
 
-    /// Add a vertex with the given label and properties: `values`, one per
-    /// key of `shape` and of that key's kind, in key order. A label or a
-    /// shape some vertex already carries is referred to by id, not copied.
+    /// Add a scene vertex: the given label, detected in image `image`.
     ///
     /// # Panics
     ///
-    /// When `shape`'s keys are not strictly ascending or its kinds are not
-    /// one per key, or `values` does not give one value of each kind.
-    pub fn add_vertex_with_props(
-        &mut self,
-        label: impl AsRef<str>,
-        shape: Shape<'_>,
-        values: impl IntoIterator<Item = Value>,
-    ) -> VertexId {
-        let label = self.label_index.intern(label.as_ref());
-        self.vertex_column
-            .append(self.vertices.len(), shape, values);
-        self.outgoing.push_vertex();
-        self.incoming.push_vertex();
-        self.push_vertex(label)
+    /// When `image` is `u32::MAX`, the one id a vertex cannot hold.
+    pub fn add_scene_vertex(&mut self, label: impl AsRef<str>, image: u32) -> VertexId {
+        self.insert_vertex(label.as_ref(), Some(image))
     }
 
-    /// Append a vertex whose label is already in the vertex-label table and
-    /// whose properties the vertex column already holds. The adjacency
-    /// indexes do not cover it until they are rebuilt.
-    pub(crate) fn push_vertex(&mut self, label: LabelId) -> VertexId {
+    fn insert_vertex(&mut self, label: &str, image: Option<u32>) -> VertexId {
+        let label = self.label_index.intern(label);
+        self.outgoing.push_vertex();
+        self.incoming.push_vertex();
+        self.push_vertex(Vertex::new(label, image))
+    }
+
+    /// Append `vertex`, whose label is already in the vertex-label table.
+    /// The adjacency indexes do not cover it until they are rebuilt.
+    pub(crate) fn push_vertex(&mut self, vertex: Vertex) -> VertexId {
         let id = VertexId::from_index(self.vertices.len());
-        self.label_index.value_mut(label).push(id);
-        self.vertices.push(Vertex::new(label));
+        self.label_index.value_mut(vertex.label).push(id);
+        self.vertices.push(vertex);
         id
     }
 
-    /// Add a directed edge `src → dst` with the given label.
-    pub fn add_edge(
-        &mut self,
-        src: VertexId,
-        dst: VertexId,
-        label: impl AsRef<str>,
-    ) -> Result<EdgeId, GraphError> {
-        self.add_edge_with_props(src, dst, label, Shape::default(), [])
-    }
-
-    /// Add a directed edge `src → dst` with the given label and properties,
-    /// as [`Graph::add_vertex_with_props`] takes them. A label or a shape
-    /// some edge already carries is referred to by id, not copied.
+    /// Add a directed edge `src → dst` with the given label. A label some
+    /// edge already carries is referred to by id, not copied.
     ///
     /// The edge goes to the end of `src`'s out-run and `dst`'s in-run,
     /// which shifts every later entry of both adjacency arrays: one call
     /// costs O(V + E). The bulk paths ([`Graph::absorb_where`],
     /// [`Graph::append_windows`], [`crate::binio::from_bytes`]) do not use
     /// it; they index every edge at once when they finish.
-    ///
-    /// # Panics
-    ///
-    /// As [`Graph::add_vertex_with_props`] does, for an edge whose
-    /// endpoints exist.
-    pub fn add_edge_with_props(
+    pub fn add_edge(
         &mut self,
         src: VertexId,
         dst: VertexId,
         label: impl AsRef<str>,
-        shape: Shape<'_>,
-        values: impl IntoIterator<Item = Value>,
     ) -> Result<EdgeId, GraphError> {
-        let id = self.append_edge(src, dst, label.as_ref(), shape, values)?;
+        let id = self.append_edge(src, dst, label.as_ref())?;
         self.outgoing.insert(src, id);
         self.incoming.insert(dst, id);
         Ok(id)
@@ -166,8 +135,6 @@ impl Graph {
         src: VertexId,
         dst: VertexId,
         label: &str,
-        shape: Shape<'_>,
-        values: impl IntoIterator<Item = Value>,
     ) -> Result<EdgeId, GraphError> {
         if src.index() >= self.vertices.len() {
             return Err(GraphError::UnknownVertex(src));
@@ -176,13 +143,12 @@ impl Graph {
             return Err(GraphError::UnknownVertex(dst));
         }
         let label = self.edge_label_counts.intern(label);
-        self.edge_column.append(self.edges.len(), shape, values);
         Ok(self.push_edge(src, dst, label))
     }
 
     /// Append an edge between existing vertices whose label is already in
-    /// the edge-label table and whose properties the edge column already
-    /// holds. The adjacency indexes do not cover it until they are rebuilt.
+    /// the edge-label table. The adjacency indexes do not cover it until
+    /// they are rebuilt.
     fn push_edge(&mut self, src: VertexId, dst: VertexId, label: LabelId) -> EdgeId {
         let id = EdgeId::from_index(self.edges.len());
         *self.edge_label_counts.value_mut(label) += 1;
@@ -207,42 +173,6 @@ impl Graph {
     /// Look up an edge by id.
     pub fn edge(&self, id: EdgeId) -> Option<&Edge> {
         self.edges.get(id.index())
-    }
-
-    /// The properties of a vertex, borrowed from the vertex column; empty
-    /// for a foreign id.
-    pub fn vertex_props(&self, id: VertexId) -> Props<'_> {
-        self.vertex(id)
-            .map_or_else(Props::default, |_| self.vertex_column.props(id.index()))
-    }
-
-    /// The properties of an edge, borrowed from the edge column; empty for
-    /// a foreign id.
-    pub fn edge_props(&self, id: EdgeId) -> Props<'_> {
-        self.edge(id)
-            .map_or_else(Props::default, |_| self.edge_column.props(id.index()))
-    }
-
-    /// The vertex column's run table: each maximal stretch of consecutive
-    /// vertices sharing a property shape, as its vertex index range and
-    /// the shape, in vertex order.
-    pub fn vertex_shape_runs(&self) -> impl Iterator<Item = (Range<usize>, Shape<'_>)> {
-        shape_runs(&self.vertex_column, self.vertices.len())
-    }
-
-    /// The edge column's run table, as [`Graph::vertex_shape_runs`] gives
-    /// the vertex column's.
-    pub fn edge_shape_runs(&self) -> impl Iterator<Item = (Range<usize>, Shape<'_>)> {
-        shape_runs(&self.edge_column, self.edges.len())
-    }
-
-    /// The length and capacity of the vertex and the edge value columns'
-    /// word arenas, in that order.
-    pub fn value_columns(&self) -> [ColumnSize; 2] {
-        [&self.vertex_column, &self.edge_column].map(|column| ColumnSize {
-            len: column.words.len(),
-            capacity: column.words.capacity(),
-        })
     }
 
     /// Label `L(v)` of a vertex; `None` for a foreign id.
@@ -402,12 +332,11 @@ impl Graph {
         self.edges_between(src, dst).any(|(_, e)| e.label == label)
     }
 
-    /// Validate internal consistency, in one pass over each arena, each
-    /// adjacency index and each property column: every edge endpoint
-    /// resolves; each index holds, for every vertex, exactly the ascending
-    /// ids of the edges leaving (entering) it; and each column's run table
-    /// is minimal and covers exactly its elements and its words. Used after
-    /// deserialization and available to tests.
+    /// Validate internal consistency, in one pass over the edge arena and
+    /// each adjacency index: every edge endpoint resolves, and each index
+    /// holds, for every vertex, exactly the ascending ids of the edges
+    /// leaving (entering) it. Used after deserialization and available to
+    /// tests.
     pub fn validate(&self) -> Result<(), GraphError> {
         let corrupt = |msg: String| Err(GraphError::CorruptGraph(msg));
         let vertices = self.vertices.len();
@@ -417,14 +346,6 @@ impl Graph {
             }
             if e.dst().index() >= vertices {
                 return corrupt(format!("edge {eid} has dangling dst"));
-            }
-        }
-        for (column, len, what) in [
-            (&self.vertex_column, vertices, "vertex"),
-            (&self.edge_column, self.edges.len(), "edge"),
-        ] {
-            if let Err(msg) = column.check(len) {
-                return corrupt(format!("{what} column: {msg}"));
             }
         }
         self.outgoing
@@ -447,89 +368,41 @@ impl Graph {
     }
 
     /// Copy the subgraph of `other` induced by the vertices `keep` accepts
-    /// into `self`, with their labels and properties. Returns the vertex id
-    /// translation table (`None` for dropped vertices); edges with a
-    /// dropped endpoint are dropped. Each of `other`'s labels and property
-    /// shapes is looked up in this graph's tables once, each column's
-    /// words and run table grow once, by exactly what the kept elements
-    /// carry, and both adjacency indexes are rebuilt once at the end. `other`'s run tables are walked, not searched per element.
+    /// into `self`, each vertex with its label and image id. Returns the
+    /// vertex id translation table (`None` for dropped vertices); edges
+    /// with a dropped endpoint are dropped. Each of `other`'s labels is
+    /// looked up in this graph's tables once, and both adjacency indexes
+    /// are rebuilt once at the end.
     pub fn absorb_where(
         &mut self,
         other: &Graph,
         keep: impl Fn(VertexId) -> bool,
     ) -> Vec<Option<VertexId>> {
-        let mut next = self.vertices.len();
-        let mapping: Vec<Option<VertexId>> = (0..other.vertex_count())
-            .map(|i| {
-                keep(VertexId::from_index(i)).then(|| {
-                    next += 1;
-                    VertexId::from_index(next - 1)
+        let mut labels = vec![None; other.label_index.len()];
+        let mapping: Vec<Option<VertexId>> = other
+            .vertices()
+            .map(|(id, &v)| {
+                keep(id).then(|| {
+                    let label = *labels[v.label.index()].get_or_insert_with(|| {
+                        self.label_index.intern(other.label_index.text(v.label))
+                    });
+                    self.push_vertex(v.relabeled(label))
                 })
             })
             .collect();
-        let kept = |e: &Edge| mapping[e.src().index()].zip(mapping[e.dst().index()]);
-        self.vertex_column.reserve_exact(
-            &other.vertex_column,
-            other
-                .vertex_column
-                .slots(other.vertices.len())
-                .zip(&mapping)
-                .filter(|(_, new)| new.is_some())
-                .map(|(slot, _)| slot),
-        );
-        self.edge_column.reserve_exact(
-            &other.edge_column,
-            other
-                .edge_column
-                .slots(other.edges.len())
-                .zip(&other.edges)
-                .filter(|(_, e)| kept(e).is_some())
-                .map(|(slot, _)| slot),
-        );
-
-        let mut labels = vec![None; other.label_index.len()];
-        let mut shapes = vec![None; other.vertex_column.shape_count()];
-        let slots = other.vertex_column.slots(other.vertices.len());
-        for ((v, new), slot) in other.vertices.iter().zip(&mapping).zip(slots) {
-            if let Some(new) = new {
-                let label = *labels[v.label.index()].get_or_insert_with(|| {
-                    self.label_index.intern(other.label_index.text(v.label))
-                });
-                self.vertex_column
-                    .copy(new.index(), &other.vertex_column, slot, &mut shapes);
-                self.push_vertex(label);
-            }
-        }
         let mut labels = vec![None; other.edge_label_counts.len()];
-        let mut shapes = vec![None; other.edge_column.shape_count()];
-        let slots = other.edge_column.slots(other.edges.len());
-        for (e, slot) in other.edges.iter().zip(slots) {
-            if let Some((src, dst)) = kept(e) {
+        for e in &other.edges {
+            if let Some((src, dst)) = mapping[e.src().index()].zip(mapping[e.dst().index()]) {
                 let label = *labels[e.label.index()].get_or_insert_with(|| {
                     self.edge_label_counts
                         .intern(other.edge_label_counts.text(e.label))
                 });
-                self.edge_column
-                    .copy(self.edges.len(), &other.edge_column, slot, &mut shapes);
                 self.push_edge(src, dst, label);
             }
-        }
-        // No spare room stays in a run table: room it had before, or the
-        // entry left over when the first copied run folded into its last.
-        for column in [&mut self.vertex_column, &mut self.edge_column] {
-            column.runs = exact(std::mem::take(&mut column.runs));
         }
         self.index_adjacency();
         mapping
     }
-}
-
-/// `column`'s runs over its `len` elements, each shape resolved.
-fn shape_runs(column: &PropColumn, len: usize) -> impl Iterator<Item = (Range<usize>, Shape<'_>)> {
-    column.run_ranges(len).map(|(elements, shape, _)| {
-        let shape = column.shape_of(shape).expect("run shape is in range");
-        (elements, shape)
-    })
 }
 
 #[cfg(test)]
@@ -689,51 +562,26 @@ mod tests {
 
     #[test]
     fn elements_are_packed() {
-        // A vertex is its label id, 4 bytes, and an edge its endpoints and
-        // label id, 12. Adjacency lives in the graph's indexes, each
-        // property value is one 8-byte word of a column, and which shape an
-        // element has is one 12-byte run per stretch of elements.
-        assert_eq!(std::mem::size_of::<Vertex>(), 4);
+        // A vertex is its label id and its image id plus one, 8 bytes (a
+        // knowledge-graph vertex's `None` is the zero the id plus one never
+        // is), and an edge its endpoints and label id, 12. Adjacency lives
+        // in the graph's indexes.
+        assert_eq!(std::mem::size_of::<Vertex>(), 8);
         assert_eq!(std::mem::size_of::<Edge>(), 12);
         assert_eq!(std::mem::size_of::<LabelId>(), 4);
-        assert_eq!(std::mem::size_of::<crate::props::Run>(), 12);
-        assert_eq!(std::mem::size_of::<crate::props::Word>(), 8);
     }
 
-    /// Two vertex shapes holding both value kinds, a vertex without
-    /// properties between them, and `score` edges around a bare one.
+    /// Two scene vertices with a bare vertex between them and one after,
+    /// and bare edges.
     fn shaped() -> Graph {
-        use crate::props::Kind;
-        let bbox = Shape {
-            keys: &["image", "x", "y"],
-            kinds: &[Kind::Int, Kind::Float, Kind::Float],
-        };
-        let wool = Shape {
-            keys: &["kind", "seen"],
-            kinds: &[Kind::Int, Kind::Float],
-        };
-        let score = Shape {
-            keys: &["score"],
-            kinds: &[Kind::Float],
-        };
         let mut g = Graph::new();
-        let dog = g.add_vertex_with_props(
-            "dog",
-            bbox,
-            [Value::Int(3), Value::Float(0.25), Value::Float(0.5)],
-        );
+        let dog = g.add_scene_vertex("dog", 3);
         let man = g.add_vertex("man");
-        let hat = g.add_vertex_with_props("hat", wool, [Value::Int(-2), Value::Float(1.0)]);
-        let dog2 = g.add_vertex_with_props(
-            "dog",
-            bbox,
-            [Value::Int(4), Value::Float(0.125), Value::Float(0.75)],
-        );
-        g.add_edge_with_props(dog, man, "near", score, [Value::Float(0.75)])
-            .unwrap();
+        let hat = g.add_vertex("hat");
+        let dog2 = g.add_scene_vertex("dog", 4);
+        g.add_edge(dog, man, "near").unwrap();
         g.add_edge(man, hat, "wearing").unwrap();
-        g.add_edge_with_props(dog2, man, "near", score, [Value::Float(0.5)])
-            .unwrap();
+        g.add_edge(dog2, man, "near").unwrap();
         g
     }
 
@@ -748,45 +596,31 @@ mod tests {
 
     #[test]
     fn property_bytes_are_pinned() {
-        // The snapshot as the per-element property lists wrote it.
+        // The snapshot as the per-element property lists wrote it: a scene
+        // vertex's list is its `image` key, tag 1 and the id's 8 bytes, and
+        // every other list is empty.
         let g = shaped();
         assert_eq!(
             snapshot_hex(&g),
             concat!(
                 "5356514701000400000003000000050000000300646f6703006d616e030068617404006e6561",
-                "72070077656172696e670000000003000500696d616765010300000000000000010078020000",
-                "00000000d03f01007902000000000000e03f01000000000002000000020004006b696e6401fe",
-                "ffffffffffffff04007365656e02000000000000f03f0000000003000500696d616765010400",
-                "00000000000001007802000000000000c03f01007902000000000000e83f0000000001000000",
-                "030000000100050073636f726502000000000000e83f01000000020000000400000000000300",
-                "000001000000030000000100050073636f726502000000000000e03f"
+                "72070077656172696e670000000001000500696d616765010300000000000000010000000000",
+                "0200000000000000000001000500696d61676501040000000000000000000000010000000300",
+                "0000000001000000020000000400000000000300000001000000030000000000"
             )
         );
 
-        // Every element's properties survive the snapshot.
+        // Every vertex's image id survives the snapshot.
         let bytes = crate::binio::to_bytes(&g).unwrap();
         let loaded = crate::binio::from_bytes(bytes.clone()).unwrap();
         assert_eq!(crate::binio::to_bytes(&loaded).unwrap(), bytes);
-        for (id, _) in g.vertices() {
-            assert_eq!(loaded.vertex_props(id), g.vertex_props(id), "{id}");
-        }
-        for (id, _) in g.edges() {
-            assert_eq!(loaded.edge_props(id), g.edge_props(id), "{id}");
-        }
-        assert_eq!(
-            loaded.value_columns(),
-            g.value_columns().map(|c| ColumnSize {
-                capacity: c.len,
-                ..c
-            })
-        );
-        // One shape per distinct key list: the two bbox vertices share one.
-        assert_eq!(g.vertex_column.shape_count(), 3);
-        assert_eq!(g.edge_column.shape_count(), 2);
-        assert_eq!(
-            g.vertex_props(VertexId::from_index(3)).get("image"),
-            Some(crate::Value::Int(4))
-        );
+        let images = |g: &Graph| {
+            g.vertices()
+                .map(|(id, _)| crate::scene_image(g, id))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(images(&g), [Some(3), None, None, Some(4)]);
+        assert_eq!(images(&loaded), images(&g));
     }
 
     #[test]
@@ -826,89 +660,6 @@ mod tests {
         let message = err.to_string();
         assert!(message.starts_with("corrupt graph: "), "{message}");
         message
-    }
-
-    /// The run tables of [`shaped`], as (first element, shape, first word)
-    /// triples: vertices bbox, bare, wool, bbox; edges score, bare, score.
-    #[test]
-    fn run_tables_are_minimal_and_cover_the_words() {
-        let g = shaped();
-        let table = |column: &PropColumn| {
-            column
-                .runs
-                .iter()
-                .map(|run| (run.first, run.shape, run.start))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            table(&g.vertex_column),
-            [(0, 1, 0), (1, 0, 3), (2, 2, 3), (3, 1, 5)]
-        );
-        assert_eq!(table(&g.edge_column), [(0, 1, 0), (1, 0, 1), (2, 1, 1)]);
-        let back = crate::binio::from_bytes(crate::binio::to_bytes(&g).unwrap()).unwrap();
-        assert_eq!(table(&back.vertex_column), table(&g.vertex_column));
-        assert_eq!(table(&back.edge_column), table(&g.edge_column));
-        let runs: Vec<_> = g
-            .vertex_shape_runs()
-            .map(|(range, s)| (range, s.keys.len()))
-            .collect();
-        assert_eq!(runs, [(0..1, 3), (1..2, 0), (2..3, 2), (3..4, 3)]);
-    }
-
-    #[test]
-    fn runs_must_start_at_element_0() {
-        let mut g = shaped();
-        g.vertex_column.runs[0].first = 1;
-        assert!(corruption(&g).contains("vertex column: run 0 starts at element 1, not 0"));
-        // No run at all over elements that exist.
-        let mut g = shaped();
-        g.edge_column.runs.clear();
-        assert!(corruption(&g).contains("edge column: no run starts at element 0"));
-    }
-
-    #[test]
-    fn run_first_elements_must_strictly_ascend() {
-        let mut g = shaped();
-        g.vertex_column.runs[2].first = 1;
-        assert!(corruption(&g).contains("vertex column: run 2 does not start after run 1"));
-        // A run past the last element is empty, and so is every run after
-        // it.
-        let mut g = shaped();
-        g.edge_column.runs[2].first = 3;
-        assert!(corruption(&g).contains("edge column: run 2 starts at element 3, past 3"));
-    }
-
-    #[test]
-    fn run_shapes_must_be_in_range() {
-        let mut g = shaped();
-        g.vertex_column.runs[1].shape = 9;
-        assert!(corruption(&g).contains("vertex column: run 1 has shape 9 out of range"));
-    }
-
-    #[test]
-    fn adjacent_runs_must_differ_in_shape() {
-        // The bare edge's run given the score shape: a table that would
-        // read the same elements with one run fewer.
-        let mut g = shaped();
-        g.edge_column.runs[1].shape = 1;
-        assert!(corruption(&g).contains("edge column: runs 0 and 1 share shape 1"));
-    }
-
-    #[test]
-    fn runs_must_start_where_the_previous_run_ends() {
-        let mut g = shaped();
-        g.vertex_column.runs[2].start = 4;
-        assert!(corruption(&g).contains("vertex column: run 2 starts at word 4, not at 3"));
-    }
-
-    #[test]
-    fn the_last_run_must_end_at_the_last_word() {
-        let mut g = shaped();
-        g.vertex_column.words.push(0);
-        assert!(corruption(&g).contains("vertex column: runs end at word 8, not at 9"));
-        let mut g = shaped();
-        g.edge_column.words.pop();
-        assert!(corruption(&g).contains("edge column: runs end at word 2, not at 1"));
     }
 
     #[test]
@@ -967,37 +718,21 @@ mod tests {
 
     #[test]
     fn absorb_copies_properties_into_exact_columns() {
+        // Each kept vertex takes its image id with it; the edges stay bare.
         let g = shaped();
         let mut h = Graph::new();
+        h.add_scene_vertex("cat", 9);
         let mapping = h.absorb_where(&g, |v| v.index() != 0);
         assert_eq!(mapping[0], None);
         for (id, _) in g.vertices().skip(1) {
             let new = mapping[id.index()].unwrap();
-            assert_eq!(h.vertex_props(new), g.vertex_props(id));
+            assert_eq!(crate::scene_image(&h, new), crate::scene_image(&g, id));
+            assert_eq!(h.vertex_label(new), g.vertex_label(id));
         }
-        // Only the bare edge and the second score edge survive.
+        assert_eq!(crate::scene_image(&h, VertexId::from_index(0)), Some(9));
+        // Only the wearing edge and the second near edge survive.
         assert_eq!(h.edge_count(), 2);
-        assert_eq!(
-            h.edge_props(EdgeId::from_index(1)).get("score"),
-            Some(crate::Value::Float(0.5))
-        );
-        assert_eq!(
-            h.value_columns(),
-            [
-                ColumnSize {
-                    len: 5,
-                    capacity: 5
-                },
-                ColumnSize {
-                    len: 1,
-                    capacity: 1
-                }
-            ]
-        );
-        // The run tables too: vertices bare, wool, bbox; edges bare, score.
-        for (column, runs) in [(&h.vertex_column, 3), (&h.edge_column, 2)] {
-            assert_eq!((column.runs.len(), column.runs.capacity()), (runs, runs));
-        }
+        assert!(h.has_edge(mapping[3].unwrap(), mapping[1].unwrap(), "near"));
         h.validate().unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! # svqa-graph
 //!
-//! A directed labeled property graph store — the storage substrate of the
+//! A directed labeled graph store — the storage substrate of the
 //! SVQA reproduction ("Across Images and Graphs for Question Answering",
 //! ICDE 2024).
 //!
@@ -13,15 +13,11 @@
 //! Design notes (informed by the performance guide):
 //! * vertices and edges live in flat arenas indexed by `u32` ids — no
 //!   per-element allocation: each element holds a [`LabelId`] into a
-//!   per-graph label table that stores every text once (and an edge its
-//!   endpoints), nothing more. Properties sit in two per-graph columns
-//!   that store every [`Shape`] (keys and their kinds) once, every value
-//!   as one 8-byte word in one exactly sized arena, and one run per
-//!   stretch of consecutive elements sharing a shape. A value is an
-//!   integer or a float. A graph takes properties as a shape and one
-//!   [`Value`] per key, or in a window as a vertex's image id alone
-//!   ([`GraphWindow::push_vertex`]), and hands them back as `Value`s
-//!   ([`props`]);
+//!   per-graph label table that stores every text once, an edge its
+//!   endpoints too, and a scene vertex its image id, its one property
+//!   ([`Graph::add_scene_vertex`], [`GraphWindow::push_vertex`]; read by
+//!   [`scene_image`]). Knowledge-graph vertices and edges carry no
+//!   property ([`props`]);
 //! * adjacency is derived from the edge arena as one compressed index per
 //!   direction: `V + 1` `u32` offsets and `E` edge ids, each vertex's run
 //!   ascending, giving `O(deg)` neighbourhood scans over one contiguous
@@ -72,7 +68,7 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use ids::{EdgeId, VertexId};
 pub use label::{LabelId, IS_A, SAME_AS};
-pub use props::{scene_image, ColumnSize, Kind, Props, Shape, Value, IMAGE, IMAGE_SHAPE};
+pub use props::scene_image;
 pub use stats::{GraphStats, LabelHistogram};
 pub use subgraph::SubgraphView;
 pub use traverse::{induced_subgraph, k_hop_neighborhood, Bfs};

@@ -1,42 +1,35 @@
 //! Bulk appends filled in parallel windows.
 //!
-//! Merging thousands of scene graphs appends tens of thousands of vertices,
-//! edges and image ids whose counts are known before the first one is
-//! written. [`Graph::append_windows`] grows the element arenas and the
-//! vertex column's word arena once by the exact totals, splits the new
-//! slots into one disjoint [`GraphWindow`] per part, and fills each window
-//! on its own thread with final ids. A window writes a vertex bare or under
-//! [`IMAGE_SHAPE`], its image id's word straight into its run of the
-//! column, so filling it allocates nothing per element and the type of
-//! [`GraphWindow::push_vertex`] fixes the shape. Each window also records
-//! its own vertex run table, one entry per stretch of its vertices sharing
-//! a shape. Appended edges carry no properties: the merged graph's edges
-//! are labels and endpoints only. A short serial stitch then folds what a
-//! window cannot write itself — its label-index lists, its edge-label
-//! counts and its vertex shape runs — into the graph in window order,
-//! covers the new edges with one bare run, and one counting sort over the
-//! edge arena rebuilds both adjacency indexes. The result is the graph that
-//! [`Graph::add_vertex_with_props`] / [`Graph::add_edge`] calls with the
-//! same labels, shapes and values in the same order would give, label ids,
-//! property shapes and adjacency included.
+//! Merging thousands of scene graphs appends tens of thousands of vertices
+//! and edges whose counts are known before the first one is written.
+//! [`Graph::append_windows`] grows the element arenas once by the exact
+//! totals, splits the new slots into one disjoint [`GraphWindow`] per part,
+//! and fills each window on its own thread with final ids. A window writes
+//! each vertex whole, its label and its image id if it has one
+//! ([`GraphWindow::push_vertex`]), so filling it allocates nothing per
+//! element. Appended edges carry nothing but their endpoints and labels. A
+//! short serial stitch then folds what a window cannot write itself — its
+//! label-index lists and its edge-label counts — into the graph in window
+//! order, and one counting sort over the edge arena rebuilds both
+//! adjacency indexes. The result is the graph that
+//! [`Graph::add_vertex`] / [`Graph::add_scene_vertex`] / [`Graph::add_edge`]
+//! calls with the same labels and image ids in the same order would give,
+//! label ids and adjacency included.
 
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::{EdgeId, VertexId};
 use crate::label::LabelId;
-use crate::props::{exact, folded_len, push_run, Run, Value, Word, IMAGE_SHAPE};
 use crate::vertex::Vertex;
 
-/// How many vertices, edges and image ids one window appends, exactly.
+/// How many vertices and edges one window appends, exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowSize {
     /// Vertices the window's part appends.
     pub vertices: usize,
     /// Edges the window's part appends.
     pub edges: usize,
-    /// Those of the vertices that carry an image id: one word each.
-    pub vertex_values: usize,
 }
 
 /// The label texts the windows of one [`Graph::append_windows`] refer to
@@ -63,41 +56,9 @@ pub struct GraphWindow<'g> {
     edges: &'g mut [Edge],
     filled_vertices: usize,
     filled_edges: usize,
-    vertex_values: ValueRun<'g>,
     vertex_labels: &'g [LabelId],
     edge_labels: &'g [LabelId],
     log: StitchLog,
-}
-
-/// A window's run of the vertex column's words, filled in order.
-struct ValueRun<'g> {
-    /// Column index of the run's first word.
-    first: usize,
-    words: &'g mut [Word],
-    filled: usize,
-    /// The vertex column's id of [`IMAGE_SHAPE`].
-    image_shape: u32,
-    /// The window's own run table over its elements, in column indexes.
-    runs: Vec<Run>,
-}
-
-impl ValueRun<'_> {
-    /// Write element `element`: under [`IMAGE_SHAPE`] with `image`'s word,
-    /// or bare.
-    fn write(&mut self, element: usize, image: Option<i64>) {
-        let shape = if image.is_some() { self.image_shape } else { 0 };
-        push_run(
-            &mut self.runs,
-            Run::new(element, shape, self.first + self.filled),
-        );
-        if let Some(image) = image {
-            *self
-                .words
-                .get_mut(self.filled)
-                .expect("window holds its declared value count") = Value::Int(image).word();
-            self.filled += 1;
-        }
-    }
 }
 
 /// What a window leaves for the serial stitch.
@@ -106,8 +67,6 @@ struct StitchLog {
     label_lists: Vec<Vec<VertexId>>,
     /// Per edge-label slot: the window's edges carrying it.
     edge_counts: Vec<usize>,
-    /// The window's vertex run table.
-    shape_runs: Vec<Run>,
 }
 
 impl GraphWindow<'_> {
@@ -117,30 +76,29 @@ impl GraphWindow<'_> {
     }
 
     /// Append a vertex labeled with vertex-label slot `label`: a scene
-    /// vertex under [`IMAGE_SHAPE`] when `image` is its image id, a bare
-    /// vertex when it is `None`.
+    /// vertex when `image` is its image id, a bare vertex when it is
+    /// `None`.
     ///
     /// # Panics
     ///
-    /// When the window already holds its declared vertex count, or its
-    /// declared value count and `image` is `Some`, or `label` is not a
-    /// slot.
-    pub fn push_vertex(&mut self, label: usize, image: Option<i64>) -> VertexId {
+    /// When the window already holds its declared vertex count, `label` is
+    /// not a slot, or `image` is `u32::MAX`, the one id a vertex cannot
+    /// hold.
+    pub fn push_vertex(&mut self, label: usize, image: Option<u32>) -> VertexId {
         let id = self.next_vertex();
         let slot = self
             .vertices
             .get_mut(self.filled_vertices)
             .expect("window holds its declared vertex count");
-        self.vertex_values.write(id.index(), image);
-        *slot = Vertex::new(self.vertex_labels[label]);
+        *slot = Vertex::new(self.vertex_labels[label], image);
         self.log.label_lists[label].push(id);
         self.filled_vertices += 1;
         id
     }
 
     /// Append a directed edge `src → dst` labeled with edge-label slot
-    /// `label`, with no properties. Each endpoint must be a vertex this
-    /// window pushed or one that existed before the append.
+    /// `label`. Each endpoint must be a vertex this window pushed or one
+    /// that existed before the append.
     ///
     /// # Panics
     ///
@@ -180,49 +138,45 @@ impl GraphWindow<'_> {
 
     /// The stitch log of a window filled exactly.
     fn finish(self) -> StitchLog {
-        let values = &self.vertex_values;
         assert!(
-            self.filled_vertices == self.vertices.len()
-                && self.filled_edges == self.edges.len()
-                && values.filled == values.words.len(),
-            "window filled {} of {} vertices and {} of {} edges, \
-             and {} of {} vertex values",
+            self.filled_vertices == self.vertices.len() && self.filled_edges == self.edges.len(),
+            "window filled {} of {} vertices and {} of {} edges",
             self.filled_vertices,
             self.vertices.len(),
             self.filled_edges,
             self.edges.len(),
-            values.filled,
-            values.words.len(),
         );
-        let mut log = self.log;
-        log.shape_runs = self.vertex_values.runs;
-        log
+        self.log
     }
 }
 
 /// Grow `arena` by `n` copies of `placeholder()` to exactly its new length
 /// and return the new tail. Spare room the arena had beyond that is copied
-/// away, never shrunk in place.
+/// to a fresh allocation of the final length rather than shrunk in place,
+/// which would leave the freed tail behind as a heap fragment.
 fn grow<T>(arena: &mut Vec<T>, n: usize, placeholder: impl FnMut() -> T) -> &mut [T] {
     let old = arena.len();
     arena.reserve_exact(n);
     arena.extend(std::iter::repeat_with(placeholder).take(n));
-    *arena = exact(std::mem::take(arena));
+    if arena.len() != arena.capacity() {
+        let mut exact = Vec::with_capacity(arena.len());
+        exact.append(arena);
+        *arena = exact;
+    }
     &mut arena[old..]
 }
 
 impl Graph {
-    /// Append `parts` in parallel windows: grow the arenas and the vertex
-    /// value column by exactly the summed [`WindowSize`]s, then run
-    /// `fill(part, window)` for each part — the first on the calling
-    /// thread, the rest on scoped threads — and stitch the windows in
-    /// part order. Returns `fill`'s results in part order.
+    /// Append `parts` in parallel windows: grow the arenas by exactly the
+    /// summed [`WindowSize`]s, then run `fill(part, window)` for each part
+    /// — the first on the calling thread, the rest on scoped threads — and
+    /// stitch the windows in part order. Returns `fill`'s results in part
+    /// order.
     ///
     /// The labels in `slots` are what the windows refer to by slot; each is
     /// resolved once to its id in this graph's tables, and windows copy
     /// ids. The graph ends up as if every vertex and edge had been added
-    /// one by one, window after window, each vertex bare or under
-    /// [`IMAGE_SHAPE`] and each edge with no properties.
+    /// one by one, window after window.
     ///
     /// # Panics
     ///
@@ -251,37 +205,25 @@ impl Graph {
             .iter()
             .map(|text| self.edge_label_counts.intern(text))
             .collect();
-        let image_shape = self
-            .vertex_column
-            .shape(IMAGE_SHAPE.keys, IMAGE_SHAPE.kinds.iter().copied());
         let existing = self.vertices.len();
         let first_edge = self.edges.len();
-        let first_value = self.vertex_column.words.len();
         let total =
             |count: fn(&WindowSize) -> usize| parts.iter().map(|(size, _)| count(size)).sum();
-        // Placeholders until the windows fill their slots; they allocate
-        // nothing.
+        // Placeholders until the windows fill their slots.
         let (label, nowhere) = (LabelId(0), VertexId::from_index(0));
         let mut vertices = grow(&mut self.vertices, total(|s| s.vertices), || {
-            Vertex::new(label)
+            Vertex::new(label, None)
         });
         let mut edges = grow(&mut self.edges, total(|s| s.edges), || {
             Edge::new(nowhere, nowhere, label)
         });
-        let mut vertex_values = grow(
-            &mut self.vertex_column.words,
-            total(|s| s.vertex_values),
-            || 0,
-        );
 
-        let (mut first_vertex, mut next_edge, mut first_vertex_value) =
-            (existing, first_edge, first_value);
+        let (mut first_vertex, mut next_edge) = (existing, first_edge);
         let mut windows = Vec::with_capacity(parts.len());
         for (size, part) in parts {
             let (v, v_rest) = std::mem::take(&mut vertices).split_at_mut(size.vertices);
             let (e, e_rest) = std::mem::take(&mut edges).split_at_mut(size.edges);
-            let (vv, vv_rest) = std::mem::take(&mut vertex_values).split_at_mut(size.vertex_values);
-            (vertices, edges, vertex_values) = (v_rest, e_rest, vv_rest);
+            (vertices, edges) = (v_rest, e_rest);
             let window = GraphWindow {
                 existing,
                 first_vertex,
@@ -290,24 +232,15 @@ impl Graph {
                 edges: e,
                 filled_vertices: 0,
                 filled_edges: 0,
-                vertex_values: ValueRun {
-                    first: first_vertex_value,
-                    words: vv,
-                    filled: 0,
-                    image_shape,
-                    runs: Vec::new(),
-                },
                 vertex_labels: &vertex_labels,
                 edge_labels: &edge_labels,
                 log: StitchLog {
                     label_lists: vec![Vec::new(); vertex_labels.len()],
                     edge_counts: vec![0; edge_labels.len()],
-                    shape_runs: Vec::new(),
                 },
             };
             first_vertex += size.vertices;
             next_edge += size.edges;
-            first_vertex_value += size.vertex_values;
             windows.push((window, part));
         }
 
@@ -334,29 +267,18 @@ impl Graph {
         });
 
         let (results, logs): (Vec<R>, Vec<StitchLog>) = filled.into_iter().unzip();
-        self.stitch(&vertex_labels, &edge_labels, first_edge, logs);
+        self.stitch(&vertex_labels, &edge_labels, logs);
         self.index_adjacency();
         results
     }
 
-    /// Fold the filled windows' logs into the label index, the edge-label
-    /// counts and the vertex column's run table, in window order, and cover
-    /// the edges from `first_edge` on with one bare run. Each label's
-    /// vertex list grows once, by exactly the windows' entries, and each
-    /// run table is allocated
-    /// once, at its final size: a window's first run folds into the run
-    /// before it when they share a shape, and the edges' bare run into a
-    /// bare last run. The entries are copied rather than adopted: a list a
-    /// window thread grew lives in that thread's malloc arena, and keeping
-    /// it would pin the memory the thread freed there (its scene records)
-    /// in the resident set.
-    fn stitch(
-        &mut self,
-        vertex_labels: &[LabelId],
-        edge_labels: &[LabelId],
-        first_edge: usize,
-        logs: Vec<StitchLog>,
-    ) {
+    /// Fold the filled windows' logs into the label index and the
+    /// edge-label counts, in window order. Each label's vertex list grows
+    /// once, by exactly the windows' entries. The entries are copied rather
+    /// than adopted: a list a window thread grew lives in that thread's
+    /// malloc arena, and keeping it would pin the memory the thread freed
+    /// there (its scene records) in the resident set.
+    fn stitch(&mut self, vertex_labels: &[LabelId], edge_labels: &[LabelId], logs: Vec<StitchLog>) {
         for (slot, &label) in vertex_labels.iter().enumerate() {
             let ids = self.label_index.value_mut(label);
             ids.reserve_exact(logs.iter().map(|log| log.label_lists[slot].len()).sum());
@@ -369,36 +291,13 @@ impl Graph {
                 *self.edge_label_counts.value_mut(label) += count;
             }
         }
-        let column = &mut self.vertex_column;
-        column.runs = folded(
-            std::mem::take(&mut column.runs)
-                .iter()
-                .chain(logs.iter().flat_map(|log| &log.shape_runs)),
-        );
-
-        let column = &mut self.edge_column;
-        let bare =
-            (first_edge < self.edges.len()).then(|| Run::new(first_edge, 0, column.words.len()));
-        column.runs = folded(std::mem::take(&mut column.runs).iter().chain(&bare));
-        column.words = exact(std::mem::take(&mut column.words));
     }
-}
-
-/// `runs` as one exactly sized run table, each run folded into the run
-/// before it when they share a shape.
-fn folded<'r>(runs: impl Iterator<Item = &'r Run> + Clone) -> Vec<Run> {
-    let mut table = Vec::with_capacity(folded_len(runs.clone()));
-    for &run in runs {
-        push_run(&mut table, run);
-    }
-    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binio;
-    use crate::props::{Kind, Shape};
+    use crate::{binio, scene_image};
 
     const SLOTS: WindowSlots<'static> = WindowSlots {
         vertex_labels: &["a", "b"],
@@ -407,19 +306,18 @@ mod tests {
 
     /// Part `p` is a chain of `n` vertices labeled `"a"`/`"b"` with `"x"`
     /// edges, each vertex also linked both ways to pre-existing vertex 0.
-    /// The `"a"` vertices carry an image id; the `"b"` vertices and every
-    /// edge carry nothing.
+    /// The `"a"` vertices carry an image id; the `"b"` vertices carry
+    /// nothing.
     fn chain(n: usize) -> WindowSize {
         WindowSize {
             vertices: n,
             edges: n.saturating_sub(1) + 2 * n,
-            vertex_values: n.div_ceil(2),
         }
     }
 
     /// Vertex `i`'s image id: even vertices carry one, odd ones none.
-    fn image(i: usize) -> Option<i64> {
-        i.is_multiple_of(2).then_some(i as i64 - 3)
+    fn image(i: usize) -> Option<u32> {
+        i.is_multiple_of(2).then_some(i as u32 + 3)
     }
 
     fn fill_chain(n: usize, w: &mut GraphWindow<'_>) {
@@ -451,7 +349,7 @@ mod tests {
             for i in 0..n {
                 let label = ["a", "b"][i % 2];
                 match image(i) {
-                    Some(image) => g.add_vertex_with_props(label, IMAGE_SHAPE, [Value::Int(image)]),
+                    Some(image) => g.add_scene_vertex(label, image),
                     None => g.add_vertex(label),
                 };
             }
@@ -471,18 +369,12 @@ mod tests {
         g
     }
 
-    /// Two vertices and a scored edge, so the appended bare edges start
-    /// a run of their own.
+    /// A scene vertex, a bare one and an edge between them.
     fn base() -> Graph {
         let mut g = Graph::with_capacity(2, 1);
-        let score = Shape {
-            keys: &["score"],
-            kinds: &[Kind::Float],
-        };
-        let hub = g.add_vertex_with_props("a", IMAGE_SHAPE, [Value::Int(7)]);
+        let hub = g.add_scene_vertex("a", 7);
         let other = g.add_vertex("kg");
-        g.add_edge_with_props(hub, other, "same as", score, [Value::Float(0.5)])
-            .unwrap();
+        g.add_edge(hub, other, "same as").unwrap();
         g
     }
 
@@ -528,33 +420,15 @@ mod tests {
                 assert_eq!(ours.offsets, theirs.offsets, "{lens:?}");
                 assert_eq!(ours.ids, theirs.ids, "{lens:?}");
             }
-            // Exact sizing leaves no spare arena, column or adjacency
-            // capacity.
+            // Exact sizing leaves no spare arena or adjacency capacity.
             assert_eq!(g.vertices.capacity(), g.vertices.len());
             assert_eq!(g.edges.capacity(), g.edges.len());
             for index in [&g.outgoing, &g.incoming] {
                 assert_eq!(index.offsets.capacity(), index.offsets.len());
                 assert_eq!(index.ids.capacity(), index.ids.len());
             }
-            for column in g.value_columns() {
-                assert_eq!(column.capacity, column.len);
-            }
-            for column in [&g.vertex_column, &g.edge_column] {
-                assert_eq!(column.runs.capacity(), column.runs.len());
-            }
-            // The base's scored edge, then one bare run over every
-            // appended edge.
-            let appended = lens.iter().any(|&n| n > 0);
-            assert_eq!(g.edge_column.runs.len(), 1 + usize::from(appended));
-            assert_eq!(
-                g.value_columns().map(|c| c.len),
-                want.value_columns().map(|c| c.len)
-            );
             for (id, _) in want.vertices() {
-                assert_eq!(g.vertex_props(id), want.vertex_props(id));
-            }
-            for (id, _) in want.edges() {
-                assert_eq!(g.edge_props(id), want.edge_props(id));
+                assert_eq!(scene_image(&g, id), scene_image(&want, id));
             }
         }
     }
@@ -572,13 +446,14 @@ mod tests {
         assert_eq!(g.label_index.len(), 3);
         assert_eq!(g.edges[0].label, g.edges[2].label);
         assert_eq!(g.edge_label_id("same as"), Some(g.edges[0].label));
-        // `IMAGE_SHAPE` is one shape in the graph, the base's hub and
-        // both windows' "a" vertices use it.
-        let shape = |v: usize| g.vertex_props(VertexId::from_index(v)).shape();
-        assert_eq!(shape(0), shape(2));
-        assert_eq!(shape(2), shape(4));
-        assert_eq!(shape(2), IMAGE_SHAPE);
-        assert_eq!(g.vertex_column.shape_count(), 2);
+        // Each window's "a" vertices carry their image ids, its "b"
+        // vertices none.
+        let image = |v: usize| scene_image(&g, VertexId::from_index(v));
+        assert_eq!([image(0), image(1)], [Some(7), None]);
+        assert_eq!(
+            [image(2), image(3), image(4), image(5)],
+            [Some(3), None, Some(3), None]
+        );
     }
 
     #[test]
@@ -622,56 +497,49 @@ mod tests {
         g.append_windows(&SLOTS, vec![(chain(1), ())], |(), _| ());
     }
 
-    /// The message `f` panics with.
-    fn panic_message(f: impl FnOnce()) -> String {
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
-        panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-            .unwrap_or_default()
-    }
-
     #[test]
-    #[should_panic(expected = "window holds its declared value count")]
+    #[should_panic(expected = "window holds its declared vertex count")]
     fn a_window_holds_its_declared_image_count() {
-        // A part declared with no image ids that pushes a scene vertex.
-        let size = WindowSize {
-            vertices: 1,
-            ..WindowSize::default()
-        };
-        base().append_windows(&SLOTS, vec![(size, ())], |(), w| {
+        // A window's image ids are its scene vertices, so its declared
+        // vertex count bounds them: a part declared with no vertices that
+        // pushes a scene vertex panics.
+        base().append_windows(&SLOTS, vec![(WindowSize::default(), ())], |(), w| {
             w.push_vertex(0, Some(1));
         });
     }
 
     #[test]
-    #[should_panic(expected = "a value of kind Float where the shape holds Int")]
-    fn values_must_fill_the_shape() {
-        // Too few values for `[image, x]`, too many and keys out of order,
-        // added to a graph directly.
-        let shape = Shape {
-            keys: &["image", "x"],
-            kinds: &[Kind::Int, Kind::Float],
+    fn scene_images_must_fit_the_vertex() {
+        // The largest id a vertex holds goes in through either writer, and
+        // the one `u32` past it, which a vertex cannot hold, panics in both.
+        let mut g = base();
+        let v = g.add_scene_vertex("a", crate::vertex::MAX_IMAGE);
+        assert_eq!(scene_image(&g, v), Some(u32::MAX - 1));
+        let one = WindowSize {
+            vertices: 1,
+            edges: 0,
         };
-        let unsorted = Shape {
-            keys: &["x", "image"],
-            kinds: &[Kind::Float, Kind::Int],
-        };
-        let short = vec![Value::Int(1)];
-        let long = vec![Value::Int(1), Value::Float(0.5), Value::Int(2)];
-        let swapped = vec![Value::Float(0.5), Value::Int(1)];
-        for (shape, values, want) in [
-            (shape, &short, "one value per shape key"),
-            (shape, &long, "one value per shape key"),
-            (unsorted, &swapped, "shape keys must be strictly ascending"),
+        let pushed = g.append_windows(&SLOTS, vec![(one, ())], |(), w| {
+            w.push_vertex(0, Some(u32::MAX - 1))
+        });
+        assert_eq!(scene_image(&g, pushed[0]), Some(u32::MAX - 1));
+        let overflow = "image id 4294967295 over the largest a vertex holds";
+        for add in [
+            Box::new(|| {
+                base().add_scene_vertex("a", u32::MAX);
+            }) as Box<dyn FnOnce()>,
+            Box::new(|| {
+                base().append_windows(&SLOTS, vec![(one, ())], |(), w| {
+                    w.push_vertex(0, Some(u32::MAX));
+                });
+            }),
         ] {
-            let message = panic_message(|| {
-                base().add_vertex_with_props("a", shape, values.iter().copied());
-            });
-            assert!(message.contains(want), "{message}");
+            let message = std::panic::catch_unwind(std::panic::AssertUnwindSafe(add))
+                .map(|()| String::new())
+                .unwrap_or_else(|panic| {
+                    panic.downcast_ref::<String>().cloned().unwrap_or_default()
+                });
+            assert!(message.contains(overflow), "{message:?}");
         }
-        // One value per key, but `image` is an Int in this shape.
-        base().add_vertex_with_props("a", shape, [Value::Float(1.0), Value::Float(0.5)]);
     }
 }

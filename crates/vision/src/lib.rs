@@ -56,4 +56,4 @@ pub use prior::PairPrior;
 pub use record::{RecordEdge, RecordVertex, SceneRecord, SceneRecords};
 pub use relation::{RelationPredictor, RELATION_VOCAB};
 pub use scene::{SceneObject, SyntheticImage};
-pub use sgg::{SceneGraphGenerator, SggConfig, SggModel, EDGE_SHAPE, VERTEX_SHAPE};
+pub use sgg::{SceneGraphGenerator, SggConfig, SggModel};

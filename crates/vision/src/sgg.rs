@@ -24,7 +24,7 @@ use crate::scene::SyntheticImage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use svqa_graph::{Graph, Kind, Shape, Value, VertexId, IMAGE};
+use svqa_graph::{Graph, VertexId};
 
 /// The SGG frameworks compared in Table V, as parameterisations of the
 /// simulated relation model. Ordered weakest → strongest.
@@ -114,8 +114,11 @@ pub const RECORD_CHUNK_IMAGES: usize = 128;
 /// The generated scene graph plus evaluation bookkeeping.
 #[derive(Debug, Clone)]
 pub struct SceneGraphOutput {
-    /// The scene graph `G_sg(I)` (vertex props carry `image` and bbox;
-    /// edge props carry `score`).
+    /// The scene graph `G_sg(I)`: one scene vertex per detection, carrying
+    /// its label and image id, and one bare edge per kept pair. A vertex's
+    /// box is its detection's ([`SceneGraphOutput::detections`]), and an
+    /// edge's score is the highest score of its ordered pair in
+    /// [`SceneGraphOutput::predictions`].
     pub graph: Graph,
     /// The detections backing each vertex, aligned with vertex ids.
     pub detections: Vec<Detection>,
@@ -273,15 +276,14 @@ impl SceneGraphGenerator {
                         best = r;
                     }
                 }
-                let edge = (scores[best] >= self.config.edge_threshold).then(|| {
-                    let relation = if corrupt_edges {
+                let relation = (scores[best] >= self.config.edge_threshold).then(|| {
+                    if corrupt_edges {
                         (best + 1) % RELATION_VOCAB.len()
                     } else {
                         best
-                    };
-                    (relation, scores[best])
+                    }
                 });
-                sink.pair(i, j, &scores, edge);
+                sink.pair(i, j, &scores, relation);
             }
         }
     }
@@ -302,33 +304,13 @@ trait SceneSink {
     fn vertices(&mut self, image: u32, detected: &[Detected<'_>]);
 
     /// One scored ordered pair of detection indexes, in row-major order,
-    /// with its edge `(relation index, score)` when one is kept.
-    fn pair(&mut self, sub: usize, obj: usize, scores: &RelationScores, edge: Option<(usize, f64)>);
+    /// with its edge's relation index when one is kept.
+    fn pair(&mut self, sub: usize, obj: usize, scores: &RelationScores, relation: Option<usize>);
 }
 
-/// The shape of a per-image scene-graph vertex's properties: a float per
-/// box coordinate and the integer image id, keys sorted.
-pub const VERTEX_SHAPE: Shape<'static> = Shape {
-    keys: &["h", IMAGE, "w", "x", "y"],
-    kinds: &[
-        Kind::Float,
-        Kind::Int,
-        Kind::Float,
-        Kind::Float,
-        Kind::Float,
-    ],
-};
-
-/// The shape of a per-image scene-graph edge's properties: the predicate's
-/// float score.
-pub const EDGE_SHAPE: Shape<'static> = Shape {
-    keys: &["score"],
-    kinds: &[Kind::Float],
-};
-
 /// [`SceneSink`] for [`SceneGraphOutput`]: a graph per image whose
-/// vertices carry their box and image id and whose edges carry their
-/// score, the owned detections, plus every pair's scores.
+/// vertices carry their image id, the owned detections with their boxes,
+/// plus every pair's scores.
 #[derive(Default)]
 struct GraphSink {
     graph: Graph,
@@ -345,36 +327,17 @@ impl SceneSink for GraphSink {
         self.detections = detected.iter().map(Detected::detection).collect();
         self.vertex_ids = detected
             .iter()
-            .map(|d| {
-                let b = &d.bbox;
-                let values = [
-                    Value::Float(b.h),
-                    Value::Int(i64::from(image)),
-                    Value::Float(b.w),
-                    Value::Float(b.x),
-                    Value::Float(b.y),
-                ];
-                self.graph
-                    .add_vertex_with_props(d.label, VERTEX_SHAPE, values)
-            })
+            .map(|d| self.graph.add_scene_vertex(d.label, image))
             .collect();
     }
 
-    fn pair(
-        &mut self,
-        sub: usize,
-        obj: usize,
-        scores: &RelationScores,
-        edge: Option<(usize, f64)>,
-    ) {
-        if let Some((relation, score)) = edge {
+    fn pair(&mut self, sub: usize, obj: usize, scores: &RelationScores, relation: Option<usize>) {
+        if let Some(relation) = relation {
             self.graph
-                .add_edge_with_props(
+                .add_edge(
                     self.vertex_ids[sub],
                     self.vertex_ids[obj],
                     RELATION_VOCAB[relation],
-                    EDGE_SHAPE,
-                    [Value::Float(score)],
                 )
                 .expect("vertices exist");
         }
@@ -389,14 +352,8 @@ impl SceneSink for SceneRecords {
         }
     }
 
-    fn pair(
-        &mut self,
-        sub: usize,
-        obj: usize,
-        _scores: &RelationScores,
-        edge: Option<(usize, f64)>,
-    ) {
-        if let Some((relation, _)) = edge {
+    fn pair(&mut self, sub: usize, obj: usize, _scores: &RelationScores, relation: Option<usize>) {
+        if let Some(relation) = relation {
             self.push_edge(RecordEdge {
                 sub: sub as u32,
                 obj: obj as u32,
@@ -409,6 +366,7 @@ impl SceneSink for SceneRecords {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bbox::BBox;
     use crate::scene::SceneBuilder;
 
     fn frisbee_scene() -> SyntheticImage {
@@ -469,6 +427,36 @@ mod tests {
         }
     }
 
+    /// Each vertex of `out`'s graph as its label and its detection's box.
+    fn boxes_of(out: &SceneGraphOutput) -> Vec<(String, BBox)> {
+        out.vertex_ids
+            .iter()
+            .zip(&out.detections)
+            .map(|(&id, d)| (out.graph.vertex_label(id).unwrap().to_owned(), d.bbox))
+            .collect()
+    }
+
+    /// The labels and boxes the detector draws for `image` from the
+    /// generator's stream for it.
+    fn detector_boxes(gen: &SceneGraphGenerator, image: &SyntheticImage) -> Vec<(String, BBox)> {
+        let mut rng = StdRng::seed_from_u64(gen.config().seed ^ u64::from(image.id));
+        Detector::new(gen.config().detector.clone())
+            .detect(image, &mut rng)
+            .into_iter()
+            .map(|d| (d.label, d.bbox))
+            .collect()
+    }
+
+    /// The highest score of the ordered pair `(sub, obj)` in `out`'s
+    /// predictions: the score its edge, when kept, was chosen with.
+    fn pair_score(out: &SceneGraphOutput, sub: usize, obj: usize) -> f64 {
+        out.predictions()
+            .iter()
+            .filter(|p| (p.sub, p.obj) == (sub, obj))
+            .map(|p| p.score)
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
     #[test]
     fn edges_carry_scores_and_respect_threshold() {
         let img = frisbee_scene();
@@ -476,14 +464,9 @@ mod tests {
         cfg.edge_threshold = 0.2;
         let gen = SceneGraphGenerator::new(cfg, PairPrior::uniform());
         let out = gen.generate(&img);
-        for (id, _) in out.graph.edges() {
-            let score = out
-                .graph
-                .edge_props(id)
-                .get("score")
-                .and_then(|p| p.as_float())
-                .unwrap();
-            assert!(score >= 0.2);
+        assert!(out.graph.edge_count() > 0);
+        for (_, e) in out.graph.edges() {
+            assert!(pair_score(&out, e.src().index(), e.dst().index()) >= 0.2);
         }
     }
 
@@ -515,29 +498,24 @@ mod tests {
         let records = gen.generate_records(&images);
         assert_eq!(records.len(), images.len());
         // The records keep each vertex's label and image id and each
-        // edge's endpoints and label; the per-image graph also keeps the
-        // box and the score.
+        // edge's endpoints and label, as the per-image graph does; the
+        // boxes are the detections'.
         for (image, scene) in images.iter().zip(records.scenes()) {
-            let g = gen.generate(image).graph;
+            let out = gen.generate(image);
+            let g = &out.graph;
             let vertices: Vec<_> = g
                 .vertices()
-                .map(|(id, _)| {
-                    let props = g.vertex_props(id);
-                    assert_eq!(props.shape(), VERTEX_SHAPE);
-                    (g.vertex_label(id).unwrap(), svqa_graph::scene_image(&g, id))
-                })
+                .map(|(id, _)| (g.vertex_label(id).unwrap(), svqa_graph::scene_image(g, id)))
                 .collect();
             let recorded: Vec<_> = scene
                 .vertices()
-                .map(|(l, v)| (l, Some(i64::from(v.image()))))
+                .map(|(l, v)| (l, Some(v.image())))
                 .collect();
             assert_eq!(recorded, vertices);
+            assert_eq!(boxes_of(&out), detector_boxes(&gen, image));
             let edges: Vec<_> = g
                 .edges()
-                .map(|(id, e)| {
-                    assert_eq!(g.edge_props(id).shape(), EDGE_SHAPE);
-                    (e.src().index(), e.dst().index(), g.edge_label(id).unwrap())
-                })
+                .map(|(id, e)| (e.src().index(), e.dst().index(), g.edge_label(id).unwrap()))
                 .collect();
             let recorded: Vec<_> = scene
                 .edges()
@@ -551,40 +529,29 @@ mod tests {
 
     #[test]
     fn graph_values_sit_under_their_own_keys() {
-        // Each vertex of a per-image graph carries its own detection's box
-        // coordinate under that coordinate's key, and its image id; each
-        // edge carries the score its predicate was chosen with.
+        // Each vertex of a per-image graph is its own detection's: its
+        // label and its image id, with the box in the detection; each edge
+        // is its pair's chosen predicate, with the pair's top score.
         let img = frisbee_scene();
         let gen = SceneGraphGenerator::new(SggConfig::default(), PairPrior::uniform());
         let out = gen.generate(&img);
         let g = &out.graph;
         assert_eq!(out.detections.len(), out.vertex_ids.len());
-        for (d, &id) in out.detections.iter().zip(&out.vertex_ids) {
-            let b = &d.bbox;
-            let props: Vec<_> = g.vertex_props(id).iter().collect();
-            let want = [
-                ("h", Value::Float(b.h)),
-                (IMAGE, Value::Int(i64::from(img.id))),
-                ("w", Value::Float(b.w)),
-                ("x", Value::Float(b.x)),
-                ("y", Value::Float(b.y)),
-            ];
-            assert_eq!(props, want);
+        for &id in &out.vertex_ids {
+            assert_eq!(svqa_graph::scene_image(g, id), Some(img.id));
         }
+        assert_eq!(boxes_of(&out), detector_boxes(&gen, &img));
         let predictions = out.predictions();
         assert!(g.edge_count() > 0);
         for (id, e) in g.edges() {
-            let label = g.edge_label(id).unwrap();
-            let chosen = predictions
+            let (sub, obj) = (e.src().index(), e.dst().index());
+            let top = predictions
                 .iter()
-                .find(|p| {
-                    p.sub == e.src().index()
-                        && p.obj == e.dst().index()
-                        && RELATION_VOCAB[p.relation] == label
-                })
+                .find(|p| (p.sub, p.obj) == (sub, obj))
                 .unwrap();
-            let props: Vec<_> = g.edge_props(id).iter().collect();
-            assert_eq!(props, [("score", Value::Float(chosen.score))]);
+            assert_eq!(RELATION_VOCAB[top.relation], g.edge_label(id).unwrap());
+            assert_eq!(top.score, pair_score(&out, sub, obj));
+            assert!(top.score >= gen.config().edge_threshold);
         }
     }
 

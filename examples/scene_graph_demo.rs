@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use svqa::vision::prior::PairPrior;
 use svqa::vision::scene::{SceneBuilder, SyntheticImage};
-use svqa::vision::sgg::{SceneGraphGenerator, SggConfig};
+use svqa::vision::sgg::{SceneGraphGenerator, SceneGraphOutput, SggConfig};
 
 fn frisbee_scene() -> SyntheticImage {
     let mut rng = StdRng::seed_from_u64(3);
@@ -47,14 +47,19 @@ fn biased_corpus() -> Vec<SyntheticImage> {
         .collect()
 }
 
-fn print_graph(title: &str, graph: &svqa::graph::Graph) {
+/// Print each edge of `out`'s scene graph with its pair's score: the
+/// highest score of its ordered pair in the predictions, the one the edge
+/// was kept with.
+fn print_graph(title: &str, out: &SceneGraphOutput) {
     println!("\n--- {title} ---");
-    for (id, e) in graph.edges() {
-        let score = graph
-            .edge_props(id)
-            .get("score")
-            .and_then(|p| p.as_float())
-            .unwrap_or(0.0);
+    let predictions = out.predictions();
+    let graph = &out.graph;
+    for (_, e) in graph.edges() {
+        let (sub, obj) = (e.src().index(), e.dst().index());
+        let score = predictions
+            .iter()
+            .find(|p| (p.sub, p.obj) == (sub, obj))
+            .map_or(0.0, |p| p.score);
         println!(
             "  {{{}, {}, {}}}  (score {:.2})",
             graph.vertex_label(e.src()).unwrap_or("?"),
@@ -89,7 +94,7 @@ fn main() {
     );
     print_graph(
         "initial links, Original model (Fig. 3a)",
-        &original.generate(&image).graph,
+        &original.generate(&image),
     );
 
     // TDE-debiased (Fig. 3c): explicit predicates recovered.
@@ -100,5 +105,5 @@ fn main() {
         },
         prior,
     );
-    print_graph("TDE-debiased links (Fig. 3c)", &tde.generate(&image).graph);
+    print_graph("TDE-debiased links (Fig. 3c)", &tde.generate(&image));
 }

@@ -17,13 +17,12 @@
 //! build byte for byte: the two had differed only in the last bit of some
 //! scores.
 
-use std::sync::OnceLock;
 use svqa::aggregator::MergeStats;
 use svqa::dataset::{
     build_knowledge_graph, generate_images, generate_vqav2, Mvqa, MvqaConfig, QaPair, QuestionSpec,
     VqaV2Config,
 };
-use svqa::graph::{binio, Graph, Kind, Shape, Value};
+use svqa::graph::{binio, scene_image, Graph};
 use svqa::{Svqa, SvqaConfig};
 
 /// Images in the pinned world (default MVQA seed).
@@ -188,37 +187,14 @@ fn generated_corpus_is_pinned() {
     );
 }
 
-/// A property key built at run time, leaked once.
-fn runtime_key() -> &'static str {
-    static KEY: OnceLock<&'static str> = OnceLock::new();
-    KEY.get_or_init(|| format!("{}_{}", "source", 7).leak())
-}
-
-/// A graph mixing static and runtime property keys, repeated labels and
-/// both value kinds.
+/// A graph mixing scene and bare vertices, repeated labels and owned and
+/// borrowed label texts.
 fn mixed_graph() -> Graph {
     let mut g = Graph::new();
-    let keys = ["flag", "image", "note", runtime_key(), "x"];
-    let shape = Shape {
-        keys: &keys,
-        kinds: &[Kind::Int, Kind::Int, Kind::Float, Kind::Int, Kind::Float],
-    };
-    let values = [
-        Value::Int(1),
-        Value::Int(3),
-        Value::Float(-0.5),
-        Value::Int(-7),
-        Value::Float(0.125),
-    ];
-    let dog = g.add_vertex_with_props("dog", shape, values);
+    let dog = g.add_scene_vertex("dog", 3);
     let man = g.add_vertex(String::from("man"));
-    let dog2 = g.add_vertex("dog");
-    let score = Shape {
-        keys: &["score"],
-        kinds: &[Kind::Float],
-    };
-    g.add_edge_with_props(dog, man, "near", score, [Value::Float(0.75)])
-        .unwrap();
+    let dog2 = g.add_scene_vertex("dog", 0);
+    g.add_edge(dog, man, "near").unwrap();
     g.add_edge(dog2, man, "near").unwrap();
     g.add_edge(man, dog, String::from("watching")).unwrap();
     g
@@ -237,10 +213,15 @@ fn binary_round_trips_are_byte_identical() {
         let bytes = binio::to_bytes(&g).unwrap();
         let back = binio::from_bytes(bytes.clone()).unwrap();
         assert_eq!(binio::to_bytes(&back).unwrap(), bytes);
+        for (id, _) in g.vertices() {
+            assert_eq!(scene_image(&back, id), scene_image(&g, id), "{id}");
+        }
         assert_adjacency_matches_snapshot(&g);
     }
-    let g = mixed_graph();
-    let back = binio::from_bytes(binio::to_bytes(&g).unwrap()).unwrap();
-    let props = back.vertex_props(back.vertices_with_label("dog")[0]);
-    assert_eq!(props.get("source_7").and_then(Value::as_int), Some(-7));
+    let back = binio::from_bytes(binio::to_bytes(&mixed_graph()).unwrap()).unwrap();
+    let images: Vec<_> = back
+        .vertices()
+        .map(|(id, _)| scene_image(&back, id))
+        .collect();
+    assert_eq!(images, [Some(3), None, Some(0)]);
 }

@@ -1,50 +1,41 @@
-//! The property shapes of the merged graph `G_mg`, through every writer.
+//! The vertex images of the merged graph `G_mg`, through every writer.
 //!
 //! `G_mg` keeps what the query path reads: a scene vertex carries its image
-//! id alone (`IMAGE_SHAPE`), and knowledge-graph vertices and every edge
-//! carry nothing. Boxes and predicate scores stay in the per-image scene
-//! graphs, which relation prediction and Table V read before the merge.
-//! Each way of producing a `G_mg` must hold that layout: `Svqa::build`,
+//! id, and knowledge-graph vertices and every edge carry nothing. Boxes and
+//! predicate scores stay in the scene-graph generator's output, which
+//! relation prediction and Table V read before the merge. Each way of
+//! producing a `G_mg` must hold that layout: `Svqa::build`,
 //! `DataAggregator::merge` over per-image graphs, `merge_records`,
 //! `Svqa::add_images`, and a `binio` round trip of the built graph.
 
 use svqa::aggregator::DataAggregator;
 use svqa::dataset::{build_knowledge_graph, generate_images, MvqaConfig};
-use svqa::graph::{binio, scene_image, Graph, Shape, IMAGE_SHAPE};
+use svqa::graph::{binio, scene_image, Graph};
 use svqa::vision::prior::PairPrior;
 use svqa::vision::sgg::SceneGraphGenerator;
-use svqa::vision::{EDGE_SHAPE, VERTEX_SHAPE};
 use svqa::{Svqa, SvqaConfig};
 
 /// Images in the test world (default MVQA seed).
 const IMAGES: usize = 120;
 
-/// Every vertex of `g` is bare or carries its image id alone, the
-/// knowledge graph's `kg_vertices` bare and every later vertex under
-/// [`IMAGE_SHAPE`]; every edge is bare, so the edge column is empty under
-/// one run.
+/// The knowledge graph's `kg_vertices` carry no image, and every later
+/// vertex its own image's id: each image's vertices, in image order, carry
+/// that image's id, which grows from image to image.
 fn assert_query_layout(g: &Graph, kg_vertices: usize, what: &str) {
     g.validate().unwrap();
-    for (vertices, shape) in g.vertex_shape_runs() {
-        let want = if vertices.end <= kg_vertices {
-            Shape::default()
-        } else {
-            assert!(vertices.start >= kg_vertices, "{what}: {vertices:?}");
-            IMAGE_SHAPE
-        };
-        assert_eq!(shape, want, "{what}: vertices {vertices:?}");
-    }
+    let mut last = None;
     for (id, _) in g.vertices() {
-        assert_eq!(
-            scene_image(g, id).is_some(),
-            id.index() >= kg_vertices,
-            "{what}: {id}"
-        );
+        let image = scene_image(g, id);
+        if id.index() < kg_vertices {
+            assert_eq!(image, None, "{what}: {id}");
+        } else {
+            assert!(
+                image.is_some() && image >= last,
+                "{what}: {id}: {image:?} after {last:?}"
+            );
+            last = image;
+        }
     }
-    let runs: Vec<_> = g.edge_shape_runs().collect();
-    assert_eq!(runs, [(0..g.edge_count(), Shape::default())], "{what}");
-    let [_, edge_column] = g.value_columns();
-    assert_eq!((edge_column.len, edge_column.capacity), (0, 0), "{what}");
 }
 
 #[test]
@@ -72,15 +63,16 @@ fn every_writer_of_the_merged_graph_keeps_the_query_layout() {
         assert_query_layout(grown.merged_graph(), kg_vertices, "Svqa::add_images");
     }
 
-    // Per-image scene graphs keep their boxes and scores; merging them
-    // drops both, and gives the graph their records merge into.
+    // Per-image scene graphs carry their own image's id on every vertex;
+    // merging them gives the graph their records merge into.
     let config = SvqaConfig::default();
     let sgg = SceneGraphGenerator::new(config.sgg, PairPrior::fit(&images));
     let graphs: Vec<Graph> = images.iter().map(|i| sgg.generate(i).graph).collect();
     assert!(graphs.iter().any(|g| g.edge_count() > 0));
-    for graph in &graphs {
-        assert!(graph.vertex_shape_runs().all(|(_, s)| s == VERTEX_SHAPE));
-        assert!(graph.edge_shape_runs().all(|(_, s)| s == EDGE_SHAPE));
+    for (graph, image) in graphs.iter().zip(&images) {
+        for (id, _) in graph.vertices() {
+            assert_eq!(scene_image(graph, id), Some(image.id));
+        }
     }
     let aggregator = DataAggregator::new(config.aggregator);
     let from_graphs = aggregator.merge(&graphs, &kg);

@@ -2,6 +2,11 @@
 //! answers profiled questions, then the query server's `/metrics` must
 //! serve the registry in Prometheus text exposition format and
 //! `/profiles/recent` the actual profiles those questions produced.
+//!
+//! The profiles are built through the library before the server starts:
+//! the served `/ask` and `/batch` never call `QueryRun::profile()`, so a
+//! server alone leaves the ring empty, and this test shows only that the
+//! route serves what library code in the same process pushed.
 
 mod common;
 
